@@ -3,11 +3,18 @@
 //! Long-running simulations cannot afford an unbounded [`MemoryRecorder`],
 //! but when something goes wrong the *recent* history is exactly what a
 //! post-mortem needs. The [`FlightRecorder`] keeps the last `capacity`
-//! events (older ones are dropped, counted), accumulates metrics like any
+//! entries (older ones are dropped, counted), accumulates metrics like any
 //! other [`Recorder`], and renders a self-contained JSON post-mortem on
 //! demand: the violation(s), the tail of the event stream, and a metrics
 //! snapshot. Simulator monitors and the protocol model checker share this
 //! artifact format (`bwfirst-postmortem/1`).
+//!
+//! The ring is generic over its entry type. A hot-path caller stores a
+//! small typed entry (no heap allocation per observation) and pays for the
+//! [`Event`] rendering only when a post-mortem is dumped; [`Event`] itself
+//! renders as the identity.
+//!
+//! [`MemoryRecorder`]: crate::MemoryRecorder
 
 use crate::event::Event;
 use crate::json::{obj, Value};
@@ -18,24 +25,42 @@ use std::collections::VecDeque;
 /// The post-mortem format marker, bumped on breaking schema changes.
 pub const POSTMORTEM_FORMAT: &str = "bwfirst-postmortem/1";
 
-/// A bounded event recorder for crash dumps.
+/// Entries allocated up front; a larger ring grows on demand, so a huge
+/// configured capacity costs memory only once that many entries arrive.
+const PREALLOCATED: usize = 4096;
+
+/// A flight-ring entry, rendered to the [`Event`] it stands for only when a
+/// post-mortem is dumped.
+pub trait FlightEntry {
+    /// The event this entry records.
+    fn to_event(&self) -> Event;
+}
+
+impl FlightEntry for Event {
+    fn to_event(&self) -> Event {
+        self.clone()
+    }
+}
+
+/// A bounded recorder for crash dumps, holding the last `capacity` entries.
 #[derive(Debug, Clone)]
-pub struct FlightRecorder {
+pub struct FlightRecorder<E = Event> {
     capacity: usize,
-    events: VecDeque<Event>,
+    events: VecDeque<E>,
     dropped: u64,
     /// Counters and histograms (unbounded — metrics are O(names), not
     /// O(events)).
     pub metrics: Metrics,
 }
 
-impl FlightRecorder {
-    /// A recorder keeping the last `capacity` events (at least one).
+impl<E> FlightRecorder<E> {
+    /// A recorder keeping the last `capacity` entries (at least one).
     #[must_use]
-    pub fn new(capacity: usize) -> FlightRecorder {
+    pub fn new(capacity: usize) -> FlightRecorder<E> {
+        let capacity = capacity.max(1);
         FlightRecorder {
-            capacity: capacity.max(1),
-            events: VecDeque::new(),
+            capacity,
+            events: VecDeque::with_capacity(capacity.min(PREALLOCATED)),
             dropped: 0,
             metrics: Metrics::new(),
         }
@@ -47,7 +72,7 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Events currently held (≤ capacity).
+    /// Entries currently held (≤ capacity).
     #[must_use]
     pub fn len(&self) -> usize {
         self.events.len()
@@ -59,17 +84,28 @@ impl FlightRecorder {
         self.events.is_empty()
     }
 
-    /// Events evicted to keep the ring bounded.
+    /// Entries evicted to keep the ring bounded.
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
+    /// The retained entries, oldest first.
+    pub fn events(&self) -> impl Iterator<Item = &E> {
         self.events.iter()
     }
 
+    /// Appends an entry, evicting the oldest when the ring is full.
+    pub fn push(&mut self, entry: E) {
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(entry);
+    }
+}
+
+impl<E: FlightEntry> FlightRecorder<E> {
     /// Renders the `bwfirst-postmortem/1` artifact: `reason` (one line),
     /// `violations` (conventionally a JSON array of typed violation
     /// objects, each with at least `layer`, `kind` and `message` members),
@@ -81,19 +117,15 @@ impl FlightRecorder {
             ("reason", Value::Str(reason.to_string())),
             ("violations", violations),
             ("dropped", Value::Int(i128::from(self.dropped))),
-            ("events", Value::Array(self.events.iter().map(Event::to_json).collect())),
+            ("events", Value::Array(self.events.iter().map(|e| e.to_event().to_json()).collect())),
             ("metrics", self.metrics.to_json()),
         ])
     }
 }
 
-impl Recorder for FlightRecorder {
+impl Recorder for FlightRecorder<Event> {
     fn event(&mut self, ev: Event) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(ev);
+        self.push(ev);
     }
 
     fn add(&mut self, name: &str, delta: i128) {
@@ -125,6 +157,32 @@ mod tests {
         assert_eq!(f.dropped(), 2);
         let kept: Vec<String> = f.events().map(|e| e.ts.display()).collect();
         assert_eq!(kept, ["2", "3", "4"]);
+    }
+
+    /// A typed entry that renders to the `tick` event at time `k`.
+    struct Tick(i128);
+
+    impl FlightEntry for Tick {
+        fn to_event(&self) -> Event {
+            ev(self.0)
+        }
+    }
+
+    #[test]
+    fn typed_ring_renders_the_last_capacity_entries() {
+        let total = 600;
+        for capacity in [1usize, 2, 7, 256] {
+            let mut typed: FlightRecorder<Tick> = FlightRecorder::new(capacity);
+            for k in 0..total {
+                typed.push(Tick(k));
+            }
+            let dump = typed.postmortem("r", Value::Array(Vec::new()));
+            let tail = (total - capacity as i128..total).map(|k| ev(k).to_json()).collect();
+            assert_eq!(dump["events"], Value::Array(tail), "capacity {capacity}");
+            assert_eq!(typed.len(), capacity);
+            assert_eq!(typed.dropped(), (total - capacity as i128) as u64);
+            assert_eq!(dump["dropped"].as_i128(), Some(total - capacity as i128));
+        }
     }
 
     #[test]

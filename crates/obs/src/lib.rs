@@ -38,7 +38,7 @@ pub mod summary;
 
 pub use causal::{Trace, TraceDiff, TraceHeader, TraceRecord};
 pub use event::{Arg, Event, EventKind, Ts};
-pub use flight::FlightRecorder;
+pub use flight::{FlightEntry, FlightRecorder};
 pub use metrics::Metrics;
 pub use recorder::{MemoryRecorder, Noop, Recorder};
 pub use span::{Lane, SpanAllocator, SpanContext, SpanId};

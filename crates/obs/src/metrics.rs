@@ -24,7 +24,9 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn new() -> Histogram {
+    /// An empty distribution.
+    #[must_use]
+    pub fn new() -> Histogram {
         Histogram {
             count: 0,
             sum: 0.0,
@@ -34,7 +36,8 @@ impl Histogram {
         }
     }
 
-    fn observe(&mut self, v: f64) {
+    /// Records one observation.
+    pub fn observe(&mut self, v: f64) {
         self.count += 1;
         self.sum += v;
         self.min = self.min.min(v);
@@ -99,6 +102,12 @@ impl Histogram {
     }
 }
 
+impl Default for Histogram {
+    fn default() -> Histogram {
+        Histogram::new()
+    }
+}
+
 /// A registry of counters and histograms.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
@@ -115,9 +124,15 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Adds `delta` to the named counter (creating it at zero).
+    /// Adds `delta` to the named counter (creating it at zero). The name is
+    /// copied only when the counter is created.
     pub fn add(&mut self, name: &str, delta: i128) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += delta,
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Reads a counter (absent counters read as zero).
@@ -126,9 +141,17 @@ impl Metrics {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Records one observation in the named histogram.
+    /// Records one observation in the named histogram. The name is copied
+    /// only when the histogram is created.
     pub fn observe(&mut self, name: &str, value: f64) {
-        self.histograms.entry(name.to_string()).or_insert_with(Histogram::new).observe(value);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(value),
+            None => {
+                let mut h = Histogram::new();
+                h.observe(value);
+                self.histograms.insert(name.to_string(), h);
+            }
+        }
     }
 
     /// Folds another registry into this one.
@@ -137,7 +160,7 @@ impl Metrics {
             *self.counters.entry(k.clone()).or_insert(0) += v;
         }
         for (k, h) in &other.histograms {
-            let dst = self.histograms.entry(k.clone()).or_insert_with(Histogram::new);
+            let dst = self.histograms.entry(k.clone()).or_default();
             dst.count += h.count;
             dst.sum += h.sum;
             dst.min = dst.min.min(h.min);
@@ -201,6 +224,23 @@ mod tests {
         m.add("msgs", 3);
         assert_eq!(m.counter("msgs"), 5);
         assert_eq!(m.counter("absent"), 0);
+    }
+
+    #[test]
+    fn repeated_names_match_the_entry_api() {
+        let names = ["b", "a", "b", "c", "a", "b", "a"];
+        let mut m = Metrics::new();
+        let mut want = Metrics::new();
+        for (k, name) in names.into_iter().enumerate() {
+            m.add(name, k as i128);
+            m.observe(name, k as f64 * 1.5);
+            *want.counters.entry(name.to_string()).or_insert(0) += k as i128;
+            want.histograms.entry(name.to_string()).or_default().observe(k as f64 * 1.5);
+        }
+        assert_eq!(m, want);
+        assert_eq!(m.counter("b"), 7);
+        assert_eq!(m.histograms["a"].count, 3);
+        assert_eq!(m.to_json().to_string_compact(), want.to_json().to_string_compact());
     }
 
     #[test]

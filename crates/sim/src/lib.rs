@@ -69,6 +69,8 @@ pub mod returns;
 pub use engine::{BufferStats, SimConfig, SimReport};
 pub use error::SimError;
 pub use gantt::{Gantt, GanttSegment, SegmentKind};
-pub use monitor::{MonitorConfig, MonitorProbe, MonitorReport, MonitorViolation, Snapshot};
+pub use monitor::{
+    MonitorConfig, MonitorEntry, MonitorProbe, MonitorReport, MonitorViolation, Snapshot,
+};
 pub use probe::{GanttProbe, NoProbe, ObsProbe, Probe, TaskAction, Utilization, UtilizationProbe};
 pub use provenance::{trace_header, ProvenanceProbe};

@@ -30,6 +30,12 @@
 //! bounded [`FlightRecorder`], so a violation or `SimError` can be dumped as
 //! a self-contained `bwfirst-postmortem/1` artifact with the last-N events.
 //!
+//! The monitor is cheap enough to leave on: the hot path allocates nothing
+//! and divides no rationals. The ring holds typed [`MonitorEntry`]s rendered
+//! to events only in a post-mortem, the monitor's own counters and
+//! histograms live in fields folded into the ring's metrics by `finish()`,
+//! and the current window's bounds are kept to compare against.
+//!
 //! Violations are *data*, never panics: the probe keeps watching after the
 //! first finding (up to [`MonitorConfig::max_violations`]).
 //!
@@ -38,10 +44,11 @@
 //! the default slack of one task suffices.
 
 use crate::gantt::SegmentKind;
-use crate::probe::{lane, Probe, LANES};
+use crate::probe::{lane, ts, Probe, LANES};
 use bwfirst_core::expectations::MonitorExpectations;
 use bwfirst_obs::json::{obj, Value};
-use bwfirst_obs::{Arg, Event, EventKind, FlightRecorder, Recorder, Ts};
+use bwfirst_obs::metrics::Histogram;
+use bwfirst_obs::{Arg, Event, EventKind, FlightEntry, FlightRecorder};
 use bwfirst_platform::NodeId;
 use bwfirst_rational::Rat;
 use std::fmt;
@@ -356,7 +363,7 @@ pub struct MonitorReport {
     /// interrupts surface segments late; nonzero here is normal there).
     pub late_events: u64,
     /// The bounded event tail and monitor metrics.
-    pub flight: FlightRecorder,
+    pub flight: FlightRecorder<MonitorEntry>,
 }
 
 impl MonitorReport {
@@ -395,6 +402,70 @@ impl MonitorReport {
     #[must_use]
     pub fn postmortem_for(&self, reason: &str) -> Value {
         self.flight.postmortem(reason, self.violations_json())
+    }
+}
+
+/// One flight-ring entry, kept typed until a post-mortem renders it as the
+/// [`Event`] it stands for (the span shape [`crate::ObsProbe`] emits).
+#[derive(Debug, Clone)]
+pub enum MonitorEntry {
+    /// A segment opens on `node`'s `lane`.
+    Begin {
+        /// Segment start.
+        t: Rat,
+        /// The node.
+        node: NodeId,
+        /// Lane index (receive 0, compute 1, send 2).
+        lane: usize,
+    },
+    /// A segment closes on `node`'s `lane`.
+    End {
+        /// Segment end.
+        t: Rat,
+        /// The node.
+        node: NodeId,
+        /// Lane index (receive 0, compute 1, send 2).
+        lane: usize,
+    },
+    /// `node`'s buffer now holds `size` tasks.
+    Buffer {
+        /// When.
+        t: Rat,
+        /// The node.
+        node: NodeId,
+        /// Buffered tasks.
+        size: u64,
+    },
+    /// A violation was found.
+    Violation {
+        /// When.
+        t: Rat,
+        /// The violation's [`MonitorViolation::kind`].
+        kind: &'static str,
+        /// The violation's message.
+        message: String,
+    },
+}
+
+impl FlightEntry for MonitorEntry {
+    fn to_event(&self) -> Event {
+        match self {
+            MonitorEntry::Begin { t, node, lane } => {
+                Event::new(ts(*t), node.0 * 3 + *lane as u32, LANES[*lane], EventKind::Begin)
+                    .arg("node", Arg::Int(i128::from(node.0)))
+            }
+            MonitorEntry::End { t, node, lane } => {
+                Event::new(ts(*t), node.0 * 3 + *lane as u32, LANES[*lane], EventKind::End)
+            }
+            MonitorEntry::Buffer { t, node, size } => {
+                Event::new(ts(*t), node.0, format!("buffer {node}"), EventKind::Counter)
+                    .arg("tasks", Arg::Int(i128::from(*size)))
+            }
+            MonitorEntry::Violation { t, kind, message } => {
+                Event::new(ts(*t), 0, format!("violation: {kind}"), EventKind::Instant)
+                    .arg("message", Arg::Str(message.clone()))
+            }
+        }
     }
 }
 
@@ -454,17 +525,22 @@ pub struct MonitorProbe {
     buf_prev: Vec<u64>,
     buf_total: u64,
     cur_window: i128,
+    /// `cur_window`'s bounds `[win_start, win_end)`.
+    win_start: Rat,
+    win_end: Rat,
     win: WindowState,
     cum_computed: u64,
     late_events: u64,
     violations: Vec<MonitorViolation>,
     suppressed: u64,
     snapshots: Vec<Snapshot>,
-    flight: FlightRecorder,
-}
-
-fn ts(r: Rat) -> Ts {
-    Ts::new(r.numer(), r.denom())
+    flight: FlightRecorder<MonitorEntry>,
+    /// `monitor.segments`; with the histograms below, folded into the
+    /// flight metrics by `finish()`.
+    segments: i128,
+    window_throughput: Histogram,
+    queue_depth: Histogram,
+    buffer_occupancy: Histogram,
 }
 
 impl MonitorProbe {
@@ -472,6 +548,7 @@ impl MonitorProbe {
     #[must_use]
     pub fn new(n: usize, root: NodeId, cfg: MonitorConfig) -> MonitorProbe {
         let flight = FlightRecorder::new(cfg.flight_capacity);
+        let win_end = cfg.window;
         MonitorProbe {
             cfg,
             root,
@@ -483,6 +560,8 @@ impl MonitorProbe {
             buf_prev: vec![0; n],
             buf_total: 0,
             cur_window: 0,
+            win_start: Rat::ZERO,
+            win_end,
             win: WindowState::new(n),
             cum_computed: 0,
             late_events: 0,
@@ -490,6 +569,10 @@ impl MonitorProbe {
             suppressed: 0,
             snapshots: Vec::new(),
             flight,
+            segments: 0,
+            window_throughput: Histogram::new(),
+            queue_depth: Histogram::new(),
+            buffer_occupancy: Histogram::new(),
         }
     }
 
@@ -500,11 +583,7 @@ impl MonitorProbe {
     }
 
     fn violate(&mut self, at: Rat, v: MonitorViolation) {
-        self.flight.add("monitor.violations", 1);
-        self.flight.event(
-            Event::new(ts(at), 0, format!("violation: {}", v.kind()), EventKind::Instant)
-                .arg("message", Arg::Str(v.to_string())),
-        );
+        self.flight.push(MonitorEntry::Violation { t: at, kind: v.kind(), message: v.to_string() });
         if self.violations.len() < self.cfg.max_violations {
             self.violations.push(v);
         } else {
@@ -512,22 +591,19 @@ impl MonitorProbe {
         }
     }
 
-    fn window_of(&self, t: Rat) -> i128 {
-        (t / self.cfg.window).floor()
-    }
-
     /// Closes `self.cur_window` and opens the next one.
     fn flush_window(&mut self) {
         let k = self.cur_window;
-        let from = self.cfg.window * Rat::from_int(k);
-        let to = self.cfg.window * Rat::from_int(k + 1);
-        let snap = self.make_snapshot(k, from, to, false);
-        self.flight.observe("monitor.window_throughput", snap.throughput);
-        self.check_window_rates(k);
+        let to = self.win_end;
+        let snap = self.make_snapshot(k, self.win_start, to, false);
+        self.window_throughput.observe(snap.throughput);
+        self.check_window_rates(k, to);
         self.check_drain_balance(to);
         self.snapshots.push(snap);
         self.win.reset();
         self.cur_window += 1;
+        self.win_start = to;
+        self.win_end = to + self.cfg.window;
     }
 
     fn make_snapshot(&self, k: i128, from: Rat, to: Rat, partial: bool) -> Snapshot {
@@ -554,59 +630,58 @@ impl MonitorProbe {
         }
     }
 
-    /// Rate/bunch checks for a just-completed window (expectations only).
-    fn check_window_rates(&mut self, k: i128) {
+    /// Rate/bunch checks for window `k`, just completed at `at`
+    /// (expectations only).
+    fn check_window_rates(&mut self, k: i128, at: Rat) {
         if k < self.cfg.warmup_windows {
             return;
         }
-        let Some(exp) = self.cfg.expectations.clone() else { return };
+        let Some(exp) = &self.cfg.expectations else { return };
         let w = self.cfg.window;
         let slack = self.cfg.rate_slack;
-        let at = w * Rat::from_int(k + 1);
+        let off =
+            |observed: u64, expected: Rat| (Rat::from(observed as usize) - expected).abs() > slack;
+        // Found first and reported after, so the expectations are borrowed
+        // rather than cloned once per window.
+        let mut found = Vec::new();
         for i in 0..self.n {
             let node = NodeId(i as u32);
             let expected_c = exp.alpha[i] * w;
             let observed_c = self.win.node_computed[i];
-            if (Rat::from(observed_c as usize) - expected_c).abs() > slack {
-                self.violate(
-                    at,
-                    MonitorViolation::RateDeviation {
-                        node,
-                        lane: 1,
-                        window: k,
-                        observed: observed_c,
-                        expected: expected_c,
-                    },
-                );
+            if off(observed_c, expected_c) {
+                found.push(MonitorViolation::RateDeviation {
+                    node,
+                    lane: 1,
+                    window: k,
+                    observed: observed_c,
+                    expected: expected_c,
+                });
             }
             if node != exp.root {
                 let expected_r = exp.eta_in[i] * w;
                 let observed_r = self.win.node_received[i];
-                if (Rat::from(observed_r as usize) - expected_r).abs() > slack {
-                    self.violate(
-                        at,
-                        MonitorViolation::RateDeviation {
-                            node,
-                            lane: 0,
-                            window: k,
-                            observed: observed_r,
-                            expected: expected_r,
-                        },
-                    );
+                if off(observed_r, expected_r) {
+                    found.push(MonitorViolation::RateDeviation {
+                        node,
+                        lane: 0,
+                        window: k,
+                        observed: observed_r,
+                        expected: expected_r,
+                    });
                 }
             }
         }
         let expected_b = exp.root_rate() * w;
         let observed_b = self.win.root_actions;
-        if (Rat::from(observed_b as usize) - expected_b).abs() > slack {
-            self.violate(
-                at,
-                MonitorViolation::BunchPeriodicity {
-                    window: k,
-                    observed: observed_b,
-                    expected: expected_b,
-                },
-            );
+        if off(observed_b, expected_b) {
+            found.push(MonitorViolation::BunchPeriodicity {
+                window: k,
+                observed: observed_b,
+                expected: expected_b,
+            });
+        }
+        for v in found {
+            self.violate(at, v);
         }
     }
 
@@ -639,13 +714,12 @@ impl MonitorProbe {
     /// Rolls windows forward so `t` falls in the current one; counts
     /// stragglers (possible under the interruptible demand model).
     fn advance_to(&mut self, t: Rat) {
-        let k = self.window_of(t);
-        if k < self.cur_window {
+        if t < self.win_start {
             self.late_events += 1;
             self.win.late_events += 1;
             return;
         }
-        while self.cur_window < k {
+        while t >= self.win_end {
             self.flush_window();
         }
     }
@@ -654,8 +728,7 @@ impl MonitorProbe {
     #[must_use]
     pub fn finish(mut self) -> MonitorReport {
         let windows = self.cur_window;
-        let from = self.cfg.window * Rat::from_int(self.cur_window);
-        let to = self.cfg.window * Rat::from_int(self.cur_window + 1);
+        let (from, to) = (self.win_start, self.win_end);
         self.check_drain_balance(from);
         if let Some(p) = self.pending.take() {
             self.violate(
@@ -665,6 +738,7 @@ impl MonitorProbe {
         }
         let snap = self.make_snapshot(self.cur_window, from, to, true);
         self.snapshots.push(snap);
+        self.fold_metrics();
         MonitorReport {
             violations: self.violations,
             suppressed: self.suppressed,
@@ -672,6 +746,29 @@ impl MonitorProbe {
             windows,
             late_events: self.late_events,
             flight: self.flight,
+        }
+    }
+
+    /// Moves the monitor's own metrics into the flight recorder, each only
+    /// once it has been touched, as if recorded there per observation.
+    fn fold_metrics(&mut self) {
+        let violations = i128::from(self.violation_count());
+        let metrics = &mut self.flight.metrics;
+        for (name, count) in
+            [("monitor.segments", self.segments), ("monitor.violations", violations)]
+        {
+            if count > 0 {
+                metrics.add(name, count);
+            }
+        }
+        for (name, h) in [
+            ("monitor.window_throughput", &mut self.window_throughput),
+            ("monitor.queue_depth", &mut self.queue_depth),
+            ("monitor.buffer_occupancy", &mut self.buffer_occupancy),
+        ] {
+            if h.count > 0 {
+                metrics.histograms.insert(name.to_string(), std::mem::take(h));
+            }
         }
     }
 }
@@ -682,14 +779,9 @@ impl Probe for MonitorProbe {
         let i = node.index();
         let l = lane(kind);
 
-        // Flight tail: the same span shape ObsProbe emits.
-        let track = node.0 * 3 + l as u32;
-        self.flight.event(
-            Event::new(ts(start), track, LANES[l], EventKind::Begin)
-                .arg("node", Arg::Int(i128::from(node.0))),
-        );
-        self.flight.event(Event::new(ts(end), track, LANES[l], EventKind::End));
-        self.flight.add("monitor.segments", 1);
+        self.flight.push(MonitorEntry::Begin { t: start, node, lane: l });
+        self.flight.push(MonitorEntry::End { t: end, node, lane: l });
+        self.segments += 1;
 
         // Single-port per lane (full overlap across lanes is legal).
         if start < self.busy_until[i][l] {
@@ -809,7 +901,7 @@ impl Probe for MonitorProbe {
     fn queue_depth(&mut self, t: Rat, depth: usize) {
         self.advance_to(t);
         self.win.queue_depth_max = self.win.queue_depth_max.max(depth as u64);
-        self.flight.observe("monitor.queue_depth", depth as f64);
+        self.queue_depth.observe(depth as f64);
     }
 
     fn buffer(&mut self, node: NodeId, t: Rat, size: u64) {
@@ -821,11 +913,8 @@ impl Probe for MonitorProbe {
         }
         self.buf_total = (self.buf_total + size).saturating_sub(prev);
         self.buf_prev[i] = size;
-        self.flight.event(
-            Event::new(ts(t), node.0, format!("buffer {node}"), EventKind::Counter)
-                .arg("tasks", Arg::Int(i128::from(size))),
-        );
-        self.flight.observe("monitor.buffer_occupancy", size as f64);
+        self.flight.push(MonitorEntry::Buffer { t, node, size });
+        self.buffer_occupancy.observe(size as f64);
     }
 }
 
@@ -956,6 +1045,23 @@ mod tests {
         // The straggler counts into the live window, not the closed one.
         assert_eq!(rep.snapshots[1].queue_depth_max, 9);
         assert_eq!(rep.snapshots[1].late_events, 1);
+    }
+
+    #[test]
+    fn a_long_gap_closes_every_skipped_window_on_exact_bounds() {
+        let mut p = MonitorProbe::new(1, NodeId(0), MonitorConfig::new(rat(5, 2)));
+        p.queue_depth(rat(1, 1), 1);
+        p.queue_depth(rat(51, 4), 2); // 12.75 lies in window 5, [25/2, 15)
+        p.queue_depth(rat(5, 2), 3); // window 1: late
+        p.queue_depth(rat(25, 2), 4); // the live window's own start
+        let rep = p.finish();
+        assert_eq!(rep.windows, 5);
+        assert_eq!(rep.late_events, 1);
+        let bounds: Vec<(Rat, Rat)> = rep.snapshots.iter().map(|s| (s.from, s.to)).collect();
+        let want: Vec<(Rat, Rat)> = (0..6).map(|k| (rat(5 * k, 2), rat(5 * (k + 1), 2))).collect();
+        assert_eq!(bounds, want);
+        assert_eq!(rep.snapshots[5].queue_depth_max, 4);
+        assert_eq!(rep.snapshots[5].late_events, 1);
     }
 
     #[test]

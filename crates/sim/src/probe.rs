@@ -294,7 +294,8 @@ impl<R: Recorder> ObsProbe<R> {
     }
 }
 
-fn ts(r: Rat) -> Ts {
+/// An exact simulator time as an observability timestamp.
+pub(crate) fn ts(r: Rat) -> Ts {
     Ts::new(r.numer(), r.denom())
 }
 

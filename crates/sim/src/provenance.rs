@@ -16,17 +16,13 @@
 
 use crate::engine::SimConfig;
 use crate::gantt::SegmentKind;
-use crate::probe::{Probe, TaskAction};
+use crate::probe::{ts, Probe, TaskAction};
 use bwfirst_core::schedule::TreeSchedule;
 use bwfirst_obs::causal::{Action, Dispatch, STOCK_BASE};
-use bwfirst_obs::{Trace, TraceHeader, TraceRecord, Ts};
+use bwfirst_obs::{Trace, TraceHeader, TraceRecord};
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::Rat;
 use std::collections::VecDeque;
-
-fn ts(r: Rat) -> Ts {
-    Ts::new(r.numer(), r.denom())
-}
 
 /// Records a full causal trace of one simulation run.
 #[derive(Debug)]

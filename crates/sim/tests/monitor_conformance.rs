@@ -12,10 +12,11 @@ use bwfirst_rational::{rat, Rat};
 use bwfirst_sim::clocked::{self, ClockedConfig};
 use bwfirst_sim::demand_driven::{self, DemandConfig};
 use bwfirst_sim::dynamic::{simulate_dynamic_probed, AdaptPolicy};
-use bwfirst_sim::monitor::{MonitorConfig, MonitorProbe, MonitorViolation};
+use bwfirst_sim::monitor::{MonitorConfig, MonitorProbe, MonitorReport, MonitorViolation};
 use bwfirst_sim::{event_driven, Probe, SegmentKind, SimConfig};
 
 const PERIOD: i128 = 36; // synchronous period of the example tree
+const DEFAULT_CAPACITY: usize = 256; // `MonitorConfig::new`'s flight ring
 
 fn cfg(periods: i128) -> SimConfig {
     SimConfig {
@@ -131,13 +132,19 @@ impl Probe for DoubleSendInjector {
     }
 }
 
-#[test]
-fn injected_double_send_trips_the_single_port_monitor() {
+fn double_send_report(flight_capacity: usize) -> MonitorReport {
     let (p, _ss, ev, _exp) = setup();
-    let mon = MonitorProbe::new(p.len(), p.root(), MonitorConfig::new(rat(PERIOD, 1)));
+    let mut mon_cfg = MonitorConfig::new(rat(PERIOD, 1));
+    mon_cfg.flight_capacity = flight_capacity;
+    let mon = MonitorProbe::new(p.len(), p.root(), mon_cfg);
     let mut probe = DoubleSendInjector { inner: mon, sends: 0 };
     event_driven::simulate_probed(&p, &ev, &cfg(4), &mut probe).unwrap();
-    let rep = probe.inner.finish();
+    probe.inner.finish()
+}
+
+#[test]
+fn injected_double_send_trips_the_single_port_monitor() {
+    let rep = double_send_report(DEFAULT_CAPACITY);
     assert!(!rep.ok());
     assert!(
         rep.violations.iter().any(|v| matches!(v, MonitorViolation::SinglePort { lane: 2, .. })),
@@ -179,17 +186,87 @@ impl Probe for TaskLossInjector {
     }
 }
 
-#[test]
-fn injected_task_loss_breaks_conservation() {
+fn task_loss_report(flight_capacity: usize) -> MonitorReport {
     let (p, _ss, ev, _exp) = setup();
-    let mon = MonitorProbe::new(p.len(), p.root(), MonitorConfig::new(rat(PERIOD, 1)));
+    let mut mon_cfg = MonitorConfig::new(rat(PERIOD, 1));
+    mon_cfg.flight_capacity = flight_capacity;
+    let mon = MonitorProbe::new(p.len(), p.root(), mon_cfg);
     let mut probe = TaskLossInjector { inner: mon, computes: 0 };
     event_driven::simulate_probed(&p, &ev, &cfg(4), &mut probe).unwrap();
-    let rep = probe.inner.finish();
+    probe.inner.finish()
+}
+
+#[test]
+fn injected_task_loss_breaks_conservation() {
+    let rep = task_loss_report(DEFAULT_CAPACITY);
     assert!(
         rep.violations.iter().any(|v| matches!(v, MonitorViolation::TaskConservation { .. })),
         "expected a conservation violation, got {:?}",
         rep.violations
     );
     assert!(rep.postmortem().is_some());
+}
+
+/// Compares `got` with the committed file `testdata/<name>` byte for byte.
+/// Set `BLESS=1` to regenerate after an intentional format change.
+fn assert_golden(name: &str, got: &str) {
+    let path = format!("{}/testdata/{name}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(&path, got).expect("regenerate golden file");
+    }
+    let golden = std::fs::read_to_string(&path).expect("golden file present");
+    assert_eq!(got, golden, "{name} drifted from the committed golden file");
+}
+
+fn dump_text(rep: &MonitorReport) -> String {
+    let mut text = rep.postmortem().expect("violations produce a post-mortem").to_string_pretty();
+    text.push('\n');
+    text
+}
+
+/// Pins every byte of the `bwfirst-postmortem/1` dumps of both injected
+/// faults. At capacity 8 the ring wraps, so the eviction order and the
+/// `dropped` count are pinned too.
+#[test]
+fn injected_fault_postmortems_match_the_golden_files() {
+    for capacity in [DEFAULT_CAPACITY, 8] {
+        let double_send = double_send_report(capacity);
+        let task_loss = task_loss_report(capacity);
+        if capacity == 8 {
+            assert!(double_send.flight.dropped() > 0 && task_loss.flight.dropped() > 0);
+        }
+        assert_golden(&format!("postmortem_double_send_{capacity}.json"), &dump_text(&double_send));
+        assert_golden(&format!("postmortem_task_loss_{capacity}.json"), &dump_text(&task_loss));
+    }
+}
+
+#[test]
+fn fig2_snapshot_stream_matches_the_golden_file() {
+    let (p, _ss, ev, exp) = setup();
+    let mut mon = strict_monitor(&p, exp);
+    event_driven::simulate_probed(&p, &ev, &cfg(10), &mut mon).unwrap();
+    assert_golden("fig2_event_snapshots.jsonl", &mon.finish().snapshots_jsonl());
+}
+
+/// A hand-written stream small enough that the dump holds every entry,
+/// violation marks included, at fractional timestamps.
+#[test]
+fn handwritten_stream_postmortem_matches_the_golden_file() {
+    let mut mon = MonitorProbe::new(3, NodeId(0), MonitorConfig::new(rat(36, 1)));
+    mon.buffer(NodeId(1), rat(0, 1), 2);
+    mon.segment(NodeId(0), SegmentKind::Send(NodeId(1)), rat(0, 1), rat(4, 3));
+    mon.segment(NodeId(1), SegmentKind::Receive, rat(0, 1), rat(4, 3));
+    mon.queue_depth(rat(1, 2), 3);
+    mon.buffer(NodeId(1), rat(4, 3), 3);
+    // Overlaps node 0's port: starts at 1 < 4/3.
+    mon.segment(NodeId(0), SegmentKind::Send(NodeId(2)), rat(1, 1), rat(5, 2));
+    mon.segment(NodeId(2), SegmentKind::Receive, rat(1, 1), rat(5, 2));
+    mon.buffer(NodeId(1), rat(3, 2), 2);
+    mon.segment(NodeId(1), SegmentKind::Compute, rat(3, 2), rat(7, 2));
+    // A receive with no pending send, then a compute nothing was drained for.
+    mon.segment(NodeId(2), SegmentKind::Receive, rat(40, 1), rat(41, 1));
+    mon.segment(NodeId(2), SegmentKind::Compute, rat(41, 1), rat(43, 1));
+    let rep = mon.finish();
+    assert!(rep.violations.len() >= 3, "{:?}", rep.violations);
+    assert_golden("postmortem_handwritten.json", &dump_text(&rep));
 }
