@@ -90,7 +90,8 @@ pub fn rules_for(rel: &str) -> Vec<&'static str> {
             "crates/sim/src/engine.rs",
             "crates/sim/src/event_driven.rs",
             "crates/sim/src/clocked.rs",
-            "crates/sim/src/dynamic.rs",
+            "crates/sim/src/demand_driven.rs",
+            "crates/sim/src/returns.rs",
             "crates/sim/src/monitor.rs",
             "crates/core/src/schedule.rs",
         ]
@@ -389,6 +390,8 @@ mod tests {
         assert!(!rules_for("crates/core/src/quantize.rs").contains(&RULE_FLOAT));
         assert!(rules_for("crates/sim/src/event_driven.rs").contains(&RULE_PANIC));
         assert!(rules_for("crates/sim/src/monitor.rs").contains(&RULE_PANIC));
+        assert!(rules_for("crates/sim/src/demand_driven.rs").contains(&RULE_PANIC));
+        assert!(rules_for("crates/sim/src/returns.rs").contains(&RULE_PANIC));
         assert!(rules_for("crates/core/src/schedule.rs").contains(&RULE_PANIC));
         assert!(!rules_for("crates/sim/src/makespan.rs").contains(&RULE_PANIC));
         assert!(rules_for("crates/obs/src/json.rs").contains(&RULE_WILDCARD));

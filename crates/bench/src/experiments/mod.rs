@@ -12,6 +12,7 @@ mod scaling;
 pub use figures::{e2_transactions, e3_rates, e4_local_schedules, e5_simulation};
 pub use oracle::e14_lp_oracle;
 pub use overlays::e17_overlay_search;
+pub(crate) use protocols::section9_runs;
 pub use protocols::{
     e11_distributed_protocol, e13_makespan, e16_clocked_vs_event, e18_dynamic_adaptation,
     e19_returns_on_trees, e7_protocol_comparison, e8_result_return,

@@ -8,7 +8,8 @@ use bwfirst_platform::examples::{example_tree, section9_counterexample};
 use bwfirst_proto::ProtocolSession;
 use bwfirst_rational::{rat, Rat};
 use bwfirst_sim::demand_driven::{self, DemandConfig};
-use bwfirst_sim::{event_driven, result_return, SimConfig, SimReport};
+use bwfirst_sim::returns::{simulate_with_returns, ReturnConfig};
+use bwfirst_sim::{event_driven, SimConfig, SimReport};
 use std::fmt::Write;
 
 fn peak_buffer(rep: &SimReport) -> u64 {
@@ -103,11 +104,25 @@ pub fn e7_protocol_comparison() -> String {
     out
 }
 
+/// E8's two runs on the Section 9 counter-example, both through the
+/// result-return executor: separate send/return ports (returns cost as much
+/// as sends) and the merged simplification (forward cost doubled, no
+/// returns).
+pub(crate) fn section9_runs(cfg: &SimConfig) -> (SimReport, SimReport) {
+    let rr = section9_counterexample();
+    let run = |p: &bwfirst_platform::Platform, ratio: Rat| {
+        let ss = SteadyState::from_solution(&bw_first(p));
+        let ev = EventDrivenSchedule::standard(p, &ss).expect("schedulable");
+        simulate_with_returns(p, &ev, ReturnConfig { return_ratio: ratio }, cfg)
+            .expect("valid schedule")
+    };
+    (run(&rr.platform, Rat::ONE), run(&rr.merged(), Rat::ZERO))
+}
+
 /// E8 — Section 9: separate send/return port accounting sustains 2 tasks per
 /// time unit where the merged simplification predicts (and gets) only 1.
 #[must_use]
 pub fn e8_result_return() -> String {
-    let rr = section9_counterexample();
     let cfg = SimConfig {
         horizon: rat(400, 1),
         stop_injection_at: None,
@@ -116,8 +131,7 @@ pub fn e8_result_return() -> String {
         exact_queue: false,
         seed: 0,
     };
-    let sep = result_return::simulate(&rr, &cfg);
-    let merged = result_return::simulate_merged(&rr, &cfg);
+    let (sep, merged) = section9_runs(&cfg);
     let window = (rat(200, 1), rat(400, 1));
     let mut t = Table::new(["model", "measured rate", "paper"]);
     t.row([
@@ -367,7 +381,7 @@ pub fn e16_clocked_vs_event() -> String {
 /// under the stale schedule vs the Section 5 re-negotiation strategy.
 #[must_use]
 pub fn e18_dynamic_adaptation() -> String {
-    use bwfirst_sim::dynamic::{simulate_dynamic, AdaptPolicy, LinkChange};
+    use bwfirst_sim::event_driven::{simulate_dynamic, AdaptPolicy, LinkChange};
     let p = example_tree();
     let changes = vec![
         LinkChange { at: rat(120, 1), child: bwfirst_platform::NodeId(1), new_c: rat(12, 1) },
@@ -425,7 +439,6 @@ pub fn e18_dynamic_adaptation() -> String {
 /// relative size ρ relay back to the master.
 #[must_use]
 pub fn e19_returns_on_trees() -> String {
-    use bwfirst_sim::returns::{simulate_with_returns, ReturnConfig};
     let mut out = String::new();
     writeln!(out, "E19  forward-optimal schedule under result returns (relative size rho)\n")
         .unwrap();
@@ -460,8 +473,8 @@ pub fn e19_returns_on_trees() -> String {
         };
         let mut row = vec![name];
         for (num, den) in [(0i128, 1i128), (1, 8), (1, 4), (1, 2), (1, 1)] {
-            let rep =
-                simulate_with_returns(&p, &ev, ReturnConfig { return_ratio: rat(num, den) }, &cfg);
+            let ret = ReturnConfig { return_ratio: rat(num, den) };
+            let rep = simulate_with_returns(&p, &ev, ret, &cfg).expect("valid schedule");
             row.push(f(rep.throughput_in(start, horizon)));
         }
         t.row(row);

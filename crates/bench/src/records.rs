@@ -7,11 +7,11 @@ use crate::trees::{bottleneck, supply_tree};
 use bwfirst_core::schedule::{synchronous_period, EventDrivenSchedule, TreeSchedule};
 use bwfirst_core::{bottom_up, bw_first, quantize, startup, SteadyState};
 use bwfirst_obs::json::{obj, Value};
-use bwfirst_platform::examples::{example_tree, section9_counterexample};
+use bwfirst_platform::examples::example_tree;
 use bwfirst_rational::{rat, Rat};
 use bwfirst_sim::demand_driven::DemandConfig;
 use bwfirst_sim::makespan;
-use bwfirst_sim::{event_driven, result_return, SimConfig};
+use bwfirst_sim::{event_driven, SimConfig};
 
 /// One point of the E6 visits sweep.
 #[derive(Debug, Clone)]
@@ -160,7 +160,6 @@ pub fn collect_pooled(pool: bwfirst_parallel::Pool) -> Records {
     });
 
     // E8.
-    let rr = section9_counterexample();
     let cfg = SimConfig {
         horizon: rat(400, 1),
         stop_injection_at: None,
@@ -169,8 +168,7 @@ pub fn collect_pooled(pool: bwfirst_parallel::Pool) -> Records {
         exact_queue: false,
         seed: 0,
     };
-    let sep = result_return::simulate(&rr, &cfg);
-    let merged = result_return::simulate_merged(&rr, &cfg);
+    let (sep, merged) = crate::experiments::section9_runs(&cfg);
     let result_return = ResultReturnRecord {
         separated_rate: sep.throughput_in(rat(200, 1), rat(400, 1)).to_f64(),
         merged_rate: merged.throughput_in(rat(200, 1), rat(400, 1)).to_f64(),

@@ -12,18 +12,20 @@ use bwfirst_platform::{io, Platform, Weight};
 use bwfirst_rational::{rat, Rat};
 use bwfirst_sim::clocked::{self, ClockedConfig};
 use bwfirst_sim::demand_driven::{self, DemandConfig};
-use bwfirst_sim::dynamic::{self, AdaptPolicy};
+use bwfirst_sim::event_driven::{self, AdaptPolicy};
 use bwfirst_sim::probe::track_names;
 use bwfirst_sim::{
-    event_driven, trace_header, GanttProbe, MonitorConfig, MonitorProbe, ObsProbe, ProvenanceProbe,
-    SimConfig, UtilizationProbe,
+    trace_header, MonitorConfig, MonitorProbe, NoProbe, ObsProbe, Probe, ProvenanceProbe,
+    SimConfig, SimError, SimReport, UtilizationProbe,
 };
 use std::fmt::Write;
 
 /// Usage text.
 #[must_use]
 pub fn usage() -> String {
-    "\
+    let protocols: Vec<&str> = Protocol::ALL.iter().map(|p| p.name()).collect();
+    format!(
+        "\
 bwfirst — bandwidth-centric scheduling of independent-task applications
 
 usage:
@@ -32,23 +34,22 @@ usage:
   bwfirst schedule <platform.json> [--grid G]
       event-driven periods and local schedules (optionally quantized to 1/G)
   bwfirst simulate <platform.json> [--horizon H] [--stop T] [--tasks N]
-                   [--protocol event|demand|demand-int] [--gantt COLS]
+                   [--protocol P] [--gantt COLS]
                    [--trace out.json] [--metrics out.json]
       discrete-event simulation with throughput/buffer/wind-down metrics
-  bwfirst stats <platform.json> [--horizon H] [--protocol event|demand|demand-int]
+  bwfirst stats <platform.json> [--horizon H] [--protocol P]
                 [--threads N] [--trace out.json] [--metrics out.json]
       negotiate, solve, schedule and simulate with full instrumentation:
       protocol message/byte counters, solver spans, per-node utilization,
       plus a cross-protocol comparison fanned out over N worker threads
       (default: available parallelism)
   bwfirst monitor <platform.json> [--horizon H] [--window W] [--warmup K]
-                  [--protocol event|clocked|demand|demand-int]
-                  [--snapshots out.jsonl] [--dump out.json] [--capacity N]
+                  [--protocol P] [--snapshots out.jsonl] [--dump out.json]
+                  [--capacity N]
       run one executor under the online invariant monitor: windowed health
       snapshots (JSONL), rate convergence against the solver's exact rates,
       and a flight-recorder post-mortem dump when an invariant trips
-  bwfirst trace record <platform.json> --out <t.jsonl>
-                 [--protocol event|clocked|demand|demand-int|dynamic]
+  bwfirst trace record <platform.json> --out <t.jsonl> [--protocol P]
                  [--horizon H] [--tasks N] [--seed S] [--chrome out.json]
       run one executor under the provenance probe and write the
       bwfirst-trace/1 JSONL artifact (per-task lifecycle: enter, stride
@@ -75,12 +76,16 @@ usage:
   bwfirst overlay <graph.json> [--root N] [--restarts R] [--passes P]
       search for the best tree overlay on a physical network
 
+protocols (--protocol P; default event): {}
+  --horizon H must be positive
+
 workspace checks (separate binary, see docs/ANALYSIS.md):
   cargo run -p bwfirst-analyze [lint|model|all|fixture <path>|snapshots <path>]
       source invariant lint rules, exhaustive protocol model checking, and
       schema validation of monitor snapshot streams
-"
-    .to_string()
+",
+        protocols.join(", ")
+    )
 }
 
 fn load(platform_json: &str) -> Result<Platform, CliError> {
@@ -134,13 +139,7 @@ where
         }
         "simulate" => {
             let p = read(args.pos(0, "platform file")?)?;
-            let horizon = args.flag_opt::<i128>("horizon", "--horizon")?;
-            let stop = args.flag_opt::<i128>("stop", "--stop")?;
-            let tasks = args.flag_opt::<u64>("tasks", "--tasks")?;
-            let gantt = args.flag_opt::<usize>("gantt", "--gantt")?;
-            let protocol = args.flags.get("protocol").map_or("event", String::as_str);
-            let instrument = args.flags.contains_key("trace") || args.flags.contains_key("metrics");
-            let (out, rec) = cmd_simulate(&p, horizon, stop, tasks, gantt, protocol, instrument)?;
+            let (out, rec) = cmd_simulate(&p, args)?;
             if let Some(rec) = &rec {
                 export(args, rec, p.len())?;
             }
@@ -148,12 +147,10 @@ where
         }
         "stats" => {
             let p = read(args.pos(0, "platform file")?)?;
-            let horizon = args.flag_opt::<i128>("horizon", "--horizon")?;
-            let protocol = args.flags.get("protocol").map_or("event", String::as_str);
             let threads = args
                 .flag_opt::<usize>("threads", "--threads")?
                 .unwrap_or_else(bwfirst_parallel::available_threads);
-            let (out, rec) = cmd_stats(&p, horizon, protocol, threads)?;
+            let (out, rec) = cmd_stats(&p, args, threads)?;
             export(args, &rec, p.len())?;
             Ok(out)
         }
@@ -182,7 +179,8 @@ where
     }
 }
 
-fn sched(e: bwfirst_core::ScheduleError) -> CliError {
+/// A run-time failure (schedule overflow, simulator error, bad trace).
+fn rt(e: impl std::fmt::Display) -> CliError {
     CliError::Runtime(e.to_string())
 }
 
@@ -242,8 +240,8 @@ fn cmd_schedule(p: &Platform, grid: Option<i128>) -> Result<String, CliError> {
         writeln!(out, "platform has zero throughput; nothing to schedule").unwrap();
         return Ok(out);
     }
-    let ev = EventDrivenSchedule::standard(p, &ss).map_err(sched)?;
-    writeln!(out, "synchronous period T = {}", synchronous_period(&ss).map_err(sched)?).unwrap();
+    let ev = EventDrivenSchedule::standard(p, &ss).map_err(rt)?;
+    writeln!(out, "synchronous period T = {}", synchronous_period(&ss).map_err(rt)?).unwrap();
     writeln!(out, "tree start-up bound  = {}", startup::tree_startup_bound(p, &ev.tree)).unwrap();
     writeln!(out, "\nnode   T^r     T^c     T^s     T^w     bunch  order").unwrap();
     for s in ev.tree.iter() {
@@ -277,64 +275,147 @@ fn cmd_schedule(p: &Platform, grid: Option<i128>) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Runs one simulation under `protocol`, optionally driving extra probes.
-fn run_protocol(
-    p: &Platform,
-    ss: &SteadyState,
-    cfg: &SimConfig,
-    protocol: &str,
-    probe: &mut impl bwfirst_sim::Probe,
-) -> Result<bwfirst_sim::SimReport, CliError> {
-    match protocol {
-        "event" => {
-            let ev = EventDrivenSchedule::standard(p, ss).map_err(sched)?;
-            event_driven::simulate_probed(p, &ev, cfg, probe)
-                .map_err(|e| CliError::Runtime(e.to_string()))
+/// The executors behind `--protocol`, shared by `simulate`, `stats`,
+/// `monitor` and `trace record`/`replay`. `Dynamic` is the event-driven
+/// executor through its dynamic-platform entry point (no link changes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Protocol {
+    Event,
+    Clocked,
+    Demand,
+    DemandInt,
+    Dynamic,
+}
+
+impl Protocol {
+    const ALL: [Protocol; 5] = [
+        Protocol::Event,
+        Protocol::Clocked,
+        Protocol::Demand,
+        Protocol::DemandInt,
+        Protocol::Dynamic,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            Protocol::Event => "event",
+            Protocol::Clocked => "clocked",
+            Protocol::Demand => "demand",
+            Protocol::DemandInt => "demand-int",
+            Protocol::Dynamic => "dynamic",
         }
-        "demand" => Ok(demand_driven::simulate_probed(p, DemandConfig::default(), cfg, probe)),
-        "demand-int" => {
-            Ok(demand_driven::simulate_probed(p, DemandConfig::interruptible(), cfg, probe))
+    }
+
+    fn named(name: &str) -> Result<Protocol, CliError> {
+        let bad = || CliError::BadValue { what: "--protocol", value: name.to_string() };
+        Protocol::ALL.into_iter().find(|p| p.name() == name).ok_or_else(bad)
+    }
+
+    /// `--protocol`, `event` when absent.
+    fn from_args(args: &Args) -> Result<Protocol, CliError> {
+        Protocol::named(args.flags.get("protocol").map_or("event", String::as_str))
+    }
+
+    /// Whether the executor follows the solver's event-driven schedule, so
+    /// its trace carries the Section 6.3 stride annotations.
+    fn scheduled(self) -> bool {
+        !matches!(self, Protocol::Demand | Protocol::DemandInt)
+    }
+
+    /// Whether the monitor runs strict, against the solver's rates. The
+    /// greedy demand protocols neither match those rates nor emit buffer
+    /// drains adjacent to their segments, so they run relaxed.
+    fn strict(self) -> bool {
+        self.scheduled()
+    }
+
+    /// The event-driven schedule, for the schedule-driven executors.
+    fn schedule(
+        self,
+        p: &Platform,
+        ss: &SteadyState,
+    ) -> Result<Option<EventDrivenSchedule>, CliError> {
+        let ev = self.scheduled().then(|| EventDrivenSchedule::standard(p, ss));
+        ev.transpose().map_err(rt)
+    }
+
+    /// One run driving `probe`; `ev` is [`schedule`](Protocol::schedule)'s.
+    fn run<P: Probe>(
+        self,
+        p: &Platform,
+        ev: Option<&EventDrivenSchedule>,
+        cfg: &SimConfig,
+        probe: &mut P,
+    ) -> Result<SimReport, SimError> {
+        match (self, ev) {
+            (Protocol::Event, Some(ev)) => event_driven::simulate_probed(p, ev, cfg, probe),
+            (Protocol::Clocked, Some(ev)) => {
+                clocked::simulate_probed(p, &ev.tree, ClockedConfig::default(), cfg, probe)
+            }
+            (Protocol::Event | Protocol::Clocked, None) => Err(SimError::InactiveRoot),
+            (Protocol::Demand, _) => {
+                Ok(demand_driven::simulate_probed(p, DemandConfig::default(), cfg, probe))
+            }
+            (Protocol::DemandInt, _) => {
+                Ok(demand_driven::simulate_probed(p, DemandConfig::interruptible(), cfg, probe))
+            }
+            (Protocol::Dynamic, _) => {
+                event_driven::simulate_dynamic_probed(p, &[], AdaptPolicy::Stale, cfg, probe)
+                    .map(|(rep, _)| rep)
+            }
         }
-        other => Err(CliError::BadValue { what: "--protocol", value: other.to_string() }),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn cmd_simulate(
-    p: &Platform,
-    horizon: Option<i128>,
-    stop: Option<i128>,
-    tasks: Option<u64>,
-    gantt: Option<usize>,
-    protocol: &str,
-    instrument: bool,
-) -> Result<(String, Option<MemoryRecorder>), CliError> {
+/// `--horizon`, by default `periods` synchronous periods clamped to
+/// [200, 100000].
+fn horizon(args: &Args, period: i128, periods: i128) -> Result<Rat, CliError> {
+    let h = args.flag_opt::<i128>("horizon", "--horizon")?;
+    Ok(Rat::from_int(h.unwrap_or_else(|| (period * periods).clamp(200, 100_000))))
+}
+
+/// The run configuration of every simulating command; the horizon must be
+/// positive.
+fn sim_config(horizon: Rat, total_tasks: Option<u64>, seed: u64) -> Result<SimConfig, CliError> {
+    if !horizon.is_positive() {
+        return Err(CliError::BadValue { what: "--horizon", value: horizon.to_string() });
+    }
+    Ok(SimConfig {
+        horizon,
+        stop_injection_at: None,
+        total_tasks,
+        record_gantt: false,
+        exact_queue: false,
+        seed,
+    })
+}
+
+fn cmd_simulate(p: &Platform, args: &Args) -> Result<(String, Option<MemoryRecorder>), CliError> {
+    let protocol = Protocol::from_args(args)?;
+    let stop = args.flag_opt::<i128>("stop", "--stop")?;
+    let tasks = args.flag_opt::<u64>("tasks", "--tasks")?;
+    let gantt = args.flag_opt::<usize>("gantt", "--gantt")?;
     let ss = SteadyState::from_solution(&bw_first(p));
     if !ss.throughput.is_positive() {
         return Ok(("platform has zero throughput; nothing to simulate\n".to_string(), None));
     }
-    let period = synchronous_period(&ss).map_err(sched)?;
-    let horizon = Rat::from_int(horizon.unwrap_or_else(|| (period * 8).clamp(200, 100_000)));
+    let period = synchronous_period(&ss).map_err(rt)?;
+    let horizon = horizon(args, period, 8)?;
     let cfg = SimConfig {
-        horizon,
         stop_injection_at: stop.map(Rat::from_int),
-        total_tasks: tasks,
         record_gantt: gantt.is_some(),
-        exact_queue: false,
-        seed: 0,
+        ..sim_config(horizon, tasks, 0)?
     };
+    let ev = protocol.schedule(p, &ss)?;
+    let instrument = args.flags.contains_key("trace") || args.flags.contains_key("metrics");
     let mut rec = instrument.then(MemoryRecorder::new);
-    let mut gantt_probe = GanttProbe::new(cfg.record_gantt);
-    let mut rep = match &mut rec {
-        Some(rec) => {
-            let mut probe = (ObsProbe::new(&mut *rec), &mut gantt_probe);
-            run_protocol(p, &ss, &cfg, protocol, &mut probe)?
-        }
-        None => run_protocol(p, &ss, &cfg, protocol, &mut gantt_probe)?,
-    };
-    rep.gantt = gantt_probe.into_gantt();
+    let rep = match &mut rec {
+        Some(rec) => protocol.run(p, ev.as_ref(), &cfg, &mut ObsProbe::new(&mut *rec)),
+        None => protocol.run(p, ev.as_ref(), &cfg, &mut NoProbe),
+    }
+    .map_err(rt)?;
     let mut out = String::new();
-    writeln!(out, "protocol          : {protocol}").unwrap();
+    writeln!(out, "protocol          : {}", protocol.name()).unwrap();
     writeln!(out, "horizon           : {horizon}").unwrap();
     writeln!(out, "predicted rate    : {} ({:.4})", ss.throughput, ss.throughput.to_f64()).unwrap();
     let half = horizon / Rat::TWO;
@@ -364,32 +445,12 @@ fn cmd_simulate(
     Ok((out, rec))
 }
 
-/// Runs one simulation under `protocol` with no probes attached — the cheap
-/// form the pooled cross-protocol comparison fans out.
-fn run_protocol_quiet(
-    p: &Platform,
-    ss: &SteadyState,
-    cfg: &SimConfig,
-    protocol: &str,
-) -> Result<bwfirst_sim::SimReport, CliError> {
-    match protocol {
-        "event" => {
-            let ev = EventDrivenSchedule::standard(p, ss).map_err(sched)?;
-            event_driven::simulate(p, &ev, cfg).map_err(|e| CliError::Runtime(e.to_string()))
-        }
-        "demand" => Ok(demand_driven::simulate(p, DemandConfig::default(), cfg)),
-        "demand-int" => Ok(demand_driven::simulate(p, DemandConfig::interruptible(), cfg)),
-        other => Err(CliError::BadValue { what: "--protocol", value: other.to_string() }),
-    }
-}
-
 /// The `monitor` command: one executor run under the online invariant
-/// monitor ([`MonitorProbe`]). The event-driven and clocked executors get
-/// the full strict monitor with solver expectations (rate convergence,
-/// bunch periodicity, exact durations); the demand-driven variants run the
-/// structural checks in relaxed-conservation mode, since their greedy
-/// protocol neither matches the solver's rates nor emits buffer drains
-/// adjacent to their segments. Snapshots stream to `--snapshots` as JSONL;
+/// monitor ([`MonitorProbe`]). The schedule-driven executors get the full
+/// strict monitor with solver expectations (rate convergence, bunch
+/// periodicity, exact durations); the demand-driven variants run the
+/// structural checks in relaxed-conservation mode (see
+/// [`Protocol::strict`]). Snapshots stream to `--snapshots` as JSONL;
 /// a violation or a simulator error dumps the flight recorder to `--dump`
 /// and exits nonzero.
 fn cmd_monitor(
@@ -397,61 +458,31 @@ fn cmd_monitor(
     args: &Args,
     write_file: &impl Fn(&str, &str) -> Result<(), String>,
 ) -> Result<String, CliError> {
-    let protocol = args.flags.get("protocol").map_or("event", String::as_str);
+    let protocol = Protocol::from_args(args)?;
     let ss = SteadyState::from_solution(&bw_first(p));
     if !ss.throughput.is_positive() {
         return Ok("platform has zero throughput; nothing to monitor\n".to_string());
     }
-    let period = synchronous_period(&ss).map_err(sched)?;
+    let period = synchronous_period(&ss).map_err(rt)?;
     let window = Rat::from_int(args.flag_opt::<i128>("window", "--window")?.unwrap_or(period));
     if !window.is_positive() {
         return Err(CliError::BadValue { what: "--window", value: window.to_string() });
     }
-    let horizon = Rat::from_int(
-        args.flag_opt::<i128>("horizon", "--horizon")?
-            .unwrap_or_else(|| (period * 10).clamp(200, 100_000)),
-    );
-    let cfg = SimConfig {
-        horizon,
-        stop_injection_at: None,
-        total_tasks: None,
-        record_gantt: false,
-        exact_queue: false,
-        seed: 0,
-    };
-    let ev = EventDrivenSchedule::standard(p, &ss).map_err(sched)?;
-    let strict = matches!(protocol, "event" | "clocked");
+    let cfg = sim_config(horizon(args, period, 10)?, None, 0)?;
+    let ev = protocol.schedule(p, &ss)?;
+    let strict = protocol.strict();
     let mut mon_cfg = MonitorConfig::new(window);
     mon_cfg.warmup_windows = args.flag_or("warmup", "--warmup", mon_cfg.warmup_windows)?;
     mon_cfg.flight_capacity = args.flag_or("capacity", "--capacity", mon_cfg.flight_capacity)?;
-    if strict {
-        if let Some(exp) = MonitorExpectations::build(p, &ss, &ev.tree) {
-            mon_cfg = mon_cfg.with_expectations(exp);
-        }
-    } else {
+    if !strict {
         mon_cfg = mon_cfg.relaxed();
+    } else if let Some(exp) =
+        ev.as_ref().and_then(|ev| MonitorExpectations::build(p, &ss, &ev.tree))
+    {
+        mon_cfg = mon_cfg.with_expectations(exp);
     }
     let mut mon = MonitorProbe::new(p.len(), p.root(), mon_cfg);
-    let sim_error: Option<String> = match protocol {
-        "event" => {
-            event_driven::simulate_probed(p, &ev, &cfg, &mut mon).err().map(|e| e.to_string())
-        }
-        "clocked" => {
-            clocked::simulate_probed(p, &ev.tree, ClockedConfig::default(), &cfg, &mut mon)
-                .err()
-                .map(|e| e.to_string())
-        }
-        "demand" => {
-            let _ = demand_driven::simulate_probed(p, DemandConfig::default(), &cfg, &mut mon);
-            None
-        }
-        "demand-int" => {
-            let _ =
-                demand_driven::simulate_probed(p, DemandConfig::interruptible(), &cfg, &mut mon);
-            None
-        }
-        other => return Err(CliError::BadValue { what: "--protocol", value: other.to_string() }),
-    };
+    let sim_error = protocol.run(p, ev.as_ref(), &cfg, &mut mon).err().map(|e| e.to_string());
     let rep = mon.finish();
     if let Some(path) = args.flags.get("snapshots") {
         write_file(path, &rep.snapshots_jsonl()).map_err(CliError::Io)?;
@@ -478,9 +509,9 @@ fn cmd_monitor(
         )));
     }
     let mut out = String::new();
-    writeln!(out, "protocol   : {protocol} ({} mode)", if strict { "strict" } else { "relaxed" })
-        .unwrap();
-    writeln!(out, "horizon    : {horizon}").unwrap();
+    let mode = if strict { "strict" } else { "relaxed" };
+    writeln!(out, "protocol   : {} ({mode} mode)", protocol.name()).unwrap();
+    writeln!(out, "horizon    : {}", cfg.horizon).unwrap();
     writeln!(out, "window     : {window}").unwrap();
     writeln!(out, "windows    : {} closed, {} late event(s)", rep.windows, rep.late_events)
         .unwrap();
@@ -497,10 +528,6 @@ fn cmd_monitor(
     Ok(out)
 }
 
-fn rt(e: impl std::fmt::Display) -> CliError {
-    CliError::Runtime(e.to_string())
-}
-
 /// Runs one executor under a [`ProvenanceProbe`] and returns the finished
 /// `bwfirst-trace/1` artifact. The schedule-driven executors annotate each
 /// dispatch with its Section 6.3 stride decision (slot, ψ, bunch index);
@@ -508,45 +535,15 @@ fn rt(e: impl std::fmt::Display) -> CliError {
 fn record_trace(
     p: &Platform,
     ss: &SteadyState,
-    protocol: &str,
+    protocol: Protocol,
     cfg: &SimConfig,
 ) -> Result<Trace, CliError> {
-    match protocol {
-        "event" => {
-            let ev = EventDrivenSchedule::standard(p, ss).map_err(sched)?;
-            let mut probe = ProvenanceProbe::new(p, Some(&ev.tree));
-            event_driven::simulate_probed(p, &ev, cfg, &mut probe).map_err(rt)?;
-            let header = trace_header(p, Some(&ev.tree), protocol, cfg, Some(ss.throughput));
-            Ok(probe.into_trace(header))
-        }
-        "clocked" => {
-            let ev = EventDrivenSchedule::standard(p, ss).map_err(sched)?;
-            let mut probe = ProvenanceProbe::new(p, Some(&ev.tree));
-            clocked::simulate_probed(p, &ev.tree, ClockedConfig::default(), cfg, &mut probe)
-                .map_err(rt)?;
-            let header = trace_header(p, Some(&ev.tree), protocol, cfg, Some(ss.throughput));
-            Ok(probe.into_trace(header))
-        }
-        "demand" | "demand-int" => {
-            let demand = if protocol == "demand" {
-                DemandConfig::default()
-            } else {
-                DemandConfig::interruptible()
-            };
-            let mut probe = ProvenanceProbe::new(p, None);
-            let _ = demand_driven::simulate_probed(p, demand, cfg, &mut probe);
-            Ok(probe.into_trace(trace_header(p, None, protocol, cfg, Some(ss.throughput))))
-        }
-        "dynamic" => {
-            let ev = EventDrivenSchedule::standard(p, ss).map_err(sched)?;
-            let mut probe = ProvenanceProbe::new(p, Some(&ev.tree));
-            dynamic::simulate_dynamic_probed(p, &[], AdaptPolicy::Stale, cfg, &mut probe)
-                .map_err(rt)?;
-            let header = trace_header(p, Some(&ev.tree), protocol, cfg, Some(ss.throughput));
-            Ok(probe.into_trace(header))
-        }
-        other => Err(CliError::BadValue { what: "--protocol", value: other.to_string() }),
-    }
+    let ev = protocol.schedule(p, ss)?;
+    let tree = ev.as_ref().map(|ev| &ev.tree);
+    let mut probe = ProvenanceProbe::new(p, tree);
+    protocol.run(p, ev.as_ref(), cfg, &mut probe).map_err(rt)?;
+    let header = trace_header(p, tree, protocol.name(), cfg, Some(ss.throughput));
+    Ok(probe.into_trace(header))
 }
 
 /// `trace record`: run one executor under the provenance probe, write the
@@ -559,24 +556,15 @@ where
     let text = read_file(args.pos(1, "platform file")?).map_err(CliError::Platform)?;
     let p = load(&text)?;
     let out_path = args.flags.get("out").ok_or(CliError::MissingArgument("--out <trace.jsonl>"))?;
-    let protocol = args.flags.get("protocol").map_or("event", String::as_str);
+    let protocol = Protocol::from_args(args)?;
     let ss = SteadyState::from_solution(&bw_first(&p));
     if !ss.throughput.is_positive() {
         return Err(CliError::Runtime("platform has zero throughput; nothing to trace".into()));
     }
-    let period = synchronous_period(&ss).map_err(sched)?;
-    let horizon = Rat::from_int(
-        args.flag_opt::<i128>("horizon", "--horizon")?
-            .unwrap_or_else(|| (period * 8).clamp(200, 100_000)),
-    );
-    let cfg = SimConfig {
-        horizon,
-        stop_injection_at: None,
-        total_tasks: args.flag_opt::<u64>("tasks", "--tasks")?,
-        record_gantt: false,
-        exact_queue: false,
-        seed: args.flag_or::<u64>("seed", "--seed", 0)?,
-    };
+    let period = synchronous_period(&ss).map_err(rt)?;
+    let tasks = args.flag_opt::<u64>("tasks", "--tasks")?;
+    let seed = args.flag_or::<u64>("seed", "--seed", 0)?;
+    let cfg = sim_config(horizon(args, period, 8)?, tasks, seed)?;
     let trace = record_trace(&p, &ss, protocol, &cfg)?;
     write_file(out_path, &trace.to_jsonl()).map_err(CliError::Io)?;
     if let Some(path) = args.flags.get("chrome") {
@@ -588,8 +576,8 @@ where
     let ids = trace.task_ids();
     let stock = ids.iter().filter(|t| **t >= STOCK_BASE).count();
     let mut out = String::new();
-    writeln!(out, "protocol : {protocol}").unwrap();
-    writeln!(out, "horizon  : {horizon}").unwrap();
+    writeln!(out, "protocol : {}", protocol.name()).unwrap();
+    writeln!(out, "horizon  : {}", cfg.horizon).unwrap();
     writeln!(out, "tasks    : {} injected, {stock} prefill stock", ids.len() - stock).unwrap();
     writeln!(out, "records  : {}", trace.records.len()).unwrap();
     writeln!(out, "trace    : {out_path}").unwrap();
@@ -737,20 +725,12 @@ fn cmd_trace_replay(trace_text: &str, p: &Platform) -> Result<String, CliError> 
             h.nodes
         )));
     }
-    let cfg = SimConfig {
-        horizon: Rat::new(h.horizon.num, h.horizon.den),
-        stop_injection_at: None,
-        total_tasks: h.tasks,
-        record_gantt: false,
-        exact_queue: false,
-        seed: h.seed,
-    };
+    let cfg = sim_config(Rat::new(h.horizon.num, h.horizon.den), h.tasks, h.seed)?;
     let ss = SteadyState::from_solution(&bw_first(p));
     if !ss.throughput.is_positive() {
         return Err(CliError::Runtime("platform has zero throughput; cannot replay".into()));
     }
-    let protocol = h.protocol.clone();
-    let replayed = record_trace(p, &ss, &protocol, &cfg)?;
+    let replayed = record_trace(p, &ss, Protocol::named(&h.protocol)?, &cfg)?;
     let regenerated = replayed.to_jsonl();
     if regenerated == trace_text {
         let mut out = String::new();
@@ -811,10 +791,10 @@ where
 /// recorder comes back so `--trace` / `--metrics` can export it.
 fn cmd_stats(
     p: &Platform,
-    horizon: Option<i128>,
-    protocol: &str,
+    args: &Args,
     threads: usize,
 ) -> Result<(String, MemoryRecorder), CliError> {
+    let protocol = Protocol::from_args(args)?;
     let mut rec = MemoryRecorder::new();
 
     // Layer 1: the live distributed protocol (β/θ messages over channels).
@@ -847,28 +827,22 @@ fn cmd_stats(
     .unwrap();
 
     if ss.throughput.is_positive() {
-        let ev = EventDrivenSchedule::standard(p, &ss).map_err(sched)?;
+        let ev = EventDrivenSchedule::standard(p, &ss).map_err(rt)?;
         observe::record_schedule(&ev.tree, &mut rec);
 
         // Layer 3: a probed simulation with per-activity accounting.
-        let period = synchronous_period(&ss).map_err(sched)?;
-        let horizon = Rat::from_int(horizon.unwrap_or_else(|| (period * 8).clamp(200, 100_000)));
-        let cfg = SimConfig {
-            horizon,
-            stop_injection_at: None,
-            total_tasks: None,
-            record_gantt: false,
-            exact_queue: false,
-            seed: 0,
-        };
+        let period = synchronous_period(&ss).map_err(rt)?;
+        let cfg = sim_config(horizon(args, period, 8)?, None, 0)?;
+        let horizon = cfg.horizon;
         let mut util = UtilizationProbe::new(p.len(), horizon);
         {
             let mut probe = (ObsProbe::new(&mut rec), &mut util);
-            let rep = run_protocol(p, &ss, &cfg, protocol, &mut probe)?;
+            let rep = protocol.run(p, Some(&ev), &cfg, &mut probe).map_err(rt)?;
             writeln!(
                 out,
-                "simulated  : {} tasks over {horizon} time units ({protocol})",
-                rep.total_computed()
+                "simulated  : {} tasks over {horizon} time units ({})",
+                rep.total_computed(),
+                protocol.name()
             )
             .unwrap();
         }
@@ -880,10 +854,12 @@ fn cmd_stats(
         // worker pool; results return in fixed protocol order.
         let pool = bwfirst_parallel::Pool::new(threads);
         let half = horizon / Rat::TWO;
-        let rows = pool.map(vec!["event", "demand", "demand-int"], |proto| {
-            run_protocol_quiet(p, &ss, &cfg, proto)
-                .map(|rep| (proto, rep.total_computed(), rep.throughput_in(half, horizon)))
-        });
+        let rows =
+            pool.map(vec![Protocol::Event, Protocol::Demand, Protocol::DemandInt], |proto| {
+                proto.run(p, Some(&ev), &cfg, &mut NoProbe).map(|rep| {
+                    (proto.name(), rep.total_computed(), rep.throughput_in(half, horizon))
+                })
+            });
         writeln!(
             out,
             "\nprotocol comparison over the same horizon ({} worker thread(s)):",
@@ -891,7 +867,7 @@ fn cmd_stats(
         )
         .unwrap();
         for row in rows {
-            let (proto, tasks, rate) = row?;
+            let (proto, tasks, rate) = row.map_err(rt)?;
             writeln!(out, "  {proto:<11} {tasks:>6} tasks   measured rate {:.4}", rate.to_f64())
                 .unwrap();
         }
@@ -915,7 +891,7 @@ fn cmd_validate(p: &Platform, grid: Option<i128>) -> Result<String, CliError> {
         writeln!(out, "platform has zero throughput; nothing to validate").unwrap();
         return Ok(out);
     }
-    let ev = EventDrivenSchedule::standard(p, &ss).map_err(sched)?;
+    let ev = EventDrivenSchedule::standard(p, &ss).map_err(rt)?;
     let violations = bwfirst_core::validate_schedule(p, &ss, &ev);
     writeln!(out, "throughput : {}", ss.throughput).unwrap();
     writeln!(out, "active     : {} of {} nodes", ev.tree.active_count(), p.len()).unwrap();
@@ -1272,6 +1248,65 @@ mod tests {
             assert!(v["window"].as_i128().is_some());
             assert!(v["throughput"].as_f64().is_some());
             assert!(v["node_computed"].as_array().is_some());
+        }
+    }
+
+    /// The artifact each protocol writes on Figure 2 with the trace-smoke
+    /// settings, pinned byte for byte by the simulator's golden tests.
+    fn golden_trace(protocol: Protocol) -> &'static str {
+        match protocol {
+            Protocol::Event => include_str!("../../sim/testdata/fig2_event_trace.jsonl"),
+            Protocol::Clocked => include_str!("../../sim/testdata/fig2_clocked_trace.jsonl"),
+            Protocol::Demand => include_str!("../../sim/testdata/fig2_demand_trace.jsonl"),
+            Protocol::DemandInt => include_str!("../../sim/testdata/fig2_demand-int_trace.jsonl"),
+            Protocol::Dynamic => include_str!("../../sim/testdata/fig2_dynamic_trace.jsonl"),
+        }
+    }
+
+    #[test]
+    fn every_subcommand_accepts_every_protocol() {
+        for protocol in Protocol::ALL {
+            let name = protocol.name();
+            let out =
+                run(&["simulate", "example.json", "--horizon", "150", "--protocol", name]).unwrap();
+            assert!(out.contains(&format!("protocol          : {name}")), "{name}: {out}");
+            let (out, _) =
+                run_io(&["monitor", "example.json", "--protocol", name, "--horizon", "360"])
+                    .unwrap();
+            assert!(out.contains("violations : 0"), "{name}: {out}");
+            let mode = if protocol.strict() { "strict" } else { "relaxed" };
+            assert!(out.contains(&format!("protocol   : {name} ({mode} mode)")), "{name}: {out}");
+            let jsonl = record_fixture(name);
+            assert_eq!(jsonl, golden_trace(protocol), "{name}: trace drifted");
+            let (out, _) = run_io_with(
+                &["trace", "replay", "t.jsonl", "example.json"],
+                &[("t.jsonl", &jsonl)],
+            )
+            .unwrap();
+            assert!(out.contains("bit-for-bit identical"), "{name}: {out}");
+        }
+        // The usage text names the set once.
+        let usage = usage();
+        assert_eq!(usage.matches("demand-int").count(), 1, "{usage}");
+        assert!(usage.contains("event, clocked, demand, demand-int, dynamic"), "{usage}");
+    }
+
+    #[test]
+    fn non_positive_horizons_are_rejected() {
+        for horizon in ["0", "-5"] {
+            let bad = |argv: &[&str]| {
+                let mut argv = argv.to_vec();
+                argv.extend(["--horizon", horizon]);
+                let err = run_io(&argv).unwrap_err();
+                assert!(
+                    matches!(err, CliError::BadValue { what: "--horizon", ref value } if value == horizon),
+                    "{argv:?}: {err}"
+                );
+            };
+            bad(&["simulate", "example.json"]);
+            bad(&["stats", "example.json"]);
+            bad(&["monitor", "example.json"]);
+            bad(&["trace", "record", "example.json", "--out", "t.jsonl"]);
         }
     }
 

@@ -29,6 +29,8 @@ pub enum SimError {
     /// The platform's steady state has zero throughput; the executor cannot
     /// pace injection.
     NotSchedulable,
+    /// Result returns were configured with a negative size ratio.
+    NegativeReturnRatio,
 }
 
 impl fmt::Display for SimError {
@@ -41,6 +43,7 @@ impl fmt::Display for SimError {
             SimError::SwitchComputes(n) => write!(f, "{n} is a switch but was told to compute"),
             SimError::EmptyQueue(n) => write!(f, "{n} scheduled work with an empty queue"),
             SimError::NotSchedulable => write!(f, "steady state has zero throughput"),
+            SimError::NegativeReturnRatio => write!(f, "result return ratio is negative"),
         }
     }
 }

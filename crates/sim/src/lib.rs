@@ -13,47 +13,45 @@
 //!   (`c` time units per task toward a given child);
 //! * one **receiving port** — at most one incoming transfer at a time.
 //!
-//! Executors:
+//! Executors — policies on one engine (the event loop, counters, buffers,
+//! root injection and the report live in a single place):
 //!
 //! * [`event_driven`] — the paper's schedule: every node except the root
 //!   acts without clocks, handling incoming tasks in bunches of `Ψ`
 //!   according to its local interleaved order; the root paces injection.
-//!   Includes the *traditional* prefill start-up baseline of Section 7 for
-//!   comparison.
+//!   Includes the *traditional* prefill start-up baseline of Section 7, and
+//!   link degradations mid-run with stale vs re-negotiated schedules (the
+//!   conclusion's platform-dynamics motivation).
 //! * [`clocked`] — the Lemma 1 clocked asynchronous schedule (Section 6.1)
 //!   with the Proposition 3 `χ` prefill, for contrast with the clockless
 //!   event-driven executor.
 //! * [`demand_driven`] — a Kreaseck-style autonomous protocol
 //!   (non-interruptible communications, threshold requests), the baseline
 //!   the paper's Sections 2 and 7 criticize.
-//! * [`result_return`] — the Section 9 model where computed tasks return a
-//!   result to the master, demonstrating that folding return times into the
-//!   forward communication cost is wrong under single-port reception.
-//! * [`dynamic`] — link degradations mid-run with stale vs re-negotiated
-//!   schedules (the conclusion's platform-dynamics motivation).
+//! * [`returns`] — the Section 9 model where computed tasks return a result
+//!   to the master over bidirectional ports: the 3-node counter-example
+//!   showing that folding return times into the forward cost is wrong, and
+//!   the same question on arbitrary trees.
 //! * [`makespan`] — finite-workload completion times under the schedules,
 //!   against the `N/ρ*` steady-state lower bound (the Section 2 heuristic
 //!   claim for Dutot's NP-hard makespan problem).
-//! * [`returns`] — result returns on *arbitrary* trees (bidirectional port
-//!   contention), quantifying the problem Section 9 leaves open.
 //!
 //! Measurements ([`SimReport`]): per-node Gantt traces (Figure 5),
 //! completion series, throughput over windows, steady-state entry times,
 //! buffer occupancy, and wind-down lengths.
 //!
-//! Instrumentation: the `event_driven`, `clocked`, `demand_driven` and
-//! `dynamic` executors each expose a `simulate_probed` variant generic over
-//! a [`Probe`] — busy segments, event-queue depths and buffer occupancy
-//! stream to any sink ([`GanttProbe`], [`UtilizationProbe`], [`ObsProbe`]
-//! into a `bwfirst-obs` recorder, or the online [`MonitorProbe`] invariant
-//! checker) with zero cost when [`NoProbe`] is plugged in.
+//! Instrumentation: every executor exposes a `*_probed` variant generic
+//! over a [`Probe`] — busy segments, event-queue depths, buffer occupancy
+//! and task lifecycles stream to any sink ([`GanttProbe`],
+//! [`UtilizationProbe`], [`ObsProbe`] into a `bwfirst-obs` recorder, the
+//! online [`MonitorProbe`] invariant checker, or the [`ProvenanceProbe`])
+//! with zero cost when [`NoProbe`] is plugged in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clocked;
 pub mod demand_driven;
-pub mod dynamic;
 mod engine;
 pub mod error;
 pub mod event_driven;
@@ -63,7 +61,6 @@ pub mod makespan;
 pub mod monitor;
 pub mod probe;
 pub mod provenance;
-pub mod result_return;
 pub mod returns;
 
 pub use engine::{BufferStats, SimConfig, SimReport};

@@ -42,12 +42,9 @@ where
     let mut horizon = first_guess;
     loop {
         let cfg = SimConfig {
-            horizon,
-            stop_injection_at: None,
             total_tasks: Some(tasks),
             record_gantt: false,
-            exact_queue: false,
-            seed: 0,
+            ..SimConfig::to_horizon(horizon)
         };
         let rep = run(&cfg);
         if rep.total_computed() >= tasks {

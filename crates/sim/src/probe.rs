@@ -9,13 +9,16 @@
 //! The Gantt trace that used to be special-cased plumbing is now just one
 //! probe among several:
 //!
-//! * [`GanttProbe`] — collects the classic [`Gantt`] trace;
+//! * [`GanttProbe`] — collects the classic [`Gantt`] trace (the engine
+//!   runs one next to the caller's probe when `SimConfig::record_gantt`
+//!   is set);
 //! * [`UtilizationProbe`] — per-node, per-activity busy-time accounting;
 //! * [`ObsProbe`] — bridges everything into a `bwfirst-obs`
 //!   [`Recorder`] as trace spans, counter series and histograms;
 //! * tuples — `(A, B)` drives two probes at once.
 
 use crate::gantt::{Gantt, SegmentKind};
+use bwfirst_core::schedule::SlotAction;
 use bwfirst_obs::{Arg, Event, EventKind, Recorder, Ts};
 use bwfirst_platform::NodeId;
 use bwfirst_rational::Rat;
@@ -56,6 +59,15 @@ pub enum TaskAction {
     Compute,
     /// The task is forwarded to this child.
     Send(NodeId),
+}
+
+impl From<SlotAction> for TaskAction {
+    fn from(action: SlotAction) -> TaskAction {
+        match action {
+            SlotAction::Compute => TaskAction::Compute,
+            SlotAction::Send(child) => TaskAction::Send(child),
+        }
+    }
 }
 
 /// A sink for executor observations. All methods default to no-ops, so a

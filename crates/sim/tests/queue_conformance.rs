@@ -15,7 +15,7 @@ use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::{rat, Rat};
 use bwfirst_sim::clocked::{self, ClockedConfig};
 use bwfirst_sim::demand_driven::{self, DemandConfig};
-use bwfirst_sim::dynamic::{simulate_dynamic, AdaptPolicy, LinkChange};
+use bwfirst_sim::event_driven::{simulate_dynamic, AdaptPolicy, LinkChange};
 use bwfirst_sim::{event_driven, SimConfig, SimReport};
 
 fn cfg(horizon: Rat, exact_queue: bool) -> SimConfig {
