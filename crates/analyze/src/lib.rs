@@ -18,7 +18,10 @@
 //! A third, smaller layer rides along: [`snapshots`] validates the JSONL
 //! health-telemetry streams written by `bwfirst monitor --snapshots`, so
 //! CI catches schema drift between the simulator's monitor and whatever
-//! consumes its output. Model-checker counterexamples also render as
+//! consumes its output. Provenance traces have no validator here: their
+//! schema lives in `bwfirst_obs::causal`, and the binary's `trace` verb
+//! only calls `Trace::parse`, the reader that replay, lineage and diff
+//! use too. Model-checker counterexamples also render as
 //! `bwfirst-postmortem/1` artifacts ([`Violation::to_postmortem`]) — the
 //! same crash-dump format the simulator's runtime monitors emit.
 //!
@@ -29,7 +32,6 @@ pub mod lexer;
 pub mod model;
 pub mod rules;
 pub mod snapshots;
-pub mod trace;
 pub mod trees;
 
 pub use model::{check, ModelReport, Violation};

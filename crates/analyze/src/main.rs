@@ -8,7 +8,7 @@
 //!   all              both layers (default)
 //!   fixture <path>   lint one file with every rule, ignoring path scopes
 //!   snapshots <path> schema-check a monitor snapshot stream (.jsonl)
-//!   trace <path>     schema-check a bwfirst-trace/1 provenance artifact
+//!   trace <path>     schema-check a provenance trace (`obs::causal::Trace::parse`)
 //!
 //!   --root DIR       workspace root to lint (default: .)
 //!   --max-nodes N    model-check all trees up to N nodes (default: 7)
@@ -24,9 +24,10 @@
 //! Exit code 0 when clean, 1 on any finding or property violation, 2 on
 //! usage errors.
 
-use bwfirst_analyze::{lexer, model, rules, snapshots, trace};
+use bwfirst_analyze::{lexer, model, rules, snapshots};
+use bwfirst_obs::causal::{Trace, STOCK_BASE};
 use bwfirst_obs::json::{obj, Value};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Options {
@@ -180,7 +181,7 @@ fn run_lint(opts: &Options) -> bool {
 
 /// `--deny-all` extra: an allow marker naming a rule that does not exist is
 /// itself a finding (it silently suppresses nothing — usually a typo).
-fn unknown_allow_markers(root: &std::path::Path) -> Vec<rules::Finding> {
+fn unknown_allow_markers(root: &Path) -> Vec<rules::Finding> {
     let mut out = Vec::new();
     let mut files = Vec::new();
     collect(root.join("crates"), &mut files);
@@ -227,95 +228,71 @@ fn emit_findings(findings: &[rules::Finding], json: bool) {
     }
 }
 
+/// A schema check's outcome: named counts and a summary line when clean,
+/// else `(line, message, rendered)` per error.
+type Outcome = Result<(Vec<(&'static str, usize)>, String), Vec<(usize, String, String)>>;
+
 /// Schema-checks a monitor snapshot stream; `Ok(true)` when clean. `Err`
 /// means the file itself was unreadable (usage error, exit 2).
-fn run_snapshots(path: &std::path::Path, json: bool) -> Result<bool, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    match snapshots::validate_jsonl(&text) {
-        Ok(n) => {
-            if json {
-                let summary = obj(vec![
-                    ("snapshots", Value::Int(n as i128)),
-                    ("errors", Value::Array(Vec::new())),
-                ]);
-                println!("{}", summary.to_string_compact());
-            } else {
-                println!("snapshots: {n} snapshot(s), schema clean");
-            }
-            Ok(true)
-        }
-        Err(errors) => {
-            if json {
-                let arr = Value::Array(
-                    errors
-                        .iter()
-                        .map(|e| {
-                            obj(vec![
-                                ("line", Value::Int(e.line as i128)),
-                                ("message", Value::from(e.message.as_str())),
-                            ])
-                        })
-                        .collect(),
-                );
-                println!("{}", obj(vec![("errors", arr)]).to_string_compact());
-            } else {
-                for e in &errors {
-                    println!("{e}");
-                }
-                println!("snapshots: {} error(s)", errors.len());
-            }
-            Ok(false)
-        }
-    }
+fn run_snapshots(path: &Path, json: bool) -> Result<bool, String> {
+    let outcome = snapshots::validate_jsonl(&read(path)?)
+        .map(|n| (vec![("snapshots", n)], format!("{n} snapshot(s)")))
+        .map_err(|errors| {
+            errors.iter().map(|e| (e.line, e.message.clone(), e.to_string())).collect()
+        });
+    Ok(report("snapshots", outcome, json))
 }
 
-/// Schema-checks a `bwfirst-trace/1` provenance artifact; `Ok(true)` when
-/// clean. `Err` means the file itself was unreadable (usage error, exit 2).
-fn run_trace(path: &std::path::Path, json: bool) -> Result<bool, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    match trace::validate_jsonl(&text) {
-        Ok(summary) => {
-            if json {
-                let out = obj(vec![
-                    ("records", Value::Int(summary.records as i128)),
-                    ("injected", Value::Int(summary.injected as i128)),
-                    ("stock", Value::Int(summary.stock as i128)),
-                    ("errors", Value::Array(Vec::new())),
-                ]);
-                println!("{}", out.to_string_compact());
-            } else {
-                println!(
-                    "trace: {} record(s), {} injected task(s), {} stock, schema clean",
-                    summary.records, summary.injected, summary.stock
-                );
-            }
-            Ok(true)
+/// Schema-checks a provenance trace artifact by parsing it:
+/// the schema is [`Trace::parse`], the reader every trace consumer uses.
+/// `Ok(true)` when clean; `Err` means the file was unreadable (exit 2).
+fn run_trace(path: &Path, json: bool) -> Result<bool, String> {
+    let outcome = Trace::parse(&read(path)?)
+        .map(|trace| {
+            let ids = trace.task_ids();
+            let stock = ids.iter().filter(|t| **t >= STOCK_BASE).count();
+            let (records, injected) = (trace.records.len(), ids.len() - stock);
+            let summary =
+                format!("{records} record(s), {injected} injected task(s), {stock} stock");
+            (vec![("records", records), ("injected", injected), ("stock", stock)], summary)
+        })
+        .map_err(|e| vec![(e.line, e.message.clone(), e.to_string())]);
+    Ok(report("trace", outcome, json))
+}
+
+fn read(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+}
+
+/// Prints an [`Outcome`] as one JSON object, or as text under `verb`;
+/// returns whether the input was clean.
+fn report(verb: &str, outcome: Outcome, json: bool) -> bool {
+    let clean = outcome.is_ok();
+    match (outcome, json) {
+        (Ok((counts, _)), true) => {
+            let mut members: Vec<_> =
+                counts.into_iter().map(|(key, n)| (key, Value::Int(n as i128))).collect();
+            members.push(("errors", Value::Array(Vec::new())));
+            println!("{}", obj(members).to_string_compact());
         }
-        Err(errors) => {
-            if json {
-                let arr = Value::Array(
-                    errors
-                        .iter()
-                        .map(|e| {
-                            obj(vec![
-                                ("line", Value::Int(e.line as i128)),
-                                ("message", Value::from(e.message.as_str())),
-                            ])
-                        })
-                        .collect(),
-                );
-                println!("{}", obj(vec![("errors", arr)]).to_string_compact());
-            } else {
-                for e in &errors {
-                    println!("{e}");
-                }
-                println!("trace: {} error(s)", errors.len());
+        (Ok((_, summary)), false) => println!("{verb}: {summary}, schema clean"),
+        (Err(errors), true) => {
+            let arr = errors
+                .into_iter()
+                .map(|(line, message, _)| {
+                    obj(vec![("line", Value::Int(line as i128)), ("message", Value::Str(message))])
+                })
+                .collect();
+            println!("{}", obj(vec![("errors", Value::Array(arr))]).to_string_compact());
+        }
+        (Err(errors), false) => {
+            for (_, _, rendered) in &errors {
+                println!("{rendered}");
             }
-            Ok(false)
+            println!("{verb}: {} error(s)", errors.len());
         }
     }
+    clean
 }
 
 /// Runs the model checker; returns true when violations were found.

@@ -5,7 +5,7 @@
 use crate::args::{Args, CliError};
 use bwfirst_core::schedule::{synchronous_period, EventDrivenSchedule, SlotAction};
 use bwfirst_core::{bw_first, observe, quantize, startup, MonitorExpectations, SteadyState};
-use bwfirst_obs::causal::{ts_sub, Action, STOCK_BASE};
+use bwfirst_obs::causal::{ts_sub, Action, STOCK_BASE, TRACE_FORMAT};
 use bwfirst_obs::{chrome, summary, MemoryRecorder, Trace, TraceRecord, Ts};
 use bwfirst_platform::generators;
 use bwfirst_platform::{io, Platform, Weight};
@@ -52,7 +52,7 @@ usage:
   bwfirst trace record <platform.json> --out <t.jsonl> [--protocol P]
                  [--horizon H] [--tasks N] [--seed S] [--chrome out.json]
       run one executor under the provenance probe and write the
-      bwfirst-trace/1 JSONL artifact (per-task lifecycle: enter, stride
+      {TRACE_FORMAT} JSONL artifact (per-task lifecycle: enter, stride
       dispatch, hop, compute); --chrome adds a Perfetto view with one
       flow arrow per hop
   bwfirst trace lineage <t.jsonl> --task K
@@ -80,9 +80,11 @@ protocols (--protocol P; default event): {}
   --horizon H must be positive
 
 workspace checks (separate binary, see docs/ANALYSIS.md):
-  cargo run -p bwfirst-analyze [lint|model|all|fixture <path>|snapshots <path>]
-      source invariant lint rules, exhaustive protocol model checking, and
-      schema validation of monitor snapshot streams
+  cargo run -p bwfirst-analyze [lint|model|all|fixture <path>|snapshots <path>|
+                                trace <path>]
+      source invariant lint rules, exhaustive protocol model checking,
+      schema validation of monitor snapshot streams, and the trace reader's
+      schema check of a provenance artifact
 ",
         protocols.join(", ")
     )
@@ -529,7 +531,7 @@ fn cmd_monitor(
 }
 
 /// Runs one executor under a [`ProvenanceProbe`] and returns the finished
-/// `bwfirst-trace/1` artifact. The schedule-driven executors annotate each
+/// provenance-trace artifact. The schedule-driven executors annotate each
 /// dispatch with its Section 6.3 stride decision (slot, ψ, bunch index);
 /// the demand variants trace with no schedule annotations.
 fn record_trace(
@@ -1399,6 +1401,31 @@ mod tests {
             run_io_with(&["trace", "replay", "t.jsonl", "example.json"], &[("t.jsonl", &tampered)])
                 .unwrap_err();
         assert!(matches!(err, CliError::Runtime(ref m) if m.contains("diverged")), "{err}");
+    }
+
+    #[test]
+    fn malformed_traces_are_rejected_by_every_verb() {
+        let good = record_fixture("event");
+        // A compute on node 99 of a 3-node tree that ends before it starts,
+        // and a negative task cap in the header.
+        let bad_node = include_str!("../../obs/testdata/trace_bad_node.jsonl");
+        let bad_cap = good.replacen("\"tasks\":40", "\"tasks\":-3", 1);
+        let verbs: [&[&str]; 3] = [
+            &["trace", "lineage", "bad.jsonl", "--task", "0"],
+            &["trace", "diff", "bad.jsonl", "good.jsonl"],
+            &["trace", "replay", "bad.jsonl", "example.json"],
+        ];
+        for (bad, line) in [(bad_node, 5), (bad_cap.as_str(), 1)] {
+            for argv in verbs {
+                let files = [("bad.jsonl", bad), ("good.jsonl", good.as_str())];
+                let err = run_io_with(argv, &files).unwrap_err();
+                let want = format!("trace line {line}:");
+                assert!(
+                    matches!(err, CliError::Runtime(ref m) if m.starts_with(&want)),
+                    "{argv:?}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,19 @@
 //! * every later line — one record with a `k` discriminator:
 //!   `enter`, `dispatch`, `deliver`, or `compute`.
 //!
+//! [`Trace::parse`] is the one reader of the format, and so its schema:
+//! every consumer (replay, lineage, diff, `bwfirst-analyze trace`) gets
+//! the same checks, reported as the first failing 1-based line —
+//!
+//! * header — a non-empty `protocol`, `root` and every `parent[]` entry a
+//!   node id, the root's parent null, parent pointers free of cycles,
+//!   per-node arrays of length `nodes`, `bunch`/`t_omega` null or positive;
+//! * records — `node` (and a send's `child`) inside the platform, a
+//!   `deliver` from the receiver's tree parent, a `compute` that does not
+//!   end before it starts, `stock:true` exactly on ids `≥ STOCK_BASE`;
+//! * per-task causality — a task enters once, before any other stage, and
+//!   its record times ([`TraceRecord::time`]) never run backwards.
+//!
 //! [`Trace::lineage`] extracts one task's causal chain, [`Trace::diff`]
 //! aligns two traces by task id (the cross-executor Lemma 1 check), and
 //! [`Trace::to_events`] renders the journey as Chrome flow events so
@@ -20,6 +33,7 @@
 
 use crate::event::{Event, EventKind, Ts};
 use crate::json::{obj, parse, Value};
+use std::collections::HashMap;
 
 /// The artifact format tag carried in every trace header.
 pub const TRACE_FORMAT: &str = "bwfirst-trace/1";
@@ -153,29 +167,47 @@ impl TraceRecord {
         }
     }
 
+    /// The node the record happened on (the receiver for a deliver).
+    #[must_use]
+    pub fn node(&self) -> u32 {
+        match self {
+            TraceRecord::Enter { node, .. }
+            | TraceRecord::Deliver { node, .. }
+            | TraceRecord::Compute { node, .. } => *node,
+            TraceRecord::Dispatch(d) => d.node,
+        }
+    }
+
+    /// The record's `k` discriminator.
+    #[must_use]
+    pub fn kind(&self) -> &'static str {
+        match self {
+            TraceRecord::Enter { .. } => "enter",
+            TraceRecord::Dispatch(_) => "dispatch",
+            TraceRecord::Deliver { .. } => "deliver",
+            TraceRecord::Compute { .. } => "compute",
+        }
+    }
+
     /// JSONL rendering.
     #[must_use]
     pub fn to_json(&self) -> Value {
+        // Room for a dispatch's nine members, so no record reallocates.
+        let mut m = Vec::with_capacity(9);
+        m.extend([
+            ("k", Value::Str(self.kind().into())),
+            ("task", Value::Int(self.task())),
+            ("node", Value::Int(i128::from(self.node()))),
+        ]);
         match self {
-            TraceRecord::Enter { task, node, t, stock } => {
-                let mut m = vec![
-                    ("k", Value::Str("enter".into())),
-                    ("task", Value::Int(*task)),
-                    ("node", Value::Int(i128::from(*node))),
-                    ("t", Value::Str(t.display())),
-                ];
+            TraceRecord::Enter { t, stock, .. } => {
+                m.push(("t", Value::Str(t.display())));
                 if *stock {
                     m.push(("stock", Value::Bool(true)));
                 }
-                obj(m)
             }
             TraceRecord::Dispatch(d) => {
-                let mut m = vec![
-                    ("k", Value::Str("dispatch".into())),
-                    ("task", Value::Int(d.task)),
-                    ("node", Value::Int(i128::from(d.node))),
-                    ("t", Value::Str(d.t.display())),
-                ];
+                m.push(("t", Value::Str(d.t.display())));
                 match d.action {
                     Action::Compute => m.push(("action", Value::Str("compute".into()))),
                     Action::Send(child) => {
@@ -192,23 +224,17 @@ impl TraceRecord {
                 if let Some(p) = d.period {
                     m.push(("period", Value::Int(p)));
                 }
-                obj(m)
             }
-            TraceRecord::Deliver { task, node, from, t } => obj(vec![
-                ("k", Value::Str("deliver".into())),
-                ("task", Value::Int(*task)),
-                ("node", Value::Int(i128::from(*node))),
-                ("from", Value::Int(i128::from(*from))),
-                ("t", Value::Str(t.display())),
-            ]),
-            TraceRecord::Compute { task, node, start, end } => obj(vec![
-                ("k", Value::Str("compute".into())),
-                ("task", Value::Int(*task)),
-                ("node", Value::Int(i128::from(*node))),
-                ("start", Value::Str(start.display())),
-                ("end", Value::Str(end.display())),
-            ]),
+            TraceRecord::Deliver { from, t, .. } => {
+                m.push(("from", Value::Int(i128::from(*from))));
+                m.push(("t", Value::Str(t.display())));
+            }
+            TraceRecord::Compute { start, end, .. } => {
+                m.push(("start", Value::Str(start.display())));
+                m.push(("end", Value::Str(end.display())));
+            }
         }
+        obj(m)
     }
 }
 
@@ -272,8 +298,11 @@ impl TraceHeader {
             Some(other) => return Err(format!("unsupported trace format `{other}`")),
             None => return Err("missing `format`".to_string()),
         }
-        let protocol =
-            v["protocol"].as_str().ok_or("missing or non-string `protocol`")?.to_string();
+        let protocol = v["protocol"]
+            .as_str()
+            .filter(|p| !p.is_empty())
+            .ok_or("missing or empty `protocol`")?
+            .to_string();
         let seed = match v["seed"].as_i128() {
             Some(s) if s >= 0 => s as u64,
             _ => return Err("missing or negative `seed`".to_string()),
@@ -286,17 +315,22 @@ impl TraceHeader {
             }
         };
         let nodes = as_node(&v["nodes"]).ok_or("missing or malformed `nodes`")?;
-        let root = as_node(&v["root"]).ok_or("missing or malformed `root`")?;
+        let is_node = |n: &u32| *n < nodes;
+        let root = as_node(&v["root"]).filter(is_node).ok_or("`root` is not a node id")?;
         let throughput = opt_ts_field(&v["throughput"], "throughput")?;
-        let bunch = opt_int_field(&v["bunch"], "bunch")?;
-        let t_omega = opt_int_field(&v["t_omega"], "t_omega")?;
+        let bunch = opt_positive(&v["bunch"], "bunch")?;
+        let t_omega = opt_positive(&v["t_omega"], "t_omega")?;
         let parent = v["parent"]
             .as_array()
             .ok_or("missing `parent` array")?
             .iter()
-            .map(|x| match x {
+            .enumerate()
+            .map(|(i, x)| match x {
                 Value::Null => Ok(None),
-                other => as_node(other).map(Some).ok_or("bad `parent` entry".to_string()),
+                other => as_node(other)
+                    .filter(is_node)
+                    .map(Some)
+                    .ok_or(format!("`parent[{i}]` is neither null nor a node id")),
             })
             .collect::<Result<Vec<_>, _>>()?;
         let edge_time = opt_ts_array(&v["edge_time"], "edge_time")?;
@@ -306,6 +340,12 @@ impl TraceHeader {
             || weight.len() != nodes as usize
         {
             return Err("per-node header arrays disagree with `nodes`".to_string());
+        }
+        if parent[root as usize].is_some() {
+            return Err("the root must have a null `parent` entry".to_string());
+        }
+        if let Some(i) = first_cycle(&parent) {
+            return Err(format!("`parent` pointers cycle through P{i}"));
         }
         Ok(TraceHeader {
             protocol,
@@ -322,6 +362,106 @@ impl TraceHeader {
             weight,
         })
     }
+
+    /// Checks `r`, about to become `records[records.len()]`, against the
+    /// header and each entered task's latest record in `last`.
+    fn check(
+        &self,
+        r: &TraceRecord,
+        records: &[TraceRecord],
+        last: &mut LastSeen,
+    ) -> Result<(), String> {
+        let (task, node, t, kind) = (r.task(), r.node(), r.time(), r.kind());
+        if node >= self.nodes {
+            return Err(format!("`node` is not a node id in a `{kind}` record"));
+        }
+        match r {
+            TraceRecord::Enter { stock, .. } => {
+                if *stock != (task >= STOCK_BASE) {
+                    return Err(format!("task {task} has a `stock` tag inconsistent with its id"));
+                }
+                if !last.enter(task, records.len()) {
+                    return Err(format!("task {task} enters twice"));
+                }
+                return Ok(());
+            }
+            TraceRecord::Dispatch(Dispatch { action: Action::Send(child), .. })
+                if *child >= self.nodes =>
+            {
+                return Err("send dispatch has no valid `child`".to_string());
+            }
+            TraceRecord::Deliver { from, .. } if self.parent[node as usize] != Some(*from) => {
+                return Err(format!("deliver to P{node} does not come from its tree parent"));
+            }
+            TraceRecord::Compute { start, end, .. } if end < start => {
+                return Err("compute span ends before it starts".to_string());
+            }
+            _ => {}
+        }
+        match last.get_mut(task) {
+            None => Err(format!("task {task} is `{kind}`-ed before it enters")),
+            Some(prev) if t < records[*prev].time() => {
+                Err(format!("task {task} runs backwards in time at `{kind}`"))
+            }
+            Some(prev) => {
+                *prev = records.len();
+                Ok(())
+            }
+        }
+    }
+}
+
+/// Each entered task's latest record, as an index into the records: the
+/// state of the per-task causality check. Executors number injected tasks
+/// 0, 1, 2, … in entry order, so those sit in `dense` at their id and cost
+/// no hashing; any other id (prefill stock, an out-of-order entry) sits in
+/// `sparse`.
+#[derive(Default)]
+struct LastSeen {
+    dense: Vec<usize>,
+    sparse: HashMap<i128, usize>,
+}
+
+impl LastSeen {
+    /// Records `task` entering as record `at`; `false` if it had entered.
+    fn enter(&mut self, task: i128, at: usize) -> bool {
+        let fresh = self.get_mut(task).is_none();
+        if fresh && task == self.dense.len() as i128 {
+            self.dense.push(at);
+        } else if fresh {
+            self.sparse.insert(task, at);
+        }
+        fresh
+    }
+
+    fn get_mut(&mut self, task: i128) -> Option<&mut usize> {
+        let LastSeen { dense, sparse } = self;
+        usize::try_from(task).ok().and_then(|i| dense.get_mut(i)).or_else(|| sparse.get_mut(&task))
+    }
+}
+
+/// A node on a cycle of `parent` pointers, if there is one (a walk up
+/// from every node must end, or lineage's root-ward walk would not).
+fn first_cycle(parent: &[Option<u32>]) -> Option<usize> {
+    // 0: unvisited, 1: on the current walk, 2: known to end.
+    let mut state = vec![0u8; parent.len()];
+    let up = |i: usize| parent[i].map(|p| p as usize);
+    for start in 0..parent.len() {
+        let mut cur = Some(start);
+        while let Some(i) = cur.filter(|&i| state[i] == 0) {
+            state[i] = 1;
+            cur = up(i);
+        }
+        if let Some(i) = cur.filter(|&i| state[i] == 1) {
+            return Some(i);
+        }
+        let mut cur = Some(start);
+        while let Some(i) = cur.filter(|&i| state[i] == 1) {
+            state[i] = 2;
+            cur = up(i);
+        }
+    }
+    None
 }
 
 fn opt_ts_field(v: &Value, what: &str) -> Result<Option<Ts>, String> {
@@ -331,10 +471,14 @@ fn opt_ts_field(v: &Value, what: &str) -> Result<Option<Ts>, String> {
     }
 }
 
-fn opt_int_field(v: &Value, what: &str) -> Result<Option<i128>, String> {
+fn opt_positive(v: &Value, what: &str) -> Result<Option<i128>, String> {
     match v {
         Value::Null => Ok(None),
-        other => other.as_i128().map(Some).ok_or(format!("malformed `{what}`")),
+        other => other
+            .as_i128()
+            .filter(|n| *n > 0)
+            .map(Some)
+            .ok_or(format!("`{what}` is neither null nor a positive integer")),
     }
 }
 
@@ -384,6 +528,10 @@ fn gcd(mut a: u128, mut b: u128) -> u128 {
         (a, b) = (b, a % b);
     }
     a
+}
+
+fn json_line(line: &str) -> Result<Value, String> {
+    parse(line).map_err(|e| format!("not valid JSON: {e}"))
 }
 
 fn record_from_json(v: &Value) -> Result<TraceRecord, String> {
@@ -465,34 +613,21 @@ impl Trace {
         out
     }
 
-    /// Parses a `bwfirst-trace/1` JSONL artifact.
+    /// Parses and schema-checks a `bwfirst-trace/1` JSONL artifact (see
+    /// the module docs for the checks); the error names the first bad line.
     pub fn parse(text: &str) -> Result<Trace, TraceError> {
-        let mut header: Option<TraceHeader> = None;
+        let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
+        let at = |idx: usize| move |message| TraceError { line: idx + 1, message };
+        let (idx, first) = lines.next().ok_or_else(|| at(0)("empty artifact: no header".into()))?;
+        let header = json_line(first).and_then(|v| TraceHeader::from_json(&v)).map_err(at(idx))?;
+        let mut last = LastSeen::default();
         let mut records = Vec::new();
-        for (idx, line) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let v = parse(line).map_err(|e| TraceError {
-                line: lineno,
-                message: format!("not valid JSON: {e}"),
-            })?;
-            if header.is_none() {
-                header = Some(
-                    TraceHeader::from_json(&v)
-                        .map_err(|message| TraceError { line: lineno, message })?,
-                );
-            } else {
-                records.push(
-                    record_from_json(&v).map_err(|message| TraceError { line: lineno, message })?,
-                );
-            }
+        for (idx, line) in lines {
+            let r = json_line(line).and_then(|v| record_from_json(&v)).map_err(at(idx))?;
+            header.check(&r, &records, &mut last).map_err(at(idx))?;
+            records.push(r);
         }
-        match header {
-            Some(header) => Ok(Trace { header, records }),
-            None => Err(TraceError { line: 1, message: "empty trace (no header)".to_string() }),
-        }
+        Ok(Trace { header, records })
     }
 
     /// All task ids that entered the trace, injected work first (sorted),
@@ -536,6 +671,19 @@ impl Trace {
         })
     }
 
+    /// Per task: how many compute records it has, and the node and span
+    /// end of the first (what [`Trace::compute_node`] and
+    /// [`Trace::completion`] report), in one pass.
+    fn computes(&self) -> HashMap<i128, (usize, u32, Ts)> {
+        let mut out = HashMap::new();
+        for r in &self.records {
+            if let TraceRecord::Compute { task, node, end, .. } = r {
+                out.entry(*task).or_insert((0, *node, *end)).0 += 1;
+            }
+        }
+        out
+    }
+
     /// Aligns two traces by task id (see [`TraceDiff`]).
     #[must_use]
     pub fn diff(&self, other: &Trace) -> TraceDiff {
@@ -554,25 +702,18 @@ impl Trace {
         let mut routing = Vec::new();
         let mut latency = Vec::new();
         let mut common = 0usize;
-        let computes = |trace: &Trace, task: i128| {
-            trace
-                .records
-                .iter()
-                .filter(|r| matches!(r, TraceRecord::Compute { task: t, .. } if *t == task))
-                .count()
-        };
+        let (computes_a, computes_b) = (self.computes(), other.computes());
         for &t in ia.iter().filter(|t| ib.binary_search(t).is_ok()) {
             common += 1;
-            let (ca, cb) = (computes(self, t), computes(other, t));
+            let (a, b) = (computes_a.get(&t), computes_b.get(&t));
+            let (ca, cb) = (a.map_or(0, |c| c.0), b.map_or(0, |c| c.0));
             if ca != cb {
                 count_divergence.push((t, ca, cb));
             }
-            if let (Some(na), Some(nb)) = (self.compute_node(t), other.compute_node(t)) {
+            if let (Some(&(_, na, ea)), Some(&(_, nb, eb))) = (a, b) {
                 if na != nb {
                     routing.push((t, na, nb));
                 }
-            }
-            if let (Some(ea), Some(eb)) = (self.completion(t), other.completion(t)) {
                 latency.push((t, ea, eb));
             }
         }
@@ -788,6 +929,121 @@ mod tests {
         text.push_str("{\"k\":\"warp\",\"task\":0,\"node\":0}\n");
         let err = Trace::parse(&text).unwrap_err();
         assert!(err.message.contains("unknown record kind"));
+    }
+
+    const HEADER: &str = concat!(
+        r#"{"format":"bwfirst-trace/1","protocol":"event","seed":0,"horizon":"36","#,
+        r#""tasks":4,"nodes":3,"root":0,"throughput":"10/9","bunch":10,"t_omega":9,"#,
+        r#""parent":[null,0,0],"edge_time":[null,"1","2"],"weight":["9","6",null]}"#,
+    );
+
+    /// A three-node artifact: [`HEADER`] with `edit` applied, then `records`.
+    fn artifact(edit: (&str, &str), records: &[&str]) -> String {
+        let mut text = HEADER.replace(edit.0, edit.1) + "\n";
+        for r in records {
+            text.push_str(r);
+            text.push('\n');
+        }
+        text
+    }
+
+    /// Every schema rule, one input each: `Ok((records, injected, stock))`
+    /// for accepted artifacts, `Err((line, message fragment))` otherwise.
+    #[test]
+    fn parse_is_the_schema() {
+        const ENTER: &str = r#"{"k":"enter","task":0,"node":0,"t":"0"}"#;
+        const SEND: &str =
+            r#"{"k":"dispatch","task":0,"node":0,"t":"0","action":"send","child":1,"slot":0}"#;
+        const DELIVER: &str = r#"{"k":"deliver","task":0,"node":1,"from":0,"t":"1"}"#;
+        const COMPUTE: &str = r#"{"k":"compute","task":0,"node":1,"start":"1","end":"7"}"#;
+        const STOCK: &str = r#"{"k":"enter","task":1000000000,"node":1,"t":"0""#;
+        const NONE: (&str, &str) = ("\n", "\n");
+        let enter1 = ENTER.replace(r#""task":0,"node":0,"t":"0""#, r#""task":1,"node":0,"t":"5""#);
+        let back1 = SEND.replace(r#""task":0"#, r#""task":1"#);
+        type Expect = Result<(usize, usize, usize), (usize, &'static str)>;
+        type Case<'a> = (&'a str, (&'a str, &'a str), &'a [&'a str], Expect);
+        let cases: &[Case] = &[
+            ("clean lifecycle", NONE, &[ENTER, SEND, DELIVER, COMPUTE], Ok((4, 1, 0))),
+            ("untagged stock id", NONE, &[&format!("{STOCK}}}")], Err((2, "stock"))),
+            ("tagged stock id", NONE, &[&format!(r#"{STOCK},"stock":true}}"#)], Ok((1, 0, 1))),
+            (
+                "tagged injected id",
+                NONE,
+                &[&ENTER.replace('}', r#","stock":true}"#)],
+                Err((2, "stock")),
+            ),
+            ("stage before enter", NONE, &[COMPUTE], Err((2, "before it enters"))),
+            ("enters twice", NONE, &[ENTER, ENTER], Err((3, "enters twice"))),
+            // Ids entered out of order are tracked off the dense fast path.
+            ("late id enters twice", NONE, &[&enter1, ENTER, &enter1], Err((4, "enters twice"))),
+            ("late id runs backwards", NONE, &[&enter1, ENTER, &back1], Err((4, "backwards"))),
+            (
+                "time runs backwards",
+                NONE,
+                &[ENTER, SEND, &DELIVER.replace(r#""1""#, r#""-1""#), COMPUTE],
+                Err((4, "backwards")),
+            ),
+            (
+                "deliver from a sibling",
+                NONE,
+                &[ENTER, SEND, &DELIVER.replace(r#""from":0"#, r#""from":2"#)],
+                Err((4, "tree parent")),
+            ),
+            (
+                "wrong format",
+                (r#""bwfirst-trace/1""#, r#""v2""#),
+                &[ENTER],
+                Err((1, "unsupported")),
+            ),
+            ("empty artifact", (HEADER, ""), &[], Err((1, "empty artifact"))),
+            ("garbage record", NONE, &[ENTER, "not json"], Err((3, "not valid JSON"))),
+            ("negative task cap", (r#""tasks":4"#, r#""tasks":-3"#), &[], Err((1, "tasks"))),
+            (
+                "node 99, span backwards",
+                NONE,
+                &[ENTER, r#"{"k":"compute","task":0,"node":99,"start":"7","end":"1"}"#],
+                Err((3, "node id")),
+            ),
+            (
+                "span ends before start",
+                NONE,
+                &[ENTER, &COMPUTE.replace(r#""end":"7""#, r#""end":"0""#)],
+                Err((3, "ends before it starts")),
+            ),
+            (
+                "send to no node",
+                NONE,
+                &[ENTER, &SEND.replace(r#""child":1"#, r#""child":3"#)],
+                Err((3, "child")),
+            ),
+            ("root outside", (r#""root":0"#, r#""root":3"#), &[], Err((1, "root"))),
+            ("parent outside", ("[null,0,0]", "[null,0,5]"), &[], Err((1, "parent[2]"))),
+            ("root has a parent", ("[null,0,0]", "[1,0,0]"), &[], Err((1, "root"))),
+            ("parent cycle", ("[null,0,0]", "[null,2,1]"), &[], Err((1, "cycle"))),
+            ("empty protocol", (r#""event""#, r#""""#), &[], Err((1, "protocol"))),
+            ("zero bunch", (r#""bunch":10"#, r#""bunch":0"#), &[], Err((1, "bunch"))),
+            (
+                "null bunch and period",
+                (r#""bunch":10,"t_omega":9"#, r#""bunch":null,"t_omega":null"#),
+                &[],
+                Ok((0, 0, 0)),
+            ),
+        ];
+        for (name, edit, records, expect) in cases {
+            let got = Trace::parse(&artifact(*edit, records)).map(|t| {
+                let ids = t.task_ids();
+                let stock = ids.iter().filter(|id| **id >= STOCK_BASE).count();
+                (t.records.len(), ids.len() - stock, stock)
+            });
+            match (got, expect) {
+                (Ok(got), Ok(want)) => assert_eq!(got, *want, "{name}"),
+                (Err(e), Err((line, fragment))) => {
+                    assert_eq!(e.line, *line, "{name}: {e}");
+                    assert!(e.message.contains(fragment), "{name}: {e}");
+                }
+                (got, _) => panic!("{name}: got {got:?}, want {expect:?}"),
+            }
+        }
     }
 
     #[test]

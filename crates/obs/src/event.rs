@@ -7,8 +7,10 @@
 
 use crate::json::{obj, Value};
 
-/// An exact rational timestamp (`num/den` simulated time units).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// An exact rational timestamp (`num/den` simulated time units). Not
+/// necessarily reduced; equality is by value (`2/4 == 1/2`), like the
+/// ordering.
+#[derive(Debug, Clone, Copy)]
 pub struct Ts {
     /// Numerator.
     pub num: i128,
@@ -43,6 +45,14 @@ impl Ts {
         }
     }
 }
+
+impl PartialEq for Ts {
+    fn eq(&self, other: &Ts) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Ts {}
 
 impl PartialOrd for Ts {
     fn partial_cmp(&self, other: &Ts) -> Option<std::cmp::Ordering> {
@@ -216,6 +226,16 @@ mod tests {
         assert_eq!(Ts::new(2, 4), Ts::new(2, 4));
         assert_eq!(Ts::new(7, 1).display(), "7");
         assert_eq!(Ts::new(10, 9).display(), "10/9");
+    }
+
+    #[test]
+    fn equality_agrees_with_ordering() {
+        let (half, two_quarters) = (Ts::new(1, 2), Ts::new(2, 4));
+        assert_eq!(half.cmp(&two_quarters), std::cmp::Ordering::Equal);
+        assert_eq!(half, two_quarters);
+        assert_ne!(half, Ts::new(3, 4));
+        assert_eq!(Ts::new(0, 7), Ts::ZERO);
+        assert_eq!(two_quarters.display(), "2/4", "equality does not reduce the rendering");
     }
 
     #[test]

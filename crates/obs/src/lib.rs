@@ -9,8 +9,8 @@
 //!   implementation in the workspace; platform/overlay/record files use it);
 //! * [`event`] — structured trace events on exact rational timestamps;
 //! * [`span`] — cheap causal span contexts with parent links;
-//! * [`causal`] — the `bwfirst-trace/1` task-provenance artifact:
-//!   per-task lineage, cross-executor diff, and Chrome flow rendering;
+//! * [`causal`] — the task-provenance trace artifact, whose one
+//!   reader `Trace::parse` is also its schema check; per-task lineage, cross-executor diff, and Chrome flow rendering;
 //! * [`metrics`] — named counters and scalar histograms;
 //! * [`recorder`] — the [`Recorder`] sink trait with a zero-cost no-op
 //!   ([`recorder::Noop`]) and an in-memory collector ([`MemoryRecorder`]);

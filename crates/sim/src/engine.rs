@@ -33,7 +33,7 @@ pub struct SimConfig {
     /// Seed for randomized executor policies. Every executor is fully
     /// deterministic today (the event queue breaks time ties by insertion
     /// order), so the seed changes nothing at runtime; it is recorded in
-    /// `bwfirst-trace/1` headers so recorded runs stay replayable
+    /// provenance-trace headers so recorded runs stay replayable
     /// bit-for-bit once stochastic policies exist.
     pub seed: u64,
 }

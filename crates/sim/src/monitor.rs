@@ -37,11 +37,11 @@
 //! and the current window's bounds are kept to compare against.
 //!
 //! Violations are *data*, never panics: the probe keeps watching after the
-//! first finding (up to [`MonitorConfig::max_violations`]).
+//! first finding (up to [`MAX_VIOLATIONS`]).
 //!
 //! Tight rate checks want `W` to be a multiple of the tree's synchronous
 //! period: then the steady-state pattern repeats exactly once per window and
-//! the default slack of one task suffices.
+//! the [`RATE_SLACK`] of one task suffices.
 
 use crate::gantt::SegmentKind;
 use crate::probe::{lane, ts, Probe, LANES};
@@ -53,6 +53,12 @@ use bwfirst_platform::NodeId;
 use bwfirst_rational::Rat;
 use std::fmt;
 
+/// Allowed |observed − expected| per rate check, in tasks per window.
+pub const RATE_SLACK: Rat = Rat::ONE;
+
+/// Violations kept verbatim; later ones are counted but dropped.
+pub const MAX_VIOLATIONS: usize = 64;
+
 /// Tuning for a [`MonitorProbe`].
 #[derive(Debug, Clone)]
 pub struct MonitorConfig {
@@ -62,12 +68,8 @@ pub struct MonitorConfig {
     /// Completed windows to skip before rate checks (start-up transient;
     /// Proposition 4 bounds it, two sync periods cover the example tree).
     pub warmup_windows: i128,
-    /// Allowed |observed − expected| per rate check, in tasks per window.
-    pub rate_slack: Rat,
     /// Flight-recorder ring capacity (events).
     pub flight_capacity: usize,
-    /// Violations kept verbatim; later ones are counted but dropped.
-    pub max_violations: usize,
     /// Enforce drain/consume matching per observation. `true` fits the
     /// event-driven, clocked and dynamic executors (which emit the buffer
     /// decrement and its segment back to back); the demand-driven executor
@@ -78,16 +80,14 @@ pub struct MonitorConfig {
 }
 
 impl MonitorConfig {
-    /// Defaults for a given window: warm-up 2, slack 1 task, 256-event
-    /// flight ring, 64 violations, strict conservation, no expectations.
+    /// Defaults for a given window: warm-up 2, 256-event flight ring,
+    /// strict conservation, no expectations.
     #[must_use]
     pub fn new(window: Rat) -> MonitorConfig {
         MonitorConfig {
             window,
             warmup_windows: 2,
-            rate_slack: Rat::ONE,
             flight_capacity: 256,
-            max_violations: 64,
             strict_conservation: true,
             expectations: None,
         }
@@ -353,7 +353,7 @@ impl Snapshot {
 pub struct MonitorReport {
     /// Violations, in observation order (capped).
     pub violations: Vec<MonitorViolation>,
-    /// Violations beyond [`MonitorConfig::max_violations`], counted only.
+    /// Violations beyond [`MAX_VIOLATIONS`], counted only.
     pub suppressed: u64,
     /// One snapshot per window, in order.
     pub snapshots: Vec<Snapshot>,
@@ -584,7 +584,7 @@ impl MonitorProbe {
 
     fn violate(&mut self, at: Rat, v: MonitorViolation) {
         self.flight.push(MonitorEntry::Violation { t: at, kind: v.kind(), message: v.to_string() });
-        if self.violations.len() < self.cfg.max_violations {
+        if self.violations.len() < MAX_VIOLATIONS {
             self.violations.push(v);
         } else {
             self.suppressed += 1;
@@ -638,7 +638,7 @@ impl MonitorProbe {
         }
         let Some(exp) = &self.cfg.expectations else { return };
         let w = self.cfg.window;
-        let slack = self.cfg.rate_slack;
+        let slack = RATE_SLACK;
         let off =
             |observed: u64, expected: Rat| (Rat::from(observed as usize) - expected).abs() > slack;
         // Found first and reported after, so the expectations are borrowed
@@ -1094,17 +1094,16 @@ mod tests {
 
     #[test]
     fn violations_are_capped_not_unbounded() {
-        let mut cfg = MonitorConfig::new(rat(36, 1));
-        cfg.max_violations = 2;
-        let mut p = MonitorProbe::new(2, NodeId(0), cfg);
-        for k in 0i128..5 {
-            // Five receives with no pending send.
+        let mut p = MonitorProbe::new(2, NodeId(0), MonitorConfig::new(rat(36, 1)));
+        let fed = MAX_VIOLATIONS as i128 + 3;
+        for k in 0..fed {
+            // Receives with no pending send.
             p.segment(NodeId(1), SegmentKind::Receive, rat(k, 1), rat(k + 1, 1));
         }
         let rep = p.finish();
-        assert_eq!(rep.violations.len(), 2);
+        assert_eq!(rep.violations.len(), MAX_VIOLATIONS);
         assert_eq!(rep.suppressed, 3);
-        assert_eq!(rep.violations.len() as u64 + rep.suppressed, 5);
+        assert_eq!(rep.violations.len() as u64 + rep.suppressed, fed as u64);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Task-level causal provenance: a [`Probe`] that records every task's
-//! journey as a `bwfirst-trace/1` artifact.
+//! journey as a provenance-trace artifact (`bwfirst_obs::causal`).
 //!
 //! The executors themselves never track task identity — a buffered task is
 //! just a counter. This probe assigns ids at the boundary instead: every
@@ -155,7 +155,7 @@ impl Probe for ProvenanceProbe {
     }
 }
 
-/// Builds a `bwfirst-trace/1` header for a run of `protocol` under `cfg`.
+/// Builds a provenance-trace header for a run of `protocol` under `cfg`.
 /// The schedule (when the executor has one) contributes the root's bunch
 /// size and period; `throughput` is the solver's steady rate if known.
 #[must_use]

@@ -7,7 +7,9 @@
 
 use bwfirst_core::schedule::EventDrivenSchedule;
 use bwfirst_core::{bw_first, SteadyState};
+use bwfirst_obs::causal::Trace;
 use bwfirst_platform::examples::{example_tree, section9_counterexample};
+use bwfirst_platform::generators::{random_tree, RandomTreeConfig};
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::{rat, Rat};
 use bwfirst_sim::clocked::{self, ClockedConfig};
@@ -38,47 +40,48 @@ fn cfg(horizon: i128, tasks: Option<u64>, gantt: bool) -> SimConfig {
     }
 }
 
-fn fig2() -> (Platform, SteadyState, EventDrivenSchedule) {
-    let p = example_tree();
-    let ss = SteadyState::from_solution(&bw_first(&p));
-    let ev = EventDrivenSchedule::standard(&p, &ss).unwrap();
-    (p, ss, ev)
-}
-
-/// The artifact `bwfirst trace record` writes for `protocol`.
-fn record(protocol: &str, changes: &[LinkChange], policy: AdaptPolicy, cfg: &SimConfig) -> String {
-    let (p, ss, ev) = fig2();
+/// The artifact `bwfirst trace record` writes for `protocol` on `p`.
+fn record(
+    p: &Platform,
+    protocol: &str,
+    changes: &[LinkChange],
+    policy: AdaptPolicy,
+    cfg: &SimConfig,
+) -> String {
+    let ss = SteadyState::from_solution(&bw_first(p));
+    let ev = EventDrivenSchedule::standard(p, &ss).unwrap();
     let scheduled = !protocol.starts_with("demand");
     let tree = scheduled.then_some(&ev.tree);
-    let mut probe = ProvenanceProbe::new(&p, tree);
+    let mut probe = ProvenanceProbe::new(p, tree);
     match protocol {
         "event" => {
-            event_driven::simulate_probed(&p, &ev, cfg, &mut probe).unwrap();
+            event_driven::simulate_probed(p, &ev, cfg, &mut probe).unwrap();
         }
         "clocked" => {
-            clocked::simulate_probed(&p, &ev.tree, ClockedConfig::default(), cfg, &mut probe)
+            clocked::simulate_probed(p, &ev.tree, ClockedConfig::default(), cfg, &mut probe)
                 .unwrap();
         }
         "demand" => {
-            let _ = demand_driven::simulate_probed(&p, DemandConfig::default(), cfg, &mut probe);
+            let _ = demand_driven::simulate_probed(p, DemandConfig::default(), cfg, &mut probe);
         }
         "demand-int" => {
             let _ =
-                demand_driven::simulate_probed(&p, DemandConfig::interruptible(), cfg, &mut probe);
+                demand_driven::simulate_probed(p, DemandConfig::interruptible(), cfg, &mut probe);
         }
         "dynamic" => {
-            simulate_dynamic_probed(&p, changes, policy, cfg, &mut probe).unwrap();
+            simulate_dynamic_probed(p, changes, policy, cfg, &mut probe).unwrap();
         }
         other => panic!("unknown protocol {other}"),
     }
-    probe.into_trace(trace_header(&p, tree, protocol, cfg, Some(ss.throughput))).to_jsonl()
+    probe.into_trace(trace_header(p, tree, protocol, cfg, Some(ss.throughput))).to_jsonl()
 }
 
 #[test]
 fn fig2_traces_match_the_golden_files() {
     // The trace-smoke settings: `--tasks 40 --horizon 400`.
     for protocol in ["event", "clocked", "demand", "demand-int", "dynamic"] {
-        let jsonl = record(protocol, &[], AdaptPolicy::Stale, &cfg(400, Some(40), false));
+        let jsonl =
+            record(&example_tree(), protocol, &[], AdaptPolicy::Stale, &cfg(400, Some(40), false));
         assert_golden(&format!("fig2_{protocol}_trace.jsonl"), &jsonl);
     }
 }
@@ -89,8 +92,25 @@ fn renegotiation_trace_matches_the_golden_file() {
     // re-derived 5 units later.
     let changes = [LinkChange { at: rat(120, 1), child: NodeId(1), new_c: rat(12, 1) }];
     let policy = AdaptPolicy::Renegotiate { delay: rat(5, 1) };
-    let jsonl = record("dynamic", &changes, policy, &cfg(300, None, false));
+    let jsonl = record(&example_tree(), "dynamic", &changes, policy, &cfg(300, None, false));
     assert_golden("fig2_renegotiate_trace.jsonl", &jsonl);
+}
+
+/// The one trace reader is also the schema: every artifact any executor
+/// records must pass it and re-render to the same bytes.
+#[test]
+fn every_recorded_trace_parses_and_round_trips() {
+    let trees = [(8, 3u64), (16, 11), (31, 29)]
+        .map(|(size, seed)| random_tree(&RandomTreeConfig { size, seed, ..Default::default() }));
+    for p in &trees {
+        for protocol in ["event", "clocked", "demand", "demand-int", "dynamic"] {
+            let jsonl = record(p, protocol, &[], AdaptPolicy::Stale, &cfg(400, Some(60), false));
+            let trace = Trace::parse(&jsonl)
+                .unwrap_or_else(|e| panic!("{protocol} on {} nodes: {e}", p.len()));
+            assert!(!trace.task_ids().is_empty(), "{protocol} on {} nodes traced nothing", p.len());
+            assert_eq!(trace.to_jsonl(), jsonl, "{protocol} on {} nodes", p.len());
+        }
+    }
 }
 
 /// Every measured field of a report, one fact per line.
