@@ -57,6 +57,15 @@ impl fmt::Display for CliError {
     }
 }
 
+impl CliError {
+    /// Whether the command line itself was wrong, so the usage text helps;
+    /// a run-time failure of a well-formed command is reported alone.
+    #[must_use]
+    pub fn is_usage(&self) -> bool {
+        !matches!(self, CliError::Platform(_) | CliError::Io(_) | CliError::Runtime(_))
+    }
+}
+
 impl std::error::Error for CliError {}
 
 /// Splits raw arguments (without the binary name) into [`Args`].
@@ -144,6 +153,24 @@ mod tests {
     fn rejects_bad_value() {
         let a = args(&["solve", "--grid", "abc"]).unwrap();
         assert!(matches!(a.flag_or("grid", "grid", 1i64), Err(CliError::BadValue { .. })));
+    }
+
+    #[test]
+    fn only_command_line_mistakes_are_usage_errors() {
+        let usage = [
+            CliError::Missing,
+            CliError::FlagWithoutValue("grid".into()),
+            CliError::UnknownCommand("solv".into()),
+            CliError::MissingArgument("platform file"),
+            CliError::BadValue { what: "--grid", value: "abc".into() },
+        ];
+        assert!(usage.iter().all(CliError::is_usage));
+        let runtime = [
+            CliError::Platform("no such file".into()),
+            CliError::Io("read-only".into()),
+            CliError::Runtime("traces diverge".into()),
+        ];
+        assert!(!runtime.iter().any(CliError::is_usage));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use bwfirst_platform::{io, Platform, Weight};
 use bwfirst_rational::{rat, Rat};
 use bwfirst_sim::clocked::{self, ClockedConfig};
 use bwfirst_sim::demand_driven::{self, DemandConfig};
-use bwfirst_sim::event_driven::{self, AdaptPolicy};
+use bwfirst_sim::event_driven;
 use bwfirst_sim::probe::track_names;
 use bwfirst_sim::{
     trace_header, MonitorConfig, MonitorProbe, NoProbe, ObsProbe, Probe, ProvenanceProbe,
@@ -23,7 +23,6 @@ use std::fmt::Write;
 /// Usage text.
 #[must_use]
 pub fn usage() -> String {
-    let protocols: Vec<&str> = Protocol::ALL.iter().map(|p| p.name()).collect();
     format!(
         "\
 bwfirst — bandwidth-centric scheduling of independent-task applications
@@ -60,7 +59,8 @@ usage:
       transfer time against Lemma 1's predicted cost
   bwfirst trace diff <a.jsonl> <b.jsonl>
       align two traces by task id: task conservation must hold (exit 1
-      otherwise); completion offsets are reported as Lemma 1 period skew
+      otherwise); tasks in flight at a horizon and completion offsets (the
+      Lemma 1 period skew) are reported
   bwfirst trace replay <t.jsonl> <platform.json>
       re-drive the executor from the recorded header and require the
       regenerated artifact to match the original bit for bit
@@ -86,7 +86,7 @@ workspace checks (separate binary, see docs/ANALYSIS.md):
       schema validation of monitor snapshot streams, and the trace reader's
       schema check of a provenance artifact
 ",
-        protocols.join(", ")
+        Protocol::ALL.map(Protocol::name).join(", ")
     )
 }
 
@@ -278,25 +278,18 @@ fn cmd_schedule(p: &Platform, grid: Option<i128>) -> Result<String, CliError> {
 }
 
 /// The executors behind `--protocol`, shared by `simulate`, `stats`,
-/// `monitor` and `trace record`/`replay`. `Dynamic` is the event-driven
-/// executor through its dynamic-platform entry point (no link changes).
+/// `monitor` and `trace record`/`replay`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Protocol {
     Event,
     Clocked,
     Demand,
     DemandInt,
-    Dynamic,
 }
 
 impl Protocol {
-    const ALL: [Protocol; 5] = [
-        Protocol::Event,
-        Protocol::Clocked,
-        Protocol::Demand,
-        Protocol::DemandInt,
-        Protocol::Dynamic,
-    ];
+    const ALL: [Protocol; 4] =
+        [Protocol::Event, Protocol::Clocked, Protocol::Demand, Protocol::DemandInt];
 
     fn name(self) -> &'static str {
         match self {
@@ -304,12 +297,14 @@ impl Protocol {
             Protocol::Clocked => "clocked",
             Protocol::Demand => "demand",
             Protocol::DemandInt => "demand-int",
-            Protocol::Dynamic => "dynamic",
         }
     }
 
+    /// The flag as a bad-value error names it: with every accepted value.
+    const FLAG: &'static str = "--protocol (event, clocked, demand, demand-int)";
+
     fn named(name: &str) -> Result<Protocol, CliError> {
-        let bad = || CliError::BadValue { what: "--protocol", value: name.to_string() };
+        let bad = || CliError::BadValue { what: Protocol::FLAG, value: name.to_string() };
         Protocol::ALL.into_iter().find(|p| p.name() == name).ok_or_else(bad)
     }
 
@@ -360,10 +355,6 @@ impl Protocol {
             }
             (Protocol::DemandInt, _) => {
                 Ok(demand_driven::simulate_probed(p, DemandConfig::interruptible(), cfg, probe))
-            }
-            (Protocol::Dynamic, _) => {
-                event_driven::simulate_dynamic_probed(p, &[], AdaptPolicy::Stale, cfg, probe)
-                    .map(|(rep, _)| rep)
             }
         }
     }
@@ -694,14 +685,22 @@ fn cmd_trace_diff(a: &Trace, b: &Trace) -> Result<String, CliError> {
         )
         .unwrap();
     }
+    let sample =
+        |ids: &[i128]| ids.iter().take(5).map(ToString::to_string).collect::<Vec<_>>().join(", ");
+    if !d.in_flight.is_empty() {
+        writeln!(
+            out,
+            "in flight at horizon  : {} task(s) computed in one trace only [{}]",
+            d.in_flight.len(),
+            sample(&d.in_flight)
+        )
+        .unwrap();
+    }
     if d.clean() {
         writeln!(out, "conservation          : OK (no missing tasks, no count divergence)")
             .unwrap();
         Ok(out)
     } else {
-        let sample = |ids: &[i128]| {
-            ids.iter().take(5).map(ToString::to_string).collect::<Vec<_>>().join(", ")
-        };
         Err(CliError::Runtime(format!(
             "traces diverge: {} task(s) only in a [{}], {} only in b [{}], \
              {} per-task compute-count divergence(s)",
@@ -732,7 +731,8 @@ fn cmd_trace_replay(trace_text: &str, p: &Platform) -> Result<String, CliError> 
     if !ss.throughput.is_positive() {
         return Err(CliError::Runtime("platform has zero throughput; cannot replay".into()));
     }
-    let replayed = record_trace(p, &ss, Protocol::named(&h.protocol)?, &cfg)?;
+    // A header naming no known protocol is a bad artifact, not bad usage.
+    let replayed = record_trace(p, &ss, Protocol::named(&h.protocol).map_err(rt)?, &cfg)?;
     let regenerated = replayed.to_jsonl();
     if regenerated == trace_text {
         let mut out = String::new();
@@ -1040,7 +1040,7 @@ mod tests {
     #[test]
     fn simulate_rejects_bad_protocol() {
         let err = run(&["simulate", "example.json", "--protocol", "psychic"]).unwrap_err();
-        assert!(matches!(err, CliError::BadValue { what: "--protocol", .. }));
+        assert!(matches!(err, CliError::BadValue { what: Protocol::FLAG, .. }));
     }
 
     #[test]
@@ -1261,7 +1261,6 @@ mod tests {
             Protocol::Clocked => include_str!("../../sim/testdata/fig2_clocked_trace.jsonl"),
             Protocol::Demand => include_str!("../../sim/testdata/fig2_demand_trace.jsonl"),
             Protocol::DemandInt => include_str!("../../sim/testdata/fig2_demand-int_trace.jsonl"),
-            Protocol::Dynamic => include_str!("../../sim/testdata/fig2_dynamic_trace.jsonl"),
         }
     }
 
@@ -1290,7 +1289,7 @@ mod tests {
         // The usage text names the set once.
         let usage = usage();
         assert_eq!(usage.matches("demand-int").count(), 1, "{usage}");
-        assert!(usage.contains("event, clocked, demand, demand-int, dynamic"), "{usage}");
+        assert!(usage.contains("event, clocked, demand, demand-int\n"), "{usage}");
     }
 
     #[test]
@@ -1315,7 +1314,38 @@ mod tests {
     #[test]
     fn monitor_rejects_unknown_protocols() {
         let err = run(&["monitor", "example.json", "--protocol", "carrier-pigeon"]).unwrap_err();
-        assert!(matches!(err, CliError::BadValue { what: "--protocol", .. }));
+        assert!(matches!(err, CliError::BadValue { what: Protocol::FLAG, .. }));
+    }
+
+    #[test]
+    fn dynamic_is_not_a_protocol() {
+        let names = Protocol::ALL.map(Protocol::name);
+        assert_eq!(Protocol::FLAG, format!("--protocol ({})", names.join(", ")));
+        let commands: [&[&str]; 4] = [
+            &["simulate", "example.json"],
+            &["stats", "example.json"],
+            &["monitor", "example.json"],
+            &["trace", "record", "example.json", "--out", "t.jsonl"],
+        ];
+        for argv in commands {
+            let mut argv = argv.to_vec();
+            argv.extend(["--protocol", "dynamic"]);
+            let err = run_io(&argv).unwrap_err();
+            assert!(err.is_usage(), "{argv:?}: {err}");
+            let msg = err.to_string();
+            assert!(msg.starts_with("bad value for --protocol"), "{argv:?}: {msg}");
+            for name in &names {
+                assert!(msg.contains(name), "{argv:?}: {msg} omits {name}");
+            }
+        }
+        // An artifact recorded under the retired alias replays as a
+        // run-time error, not a panic.
+        let jsonl =
+            record_fixture("event").replacen(r#""protocol":"event""#, r#""protocol":"dynamic""#, 1);
+        let err =
+            run_io_with(&["trace", "replay", "t.jsonl", "example.json"], &[("t.jsonl", &jsonl)])
+                .unwrap_err();
+        assert!(matches!(err, CliError::Runtime(ref m) if m.contains("`dynamic`")), "{err}");
     }
 
     /// Like `run_io`, but with extra synthetic input files (so recorded
@@ -1380,7 +1410,7 @@ mod tests {
 
     #[test]
     fn trace_replay_is_bit_for_bit_on_every_executor() {
-        for protocol in ["event", "clocked", "demand", "demand-int", "dynamic"] {
+        for protocol in ["event", "clocked", "demand", "demand-int"] {
             let jsonl = record_fixture(protocol);
             let (out, _) = run_io_with(
                 &["trace", "replay", "t.jsonl", "example.json"],
@@ -1440,6 +1470,39 @@ mod tests {
         assert!(out.contains("common injected tasks : 40"), "got: {out}");
         assert!(out.contains("conservation          : OK"), "got: {out}");
         assert!(out.contains("completion offset b-a"), "got: {out}");
+        assert!(!out.contains("in flight"), "a drained run has none: {out}");
+    }
+
+    #[test]
+    fn trace_diff_reports_tasks_in_flight_at_the_horizon() {
+        let record = |protocol: &str| {
+            let argv = ["trace", "record", "example.json", "--out", "t.jsonl", "--protocol"];
+            let (_, files) =
+                run_io(&[&argv[..], &[protocol, "--horizon", "400"]].concat()).unwrap();
+            files[0].1.clone()
+        };
+        let (a, b) = (record("event"), record("clocked"));
+        let diff = |b: &str| {
+            run_io_with(
+                &["trace", "diff", "a.jsonl", "b.jsonl"],
+                &[("a.jsonl", &a), ("b.jsonl", b)],
+            )
+        };
+        let (out, _) = diff(&b).unwrap();
+        assert!(
+            out.contains(
+                "in flight at horizon  : 4 task(s) computed in one trace only [433, 441, 442, 443]"
+            ),
+            "got: {out}"
+        );
+        assert!(out.contains("conservation          : OK"), "got: {out}");
+        // A task computed twice is still a conservation failure.
+        let compute = b.lines().find(|l| l.starts_with(r#"{"k":"compute""#)).unwrap();
+        let err = diff(&format!("{b}{compute}\n")).unwrap_err();
+        assert!(
+            matches!(err, CliError::Runtime(ref m) if m.contains("1 per-task compute-count divergence")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1539,7 +1602,7 @@ mod tests {
             "psychic",
         ])
         .unwrap_err();
-        assert!(matches!(err, CliError::BadValue { what: "--protocol", .. }));
+        assert!(matches!(err, CliError::BadValue { what: Protocol::FLAG, .. }));
         let err = run_io(&["trace", "record", "example.json"]).unwrap_err();
         assert!(matches!(err, CliError::MissingArgument(_)));
     }

@@ -4,7 +4,7 @@
 //! bwfirst solve <platform.json>                       # optimal throughput + rates
 //! bwfirst schedule <platform.json> [--grid G]         # event-driven schedules
 //! bwfirst simulate <platform.json> [--horizon H] [--stop T] [--tasks N]
-//!                  [--protocol event|demand|demand-int] [--gantt U]
+//!                  [--protocol event|clocked|demand|demand-int] [--gantt U]
 //!                  [--trace out.json] [--metrics out.json]
 //! bwfirst stats <platform.json> [--horizon H] [--trace out.json]
 //! bwfirst generate <random|star|chain|kary|example> [--size N] [--seed S]

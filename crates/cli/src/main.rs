@@ -6,14 +6,7 @@ fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(raw) {
         Ok(a) => a,
-        Err(CliError::Missing) => {
-            eprint!("{}", usage());
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
+        Err(e) => fail(&e, 2),
     };
     match dispatch_io(
         &args,
@@ -21,10 +14,18 @@ fn main() {
         |path, contents| std::fs::write(path, contents).map_err(|e| format!("{path}: {e}")),
     ) {
         Ok(out) => print!("{out}"),
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprint!("{}", usage());
-            std::process::exit(1);
-        }
+        Err(e) => fail(&e, 1),
     }
+}
+
+/// Reports `e` on stderr — one `error:` line, followed by the usage text
+/// only when the command line itself was wrong — and exits with `code`.
+fn fail(e: &CliError, code: i32) -> ! {
+    if *e != CliError::Missing {
+        eprintln!("error: {e}");
+    }
+    if e.is_usage() {
+        eprint!("{}", usage());
+    }
+    std::process::exit(code);
 }

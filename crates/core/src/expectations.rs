@@ -5,7 +5,9 @@
 //! must converge to the solver's exact `η_i`/`α_i` (equation set 4), and the
 //! root must emit `Ψ` tasks per event-driven period `T^ω` (Section 6.2).
 //! [`MonitorExpectations`] packages exactly those reference quantities — a
-//! plain data bundle, so the simulator crate never re-runs the solver.
+//! plain data bundle, so the simulator crate never re-runs the solver. The
+//! monitor reads every field; trace headers derive their tree shape and
+//! per-edge times from the platform itself (`bwfirst_sim::trace_header`).
 
 use crate::schedule::TreeSchedule;
 use crate::steady_state::SteadyState;
@@ -32,13 +34,6 @@ pub struct MonitorExpectations {
     pub bunch: i128,
     /// `T^ω`: the root's event-driven period length.
     pub t_omega: i128,
-    /// Predicted per-task hop time over the edge into node `i` (its
-    /// `c_i`), `None` at the root and for nodes the schedule prunes from
-    /// the steady state. These feed trace headers so a recorded lineage
-    /// can compare every observed hop against Lemma 1's transfer cost.
-    pub hop_time: Vec<Option<Rat>>,
-    /// Tree parent per node (`None` at the root).
-    pub parent: Vec<Option<NodeId>>,
 }
 
 impl MonitorExpectations {
@@ -62,26 +57,7 @@ impl MonitorExpectations {
             throughput: ss.throughput,
             bunch: rs.bunch,
             t_omega: rs.t_omega,
-            hop_time: platform
-                .node_ids()
-                .map(|id| if tree.get(id).is_some() { platform.link_time(id) } else { None })
-                .collect(),
-            parent: platform.node_ids().map(|id| platform.parent(id)).collect(),
         })
-    }
-
-    /// The predicted one-way delivery latency from the root to `node`: the
-    /// sum of Lemma 1's per-edge transfer costs along the path. `None` when
-    /// an edge on the path is outside the steady-state schedule.
-    #[must_use]
-    pub fn predicted_hop_latency(&self, node: NodeId) -> Option<Rat> {
-        let mut total = Rat::ZERO;
-        let mut cur = node;
-        while let Some(p) = self.parent[cur.index()] {
-            total += self.hop_time[cur.index()]?;
-            cur = p;
-        }
-        Some(total)
     }
 
     /// Expected tasks the root handles over a window of length `w`:
@@ -114,12 +90,5 @@ mod tests {
         assert_eq!(exp.weight.len(), p.len());
         // P0 computes one task every 9 time units.
         assert_eq!(exp.weight[0], Some(rat(9, 1)));
-        // Predicted hop latencies follow the Fig. 2 path costs: P1 is one
-        // c=1 hop away, P8 sits behind c=1 + c=2 + c=4.
-        assert_eq!(exp.predicted_hop_latency(p.root()), Some(rat(0, 1)));
-        assert_eq!(exp.predicted_hop_latency(NodeId(1)), Some(rat(1, 1)));
-        assert_eq!(exp.predicted_hop_latency(NodeId(8)), Some(rat(7, 1)));
-        // Pruned nodes have no scheduled inbound edge.
-        assert_eq!(exp.predicted_hop_latency(NodeId(5)), None);
     }
 }

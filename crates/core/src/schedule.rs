@@ -94,6 +94,50 @@ pub struct NodeSchedule {
     pub chi_in: Option<i128>,
 }
 
+impl NodeSchedule {
+    /// The periods and bunch of one node from its own rates alone: `T^c`,
+    /// `T^s` (Lemma 1), `T^ω`, `ψ` and `Ψ` (Section 6.2), with the children
+    /// that get tasks in bandwidth-centric order (fastest link first, ties
+    /// by id). `children` lists every child as `(id, link time c, flow η)`.
+    ///
+    /// The receive side needs the parent's `T^s`, so it is left as for the
+    /// root: `T^r`, `φ` and `χ` are `None` and `T_0 = T^ω`;
+    /// [`TreeSchedule::build`] fills it in. Errors when a period lcm
+    /// overflows `i128`.
+    pub fn from_rates(
+        node: NodeId,
+        alpha: Rat,
+        children: impl IntoIterator<Item = (NodeId, Rat, Rat)>,
+    ) -> Result<NodeSchedule, ScheduleError> {
+        let mut kids: Vec<(NodeId, Rat, Rat)> = children.into_iter().collect();
+        kids.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
+        let t_comp = alpha.denom();
+        let t_send = kids.iter().try_fold(1i128, |acc, k| lcm(acc, k.2.denom(), "T^s"))?;
+        let t_omega = lcm(t_comp, t_send, "T^ω")?;
+        let per_bunch = |r: Rat, what| as_int(r * Rat::from_int(t_omega), what);
+        let psi_self = per_bunch(alpha, "psi_self");
+        let psi_children: Vec<(NodeId, i128)> = kids
+            .iter()
+            .filter(|k| k.2.is_positive())
+            .map(|&(k, _, eta)| (k, per_bunch(eta, "psi")))
+            .collect();
+        let bunch = psi_self + psi_children.iter().map(|&(_, q)| q).sum::<i128>();
+        Ok(NodeSchedule {
+            node,
+            t_recv: None,
+            t_comp,
+            t_send,
+            t_omega,
+            t_full: t_omega,
+            phi_recv: None,
+            psi_self,
+            psi_children,
+            bunch,
+            chi_in: None,
+        })
+    }
+}
+
 /// The asynchronous/event-driven schedules of every *active* node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeSchedule {
@@ -116,48 +160,25 @@ impl TreeSchedule {
                 continue;
             }
             let i = id.index();
-            let alpha = ss.alpha[i];
-            let t_comp = alpha.denom();
-            let kids = platform.children_bandwidth_centric(id);
-            let t_send = kids
+            // Every child has a link; the root alone has none.
+            let kids = platform
+                .children(id)
                 .iter()
-                .map(|&k| ss.eta_in[k.index()].denom())
-                .try_fold(1i128, |acc, d| lcm(acc, d, "T^s"))?;
-            let t_omega = lcm(t_comp, t_send, "T^ω")?;
-            let (t_recv, phi_recv) = match platform.parent(id) {
-                None => (None, None),
-                Some(parent) => {
-                    let pt = match schedules[parent.index()].as_ref() {
-                        Some(s) => s.t_send,
-                        // Conservation makes an active node's parent active,
-                        // and the preorder walk scheduled it already.
-                        None => unreachable!("active node's parent is active"),
-                    };
-                    (Some(pt), Some(as_int(ss.eta_in[i] * Rat::from_int(pt), "phi")))
-                }
-            };
-            let t_full = lcm(t_omega, t_recv.unwrap_or(1), "T_0")?;
-            let psi_self = as_int(alpha * Rat::from_int(t_omega), "psi_self");
-            let psi_children: Vec<(NodeId, i128)> = kids
-                .iter()
-                .filter(|&&k| ss.eta_in[k.index()].is_positive())
-                .map(|&k| (k, as_int(ss.eta_in[k.index()] * Rat::from_int(t_omega), "psi")))
-                .collect();
-            let bunch = psi_self + psi_children.iter().map(|&(_, q)| q).sum::<i128>();
-            let chi_in = t_recv.map(|_| as_int(ss.eta_in[i] * Rat::from_int(t_full), "chi"));
-            schedules[i] = Some(NodeSchedule {
-                node: id,
-                t_recv,
-                t_comp,
-                t_send,
-                t_omega,
-                t_full,
-                phi_recv,
-                psi_self,
-                psi_children,
-                bunch,
-                chi_in,
-            });
+                .filter_map(|&k| platform.link_time(k).map(|c| (k, c, ss.eta_in[k.index()])));
+            let mut sched = NodeSchedule::from_rates(id, ss.alpha[i], kids)?;
+            if let Some(parent) = platform.parent(id) {
+                let pt = match schedules[parent.index()].as_ref() {
+                    Some(s) => s.t_send,
+                    // Conservation makes an active node's parent active,
+                    // and the preorder walk scheduled it already.
+                    None => unreachable!("active node's parent is active"),
+                };
+                sched.t_recv = Some(pt);
+                sched.phi_recv = Some(as_int(ss.eta_in[i] * Rat::from_int(pt), "phi"));
+                sched.t_full = lcm(sched.t_omega, pt, "T_0")?;
+                sched.chi_in = Some(as_int(ss.eta_in[i] * Rat::from_int(sched.t_full), "chi"));
+            }
+            schedules[i] = Some(sched);
         }
         Ok(TreeSchedule { schedules })
     }

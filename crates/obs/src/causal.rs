@@ -47,7 +47,9 @@ pub const STOCK_BASE: i128 = 1_000_000_000;
 /// predictions, enough to re-drive the executor and to annotate lineage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceHeader {
-    /// Executor name (`event`, `clocked`, `demand`, `demand-int`, `dynamic`).
+    /// Executor name: `event`, `clocked`, `demand` or `demand-int` from
+    /// the CLI; `dynamic` from a library run of the event-driven
+    /// executor's dynamic-platform entry point.
     pub protocol: String,
     /// The seed the run was configured with (recorded even though the
     /// executors are deterministic today, so replay carries it forward).
@@ -699,6 +701,7 @@ impl Trace {
         let only_b: Vec<i128> =
             ib.iter().copied().filter(|t| ia.binary_search(t).is_err()).collect();
         let mut count_divergence = Vec::new();
+        let mut in_flight = Vec::new();
         let mut routing = Vec::new();
         let mut latency = Vec::new();
         let mut common = 0usize;
@@ -706,9 +709,10 @@ impl Trace {
         for &t in ia.iter().filter(|t| ib.binary_search(t).is_ok()) {
             common += 1;
             let (a, b) = (computes_a.get(&t), computes_b.get(&t));
-            let (ca, cb) = (a.map_or(0, |c| c.0), b.map_or(0, |c| c.0));
-            if ca != cb {
-                count_divergence.push((t, ca, cb));
+            match (a.map_or(0, |c| c.0), b.map_or(0, |c| c.0)) {
+                (1, 0) | (0, 1) => in_flight.push(t),
+                (ca, cb) if ca != cb || ca > 1 => count_divergence.push((t, ca, cb)),
+                _ => {}
             }
             if let (Some(&(_, na, ea)), Some(&(_, nb, eb))) = (a, b) {
                 if na != nb {
@@ -724,6 +728,7 @@ impl Trace {
             stock_b: stock(&b_ids),
             common,
             count_divergence,
+            in_flight,
             routing,
             latency,
         }
@@ -794,8 +799,11 @@ impl Trace {
 /// The result of aligning two traces by task id.
 ///
 /// `count_divergence` is the conservation check the CI gate relies on: a
-/// task computed a different number of times in the two runs means work
-/// was lost or duplicated. `routing` and `latency` are informational —
+/// task computed more than once in either run, or a different positive
+/// number of times in the two, means work was duplicated. A task computed
+/// in exactly one run is `in_flight`: a horizon cut it off mid-journey in
+/// the other, which is not a failure. `routing` and `latency` are
+/// informational —
 /// two correct executors may legally route the same task to different
 /// workers and will retire it at different absolute times (the Lemma 1
 /// period offsets).
@@ -811,8 +819,12 @@ pub struct TraceDiff {
     pub stock_b: usize,
     /// Injected tasks present in both traces.
     pub common: usize,
-    /// `(task, computes in a, computes in b)` where the counts differ.
+    /// `(task, computes in a, computes in b)` for tasks computed more than
+    /// once in either trace, or a different positive number of times.
     pub count_divergence: Vec<(i128, usize, usize)>,
+    /// Tasks computed once in one trace and never in the other: still in
+    /// flight when the other run's horizon cut it off.
+    pub in_flight: Vec<i128>,
     /// `(task, node in a, node in b)` where the task computed on
     /// different nodes.
     pub routing: Vec<(i128, u32, u32)>,
@@ -823,7 +835,7 @@ pub struct TraceDiff {
 
 impl TraceDiff {
     /// True when the conservation checks hold (no missing tasks, no
-    /// per-task count divergence).
+    /// per-task count divergence; tasks in flight at a horizon are fine).
     #[must_use]
     pub fn clean(&self) -> bool {
         self.only_a.is_empty() && self.only_b.is_empty() && self.count_divergence.is_empty()
@@ -1059,11 +1071,26 @@ mod tests {
         assert_eq!(d.common, 1);
         assert_eq!(d.latency_offsets(), Some((2.0, 2.0, 2.0)));
 
-        // Dropping the compute record is a conservation failure.
-        b.records.pop();
+        // A task computed in one trace only was cut off by the other's
+        // horizon: in flight, not a conservation failure.
+        let compute = b.records.pop().unwrap();
         let d = a.diff(&b);
-        assert_eq!(d.count_divergence, vec![(0, 1, 0)]);
-        assert!(!d.clean());
+        assert!(d.count_divergence.is_empty());
+        assert_eq!(d.in_flight, vec![0]);
+        assert!(d.clean());
+        assert!(b.diff(&a).clean(), "in flight on either side");
+
+        // Computing a task twice is duplicated work, whatever the other
+        // trace holds: once (2 vs 1) or never (2 vs 0).
+        let mut twice = a.clone();
+        twice.records.push(compute);
+        for other in [&a, &b] {
+            for d in [twice.diff(other), other.diff(&twice)] {
+                assert!(d.in_flight.is_empty());
+                assert_eq!(d.count_divergence.len(), 1);
+                assert!(!d.clean());
+            }
+        }
     }
 
     #[test]

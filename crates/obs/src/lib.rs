@@ -8,9 +8,9 @@
 //! * [`json`] — a minimal JSON value, parser and writer (the only JSON
 //!   implementation in the workspace; platform/overlay/record files use it);
 //! * [`event`] — structured trace events on exact rational timestamps;
-//! * [`span`] — cheap causal span contexts with parent links;
-//! * [`causal`] — the task-provenance trace artifact, whose one
-//!   reader `Trace::parse` is also its schema check; per-task lineage, cross-executor diff, and Chrome flow rendering;
+//! * [`causal`] — the task-provenance trace artifact, whose one reader
+//!   `Trace::parse` is also its schema check; per-task lineage,
+//!   cross-executor diff, and Chrome flow rendering;
 //! * [`metrics`] — named counters and scalar histograms;
 //! * [`recorder`] — the [`Recorder`] sink trait with a zero-cost no-op
 //!   ([`recorder::Noop`]) and an in-memory collector ([`MemoryRecorder`]);
@@ -33,7 +33,6 @@ pub mod flight;
 pub mod json;
 pub mod metrics;
 pub mod recorder;
-pub mod span;
 pub mod summary;
 
 pub use causal::{Trace, TraceDiff, TraceHeader, TraceRecord};
@@ -41,4 +40,3 @@ pub use event::{Arg, Event, EventKind, Ts};
 pub use flight::{FlightEntry, FlightRecorder};
 pub use metrics::Metrics;
 pub use recorder::{MemoryRecorder, Noop, Recorder};
-pub use span::{Lane, SpanAllocator, SpanContext, SpanId};

@@ -11,7 +11,7 @@ use crate::machine::{NodeMachine, Outgoing};
 use crate::messages::{ControlMsg, DownMsg, Report, UpMsg};
 use bwfirst_core::schedule::{LocalSchedule, LocalScheduleKind, NodeSchedule, SlotAction};
 use bwfirst_platform::{NodeId, Weight};
-use bwfirst_rational::{lcm_i128, Rat};
+use bwfirst_rational::Rat;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::HashMap;
@@ -156,38 +156,10 @@ impl Actor {
         if !alpha.is_positive() && flows.iter().all(|f| !f.is_positive()) {
             return Ok(None);
         }
-        let overflow = ProtoError::PeriodOverflow { node: self.id() };
-        let t_comp = alpha.denom();
-        let mut t_send = 1i128;
-        for f in flows.iter().filter(|f| f.is_positive()) {
-            t_send = lcm_i128(t_send, f.denom()).ok_or(overflow.clone())?;
-        }
-        let t_omega = lcm_i128(t_comp, t_send).ok_or(overflow)?;
-        let to_int = |r: Rat| -> i128 {
-            let v = r * Rat::from_int(t_omega);
-            debug_assert!(v.is_integer());
-            v.numer()
-        };
-        let psi_self = to_int(alpha);
-        let links = self.machine.children();
-        let mut slots: Vec<usize> = (0..links.len()).filter(|&s| flows[s].is_positive()).collect();
-        slots.sort_by(|&a, &b| links[a].1.cmp(&links[b].1).then(links[a].0.cmp(&links[b].0)));
-        let psi_children: Vec<(NodeId, i128)> =
-            slots.iter().map(|&s| (NodeId(links[s].0), to_int(flows[s]))).collect();
-        let bunch = psi_self + psi_children.iter().map(|&(_, q)| q).sum::<i128>();
-        let sched = NodeSchedule {
-            node: NodeId(self.id()),
-            t_recv: None, // the event-driven order needs no receive period
-            t_comp,
-            t_send,
-            t_omega,
-            t_full: t_omega,
-            phi_recv: None,
-            psi_self,
-            psi_children,
-            bunch,
-            chi_in: None,
-        };
+        let children =
+            self.machine.children().iter().zip(flows).map(|(&(k, c), &eta)| (NodeId(k), c, eta));
+        let sched = NodeSchedule::from_rates(NodeId(self.id()), alpha, children)
+            .map_err(|_| ProtoError::PeriodOverflow { node: self.id() })?;
         Ok(Some(LocalSchedule::build(&sched, LocalScheduleKind::Interleaved)))
     }
 

@@ -3,7 +3,7 @@
 use crate::actor::{Actor, ChildLink};
 use crate::error::ProtoError;
 use crate::messages::{ControlMsg, DownMsg, Report, UpMsg};
-use bwfirst_obs::{Arg, Event, EventKind, Lane, Recorder, SpanAllocator, SpanContext, Ts};
+use bwfirst_obs::{Arg, Event, EventKind, Recorder, Ts};
 use bwfirst_platform::{NodeId, Platform, Weight};
 use bwfirst_rational::Rat;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -80,72 +80,6 @@ impl NegotiationOutcome {
         rec.add("proto.nodes_total", self.visited.len() as i128);
         // lint: allow(float) — histogram export is the quantize boundary.
         rec.observe("proto.negotiate_micros", self.elapsed.as_secs_f64() * 1e6);
-    }
-
-    /// Reconstructs the round's β/θ transaction spans: one causal span per
-    /// visited edge, parented along the DFS the protocol walks (the
-    /// virtual parent's proposal to the root is the root span, carrying no
-    /// edge). Span ids follow the bandwidth-centric preorder — the order
-    /// transactions actually open on the wire — so two rounds on the same
-    /// platform produce identical span trees. Returned per node index
-    /// (`None` for unvisited nodes).
-    #[must_use]
-    pub fn transaction_spans(&self, platform: &Platform) -> Vec<Option<SpanContext>> {
-        let mut alloc = SpanAllocator::new();
-        let mut spans: Vec<Option<SpanContext>> = vec![None; platform.len()];
-        for id in platform.preorder_bandwidth_centric(platform.root()) {
-            let i = id.index();
-            if !self.visited.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            spans[i] = Some(match platform.parent(id).and_then(|p| spans[p.index()]) {
-                None => alloc.root(None, Lane::Send),
-                Some(parent_span) => {
-                    // The edge the β envelope travelled; visited implies
-                    // the parent exists and was visited first.
-                    let from = platform.parent(id).map_or(id.0, |p| p.0);
-                    alloc.derive(&parent_span, Lane::Send, Some((from, id.0)))
-                }
-            });
-        }
-        spans
-    }
-
-    /// Emits the round's transaction envelopes as nested `B`/`E` pairs on
-    /// one dedicated track (one past the simulator's `node·3 + lane`
-    /// range): the β proposal opens a node's span, its θ ack closes it,
-    /// and child transactions sit inside — the DFS as the wire carries it,
-    /// with each event tagged by its causal span id.
-    pub fn record_transactions(&self, platform: &Platform, rec: &mut impl Recorder) {
-        if !rec.enabled() {
-            return;
-        }
-        let spans = self.transaction_spans(platform);
-        let track = platform.len() as u32 * 3;
-        let mut clock = 0i128;
-        let mut stack = vec![(platform.root(), false)];
-        while let Some((id, exit)) = stack.pop() {
-            let Some(span) = spans[id.index()] else { continue };
-            let name = format!("transaction P{}", id.0);
-            if exit {
-                rec.event(Event::new(Ts::new(clock, 1), track, name, EventKind::End));
-                clock += 1;
-                continue;
-            }
-            let i = id.index();
-            let mut ev = Event::new(Ts::new(clock, 1), track, name, EventKind::Begin)
-                .arg("span", Arg::Int(i128::from(span.id.0)))
-                .arg("eta_in", Arg::Rat(self.eta_in[i].numer(), self.eta_in[i].denom()));
-            if let Some(parent) = span.parent {
-                ev = ev.arg("parent_span", Arg::Int(i128::from(parent.0)));
-            }
-            rec.event(ev);
-            clock += 1;
-            stack.push((id, true));
-            for &k in platform.children_bandwidth_centric(id).iter().rev() {
-                stack.push((k, false));
-            }
-        }
     }
 }
 
@@ -468,58 +402,6 @@ mod tests {
         assert!(rec.metrics.counter("proto.wire_bytes") > 0);
         // The no-op recorder takes the early-out path.
         out.record(&mut bwfirst_obs::Noop);
-    }
-
-    #[test]
-    fn transaction_spans_mirror_the_dfs() {
-        let p = example_tree();
-        let session = ProtocolSession::spawn(&p).unwrap();
-        let out = session.negotiate().unwrap();
-        let spans = out.transaction_spans(&p);
-        assert_eq!(spans.iter().filter(|s| s.is_some()).count(), out.visited_count());
-        // The virtual parent's transaction is the only root span.
-        let root = spans[0].expect("root visited");
-        assert_eq!(root.parent, None);
-        assert_eq!(root.edge, None);
-        // Every other span's parent is the transaction into its tree parent
-        // and its edge is the one the β envelope travelled.
-        for id in p.node_ids().skip(1) {
-            let Some(s) = spans[id.index()] else { continue };
-            let parent = p.parent(id).unwrap();
-            assert_eq!(s.parent, Some(spans[parent.index()].unwrap().id), "{id}");
-            assert_eq!(s.edge, Some((parent.0, id.0)), "{id}");
-        }
-        // Determinism: a second round yields the identical span tree.
-        assert_eq!(session.negotiate().unwrap().transaction_spans(&p), spans);
-    }
-
-    #[test]
-    fn recorded_transactions_nest_like_the_dfs() {
-        let p = example_tree();
-        let session = ProtocolSession::spawn(&p).unwrap();
-        let out = session.negotiate().unwrap();
-        let mut rec = bwfirst_obs::MemoryRecorder::new();
-        out.record_transactions(&p, &mut rec);
-        // One B and one E per visited node, properly nested.
-        let mut depth = 0i64;
-        let mut opens = 0;
-        for e in &rec.events {
-            assert_eq!(e.track, p.len() as u32 * 3);
-            match e.kind {
-                EventKind::Begin => {
-                    depth += 1;
-                    opens += 1;
-                }
-                EventKind::End => depth -= 1,
-                _ => panic!("unexpected kind"),
-            }
-            assert!(depth >= 0);
-        }
-        assert_eq!(depth, 0);
-        assert_eq!(opens, out.visited_count());
-        // The outermost envelope is the virtual parent's transaction.
-        assert_eq!(rec.events[0].name, "transaction P0");
-        out.record_transactions(&p, &mut bwfirst_obs::Noop);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the baseline the paper compares against (Sections 2 and 7).
 //!
 //! No node knows any rates. Instead each node tries to keep a local stock of
-//! `buffer_target` tasks: whenever `buffered + in-flight + outstanding`
+//! [`STOCK_TARGET`] tasks: whenever `buffered + in-flight + outstanding`
 //! drops below the target it *requests* the deficit from its parent
 //! (requests are control messages of negligible size, modeled as
 //! instantaneous). A parent with a free sending port and a buffered task
@@ -31,27 +31,22 @@ use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::Rat;
 use std::convert::Infallible;
 
-/// Tuning of the autonomous protocol.
-#[derive(Debug, Clone, Copy)]
+/// Stock each computing non-root node tries to keep on hand.
+pub const STOCK_TARGET: u64 = 2;
+
+/// Tuning of the autonomous protocol; the default is non-interruptible.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DemandConfig {
-    /// Stock each non-root node tries to keep on hand.
-    pub buffer_target: u64,
     /// Kreaseck et al.'s interruptible-communication model: faster-link
     /// requests pause ongoing slower transfers.
     pub interruptible: bool,
 }
 
-impl Default for DemandConfig {
-    fn default() -> Self {
-        DemandConfig { buffer_target: 2, interruptible: false }
-    }
-}
-
 impl DemandConfig {
-    /// The interruptible variant with the default stock target.
+    /// The interruptible variant.
     #[must_use]
     pub fn interruptible() -> Self {
-        DemandConfig { interruptible: true, ..Default::default() }
+        DemandConfig { interruptible: true }
     }
 }
 
@@ -155,7 +150,7 @@ impl<P: Probe> Demand<P> {
     fn replenish(&mut self, node: NodeId, t: Rat) {
         let n = &mut self.nodes[node.index()];
         let Some((parent, slot)) = n.up else { return };
-        let own = if n.w.is_some() { self.demand.buffer_target } else { 0 };
+        let own = if n.w.is_some() { STOCK_TARGET } else { 0 };
         let desired = own + n.pending.iter().sum::<u64>();
         let have = self.eng.buffered(node) + n.inflight + n.outstanding;
         if have >= desired {
@@ -378,23 +373,6 @@ mod tests {
         let rep = simulate(&p, DemandConfig::default(), &SimConfig::to_horizon(rat(200, 1)));
         let wasted: u64 = [5usize, 9, 10, 11].iter().map(|&i| rep.received[i]).sum();
         assert!(wasted > 0, "expected the greedy protocol to feed pruned subtrees");
-    }
-
-    #[test]
-    fn buffers_scale_with_target() {
-        let p = example_tree();
-        let small = simulate(
-            &p,
-            DemandConfig { buffer_target: 2, interruptible: false },
-            &SimConfig::to_horizon(rat(150, 1)),
-        );
-        let large = simulate(
-            &p,
-            DemandConfig { buffer_target: 8, interruptible: false },
-            &SimConfig::to_horizon(rat(150, 1)),
-        );
-        let peak = |r: &SimReport| r.buffers.iter().map(|b| b.max).max().unwrap();
-        assert!(peak(&large) > peak(&small));
     }
 
     #[test]

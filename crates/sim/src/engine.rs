@@ -109,58 +109,49 @@ pub(crate) fn tick_scale_hint(
 /// Priority event queue ordered by `(time, insertion sequence)` — ties fire
 /// in insertion order, keeping runs deterministic.
 ///
-/// Two key lanes share one payload arena and one sequence counter:
+/// One heap is active at a time; its keys are either
 ///
 /// * **ticks** — when the queue was built with a scale `S` (the lcm of all
-///   duration denominators, see [`tick_scale_hint`]) and an event's time
-///   `n/d` satisfies `d | S`, the key is the integer `n·(S/d)`. Heap
-///   sift-up/down then costs plain `i128` compares instead of rational
-///   comparisons.
-/// * **rats** — exact `Rat` keys, used for every event when no scale is set
-///   and as a per-event fallback when a time does not rescale (denominator
-///   does not divide `S`, or the tick multiplication would overflow).
+///   duration denominators, see [`tick_scale_hint`]) an event time `n/d`
+///   with `d | S` keys as the integer `n·(S/d)`, so heap sift-up/down costs
+///   plain `i128` compares instead of rational comparisons; or
+/// * **exact** — `Rat` keys, from the start when no scale is set, and for
+///   the rest of the run after the first push whose time does not rescale
+///   (its denominator does not divide `S`, as for a release step re-derived
+///   after renegotiation, or the tick would overflow `i128`). That push
+///   first moves every pending tick entry to an exact key read from its
+///   payload slot, keeping its sequence number.
 ///
-/// Both lanes are exact — a tick is the time, rescaled, not a rounding — so
-/// pop order (including tie-breaks via the shared sequence counter) is
-/// identical whichever lane an event lands in; the conformance tests pin
-/// this down. The popped time is the original `Rat`, kept in the payload
-/// slot, never reconstructed from the tick.
+/// A tick is the time rescaled, not rounded, so pop order (tie-breaks
+/// included) is the same under either key; the conformance tests pin this
+/// down. The popped time is the original `Rat`, kept in the payload slot,
+/// never reconstructed from the tick.
 ///
 /// Payload slots freed by [`pop`](EventQueue::pop) are recycled through a
 /// free list, so the payload arena stays bounded by the peak number of
 /// *pending* events instead of growing with every event ever pushed (long
 /// horizons used to leak one `Option<E>` per event).
 pub(crate) struct EventQueue<E> {
-    ticks: BinaryHeap<Reverse<(i128, u64, u64)>>,
-    rats: BinaryHeap<Reverse<(Rat, u64, u64)>>,
+    keys: Keys,
     payloads: Vec<Option<(Rat, E)>>,
     free: Vec<u64>,
     seq: u64,
-    scale: Option<i128>,
+}
+
+/// The active heap of `(key, seq, payload slot)` entries.
+enum Keys {
+    Ticks { scale: i128, heap: BinaryHeap<Reverse<(i128, u64, u64)>> },
+    Exact(BinaryHeap<Reverse<(Rat, u64, u64)>>),
 }
 
 impl<E> EventQueue<E> {
     /// A queue keyed by integer ticks at `scale` (`None` = exact keys).
     pub fn with_scale(scale: Option<i128>) -> Self {
-        EventQueue {
-            ticks: BinaryHeap::new(),
-            rats: BinaryHeap::new(),
-            payloads: Vec::new(),
-            free: Vec::new(),
-            seq: 0,
-            scale,
-        }
-    }
-
-    /// `time` rescaled to an integer tick, when the scale divides cleanly
-    /// and the product fits.
-    fn tick_of(&self, time: Rat) -> Option<i128> {
-        let scale = self.scale?;
-        let den = time.denom();
-        if scale % den != 0 {
-            return None;
-        }
-        time.numer().checked_mul(scale / den)
+        let keys = match scale {
+            Some(scale) => Keys::Ticks { scale, heap: BinaryHeap::new() },
+            None => Keys::Exact(BinaryHeap::new()),
+        };
+        EventQueue { keys, payloads: Vec::new(), free: Vec::new(), seq: 0 }
     }
 
     pub fn push(&mut self, time: Rat, ev: E) {
@@ -175,40 +166,42 @@ impl<E> EventQueue<E> {
                 (self.payloads.len() - 1) as u64
             }
         };
-        match self.tick_of(time) {
-            Some(tick) => self.ticks.push(Reverse((tick, self.seq, idx))),
-            None => self.rats.push(Reverse((time, self.seq, idx))),
-        }
+        let seq = self.seq;
         self.seq += 1;
+        if let Keys::Ticks { scale, heap } = &mut self.keys {
+            // `time` rescaled to an integer tick, when the scale divides
+            // cleanly and the product fits.
+            let den = time.denom();
+            if *scale % den == 0 {
+                if let Some(tick) = time.numer().checked_mul(*scale / den) {
+                    heap.push(Reverse((tick, seq, idx)));
+                    return;
+                }
+            }
+            // Keys are exact from here on. Every pending entry refers to a
+            // live slot holding its time.
+            let payloads = &self.payloads;
+            let exact = std::mem::take(heap)
+                .into_iter()
+                .filter_map(|Reverse((_, seq, idx))| {
+                    payloads[idx as usize].as_ref().map(|&(t, _)| Reverse((t, seq, idx)))
+                })
+                .collect();
+            self.keys = Keys::Exact(exact);
+        }
+        if let Keys::Exact(heap) = &mut self.keys {
+            heap.push(Reverse((time, seq, idx)));
+        }
     }
 
     pub fn pop(&mut self) -> Option<(Rat, E)> {
         // Every heap entry refers to a live arena slot (push is the only
         // producer); skip rather than panic if that invariant ever breaks.
         loop {
-            let take_ticks = match (self.ticks.peek(), self.rats.peek()) {
-                (None, None) => return None,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (
-                    Some(&Reverse((_, tick_seq, tick_idx))),
-                    Some(&Reverse((rat_time, rat_seq, _))),
-                ) => {
-                    // Cross-lane compare is exact: the tick head's original
-                    // time sits in its payload slot. Ties break on the shared
-                    // insertion sequence, same as within a lane.
-                    match self.payloads.get(tick_idx as usize).and_then(|s| s.as_ref()) {
-                        Some(&(tick_time, _)) => (tick_time, tick_seq) < (rat_time, rat_seq),
-                        None => true, // dead entry: drain it from the tick lane
-                    }
-                }
+            let idx = match &mut self.keys {
+                Keys::Ticks { heap, .. } => heap.pop()?.0 .2,
+                Keys::Exact(heap) => heap.pop()?.0 .2,
             };
-            let head = if take_ticks {
-                self.ticks.pop().map(|Reverse((_, _, idx))| idx)
-            } else {
-                self.rats.pop().map(|Reverse((_, _, idx))| idx)
-            };
-            let idx = head?;
             let slot = self.payloads.get_mut(idx as usize).and_then(Option::take);
             debug_assert!(slot.is_some(), "heap entry without payload");
             if let Some((time, ev)) = slot {
@@ -220,11 +213,13 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.ticks.len() + self.rats.len()
+        match &self.keys {
+            Keys::Ticks { heap, .. } => heap.len(),
+            Keys::Exact(heap) => heap.len(),
+        }
     }
 }
 
-/// Time-weighted buffer occupancy accounting for one run.
 pub(crate) struct BufferTracker {
     size: Vec<u64>,
     max: Vec<u64>,
@@ -607,7 +602,7 @@ mod tests {
         }
 
         fn is_empty(&self) -> bool {
-            self.ticks.is_empty() && self.rats.is_empty()
+            self.len() == 0
         }
 
         /// Size of the payload arena (bounded by the peak pending count).
@@ -617,7 +612,10 @@ mod tests {
 
         /// Pending events currently keyed by integer ticks (diagnostics).
         fn ticked_len(&self) -> usize {
-            self.ticks.len()
+            match &self.keys {
+                Keys::Ticks { heap, .. } => heap.len(),
+                Keys::Exact(_) => 0,
+            }
         }
     }
 
@@ -697,14 +695,14 @@ mod tests {
 
     #[test]
     fn non_dividing_denominators_demote_per_event() {
-        // Scale 6 cannot represent sevenths: those events fall back to the
-        // exact lane, and the merged pop order is still globally correct.
+        // Scale 6 cannot represent sevenths: the first one switches the
+        // queue to exact keys for good, and pop order is still correct.
         let mut q: EventQueue<&str> = EventQueue::with_scale(Some(6));
         q.push(rat(1, 7), "sevenths-early");
         q.push(rat(1, 6), "sixths");
         q.push(rat(1, 7), "sevenths-tie");
         q.push(rat(1, 1), "late");
-        assert_eq!(q.ticked_len(), 2);
+        assert_eq!(q.ticked_len(), 0);
         assert_eq!(q.pop(), Some((rat(1, 7), "sevenths-early")));
         assert_eq!(q.pop(), Some((rat(1, 7), "sevenths-tie")));
         assert_eq!(q.pop(), Some((rat(1, 6), "sixths")));
@@ -714,14 +712,14 @@ mod tests {
 
     #[test]
     fn cross_lane_order_is_globally_correct() {
-        // Events interleave across lanes; the merge respects time order and
-        // breaks cross-lane ties by insertion sequence.
+        // Rescalable and non-rescalable times interleave; once the queue
+        // turns exact, order is by time and ties by insertion sequence.
         let mut q: EventQueue<&str> = EventQueue::with_scale(Some(6));
-        q.push(rat(5, 21), "rat-early"); // exact lane (21 ∤ 6)
-        q.push(rat(1, 6), "tick-first"); // tick lane, earliest time
-        q.push(rat(5, 21), "rat-tie"); // exact lane, tie with rat-early
+        q.push(rat(5, 21), "rat-early"); // 21 ∤ 6: the queue turns exact
+        q.push(rat(1, 6), "tick-first"); // earliest time
+        q.push(rat(5, 21), "rat-tie"); // tie with rat-early
         q.push(rat(1, 2), "tick-late");
-        assert_eq!(q.ticked_len(), 2);
+        assert_eq!(q.ticked_len(), 0);
         assert_eq!(q.pop(), Some((rat(1, 6), "tick-first")));
         assert_eq!(q.pop(), Some((rat(5, 21), "rat-early")));
         assert_eq!(q.pop(), Some((rat(5, 21), "rat-tie")));
@@ -732,14 +730,36 @@ mod tests {
     #[test]
     fn overflowing_tick_products_demote() {
         // A time whose numerator is huge: tick = num · (scale/den) would
-        // overflow i128, so the event must take the exact lane.
+        // overflow i128, so the queue must turn exact.
         let huge = Rat::new(i128::MAX / 2, 1); // tick would be num·6: overflow
         let mut q: EventQueue<&str> = EventQueue::with_scale(Some(6));
         q.push(huge, "huge");
         q.push(rat(1, 2), "small");
-        assert_eq!(q.ticked_len(), 1);
+        assert_eq!(q.ticked_len(), 0);
         assert_eq!(q.pop(), Some((rat(1, 2), "small")));
         assert_eq!(q.pop(), Some((huge, "huge")));
+    }
+
+    #[test]
+    fn migration_keeps_pending_ties_in_insertion_order() {
+        // Equal-time tick entries are pending when a non-rescalable push
+        // moves them to exact keys; their sequence numbers travel along,
+        // so they still fire in insertion order, before a later tie.
+        let mut q: EventQueue<&str> = EventQueue::with_scale(Some(6));
+        q.push(rat(1, 2), "half-1");
+        q.push(rat(1, 3), "third");
+        q.push(rat(1, 2), "half-2");
+        assert_eq!(q.ticked_len(), 3);
+        q.push(rat(1, 7), "seventh");
+        assert_eq!(q.ticked_len(), 0);
+        assert_eq!(q.len(), 4);
+        q.push(rat(1, 2), "half-3");
+        assert_eq!(q.pop(), Some((rat(1, 7), "seventh")));
+        assert_eq!(q.pop(), Some((rat(1, 3), "third")));
+        assert_eq!(q.pop(), Some((rat(1, 2), "half-1")));
+        assert_eq!(q.pop(), Some((rat(1, 2), "half-2")));
+        assert_eq!(q.pop(), Some((rat(1, 2), "half-3")));
+        assert!(q.is_empty());
     }
 
     #[test]

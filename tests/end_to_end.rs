@@ -109,8 +109,8 @@ fn demand_driven_bounded_by_optimum() {
         let rep = demand_driven::simulate(&p, DemandConfig::default(), &cfg);
         let measured = rep.throughput_in(horizon / Rat::TWO, horizon);
         // A finite window can beat the steady rate by draining the backlog
-        // buffered at its start: at most buffer_target tasks per node.
-        let backlog = Rat::from(p.len() * DemandConfig::default().buffer_target as usize);
+        // buffered at its start: at most STOCK_TARGET tasks per node.
+        let backlog = Rat::from(p.len() * demand_driven::STOCK_TARGET as usize);
         let slack = backlog / (horizon / Rat::TWO);
         assert!(
             measured <= ss.throughput + slack,

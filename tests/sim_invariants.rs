@@ -91,7 +91,7 @@ proptest! {
     fn demand_driven_invariants(p in arb_platform(), interruptible in any::<bool>()) {
         let ss = SteadyState::from_solution(&bw_first(&p));
         prop_assume!(ss.throughput.is_positive());
-        let demand = DemandConfig { buffer_target: 2, interruptible };
+        let demand = DemandConfig { interruptible };
         let rep = demand_driven::simulate(&p, demand, &drain_cfg(&p, &ss));
         check_no_overlap(&rep)?;
         check_conservation(&p, &rep, &vec![0; p.len()])?;
