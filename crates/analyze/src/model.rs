@@ -17,13 +17,17 @@
 //!   delivered (one proposal in, one ack out per visited node, the virtual
 //!   parent edge included).
 //! * **Agreement** — the negotiated throughput `t_max − θ_root` equals the
-//!   centralized [`bottom_up`] reduction, and equals the sum of accepted
-//!   rates `Σ α_i`.
+//!   centralized [`bottom_up`](fn@bottom_up) reduction, and equals the sum
+//!   of accepted rates `Σ α_i`.
+//! * **Per-node agreement** — every machine's `α`, visited flag and (when
+//!   visited) `η_in` equal the centralized [`bw_first`]'s for that node. The
+//!   lattice repeats link times, so this pins the machine's `(c, id)` child
+//!   order against the solver's.
 //! * **Determinism** — every terminal state of one instance reports the
 //!   same `θ_root` and the same per-node `α` vector.
 
 use crate::trees::{for_each_instance, Instance};
-use bwfirst_core::bottom_up;
+use bwfirst_core::{bottom_up, bw_first, BwFirstSolution};
 use bwfirst_obs::json::{obj, Value};
 use bwfirst_obs::{Event, EventKind, FlightRecorder, Recorder, Ts};
 use bwfirst_parallel::Pool;
@@ -339,6 +343,16 @@ pub fn check(max_nodes: usize, max_violations: usize, threads: usize) -> ModelRe
 
 /// Explores all interleavings for one instance.
 fn check_instance(inst: &Instance, states: &mut u64) -> Result<(), Box<Violation>> {
+    explore(inst, bw_first(&inst.platform), states)
+}
+
+/// Explores all interleavings for one instance, checking every machine
+/// against the centralized `reference` solution.
+fn explore(
+    inst: &Instance,
+    reference: BwFirstSolution,
+    states: &mut u64,
+) -> Result<(), Box<Violation>> {
     let p = &inst.platform;
     let n = p.len();
     let machines: Vec<NodeMachine> = p
@@ -379,6 +393,7 @@ fn check_instance(inst: &Instance, states: &mut u64) -> Result<(), Box<Violation
         topo: &topo,
         t_max,
         expected,
+        reference,
         seen: Memo::default(),
         trace: Vec::new(),
         first_terminal: None,
@@ -392,6 +407,8 @@ struct Ctx<'a> {
     topo: &'a Topo,
     t_max: Rat,
     expected: Rat,
+    /// The centralized solution every machine must agree with node by node.
+    reference: BwFirstSolution,
     seen: Memo,
     /// Envelopes delivered along the current DFS path; rendered to strings
     /// only when a violation is reported, so the hot path never formats.
@@ -473,6 +490,26 @@ fn check_terminal(net: &Net, ctx: &mut Ctx<'_>) -> Result<(), Box<Violation>> {
             "sum of accepted rates {alpha_sum} != negotiated throughput {throughput}"
         )));
     }
+    // Per-node agreement with the centralized solver.
+    let r = &ctx.reference;
+    for m in &net.machines {
+        let i = m.id() as usize;
+        if m.alpha() != r.alpha[i]
+            || m.visited() != r.visited[i]
+            || (m.visited() && m.eta_in() != r.eta_in[i])
+        {
+            return Err(ctx.fail(format!(
+                "P{i} disagrees with bw_first: alpha={} visited={} eta_in={}, \
+                 expected alpha={} visited={} eta_in={}",
+                m.alpha(),
+                m.visited(),
+                m.eta_in(),
+                r.alpha[i],
+                r.visited[i],
+                r.eta_in[i]
+            )));
+        }
+    }
     // Switches compute nothing, whatever they forward.
     for m in &net.machines {
         if matches!(m.weight(), Weight::Infinite) && !m.alpha().is_zero() {
@@ -529,6 +566,17 @@ mod tests {
         let mut states = 0;
         assert!(check_instance(&inst, &mut states).is_ok());
         assert!(states > 0);
+    }
+
+    #[test]
+    fn per_node_disagreement_with_bw_first_is_reported() {
+        let inst = crate::trees::Instance::build(&[0, 0], 0, 0);
+        let mut reference = bw_first(&inst.platform);
+        reference.alpha[1] += Rat::ONE;
+        let mut states = 0;
+        let err = explore(&inst, reference, &mut states).expect_err("cooked reference");
+        assert!(err.message.starts_with("P1 disagrees with bw_first"), "{}", err.message);
+        assert_eq!(err.to_violation_json()["kind"].as_str(), Some("model-check"));
     }
 
     #[test]

@@ -195,7 +195,7 @@ pub fn e10_infinite_trees() -> String {
     // Cross-check on a finite platform.
     let p = bwfirst_platform::examples::example_tree();
     let exact = bw_first(&p).throughput();
-    let (lo, hi) = throughput_bounds(&bwfirst_core::lazy::PlatformSource(&p), p.height() + 1);
+    let (lo, hi) = throughput_bounds(&bwfirst_core::bwfirst::PlatformSource(&p), p.height() + 1);
     writeln!(out, "finite cross-check (example tree): lower {lo} == exact {exact} == upper {hi}")
         .unwrap();
     out

@@ -2,7 +2,9 @@
 //! exact-rational computations on a fixed tree, so their reports must be
 //! byte-identical across runs, platforms, and refactors. A diff here means
 //! the reproduction of Figure 4 changed — which should never happen
-//! silently.
+//! silently. The solver experiments E1 (Proposition 1 on random forks), E6
+//! (visits and messages under root-link bottlenecks) and E10 (lazy bounds on
+//! infinite trees) are exact and seeded, so they are pinned the same way.
 
 use bwfirst_bench::experiments;
 
@@ -20,6 +22,11 @@ fn check(id: &str, golden: &str) {
 }
 
 #[test]
+fn e1_fork_equivalence_is_stable() {
+    check("e1", include_str!("golden/e1.txt"));
+}
+
+#[test]
 fn e2_transaction_trace_is_stable() {
     check("e2", include_str!("golden/e2.txt"));
 }
@@ -32,4 +39,14 @@ fn e3_rate_table_is_stable() {
 #[test]
 fn e4_local_schedules_are_stable() {
     check("e4", include_str!("golden/e4.txt"));
+}
+
+#[test]
+fn e6_visit_counts_are_stable() {
+    check("e6", include_str!("golden/e6.txt"));
+}
+
+#[test]
+fn e10_infinite_tree_bounds_are_stable() {
+    check("e10", include_str!("golden/e10.txt"));
 }

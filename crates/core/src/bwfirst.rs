@@ -17,9 +17,11 @@
 //! consume under single-port sending); the tree's optimal throughput is
 //! `t_max − θ_root`.
 //!
-//! This module is the *centralized* (in-process) implementation and the
-//! reference for the thread-per-node protocol in `bwfirst-proto`. It records
-//! the full transaction trace, reproducing Figure 4(b).
+//! The per-node rule lives once, in [`Round`]; the thread-per-node protocol
+//! in `bwfirst-proto` runs it in its `NodeMachine`. The traversal lives once
+//! too: an explicit-stack walk over a [`TreeSource`], which [`bw_first`]
+//! runs on a [`Platform`] (recording the full transaction trace of
+//! Figure 4(b)) and `crate::lazy` runs depth-limited on infinite trees.
 
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::Rat;
@@ -128,6 +130,174 @@ impl BwFirstSolution {
     }
 }
 
+/// A tree revealed on demand — a finite [`Platform`] through
+/// [`PlatformSource`], or a conceptually infinite one (`crate::lazy`).
+pub trait TreeSource {
+    /// Opaque node handle.
+    type Node: Clone;
+
+    /// The root handle.
+    fn root(&self) -> Self::Node;
+
+    /// Computing rate `r = 1/w` of `node`.
+    fn rate(&self, node: &Self::Node) -> Rat;
+
+    /// Children of `node` as `(handle, link time c)` with `c > 0`, fastest
+    /// link first, ties in source order.
+    fn children(&self, node: &Self::Node) -> Vec<(Self::Node, Rat)>;
+}
+
+/// A finite [`Platform`] as a [`TreeSource`]: children in `(c, id)` order,
+/// exactly [`Platform::children_bandwidth_centric`].
+#[derive(Debug, Clone, Copy)]
+pub struct PlatformSource<'a>(pub &'a Platform);
+
+impl TreeSource for PlatformSource<'_> {
+    type Node = NodeId;
+
+    fn root(&self) -> NodeId {
+        self.0.root()
+    }
+
+    fn rate(&self, node: &NodeId) -> Rat {
+        self.0.compute_rate(*node)
+    }
+
+    fn children(&self, node: &NodeId) -> Vec<(NodeId, Rat)> {
+        let mut kids: Vec<(NodeId, Rat)> = (self.0.children(*node).iter())
+            .map(|&k| (k, self.0.link_time(k).expect("child has link")))
+            .collect();
+        kids.sort_unstable_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
+        kids
+    }
+}
+
+/// One node's share of a `BW-First` round — Algorithm 1's per-node rule.
+/// The centralized walk and the protocol's `NodeMachine` both run it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Round {
+    /// Proposal `λ` received from the parent.
+    pub lambda: Rat,
+    /// Rate `α = min(r, λ)` kept for the node's own CPU.
+    pub alpha: Rat,
+    /// Tasks per time unit not yet placed; the closing ack is `θ = δ`.
+    pub delta: Rat,
+    /// Sending-port time left per time unit.
+    pub tau: Rat,
+    /// `β` of the latest proposal to a child.
+    pub beta: Rat,
+}
+
+impl Round {
+    /// Receives the proposal `lambda` at a node computing at `rate`.
+    #[must_use]
+    pub fn open(rate: Rat, lambda: Rat) -> Round {
+        let alpha = rate.min(lambda);
+        Round { lambda, alpha, delta: lambda - alpha, tau: Rat::ONE, beta: Rat::ZERO }
+    }
+
+    /// Offers `β = min(δ, τ/c)` to the next child, whose link time is
+    /// `c > 0`; `None` once `δ` or `τ` is spent.
+    pub fn propose(&mut self, c: Rat) -> Option<Rat> {
+        if !(self.delta.is_positive() && self.tau.is_positive()) {
+            return None;
+        }
+        self.beta = self.delta.min(self.tau / c);
+        Some(self.beta)
+    }
+
+    /// Books the child's ack `θ ∈ [0, β]` against `δ` and `τ`; returns the
+    /// consumed rate `β − θ`.
+    pub fn close(&mut self, c: Rat, theta: Rat) -> Rat {
+        let consumed = self.beta - theta;
+        self.delta -= consumed;
+        self.tau -= consumed * c;
+        debug_assert!(!consumed.is_negative() && !self.delta.is_negative());
+        debug_assert!(!self.tau.is_negative());
+        consumed
+    }
+
+    /// Inflow `η_in = λ − δ`: what the node's subtree accepted.
+    #[must_use]
+    pub fn eta_in(&self) -> Rat {
+        self.lambda - self.delta
+    }
+}
+
+/// Truncation of a depth-limited [`walk`] (see `crate::lazy`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Bound {
+    /// Nodes at the limit keep `α` and prune their children (feasible).
+    Lower,
+    /// Nodes at the limit consume the whole proposal (optimistic).
+    Upper,
+}
+
+/// What the [`walk`] reports to its observer, with `(parent, node, round)`,
+/// in wire order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// `node` received `round.lambda` from `parent` and kept `round.alpha`.
+    Open,
+    /// `node` acknowledged `θ = round.delta` back to `parent`.
+    Close,
+}
+
+/// The canonical virtual-parent proposal `t_max = r_root + max_i b_i`.
+pub(crate) fn t_max<S: TreeSource>(source: &S) -> Rat {
+    let root = source.root();
+    let best_bw = source.children(&root).first().map_or(Rat::ZERO, |(_, c)| c.recip());
+    source.rate(&root) + best_bw
+}
+
+/// Algorithm 1's depth-first traversal from a root proposal `lambda`,
+/// returning the root's closed [`Round`]. Nodes at depth `limit.0` are
+/// truncated per `limit.1`. An explicit stack keeps arbitrarily deep chains
+/// (the infinite-tree experiments) off the call stack.
+pub(crate) fn walk<S: TreeSource>(
+    source: &S,
+    lambda: Rat,
+    limit: Option<(usize, Bound)>,
+    mut observe: impl FnMut(Step, Option<&S::Node>, &S::Node, &Round),
+) -> Round {
+    struct Frame<N> {
+        node: N,
+        round: Round,
+        kids: Vec<(N, Rat)>,
+        next: usize,
+    }
+    assert!(!lambda.is_negative(), "root proposal must be non-negative");
+    let open = |node: S::Node, depth: usize, lambda: Rat| {
+        let (round, kids) = match limit.filter(|&(d, _)| depth >= d) {
+            Some((_, Bound::Upper)) => (Round::open(lambda, lambda), Vec::new()),
+            Some((_, Bound::Lower)) => (Round::open(source.rate(&node), lambda), Vec::new()),
+            None => (Round::open(source.rate(&node), lambda), source.children(&node)),
+        };
+        Frame { node, round, kids, next: 0 }
+    };
+    let root = open(source.root(), 0, lambda);
+    observe(Step::Open, None, &root.node, &root.round);
+    let mut stack = vec![root];
+    loop {
+        let depth = stack.len();
+        let top = stack.last_mut().expect("stack non-empty until return");
+        if let Some((child, c)) = top.kids.get(top.next) {
+            if let Some(beta) = top.round.propose(*c) {
+                let frame = open(child.clone(), depth, beta);
+                observe(Step::Open, Some(&top.node), &frame.node, &frame.round);
+                stack.push(frame);
+                continue;
+            }
+        }
+        let done = stack.pop().expect("frame exists");
+        let parent = stack.last_mut();
+        observe(Step::Close, parent.as_ref().map(|p| &p.node), &done.node, &done.round);
+        let Some(parent) = parent else { return done.round };
+        parent.round.close(parent.kids[parent.next].1, done.round.delta);
+        parent.next += 1;
+    }
+}
+
 /// Runs `BW-First` on the whole platform with the canonical root proposal
 /// `t_max = r_root + max_i b_i`.
 ///
@@ -143,114 +313,39 @@ impl BwFirstSolution {
 /// ```
 #[must_use]
 pub fn bw_first(platform: &Platform) -> BwFirstSolution {
-    let root = platform.root();
-    let best_bw = platform
-        .children(root)
-        .iter()
-        .map(|&k| platform.bandwidth(k).expect("child has link"))
-        .max()
-        .unwrap_or(Rat::ZERO);
-    let t_max = platform.compute_rate(root) + best_bw;
-    bw_first_with_lambda(platform, t_max)
-}
-
-/// Traversal frame: the state of one node's in-progress `BW-First` call.
-struct Frame {
-    node: NodeId,
-    lambda: Rat,
-    delta: Rat,
-    tau: Rat,
-    kids: Vec<NodeId>,
-    next: usize,
-    /// β of the transaction currently open with `kids[next]`.
-    open_beta: Rat,
+    bw_first_with_lambda(platform, t_max(&PlatformSource(platform)))
 }
 
 /// Runs `BW-First` with an explicit root proposal `lambda` (the virtual
 /// parent's offer). Useful for analyzing subtrees under a constrained feed.
-///
-/// Implemented with an explicit stack so arbitrarily deep chains (the
-/// infinite-tree experiments) cannot overflow the call stack.
 #[must_use]
 pub fn bw_first_with_lambda(platform: &Platform, lambda: Rat) -> BwFirstSolution {
-    assert!(!lambda.is_negative(), "root proposal must be non-negative");
     let n = platform.len();
     let mut alpha = vec![Rat::ZERO; n];
     let mut eta_in = vec![Rat::ZERO; n];
     let mut visited = vec![false; n];
     let mut transactions = Vec::new();
     let mut trace = Vec::new();
-
-    let mut stack: Vec<Frame> = Vec::new();
-    let enter = |node: NodeId,
-                 lambda: Rat,
-                 platform: &Platform,
-                 alpha: &mut [Rat],
-                 visited: &mut [bool]|
-     -> Frame {
-        visited[node.index()] = true;
-        let a = platform.compute_rate(node).min(lambda);
-        alpha[node.index()] = a;
-        Frame {
-            node,
-            lambda,
-            delta: lambda - a,
-            tau: Rat::ONE,
-            kids: platform.children_bandwidth_centric(node),
-            next: 0,
-            open_beta: Rat::ZERO,
-        }
-    };
-
-    stack.push(enter(platform.root(), lambda, platform, &mut alpha, &mut visited));
-
-    loop {
-        let top = stack.last_mut().expect("stack non-empty until return");
-        // Open the next transaction if tasks and port time remain.
-        if top.delta.is_positive() && top.tau.is_positive() && top.next < top.kids.len() {
-            let child = top.kids[top.next];
-            let b = platform.bandwidth(child).expect("child has link");
-            let beta = top.delta.min(top.tau * b);
-            debug_assert!(beta.is_positive());
-            top.open_beta = beta;
-            let from = top.node;
-            trace.push(TraceEvent::Proposal { from, to: child, beta });
-            stack.push(enter(child, beta, platform, &mut alpha, &mut visited));
-            continue;
-        }
-        // This node is done: acknowledge θ = δ upward.
-        let done = stack.pop().expect("frame exists");
-        let theta = done.delta;
-        eta_in[done.node.index()] = done.lambda - theta;
-        match stack.last_mut() {
-            None => {
-                let throughput = lambda - theta;
-                return BwFirstSolution {
-                    t_max: lambda,
-                    throughput,
-                    alpha,
-                    eta_in,
-                    visited,
-                    transactions,
-                    trace,
-                };
+    let root =
+        walk(&PlatformSource(platform), lambda, None, |step, parent, node, round| match step {
+            Step::Open => {
+                visited[node.index()] = true;
+                alpha[node.index()] = round.alpha;
+                if let Some(&from) = parent {
+                    trace.push(TraceEvent::Proposal { from, to: *node, beta: round.lambda });
+                }
             }
-            Some(parent) => {
-                let child = done.node;
-                trace.push(TraceEvent::Ack { from: child, to: parent.node, theta });
-                let beta = parent.open_beta;
-                transactions.push(Transaction { parent: parent.node, child, beta, theta });
-                let consumed = beta - theta;
-                debug_assert!(!consumed.is_negative(), "child consumed more than proposed");
-                let c = platform.link_time(child).expect("child has link");
-                parent.delta -= consumed;
-                parent.tau -= consumed * c;
-                debug_assert!(!parent.delta.is_negative());
-                debug_assert!(!parent.tau.is_negative());
-                parent.next += 1;
+            Step::Close => {
+                eta_in[node.index()] = round.eta_in();
+                if let Some(&parent) = parent {
+                    let (child, beta, theta) = (*node, round.lambda, round.delta);
+                    trace.push(TraceEvent::Ack { from: child, to: parent, theta });
+                    transactions.push(Transaction { parent, child, beta, theta });
+                }
             }
-        }
-    }
+        });
+    let throughput = root.eta_in();
+    BwFirstSolution { t_max: lambda, throughput, alpha, eta_in, visited, transactions, trace }
 }
 
 #[cfg(test)]
@@ -417,6 +512,28 @@ mod tests {
         // after the first child absorbs the whole forwarded unit).
         assert!(s.throughput() >= rat(2, 1));
         assert!(s.visit_count() < 10);
+    }
+
+    #[test]
+    fn round_books_each_transaction_against_delta_and_tau() {
+        // r = 1, λ = 4: α = 1, δ = 3, τ = 1.
+        let mut r = Round::open(Rat::ONE, rat(4, 1));
+        assert_eq!((r.alpha, r.delta, r.tau), (Rat::ONE, rat(3, 1), Rat::ONE));
+        // c = 1/2: β = min(3, 2) = 2; θ = 1 books 1 task and 1/2 port time.
+        assert_eq!(r.propose(rat(1, 2)), Some(rat(2, 1)));
+        assert_eq!(r.close(rat(1, 2), Rat::ONE), Rat::ONE);
+        assert_eq!((r.delta, r.tau), (rat(2, 1), rat(1, 2)));
+        // c = 2: β = min(2, 1/4); fully consumed, τ is spent.
+        assert_eq!(r.propose(rat(2, 1)), Some(rat(1, 4)));
+        r.close(rat(2, 1), Rat::ZERO);
+        assert_eq!(r.propose(rat(1, 1)), None);
+        assert_eq!(r.eta_in(), rat(4, 1) - rat(7, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "root proposal must be non-negative")]
+    fn negative_root_proposal_is_refused() {
+        let _ = bw_first_with_lambda(&fork(w(1), &[]), rat(-1, 1));
     }
 
     #[test]

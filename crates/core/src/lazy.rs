@@ -18,111 +18,23 @@
 //!   bandwidth-centric principle saturating a faster-link child first never
 //!   hurts the total.
 //!
-//! Experiment E10 shows the two bounds converging as the depth limit grows,
-//! reproducing the finite-vs-infinite observation of Bataineh & Robertazzi
-//! cited by the paper.
+//! Both bounds are two depth-limited runs of the same walk and per-node
+//! [`Round`](crate::bwfirst::Round) that `bw_first` uses; a tree is any
+//! [`TreeSource`]. Experiment E10 shows the two bounds converging as the
+//! depth limit grows, reproducing the finite-vs-infinite observation of
+//! Bataineh & Robertazzi cited by the paper.
 
-use bwfirst_platform::{NodeId, Platform};
+use crate::bwfirst::{t_max, walk, Bound, TreeSource};
 use bwfirst_rational::Rat;
-
-/// A tree revealed on demand. Implementations may be infinite.
-pub trait TreeSource {
-    /// Opaque node handle.
-    type Node: Clone;
-
-    /// The root handle and its computing rate.
-    fn root(&self) -> (Self::Node, Rat);
-
-    /// Children of `node` as `(handle, link time c, computing rate)`.
-    /// Need not be sorted; the solver applies the bandwidth-centric order.
-    fn children(&self, node: &Self::Node) -> Vec<(Self::Node, Rat, Rat)>;
-}
-
-/// Which truncation to apply at the depth limit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Bound {
-    /// Prune children below the limit (feasible ⇒ lower bound).
-    Lower,
-    /// Perfect consumers at the limit (optimistic ⇒ upper bound).
-    Upper,
-}
-
-struct LazyFrame<N> {
-    depth: usize,
-    delta: Rat,
-    tau: Rat,
-    kids: Vec<(N, Rat, Rat)>,
-    next: usize,
-    open: Rat, // (β) of the open transaction; c of the open child kept in kids
-}
-
-/// Runs `BW-First` on a lazy tree with root proposal `lambda`, truncating at
-/// `depth_limit` according to `bound`. Returns the resulting throughput
-/// estimate (`λ − θ_root`). Nodes are expanded only while tasks flow.
-#[must_use]
-pub fn bw_first_lazy<S: TreeSource>(
-    source: &S,
-    lambda: Rat,
-    depth_limit: usize,
-    bound: Bound,
-) -> Rat {
-    let (root, root_rate) = source.root();
-    let enter =
-        |node: S::Node, depth: usize, rate: Rat, lambda: Rat, source: &S| -> LazyFrame<S::Node> {
-            let alpha = rate.min(lambda);
-            let at_limit = depth >= depth_limit;
-            let (delta, kids) = match (at_limit, bound) {
-                (true, Bound::Lower) => (lambda - alpha, Vec::new()),
-                (true, Bound::Upper) => (Rat::ZERO, Vec::new()), // consume everything
-                (false, _) => {
-                    let mut kids = source.children(&node);
-                    kids.sort_by_key(|k| k.1);
-                    (lambda - alpha, kids)
-                }
-            };
-            LazyFrame { depth, delta, tau: Rat::ONE, kids, next: 0, open: Rat::ZERO }
-        };
-
-    let mut stack = vec![enter(root, 0, root_rate, lambda, source)];
-    loop {
-        let top = stack.last_mut().expect("stack non-empty");
-        if top.delta.is_positive() && top.tau.is_positive() && top.next < top.kids.len() {
-            let (child, _c, rate) = top.kids[top.next].clone();
-            let b = top.kids[top.next].1.recip();
-            let beta = top.delta.min(top.tau * b);
-            top.open = beta;
-            let depth = top.depth + 1;
-            stack.push(enter(child, depth, rate, beta, source));
-            continue;
-        }
-        let done = stack.pop().expect("frame");
-        let theta = done.delta;
-        match stack.last_mut() {
-            None => return lambda - theta,
-            Some(parent) => {
-                let consumed = parent.open - theta;
-                let c = parent.kids[parent.next].1;
-                parent.delta -= consumed;
-                parent.tau -= consumed * c;
-                parent.next += 1;
-            }
-        }
-    }
-}
 
 /// Lower/upper throughput bounds of a lazy tree at a given depth limit,
 /// using the canonical root proposal `r_root + max_i b_i` (computed from the
 /// root's immediate children; for a childless root just `r_root`).
 #[must_use]
 pub fn throughput_bounds<S: TreeSource>(source: &S, depth_limit: usize) -> (Rat, Rat) {
-    let (root, root_rate) = source.root();
-    let best_bw =
-        source.children(&root).iter().map(|(_, c, _)| c.recip()).max().unwrap_or(Rat::ZERO);
-    let lambda = root_rate + best_bw;
-    (
-        bw_first_lazy(source, lambda, depth_limit, Bound::Lower),
-        bw_first_lazy(source, lambda, depth_limit, Bound::Upper),
-    )
+    let lambda = t_max(source);
+    let bound = |b| walk(source, lambda, Some((depth_limit, b)), |_, _, _, _| {}).eta_in();
+    (bound(Bound::Lower), bound(Bound::Upper))
 }
 
 /// An infinite homogeneous chain: every node computes at `rate` and feeds a
@@ -138,12 +50,14 @@ pub struct InfiniteChain {
 impl TreeSource for InfiniteChain {
     type Node = ();
 
-    fn root(&self) -> ((), Rat) {
-        ((), self.rate)
+    fn root(&self) {}
+
+    fn rate(&self, _node: &()) -> Rat {
+        self.rate
     }
 
-    fn children(&self, _node: &()) -> Vec<((), Rat, Rat)> {
-        vec![((), self.c, self.rate)]
+    fn children(&self, _node: &()) -> Vec<((), Rat)> {
+        vec![((), self.c)]
     }
 }
 
@@ -161,40 +75,21 @@ pub struct InfiniteKary {
 impl TreeSource for InfiniteKary {
     type Node = ();
 
-    fn root(&self) -> ((), Rat) {
-        ((), self.rate)
+    fn root(&self) {}
+
+    fn rate(&self, _node: &()) -> Rat {
+        self.rate
     }
 
-    fn children(&self, _node: &()) -> Vec<((), Rat, Rat)> {
-        vec![((), self.c, self.rate); self.arity]
-    }
-}
-
-/// Adapter exposing a finite [`Platform`] as a [`TreeSource`] — lets the
-/// lazy solver be cross-checked against the exact one.
-#[derive(Debug, Clone, Copy)]
-pub struct PlatformSource<'a>(pub &'a Platform);
-
-impl TreeSource for PlatformSource<'_> {
-    type Node = NodeId;
-
-    fn root(&self) -> (NodeId, Rat) {
-        (self.0.root(), self.0.compute_rate(self.0.root()))
-    }
-
-    fn children(&self, node: &NodeId) -> Vec<(NodeId, Rat, Rat)> {
-        self.0
-            .children(*node)
-            .iter()
-            .map(|&k| (k, self.0.link_time(k).expect("child link"), self.0.compute_rate(k)))
-            .collect()
+    fn children(&self, _node: &()) -> Vec<((), Rat)> {
+        vec![((), self.c); self.arity]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bwfirst::bw_first;
+    use crate::bwfirst::{bw_first, PlatformSource};
     use bwfirst_platform::examples::example_tree;
     use bwfirst_rational::rat;
 
@@ -261,11 +156,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "root proposal must be non-negative")]
+    fn negative_root_proposal_is_refused_on_the_lazy_path_too() {
+        // t_max = -1 + 1/2 < 0: the walk refuses it instead of returning a
+        // negative "bound".
+        let _ = throughput_bounds(&InfiniteChain { rate: rat(-1, 1), c: rat(2, 1) }, 3);
+    }
+
+    #[test]
     fn depth_zero_lower_bound_is_root_alone() {
         let chain = InfiniteChain { rate: rat(1, 3), c: rat(1, 1) };
-        let lo = bw_first_lazy(&chain, rat(4, 3), 0, Bound::Lower);
+        // Root proposal t_max = 1/3 + 1 = 4/3.
+        let (lo, hi) = throughput_bounds(&chain, 0);
         assert_eq!(lo, rat(1, 3));
-        let hi = bw_first_lazy(&chain, rat(4, 3), 0, Bound::Upper);
         assert_eq!(hi, rat(4, 3)); // perfect consumer swallows the proposal
     }
 }

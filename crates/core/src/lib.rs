@@ -12,7 +12,9 @@
 //!   transaction procedure. Proposals `β` travel down, acknowledgments `θ`
 //!   travel up; only nodes used by the final schedule are visited. Produces
 //!   a full [`BwFirstSolution`] with the transaction trace (Figure 4(b))
-//!   and per-node rates (Figure 4(c)).
+//!   and per-node rates (Figure 4(c)). The per-node rule is
+//!   [`bwfirst::Round`], shared with the protocol's `NodeMachine`; the
+//!   traversal is one explicit-stack walk over a [`bwfirst::TreeSource`].
 //! * [`SteadyState`] — the per-node rational rates `η` with the conservation
 //!   law of equation (1), plus feasibility checks.
 //! * [`schedule`] — **Lemma 1** asynchronous periods, the **event-driven**
@@ -26,7 +28,7 @@
 //!   loss (an extension the paper leaves open).
 //! * [`lazy`] — BW-First over lazily generated (conceptually infinite)
 //!   trees, with converging lower/upper throughput bounds (Section 5's
-//!   infinite-network remark).
+//!   infinite-network remark): two depth-limited runs of the same walk.
 //! * [`float`] — an `f64` fast path used by benches to price exact
 //!   arithmetic.
 //! * [`validate`] — one-call validation of a whole event-driven schedule

@@ -1,8 +1,9 @@
 //! The per-node actor: a thread that speaks the protocol with its parent and
 //! children using only local knowledge.
 //!
-//! All negotiation logic lives in [`crate::machine::NodeMachine`]; the actor
-//! only moves the machine's required transmissions over real channels. Every
+//! All negotiation logic lives in [`crate::machine::NodeMachine`], which runs
+//! core's per-node rule `bwfirst_core::bwfirst::Round`; the actor only moves
+//! the machine's required transmissions over real channels. Every
 //! failure path returns a typed [`ProtoError`] (lint rule R2): an actor
 //! thread never panics, its `run` result carries the reason it stopped.
 

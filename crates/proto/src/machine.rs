@@ -11,10 +11,13 @@
 //!
 //! A round at one node is a strict alternation — proposal in, then for each
 //! fundable child in bandwidth-centric order: proposal out, ack in — so the
-//! machine is a small cursor over that sequence plus the `δ`/`τ` budgets of
-//! the paper.
+//! machine is a small cursor over that sequence. The `λ`/`α`/`δ`/`τ`/`β`
+//! arithmetic is core's [`Round`], the per-node rule the centralized
+//! `bw_first` runs too; the machine adds only slot order, phase and the
+//! `0 ≤ θ ≤ β` check.
 
 use crate::error::ProtoError;
+use bwfirst_core::bwfirst::Round;
 use bwfirst_platform::Weight;
 use bwfirst_rational::Rat;
 
@@ -59,13 +62,8 @@ pub struct NodeMachine {
     order: Vec<usize>,
     /// Next position in `order` to consider.
     pos: usize,
-    /// The `β` of the outstanding proposal, if any.
-    pending_beta: Rat,
-    lambda: Rat,
-    alpha: Rat,
-    delta: Rat,
-    tau: Rat,
-    eta_in: Rat,
+    /// Core's per-node rule, state of the current (or last) round.
+    round: Round,
     flows: Vec<Rat>,
     proposals_sent: u64,
     visited: bool,
@@ -84,12 +82,7 @@ impl NodeMachine {
             phase: Phase::Idle,
             order: Vec::new(),
             pos: 0,
-            pending_beta: Rat::ZERO,
-            lambda: Rat::ZERO,
-            alpha: Rat::ZERO,
-            delta: Rat::ZERO,
-            tau: Rat::ZERO,
-            eta_in: Rat::ZERO,
+            round: Round::open(Rat::ZERO, Rat::ZERO),
             flows: vec![Rat::ZERO; n],
             proposals_sent: 0,
             visited: false,
@@ -154,10 +147,7 @@ impl NodeMachine {
             return Err(ProtoError::MidRound { node: self.id });
         }
         self.visited = true;
-        self.lambda = lambda;
-        self.alpha = self.weight.rate().min(lambda);
-        self.delta = lambda - self.alpha;
-        self.tau = Rat::ONE;
+        self.round = Round::open(self.weight.rate(), lambda);
         self.flows = vec![Rat::ZERO; self.children.len()];
         self.proposals_sent = 0;
         // Bandwidth-centric order over *local* link knowledge.
@@ -190,18 +180,11 @@ impl NodeMachine {
         if child != from {
             return Err(ProtoError::UnexpectedAck { node: self.id, from });
         }
-        if theta.is_negative() || theta > self.pending_beta {
-            return Err(ProtoError::InvalidAck {
-                node: self.id,
-                from,
-                theta,
-                beta: self.pending_beta,
-            });
+        let beta = self.round.beta;
+        if theta.is_negative() || theta > beta {
+            return Err(ProtoError::InvalidAck { node: self.id, from, theta, beta });
         }
-        let consumed = self.pending_beta - theta;
-        self.flows[slot] = consumed;
-        self.delta -= consumed;
-        self.tau -= consumed * c;
+        self.flows[slot] = self.round.close(c, theta);
         self.pos = k + 1;
         self.phase = Phase::Idle;
         Ok(self.advance())
@@ -210,19 +193,17 @@ impl NodeMachine {
     /// Emits the next transmission: a proposal to the next fundable child,
     /// or the closing ack once budgets or children run out.
     fn advance(&mut self) -> Outgoing {
-        if self.pos < self.order.len() && self.delta.is_positive() && self.tau.is_positive() {
-            let slot = self.order[self.pos];
+        if let Some(&slot) = self.order.get(self.pos) {
             let (child, c) = self.children[slot];
-            let beta = self.delta.min(self.tau / c);
-            self.pending_beta = beta;
-            self.phase = Phase::Awaiting { k: self.pos };
-            self.proposals_sent += 1;
-            return Outgoing::ToChild { slot, child, beta };
+            if let Some(beta) = self.round.propose(c) {
+                self.phase = Phase::Awaiting { k: self.pos };
+                self.proposals_sent += 1;
+                return Outgoing::ToChild { slot, child, beta };
+            }
         }
-        self.eta_in = self.lambda - self.delta;
         self.phase = Phase::Idle;
         self.pos = self.order.len();
-        Outgoing::AckParent { theta: self.delta }
+        Outgoing::AckParent { theta: self.round.delta }
     }
 
     /// `true` iff no proposal is outstanding.
@@ -249,13 +230,13 @@ impl NodeMachine {
     /// Negotiated local compute rate `α` of the last round.
     #[must_use]
     pub fn alpha(&self) -> Rat {
-        self.alpha
+        self.round.alpha
     }
 
     /// Negotiated inflow rate `η_in = λ − δ` of the last round.
     #[must_use]
     pub fn eta_in(&self) -> Rat {
-        self.eta_in
+        self.round.eta_in()
     }
 
     /// Per-slot delegated rates `η_i` of the last round.
@@ -299,12 +280,10 @@ impl NodeMachine {
             }
         }
         out.extend_from_slice(&(self.pos as u64).to_le_bytes());
-        push_rat(out, self.pending_beta);
-        push_rat(out, self.lambda);
-        push_rat(out, self.alpha);
-        push_rat(out, self.delta);
-        push_rat(out, self.tau);
-        push_rat(out, self.eta_in);
+        let Round { lambda, alpha, delta, tau, beta } = self.round;
+        for r in [lambda, alpha, delta, tau, beta] {
+            push_rat(out, r);
+        }
         for &f in &self.flows {
             push_rat(out, f);
         }

@@ -26,7 +26,9 @@ pub enum WireError {
     Truncated,
     /// Unknown message tag.
     BadTag(u8),
-    /// A varint exceeded 128 bits or a denominator was invalid.
+    /// A varint exceeded 128 bits, a denominator was invalid, or a value is
+    /// out of range for its message (negative proposal, non-positive weight
+    /// or link time).
     BadNumber,
     /// Underlying I/O failed (message text preserved).
     Io(String),
@@ -93,6 +95,17 @@ fn get_rat(buf: &[u8], pos: &mut usize) -> Result<Rat, WireError> {
     Rat::checked_new(num, den).map_err(|_| WireError::BadNumber)
 }
 
+/// Reads a rational that must pass `valid`. The sign checks keep values a
+/// `NodeMachine` would panic on (`c ≤ 0`, `w ≤ 0`, `λ < 0`) off the wire.
+fn get_rat_if(buf: &[u8], pos: &mut usize, valid: fn(Rat) -> bool) -> Result<Rat, WireError> {
+    let r = get_rat(buf, pos)?;
+    if valid(r) {
+        Ok(r)
+    } else {
+        Err(WireError::BadNumber)
+    }
+}
+
 const TAG_PROPOSAL: u8 = 0x01;
 const TAG_ACK: u8 = 0x02;
 const TAG_TASK: u8 = 0x03;
@@ -150,7 +163,7 @@ pub fn decode_down(buf: &[u8]) -> Result<DownMsg, WireError> {
     let mut pos = 1;
     let &tag = buf.first().ok_or(WireError::Truncated)?;
     let msg = match tag {
-        TAG_PROPOSAL => DownMsg::Proposal(get_rat(buf, &mut pos)?),
+        TAG_PROPOSAL => DownMsg::Proposal(get_rat_if(buf, &mut pos, |r| !r.is_negative())?),
         TAG_TASK => {
             let len = get_uvarint(buf, &mut pos)? as usize;
             let end = pos.checked_add(len).ok_or(WireError::BadNumber)?;
@@ -167,7 +180,7 @@ pub fn decode_down(buf: &[u8]) -> Result<DownMsg, WireError> {
         }
         TAG_SET_WEIGHT => {
             let target = get_uvarint(buf, &mut pos)? as u32;
-            let w = get_rat(buf, &mut pos)?;
+            let w = get_rat_if(buf, &mut pos, Rat::is_positive)?;
             DownMsg::Control { target, change: ControlMsg::SetWeight(Weight::Time(w)) }
         }
         TAG_SET_WEIGHT_INF => {
@@ -177,7 +190,7 @@ pub fn decode_down(buf: &[u8]) -> Result<DownMsg, WireError> {
         TAG_SET_LINK => {
             let target = get_uvarint(buf, &mut pos)? as u32;
             let child = get_uvarint(buf, &mut pos)? as u32;
-            let c = get_rat(buf, &mut pos)?;
+            let c = get_rat_if(buf, &mut pos, Rat::is_positive)?;
             DownMsg::Control { target, change: ControlMsg::SetLink { child, c } }
         }
         other => return Err(WireError::BadTag(other)),
@@ -379,16 +392,48 @@ mod tests {
     }
 
     #[test]
-    fn rationals_roundtrip_compactly() {
+    fn rationals_roundtrip_compactly() -> Result<(), WireError> {
         for (n, d, max_len) in
             [(2i128, 3i128, 3usize), (1, 12, 3), (10, 9, 3), (-7, 2, 3), (0, 1, 3)]
         {
-            let bytes = encode_down(&DownMsg::Proposal(rat(n, d)));
+            // Acks carry any sign on the wire; the machine range-checks θ.
+            let bytes = encode_up(&UpMsg::Ack(rat(n, d)));
             assert!(bytes.len() <= max_len, "{n}/{d} took {} bytes", bytes.len());
-            match roundtrip_down(DownMsg::Proposal(rat(n, d))) {
-                DownMsg::Proposal(r) => assert_eq!(r, rat(n, d)),
-                other => panic!("unexpected {other:?}"),
+            let UpMsg::Ack(r) = decode_up(&bytes)?;
+            assert_eq!(r, rat(n, d));
+            if n >= 0 {
+                match roundtrip_down(DownMsg::Proposal(rat(n, d))) {
+                    DownMsg::Proposal(r) => assert_eq!(r, rat(n, d)),
+                    other => panic!("unexpected {other:?}"),
+                }
             }
+        }
+        Ok(())
+    }
+
+    fn control(change: ControlMsg) -> DownMsg {
+        DownMsg::Control { target: 3, change }
+    }
+
+    #[test]
+    fn rejects_a_negative_proposal() {
+        let bytes = encode_down(&DownMsg::Proposal(rat(-1, 3)));
+        assert_eq!(decode_down(&bytes).err(), Some(WireError::BadNumber));
+    }
+
+    #[test]
+    fn rejects_a_non_positive_weight() {
+        for w in [Rat::ZERO, rat(-2, 1)] {
+            let bytes = encode_down(&control(ControlMsg::SetWeight(Weight::Time(w))));
+            assert_eq!(decode_down(&bytes).err(), Some(WireError::BadNumber), "w = {w}");
+        }
+    }
+
+    #[test]
+    fn rejects_a_non_positive_link_time() {
+        for c in [Rat::ZERO, rat(-1, 2)] {
+            let bytes = encode_down(&control(ControlMsg::SetLink { child: 4, c }));
+            assert_eq!(decode_down(&bytes).err(), Some(WireError::BadNumber), "c = {c}");
         }
     }
 
@@ -404,6 +449,10 @@ mod tests {
             DownMsg::Control { target: 7, change: ControlMsg::SetWeight(Weight::Time(rat(5, 2))) },
             DownMsg::Control { target: 9, change: ControlMsg::SetWeight(Weight::Infinite) },
             DownMsg::Control { target: 3, change: ControlMsg::SetLink { child: 4, c: rat(12, 1) } },
+            // Boundary values the range checks must still accept.
+            DownMsg::Proposal(Rat::ZERO),
+            control(ControlMsg::SetWeight(Weight::Time(rat(1, 1_000_000)))),
+            control(ControlMsg::SetLink { child: 4, c: rat(1, 1_000_000) }),
         ];
         for msg in msgs {
             let enc = encode_down(&msg);

@@ -3,7 +3,7 @@
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// An acceptable length specification for [`vec`].
+/// An acceptable length specification for [`vec`](fn@vec).
 pub trait SizeRange: Clone {
     /// Draws a length.
     fn sample(&self, rng: &mut TestRng) -> usize;
@@ -30,7 +30,7 @@ impl SizeRange for std::ops::RangeInclusive<usize> {
     }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec`](fn@vec).
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S, L> {
     element: S,

@@ -2,7 +2,8 @@
 //! lazy and float variants) agree on arbitrary platforms, and throughput
 //! responds monotonically to resource changes.
 
-use bwfirst::core::lazy::{throughput_bounds, PlatformSource};
+use bwfirst::core::bwfirst::PlatformSource;
+use bwfirst::core::lazy::throughput_bounds;
 use bwfirst::core::{bottom_up, bw_first, float::bw_first_f64, SteadyState};
 use bwfirst::platform::generators::{random_tree, RandomTreeConfig};
 use bwfirst::platform::{NodeId, Platform, Weight};
