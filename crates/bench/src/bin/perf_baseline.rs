@@ -22,11 +22,13 @@ use bwfirst_bench::records::{bench_from_json, bench_to_json, BenchPoint, BenchRe
 use bwfirst_bench::trees;
 use bwfirst_core::schedule::EventDrivenSchedule;
 use bwfirst_core::{bottom_up, bw_first, MonitorExpectations, SteadyState};
-use bwfirst_obs::Metrics;
+use bwfirst_obs::{Metrics, Trace};
 use bwfirst_parallel::{available_threads, Pool};
 use bwfirst_platform::examples::example_tree;
 use bwfirst_rational::{rat, reference, Rat};
-use bwfirst_sim::{event_driven, MonitorConfig, MonitorProbe, ProvenanceProbe, SimConfig};
+use bwfirst_sim::{
+    event_driven, trace_header, MonitorConfig, MonitorProbe, ProvenanceProbe, SimConfig,
+};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -331,6 +333,26 @@ fn measure_sim(opts: &Opts, iters: u32) -> BenchReport {
         before_ns: plain_10,
         after_ns: provenance_10,
         baseline: "runtime toggle: causal provenance recording (`ProvenanceProbe`)".to_string(),
+        iters: iters.max(5),
+    });
+
+    // Toggled pair: the plain run vs the whole artifact round trip — the
+    // same recording, the `bwfirst-trace/1` text, and its schema-checked
+    // parse back.
+    let trace_roundtrip_10 = best_of(iters.max(5), || {
+        let run_cfg = cfg(10, false, false);
+        let mut probe = ProvenanceProbe::new(&p, Some(&ev.tree));
+        black_box(event_driven::simulate_probed(&p, &ev, &run_cfg, &mut probe).expect("simulate"));
+        let header = trace_header(&p, Some(&ev.tree), "event", &run_cfg, Some(ss.throughput));
+        let text = probe.into_trace(header).to_jsonl();
+        black_box(Trace::parse(&text).expect("trace round trip").records.len());
+    });
+    points.push(BenchPoint {
+        id: "trace_roundtrip_example_10".to_string(),
+        before_ns: plain_10,
+        after_ns: trace_roundtrip_10,
+        baseline: "runtime toggle: provenance record + `Trace::to_jsonl` + `Trace::parse`"
+            .to_string(),
         iters: iters.max(5),
     });
 

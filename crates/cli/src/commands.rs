@@ -616,7 +616,10 @@ fn cmd_trace_lineage(trace: &Trace, task: i128) -> Result<String, CliError> {
             TraceRecord::Deliver { node, from, t, .. } => {
                 let mut note = String::new();
                 if let Some(d) = dispatched_at {
-                    write!(note, "  [hop {}", ts_sub(*t, d).display()).unwrap();
+                    match ts_sub(*t, d) {
+                        Some(hop) => write!(note, "  [hop {}", hop.display()).unwrap(),
+                        None => note.push_str("  [hop outside i128"),
+                    }
                     if let Some(c) = trace.header.edge_time.get(*node as usize).copied().flatten() {
                         write!(note, ", Lemma 1 c={}", c.display()).unwrap();
                     }

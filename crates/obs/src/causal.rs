@@ -26,13 +26,25 @@
 //! * per-task causality — a task enters once, before any other stage, and
 //!   its record times ([`TraceRecord::time`]) never run backwards.
 //!
+//! Records are the bulk of an artifact (six per task, hundreds of
+//! thousands in a long run), so neither direction builds a JSON [`Value`]
+//! per record: [`TraceRecord::write_json`] appends the compact line
+//! directly, and the reader visits each line's members in place
+//! ([`json::visit_object`](crate::json::visit_object): strings borrowed,
+//! integers read as they are scanned), keeping each key's first
+//! occurrence and ignoring unknown keys. The bytes written are those of
+//! the `Value` rendering, and any layout `json::parse` accepts (member
+//! order, whitespace, escapes) decodes to the same record or fails with
+//! the same message. Only the header, one line per artifact, goes
+//! through a `Value`.
+//!
 //! [`Trace::lineage`] extracts one task's causal chain, [`Trace::diff`]
 //! aligns two traces by task id (the cross-executor Lemma 1 check), and
 //! [`Trace::to_events`] renders the journey as Chrome flow events so
 //! Perfetto draws connected arrows between tracks.
 
 use crate::event::{Event, EventKind, Ts};
-use crate::json::{obj, parse, Value};
+use crate::json::{obj, parse, visit_object, write_int, Member, Value};
 use std::collections::HashMap;
 
 /// The artifact format tag carried in every trace header.
@@ -191,53 +203,70 @@ impl TraceRecord {
         }
     }
 
-    /// JSONL rendering.
-    #[must_use]
-    pub fn to_json(&self) -> Value {
-        // Room for a dispatch's nine members, so no record reallocates.
-        let mut m = Vec::with_capacity(9);
-        m.extend([
-            ("k", Value::Str(self.kind().into())),
-            ("task", Value::Int(self.task())),
-            ("node", Value::Int(i128::from(self.node()))),
-        ]);
+    /// Appends the record's compact JSONL line, without the newline and
+    /// without an intermediate [`Value`]: `k`, `task`, `node`, then the
+    /// kind's own members in schema order, absent options omitted, times
+    /// as `"p"` or `"p/q"` ([`Ts::display`]).
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"k\":\"");
+        out.push_str(self.kind());
+        out.push('"');
+        put_int(out, "task", self.task());
+        put_int(out, "node", i128::from(self.node()));
         match self {
             TraceRecord::Enter { t, stock, .. } => {
-                m.push(("t", Value::Str(t.display())));
+                put_ts(out, "t", *t);
                 if *stock {
-                    m.push(("stock", Value::Bool(true)));
+                    out.push_str(",\"stock\":true");
                 }
             }
             TraceRecord::Dispatch(d) => {
-                m.push(("t", Value::Str(d.t.display())));
+                put_ts(out, "t", d.t);
                 match d.action {
-                    Action::Compute => m.push(("action", Value::Str("compute".into()))),
+                    Action::Compute => out.push_str(",\"action\":\"compute\""),
                     Action::Send(child) => {
-                        m.push(("action", Value::Str("send".into())));
-                        m.push(("child", Value::Int(i128::from(child))));
+                        out.push_str(",\"action\":\"send\"");
+                        put_int(out, "child", i128::from(child));
                     }
                 }
-                if let Some(s) = d.slot {
-                    m.push(("slot", Value::Int(s)));
-                }
-                if let Some(p) = d.psi {
-                    m.push(("psi", Value::Int(p)));
-                }
-                if let Some(p) = d.period {
-                    m.push(("period", Value::Int(p)));
+                for (key, v) in [("slot", d.slot), ("psi", d.psi), ("period", d.period)] {
+                    if let Some(v) = v {
+                        put_int(out, key, v);
+                    }
                 }
             }
             TraceRecord::Deliver { from, t, .. } => {
-                m.push(("from", Value::Int(i128::from(*from))));
-                m.push(("t", Value::Str(t.display())));
+                put_int(out, "from", i128::from(*from));
+                put_ts(out, "t", *t);
             }
             TraceRecord::Compute { start, end, .. } => {
-                m.push(("start", Value::Str(start.display())));
-                m.push(("end", Value::Str(end.display())));
+                put_ts(out, "start", *start);
+                put_ts(out, "end", *end);
             }
         }
-        obj(m)
+        out.push('}');
     }
+}
+
+/// Appends the member `,"key":n`.
+fn put_int(out: &mut String, key: &str, n: i128) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    write_int(out, n);
+}
+
+/// Appends the member `,"key":"p"` or `,"key":"p/q"`.
+fn put_ts(out: &mut String, key: &str, t: Ts) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":\"");
+    write_int(out, t.num);
+    if t.den != 1 {
+        out.push('/');
+        write_int(out, t.den);
+    }
+    out.push('"');
 }
 
 impl TraceHeader {
@@ -513,16 +542,19 @@ fn parse_ts(v: &Value) -> Option<Ts> {
     v.as_str().and_then(parse_rational)
 }
 
-/// Exact rational difference `a - b`, reduced.
+/// Exact rational difference `a - b`, reduced; `None` when it does not
+/// fit an `i128` fraction.
 #[must_use]
-pub fn ts_sub(a: Ts, b: Ts) -> Ts {
-    let num = a.num * b.den - b.num * a.den;
+pub fn ts_sub(a: Ts, b: Ts) -> Option<Ts> {
+    let g = gcd(a.den.unsigned_abs(), b.den.unsigned_abs()) as i128;
+    let (da, db) = (a.den / g, b.den / g);
+    let num = a.num.checked_mul(db)?.checked_sub(b.num.checked_mul(da)?)?;
     if num == 0 {
-        return Ts::ZERO;
+        return Some(Ts::ZERO);
     }
-    let den = a.den * b.den;
+    let den = a.den.checked_mul(db)?;
     let g = gcd(num.unsigned_abs(), den.unsigned_abs()) as i128;
-    Ts::new(num / g, den / g)
+    Some(Ts::new(num / g, den / g))
 }
 
 fn gcd(mut a: u128, mut b: u128) -> u128 {
@@ -536,40 +568,110 @@ fn json_line(line: &str) -> Result<Value, String> {
     parse(line).map_err(|e| format!("not valid JSON: {e}"))
 }
 
-fn record_from_json(v: &Value) -> Result<TraceRecord, String> {
-    let task = v["task"].as_i128().ok_or("missing or non-integer `task`")?;
-    let node = as_node(&v["node"]).ok_or("missing or malformed `node`")?;
-    match v["k"].as_str() {
+/// The members a record can carry, each at its first occurrence in the
+/// line (the one `Value::get` would find); other keys are ignored.
+#[derive(Default)]
+struct RecordMembers<'a> {
+    k: Option<Member<'a>>,
+    task: Option<Member<'a>>,
+    node: Option<Member<'a>>,
+    t: Option<Member<'a>>,
+    stock: Option<Member<'a>>,
+    action: Option<Member<'a>>,
+    child: Option<Member<'a>>,
+    slot: Option<Member<'a>>,
+    psi: Option<Member<'a>>,
+    period: Option<Member<'a>>,
+    from: Option<Member<'a>>,
+    start: Option<Member<'a>>,
+    end: Option<Member<'a>>,
+}
+
+impl<'a> RecordMembers<'a> {
+    fn read(line: &'a str) -> Result<RecordMembers<'a>, String> {
+        let mut m = RecordMembers::default();
+        visit_object(line, |key, value| {
+            let slot = match &*key {
+                "k" => &mut m.k,
+                "task" => &mut m.task,
+                "node" => &mut m.node,
+                "t" => &mut m.t,
+                "stock" => &mut m.stock,
+                "action" => &mut m.action,
+                "child" => &mut m.child,
+                "slot" => &mut m.slot,
+                "psi" => &mut m.psi,
+                "period" => &mut m.period,
+                "from" => &mut m.from,
+                "start" => &mut m.start,
+                "end" => &mut m.end,
+                _ => return,
+            };
+            slot.get_or_insert(value);
+        })
+        .map_err(|e| format!("not valid JSON: {e}"))?;
+        Ok(m)
+    }
+}
+
+fn member_int(m: &Option<Member>) -> Option<i128> {
+    match m {
+        Some(Member::Int(n)) => Some(*n),
+        _ => None,
+    }
+}
+
+fn member_str<'m>(m: &'m Option<Member>) -> Option<&'m str> {
+    match m {
+        Some(Member::Str(s)) => Some(s),
+        _ => None,
+    }
+}
+
+fn member_node(m: &Option<Member>) -> Option<u32> {
+    member_int(m).and_then(|n| u32::try_from(n).ok())
+}
+
+fn member_ts(m: &Option<Member>) -> Option<Ts> {
+    member_str(m).and_then(parse_rational)
+}
+
+/// Decodes one record line (the JSON and per-record checks; the header
+/// and causality checks are [`TraceHeader::check`]'s).
+fn record_from_line(line: &str) -> Result<TraceRecord, String> {
+    let m = RecordMembers::read(line)?;
+    let task = member_int(&m.task).ok_or("missing or non-integer `task`")?;
+    let node = member_node(&m.node).ok_or("missing or malformed `node`")?;
+    let t = || member_ts(&m.t).ok_or("missing or malformed `t`");
+    match member_str(&m.k) {
         Some("enter") => {
-            let t = parse_ts(&v["t"]).ok_or("missing or malformed `t`")?;
-            let stock = matches!(&v["stock"], Value::Bool(true));
-            Ok(TraceRecord::Enter { task, node, t, stock })
+            let stock = matches!(m.stock, Some(Member::Bool(true)));
+            Ok(TraceRecord::Enter { task, node, t: t()?, stock })
         }
         Some("dispatch") => {
-            let t = parse_ts(&v["t"]).ok_or("missing or malformed `t`")?;
-            let action = match v["action"].as_str() {
+            let t = t()?;
+            let action = match member_str(&m.action) {
                 Some("compute") => Action::Compute,
                 Some("send") => {
-                    Action::Send(as_node(&v["child"]).ok_or("`send` without a `child`")?)
+                    Action::Send(member_node(&m.child).ok_or("`send` without a `child`")?)
                 }
                 _ => return Err("missing or unknown `action`".to_string()),
             };
-            let slot = v["slot"].as_i128();
-            let psi = v["psi"].as_i128();
-            let period = v["period"].as_i128();
+            let (slot, psi, period) =
+                (member_int(&m.slot), member_int(&m.psi), member_int(&m.period));
             Ok(TraceRecord::Dispatch(Dispatch { task, node, t, action, slot, psi, period }))
         }
         Some("deliver") => Ok(TraceRecord::Deliver {
             task,
             node,
-            from: as_node(&v["from"]).ok_or("missing or malformed `from`")?,
-            t: parse_ts(&v["t"]).ok_or("missing or malformed `t`")?,
+            from: member_node(&m.from).ok_or("missing or malformed `from`")?,
+            t: t()?,
         }),
         Some("compute") => Ok(TraceRecord::Compute {
             task,
             node,
-            start: parse_ts(&v["start"]).ok_or("missing or malformed `start`")?,
-            end: parse_ts(&v["end"]).ok_or("missing or malformed `end`")?,
+            start: member_ts(&m.start).ok_or("missing or malformed `start`")?,
+            end: member_ts(&m.end).ok_or("missing or malformed `end`")?,
         }),
         Some(other) => Err(format!("unknown record kind `{other}`")),
         None => Err("missing `k` discriminator".to_string()),
@@ -606,26 +708,43 @@ impl Trace {
     /// Serializes the artifact; byte-stable, one JSON object per line.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let mut out = self.header.to_json().to_string_compact();
+        let header = self.header.to_json().to_string_compact();
+        let mut out = String::with_capacity(header.len() + 1 + 80 * self.records.len());
+        out.push_str(&header);
         out.push('\n');
         for r in &self.records {
-            out.push_str(&r.to_json().to_string_compact());
+            r.write_json(&mut out);
             out.push('\n');
         }
+        // 80 bytes is about a Fig. 2 record line (they average 77); by
+        // whatever the estimate missed, no spare capacity outlives the call.
+        out.shrink_to_fit();
         out
     }
 
     /// Parses and schema-checks a `bwfirst-trace/1` JSONL artifact (see
     /// the module docs for the checks); the error names the first bad line.
     pub fn parse(text: &str) -> Result<Trace, TraceError> {
+        Trace::parse_with(text, record_from_line)
+    }
+
+    /// [`Trace::parse`] with its record decoder a parameter, so tests can
+    /// run the `Value`-tree decoder through the same loop.
+    fn parse_with(
+        text: &str,
+        record: impl Fn(&str) -> Result<TraceRecord, String>,
+    ) -> Result<Trace, TraceError> {
         let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
         let at = |idx: usize| move |message| TraceError { line: idx + 1, message };
         let (idx, first) = lines.next().ok_or_else(|| at(0)("empty artifact: no header".into()))?;
         let header = json_line(first).and_then(|v| TraceHeader::from_json(&v)).map_err(at(idx))?;
         let mut last = LastSeen::default();
-        let mut records = Vec::new();
+        // One slot per line; a record line takes at least 39 bytes, so
+        // blank lines cannot inflate the reservation.
+        let lines_left = text.bytes().filter(|&b| b == b'\n').count();
+        let mut records = Vec::with_capacity(lines_left.min(text.len() / 32));
         for (idx, line) in lines {
-            let r = json_line(line).and_then(|v| record_from_json(&v)).map_err(at(idx))?;
+            let r = record(line).map_err(at(idx))?;
             header.check(&r, &records, &mut last).map_err(at(idx))?;
             records.push(r);
         }
@@ -852,7 +971,8 @@ impl TraceDiff {
         let mut max = f64::NEG_INFINITY;
         let mut sum = 0.0;
         for &(_, a, b) in &self.latency {
-            let d = ts_sub(b, a).to_f64();
+            // Past i128, the float difference is as good as the exact one.
+            let d = ts_sub(b, a).map_or_else(|| b.to_f64() - a.to_f64(), Ts::to_f64);
             min = min.min(d);
             max = max.max(d);
             sum += d;
@@ -864,6 +984,7 @@ impl TraceDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn header() -> TraceHeader {
         TraceHeader {
@@ -1122,9 +1243,410 @@ mod tests {
 
     #[test]
     fn rational_subtraction_reduces() {
-        let d = ts_sub(Ts::new(7, 2), Ts::new(1, 3));
+        let d = ts_sub(Ts::new(7, 2), Ts::new(1, 3)).unwrap();
         assert_eq!((d.num, d.den), (19, 6));
-        let z = ts_sub(Ts::new(5, 1), Ts::new(5, 1));
+        let z = ts_sub(Ts::new(5, 1), Ts::new(5, 1)).unwrap();
         assert_eq!((z.num, z.den), (0, 1));
+        // Common denominators cancel before they multiply.
+        let big = i128::MAX / 2;
+        let h = ts_sub(Ts::new(3, big), Ts::new(1, big)).unwrap();
+        assert_eq!(h, Ts::new(2, big));
+    }
+
+    #[test]
+    fn rational_subtraction_reports_overflow() {
+        let wide = Ts::new(1 << 126, 1);
+        assert_eq!(ts_sub(wide, Ts::new(1, 3)), None);
+        assert_eq!(ts_sub(Ts::new(i128::MIN, 1), Ts::new(1, 1)), None);
+        assert_eq!(ts_sub(Ts::new(1, i128::MAX), Ts::new(1, i128::MAX - 1)), None);
+        assert_eq!(ts_sub(wide, wide), Some(Ts::ZERO));
+        // The diff's offsets fall back to floats instead of failing.
+        let d = TraceDiff {
+            only_a: vec![],
+            only_b: vec![],
+            stock_a: 0,
+            stock_b: 0,
+            common: 1,
+            count_divergence: vec![],
+            in_flight: vec![],
+            routing: vec![],
+            latency: vec![(0, Ts::new(1, 3), wide)],
+        };
+        let (min, _, max) = d.latency_offsets().unwrap();
+        assert_eq!(min, max);
+        assert!((min - 2f64.powi(126)).abs() <= 2f64.powi(126 - 50));
+    }
+
+    /// Times whose cross products overflow `i128` still order exactly.
+    #[test]
+    fn wide_times_parse_in_order() {
+        let text = include_str!("../testdata/trace_good_wide_times.jsonl");
+        let trace = Trace::parse(text).unwrap();
+        assert_eq!(trace.records.len(), 5);
+        let end = "85070591730234615865843651857942585353".parse().unwrap();
+        assert_eq!(trace.completion(0), Some(Ts::new(end, 1)));
+        assert_eq!(Trace::parse(&trace.to_jsonl()).unwrap(), trace);
+        // A compute far before the dispatch at 1/3 runs backwards.
+        let head: String = text.lines().take(3).map(|l| format!("{l}\n")).collect();
+        let back = head
+            + r#"{"k":"compute","task":0,"node":0,"start":"-85070591730234615865843651857942585344","end":"0"}"#;
+        let err = Trace::parse(&back).unwrap_err();
+        assert_eq!(err.line, 4, "{err}");
+        assert!(err.message.contains("backwards"), "{err}");
+    }
+
+    /// The `Value`-tree rendering [`TraceRecord::write_json`] replaced: the
+    /// writer's oracle.
+    fn record_value(r: &TraceRecord) -> Value {
+        let mut m = vec![
+            ("k", Value::Str(r.kind().into())),
+            ("task", Value::Int(r.task())),
+            ("node", Value::Int(i128::from(r.node()))),
+        ];
+        match r {
+            TraceRecord::Enter { t, stock, .. } => {
+                m.push(("t", Value::Str(t.display())));
+                if *stock {
+                    m.push(("stock", Value::Bool(true)));
+                }
+            }
+            TraceRecord::Dispatch(d) => {
+                m.push(("t", Value::Str(d.t.display())));
+                match d.action {
+                    Action::Compute => m.push(("action", Value::Str("compute".into()))),
+                    Action::Send(child) => {
+                        m.push(("action", Value::Str("send".into())));
+                        m.push(("child", Value::Int(i128::from(child))));
+                    }
+                }
+                for (key, v) in [("slot", d.slot), ("psi", d.psi), ("period", d.period)] {
+                    if let Some(v) = v {
+                        m.push((key, Value::Int(v)));
+                    }
+                }
+            }
+            TraceRecord::Deliver { from, t, .. } => {
+                m.push(("from", Value::Int(i128::from(*from))));
+                m.push(("t", Value::Str(t.display())));
+            }
+            TraceRecord::Compute { start, end, .. } => {
+                m.push(("start", Value::Str(start.display())));
+                m.push(("end", Value::Str(end.display())));
+            }
+        }
+        obj(m)
+    }
+
+    /// The `Value`-tree record decoder [`record_from_line`] replaced: the
+    /// reader's oracle.
+    fn record_from_json(v: &Value) -> Result<TraceRecord, String> {
+        let task = v["task"].as_i128().ok_or("missing or non-integer `task`")?;
+        let node = as_node(&v["node"]).ok_or("missing or malformed `node`")?;
+        match v["k"].as_str() {
+            Some("enter") => {
+                let t = parse_ts(&v["t"]).ok_or("missing or malformed `t`")?;
+                let stock = matches!(&v["stock"], Value::Bool(true));
+                Ok(TraceRecord::Enter { task, node, t, stock })
+            }
+            Some("dispatch") => {
+                let t = parse_ts(&v["t"]).ok_or("missing or malformed `t`")?;
+                let action = match v["action"].as_str() {
+                    Some("compute") => Action::Compute,
+                    Some("send") => {
+                        Action::Send(as_node(&v["child"]).ok_or("`send` without a `child`")?)
+                    }
+                    _ => return Err("missing or unknown `action`".to_string()),
+                };
+                let slot = v["slot"].as_i128();
+                let psi = v["psi"].as_i128();
+                let period = v["period"].as_i128();
+                Ok(TraceRecord::Dispatch(Dispatch { task, node, t, action, slot, psi, period }))
+            }
+            Some("deliver") => Ok(TraceRecord::Deliver {
+                task,
+                node,
+                from: as_node(&v["from"]).ok_or("missing or malformed `from`")?,
+                t: parse_ts(&v["t"]).ok_or("missing or malformed `t`")?,
+            }),
+            Some("compute") => Ok(TraceRecord::Compute {
+                task,
+                node,
+                start: parse_ts(&v["start"]).ok_or("missing or malformed `start`")?,
+                end: parse_ts(&v["end"]).ok_or("missing or malformed `end`")?,
+            }),
+            Some(other) => Err(format!("unknown record kind `{other}`")),
+            None => Err("missing `k` discriminator".to_string()),
+        }
+    }
+
+    fn value_decoder(line: &str) -> Result<TraceRecord, String> {
+        json_line(line).and_then(|v| record_from_json(&v))
+    }
+
+    fn any_ts() -> impl Strategy<Value = Ts> {
+        prop_oneof![
+            (0i128..1000, 1i128..4).prop_map(|(n, d)| Ts::new(n, d)),
+            (any::<i128>(), any::<i128>()).prop_map(|(n, d)| Ts::new(n, d.saturating_abs().max(1))),
+        ]
+    }
+
+    fn any_opt() -> impl Strategy<Value = Option<i128>> {
+        prop_oneof![Just(None), (-3i128..100).prop_map(Some), any::<i128>().prop_map(Some)]
+    }
+
+    fn any_record() -> impl Strategy<Value = TraceRecord> {
+        let id = || prop_oneof![0i128..50, any::<i128>()];
+        let node = || prop_oneof![0u32..4, any::<u32>()];
+        prop_oneof![
+            (id(), node(), any_ts(), any::<bool>())
+                .prop_map(|(task, node, t, stock)| TraceRecord::Enter { task, node, t, stock }),
+            (
+                id(),
+                node(),
+                any_ts(),
+                prop_oneof![Just(None), node().prop_map(Some)],
+                any_opt(),
+                (any_opt(), any_opt())
+            )
+                .prop_map(|(task, node, t, child, slot, (psi, period))| {
+                    let action = child.map_or(Action::Compute, Action::Send);
+                    TraceRecord::Dispatch(Dispatch { task, node, t, action, slot, psi, period })
+                }),
+            (id(), node(), node(), any_ts())
+                .prop_map(|(task, node, from, t)| TraceRecord::Deliver { task, node, from, t }),
+            (id(), node(), any_ts(), any_ts()).prop_map(|(task, node, start, end)| {
+                TraceRecord::Compute { task, node, start, end }
+            }),
+        ]
+    }
+
+    /// A valid three-node lifecycle over [`HEADER`]: the lines the reader
+    /// test mutates, as `(key, value)` JSON tokens.
+    fn lifecycle() -> Vec<Vec<(String, String)>> {
+        let lines: [&[(&str, &str)]; 6] = [
+            &[("k", r#""enter""#), ("task", "0"), ("node", "0"), ("t", r#""0""#)],
+            &[
+                ("k", r#""dispatch""#),
+                ("task", "0"),
+                ("node", "0"),
+                ("t", r#""0""#),
+                ("action", r#""send""#),
+                ("child", "1"),
+                ("slot", "0"),
+                ("psi", "1"),
+                ("period", "0"),
+            ],
+            &[
+                ("k", r#""deliver""#),
+                ("task", "0"),
+                ("node", "1"),
+                ("from", "0"),
+                ("t", r#""1/2""#),
+            ],
+            &[
+                ("k", r#""dispatch""#),
+                ("task", "0"),
+                ("node", "1"),
+                ("t", r#""1/2""#),
+                ("action", r#""compute""#),
+            ],
+            &[
+                ("k", r#""compute""#),
+                ("task", "0"),
+                ("node", "1"),
+                ("start", r#""1/2""#),
+                ("end", r#""13/2""#),
+            ],
+            &[
+                ("k", r#""enter""#),
+                ("task", "1000000000"),
+                ("node", "2"),
+                ("t", r#""0""#),
+                ("stock", "true"),
+            ],
+        ];
+        lines
+            .iter()
+            .map(|l| l.iter().map(|(k, v)| (format!("\"{k}\""), (*v).to_string())).collect())
+            .collect()
+    }
+
+    /// Value tokens a mutation can put in place of a member's value,
+    /// space-separated: valid and invalid numbers, i128 bounds, nested
+    /// values, escaped and malformed strings, times and record kinds.
+    const TOKENS: &str = concat!(
+        r#"-1 -0 01 0 1 2 7 4294967296 170141183460469231731687303715884105727 "#,
+        r#"170141183460469231731687303715884105728 -170141183460469231731687303715884105729 "#,
+        r#"1.5 2e3 -1E-2 1. - [1,[2,{"a":null}]] {"x":[]} [] true false null tru "#,
+        r#""0" "3" "5/2" "-1/2" "+2" "1/0" "" "1\/2" "\u0031" "\u00e9" "\x" "\ud800" "open "#,
+        r#""compute" "send" "enter" "dispatch" "deliver" "warp""#,
+    );
+
+    fn token(x: &mut u64) -> String {
+        let tokens: Vec<&str> = TOKENS.split(' ').collect();
+        tokens[mix(x) % tokens.len()].to_string()
+    }
+
+    /// SplitMix64: the mutations' own deterministic choices.
+    fn mix(x: &mut u64) -> usize {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as usize
+    }
+
+    /// Applies mutation `op` (seeded by `seed`) to one line's members, or
+    /// returns a whole-line replacement.
+    fn mutate(
+        members: &mut Vec<(String, String)>,
+        op: u8,
+        seed: u64,
+        ws: &mut Option<u64>,
+    ) -> Option<String> {
+        let mut x = seed;
+        let n = members.len();
+        let pick = |x: &mut u64, len: usize| mix(x) % len.max(1);
+        // Ops 0 and 3-6 need a member; on an empty object they fall
+        // through to the last arm.
+        match op {
+            0 if n > 0 => {
+                let (i, j) = (pick(&mut x, n), pick(&mut x, n));
+                members.swap(i, j);
+            }
+            1 => *ws = Some(seed),
+            2 => {
+                // An unknown key, or one that belongs to another record kind.
+                const KEYS: &[&str] = &[
+                    "zz", "k", "task", "node", "t", "stock", "action", "child", "slot", "psi",
+                    "period", "from", "start", "end",
+                ];
+                let key = format!("\"{}\"", KEYS[pick(&mut x, KEYS.len())]);
+                let v = token(&mut x);
+                members.insert(pick(&mut x, n + 1), (key, v));
+            }
+            3 if n > 0 => {
+                let key = members[pick(&mut x, n)].0.clone();
+                let v = token(&mut x);
+                members.insert(pick(&mut x, n + 1), (key, v));
+            }
+            4 if n > 0 => {
+                // Escape a string token: `/` as `\/`, a digit or letter as `\u00XX`.
+                let i = pick(&mut x, n);
+                let (k, v) = &mut members[i];
+                let tok = if mix(&mut x) & 1 == 0 { k } else { v };
+                if tok.starts_with('"') && tok.len() > 2 {
+                    let at = 1 + pick(&mut x, tok.len() - 2);
+                    let c = tok.as_bytes()[at];
+                    if c == b'/' {
+                        tok.replace_range(at..=at, "\\/");
+                    } else if c.is_ascii_alphanumeric() {
+                        tok.replace_range(at..=at, &format!("\\u{:04x}", c));
+                    }
+                }
+            }
+            5 if n > 0 => {
+                let i = pick(&mut x, n);
+                members[i].1 = token(&mut x);
+            }
+            6 if n > 0 => {
+                members.remove(pick(&mut x, n));
+            }
+            7 => {
+                let line = render(members, *ws);
+                return Some(line[..pick(&mut x, line.len())].to_string());
+            }
+            8 => {
+                const NOT_OBJECTS: &[&str] =
+                    &["[1,2]", "7", r#""x""#, "null", "{}", "[", "{,}", "{\"k\":}"];
+                return Some(NOT_OBJECTS[pick(&mut x, NOT_OBJECTS.len())].to_string());
+            }
+            _ => {
+                const TAILS: &[&str] = &[" x", ",}", "}", " ", "\t", "{}"];
+                return Some(render(members, *ws) + TAILS[pick(&mut x, TAILS.len())]);
+            }
+        }
+        None
+    }
+
+    /// `{"key":value,...}`, with whitespace around every token when `ws`
+    /// seeds it.
+    fn render(members: &[(String, String)], ws: Option<u64>) -> String {
+        let mut x = ws.unwrap_or(0);
+        let mut gap = |out: &mut String| {
+            if ws.is_some() {
+                out.push_str(["", " ", "\t", "  ", "\r", " \t "][mix(&mut x) % 6]);
+            }
+        };
+        let mut out = String::new();
+        gap(&mut out);
+        out.push('{');
+        for (i, (k, v)) in members.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            gap(&mut out);
+            out.push_str(k);
+            gap(&mut out);
+            out.push(':');
+            gap(&mut out);
+            out.push_str(v);
+            gap(&mut out);
+        }
+        out.push('}');
+        gap(&mut out);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        /// The direct writer emits the `Value` rendering's exact bytes.
+        #[test]
+        fn writer_matches_value_rendering(r in any_record()) {
+            let mut line = String::new();
+            r.write_json(&mut line);
+            prop_assert_eq!(&line, &record_value(&r).to_string_compact());
+            prop_assert_eq!(record_from_line(&line), Ok(r));
+        }
+
+        /// The direct reader agrees with the `Value`-tree reader on every
+        /// mutated line: the same record, or the same error at the same
+        /// line with the same message.
+        #[test]
+        fn reader_matches_value_decoder(
+            at in 0usize..6,
+            ops in prop::collection::vec((0u8..10, any::<u64>()), 0..8),
+        ) {
+            let mut lines = lifecycle();
+            let mut ws = None;
+            let mut replaced = None;
+            for (op, seed) in ops {
+                if replaced.is_none() {
+                    replaced = mutate(&mut lines[at], op, seed, &mut ws);
+                }
+            }
+            let mutated = replaced.unwrap_or_else(|| render(&lines[at], ws));
+            prop_assert_eq!(record_from_line(&mutated), value_decoder(&mutated));
+            let mut text = HEADER.to_string() + "\n";
+            for (i, members) in lines.iter().enumerate() {
+                let line = if i == at { mutated.clone() } else { render(members, None) };
+                text.push_str(&line);
+                text.push('\n');
+            }
+            prop_assert_eq!(Trace::parse(&text), Trace::parse_with(&text, value_decoder));
+        }
+    }
+
+    #[test]
+    fn unmutated_lifecycle_parses() {
+        let mut text = HEADER.to_string() + "\n";
+        for members in lifecycle() {
+            text.push_str(&render(&members, None));
+            text.push('\n');
+        }
+        let trace = Trace::parse(&text).unwrap();
+        assert_eq!(trace.records.len(), 6);
+        assert_eq!(trace.task_ids(), vec![0, STOCK_BASE]);
     }
 }

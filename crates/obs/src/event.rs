@@ -6,6 +6,7 @@
 //! without drift and can be compared exactly in tests.
 
 use crate::json::{obj, Value};
+use std::cmp::Ordering;
 
 /// An exact rational timestamp (`num/den` simulated time units). Not
 /// necessarily reduced; equality is by value (`2/4 == 1/2`), like the
@@ -55,14 +56,44 @@ impl PartialEq for Ts {
 impl Eq for Ts {}
 
 impl PartialOrd for Ts {
-    fn partial_cmp(&self, other: &Ts) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Ts) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Ts {
-    fn cmp(&self, other: &Ts) -> std::cmp::Ordering {
-        (self.num * other.den).cmp(&(other.num * self.den))
+    /// Exact for every `i128` numerator and positive denominator.
+    fn cmp(&self, other: &Ts) -> Ordering {
+        // Compares a/b with c/d; `flip` records an odd number of
+        // reciprocal steps, each of which reverses the order.
+        let (mut a, mut b, mut c, mut d) = (self.num, self.den, other.num, other.den);
+        let mut flip = false;
+        let order = loop {
+            if let (Some(ad), Some(cb)) = (a.checked_mul(d), c.checked_mul(b)) {
+                break ad.cmp(&cb);
+            }
+            // Past i128: compare the integer parts, then the remainders
+            // r/b and s/d in [0, 1) as the reciprocals b/r and d/s (the
+            // continued-fraction walk; the denominators shrink as in
+            // Euclid's algorithm).
+            let (q, r) = (a.div_euclid(b), a.rem_euclid(b));
+            let (p, s) = (c.div_euclid(d), c.rem_euclid(d));
+            match (q.cmp(&p), r, s) {
+                (Ordering::Equal, 0, 0) => break Ordering::Equal,
+                (Ordering::Equal, 0, _) => break Ordering::Less,
+                (Ordering::Equal, _, 0) => break Ordering::Greater,
+                (Ordering::Equal, _, _) => {
+                    (a, b, c, d) = (b, r, d, s);
+                    flip = !flip;
+                }
+                (order, _, _) => break order,
+            }
+        };
+        if flip {
+            order.reverse()
+        } else {
+            order
+        }
     }
 }
 
@@ -218,6 +249,7 @@ impl Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn timestamps_order_as_rationals() {
@@ -226,6 +258,34 @@ mod tests {
         assert_eq!(Ts::new(2, 4), Ts::new(2, 4));
         assert_eq!(Ts::new(7, 1).display(), "7");
         assert_eq!(Ts::new(10, 9).display(), "10/9");
+    }
+
+    #[test]
+    fn ordering_is_exact_past_i128_cross_products() {
+        let wide = Ts::new(1 << 126, 1);
+        assert!(Ts::new(1, 3) < wide);
+        assert!(Ts::new(-(1 << 126), 1) < Ts::new(1, 3));
+        let (max, min) = (i128::MAX, i128::MIN);
+        assert!(Ts::new(max, max - 1) < Ts::new(max - 1, max - 2));
+        assert!(Ts::new(min, max) < Ts::new(min + 1, max));
+        assert!(Ts::new(min, 1) < Ts::new(min + 1, 1));
+        assert_eq!(Ts::new(max - 1, max), Ts::new(max - 1, max));
+        assert_eq!(Ts::new(min, 2), Ts::new(min / 2, 1));
+        assert!(Ts::new(max, 2) > Ts::new(max / 2, 1));
+    }
+
+    proptest! {
+        /// Scaling both sides of a fraction by a common factor never
+        /// changes the order, even where the cross products overflow.
+        #[test]
+        fn ordering_survives_common_factors(
+            (a, b, c, d) in (-1000i128..1000, 1i128..1000, -1000i128..1000, 1i128..1000),
+            (k, m) in (1i128..(1 << 110), 1i128..(1 << 110)),
+        ) {
+            let want = (a * d).cmp(&(c * b));
+            prop_assert_eq!(Ts::new(a * k, b * k).cmp(&Ts::new(c * m, d * m)), want);
+            prop_assert_eq!(Ts::new(c * m, d * m).cmp(&Ts::new(a * k, b * k)), want.reverse());
+        }
     }
 
     #[test]

@@ -3,7 +3,11 @@
 //! Output matches the conventional pretty-printing (two-space indent) and
 //! compact forms, so files written by earlier versions of the repo parse
 //! back byte-identically. Objects preserve insertion order.
+//!
+//! [`visit_object`] reads an object's members without building a tree,
+//! for callers that decode one fixed-shape line at a time.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Index;
 
@@ -124,7 +128,7 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(n) => out.push_str(&n.to_string()),
+            Value::Int(n) => write_int(out, *n),
             Value::Float(x) => out.push_str(&format_f64(*x)),
             Value::Str(s) => write_escaped(out, s),
             Value::Array(items) => {
@@ -210,6 +214,29 @@ fn format_f64(x: f64) -> String {
     }
 }
 
+/// Appends `n` in decimal, as [`Value::Int`] renders it.
+pub(crate) fn write_int(out: &mut String, n: i128) {
+    let Ok(mut m) = u64::try_from(n.unsigned_abs()) else {
+        out.push_str(&n.to_string());
+        return;
+    };
+    let mut buf = [0u8; 21];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (m % 10) as u8;
+        m /= 10;
+        if m == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        i -= 1;
+        buf[i] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
+}
+
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
@@ -231,22 +258,69 @@ fn write_escaped(out: &mut String, s: &str) {
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser::new(input);
     p.skip_ws();
     let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
+    p.finish()?;
     Ok(v)
 }
 
+/// An object member's value as [`visit_object`] hands it over.
+#[derive(Debug, PartialEq)]
+pub enum Member<'a> {
+    /// `true` / `false`
+    Bool(bool),
+    /// An integer that fits an `i128`.
+    Int(i128),
+    /// A string, borrowed from the input unless it holds an escape.
+    Str(Cow<'a, str>),
+    /// `null`, a float, an array or an object: parsed and checked, then
+    /// dropped.
+    Other,
+}
+
+/// Calls `f(key, value)` for each member of the JSON object `input`, in
+/// document order and duplicates included, without building a [`Value`]
+/// tree. Accepts exactly the documents [`parse`] accepts and fails with
+/// the same [`JsonError`]; a document that is not an object has no
+/// members.
+pub fn visit_object<'a>(
+    input: &'a str,
+    mut f: impl FnMut(Cow<'a, str>, Member<'a>),
+) -> Result<(), JsonError> {
+    let mut p = Parser::new(input);
+    p.skip_ws();
+    if p.peek() == Some(b'{') {
+        p.object_with(|p, key| {
+            f(key, p.member()?);
+            Ok(())
+        })?;
+    } else {
+        p.value()?;
+    }
+    p.finish()
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Parser<'a> {
+        Parser { text, bytes: text.as_bytes(), pos: 0 }
+    }
+
+    /// Trailing whitespace is fine, anything else is not.
+    fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(())
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError { at: self.pos, msg: msg.to_string() }
     }
@@ -259,6 +333,12 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
+    }
+
+    /// Moves past a run of string bytes that are neither `"` nor `\\`.
+    fn skip_plain(&mut self) {
+        let rest = &self.bytes[self.pos..];
+        self.pos += rest.iter().position(|&c| c == b'"' || c == b'\\').unwrap_or(rest.len());
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -284,7 +364,7 @@ impl Parser<'_> {
             Some(b'n') => self.literal("null", Value::Null),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b'"') => Ok(Value::Str(self.borrowed_string()?.into_owned())),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
@@ -317,31 +397,71 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'{')?;
         let mut members = Vec::new();
+        self.object_with(|p, key| {
+            members.push((key.into_owned(), p.value()?));
+            Ok(())
+        })?;
+        Ok(Value::Object(members))
+    }
+
+    /// The object grammar; `member` reads each value after its key.
+    fn object_with(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.expect(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(members));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.borrowed_string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let v = self.value()?;
-            members.push((key, v));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(members));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
+    }
+
+    /// A value as a [`Member`]: strings stay borrowed where they can.
+    fn member(&mut self) -> Result<Member<'a>, JsonError> {
+        if self.peek() == Some(b'"') {
+            return self.borrowed_string().map(Member::Str);
+        }
+        Ok(match self.value()? {
+            Value::Bool(b) => Member::Bool(b),
+            Value::Int(n) => Member::Int(n),
+            _ => Member::Other,
+        })
+    }
+
+    /// A string token, borrowed from the input unless it holds an escape
+    /// (then [`Parser::string`] decodes it, with its errors).
+    fn borrowed_string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        let open = self.pos;
+        self.expect(b'"')?;
+        let start = self.pos;
+        self.skip_plain();
+        if self.peek() == Some(b'"') {
+            // Both ends sit next to an ASCII quote: char boundaries.
+            let s = &self.text[start..self.pos];
+            self.pos += 1;
+            return Ok(Cow::Borrowed(s));
+        }
+        self.pos = open;
+        self.string().map(Cow::Owned)
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -350,9 +470,7 @@ impl Parser<'_> {
         loop {
             let start = self.pos;
             // Fast path: runs of plain bytes.
-            while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\') {
-                self.pos += 1;
-            }
+            self.skip_plain();
             s.push_str(
                 std::str::from_utf8(&self.bytes[start..self.pos])
                     .map_err(|_| self.err("invalid UTF-8 in string"))?,
@@ -576,6 +694,78 @@ mod tests {
         assert!(v["figure5"]["throughput"].is_string());
         assert_eq!(v["xs"][1].as_i128(), Some(2));
         assert!(v["missing"]["also missing"].is_null());
+    }
+
+    #[test]
+    fn writes_every_i128() {
+        for n in [0, 7, -7, 10, i128::from(u64::MAX), -i128::from(u64::MAX), i128::MAX, i128::MIN] {
+            let mut out = String::new();
+            write_int(&mut out, n);
+            assert_eq!(out, n.to_string());
+        }
+    }
+
+    /// `visit_object` agrees with `parse`: the same error, or the object's
+    /// members in order with scalars intact and the rest as `Other`.
+    #[test]
+    fn visitor_matches_parse() {
+        let docs = [
+            r#"{"k":"enter","task":3,"t":"1/2"}"#,
+            r#" { "a" : 1 , "a" : [1, {"b": 2.5}] ,"c":null,"d":true } "#,
+            r#"{"\u006b":"1\/2","e":"\u0031","f":-1.5e3,"g":{}}"#,
+            r#"{}"#,
+            r#"[1, 2]"#,
+            r#""text""#,
+            "7",
+            r#"{"a":1,}"#,
+            r#"{"a" 1}"#,
+            r#"{"a":170141183460469231731687303715884105728}"#,
+            r#"{"a":"\x"}"#,
+            r#"{"a":"open"#,
+            r#"{"a":1} trailing"#,
+            r#"{"a":[1 2]}"#,
+            "",
+            "{",
+        ];
+        for doc in docs {
+            let mut seen = Vec::new();
+            let got = visit_object(doc, |k, v| seen.push((k.into_owned(), v)));
+            match parse(doc) {
+                Err(e) => assert_eq!(got, Err(e), "{doc}"),
+                Ok(v) => {
+                    assert_eq!(got, Ok(()), "{doc}");
+                    let want: Vec<_> = match v {
+                        Value::Object(members) => members,
+                        _ => Vec::new(),
+                    };
+                    assert_eq!(seen.len(), want.len(), "{doc}");
+                    for ((k, m), (wk, wv)) in seen.iter().zip(&want) {
+                        assert_eq!(k, wk, "{doc}");
+                        let expect = match wv {
+                            Value::Bool(b) => Member::Bool(*b),
+                            Value::Int(n) => Member::Int(*n),
+                            Value::Str(s) => Member::Str(Cow::Owned(s.clone())),
+                            _ => Member::Other,
+                        };
+                        assert_eq!(*m, expect, "{doc}: `{k}`");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn visitor_borrows_plain_strings() {
+        let doc = r#"{"plain":"1/2","escaped":"1\/2"}"#;
+        visit_object(doc, |k, v| {
+            assert!(matches!(k, Cow::Borrowed(_)));
+            match (&*k, v) {
+                ("plain", Member::Str(Cow::Borrowed("1/2"))) => {}
+                ("escaped", Member::Str(Cow::Owned(s))) => assert_eq!(s, "1/2"),
+                other => panic!("{other:?}"),
+            }
+        })
+        .unwrap();
     }
 
     #[test]
