@@ -15,13 +15,12 @@
 //!    Proposition 2 (`2 × visited` messages), and agreement with the
 //!    centralized bottom-up reduction.
 //!
-//! A third, smaller layer rides along: [`snapshots`] validates the JSONL
-//! health-telemetry streams written by `bwfirst monitor --snapshots`, so
-//! CI catches schema drift between the simulator's monitor and whatever
-//! consumes its output. Provenance traces have no validator here: their
-//! schema lives in `bwfirst_obs::causal`, and the binary's `trace` verb
-//! only calls `Trace::parse`, the reader that replay, lineage and diff
-//! use too. Model-checker counterexamples also render as
+//! The binary also schema-checks the two JSONL artifacts, but neither has
+//! a validator here: each schema lives with its one reader, next to its
+//! writer. The `snapshots` verb calls `bwfirst_sim::Snapshot::parse_jsonl`
+//! on `bwfirst monitor --snapshots` streams; the `trace` verb calls
+//! `bwfirst_obs::causal::Trace::parse`, the reader that replay, lineage and
+//! diff use too. Model-checker counterexamples also render as
 //! `bwfirst-postmortem/1` artifacts ([`Violation::to_postmortem`]) — the
 //! same crash-dump format the simulator's runtime monitors emit.
 //!
@@ -31,9 +30,7 @@
 pub mod lexer;
 pub mod model;
 pub mod rules;
-pub mod snapshots;
 pub mod trees;
 
 pub use model::{check, ModelReport, Violation};
 pub use rules::{lint_file_unscoped, lint_source, lint_workspace, rules_for, Finding};
-pub use snapshots::{validate_jsonl, SnapshotError};

@@ -7,7 +7,7 @@
 //!   model            exhaustively model-check the negotiation protocol
 //!   all              both layers (default)
 //!   fixture <path>   lint one file with every rule, ignoring path scopes
-//!   snapshots <path> schema-check a monitor snapshot stream (.jsonl)
+//!   snapshots <path> schema-check a monitor snapshot stream (`sim::Snapshot::parse_jsonl`)
 //!   trace <path>     schema-check a provenance trace (`obs::causal::Trace::parse`)
 //!
 //!   --root DIR       workspace root to lint (default: .)
@@ -24,9 +24,10 @@
 //! Exit code 0 when clean, 1 on any finding or property violation, 2 on
 //! usage errors.
 
-use bwfirst_analyze::{lexer, model, rules, snapshots};
+use bwfirst_analyze::{lexer, model, rules};
 use bwfirst_obs::causal::{Trace, STOCK_BASE};
 use bwfirst_obs::json::{obj, Value};
+use bwfirst_sim::Snapshot;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -232,11 +233,12 @@ fn emit_findings(findings: &[rules::Finding], json: bool) {
 /// else `(line, message, rendered)` per error.
 type Outcome = Result<(Vec<(&'static str, usize)>, String), Vec<(usize, String, String)>>;
 
-/// Schema-checks a monitor snapshot stream; `Ok(true)` when clean. `Err`
-/// means the file itself was unreadable (usage error, exit 2).
+/// Schema-checks a monitor snapshot stream by parsing it: the schema is
+/// [`Snapshot::parse_jsonl`]. `Ok(true)` when clean; `Err` means the file
+/// itself was unreadable (usage error, exit 2).
 fn run_snapshots(path: &Path, json: bool) -> Result<bool, String> {
-    let outcome = snapshots::validate_jsonl(&read(path)?)
-        .map(|n| (vec![("snapshots", n)], format!("{n} snapshot(s)")))
+    let outcome = Snapshot::parse_jsonl(&read(path)?)
+        .map(|s| (vec![("snapshots", s.len())], format!("{} snapshot(s)", s.len())))
         .map_err(|errors| {
             errors.iter().map(|e| (e.line, e.message.clone(), e.to_string())).collect()
         });

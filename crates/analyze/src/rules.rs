@@ -22,9 +22,8 @@ pub const RULE_SHIM: &str = "shim-import";
 /// All rules, in report order.
 pub const ALL_RULES: [&str; 4] = [RULE_FLOAT, RULE_PANIC, RULE_WILDCARD, RULE_SHIM];
 
-/// The dev-only shim crates R4 bans from runtime code. `bytes` and
-/// `crossbeam` are deliberately absent: the protocol uses them at runtime by
-/// design (they model the wire), so importing them is not a violation.
+/// The dev-only shim crates R4 bans from runtime code: every in-tree shim.
+/// The protocol's links and payloads are `std` channels and `Arc<[u8]>`.
 const DEV_SHIMS: [&str; 3] = ["rand", "proptest", "criterion"];
 
 /// Protocol message enums whose `match`es must stay exhaustive (R3).

@@ -13,7 +13,6 @@ use bwfirst_rational::{rat, Rat};
 use bwfirst_sim::clocked::{self, ClockedConfig};
 use bwfirst_sim::demand_driven::{self, DemandConfig};
 use bwfirst_sim::event_driven;
-use bwfirst_sim::probe::track_names;
 use bwfirst_sim::{
     trace_header, MonitorConfig, MonitorProbe, NoProbe, ObsProbe, Probe, ProvenanceProbe,
     SimConfig, SimError, SimReport, UtilizationProbe,
@@ -121,7 +120,8 @@ where
     let export = |args: &Args, rec: &MemoryRecorder, nodes: usize| -> Result<(), CliError> {
         if let Some(path) = args.flags.get("trace") {
             // 1 simulated time unit = 1ms in the viewer.
-            let trace = chrome::to_chrome_trace_named(rec, 1000.0, "bwfirst", &track_names(nodes));
+            let trace =
+                chrome::to_chrome_trace_named(rec, 1000.0, "bwfirst", &chrome::track_names(nodes));
             write_file(path, &trace).map_err(CliError::Io)?;
         }
         if let Some(path) = args.flags.get("metrics") {
@@ -563,7 +563,8 @@ where
     if let Some(path) = args.flags.get("chrome") {
         let mut rec = MemoryRecorder::new();
         rec.events = trace.to_events();
-        let view = chrome::to_chrome_trace_named(&rec, 1000.0, "bwfirst", &track_names(p.len()));
+        let view =
+            chrome::to_chrome_trace_named(&rec, 1000.0, "bwfirst", &chrome::track_names(p.len()));
         write_file(path, &view).map_err(CliError::Io)?;
     }
     let ids = trace.task_ids();
@@ -1246,14 +1247,8 @@ mod tests {
         assert_eq!(files.len(), 1);
         let (ref path, ref jsonl) = files[0];
         assert_eq!(path, "s.jsonl");
-        let lines: Vec<_> = jsonl.lines().filter(|l| !l.trim().is_empty()).collect();
-        assert!(lines.len() >= 9, "one snapshot per window, got {}", lines.len());
-        for line in lines {
-            let v = bwfirst_obs::json::parse(line).expect("snapshot line is valid JSON");
-            assert!(v["window"].as_i128().is_some());
-            assert!(v["throughput"].as_f64().is_some());
-            assert!(v["node_computed"].as_array().is_some());
-        }
+        let snapshots = bwfirst_sim::Snapshot::parse_jsonl(jsonl).expect("schema-valid stream");
+        assert!(snapshots.len() >= 9, "one snapshot per window, got {}", snapshots.len());
     }
 
     /// The artifact each protocol writes on Figure 2 with the trace-smoke

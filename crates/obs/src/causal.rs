@@ -43,6 +43,7 @@
 //! [`Trace::to_events`] renders the journey as Chrome flow events so
 //! Perfetto draws connected arrows between tracks.
 
+use crate::chrome::track;
 use crate::event::{Event, EventKind, Ts};
 use crate::json::{obj, parse, visit_object, write_int, Member, Value};
 use std::collections::HashMap;
@@ -869,8 +870,13 @@ impl Trace {
                 TraceRecord::Enter { task, node, t, stock } => {
                     let name = if *stock { "stock" } else { "inject" };
                     out.push(
-                        Event::new(*t, node * 3, format!("{name} task {task}"), EventKind::Instant)
-                            .arg("task", *task),
+                        Event::new(
+                            *t,
+                            track(*node, 0),
+                            format!("{name} task {task}"),
+                            EventKind::Instant,
+                        )
+                        .arg("task", *task),
                     );
                 }
                 TraceRecord::Dispatch(d) => {
@@ -880,7 +886,7 @@ impl Trace {
                         out.push(
                             Event::new(
                                 d.t,
-                                d.node * 3 + 2,
+                                track(d.node, 2),
                                 format!("task {}", d.task),
                                 EventKind::FlowStart,
                             )
@@ -895,19 +901,24 @@ impl Trace {
                     if let Some(i) = slot {
                         let (_, _, id) = open.remove(i);
                         out.push(
-                            Event::new(*t, node * 3, format!("task {task}"), EventKind::FlowEnd)
-                                .arg("id", id)
-                                .arg("task", *task),
+                            Event::new(
+                                *t,
+                                track(*node, 0),
+                                format!("task {task}"),
+                                EventKind::FlowEnd,
+                            )
+                            .arg("id", id)
+                            .arg("task", *task),
                         );
                     }
                 }
                 TraceRecord::Compute { task, node, start, end } => {
                     let name = format!("task {task}");
                     out.push(
-                        Event::new(*start, node * 3 + 1, name.clone(), EventKind::Begin)
+                        Event::new(*start, track(*node, 1), name.clone(), EventKind::Begin)
                             .arg("task", *task),
                     );
-                    out.push(Event::new(*end, node * 3 + 1, name, EventKind::End));
+                    out.push(Event::new(*end, track(*node, 1), name, EventKind::End));
                 }
             }
         }

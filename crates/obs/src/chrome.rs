@@ -10,6 +10,31 @@ use crate::event::{Event, EventKind};
 use crate::json::{obj, Value};
 use crate::recorder::MemoryRecorder;
 
+/// The three single-port activity lanes of a node, in paper order.
+pub const LANES: [&str; 3] = ["receive", "compute", "send"];
+
+/// The track a node's lane (an index into [`LANES`]) renders on:
+/// `node·3 + lane`, so each node's three lanes sit together.
+#[must_use]
+pub const fn track(node: u32, lane: usize) -> u32 {
+    node * 3 + lane as u32
+}
+
+/// `(track id, label)` pairs for every lane of an `n`-node platform, such
+/// as `(track(4, 2), "P4 send")` — feed these to [`to_chrome_trace_named`]
+/// so traces open labeled.
+#[must_use]
+pub fn track_names(n: usize) -> Vec<(u32, String)> {
+    (0..n as u32)
+        .flat_map(|node| {
+            LANES
+                .iter()
+                .enumerate()
+                .map(move |(l, lane)| (track(node, l), format!("P{node} {lane}")))
+        })
+        .collect()
+}
+
 /// Renders recorded events as a Chrome trace JSON document.
 ///
 /// `scale` is the number of trace microseconds per simulated time unit
@@ -22,7 +47,7 @@ pub fn to_chrome_trace(rec: &MemoryRecorder, scale: f64) -> String {
 /// Like [`to_chrome_trace`], but prefixes `M` (metadata) events so tracks
 /// open *labeled* in Perfetto / `chrome://tracing`: a `process_name` for the
 /// single pid when `process` is non-empty, and a `thread_name` per
-/// `(track id, label)` pair in `tracks` (e.g. `(node·3 + lane, "P4 send")`).
+/// `(track id, label)` pair in `tracks` (e.g. from [`track_names`]).
 #[must_use]
 pub fn to_chrome_trace_named(
     rec: &MemoryRecorder,
@@ -171,13 +196,7 @@ mod tests {
         let trace = flow_fixture();
         let mut rec = MemoryRecorder::new();
         rec.events = trace.to_events();
-        let tracks: Vec<(u32, String)> = (0..2u32)
-            .flat_map(|n| {
-                [(n * 3, "receive"), (n * 3 + 1, "compute"), (n * 3 + 2, "send")]
-                    .map(|(t, lane)| (t, format!("P{n} {lane}")))
-            })
-            .collect();
-        let got = to_chrome_trace_named(&rec, 1000.0, "bwfirst", &tracks);
+        let got = to_chrome_trace_named(&rec, 1000.0, "bwfirst", &track_names(2));
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/chrome_flow_golden.json");
         if std::env::var_os("BLESS").is_some() {
             std::fs::write(path, &got).expect("regenerate golden file");

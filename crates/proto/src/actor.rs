@@ -13,9 +13,9 @@ use crate::messages::{ControlMsg, DownMsg, Report, UpMsg};
 use bwfirst_core::schedule::{LocalSchedule, LocalScheduleKind, NodeSchedule, SlotAction};
 use bwfirst_platform::{NodeId, Weight};
 use bwfirst_rational::Rat;
-use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender};
 use std::collections::HashMap;
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 
 /// One outgoing edge of an actor. Slot order matches the machine's
 /// `children()` — link weights live in the machine.
@@ -164,7 +164,7 @@ impl Actor {
         Ok(Some(LocalSchedule::build(&sched, LocalScheduleKind::Interleaved)))
     }
 
-    fn route_task(&mut self, payload: Bytes) -> Result<(), ProtoError> {
+    fn route_task(&mut self, payload: Arc<[u8]>) -> Result<(), ProtoError> {
         if self.schedule.is_none() {
             self.schedule = self.build_schedule()?;
         }
@@ -190,7 +190,7 @@ impl Actor {
 
     /// "Computes" one task: folds the payload into a checksum, standing in
     /// for real work while keeping the bytes actually read.
-    fn process(&mut self, payload: Bytes) {
+    fn process(&mut self, payload: Arc<[u8]>) {
         let mut acc = self.checksum;
         for chunk in payload.chunks(8) {
             let mut word = [0u8; 8];
@@ -208,7 +208,7 @@ impl Actor {
             self.schedule = self.build_schedule()?;
         }
         let bunch = self.schedule.as_ref().map_or(0, |s| s.actions.len() as u64);
-        let template = Bytes::from(vec![0xA5u8; payload_len]);
+        let template: Arc<[u8]> = vec![0xA5u8; payload_len].into();
         for _ in 0..bunches * bunch {
             self.route_task(template.clone())?;
         }

@@ -19,9 +19,9 @@
 //!   after [`ProtocolSession::set_weight`] / [`ProtocolSession::set_link`]
 //!   re-weight parts of the platform.
 //! * [`ProtocolSession::run_flow`] then moves *real task payloads*
-//!   ([`bytes::Bytes`]) through the tree: every node routes incoming bunches
-//!   with the event-driven local schedule it derived from its own
-//!   negotiated rates — no clocks, no global knowledge (Section 6.2).
+//!   (shared `Arc<[u8]>` buffers) through the tree: every node routes
+//!   incoming bunches with the event-driven local schedule it derived from
+//!   its own negotiated rates — no clocks, no global knowledge (Section 6.2).
 //!
 //! Experiment E11 uses the message and latency accounting to substantiate
 //! "the running time of the `BW-First` procedure is negligible as opposed to

@@ -7,7 +7,7 @@
 
 use bwfirst_platform::Weight;
 use bwfirst_rational::Rat;
-use bytes::Bytes;
+use std::sync::Arc;
 
 /// Parent-to-child traffic (the driver acts as the root's virtual parent).
 #[derive(Debug, Clone)]
@@ -15,7 +15,7 @@ pub enum DownMsg {
     /// First transaction phase: "`β` tasks per time unit on offer".
     Proposal(Rat),
     /// One task's input file travelling down during the flow phase.
-    Task(Bytes),
+    Task(Arc<[u8]>),
     /// The flow phase is over; drain and report.
     Eof,
     /// Root only: generate `bunches` bunches of `payload_len`-byte tasks and

@@ -6,8 +6,8 @@ use crate::messages::{ControlMsg, DownMsg, Report, UpMsg};
 use bwfirst_obs::{Arg, Event, EventKind, Recorder, Ts};
 use bwfirst_platform::{NodeId, Platform, Weight};
 use bwfirst_rational::Rat;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -121,6 +121,11 @@ pub fn virtual_proposal(platform: &Platform) -> Result<Rat, ProtoError> {
     Ok(platform.compute_rate(root) + best)
 }
 
+/// Takes the link endpoint in `slot` out for its one owner.
+fn take<T>(slots: &mut [Option<T>], slot: usize) -> Result<T, ProtoError> {
+    slots.get_mut(slot).and_then(Option::take).ok_or(ProtoError::DriverLinkClosed)
+}
+
 /// A live actor tree. Dropping the session shuts the actors down.
 pub struct ProtocolSession {
     platform: Platform,
@@ -138,8 +143,8 @@ impl ProtocolSession {
     /// [`ProtoError::Spawn`] if an actor thread cannot be started.
     pub fn spawn(platform: &Platform) -> Result<ProtocolSession, ProtoError> {
         Self::spawn_with_links(platform, || {
-            let (dt, dr) = unbounded();
-            let (ut, ur) = unbounded();
+            let (dt, dr) = channel();
+            let (ut, ur) = channel();
             Ok((dt, dr, ut, ur))
         })
     }
@@ -166,35 +171,39 @@ impl ProtocolSession {
         F: Fn() -> Result<crate::wire::bridge::LinkEndpoints, ProtoError>,
     {
         let n = platform.len();
-        let (report_tx, report_rx) = unbounded();
-        // Per-node link endpoints for the edge *into* that node.
-        let links: Vec<crate::wire::bridge::LinkEndpoints> =
-            (0..n).map(|_| make_link()).collect::<Result<_, _>>()?;
-        let mut down: Vec<Option<(Sender<DownMsg>, Receiver<DownMsg>)>> = Vec::with_capacity(n);
-        let up: Vec<Option<(Sender<UpMsg>, Receiver<UpMsg>)>> =
-            links.iter().map(|(_, _, ut, ur)| Some((ut.clone(), ur.clone()))).collect();
-        for (dt, dr, _, _) in links {
-            down.push(Some((dt, dr)));
+        let (report_tx, report_rx) = channel();
+        // Per-node link endpoints for the edge *into* that node. Each endpoint
+        // has one owner and is taken out of its slot exactly once; a missing
+        // one means the wiring below is broken, which the typed error
+        // surfaces instead of a panic.
+        let (mut down_tx, mut down_rx, mut up_tx, mut up_rx) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
+        for _ in 0..n {
+            let (dt, dr, ut, ur) = make_link()?;
+            down_tx.push(Some(dt));
+            down_rx.push(Some(dr));
+            up_tx.push(Some(ut));
+            up_rx.push(Some(ur));
         }
-        // Each endpoint below is used exactly once; a missing one means the
-        // wiring above is broken, which the typed error surfaces instead of
-        // a panic.
-        let wiring = ProtoError::DriverLinkClosed;
-        let root_tx = down.first().and_then(|o| o.as_ref()).ok_or(wiring.clone())?.0.clone();
-        let root_rx = up.first().and_then(|o| o.as_ref()).ok_or(wiring.clone())?.1.clone();
+        let root_tx = take(&mut down_tx, 0)?;
+        let root_rx = take(&mut up_rx, 0)?;
 
         let mut handles = Vec::with_capacity(n);
         for id in platform.node_ids() {
             let i = id.index();
-            let (_, parent_rx) = down[i].take().ok_or(wiring.clone())?;
-            let parent_tx = up[i].as_ref().ok_or(wiring.clone())?.0.clone();
+            let parent_rx = take(&mut down_rx, i)?;
+            let parent_tx = take(&mut up_tx, i)?;
             let mut children = Vec::new();
             for &k in platform.children(id) {
                 let c = platform.link_time(k).ok_or(ProtoError::MissingLink { child: k.0 })?;
                 let link = ChildLink {
                     id: k.0,
-                    tx: down[k.index()].as_ref().ok_or(wiring.clone())?.0.clone(),
-                    rx: up[k.index()].as_ref().ok_or(wiring.clone())?.1.clone(),
+                    tx: take(&mut down_tx, k.index())?,
+                    rx: take(&mut up_rx, k.index())?,
                 };
                 children.push((link, c));
             }

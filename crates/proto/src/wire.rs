@@ -15,7 +15,6 @@
 use crate::messages::{ControlMsg, DownMsg, UpMsg};
 use bwfirst_platform::Weight;
 use bwfirst_rational::Rat;
-use bytes::Bytes;
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -169,7 +168,7 @@ pub fn decode_down(buf: &[u8]) -> Result<DownMsg, WireError> {
             let end = pos.checked_add(len).ok_or(WireError::BadNumber)?;
             let payload = buf.get(pos..end).ok_or(WireError::Truncated)?;
             pos = end;
-            DownMsg::Task(Bytes::copy_from_slice(payload))
+            DownMsg::Task(payload.into())
         }
         TAG_EOF => DownMsg::Eof,
         TAG_SHUTDOWN => DownMsg::Shutdown,
@@ -279,8 +278,8 @@ pub fn negotiation_wire_bytes(solution: &bwfirst_core::BwFirstSolution) -> usize
 pub mod bridge {
     use super::{encode_down, read_frame, write_frame, WireError};
     use crate::messages::{DownMsg, UpMsg};
-    use crossbeam::channel::{Receiver, Sender};
     use std::io::{Read, Write};
+    use std::sync::mpsc::{Receiver, Sender};
 
     /// The four endpoints of one bidirectional parent->child link:
     /// `(down_tx, down_rx, up_tx, up_rx)`.
@@ -345,16 +344,16 @@ pub mod bridge {
     /// symmetrically for the up direction on a second socket). The four
     /// pump threads run detached and end when the link shuts down.
     pub fn tcp_link() -> Result<LinkEndpoints, WireError> {
-        use crossbeam::channel::unbounded;
         use std::net::{TcpListener, TcpStream};
+        use std::sync::mpsc::channel;
         let listener =
             TcpListener::bind("127.0.0.1:0").map_err(|e| WireError::Io(e.to_string()))?;
         let addr = listener.local_addr().map_err(|e| WireError::Io(e.to_string()))?;
 
-        let (down_tx, down_mid_rx) = unbounded::<DownMsg>();
-        let (down_mid_tx, down_rx) = unbounded::<DownMsg>();
-        let (up_tx, up_mid_rx) = unbounded::<UpMsg>();
-        let (up_mid_tx, up_rx) = unbounded::<UpMsg>();
+        let (down_tx, down_mid_rx) = channel::<DownMsg>();
+        let (down_mid_tx, down_rx) = channel::<DownMsg>();
+        let (up_tx, up_mid_rx) = channel::<UpMsg>();
+        let (up_mid_tx, up_rx) = channel::<UpMsg>();
 
         // One TCP connection per direction keeps the pumps single-purpose.
         let down_out = TcpStream::connect(addr).map_err(|e| WireError::Io(e.to_string()))?;
@@ -442,7 +441,7 @@ mod tests {
         use bwfirst_platform::Weight;
         let msgs = vec![
             DownMsg::Proposal(rat(355, 113)),
-            DownMsg::Task(Bytes::from_static(b"payload bytes")),
+            DownMsg::Task(b"payload bytes".as_slice().into()),
             DownMsg::Eof,
             DownMsg::Shutdown,
             DownMsg::StartFlow { bunches: 1000, payload_len: 4096 },
@@ -487,7 +486,7 @@ mod tests {
     fn frames_roundtrip_over_a_buffer() -> Result<(), WireError> {
         let mut stream = Vec::new();
         for msg in
-            [DownMsg::Proposal(rat(10, 9)), DownMsg::Eof, DownMsg::Task(Bytes::from_static(b"x"))]
+            [DownMsg::Proposal(rat(10, 9)), DownMsg::Eof, DownMsg::Task(b"x".as_slice().into())]
         {
             write_frame(&mut stream, &encode_down(&msg))?;
         }

@@ -5,9 +5,8 @@
 use bwfirst_proto::wire::{self, bridge};
 use bwfirst_proto::{ControlMsg, DownMsg};
 use bwfirst_rational::rat;
-use bytes::Bytes;
-use crossbeam::channel::unbounded;
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc::channel;
 
 #[test]
 fn channel_link_survives_a_tcp_hop() {
@@ -15,14 +14,14 @@ fn channel_link_survives_a_tcp_hop() {
     let addr = listener.local_addr().expect("addr");
 
     // Sender side: a channel whose consumer writes frames into TCP.
-    let (tx_in, rx_in) = unbounded::<DownMsg>();
+    let (tx_in, rx_in) = channel::<DownMsg>();
     let writer = std::thread::spawn(move || {
         let mut stream = TcpStream::connect(addr).expect("connect");
         bridge::pump_down_out(&rx_in, &mut stream).expect("pump out");
     });
 
     // Receiver side: TCP frames re-materialize on a channel.
-    let (tx_out, rx_out) = unbounded::<DownMsg>();
+    let (tx_out, rx_out) = channel::<DownMsg>();
     let reader = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().expect("accept");
         bridge::pump_down_in(&mut stream, &tx_out).expect("pump in");
@@ -31,7 +30,7 @@ fn channel_link_survives_a_tcp_hop() {
     let sent = vec![
         DownMsg::Proposal(rat(10, 9)),
         DownMsg::Control { target: 3, change: ControlMsg::SetLink { child: 7, c: rat(12, 1) } },
-        DownMsg::Task(Bytes::from(vec![0xAB; 4096])),
+        DownMsg::Task(vec![0xAB; 4096].into()),
         DownMsg::StartFlow { bunches: 50, payload_len: 64 },
         DownMsg::Eof,
         DownMsg::Shutdown,
@@ -86,6 +85,6 @@ fn negotiation_traffic_is_tiny_on_the_wire() {
     let payload = wire::negotiation_wire_bytes(&sol);
     assert!(payload < 64, "payload {payload} bytes");
     // Compare with a single 4 KiB task: the protocol is noise next to data.
-    let task = wire::encode_down(&DownMsg::Task(Bytes::from(vec![0u8; 4096])));
+    let task = wire::encode_down(&DownMsg::Task(vec![0u8; 4096].into()));
     assert!(task.len() > 40 * payload / 10, "task frame {} vs negotiation {payload}", task.len());
 }

@@ -25,8 +25,8 @@
 use crate::engine::{Engine, Policy, SimConfig, SimReport};
 use crate::error::SimError;
 use crate::gantt::SegmentKind;
-use crate::probe::{NoProbe, Probe, TaskAction};
-use bwfirst_core::schedule::TreeSchedule;
+use crate::probe::{NoProbe, Probe};
+use bwfirst_core::schedule::{SlotAction, TreeSchedule};
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::Rat;
 
@@ -152,7 +152,7 @@ impl<P: Probe> Clocked<'_, P> {
         }
         self.nodes[i].cpu_quota -= 1;
         self.nodes[i].cpu_busy = true;
-        self.eng.probe.task_dispatch(node, t, TaskAction::Compute, None);
+        self.eng.probe.task_dispatch(node, t, SlotAction::Compute, None);
         self.eng.probe.segment(node, SegmentKind::Compute, t, t + w);
         self.eng.queue.push(t + w, Ev::CpuEnd(node));
     }
@@ -186,7 +186,7 @@ impl<P: Probe> Clocked<'_, P> {
         }
         self.nodes[i].send_quota[pos].1 -= 1;
         self.nodes[i].port_busy = true;
-        self.eng.probe.task_dispatch(node, t, TaskAction::Send(child), None);
+        self.eng.probe.task_dispatch(node, t, SlotAction::Send(child), None);
         let c = self.platform.link_time(child).ok_or(SimError::MissingLink(child))?;
         self.eng.transfer(node, child, t, t + c);
         self.eng.queue.push(t + c, Ev::PortEnd(node));

@@ -26,7 +26,8 @@
 
 use crate::engine::{Engine, Policy, SimConfig, SimReport};
 use crate::gantt::SegmentKind;
-use crate::probe::{NoProbe, Probe, TaskAction};
+use crate::probe::{NoProbe, Probe};
+use bwfirst_core::schedule::SlotAction;
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::Rat;
 use std::convert::Infallible;
@@ -200,7 +201,7 @@ impl<P: Probe> Demand<P> {
             }
             Candidate::Fresh { child, slot } => {
                 self.eng.take(node, t);
-                self.eng.probe.task_dispatch(node, t, TaskAction::Send(child), None);
+                self.eng.probe.task_dispatch(node, t, SlotAction::Send(child), None);
                 self.nodes[i].pending[slot] -= 1;
                 let k = &mut self.nodes[child.index()];
                 k.outstanding -= 1;
@@ -246,7 +247,7 @@ impl<P: Probe> Demand<P> {
         if !self.nodes[i].cpu_busy && self.eng.has_task(node, t) {
             if let Some(w) = self.nodes[i].w {
                 self.eng.take(node, t);
-                self.eng.probe.task_dispatch(node, t, TaskAction::Compute, None);
+                self.eng.probe.task_dispatch(node, t, SlotAction::Compute, None);
                 self.nodes[i].cpu_busy = true;
                 self.eng.probe.segment(node, SegmentKind::Compute, t, t + w);
                 self.eng.queue.push(t + w, Ev::CpuEnd(node));

@@ -31,7 +31,7 @@
 use crate::engine::{Engine, Policy, SimConfig, SimReport};
 use crate::error::SimError;
 use crate::gantt::SegmentKind;
-use crate::probe::{NoProbe, Probe, TaskAction};
+use crate::probe::{NoProbe, Probe};
 use bwfirst_core::schedule::{EventDrivenSchedule, LocalScheduleKind, SlotAction};
 use bwfirst_core::{bw_first, SteadyState};
 use bwfirst_platform::{NodeId, Platform};
@@ -201,7 +201,7 @@ impl<P: Probe> EventDriven<'_, P> {
             // A node the *new* schedule prunes may still receive tasks
             // routed by the old one: compute them locally rather than
             // strand them (a switch cannot, and drops them).
-            self.eng.probe.task_dispatch(node, t, TaskAction::Compute, None);
+            self.eng.probe.task_dispatch(node, t, SlotAction::Compute, None);
             if self.platform.weight(node).time().is_some() {
                 self.nodes[i].pending_cpu.push_back(stamp);
                 self.try_cpu(node, t)?;
@@ -209,7 +209,7 @@ impl<P: Probe> EventDriven<'_, P> {
             return Ok(());
         }
         let (action, slot) = next_action(&self.schedule, node, &mut self.nodes[i].cursor)?;
-        self.eng.probe.task_dispatch(node, t, action.into(), Some(slot as u64));
+        self.eng.probe.task_dispatch(node, t, action, Some(slot as u64));
         match action {
             SlotAction::Compute => {
                 self.nodes[i].pending_cpu.push_back(stamp);

@@ -5,6 +5,7 @@
 //! exact-rational intervals; [`Gantt::ascii`] rasterizes them for terminal
 //! output so experiment E5 can literally print its Figure 5.
 
+use crate::probe::lane;
 use bwfirst_platform::NodeId;
 use bwfirst_rational::Rat;
 
@@ -46,47 +47,13 @@ impl Gantt {
         self.segments.push(GanttSegment { node, kind, start, end });
     }
 
-    /// Segments of one node, in recording order.
-    #[must_use]
-    pub fn of(&self, node: NodeId) -> Vec<&GanttSegment> {
-        self.segments.iter().filter(|s| s.node == node).collect()
-    }
-
-    /// Total busy time of one node's lane of the given kind, clipped to
-    /// `[0, until)`.
-    #[must_use]
-    pub fn busy_time(
-        &self,
-        node: NodeId,
-        want_send: bool,
-        want_compute: bool,
-        want_recv: bool,
-        until: Rat,
-    ) -> Rat {
-        self.segments
-            .iter()
-            .filter(|s| s.node == node)
-            .filter(|s| match s.kind {
-                SegmentKind::Receive => want_recv,
-                SegmentKind::Compute => want_compute,
-                SegmentKind::Send(_) => want_send,
-            })
-            .map(|s| (s.end.min(until) - s.start.min(until)).max(Rat::ZERO))
-            .sum()
-    }
-
     /// Verifies the single-port exclusivity invariant: within one node, no
     /// two segments of the same lane (receive / compute / send) overlap.
     /// Returns the first offending pair, if any.
     #[must_use]
     pub fn find_overlap(&self) -> Option<(GanttSegment, GanttSegment)> {
-        let lane = |k: SegmentKind| match k {
-            SegmentKind::Receive => 0u8,
-            SegmentKind::Compute => 1,
-            SegmentKind::Send(_) => 2,
-        };
         type LaneSegments = Vec<(Rat, Rat, GanttSegment)>;
-        let mut by_key: std::collections::HashMap<(u32, u8), LaneSegments> =
+        let mut by_key: std::collections::HashMap<(u32, usize), LaneSegments> =
             std::collections::HashMap::new();
         for s in &self.segments {
             by_key.entry((s.node.0, lane(s.kind))).or_default().push((s.start, s.end, *s));
@@ -118,23 +85,17 @@ impl Gantt {
         }
         out.push('\n');
         for &node in nodes {
-            for (lane, label) in [(0u8, 'R'), (1, 'C'), (2, 'S')] {
+            for (want, label) in [(0, 'R'), (1, 'C'), (2, 'S')] {
                 let mut row = String::with_capacity(cols);
                 for i in 0..cols {
                     let lo = dt * Rat::from(i);
                     let hi = lo + dt;
                     let mut busy = Rat::ZERO;
-                    for s in self.segments.iter().filter(|s| s.node == node) {
-                        let l = match s.kind {
-                            SegmentKind::Receive => 0u8,
-                            SegmentKind::Compute => 1,
-                            SegmentKind::Send(_) => 2,
-                        };
-                        if l == lane {
-                            let o = s.end.min(hi) - s.start.max(lo);
-                            if o.is_positive() {
-                                busy += o;
-                            }
+                    for s in self.segments.iter().filter(|s| s.node == node && lane(s.kind) == want)
+                    {
+                        let o = s.end.min(hi) - s.start.max(lo);
+                        if o.is_positive() {
+                            busy += o;
                         }
                     }
                     row.push(if busy * Rat::TWO >= dt { label } else { '.' });
@@ -151,17 +112,6 @@ impl Gantt {
 mod tests {
     use super::*;
     use bwfirst_rational::rat;
-
-    #[test]
-    fn busy_time_clips_to_horizon() {
-        let mut g = Gantt::default();
-        g.push(NodeId(1), SegmentKind::Compute, rat(0, 1), rat(4, 1));
-        g.push(NodeId(1), SegmentKind::Compute, rat(6, 1), rat(10, 1));
-        g.push(NodeId(1), SegmentKind::Send(NodeId(2)), rat(0, 1), rat(100, 1));
-        assert_eq!(g.busy_time(NodeId(1), false, true, false, rat(8, 1)), rat(6, 1));
-        assert_eq!(g.busy_time(NodeId(1), true, false, false, rat(8, 1)), rat(8, 1));
-        assert_eq!(g.busy_time(NodeId(2), true, true, true, rat(8, 1)), Rat::ZERO);
-    }
 
     #[test]
     fn overlap_detection() {

@@ -68,6 +68,7 @@ pub use error::SimError;
 pub use gantt::{Gantt, GanttSegment, SegmentKind};
 pub use monitor::{
     MonitorConfig, MonitorEntry, MonitorProbe, MonitorReport, MonitorViolation, Snapshot,
+    SnapshotError,
 };
-pub use probe::{GanttProbe, NoProbe, ObsProbe, Probe, TaskAction, Utilization, UtilizationProbe};
+pub use probe::{GanttProbe, NoProbe, ObsProbe, Probe, Utilization, UtilizationProbe};
 pub use provenance::{trace_header, ProvenanceProbe};

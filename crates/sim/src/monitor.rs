@@ -44,9 +44,10 @@
 //! the [`RATE_SLACK`] of one task suffices.
 
 use crate::gantt::SegmentKind;
-use crate::probe::{lane, ts, Probe, LANES};
+use crate::probe::{lane, ts, Probe};
 use bwfirst_core::expectations::MonitorExpectations;
-use bwfirst_obs::json::{obj, Value};
+use bwfirst_obs::chrome::{track, LANES};
+use bwfirst_obs::json::{self, obj, Value};
 use bwfirst_obs::metrics::Histogram;
 use bwfirst_obs::{Arg, Event, EventKind, FlightEntry, FlightRecorder};
 use bwfirst_platform::NodeId;
@@ -346,6 +347,196 @@ impl Snapshot {
             ("node_received", ints(&self.node_received)),
         ])
     }
+
+    /// Reads a `bwfirst monitor --snapshots` stream: the one reader of the
+    /// schema [`to_json`](Self::to_json) writes. Blank lines are skipped;
+    /// every other line must be a snapshot object whose `window` strictly
+    /// increases, whose `from`/`to` are exact `p` or `p/q` strings, whose
+    /// counts are non-negative, whose `throughput` is finite and `lag` null
+    /// or finite, and whose per-node arrays keep one common length. Only
+    /// the last line may be `partial`.
+    ///
+    /// # Errors
+    /// Every problem found, each with its 1-based line.
+    pub fn parse_jsonl(text: &str) -> Result<Vec<Snapshot>, Vec<SnapshotError>> {
+        let mut snapshots = Vec::new();
+        let mut errors = Vec::new();
+        let mut stream = StreamState::default();
+        for (idx, line) in text.lines().enumerate() {
+            let lineno = idx + 1;
+            if line.trim().is_empty() {
+                continue;
+            }
+            let mut err = |message: String| errors.push(SnapshotError { line: lineno, message });
+            let v = match json::parse(line) {
+                Ok(v) => v,
+                Err(e) => {
+                    err(format!("not valid JSON: {e}"));
+                    continue;
+                }
+            };
+            if let Some(p) = stream.partial_at.take() {
+                err(format!("follows a partial snapshot on line {p}"));
+            }
+            snapshots.extend(read_snapshot(&v, &mut stream, lineno, &mut err));
+        }
+        if errors.is_empty() {
+            Ok(snapshots)
+        } else {
+            Err(errors)
+        }
+    }
+}
+
+/// One problem in a snapshot stream, found by [`Snapshot::parse_jsonl`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotError {
+    /// 1-based line in the JSONL stream.
+    pub line: usize,
+    /// What was wrong with it.
+    pub message: String,
+}
+
+impl fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "snapshot line {}: {}", self.line, self.message)
+    }
+}
+
+/// What [`Snapshot::parse_jsonl`] carries from one line to the next.
+#[derive(Default)]
+struct StreamState {
+    last_window: Option<i128>,
+    node_len: Option<usize>,
+    partial_at: Option<usize>,
+}
+
+/// Checks one parsed snapshot object against the schema and the stream so
+/// far; `Some` when every member is well-formed.
+fn read_snapshot(
+    v: &Value,
+    stream: &mut StreamState,
+    lineno: usize,
+    err: &mut impl FnMut(String),
+) -> Option<Snapshot> {
+    let window = match v["window"].as_i128() {
+        Some(w) if w >= 0 => {
+            if let Some(prev) = stream.last_window {
+                if w <= prev {
+                    err(format!("window {w} does not advance past {prev}"));
+                }
+            }
+            stream.last_window = Some(w);
+            Some(w)
+        }
+        _ => {
+            err("missing or non-integer `window`".to_string());
+            None
+        }
+    };
+    let [from, to] = ["from", "to"].map(|key| match v[key].as_str() {
+        Some(s) => {
+            let t = timestamp(s);
+            if t.is_none() {
+                err(format!("`{key}` is not a rational timestamp: `{s}`"));
+            }
+            t
+        }
+        None => {
+            err(format!("missing or non-string `{key}`"));
+            None
+        }
+    });
+    let [computed, received, root_actions, queue_depth_max, buffer_total, late_events] =
+        ["computed", "received", "root_actions", "queue_depth_max", "buffer_total", "late_events"]
+            .map(|key| match v[key].as_i128() {
+                Some(n) if n < 0 => {
+                    err(format!("`{key}` is negative: {n}"));
+                    None
+                }
+                Some(n) => {
+                    let count = u64::try_from(n).ok();
+                    if count.is_none() {
+                        err(format!("`{key}` is out of range: {n}"));
+                    }
+                    count
+                }
+                None => {
+                    err(format!("missing or non-integer `{key}`"));
+                    None
+                }
+            });
+    let throughput = v["throughput"].as_f64().filter(|x| x.is_finite());
+    if throughput.is_none() {
+        err("missing or non-finite `throughput`".to_string());
+    }
+    let lag = if v["lag"].is_null() {
+        Some(None)
+    } else {
+        let lag = v["lag"].as_f64().filter(|x| x.is_finite());
+        if lag.is_none() {
+            err("`lag` is neither null nor a finite number".to_string());
+        }
+        lag.map(Some)
+    };
+    let partial = match &v["partial"] {
+        Value::Bool(p) => {
+            if *p {
+                stream.partial_at = Some(lineno);
+            }
+            Some(*p)
+        }
+        _ => {
+            err("missing or non-boolean `partial`".to_string());
+            None
+        }
+    };
+    let arrays = ["node_computed", "node_received"];
+    let [node_computed, node_received] = arrays.map(|key| {
+        let Some(items) = v[key].as_array() else {
+            err(format!("missing or non-array `{key}`"));
+            return None;
+        };
+        let counts: Option<Vec<u64>> =
+            items.iter().map(|x| x.as_i128().and_then(|n| u64::try_from(n).ok())).collect();
+        if counts.is_none() {
+            err(format!("`{key}` holds a non-count entry"));
+        }
+        counts
+    });
+    let lengths = arrays.map(|key| v[key].as_array().map_or(0, <[Value]>::len));
+    if lengths[0] != lengths[1] {
+        err(format!("per-node arrays disagree in length: {} vs {}", lengths[0], lengths[1]));
+    } else if let Some(n) = stream.node_len {
+        if lengths[0] != n {
+            err(format!("per-node arrays changed length: {} after {n}", lengths[0]));
+        }
+    } else {
+        stream.node_len = Some(lengths[0]);
+    }
+    Some(Snapshot {
+        window: window?,
+        from: from?,
+        to: to?,
+        computed: computed?,
+        received: received?,
+        root_actions: root_actions?,
+        throughput: throughput?,
+        lag: lag?,
+        queue_depth_max: queue_depth_max?,
+        buffer_total: buffer_total?,
+        late_events: late_events?,
+        partial: partial?,
+        node_computed: node_computed?,
+        node_received: node_received?,
+    })
+}
+
+/// A strict `n` or `n/d` timestamp: integer parts, positive denominator.
+fn timestamp(s: &str) -> Option<Rat> {
+    let (numer, denom) = s.split_once('/').unwrap_or((s, "1"));
+    let d = denom.parse::<i128>().ok().filter(|&d| d > 0)?;
+    Rat::checked_new(numer.parse().ok()?, d).ok()
 }
 
 /// Everything a finished [`MonitorProbe`] observed.
@@ -451,11 +642,11 @@ impl FlightEntry for MonitorEntry {
     fn to_event(&self) -> Event {
         match self {
             MonitorEntry::Begin { t, node, lane } => {
-                Event::new(ts(*t), node.0 * 3 + *lane as u32, LANES[*lane], EventKind::Begin)
+                Event::new(ts(*t), track(node.0, *lane), LANES[*lane], EventKind::Begin)
                     .arg("node", Arg::Int(i128::from(node.0)))
             }
             MonitorEntry::End { t, node, lane } => {
-                Event::new(ts(*t), node.0 * 3 + *lane as u32, LANES[*lane], EventKind::End)
+                Event::new(ts(*t), track(node.0, *lane), LANES[*lane], EventKind::End)
             }
             MonitorEntry::Buffer { t, node, size } => {
                 Event::new(ts(*t), node.0, format!("buffer {node}"), EventKind::Counter)
@@ -1120,5 +1311,78 @@ mod tests {
         assert!(j["message"].as_str().is_some());
         assert_eq!(j["node"].as_i128(), Some(4));
         assert_eq!(j["lane"].as_str(), Some("send"));
+    }
+
+    fn line(window: i128, partial: bool) -> String {
+        format!(
+            r#"{{"window":{window},"from":"{f}","to":"{t}","computed":40,"received":31,"root_actions":40,"throughput":1.111,"lag":null,"queue_depth_max":7,"buffer_total":3,"late_events":0,"partial":{partial},"node_computed":[9,6,8,4,0,9],"node_received":[0,6,8,4,0,9]}}"#,
+            f = 36 * window,
+            t = 36 * (window + 1),
+        )
+    }
+
+    fn count(text: &str) -> Result<usize, Vec<SnapshotError>> {
+        Snapshot::parse_jsonl(text).map(|s| s.len())
+    }
+
+    #[test]
+    fn a_clean_stream_validates() {
+        let text = format!("{}\n{}\n{}\n", line(0, false), line(1, false), line(2, true));
+        assert_eq!(count(&text), Ok(3));
+    }
+
+    #[test]
+    fn blank_lines_are_tolerated() {
+        let text = format!("{}\n\n{}\n", line(0, false), line(1, false));
+        assert_eq!(count(&text), Ok(2));
+    }
+
+    #[test]
+    fn garbage_and_schema_drift_are_reported_with_line_numbers() {
+        let bad = line(1, false).replace(r#""partial":false"#, r#""partial":"no""#);
+        let text = format!("{}\nnot json\n{bad}\n", line(0, false));
+        let errors = count(&text).unwrap_err();
+        assert!(errors.iter().any(|e| e.line == 2 && e.message.contains("not valid JSON")));
+        assert!(errors.iter().any(|e| e.line == 3 && e.message.contains("partial")));
+    }
+
+    #[test]
+    fn windows_must_advance_and_partial_must_be_last() {
+        let text = format!("{}\n{}\n", line(2, true), line(2, false));
+        let errors = count(&text).unwrap_err();
+        assert!(errors.iter().any(|e| e.message.contains("does not advance")));
+        assert!(errors.iter().any(|e| e.message.contains("partial snapshot on line 1")));
+    }
+
+    #[test]
+    fn rational_timestamps_accept_fractions_only() {
+        assert!(timestamp("36").is_some());
+        assert!(timestamp("-5/3").is_some());
+        assert!(timestamp("5/0").is_none());
+        assert!(timestamp("1.5").is_none());
+        assert!(timestamp("a/b").is_none());
+    }
+
+    #[test]
+    fn per_node_arrays_must_keep_their_length() {
+        let shrunk = line(1, false).replace("[9,6,8,4,0,9]", "[9,6,8]");
+        let text = format!("{}\n{shrunk}\n", line(0, false));
+        let errors = count(&text).unwrap_err();
+        assert!(errors.iter().any(|e| e.message.contains("length")));
+    }
+
+    #[test]
+    fn golden_streams_parse_and_render_back_byte_for_byte() {
+        for golden in [
+            include_str!("../testdata/fig2_event_snapshots.jsonl"),
+            include_str!("../testdata/fig2_clocked_snapshots.jsonl"),
+            include_str!("../testdata/fig2_demand_snapshots.jsonl"),
+            include_str!("../testdata/fig2_demand-int_snapshots.jsonl"),
+        ] {
+            let snapshots = Snapshot::parse_jsonl(golden).expect("golden parses");
+            let rendered: String =
+                snapshots.iter().map(|s| s.to_json().to_string_compact() + "\n").collect();
+            assert_eq!(rendered, golden);
+        }
     }
 }

@@ -19,54 +19,19 @@
 
 use crate::gantt::{Gantt, SegmentKind};
 use bwfirst_core::schedule::SlotAction;
+use bwfirst_obs::chrome::{track, LANES};
 use bwfirst_obs::{Arg, Event, EventKind, Recorder, Ts};
 use bwfirst_platform::NodeId;
 use bwfirst_rational::Rat;
 
-/// The three single-port activity lanes, in paper order.
-pub const LANES: [&str; 3] = ["receive", "compute", "send"];
-
-/// The lane index of a segment kind (receive 0, compute 1, send 2).
+/// The lane index of a segment kind: its position in `bwfirst_obs`'s
+/// `chrome::LANES` (receive 0, compute 1, send 2).
 #[must_use]
 pub fn lane(kind: SegmentKind) -> usize {
     match kind {
         SegmentKind::Receive => 0,
         SegmentKind::Compute => 1,
         SegmentKind::Send(_) => 2,
-    }
-}
-
-/// `(track id, label)` pairs for every lane of an `n`-node platform, matching
-/// [`ObsProbe`]'s `node·3 + lane` track layout — feed these to
-/// `bwfirst_obs::chrome::to_chrome_trace_named` so traces open labeled.
-#[must_use]
-pub fn track_names(n: usize) -> Vec<(u32, String)> {
-    let mut names = Vec::with_capacity(n * 3);
-    for node in 0..n {
-        for (l, lane) in LANES.iter().enumerate() {
-            names.push((node as u32 * 3 + l as u32, format!("P{node} {lane}")));
-        }
-    }
-    names
-}
-
-/// Where a dispatched task was routed (the provenance-level mirror of
-/// `bwfirst_core::schedule::SlotAction`, kept local so the probe API does
-/// not leak schedule types).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskAction {
-    /// The task stays: local computation.
-    Compute,
-    /// The task is forwarded to this child.
-    Send(NodeId),
-}
-
-impl From<SlotAction> for TaskAction {
-    fn from(action: SlotAction) -> TaskAction {
-        match action {
-            SlotAction::Compute => TaskAction::Compute,
-            SlotAction::Send(child) => TaskAction::Send(child),
-        }
     }
 }
 
@@ -103,7 +68,7 @@ pub trait Probe {
     /// executor is stride-scheduled (Section 6.3); `None` for quota or
     /// demand modes.
     #[inline(always)]
-    fn task_dispatch(&mut self, node: NodeId, t: Rat, action: TaskAction, slot: Option<u64>) {
+    fn task_dispatch(&mut self, node: NodeId, t: Rat, action: SlotAction, slot: Option<u64>) {
         let _ = (node, t, action, slot);
     }
 
@@ -142,7 +107,7 @@ impl<P: Probe + ?Sized> Probe for &mut P {
     }
 
     #[inline(always)]
-    fn task_dispatch(&mut self, node: NodeId, t: Rat, action: TaskAction, slot: Option<u64>) {
+    fn task_dispatch(&mut self, node: NodeId, t: Rat, action: SlotAction, slot: Option<u64>) {
         (**self).task_dispatch(node, t, action, slot);
     }
 
@@ -178,7 +143,7 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
     }
 
     #[inline(always)]
-    fn task_dispatch(&mut self, node: NodeId, t: Rat, action: TaskAction, slot: Option<u64>) {
+    fn task_dispatch(&mut self, node: NodeId, t: Rat, action: SlotAction, slot: Option<u64>) {
         self.0.task_dispatch(node, t, action, slot);
         self.1.task_dispatch(node, t, action, slot);
     }
@@ -288,7 +253,7 @@ impl Probe for UtilizationProbe {
 
 /// Bridges executor observations into a `bwfirst-obs` [`Recorder`]:
 ///
-/// * segments become `B`/`E` span pairs on track `node·3 + lane`, plus
+/// * segments become `B`/`E` span pairs on the lane's `chrome::track`, plus
 ///   `sim.busy.<lane>` counters (total busy time ×den is not representable,
 ///   so counters count *segments* and histograms carry durations);
 /// * buffer changes become a `buffer P<n>` counter series and a
@@ -317,16 +282,16 @@ impl<R: Recorder> Probe for ObsProbe<R> {
             return;
         }
         let l = lane(kind);
-        let track = node.0 * 3 + l as u32;
+        let tid = track(node.0, l);
         let name = match kind {
             SegmentKind::Send(child) => format!("send {child}"),
             _ => LANES[l].to_string(),
         };
         self.rec.event(
-            Event::new(ts(start), track, name.clone(), EventKind::Begin)
+            Event::new(ts(start), tid, name.clone(), EventKind::Begin)
                 .arg("node", Arg::Int(i128::from(node.0))),
         );
-        self.rec.event(Event::new(ts(end), track, name, EventKind::End));
+        self.rec.event(Event::new(ts(end), tid, name, EventKind::End));
         self.rec.add(&format!("sim.segments.{}", LANES[l]), 1);
         self.rec.observe(&format!("sim.busy.{}", LANES[l]), (end - start).to_f64());
     }

@@ -16,8 +16,8 @@
 
 use crate::engine::SimConfig;
 use crate::gantt::SegmentKind;
-use crate::probe::{ts, Probe, TaskAction};
-use bwfirst_core::schedule::TreeSchedule;
+use crate::probe::{ts, Probe};
+use bwfirst_core::schedule::{SlotAction, TreeSchedule};
 use bwfirst_obs::causal::{Action, Dispatch, STOCK_BASE};
 use bwfirst_obs::{Trace, TraceHeader, TraceRecord};
 use bwfirst_platform::{NodeId, Platform};
@@ -118,12 +118,12 @@ impl Probe for ProvenanceProbe {
         self.arrivals[node.index()].push_back(task);
     }
 
-    fn task_dispatch(&mut self, node: NodeId, t: Rat, action: TaskAction, slot: Option<u64>) {
+    fn task_dispatch(&mut self, node: NodeId, t: Rat, action: SlotAction, slot: Option<u64>) {
         let i = node.index();
         let Some(task) = self.arrivals[i].pop_front() else { return };
         let (act, psi) = match action {
-            TaskAction::Compute => (Action::Compute, self.psi_self[i]),
-            TaskAction::Send(child) => (
+            SlotAction::Compute => (Action::Compute, self.psi_self[i]),
+            SlotAction::Send(child) => (
                 Action::Send(child.0),
                 self.psi_child[i].iter().find(|&&(k, _)| k == child.0).map(|&(_, q)| q),
             ),
@@ -140,8 +140,8 @@ impl Probe for ProvenanceProbe {
             period,
         }));
         match action {
-            TaskAction::Compute => self.pending_compute[i].push_back(task),
-            TaskAction::Send(child) => self.inflight[child.index()].push_back(task),
+            SlotAction::Compute => self.pending_compute[i].push_back(task),
+            SlotAction::Send(child) => self.inflight[child.index()].push_back(task),
         }
     }
 

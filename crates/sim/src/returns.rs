@@ -136,7 +136,7 @@ impl<P: Probe> Returns<'_, P> {
     fn assign(&mut self, node: NodeId, t: Rat) -> Result<(), SimError> {
         let n = &mut self.nodes[node.index()];
         let (action, slot) = next_action(self.schedule, node, &mut n.cursor)?;
-        self.eng.probe.task_dispatch(node, t, action.into(), Some(slot as u64));
+        self.eng.probe.task_dispatch(node, t, action, Some(slot as u64));
         match action {
             SlotAction::Compute => {
                 n.pending_cpu += 1;
