@@ -1,5 +1,5 @@
 //! Fixture: deliberately violates R4 (`shim-import`). Dev-only shim crates
-//! (`rand`, `proptest`, `criterion`) must not appear in runtime code.
+//! (`rand`, `proptest`) must not appear in runtime code.
 
 use rand::Rng;
 

@@ -24,7 +24,7 @@ pub const ALL_RULES: [&str; 4] = [RULE_FLOAT, RULE_PANIC, RULE_WILDCARD, RULE_SH
 
 /// The dev-only shim crates R4 bans from runtime code: every in-tree shim.
 /// The protocol's links and payloads are `std` channels and `Arc<[u8]>`.
-const DEV_SHIMS: [&str; 3] = ["rand", "proptest", "criterion"];
+const DEV_SHIMS: [&str; 2] = ["rand", "proptest"];
 
 /// Protocol message enums whose `match`es must stay exhaustive (R3).
 const MESSAGE_ENUMS: [&str; 4] = ["DownMsg", "UpMsg", "ControlMsg", "Report"];
@@ -396,7 +396,7 @@ mod tests {
         assert!(rules_for("crates/obs/src/json.rs").contains(&RULE_WILDCARD));
         assert!(!rules_for("crates/bench/src/records.rs").contains(&RULE_SHIM));
         assert!(rules_for("crates/proto/src/actor.rs").contains(&RULE_SHIM));
-        assert!(rules_for("crates/bench/benches/obs_overhead.rs").is_empty());
+        assert!(rules_for("crates/bench/tests/golden.rs").is_empty());
     }
 
     #[test]

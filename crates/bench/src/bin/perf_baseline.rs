@@ -7,14 +7,16 @@
 //! perf_baseline --check [--smoke]
 //!     validate the committed files against the records schema, re-run the
 //!     quick benches, and fail on a >2x wall-time regression (loose on
-//!     purpose: shared CI hosts are noisy)
+//!     purpose: shared CI hosts are noisy) or on a gated point missing from
+//!     either side
 //! ```
 //!
 //! Every point pairs a current measurement (`after_ns`) with a comparison
 //! point (`before_ns`): either the same measurement taken at the seed commit
 //! on the same host (recorded in [`SEED`]), or a runtime toggle re-measured
 //! in this very process — the reference `Rat` lanes, the exact `Rat`-keyed
-//! event queue, or the serial model checker. Toggled pairs are
+//! event queue, the serial model checker, the unprobed simulation, or the
+//! centralized solver against the live negotiation. Toggled pairs are
 //! host-independent; seed pairs are only meaningful on a comparable host,
 //! which is why `host_threads` is recorded alongside.
 
@@ -22,12 +24,14 @@ use bwfirst_bench::records::{bench_from_json, bench_to_json, BenchPoint, BenchRe
 use bwfirst_bench::trees;
 use bwfirst_core::schedule::EventDrivenSchedule;
 use bwfirst_core::{bottom_up, bw_first, MonitorExpectations, SteadyState};
-use bwfirst_obs::{Metrics, Trace};
+use bwfirst_obs::{MemoryRecorder, Metrics, Trace};
 use bwfirst_parallel::{available_threads, Pool};
 use bwfirst_platform::examples::example_tree;
+use bwfirst_proto::ProtocolSession;
 use bwfirst_rational::{rat, reference, Rat};
 use bwfirst_sim::{
-    event_driven, trace_header, MonitorConfig, MonitorProbe, ProvenanceProbe, SimConfig,
+    event_driven, trace_header, MonitorConfig, MonitorProbe, NoProbe, ObsProbe, ProvenanceProbe,
+    SimConfig,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -58,6 +62,17 @@ fn best_of<F: FnMut()>(iters: u32, mut f: F) -> f64 {
         best = best.min(t.elapsed().as_nanos() as f64);
     }
     best
+}
+
+/// Best-of-`iters` wall times of `a` and `b`, run alternately so that a
+/// noisy phase of the host hits both sides of a toggled pair alike.
+fn best_of_pair<A: FnMut(), B: FnMut()>(iters: u32, mut a: A, mut b: B) -> (f64, f64) {
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..iters.max(1) {
+        best_a = best_a.min(best_of(1, &mut a));
+        best_b = best_b.min(best_of(1, &mut b));
+    }
+    (best_a, best_b)
 }
 
 struct Opts {
@@ -117,35 +132,39 @@ fn measure_core(opts: &Opts, iters: u32) -> BenchReport {
     let mut points = Vec::new();
     let mut metrics = Metrics::new();
 
-    // Serial sweep: the seed-vs-now pair the acceptance bar names.
-    let serial_ns = best_of(iters, || {
-        let mut m = Metrics::new();
-        for (size, slow) in scaling_grid() {
-            solve_point(&mut m, size, slow);
-        }
-    });
+    // Serial sweep (the seed-vs-now pair the acceptance bar names) and the
+    // same work fanned out over the worker pool, with the per-worker obs
+    // counters merged back in; the two are timed alternately. On a
+    // single-core host the pooled sweep is expected to be ~1x;
+    // `host_threads` records the context.
+    let pool = Pool::new(opts.threads);
+    let mut pooled_metrics = Metrics::new();
+    let (serial_ns, pooled_ns) = best_of_pair(
+        iters,
+        || {
+            let mut m = Metrics::new();
+            for (size, slow) in scaling_grid() {
+                solve_point(&mut m, size, slow);
+            }
+        },
+        || {
+            let (_, worker_metrics) =
+                pool.map_with(scaling_grid(), Metrics::new, |m, (size, slow)| {
+                    solve_point(m, size, slow);
+                });
+            let mut merged = Metrics::new();
+            for m in &worker_metrics {
+                merged.merge(m);
+            }
+            pooled_metrics = merged;
+        },
+    );
     points.push(BenchPoint {
         id: "deep_tree_scaling_sweep".to_string(),
         before_ns: seed_ns("deep_tree_scaling_sweep"),
         after_ns: serial_ns,
         baseline: SEED_COMMIT.to_string(),
         iters,
-    });
-
-    // Pooled sweep: same work fanned out over the worker pool, with the
-    // per-worker obs counters merged back in. On a single-core host this is
-    // expected to be ~1x; `host_threads` records the context.
-    let pool = Pool::new(opts.threads);
-    let mut pooled_metrics = Metrics::new();
-    let pooled_ns = best_of(iters, || {
-        let (_, worker_metrics) = pool.map_with(scaling_grid(), Metrics::new, |m, (size, slow)| {
-            solve_point(m, size, slow);
-        });
-        let mut merged = Metrics::new();
-        for m in &worker_metrics {
-            merged.merge(m);
-        }
-        pooled_metrics = merged;
     });
     metrics.merge(&pooled_metrics);
     points.push(BenchPoint {
@@ -209,11 +228,17 @@ fn measure_core(opts: &Opts, iters: u32) -> BenchReport {
     // shrinks max_nodes so CI stays fast.
     let max_nodes = if opts.smoke { 5 } else { 7 };
     let check_threads = opts.threads.max(4);
-    let pooled_check_ns = best_of(iters, || {
-        let report = bwfirst_analyze::model::check(max_nodes, 8, check_threads);
-        assert!(report.violations.is_empty(), "model checker found violations during bench");
-        black_box(report.states);
-    });
+    let (serial_check_ns, pooled_check_ns) = best_of_pair(
+        iters,
+        || {
+            black_box(bwfirst_analyze::model::check(max_nodes, 8, 1).states);
+        },
+        || {
+            let report = bwfirst_analyze::model::check(max_nodes, 8, check_threads);
+            assert!(report.violations.is_empty(), "model checker found violations during bench");
+            black_box(report.states);
+        },
+    );
     if !opts.smoke {
         points.push(BenchPoint {
             id: "model_check_7".to_string(),
@@ -223,16 +248,34 @@ fn measure_core(opts: &Opts, iters: u32) -> BenchReport {
             iters,
         });
     }
-    let serial_check_ns = best_of(iters, || {
-        let report = bwfirst_analyze::model::check(max_nodes, 8, 1);
-        black_box(report.states);
-    });
     points.push(BenchPoint {
         id: format!("model_check_{max_nodes}_parallel"),
         before_ns: serial_check_ns,
         after_ns: pooled_check_ns,
         baseline: format!("runtime toggle: serial model check, pool of {check_threads}"),
         iters,
+    });
+
+    // Toggled pair: one live BW-First negotiation over the actor tree (§5
+    // says its running time is negligible) against the centralized solver
+    // on the same tree. Spawning the actors stays outside the timed region.
+    let p = trees::supply_tree(255, 21);
+    let session = ProtocolSession::spawn(&p).expect("spawn actor tree");
+    let (solve_ns, negotiate_ns) = best_of_pair(
+        iters.max(5),
+        || {
+            black_box(bw_first(&p));
+        },
+        || {
+            black_box(session.negotiate().expect("negotiate"));
+        },
+    );
+    points.push(BenchPoint {
+        id: "proto_negotiate_255".to_string(),
+        before_ns: solve_ns,
+        after_ns: negotiate_ns,
+        baseline: "runtime toggle: centralized bw_first on the same tree".to_string(),
+        iters: iters.max(5),
     });
 
     BenchReport {
@@ -293,67 +336,63 @@ fn measure_sim(opts: &Opts, iters: u32) -> BenchReport {
         iters: iters.max(5),
     });
 
-    // Toggled pair: the plain run vs the same run under the full online
-    // invariant monitor (single-port + pairing + conservation per event,
-    // windowed rate checks against the solver's exact rates).
+    // Toggled pairs: the plain run vs the same run under one probe, timed
+    // alternately so that a noisy phase of the host hits both sides alike.
+    let pair_iters = 4 * iters.max(5);
+    let cfg_10 = cfg(10, false, false);
+    let plain = || run(&cfg_10);
+    let mut toggled = |id: &str, baseline: &str, after: &mut dyn FnMut()| {
+        let (before_ns, after_ns) = best_of_pair(pair_iters, plain, after);
+        points.push(BenchPoint {
+            id: id.to_string(),
+            before_ns,
+            after_ns,
+            baseline: format!("runtime toggle: {baseline}"),
+            iters: pair_iters,
+        });
+    };
+    // Each probed run is statically dispatched, as in production; the
+    // probed entry point with the no-op probe must cost nothing.
+    toggled("simulate_example_noprobe_10", "probed entry point with `NoProbe`", &mut || {
+        black_box(event_driven::simulate_probed(&p, &ev, &cfg_10, &mut NoProbe).expect("sim"));
+    });
+    // Every hook forwarded to a collecting recorder.
+    toggled("simulate_example_obs_10", "`ObsProbe` over a `MemoryRecorder`", &mut || {
+        let mut rec = MemoryRecorder::new();
+        let mut probe = ObsProbe::new(&mut rec);
+        black_box(event_driven::simulate_probed(&p, &ev, &cfg_10, &mut probe).expect("sim"));
+        black_box(rec.events.len());
+    });
+    // The full online invariant monitor: single-port + pairing +
+    // conservation per event, windowed rate checks against the solver's
+    // exact rates.
     let exp = MonitorExpectations::build(&p, &ss, &ev.tree).expect("example expectations");
-    let plain_10 = best_of(iters.max(5), || run(&cfg(10, false, false)));
-    let monitor_10 = best_of(iters.max(5), || {
+    let monitor = "online invariant monitor (`MonitorProbe`)";
+    toggled("simulate_example_monitor_10", monitor, &mut || {
         let mon_cfg = MonitorConfig::new(rat(36, 1)).with_expectations(exp.clone());
         let mut probe = MonitorProbe::new(p.len(), p.root(), mon_cfg);
-        black_box(
-            event_driven::simulate_probed(&p, &ev, &cfg(10, false, false), &mut probe)
-                .expect("simulate"),
-        );
+        black_box(event_driven::simulate_probed(&p, &ev, &cfg_10, &mut probe).expect("sim"));
         let rep = probe.finish();
         assert!(rep.ok(), "clean run must stay violation-free while benched");
         black_box(rep.windows);
     });
-    points.push(BenchPoint {
-        id: "simulate_example_monitor_10".to_string(),
-        before_ns: plain_10,
-        after_ns: monitor_10,
-        baseline: "runtime toggle: online invariant monitor (`MonitorProbe`)".to_string(),
-        iters: iters.max(5),
-    });
-
-    // Toggled pair: the plain run vs the same run under the provenance
-    // probe (per-task lifecycle records plus the FIFO id-assignment
-    // mirrors that feed `bwfirst trace`).
-    let provenance_10 = best_of(iters.max(5), || {
+    // Per-task lifecycle records plus the FIFO id-assignment mirrors that
+    // feed `bwfirst trace`.
+    let provenance = "causal provenance recording (`ProvenanceProbe`)";
+    toggled("simulate_example_provenance_10", provenance, &mut || {
         let mut probe = ProvenanceProbe::new(&p, Some(&ev.tree));
-        black_box(
-            event_driven::simulate_probed(&p, &ev, &cfg(10, false, false), &mut probe)
-                .expect("simulate"),
-        );
+        black_box(event_driven::simulate_probed(&p, &ev, &cfg_10, &mut probe).expect("sim"));
         black_box(probe.into_records().len());
     });
-    points.push(BenchPoint {
-        id: "simulate_example_provenance_10".to_string(),
-        before_ns: plain_10,
-        after_ns: provenance_10,
-        baseline: "runtime toggle: causal provenance recording (`ProvenanceProbe`)".to_string(),
-        iters: iters.max(5),
-    });
-
-    // Toggled pair: the plain run vs the whole artifact round trip — the
-    // same recording, the `bwfirst-trace/1` text, and its schema-checked
-    // parse back.
-    let trace_roundtrip_10 = best_of(iters.max(5), || {
-        let run_cfg = cfg(10, false, false);
+    // The whole artifact round trip: the same recording, the
+    // `bwfirst-trace/1` text, and its schema-checked parse back.
+    let roundtrip = "provenance record + `Trace::to_jsonl` + `Trace::parse`";
+    toggled("trace_roundtrip_example_10", roundtrip, &mut || {
         let mut probe = ProvenanceProbe::new(&p, Some(&ev.tree));
-        black_box(event_driven::simulate_probed(&p, &ev, &run_cfg, &mut probe).expect("simulate"));
-        let header = trace_header(&p, Some(&ev.tree), "event", &run_cfg, Some(ss.throughput));
+        black_box(event_driven::simulate_probed(&p, &ev, &cfg_10, &mut probe).expect("sim"));
+        let header = trace_header(&p, Some(&ev.tree), "event", &cfg_10, Some(ss.throughput));
         let text = probe.into_trace(header).to_jsonl();
         black_box(Trace::parse(&text).expect("trace round trip").records.len());
-    });
-    points.push(BenchPoint {
-        id: "trace_roundtrip_example_10".to_string(),
-        before_ns: plain_10,
-        after_ns: trace_roundtrip_10,
-        baseline: "runtime toggle: provenance record + `Trace::to_jsonl` + `Trace::parse`"
-            .to_string(),
-        iters: iters.max(5),
     });
 
     BenchReport {
@@ -384,18 +423,22 @@ fn print_report(report: &BenchReport) {
 }
 
 /// `--check`: schema-validate the committed files; re-run the quick benches
-/// and fail when any is more than 2x slower than the committed `after_ns`.
+/// and fail when any is more than 2x slower than the committed `after_ns`,
+/// or absent from the committed file or the fresh run.
 /// The budget is deliberately loose: CI hosts share cores with noisy
 /// neighbours, so the gate only catches gross regressions — the committed
 /// numbers are the precise record.
 fn check(opts: &Opts) -> i32 {
     let mut failed = false;
-    // Quick subset: cheap enough for CI, sensitive to the three fast paths.
-    let quick = ["deep_tree_scaling_sweep", "simulate_example_10", "rat_accumulate_400"];
     let iters = 3;
     let fresh_core = measure_core(opts, iters);
     let fresh_sim = measure_sim(opts, iters);
-    for path in ["BENCH_core.json", "BENCH_sim.json"] {
+    // Quick subset: cheap enough for CI, sensitive to the three fast paths.
+    let files = [
+        ("BENCH_core.json", &fresh_core, &["deep_tree_scaling_sweep", "rat_accumulate_400"][..]),
+        ("BENCH_sim.json", &fresh_sim, &["simulate_example_10"][..]),
+    ];
+    for (path, fresh, quick) in files {
         let full = format!("{}/{path}", opts.out_dir);
         let text = match std::fs::read_to_string(&full) {
             Ok(t) => t,
@@ -414,9 +457,12 @@ fn check(opts: &Opts) -> i32 {
             }
         };
         println!("ok   {path}: schema valid ({} points)", committed.points.len());
-        let fresh = if committed.suite == "core" { &fresh_core } else { &fresh_sim };
         for id in quick {
-            let (Some(base), Some(now)) = (committed.point(id), fresh.point(id)) else { continue };
+            let (Some(base), Some(now)) = (committed.point(id), fresh.point(id)) else {
+                eprintln!("FAIL {path}: gated point `{id}` is missing");
+                failed = true;
+                continue;
+            };
             let ratio = now.after_ns / base.after_ns;
             if ratio > 2.0 {
                 eprintln!(

@@ -1,5 +1,5 @@
 //! Experiment harness: regenerates every figure and quantitative claim of
-//! the paper, and backs the Criterion benches.
+//! the paper, and backs the `perf_baseline` timings.
 //!
 //! The paper's evaluation (Section 8) consists of Figure 4(a–d), Figure 5
 //! and a set of in-text numbers; Sections 5–7 and 9 add quantitative claims

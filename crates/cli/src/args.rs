@@ -25,6 +25,8 @@ pub enum CliError {
     FlagWithoutValue(String),
     /// Unknown subcommand.
     UnknownCommand(String),
+    /// A `--flag` the subcommand does not read.
+    UnknownFlag(String),
     /// A required positional or flag was absent.
     MissingArgument(&'static str),
     /// A value failed to parse.
@@ -48,6 +50,7 @@ impl fmt::Display for CliError {
             CliError::Missing => f.write_str("no subcommand given"),
             CliError::FlagWithoutValue(k) => write!(f, "flag --{k} needs a value"),
             CliError::UnknownCommand(c) => write!(f, "unknown subcommand `{c}`"),
+            CliError::UnknownFlag(k) => write!(f, "unknown flag --{k} for this subcommand"),
             CliError::MissingArgument(a) => write!(f, "missing argument: {a}"),
             CliError::BadValue { what, value } => write!(f, "bad value for {what}: `{value}`"),
             CliError::Platform(msg) => write!(f, "platform error: {msg}"),
@@ -161,6 +164,7 @@ mod tests {
             CliError::Missing,
             CliError::FlagWithoutValue("grid".into()),
             CliError::UnknownCommand("solv".into()),
+            CliError::UnknownFlag("bogus".into()),
             CliError::MissingArgument("platform file"),
             CliError::BadValue { what: "--grid", value: "abc".into() },
         ];

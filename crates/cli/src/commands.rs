@@ -76,7 +76,7 @@ usage:
       search for the best tree overlay on a physical network
 
 protocols (--protocol P; default event): {}
-  --horizon H must be positive
+  --horizon H must be positive; a flag not listed for a subcommand is an error
 
 workspace checks (separate binary, see docs/ANALYSIS.md):
   cargo run -p bwfirst-analyze [lint|model|all|fixture <path>|snapshots <path>|
@@ -103,14 +103,40 @@ where
     dispatch_io(args, read_file, |path, _| Err(format!("cannot write {path}: no file sink")))
 }
 
+/// The flags (without dashes) each subcommand reads, or `None` for an
+/// unknown subcommand or trace verb, which the dispatcher reports itself.
+fn known_flags(args: &Args) -> Option<&'static [&'static str]> {
+    Some(match (args.command.as_str(), args.positional.first().map(String::as_str)) {
+        ("solve" | "dot" | "help" | "--help" | "-h", _) | ("trace", Some("diff" | "replay")) => &[],
+        ("schedule" | "validate", _) => &["grid"],
+        ("simulate", _) => &["horizon", "stop", "tasks", "protocol", "gantt", "trace", "metrics"],
+        ("stats", _) => &["horizon", "protocol", "threads", "trace", "metrics"],
+        ("monitor", _) => {
+            &["horizon", "window", "warmup", "protocol", "snapshots", "dump", "capacity"]
+        }
+        ("trace", Some("record")) => &["out", "protocol", "horizon", "tasks", "seed", "chrome"],
+        ("trace", Some("lineage")) => &["task"],
+        ("generate", _) => &["size", "seed", "arity", "depth"],
+        ("graph", _) => &["size", "seed", "extra"],
+        ("overlay", _) => &["root", "restarts", "passes", "seed"],
+        _ => return None,
+    })
+}
+
 /// Runs the parsed command with both a file source and a file sink, so
 /// `--trace <path>` (Chrome trace JSON) and `--metrics <path>` (metrics
-/// JSON) can be written.
+/// JSON) can be written. A flag the subcommand does not read is rejected
+/// before any work.
 pub fn dispatch_io<F, W>(args: &Args, read_file: F, write_file: W) -> Result<String, CliError>
 where
     F: Fn(&str) -> Result<String, String>,
     W: Fn(&str, &str) -> Result<(), String>,
 {
+    let unknown = known_flags(args)
+        .and_then(|known| args.flags.keys().find(|k| !known.contains(&k.as_str())));
+    if let Some(flag) = unknown {
+        return Err(CliError::UnknownFlag(flag.clone()));
+    }
     let read = |path: &str| -> Result<Platform, CliError> {
         let text = read_file(path).map_err(CliError::Platform)?;
         load(&text)

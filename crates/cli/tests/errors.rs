@@ -22,6 +22,11 @@ fn usage_errors_print_usage() {
         (&["solv"][..], 1),
         (&["solve"][..], 1),
         (&["generate", "random", "--size", "many"][..], 1),
+        // Unknown flags are refused before the platform file is read.
+        (&["solve", "no-such-platform.json", "--bogus", "3"][..], 1),
+        (&["dot", "no-such-platform.json", "--horizon", "5"][..], 1),
+        (&["simulate", "no-such-platform.json", "--grid", "10000"][..], 1),
+        (&["trace", "diff", "a.jsonl", "b.jsonl", "--task", "0"][..], 1),
     ] {
         let (got, stderr) = bwfirst(args);
         assert_eq!(got, code, "{args:?}: {stderr}");

@@ -4,8 +4,7 @@
 //! denominators is meaningless in floating point), but a throughput-only
 //! query — e.g. scoring thousands of candidate overlay trees in a topology
 //! search — can use `f64`. This module mirrors `BW-First` on floats; the
-//! `rational_vs_float` bench quantifies the speed difference and the unit
-//! tests bound the numeric drift.
+//! unit tests bound the numeric drift.
 
 use bwfirst_platform::{NodeId, Platform};
 
