@@ -29,14 +29,17 @@
 //! Records are the bulk of an artifact (six per task, hundreds of
 //! thousands in a long run), so neither direction builds a JSON [`Value`]
 //! per record: [`TraceRecord::write_json`] appends the compact line
-//! directly, and the reader visits each line's members in place
-//! ([`json::visit_object`](crate::json::visit_object): strings borrowed,
-//! integers read as they are scanned), keeping each key's first
-//! occurrence and ignoring unknown keys. The bytes written are those of
-//! the `Value` rendering, and any layout `json::parse` accepts (member
-//! order, whitespace, escapes) decodes to the same record or fails with
-//! the same message. Only the header, one line per artifact, goes
-//! through a `Value`.
+//! directly, in one fixed layout. The reader first tries that layout in
+//! one pass over the line's bytes: the writer's member order, integers
+//! as `json::write_int` writes them, times `"p"` or `"p/q"` with `q > 1`,
+//! and nothing after the closing `}`. Any other line goes to the member
+//! visitor ([`json::visit_object`](crate::json::visit_object): strings
+//! borrowed, integers read as they are scanned), which keeps each key's
+//! first occurrence, ignores unknown keys, and alone reports decode
+//! errors. The bytes written are those of the `Value` rendering, and any
+//! layout `json::parse` accepts (member order, whitespace, escapes,
+//! `"p/1"`) decodes to the same record or fails with the same message.
+//! Only the header, one line per artifact, goes through a `Value`.
 //!
 //! [`Trace::lineage`] extracts one task's causal chain, [`Trace::diff`]
 //! aligns two traces by task id (the cross-executor Lemma 1 check), and
@@ -637,9 +640,134 @@ fn member_ts(m: &Option<Member>) -> Option<Ts> {
     member_str(m).and_then(parse_rational)
 }
 
+/// The unread rest of a line in [`canonical_record`]'s one pass.
+struct Canonical<'a>(&'a [u8]);
+
+impl Canonical<'_> {
+    /// Consumes `lit` if the rest starts with it.
+    fn eat(&mut self, lit: &str) -> bool {
+        match self.0.strip_prefix(lit.as_bytes()) {
+            Some(rest) => {
+                self.0 = rest;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Consumes `lit`, or declines the line.
+    fn lit(&mut self, lit: &str) -> Option<()> {
+        self.eat(lit).then_some(())
+    }
+
+    /// An integer as [`write_int`] writes it: an optional `-`, then `0`
+    /// or digits without a leading zero (never `-0`), inside `i128`.
+    fn int(&mut self) -> Option<i128> {
+        let neg = self.eat("-");
+        let len = self.0.iter().take_while(|b| b.is_ascii_digit()).count();
+        let (digits, rest) = self.0.split_at(len);
+        if len == 0 || (digits[0] == b'0' && (len > 1 || neg)) {
+            return None;
+        }
+        self.0 = rest;
+        // 19 digits always fit a `u64`; wider numbers take checked `u128`
+        // steps, which fail past 39 digits.
+        let mag = if len <= 19 {
+            u128::from(digits.iter().fold(0u64, |a, &d| a * 10 + u64::from(d - b'0')))
+        } else {
+            digits
+                .iter()
+                .try_fold(0u128, |a, &d| a.checked_mul(10)?.checked_add(u128::from(d - b'0')))?
+        };
+        if neg {
+            // `-2^127` wraps onto itself: `i128::MIN`.
+            (mag <= 1 << 127).then(|| (mag as i128).wrapping_neg())
+        } else {
+            i128::try_from(mag).ok()
+        }
+    }
+
+    fn node(&mut self) -> Option<u32> {
+        self.int().and_then(|n| u32::try_from(n).ok())
+    }
+
+    /// A time as [`put_ts`] writes it: `"p"`, or `"p/q"` with `q > 1`.
+    fn ts(&mut self) -> Option<Ts> {
+        self.lit("\"")?;
+        let num = self.int()?;
+        let den = if self.eat("/") { self.int().filter(|&q| q > 1)? } else { 1 };
+        self.lit("\"")?;
+        Some(Ts::new(num, den))
+    }
+
+    /// The member `,"key":n` if it comes next (an omitted option).
+    fn opt_int(&mut self, key: &str) -> Option<Option<i128>> {
+        if self.eat(key) {
+            self.int().map(Some)
+        } else {
+            Some(None)
+        }
+    }
+}
+
+/// Decodes a line in exactly the layout [`TraceRecord::write_json`]
+/// emits, in one pass over its bytes; `None` on any other layout
+/// (whitespace, member order, escapes, `"p/1"`, a trailing byte, …),
+/// which [`record_from_line`] hands to the general reader. Every line it
+/// accepts decodes to the record that reader returns.
+fn canonical_record(line: &str) -> Option<TraceRecord> {
+    let mut c = Canonical(line.as_bytes());
+    c.lit("{\"k\":\"")?;
+    let kind =
+        ["enter\"", "dispatch\"", "deliver\"", "compute\""].into_iter().find(|k| c.eat(k))?;
+    c.lit(",\"task\":")?;
+    let task = c.int()?;
+    c.lit(",\"node\":")?;
+    let node = c.node()?;
+    let record = match kind {
+        "enter\"" => {
+            c.lit(",\"t\":")?;
+            let t = c.ts()?;
+            let stock = c.eat(",\"stock\":true");
+            TraceRecord::Enter { task, node, t, stock }
+        }
+        "dispatch\"" => {
+            c.lit(",\"t\":")?;
+            let t = c.ts()?;
+            let action = if c.eat(",\"action\":\"compute\"") {
+                Action::Compute
+            } else {
+                c.lit(",\"action\":\"send\",\"child\":")?;
+                Action::Send(c.node()?)
+            };
+            let slot = c.opt_int(",\"slot\":")?;
+            let psi = c.opt_int(",\"psi\":")?;
+            let period = c.opt_int(",\"period\":")?;
+            TraceRecord::Dispatch(Dispatch { task, node, t, action, slot, psi, period })
+        }
+        "deliver\"" => {
+            c.lit(",\"from\":")?;
+            let from = c.node()?;
+            c.lit(",\"t\":")?;
+            TraceRecord::Deliver { task, node, from, t: c.ts()? }
+        }
+        _ => {
+            c.lit(",\"start\":")?;
+            let start = c.ts()?;
+            c.lit(",\"end\":")?;
+            TraceRecord::Compute { task, node, start, end: c.ts()? }
+        }
+    };
+    (c.0 == b"}").then_some(record)
+}
+
 /// Decodes one record line (the JSON and per-record checks; the header
-/// and causality checks are [`TraceHeader::check`]'s).
+/// and causality checks are [`TraceHeader::check`]'s): the canonical lane
+/// first, then the member visitor, the only source of decode errors.
 fn record_from_line(line: &str) -> Result<TraceRecord, String> {
+    if let Some(r) = canonical_record(line) {
+        return Ok(r);
+    }
     let m = RecordMembers::read(line)?;
     let task = member_int(&m.task).ok_or("missing or non-integer `task`")?;
     let node = member_node(&m.node).ok_or("missing or malformed `node`")?;
@@ -677,6 +805,14 @@ fn record_from_line(line: &str) -> Result<TraceRecord, String> {
         Some(other) => Err(format!("unknown record kind `{other}`")),
         None => Err("missing `k` discriminator".to_string()),
     }
+}
+
+/// The number of `\n` bytes in `text`. Counted in 255-byte chunks into a
+/// `u8`, which vectorizes; a byte-at-a-time count does not, and took an
+/// eighth of a long trace's parse.
+fn newlines(text: &str) -> usize {
+    let chunk = |c: &[u8]| c.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n'));
+    text.as_bytes().chunks(255).map(|c| usize::from(chunk(c))).sum()
 }
 
 /// A parse problem, with its 1-based line number.
@@ -742,7 +878,7 @@ impl Trace {
         let mut last = LastSeen::default();
         // One slot per line; a record line takes at least 39 bytes, so
         // blank lines cannot inflate the reservation.
-        let lines_left = text.bytes().filter(|&b| b == b'\n').count();
+        let lines_left = newlines(text);
         let mut records = Vec::with_capacity(lines_left.min(text.len() / 32));
         for (idx, line) in lines {
             let r = record(line).map_err(at(idx))?;
@@ -1306,6 +1442,66 @@ mod tests {
         assert!(err.message.contains("backwards"), "{err}");
     }
 
+    #[test]
+    fn newlines_match_a_bytewise_count() {
+        for text in ["", "\n", "a\nb", &"\n".repeat(600), &"ab\n\r\n".repeat(300)] {
+            assert_eq!(newlines(text), text.bytes().filter(|&b| b == b'\n').count());
+        }
+    }
+
+    /// The canonical lane takes only the writer's own layout: each line
+    /// here is declined, and the member visitor reads it to the record
+    /// the canonical line decodes to.
+    #[test]
+    fn canonical_lane_declines_other_layouts() {
+        const LINE: &str =
+            r#"{"k":"dispatch","task":0,"node":2,"t":"3","action":"send","child":1,"slot":0}"#;
+        let r = canonical_record(LINE).expect("the writer's layout");
+        for (from, to) in [
+            (r#""t":"3""#, r#""t":"3/1""#),
+            (r#""t":"3""#, r#""t":"03""#),
+            (r#""t":"3""#, r#""t":"+3""#),
+            (r#""task":0"#, r#""task":-0"#),
+            (r#""task":0"#, r#""task":00"#),
+            (r#""node":2"#, r#""node":02"#),
+            (r#""slot":0"#, r#""slot": 0"#),
+            (r#""k":"dispatch""#, r#""k":"\u0064ispatch""#),
+            (r#""k":"dispatch","task":0"#, r#""task":0,"k":"dispatch""#),
+            (r#""slot":0"#, r#""slot":0,"slot":1"#),
+            (r#""slot":0"#, r#""slot":0,"zz":1"#),
+            ("}", "} "),
+            ("}", "}\t"),
+        ] {
+            let other = LINE.replace(from, to);
+            assert_eq!(canonical_record(&other), None, "{other}");
+            assert_eq!(record_from_line(&other).as_ref(), Ok(&r), "{other}");
+        }
+        for tail in ["}x", "}}", "},"] {
+            let other = LINE.replace('}', tail);
+            assert_eq!(canonical_record(&other), None, "{other}");
+            assert!(record_from_line(&other).is_err(), "{other}");
+        }
+    }
+
+    /// A valid artifact in another layout (whitespace, permuted members,
+    /// an escaped `"enter"`, `"p/1"` times) reads through the member
+    /// visitor to the trace of its canonical bytes: the first lines of
+    /// the Fig. 2 event golden.
+    #[test]
+    fn relaid_artifact_reads_as_its_canonical_bytes() {
+        let relaid = include_str!("../testdata/trace_good_relaid.jsonl");
+        let golden = include_str!("../../sim/testdata/fig2_event_trace.jsonl");
+        let canonical: String =
+            golden.lines().take(relaid.lines().count()).map(|l| format!("{l}\n")).collect();
+        for line in relaid.lines().skip(1) {
+            assert_eq!(canonical_record(line), None, "{line}");
+        }
+        let trace = Trace::parse(relaid).unwrap();
+        assert_eq!(trace.records.len(), 18);
+        assert_eq!(trace, Trace::parse(&canonical).unwrap());
+        assert_eq!(trace.to_jsonl(), canonical);
+    }
+
     /// The `Value`-tree rendering [`TraceRecord::write_json`] replaced: the
     /// writer's oracle.
     fn record_value(r: &TraceRecord) -> Value {
@@ -1618,6 +1814,7 @@ mod tests {
             let mut line = String::new();
             r.write_json(&mut line);
             prop_assert_eq!(&line, &record_value(&r).to_string_compact());
+            prop_assert_eq!(canonical_record(&line), Some(r.clone()));
             prop_assert_eq!(record_from_line(&line), Ok(r));
         }
 

@@ -78,16 +78,18 @@ impl ProvenanceProbe {
         }
     }
 
-    /// The recorded provenance, in emission order.
+    /// The recorded provenance, in emission order, without the spare
+    /// capacity its growth left (up to as much again).
     #[must_use]
-    pub fn into_records(self) -> Vec<TraceRecord> {
+    pub fn into_records(mut self) -> Vec<TraceRecord> {
+        self.records.shrink_to_fit();
         self.records
     }
 
     /// Pairs the recorded provenance with a header into a full [`Trace`].
     #[must_use]
     pub fn into_trace(self, header: TraceHeader) -> Trace {
-        Trace { header, records: self.records }
+        Trace { header, records: self.into_records() }
     }
 }
 
