@@ -256,11 +256,12 @@ fn measure_core(opts: &Opts, iters: u32) -> BenchReport {
         iters,
     });
 
-    // Toggled pair: one live BW-First negotiation over the actor tree (§5
-    // says its running time is negligible) against the centralized solver
-    // on the same tree. Spawning the actors stays outside the timed region.
+    // Toggled pair: one live BW-First negotiation on the session's
+    // dispatcher (§5 says its running time is negligible) against the
+    // centralized solver on the same tree. Setting up the session stays
+    // outside the timed region.
     let p = trees::supply_tree(255, 21);
-    let session = ProtocolSession::spawn(&p).expect("spawn actor tree");
+    let mut session = ProtocolSession::spawn(&p).expect("spawn actor tree");
     let (solve_ns, negotiate_ns) = best_of_pair(
         iters.max(5),
         || {

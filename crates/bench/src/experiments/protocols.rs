@@ -160,7 +160,7 @@ pub fn e8_result_return() -> String {
 #[must_use]
 pub fn e11_distributed_protocol() -> String {
     let mut out = String::new();
-    writeln!(out, "E11  distributed BW-First over threads + channels\n").unwrap();
+    writeln!(out, "E11  distributed BW-First on one dispatcher, per-link FIFO\n").unwrap();
     let mut t = Table::new([
         "nodes",
         "throughput (== centralized)",
@@ -172,7 +172,7 @@ pub fn e11_distributed_protocol() -> String {
     ]);
     for &size in &[15usize, 63, 255] {
         let p = crate::trees::supply_tree(size, 21); // slow CPUs: wide fan-out
-        let session = ProtocolSession::spawn(&p).expect("spawn actor tree");
+        let mut session = ProtocolSession::spawn(&p).expect("spawn actor tree");
         let neg = session.negotiate().expect("negotiation completes");
         let check = bw_first(&p);
         assert_eq!(neg.throughput, check.throughput(), "distributed must match centralized");
@@ -201,7 +201,7 @@ pub fn e11_distributed_protocol() -> String {
 
     // The same protocol over real localhost TCP sockets.
     let p_tcp = example_tree();
-    let tcp = ProtocolSession::spawn_tcp(&p_tcp).expect("spawn over TCP");
+    let mut tcp = ProtocolSession::spawn_tcp(&p_tcp).expect("spawn over TCP");
     let neg_tcp = tcp.negotiate().expect("negotiation completes");
     writeln!(
         out,

@@ -830,7 +830,7 @@ fn cmd_stats(
     let mut rec = MemoryRecorder::new();
 
     // Layer 1: the live distributed protocol (β/θ messages over channels).
-    let session =
+    let mut session =
         bwfirst_proto::ProtocolSession::spawn(p).map_err(|e| CliError::Runtime(e.to_string()))?;
     let negotiated = session.negotiate().map_err(|e| CliError::Runtime(e.to_string()))?;
     negotiated.record(&mut rec);

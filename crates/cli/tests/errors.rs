@@ -2,7 +2,7 @@
 //! the usage text, a run-time failure of a well-formed command gets one
 //! `error:` line alone. Parse errors exit 2, dispatch errors exit 1.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Runs the binary; returns (exit code, stderr).
 fn bwfirst(args: &[&str]) -> (i32, String) {
@@ -41,4 +41,20 @@ fn runtime_errors_print_one_line() {
     assert!(!has_usage(&stderr), "{stderr}");
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
     assert!(stderr.starts_with("error: platform error: "), "{stderr}");
+}
+
+#[test]
+fn a_closed_stdout_is_not_a_panic() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bwfirst"))
+        .args(["generate", "kary", "--arity", "2", "--depth", "12"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run bwfirst");
+    // Close the read end before anything is read: every write hits EPIPE.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for bwfirst");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -122,12 +122,6 @@ impl BwFirstSolution {
     pub fn message_count(&self) -> usize {
         self.trace.len()
     }
-
-    /// Task outflow toward `child` (tasks per time unit over that edge).
-    #[must_use]
-    pub fn flow_to(&self, child: NodeId) -> Rat {
-        self.eta_in[child.index()]
-    }
 }
 
 /// A tree revealed on demand — a finite [`Platform`] through

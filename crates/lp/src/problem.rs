@@ -73,12 +73,6 @@ impl ProblemBuilder {
         VarId(self.objective.len() - 1)
     }
 
-    /// Number of declared variables.
-    #[must_use]
-    pub fn num_vars(&self) -> usize {
-        self.objective.len()
-    }
-
     /// Adds a linear constraint `Σ coeffᵢ·xᵢ  cmp  rhs`.
     ///
     /// Panics on unknown variables; repeated variables accumulate.

@@ -1,46 +1,23 @@
 //! Typed errors for the protocol layer.
 //!
 //! Lint rule **R2** (see `crates/analyze`) bans `unwrap`/`expect`/`panic!`
-//! from `proto/src`: every failure an actor or the driver can hit must
-//! surface as a [`ProtoError`] instead of tearing the thread down with an
-//! unnamed panic. The variants map one-to-one onto the invariants of the
-//! Section 5 transaction protocol.
+//! from `proto/src`: every failure a node or the dispatcher can hit must
+//! surface as a [`ProtoError`] instead of an unnamed panic. The variants map
+//! one-to-one onto the invariants of the Section 5 transaction protocol.
 
 use crate::wire::WireError;
 use bwfirst_obs::json::{obj, Value};
 use bwfirst_rational::Rat;
 use std::fmt;
 
-/// The counterpart a node was talking to when a link failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Peer {
-    /// The node's parent in the tree (or the virtual parent for the root).
-    Parent,
-    /// A child, by node id.
-    Child(u32),
-    /// The driver's report channel.
-    Driver,
-}
-
-impl fmt::Display for Peer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Peer::Parent => write!(f, "parent"),
-            Peer::Child(id) => write!(f, "child P{id}"),
-            Peer::Driver => write!(f, "driver"),
-        }
-    }
-}
-
-/// Everything that can go wrong inside an actor or the driving session.
+/// Everything that can go wrong at a node or in the dispatching session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtoError {
-    /// A channel to a peer was closed while the protocol still needed it.
+    /// The link between a node and its parent closed while the protocol
+    /// still needed it.
     ChannelClosed {
-        /// The node that observed the closed link.
+        /// The node at the child end of the link.
         node: u32,
-        /// Which peer went away.
-        peer: Peer,
     },
     /// A node received a proposal while a round was already in flight.
     MidRound {
@@ -77,11 +54,11 @@ pub enum ProtoError {
         /// The missing child id.
         child: u32,
     },
-    /// A control message targeted a node outside this subtree.
+    /// A control message reached a node other than its target.
     UnroutableControl {
-        /// The node whose routing table had no entry.
+        /// The node it reached.
         node: u32,
-        /// The unreachable target.
+        /// The node it is addressed to.
         target: u32,
     },
     /// The `lcm` of the local periods exceeded the `i128` range.
@@ -99,15 +76,6 @@ pub enum ProtoError {
         /// The root id.
         child: u32,
     },
-    /// An actor thread could not be spawned.
-    Spawn {
-        /// The node whose thread failed to start.
-        node: u32,
-        /// The OS error, stringified.
-        error: String,
-    },
-    /// The driver↔root link was closed or mis-wired.
-    DriverLinkClosed,
     /// A transport (socket / framing) error from the wire layer.
     Transport(WireError),
 }
@@ -127,8 +95,6 @@ impl ProtoError {
             ProtoError::PeriodOverflow { .. } => "period-overflow",
             ProtoError::MissingLink { .. } => "missing-link",
             ProtoError::NoParent { .. } => "no-parent",
-            ProtoError::Spawn { .. } => "spawn",
-            ProtoError::DriverLinkClosed => "driver-link-closed",
             ProtoError::Transport(_) => "transport",
         }
     }
@@ -144,10 +110,9 @@ impl ProtoError {
             | ProtoError::NoSchedule { node }
             | ProtoError::UnknownChild { node, .. }
             | ProtoError::UnroutableControl { node, .. }
-            | ProtoError::PeriodOverflow { node }
-            | ProtoError::Spawn { node, .. } => Some(*node),
+            | ProtoError::PeriodOverflow { node } => Some(*node),
             ProtoError::MissingLink { child } | ProtoError::NoParent { child } => Some(*child),
-            ProtoError::DriverLinkClosed | ProtoError::Transport(_) => None,
+            ProtoError::Transport(_) => None,
         }
     }
 
@@ -172,8 +137,8 @@ impl ProtoError {
 impl fmt::Display for ProtoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProtoError::ChannelClosed { node, peer } => {
-                write!(f, "P{node}: link to {peer} closed mid-protocol")
+            ProtoError::ChannelClosed { node } => {
+                write!(f, "P{node}: link to parent closed mid-protocol")
             }
             ProtoError::MidRound { node } => {
                 write!(f, "P{node}: proposal received while a round is in flight")
@@ -191,7 +156,7 @@ impl fmt::Display for ProtoError {
                 write!(f, "P{node}: no child P{child}")
             }
             ProtoError::UnroutableControl { node, target } => {
-                write!(f, "P{node}: control target P{target} not in subtree")
+                write!(f, "P{node}: control message for P{target} delivered here")
             }
             ProtoError::PeriodOverflow { node } => {
                 write!(f, "P{node}: period lcm exceeds i128 range")
@@ -202,10 +167,6 @@ impl fmt::Display for ProtoError {
             ProtoError::NoParent { child } => {
                 write!(f, "P{child} has no parent link to re-weight")
             }
-            ProtoError::Spawn { node, error } => {
-                write!(f, "cannot spawn actor thread for P{node}: {error}")
-            }
-            ProtoError::DriverLinkClosed => write!(f, "driver↔root link closed"),
             ProtoError::Transport(e) => write!(f, "transport: {e}"),
         }
     }
@@ -236,9 +197,10 @@ mod tests {
 
     #[test]
     fn unattributable_errors_omit_the_node() {
-        let v = ProtoError::DriverLinkClosed.to_violation_json();
-        assert_eq!(v["kind"].as_str(), Some("driver-link-closed"));
+        let e = ProtoError::Transport(WireError::Truncated);
+        let v = e.to_violation_json();
+        assert_eq!(v["kind"].as_str(), Some("transport"));
         assert!(v["node"].is_null());
-        assert!(ProtoError::DriverLinkClosed.node().is_none());
+        assert!(e.node().is_none());
     }
 }

@@ -1,16 +1,21 @@
-//! The distributed `BW-First` protocol: one actor per tree node, channels as
-//! links, every protocol message a single number.
+//! The distributed `BW-First` protocol: one state machine per tree node,
+//! every protocol message a single number.
 //!
 //! This crate realizes the paper's claim that `BW-First` "can be implemented
 //! as a lightweight communication protocol between the nodes of the
 //! platform": the traversal of `bwfirst-core` becomes an actual exchange of
-//! messages between OS threads. Each node actor knows only
-//! **local** information — its own processing time, its children's link
-//! times, and its channel endpoints — plus what its parent and children tell
-//! it (the *semi-autonomous* property of Section 5).
+//! messages over the tree's edges. Each node knows only **local**
+//! information — its own processing time and its children's link times —
+//! plus what its parent and children tell it (the *semi-autonomous* property
+//! of Section 5).
 //!
-//! A [`ProtocolSession`] spawns the actors and plays the root's
-//! *virtual parent*:
+//! A [`ProtocolSession`] is one dispatcher: it owns every node's state,
+//! delivers each message over its edge's link in per-link FIFO order on the
+//! caller's thread (no thread per node), and plays the root's *virtual
+//! parent*. A round keeps exactly one message in flight, so a thread per
+//! node would only add context switches. Links are handed over in memory
+//! ([`ProtocolSession::spawn`]) or cross localhost TCP sockets
+//! ([`ProtocolSession::spawn_tcp`]).
 //!
 //! * [`ProtocolSession::negotiate`] runs one full `BW-First` round —
 //!   proposals flow down, acknowledgments flow up — and returns the
@@ -30,14 +35,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod actor;
 pub mod error;
 pub mod machine;
 pub mod messages;
 pub mod session;
 pub mod wire;
 
-pub use error::{Peer, ProtoError};
+pub use error::ProtoError;
 pub use machine::NodeMachine;
 pub use messages::{ControlMsg, DownMsg, UpMsg};
 pub use session::{FlowOutcome, NegotiationOutcome, ProtocolSession};

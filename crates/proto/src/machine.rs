@@ -2,12 +2,12 @@
 //!
 //! [`NodeMachine`] is Algorithm 1 with the transport stripped out: feed it a
 //! proposal or an acknowledgment, get back the **single** message the
-//! protocol requires next. The threaded actor (`crate::actor`) drives one of
-//! these over channels; the exhaustive model checker in `crates/analyze`
-//! drives the very same code over an in-memory network, exploring every
-//! delivery interleaving. Keeping the two on one state machine is what makes
-//! the checker's verdicts about the shipped protocol rather than a model of
-//! it.
+//! protocol requires next. The session's dispatcher (`crate::session`)
+//! drives one per node, delivering each message over its edge's link; the
+//! exhaustive model checker in `crates/analyze` drives the very same code
+//! over an in-memory network, exploring every delivery interleaving. Keeping
+//! the two on one state machine is what makes the checker's verdicts about
+//! the shipped protocol rather than a model of it.
 //!
 //! A round at one node is a strict alternation — proposal in, then for each
 //! fundable child in bandwidth-centric order: proposal out, ack in — so the

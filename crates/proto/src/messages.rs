@@ -3,7 +3,7 @@
 //!
 //! The negotiation phase uses exactly the paper's two message kinds, each
 //! carrying a single rational number (Definition 1); everything else is
-//! harness control traffic (re-weighting, task payloads, shutdown).
+//! harness traffic (re-weighting, task payloads).
 
 use bwfirst_platform::Weight;
 use bwfirst_rational::Rat;
@@ -16,26 +16,14 @@ pub enum DownMsg {
     Proposal(Rat),
     /// One task's input file travelling down during the flow phase.
     Task(Arc<[u8]>),
-    /// The flow phase is over; drain and report.
-    Eof,
-    /// Root only: generate `bunches` bunches of `payload_len`-byte tasks and
-    /// route them with the local event-driven schedule.
-    StartFlow {
-        /// Number of root bunches (each of `Ψ_root` tasks) to generate.
-        bunches: u64,
-        /// Size of each task's payload in bytes.
-        payload_len: usize,
-    },
-    /// Re-weighting control message addressed to `target` (routed down the
-    /// tree hop by hop; FIFO channels order it before later proposals).
+    /// Re-weighting control message addressed to `target` (relayed down the
+    /// root→target path hop by hop, ahead of later proposals).
     Control {
         /// Node the change applies to.
         target: u32,
         /// The re-weighting itself.
         change: ControlMsg,
     },
-    /// Tear the subtree down.
-    Shutdown,
 }
 
 /// A re-weighting applied at a specific node.
@@ -57,23 +45,4 @@ pub enum ControlMsg {
 pub enum UpMsg {
     /// Second transaction phase: "`θ` tasks per time unit I could not take".
     Ack(Rat),
-}
-
-/// Out-of-band measurements sent to the driver (not part of the protocol).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Report {
-    /// One node's view after a negotiation round.
-    Negotiation {
-        node: u32,
-        alpha: Rat,
-        eta_in: Rat,
-        /// Proposals this node sent to children this round (one ack came
-        /// back for each, so this also counts acks received).
-        proposals_sent: u64,
-        /// Encoded octets of everything this node put on the wire this
-        /// round: its proposals down plus its own ack up.
-        wire_bytes_sent: u64,
-    },
-    /// One node's counters after a flow phase.
-    Flow { node: u32, computed: u64, forwarded: u64, bytes_processed: u64 },
 }

@@ -1,16 +1,18 @@
-//! The driver: spawns the actor tree and plays the virtual parent.
+//! The dispatcher: one loop that runs every node's protocol state and plays
+//! the root's virtual parent.
 
-use crate::actor::{Actor, ChildLink};
 use crate::error::ProtoError;
-use crate::messages::{ControlMsg, DownMsg, Report, UpMsg};
+use crate::machine::{NodeMachine, Outgoing};
+use crate::messages::{ControlMsg, DownMsg, UpMsg};
+use crate::wire::bridge::LinkEndpoints;
+use crate::wire::{encode_down, encode_up};
+use bwfirst_core::schedule::{LocalSchedule, LocalScheduleKind, NodeSchedule, SlotAction};
 use bwfirst_obs::{Arg, Event, EventKind, Recorder, Ts};
 use bwfirst_platform::{NodeId, Platform, Weight};
 use bwfirst_rational::Rat;
-use std::collections::HashMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::JoinHandle;
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
 /// Result of one distributed negotiation round.
 #[derive(Debug, Clone)]
 pub struct NegotiationOutcome {
@@ -121,162 +123,289 @@ pub fn virtual_proposal(platform: &Platform) -> Result<Rat, ProtoError> {
     Ok(platform.compute_rate(root) + best)
 }
 
-/// Takes the link endpoint in `slot` out for its one owner.
-fn take<T>(slots: &mut [Option<T>], slot: usize) -> Result<T, ProtoError> {
-    slots.get_mut(slot).and_then(Option::take).ok_or(ProtoError::DriverLinkClosed)
+/// How a message crosses the tree edge into a node. The root's edge comes
+/// from the virtual parent.
+enum Links {
+    /// The message is handed over in memory.
+    Memory,
+    /// Entry `k` is a localhost TCP link into node `k`
+    /// ([`crate::wire::bridge::tcp_link`]): every message is framed, crosses
+    /// a socket and is decoded again.
+    Tcp(Vec<LinkEndpoints>),
 }
 
-/// A live actor tree. Dropping the session shuts the actors down.
+impl Links {
+    /// Carries `msg` from `k`'s parent over the link into `k`.
+    fn down(&self, k: NodeId, msg: DownMsg) -> Result<DownMsg, ProtoError> {
+        match self {
+            Links::Memory => Ok(msg),
+            Links::Tcp(links) => {
+                let (tx, rx, _, _) = &links[k.index()];
+                cross(tx, rx, msg, k)
+            }
+        }
+    }
+
+    /// Carries `msg` from `k` over the link to its parent.
+    fn up(&self, k: NodeId, msg: UpMsg) -> Result<UpMsg, ProtoError> {
+        match self {
+            Links::Memory => Ok(msg),
+            Links::Tcp(links) => {
+                let (_, _, tx, rx) = &links[k.index()];
+                cross(tx, rx, msg, k)
+            }
+        }
+    }
+}
+
+/// Sends `msg` into one direction of the link into `k` and takes it out at
+/// the far end.
+fn cross<T>(tx: &Sender<T>, rx: &Receiver<T>, msg: T, k: NodeId) -> Result<T, ProtoError> {
+    tx.send(msg).ok().and_then(|()| rx.recv().ok()).ok_or(ProtoError::ChannelClosed { node: k.0 })
+}
+
+/// The one message in flight. A round proposes to one child and waits for
+/// its ack, and a task travels to the node that computes it before the next
+/// one leaves the root, so each link carries at most one message at a time
+/// and delivery is trivially FIFO per link.
+enum Hop {
+    /// `msg` crosses the link from the node's parent into the node.
+    Down(NodeId, DownMsg),
+    /// `msg` crosses the link from the node to its parent.
+    Up(NodeId, UpMsg),
+}
+
+/// One node's state: its negotiation machine and flow-phase counters, all
+/// local knowledge.
+struct Node {
+    machine: NodeMachine,
+    /// A proposal reached the node in the current round.
+    visited: bool,
+    /// Encoded octets the node sent in the current round: its proposals
+    /// down plus its own ack up.
+    wire_bytes_sent: u64,
+    schedule: Option<LocalSchedule>,
+    cursor: usize,
+    computed: u64,
+    forwarded: u64,
+    bytes_processed: u64,
+    checksum: u64,
+}
+
+impl Node {
+    fn id(&self) -> u32 {
+        self.machine.id()
+    }
+
+    /// Builds the event-driven local schedule from the node's own rates —
+    /// the Section 6.2 quantities need nothing but `α` and the `η_i`.
+    fn build_schedule(&self) -> Result<Option<LocalSchedule>, ProtoError> {
+        let alpha = self.machine.alpha();
+        let flows = self.machine.flows();
+        if !alpha.is_positive() && flows.iter().all(|f| !f.is_positive()) {
+            return Ok(None);
+        }
+        let children =
+            self.machine.children().iter().zip(flows).map(|(&(k, c), &eta)| (NodeId(k), c, eta));
+        let sched = NodeSchedule::from_rates(NodeId(self.id()), alpha, children)
+            .map_err(|_| ProtoError::PeriodOverflow { node: self.id() })?;
+        Ok(Some(LocalSchedule::build(&sched, LocalScheduleKind::Interleaved)))
+    }
+
+    /// Routes one arriving task by the next slot of the local schedule:
+    /// computes it here or returns the hop to the chosen child.
+    fn route_task(&mut self, payload: Arc<[u8]>) -> Result<Option<Hop>, ProtoError> {
+        if self.schedule.is_none() {
+            self.schedule = self.build_schedule()?;
+        }
+        let Some(schedule) = &self.schedule else {
+            // An inactive node received a task: the negotiation said it gets
+            // none, so this indicates a routing bug upstream.
+            return Err(ProtoError::NoSchedule { node: self.id() });
+        };
+        let action = schedule.actions[self.cursor];
+        self.cursor = (self.cursor + 1) % schedule.actions.len();
+        match action {
+            SlotAction::Compute => {
+                self.process(&payload);
+                Ok(None)
+            }
+            SlotAction::Send(child) => {
+                self.forwarded += 1;
+                Ok(Some(Hop::Down(child, DownMsg::Task(payload))))
+            }
+        }
+    }
+
+    /// "Computes" one task: folds the payload into a checksum, standing in
+    /// for real work while keeping the bytes actually read.
+    fn process(&mut self, payload: &[u8]) {
+        let mut acc = self.checksum;
+        for chunk in payload.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            acc = acc.rotate_left(7) ^ u64::from_le_bytes(word);
+        }
+        self.checksum = acc;
+        self.bytes_processed += payload.len() as u64;
+        self.computed += 1;
+    }
+}
+
+/// A live protocol session: every node's state plus the links between them,
+/// driven on the caller's thread.
 pub struct ProtocolSession {
     platform: Platform,
-    root_tx: Sender<DownMsg>,
-    root_rx: Receiver<UpMsg>,
-    report_rx: Receiver<Report>,
-    handles: Vec<JoinHandle<Result<(), ProtoError>>>,
+    nodes: Vec<Node>,
+    links: Links,
 }
 
 impl ProtocolSession {
-    /// Spawns one actor thread per platform node, wired with channels that
-    /// mirror the tree's edges.
+    /// Sets up one node state per platform node; messages cross the tree's
+    /// edges in memory.
     ///
     /// # Errors
-    /// [`ProtoError::Spawn`] if an actor thread cannot be started.
+    /// [`ProtoError::MissingLink`] if a non-root node has no link weight.
     pub fn spawn(platform: &Platform) -> Result<ProtocolSession, ProtoError> {
-        Self::spawn_with_links(platform, || {
-            let (dt, dr) = channel();
-            let (ut, ur) = channel();
-            Ok((dt, dr, ut, ur))
-        })
+        Self::with_links(platform, Links::Memory)
     }
 
-    /// Spawns the actor tree with every link crossing a real localhost TCP
+    /// Sets up the session with every edge crossing a real localhost TCP
     /// socket pair (framed with the [`crate::wire`] codec). The protocol is
-    /// byte-for-byte the one `spawn` runs over channels — this is the
-    /// "practical and scalable implementation" of Section 5 on an actual
-    /// network stack.
+    /// byte-for-byte the one `spawn` runs in memory — this is the "practical
+    /// and scalable implementation" of Section 5 on an actual network stack.
     ///
     /// # Errors
     /// [`ProtoError::Transport`] if localhost sockets cannot be created,
-    /// [`ProtoError::Spawn`] if a thread cannot be started.
+    /// [`ProtoError::MissingLink`] if a non-root node has no link weight.
     pub fn spawn_tcp(platform: &Platform) -> Result<ProtocolSession, ProtoError> {
-        Self::spawn_with_links(platform, || {
-            crate::wire::bridge::tcp_link().map_err(ProtoError::Transport)
-        })
+        let links = (0..platform.len())
+            .map(|_| crate::wire::bridge::tcp_link())
+            .collect::<Result<_, _>>()?;
+        Self::with_links(platform, Links::Tcp(links))
     }
 
-    /// Shared wiring: one actor per node; `make_link` supplies the transport
-    /// of each parent→child edge (including the driver→root edge).
-    fn spawn_with_links<F>(platform: &Platform, make_link: F) -> Result<ProtocolSession, ProtoError>
-    where
-        F: Fn() -> Result<crate::wire::bridge::LinkEndpoints, ProtoError>,
-    {
-        let n = platform.len();
-        let (report_tx, report_rx) = channel();
-        // Per-node link endpoints for the edge *into* that node. Each endpoint
-        // has one owner and is taken out of its slot exactly once; a missing
-        // one means the wiring below is broken, which the typed error
-        // surfaces instead of a panic.
-        let (mut down_tx, mut down_rx, mut up_tx, mut up_rx) = (
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-        );
-        for _ in 0..n {
-            let (dt, dr, ut, ur) = make_link()?;
-            down_tx.push(Some(dt));
-            down_rx.push(Some(dr));
-            up_tx.push(Some(ut));
-            up_rx.push(Some(ur));
-        }
-        let root_tx = take(&mut down_tx, 0)?;
-        let root_rx = take(&mut up_rx, 0)?;
-
-        let mut handles = Vec::with_capacity(n);
+    fn with_links(platform: &Platform, links: Links) -> Result<ProtocolSession, ProtoError> {
+        let mut nodes = Vec::with_capacity(platform.len());
         for id in platform.node_ids() {
-            let i = id.index();
-            let parent_rx = take(&mut down_rx, i)?;
-            let parent_tx = take(&mut up_tx, i)?;
-            let mut children = Vec::new();
+            let mut children = Vec::with_capacity(platform.children(id).len());
             for &k in platform.children(id) {
                 let c = platform.link_time(k).ok_or(ProtoError::MissingLink { child: k.0 })?;
-                let link = ChildLink {
-                    id: k.0,
-                    tx: take(&mut down_tx, k.index())?,
-                    rx: take(&mut up_rx, k.index())?,
-                };
-                children.push((link, c));
+                children.push((k.0, c));
             }
-            // Harness routing table: descendant → child slot.
-            let mut route = HashMap::new();
-            for (slot, &k) in platform.children(id).iter().enumerate() {
-                for d in platform.preorder_bandwidth_centric(k) {
-                    route.insert(d.0, slot);
-                }
-            }
-            let actor = Actor::new(
-                id.0,
-                platform.weight(id),
-                parent_rx,
-                parent_tx,
-                children,
-                route,
-                report_tx.clone(),
-            );
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("bwfirst-{id}"))
-                    .spawn(move || actor.run())
-                    .map_err(|e| ProtoError::Spawn { node: id.0, error: e.to_string() })?,
-            );
+            nodes.push(Node {
+                machine: NodeMachine::new(id.0, platform.weight(id), children),
+                visited: false,
+                wire_bytes_sent: 0,
+                schedule: None,
+                cursor: 0,
+                computed: 0,
+                forwarded: 0,
+                bytes_processed: 0,
+                checksum: 0,
+            });
         }
-        Ok(ProtocolSession { platform: platform.clone(), root_tx, root_rx, report_rx, handles })
+        Ok(ProtocolSession { platform: platform.clone(), nodes, links })
     }
 
-    /// The canonical virtual-parent proposal for the current platform state.
-    fn t_max(&self) -> Result<Rat, ProtoError> {
-        virtual_proposal(&self.platform)
+    /// Delivers messages until none is in flight. Returns the `θ` the root
+    /// acked to the virtual parent, if the last message was that ack.
+    fn pump(&mut self, mut next: Option<Hop>) -> Result<Option<Rat>, ProtoError> {
+        while let Some(hop) = next {
+            next = match hop {
+                Hop::Down(k, msg) => {
+                    let msg = self.links.down(k, msg)?;
+                    self.on_down(k, msg)?
+                }
+                Hop::Up(k, msg) => {
+                    let UpMsg::Ack(theta) = self.links.up(k, msg)?;
+                    let Some(p) = self.platform.parent(k) else { return Ok(Some(theta)) };
+                    let out = self.nodes[p.index()].machine.on_ack(k.0, theta)?;
+                    Some(self.emit(p, out))
+                }
+            };
+        }
+        Ok(None)
     }
 
-    /// Runs one `BW-First` round over the live actors.
+    /// Node `k` acts on a message from its parent and returns what it sends.
+    fn on_down(&mut self, k: NodeId, msg: DownMsg) -> Result<Option<Hop>, ProtoError> {
+        let node = &mut self.nodes[k.index()];
+        match msg {
+            DownMsg::Proposal(lambda) => {
+                let out = node.machine.on_proposal(lambda)?;
+                node.visited = true;
+                Ok(Some(self.emit(k, out)))
+            }
+            DownMsg::Task(payload) => node.route_task(payload),
+            DownMsg::Control { target, change } => {
+                if target != k.0 {
+                    return Err(ProtoError::UnroutableControl { node: k.0, target });
+                }
+                match change {
+                    ControlMsg::SetWeight(w) => node.machine.set_weight(w),
+                    ControlMsg::SetLink { child, c } => node.machine.set_link(child, c)?,
+                }
+                node.schedule = None;
+                Ok(None)
+            }
+        }
+    }
+
+    /// Turns the transmission node `k`'s machine requires into the hop that
+    /// carries it, counting its encoded octets.
+    fn emit(&mut self, k: NodeId, out: Outgoing) -> Hop {
+        let node = &mut self.nodes[k.index()];
+        match out {
+            Outgoing::ToChild { child, beta, .. } => {
+                let msg = DownMsg::Proposal(beta);
+                node.wire_bytes_sent += encode_down(&msg).len() as u64;
+                Hop::Down(NodeId(child), msg)
+            }
+            Outgoing::AckParent { theta } => {
+                // Rates changed: any previously built schedule is stale.
+                node.schedule = None;
+                node.cursor = 0;
+                let msg = UpMsg::Ack(theta);
+                node.wire_bytes_sent += encode_up(&msg).len() as u64;
+                Hop::Up(k, msg)
+            }
+        }
+    }
+
+    /// Runs one `BW-First` round over the live node states.
     ///
     /// # Errors
-    /// [`ProtoError::DriverLinkClosed`] if the root actor is gone (e.g. a
-    /// protocol violation stopped it — join the thread for the cause).
-    pub fn negotiate(&self) -> Result<NegotiationOutcome, ProtoError> {
-        let t_max = self.t_max()?;
+    /// A [`ProtoError`] if a node breaks the protocol or a link closes.
+    pub fn negotiate(&mut self) -> Result<NegotiationOutcome, ProtoError> {
+        let t_max = virtual_proposal(&self.platform)?;
+        for node in &mut self.nodes {
+            node.visited = false;
+            node.wire_bytes_sent = 0;
+        }
         let started = Instant::now();
-        self.root_tx.send(DownMsg::Proposal(t_max)).map_err(|_| ProtoError::DriverLinkClosed)?;
-        let UpMsg::Ack(theta) = self.root_rx.recv().map_err(|_| ProtoError::DriverLinkClosed)?;
+        let proposal = DownMsg::Proposal(t_max);
+        // The virtual parent's proposal, and the root's ack to it.
+        let mut protocol_messages = 1u64;
+        let mut wire_bytes = encode_down(&proposal).len() as u64;
+        let root = self.platform.root();
+        let theta = self
+            .pump(Some(Hop::Down(root, proposal)))?
+            .ok_or(ProtoError::ChannelClosed { node: root.0 })?;
         let elapsed = started.elapsed();
-        let n = self.platform.len();
+        let n = self.nodes.len();
         let mut alpha = vec![Rat::ZERO; n];
         let mut eta_in = vec![Rat::ZERO; n];
         let mut visited = vec![false; n];
         let mut proposals_sent = vec![0u64; n];
-        // The virtual parent's proposal and the root's ack to it.
-        let mut protocol_messages = 1u64;
-        let mut wire_bytes = crate::wire::encode_down(&DownMsg::Proposal(t_max)).len() as u64;
-        // All reports were enqueued before the root's ack (happens-before
-        // along the DFS), so a non-blocking drain sees them all.
-        for report in self.report_rx.try_iter() {
-            if let Report::Negotiation {
-                node,
-                alpha: a,
-                eta_in: e,
-                proposals_sent: p,
-                wire_bytes_sent: b,
-            } = report
-            {
-                let i = node as usize;
-                alpha[i] = a;
-                eta_in[i] = e;
-                visited[i] = true;
-                proposals_sent[i] = p;
-                // Each visited node sends its proposals plus its own ack.
-                protocol_messages += p + 1;
-                wire_bytes += b;
-            }
+        for (i, node) in self.nodes.iter().enumerate().filter(|(_, node)| node.visited) {
+            alpha[i] = node.machine.alpha();
+            eta_in[i] = node.machine.eta_in();
+            visited[i] = true;
+            proposals_sent[i] = node.machine.proposals_sent();
+            // Each visited node sends its proposals plus its own ack.
+            protocol_messages += proposals_sent[i] + 1;
+            wire_bytes += node.wire_bytes_sent;
         }
         Ok(NegotiationOutcome {
             t_max,
@@ -296,74 +425,80 @@ impl ProtocolSession {
     /// least one [`negotiate`](Self::negotiate).
     ///
     /// # Errors
-    /// [`ProtoError::DriverLinkClosed`] if the actor tree died mid-flow.
-    pub fn run_flow(&self, bunches: u64, payload_len: usize) -> Result<FlowOutcome, ProtoError> {
-        let n = self.platform.len();
+    /// A [`ProtoError`] if a schedule cannot be built or a link closes.
+    pub fn run_flow(
+        &mut self,
+        bunches: u64,
+        payload_len: usize,
+    ) -> Result<FlowOutcome, ProtoError> {
         let started = Instant::now();
-        self.root_tx
-            .send(DownMsg::StartFlow { bunches, payload_len })
-            .map_err(|_| ProtoError::DriverLinkClosed)?;
-        let mut computed = vec![0u64; n];
-        let mut forwarded = vec![0u64; n];
-        let mut bytes_processed = vec![0u64; n];
-        let mut seen = 0usize;
-        while seen < n {
-            match self.report_rx.recv().map_err(|_| ProtoError::DriverLinkClosed)? {
-                Report::Flow { node, computed: c, forwarded: f, bytes_processed: b } => {
-                    let i = node as usize;
-                    computed[i] = c;
-                    forwarded[i] = f;
-                    bytes_processed[i] = b;
-                    seen += 1;
-                }
-                Report::Negotiation { .. } => {}
-            }
+        let root = self.platform.root();
+        let root_node = &mut self.nodes[root.index()];
+        if root_node.schedule.is_none() {
+            root_node.schedule = root_node.build_schedule()?;
         }
-        Ok(FlowOutcome { computed, forwarded, bytes_processed, elapsed: started.elapsed() })
+        let bunch = root_node.schedule.as_ref().map_or(0, |s| s.actions.len() as u64);
+        let template: Arc<[u8]> = vec![0xA5u8; payload_len].into();
+        for _ in 0..bunches * bunch {
+            let next = self.on_down(root, DownMsg::Task(template.clone()))?;
+            self.pump(next)?;
+        }
+        let elapsed = started.elapsed();
+        let n = self.nodes.len();
+        let mut outcome = FlowOutcome {
+            computed: Vec::with_capacity(n),
+            forwarded: Vec::with_capacity(n),
+            bytes_processed: Vec::with_capacity(n),
+            elapsed,
+        };
+        for node in &mut self.nodes {
+            outcome.computed.push(std::mem::take(&mut node.computed));
+            outcome.forwarded.push(std::mem::take(&mut node.forwarded));
+            outcome.bytes_processed.push(std::mem::take(&mut node.bytes_processed));
+            node.cursor = 0;
+        }
+        Ok(outcome)
     }
 
-    /// Re-weights a node's processing time on the live actor (and in the
-    /// driver's mirror). Takes effect for subsequent negotiations.
+    /// Carries a control message hop by hop along the root→target path,
+    /// found from parent pointers, and applies it at the target.
+    fn control(&mut self, target: NodeId, change: ControlMsg) -> Result<(), ProtoError> {
+        // Nearest ancestor first: popping walks the path from the root.
+        let mut relays: Vec<NodeId> = self.platform.ancestors(target).collect();
+        let mut msg = DownMsg::Control { target: target.0, change };
+        while let Some(k) = relays.pop() {
+            msg = self.links.down(k, msg)?;
+        }
+        self.pump(Some(Hop::Down(target, msg)))?;
+        Ok(())
+    }
+
+    /// Re-weights a node's processing time on the live node state (and in
+    /// the driver's mirror). Takes effect for subsequent negotiations.
     ///
     /// # Errors
-    /// [`ProtoError::DriverLinkClosed`] if the actor tree is gone.
+    /// [`ProtoError::ChannelClosed`] if a link on the way closes.
     pub fn set_weight(&mut self, node: NodeId, w: Weight) -> Result<(), ProtoError> {
         self.platform.set_weight(node, w);
-        self.root_tx
-            .send(DownMsg::Control { target: node.0, change: ControlMsg::SetWeight(w) })
-            .map_err(|_| ProtoError::DriverLinkClosed)
+        self.control(node, ControlMsg::SetWeight(w))
     }
 
-    /// Re-weights the link into `child` on the live parent actor (and in the
+    /// Re-weights the link into `child` on the live parent node (and in the
     /// driver's mirror).
     ///
     /// # Errors
     /// [`ProtoError::NoParent`] for the root,
-    /// [`ProtoError::DriverLinkClosed`] if the actor tree is gone.
+    /// [`ProtoError::ChannelClosed`] if a link on the way closes.
     pub fn set_link(&mut self, child: NodeId, c: Rat) -> Result<(), ProtoError> {
         let parent = self.platform.parent(child).ok_or(ProtoError::NoParent { child: child.0 })?;
         self.platform.set_link_time(child, c);
-        self.root_tx
-            .send(DownMsg::Control {
-                target: parent.0,
-                change: ControlMsg::SetLink { child: child.0, c },
-            })
-            .map_err(|_| ProtoError::DriverLinkClosed)
+        self.control(parent, ControlMsg::SetLink { child: child.0, c })
     }
 
     /// The driver's current view of the platform (mirrors live re-weights).
     #[must_use]
     pub fn platform(&self) -> &Platform {
         &self.platform
-    }
-}
-
-impl Drop for ProtocolSession {
-    fn drop(&mut self) {
-        let _ = self.root_tx.send(DownMsg::Shutdown);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
     }
 }
 
@@ -378,7 +513,7 @@ mod tests {
     #[test]
     fn distributed_negotiation_matches_centralized() {
         let p = example_tree();
-        let session = ProtocolSession::spawn(&p).unwrap();
+        let mut session = ProtocolSession::spawn(&p).unwrap();
         let out = session.negotiate().unwrap();
         let reference = bw_first(&p);
         assert_eq!(out.throughput, example_throughput());
@@ -398,7 +533,7 @@ mod tests {
     #[test]
     fn negotiation_records_into_obs() {
         let p = example_tree();
-        let session = ProtocolSession::spawn(&p).unwrap();
+        let mut session = ProtocolSession::spawn(&p).unwrap();
         let out = session.negotiate().unwrap();
         let mut rec = bwfirst_obs::MemoryRecorder::new();
         out.record(&mut rec);
@@ -416,7 +551,7 @@ mod tests {
     #[test]
     fn unvisited_actors_stay_out_of_the_round() {
         let p = example_tree();
-        let session = ProtocolSession::spawn(&p).unwrap();
+        let mut session = ProtocolSession::spawn(&p).unwrap();
         let out = session.negotiate().unwrap();
         for id in example_unvisited() {
             assert!(!out.visited[id.index()]);
@@ -427,7 +562,7 @@ mod tests {
     #[test]
     fn negotiation_is_repeatable() {
         let p = example_tree();
-        let session = ProtocolSession::spawn(&p).unwrap();
+        let mut session = ProtocolSession::spawn(&p).unwrap();
         let first = session.negotiate().unwrap();
         for _ in 0..5 {
             let again = session.negotiate().unwrap();
@@ -440,7 +575,7 @@ mod tests {
     fn matches_centralized_on_random_trees() {
         for seed in 0..8 {
             let p = random_tree(&RandomTreeConfig { size: 48, seed, ..Default::default() });
-            let session = ProtocolSession::spawn(&p).unwrap();
+            let mut session = ProtocolSession::spawn(&p).unwrap();
             let out = session.negotiate().unwrap();
             assert_eq!(out.throughput, bw_first(&p).throughput(), "seed {seed}");
         }
@@ -479,7 +614,7 @@ mod tests {
     #[test]
     fn flow_routes_exact_proportions() {
         let p = example_tree();
-        let session = ProtocolSession::spawn(&p).unwrap();
+        let mut session = ProtocolSession::spawn(&p).unwrap();
         let _ = session.negotiate().unwrap();
         // 12 root bunches of Ψ=10 tasks: η ratios are exact at this horizon.
         let flow = session.run_flow(12, 64).unwrap();
@@ -504,7 +639,7 @@ mod tests {
     #[test]
     fn flow_can_run_repeatedly() {
         let p = example_tree();
-        let session = ProtocolSession::spawn(&p).unwrap();
+        let mut session = ProtocolSession::spawn(&p).unwrap();
         let _ = session.negotiate().unwrap();
         let a = session.run_flow(3, 16).unwrap();
         let b = session.run_flow(3, 16).unwrap();

@@ -9,8 +9,8 @@
 //!
 //! [`write_frame`]/[`read_frame`] add a one-byte-tag + varint-length framing
 //! suitable for any ordered byte stream; [`bridge`] pumps a channel pair
-//! over such a stream, letting actor links run across real sockets (see the
-//! TCP test in `tests/`).
+//! over such a stream, letting the session's links run across real sockets
+//! (see the TCP test in `tests/`).
 
 use crate::messages::{ControlMsg, DownMsg, UpMsg};
 use bwfirst_platform::Weight;
@@ -94,6 +94,11 @@ fn get_rat(buf: &[u8], pos: &mut usize) -> Result<Rat, WireError> {
     Rat::checked_new(num, den).map_err(|_| WireError::BadNumber)
 }
 
+/// Reads a node id, refusing values that do not fit a `u32`.
+fn get_u32(buf: &[u8], pos: &mut usize) -> Result<u32, WireError> {
+    u32::try_from(get_uvarint(buf, pos)?).map_err(|_| WireError::BadNumber)
+}
+
 /// Reads a rational that must pass `valid`. The sign checks keep values a
 /// `NodeMachine` would panic on (`c ≤ 0`, `w ≤ 0`, `λ < 0`) off the wire.
 fn get_rat_if(buf: &[u8], pos: &mut usize, valid: fn(Rat) -> bool) -> Result<Rat, WireError> {
@@ -108,9 +113,6 @@ fn get_rat_if(buf: &[u8], pos: &mut usize, valid: fn(Rat) -> bool) -> Result<Rat
 const TAG_PROPOSAL: u8 = 0x01;
 const TAG_ACK: u8 = 0x02;
 const TAG_TASK: u8 = 0x03;
-const TAG_EOF: u8 = 0x04;
-const TAG_SHUTDOWN: u8 = 0x05;
-const TAG_START_FLOW: u8 = 0x06;
 const TAG_SET_WEIGHT: u8 = 0x07;
 const TAG_SET_WEIGHT_INF: u8 = 0x08;
 const TAG_SET_LINK: u8 = 0x09;
@@ -128,13 +130,6 @@ pub fn encode_down(msg: &DownMsg) -> Vec<u8> {
             out.push(TAG_TASK);
             put_uvarint(&mut out, payload.len() as u128);
             out.extend_from_slice(payload);
-        }
-        DownMsg::Eof => out.push(TAG_EOF),
-        DownMsg::Shutdown => out.push(TAG_SHUTDOWN),
-        DownMsg::StartFlow { bunches, payload_len } => {
-            out.push(TAG_START_FLOW);
-            put_uvarint(&mut out, u128::from(*bunches));
-            put_uvarint(&mut out, *payload_len as u128);
         }
         DownMsg::Control { target, change } => match change {
             ControlMsg::SetWeight(Weight::Time(w)) => {
@@ -170,25 +165,18 @@ pub fn decode_down(buf: &[u8]) -> Result<DownMsg, WireError> {
             pos = end;
             DownMsg::Task(payload.into())
         }
-        TAG_EOF => DownMsg::Eof,
-        TAG_SHUTDOWN => DownMsg::Shutdown,
-        TAG_START_FLOW => {
-            let bunches = get_uvarint(buf, &mut pos)? as u64;
-            let payload_len = get_uvarint(buf, &mut pos)? as usize;
-            DownMsg::StartFlow { bunches, payload_len }
-        }
         TAG_SET_WEIGHT => {
-            let target = get_uvarint(buf, &mut pos)? as u32;
+            let target = get_u32(buf, &mut pos)?;
             let w = get_rat_if(buf, &mut pos, Rat::is_positive)?;
             DownMsg::Control { target, change: ControlMsg::SetWeight(Weight::Time(w)) }
         }
         TAG_SET_WEIGHT_INF => {
-            let target = get_uvarint(buf, &mut pos)? as u32;
+            let target = get_u32(buf, &mut pos)?;
             DownMsg::Control { target, change: ControlMsg::SetWeight(Weight::Infinite) }
         }
         TAG_SET_LINK => {
-            let target = get_uvarint(buf, &mut pos)? as u32;
-            let child = get_uvarint(buf, &mut pos)? as u32;
+            let target = get_u32(buf, &mut pos)?;
+            let child = get_u32(buf, &mut pos)?;
             let c = get_rat_if(buf, &mut pos, Rat::is_positive)?;
             DownMsg::Control { target, change: ControlMsg::SetLink { child, c } }
         }
@@ -234,7 +222,12 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError>
     Ok(())
 }
 
-/// Reads one length-prefixed frame from any byte stream.
+/// Reads one length-prefixed frame from any byte stream. The body is read as
+/// it arrives, so a forged length allocates nothing up front.
+///
+/// # Errors
+/// [`WireError::Io`] if the stream fails or ends before the length prefix,
+/// [`WireError::Truncated`] if it ends inside the body.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, WireError> {
     // Read the length varint byte by byte.
     let mut len: u128 = 0;
@@ -251,8 +244,12 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, WireError> {
         }
         shift += 7;
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(|e| WireError::Io(e.to_string()))?;
+    let len = u64::try_from(len).map_err(|_| WireError::BadNumber)?;
+    let mut payload = Vec::new();
+    r.take(len).read_to_end(&mut payload).map_err(|e| WireError::Io(e.to_string()))?;
+    if (payload.len() as u64) < len {
+        return Err(WireError::Truncated);
+    }
     Ok(payload)
 }
 
@@ -285,36 +282,36 @@ pub mod bridge {
     /// `(down_tx, down_rx, up_tx, up_rx)`.
     pub type LinkEndpoints = (Sender<DownMsg>, Receiver<DownMsg>, Sender<UpMsg>, Receiver<UpMsg>);
 
-    /// Pumps `DownMsg`s from a channel onto a byte stream.
+    /// Pumps `DownMsg`s from a channel onto a byte stream. Returns when the
+    /// channel closes (the session drops its senders).
     pub fn pump_down_out<W: Write>(
         rx: &Receiver<DownMsg>,
         stream: &mut W,
     ) -> Result<(), WireError> {
         for msg in rx.iter() {
-            let stop = matches!(msg, DownMsg::Shutdown);
             write_frame(stream, &encode_down(&msg))?;
-            if stop {
-                return Ok(());
-            }
         }
         Ok(())
     }
 
-    /// Pumps `DownMsg` frames from a byte stream into a channel.
+    /// Pumps `DownMsg` frames from a byte stream into a channel. Returns on
+    /// stream close or when the receiving side is gone.
     pub fn pump_down_in<R: Read>(stream: &mut R, tx: &Sender<DownMsg>) -> Result<(), WireError> {
         loop {
-            let frame = read_frame(stream)?;
+            let frame = match read_frame(stream) {
+                Ok(f) => f,
+                Err(WireError::Io(_)) => return Ok(()), // peer closed
+                Err(e) => return Err(e),
+            };
             let msg = super::decode_down(&frame)?;
-            let stop = matches!(msg, DownMsg::Shutdown);
-            tx.send(msg).map_err(|e| WireError::Io(e.to_string()))?;
-            if stop {
+            if tx.send(msg).is_err() {
                 return Ok(());
             }
         }
     }
 
     /// Pumps `UpMsg`s from a channel onto a byte stream. Returns when the
-    /// channel closes (actors drop their senders on shutdown).
+    /// channel closes (the session drops its senders).
     pub fn pump_up_out<W: Write>(rx: &Receiver<UpMsg>, stream: &mut W) -> Result<(), WireError> {
         for msg in rx.iter() {
             write_frame(stream, &super::encode_up(&msg))?;
@@ -342,7 +339,7 @@ pub mod bridge {
     /// up_tx, up_rx)` endpoints where everything written to `down_tx`
     /// re-materializes on `down_rx` after crossing a real socket (and
     /// symmetrically for the up direction on a second socket). The four
-    /// pump threads run detached and end when the link shuts down.
+    /// pump threads run detached and end once the endpoints are dropped.
     pub fn tcp_link() -> Result<LinkEndpoints, WireError> {
         use std::net::{TcpListener, TcpStream};
         use std::sync::mpsc::channel;
@@ -442,9 +439,6 @@ mod tests {
         let msgs = vec![
             DownMsg::Proposal(rat(355, 113)),
             DownMsg::Task(b"payload bytes".as_slice().into()),
-            DownMsg::Eof,
-            DownMsg::Shutdown,
-            DownMsg::StartFlow { bunches: 1000, payload_len: 4096 },
             DownMsg::Control { target: 7, change: ControlMsg::SetWeight(Weight::Time(rat(5, 2))) },
             DownMsg::Control { target: 9, change: ControlMsg::SetWeight(Weight::Infinite) },
             DownMsg::Control { target: 3, change: ControlMsg::SetLink { child: 4, c: rat(12, 1) } },
@@ -475,7 +469,7 @@ mod tests {
         put_uvarint(&mut bad, zigzag(0));
         assert!(matches!(decode_down(&bad), Err(WireError::BadNumber)));
         // Trailing garbage.
-        let mut trailing = encode_down(&DownMsg::Eof);
+        let mut trailing = encode_down(&DownMsg::Proposal(Rat::ONE));
         trailing.push(0);
         assert!(matches!(decode_down(&trailing), Err(WireError::Truncated)));
         assert!(matches!(decode_up(&[]), Err(WireError::Truncated)));
@@ -485,19 +479,44 @@ mod tests {
     #[test]
     fn frames_roundtrip_over_a_buffer() -> Result<(), WireError> {
         let mut stream = Vec::new();
-        for msg in
-            [DownMsg::Proposal(rat(10, 9)), DownMsg::Eof, DownMsg::Task(b"x".as_slice().into())]
-        {
+        for msg in [
+            DownMsg::Proposal(rat(10, 9)),
+            DownMsg::Proposal(Rat::ZERO),
+            DownMsg::Task(b"x".as_slice().into()),
+        ] {
             write_frame(&mut stream, &encode_down(&msg))?;
         }
         let mut cursor = std::io::Cursor::new(stream);
         let a = decode_down(&read_frame(&mut cursor)?)?;
         assert!(matches!(a, DownMsg::Proposal(r) if r == rat(10, 9)));
-        assert!(matches!(decode_down(&read_frame(&mut cursor)?)?, DownMsg::Eof));
+        assert!(
+            matches!(decode_down(&read_frame(&mut cursor)?)?, DownMsg::Proposal(r) if r.is_zero())
+        );
         assert!(matches!(decode_down(&read_frame(&mut cursor)?)?, DownMsg::Task(_)));
         // Stream exhausted.
         assert!(matches!(read_frame(&mut cursor), Err(WireError::Io(_))));
         Ok(())
+    }
+
+    #[test]
+    fn a_forged_frame_length_is_truncated_not_allocated() {
+        let mut stream = Vec::new();
+        put_uvarint(&mut stream, 1u128 << 60);
+        stream.extend_from_slice(b"short body");
+        let mut cursor = std::io::Cursor::new(stream);
+        assert_eq!(read_frame(&mut cursor).err(), Some(WireError::Truncated));
+    }
+
+    #[test]
+    fn control_ids_beyond_u32_are_refused() {
+        let mut bad = vec![TAG_SET_WEIGHT_INF];
+        put_uvarint(&mut bad, (1u128 << 32) + 3);
+        assert_eq!(decode_down(&bad).err(), Some(WireError::BadNumber));
+        let mut bad = vec![TAG_SET_LINK];
+        put_uvarint(&mut bad, 3);
+        put_uvarint(&mut bad, 1u128 << 32);
+        put_rat(&mut bad, Rat::ONE);
+        assert_eq!(decode_down(&bad).err(), Some(WireError::BadNumber));
     }
 
     #[test]

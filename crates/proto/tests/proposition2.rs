@@ -15,7 +15,7 @@ use bwfirst_proto::ProtocolSession;
 
 /// Runs one negotiation and returns the obs recorder holding its counters.
 fn negotiate_recorded(p: &Platform) -> (MemoryRecorder, bwfirst_proto::NegotiationOutcome) {
-    let session = ProtocolSession::spawn(p).expect("spawn actor tree");
+    let mut session = ProtocolSession::spawn(p).expect("spawn actor tree");
     let out = session.negotiate().expect("negotiation completes");
     let mut rec = MemoryRecorder::new();
     out.record(&mut rec);
@@ -83,7 +83,7 @@ fn wire_cost_is_bounded_by_the_message_count() {
 #[test]
 fn noop_recorder_records_nothing() {
     let p = example_tree();
-    let session = ProtocolSession::spawn(&p).expect("spawn actor tree");
+    let mut session = ProtocolSession::spawn(&p).expect("spawn actor tree");
     let out = session.negotiate().expect("negotiation completes");
     let mut noop = bwfirst_obs::Noop;
     assert!(!noop.enabled());

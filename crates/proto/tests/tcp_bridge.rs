@@ -31,9 +31,6 @@ fn channel_link_survives_a_tcp_hop() {
         DownMsg::Proposal(rat(10, 9)),
         DownMsg::Control { target: 3, change: ControlMsg::SetLink { child: 7, c: rat(12, 1) } },
         DownMsg::Task(vec![0xAB; 4096].into()),
-        DownMsg::StartFlow { bunches: 50, payload_len: 64 },
-        DownMsg::Eof,
-        DownMsg::Shutdown,
     ];
     for msg in &sent {
         tx_in.send(msg.clone()).expect("send");

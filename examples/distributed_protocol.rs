@@ -1,5 +1,7 @@
-//! The protocol, live: one OS thread per node, channels as links, and real
-//! task payloads flowing under the negotiated event-driven schedules.
+//! The protocol, live: one dispatcher runs every node's state machine and
+//! delivers each message over its edge's link in per-link FIFO order (no
+//! thread per node), and real task payloads flow under the negotiated
+//! event-driven schedules.
 //!
 //! ```text
 //! cargo run --release --example distributed_protocol
@@ -12,7 +14,7 @@ use bwfirst::rat;
 
 fn main() {
     let platform = example_tree();
-    println!("spawning {} node actors...", platform.len());
+    println!("setting up {} node state machines...", platform.len());
     let mut session = ProtocolSession::spawn(&platform).expect("spawn actor tree");
 
     // Phase 1: the negotiation. Every message carries a single rational.
@@ -28,7 +30,7 @@ fn main() {
         .filter(|&(_, &v)| !v)
         .map(|(i, _)| format!("P{i}"))
         .collect();
-    println!("  actors that never heard a proposal: {}", unvisited.join(", "));
+    println!("  nodes that never heard a proposal: {}", unvisited.join(", "));
 
     // Phase 2: move actual work units (4 KiB payloads) through the tree.
     // Each node routes bunches with the schedule derived from its own rates.
@@ -42,7 +44,7 @@ fn main() {
     }
 
     // A link degrades; the live tree renegotiates without restarting.
-    println!("\nP0->P1 link degrades to c=12; renegotiating on the live actors:");
+    println!("\nP0->P1 link degrades to c=12; renegotiating on the live session:");
     session.set_link(NodeId(1), rat(12, 1)).expect("set_link");
     let neg2 = session.negotiate().expect("negotiate");
     println!(
@@ -56,7 +58,7 @@ fn main() {
     // The same protocol over real localhost TCP sockets: every link becomes
     // a framed byte stream (3-byte messages via the varint codec).
     println!("\nsame tree, links over real TCP sockets:");
-    let tcp = ProtocolSession::spawn_tcp(&platform).expect("spawn over TCP");
+    let mut tcp = ProtocolSession::spawn_tcp(&platform).expect("spawn over TCP");
     let neg_tcp = tcp.negotiate().expect("negotiate");
     println!(
         "  throughput = {} ({} messages, {:?})",

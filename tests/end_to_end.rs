@@ -46,7 +46,7 @@ fn example_tree_full_pipeline() {
     assert!(rep.gantt.as_ref().unwrap().find_overlap().is_none());
 
     // Distributed protocol agrees with the centralized solver.
-    let session = ProtocolSession::spawn(&p).expect("spawn actor tree");
+    let mut session = ProtocolSession::spawn(&p).expect("spawn actor tree");
     let neg = session.negotiate().expect("negotiation completes");
     assert_eq!(neg.throughput, sol.throughput());
     assert_eq!(neg.alpha, sol.alpha);

@@ -31,7 +31,7 @@ proptest! {
     #[test]
     fn distributed_equals_centralized(p in arb_platform()) {
         let reference = bw_first(&p);
-        let session = ProtocolSession::spawn(&p).expect("spawn actor tree");
+        let mut session = ProtocolSession::spawn(&p).expect("spawn actor tree");
         let neg = session.negotiate().expect("negotiate");
         prop_assert_eq!(neg.throughput, reference.throughput());
         prop_assert_eq!(&neg.alpha, &reference.alpha);
@@ -44,7 +44,7 @@ proptest! {
 
     #[test]
     fn negotiation_is_idempotent(p in arb_platform()) {
-        let session = ProtocolSession::spawn(&p).expect("spawn actor tree");
+        let mut session = ProtocolSession::spawn(&p).expect("spawn actor tree");
         let a = session.negotiate().expect("negotiate");
         let b = session.negotiate().expect("negotiate");
         prop_assert_eq!(a.throughput, b.throughput);
@@ -59,7 +59,7 @@ proptest! {
         let ts = TreeSchedule::build(&p, &ss).unwrap();
         let root_bunch = ts.get(p.root()).map_or(0, |s| s.bunch) as u64;
         prop_assume!(root_bunch > 0 && root_bunch * bunches <= 50_000);
-        let session = ProtocolSession::spawn(&p).expect("spawn actor tree");
+        let mut session = ProtocolSession::spawn(&p).expect("spawn actor tree");
         let _ = session.negotiate().expect("negotiate");
         let flow = session.run_flow(bunches, 8).expect("flow completes");
         // Total volume is exact.
