@@ -4,7 +4,9 @@
 //! the reproduction of Figure 4 changed — which should never happen
 //! silently. The solver experiments E1 (Proposition 1 on random forks), E6
 //! (visits and messages under root-link bottlenecks) and E10 (lazy bounds on
-//! infinite trees) are exact and seeded, so they are pinned the same way.
+//! infinite trees) are exact and seeded, so they are pinned the same way, as
+//! is E17 (overlay search on seeded random graphs: throughputs and the
+//! number of candidates the search scored).
 
 use bwfirst_bench::experiments;
 
@@ -49,4 +51,9 @@ fn e6_visit_counts_are_stable() {
 #[test]
 fn e10_infinite_tree_bounds_are_stable() {
     check("e10", include_str!("golden/e10.txt"));
+}
+
+#[test]
+fn e17_overlay_search_is_stable() {
+    check("e17", include_str!("golden/e17.txt"));
 }
