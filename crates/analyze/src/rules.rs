@@ -69,14 +69,12 @@ pub fn rules_for(rel: &str) -> Vec<&'static str> {
     let mut rules = Vec::new();
     let in_dir = |d: &str| rel.starts_with(d);
 
-    // R1: the exact-arithmetic cone. `core/src/float.rs` and
-    // `core/src/quantize.rs` ARE the sanctioned float boundary.
+    // R1: the exact-arithmetic cone. `core/src/quantize.rs` IS the
+    // sanctioned float boundary.
     let r1 = in_dir("crates/rational/src/")
         || in_dir("crates/proto/src/")
         || in_dir("crates/lp/src/")
-        || (in_dir("crates/core/src/")
-            && !rel.ends_with("/float.rs")
-            && !rel.ends_with("/quantize.rs"));
+        || (in_dir("crates/core/src/") && !rel.ends_with("/quantize.rs"));
     if r1 {
         rules.push(RULE_FLOAT);
     }
@@ -385,7 +383,7 @@ mod tests {
     #[test]
     fn scopes_route_rules_to_the_right_paths() {
         assert!(rules_for("crates/rational/src/rat.rs").contains(&RULE_FLOAT));
-        assert!(!rules_for("crates/core/src/float.rs").contains(&RULE_FLOAT));
+        assert!(rules_for("crates/core/src/bwfirst.rs").contains(&RULE_FLOAT));
         assert!(!rules_for("crates/core/src/quantize.rs").contains(&RULE_FLOAT));
         assert!(rules_for("crates/sim/src/event_driven.rs").contains(&RULE_PANIC));
         assert!(rules_for("crates/sim/src/monitor.rs").contains(&RULE_PANIC));

@@ -29,12 +29,10 @@
 //! * [`lazy`] — BW-First over lazily generated (conceptually infinite)
 //!   trees, with converging lower/upper throughput bounds (Section 5's
 //!   infinite-network remark): two depth-limited runs of the same walk.
-//! * [`float`] — an `f64` fast path used by benches to price exact
-//!   arithmetic.
 //! * [`validate`] — one-call validation of a whole event-driven schedule
 //!   (rates + periods + quantities + orders) before deployment.
-//! * [`observe`] — converts solver outputs (transaction traces, reduction
-//!   counts, period constructions) into `bwfirst-obs` spans and metrics.
+//! * [`observe`] — converts solver outputs (transaction traces, period
+//!   constructions) into `bwfirst-obs` spans and metrics.
 //! * [`expectations`] — packages the solver's exact `η`/`α`/`Ψ` reference
 //!   quantities for the runtime monitors in `bwfirst-sim`.
 //!
@@ -47,7 +45,6 @@
 pub mod bottom_up;
 pub mod bwfirst;
 pub mod expectations;
-pub mod float;
 pub mod fork;
 pub mod lazy;
 pub mod observe;

@@ -2,13 +2,11 @@
 //!
 //! The solvers themselves stay observation-free — they already return full
 //! accounts of their work (the [`BwFirstSolution`] trace, the
-//! [`BottomUpOutcome`] reduction counts, the [`TreeSchedule`] periods) — so
-//! these functions convert those accounts into trace spans and counters
-//! after the fact. `bw_first`'s DFS trace nests like parentheses, which is
+//! [`TreeSchedule`] periods) — so these functions convert those accounts
+//! into trace spans and counters after the fact. `bw_first`'s DFS trace nests like parentheses, which is
 //! exactly a span tree: every proposal opens a `visit P<i>` span on the
 //! child's track and the matching acknowledgment closes it.
 
-use crate::bottom_up::BottomUpOutcome;
 use crate::bwfirst::{BwFirstSolution, TraceEvent};
 use crate::schedule::TreeSchedule;
 use bwfirst_obs::{Arg, Event, EventKind, Recorder, Ts};
@@ -50,21 +48,6 @@ pub fn record_negotiation(sol: &BwFirstSolution, rec: &mut impl Recorder) {
     rec.add("core.bwfirst.pruned", (sol.visited.len() - sol.visit_count()) as i128);
 }
 
-/// Records a bottom-up reduction run: the `core.bottom_up.*` work counters
-/// the paper's Section 5 comparison is about, plus one instant event with
-/// the resulting throughput.
-pub fn record_bottom_up(out: &BottomUpOutcome, rec: &mut impl Recorder) {
-    if !rec.enabled() {
-        return;
-    }
-    rec.event(
-        Event::new(Ts::ZERO, 0, "bottom_up", EventKind::Instant)
-            .arg("throughput", Arg::Rat(out.throughput.numer(), out.throughput.denom())),
-    );
-    rec.add("core.bottom_up.reductions", out.reductions as i128);
-    rec.add("core.bottom_up.children_processed", out.children_processed as i128);
-}
-
 /// Records the Lemma 1 / Section 6.2 period construction: one instant event
 /// per active node carrying its periods and quantities, histograms over the
 /// lcm sizes (`core.schedule.t_omega`, `core.schedule.t_full`) and bunch
@@ -94,8 +77,8 @@ pub fn record_schedule(sched: &TreeSchedule, rec: &mut impl Recorder) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bw_first;
     use crate::steady_state::SteadyState;
-    use crate::{bottom_up, bw_first};
     use bwfirst_obs::{MemoryRecorder, Noop};
     use bwfirst_platform::examples::example_tree;
 
@@ -122,15 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn bottom_up_work_counters() {
-        let out = bottom_up(&example_tree());
-        let mut rec = MemoryRecorder::new();
-        record_bottom_up(&out, &mut rec);
-        assert_eq!(rec.metrics.counter("core.bottom_up.reductions"), 5);
-        assert_eq!(rec.metrics.counter("core.bottom_up.children_processed"), 11);
-    }
-
-    #[test]
     fn schedule_periods_and_bunches() {
         let p = example_tree();
         let ss = SteadyState::from_solution(&bw_first(&p));
@@ -148,6 +122,5 @@ mod tests {
         let p = example_tree();
         let sol = bw_first(&p);
         record_negotiation(&sol, &mut Noop);
-        record_bottom_up(&bottom_up(&p), &mut Noop);
     }
 }

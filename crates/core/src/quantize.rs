@@ -77,21 +77,6 @@ pub fn loss_bound(platform: &Platform, ss: &SteadyState, grid: i128) -> Rat {
     Rat::new(active as i128, grid)
 }
 
-/// The smallest grid from `candidates` whose quantization loses at most
-/// `max_loss` of the original throughput (measured exactly, not by bound).
-/// Returns `None` if none qualifies.
-#[must_use]
-pub fn smallest_grid_within(
-    platform: &Platform,
-    ss: &SteadyState,
-    candidates: &[i128],
-    max_loss: Rat,
-) -> Option<i128> {
-    let mut sorted = candidates.to_vec();
-    sorted.sort_unstable();
-    sorted.into_iter().find(|&g| ss.throughput - quantize(platform, ss, g).throughput <= max_loss)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,21 +150,6 @@ mod tests {
         assert_eq!(q.alpha[7], Rat::ZERO);
         assert_eq!(q.alpha[8], Rat::ZERO);
         q.verify(&p).unwrap();
-    }
-
-    #[test]
-    fn smallest_grid_search() {
-        let p = example_tree();
-        let ss = state(&p);
-        // Zero loss needs a grid the denominators divide: 36 qualifies.
-        let g = smallest_grid_within(&p, &ss, &[6, 12, 36, 360], Rat::ZERO);
-        assert_eq!(g, Some(36));
-        // Allowing 10% loss admits a much smaller grid.
-        let g = smallest_grid_within(&p, &ss, &[6, 12, 36, 360], ss.throughput / rat(10, 1));
-        assert_eq!(g, Some(12));
-        // Impossible demand.
-        let g = smallest_grid_within(&p, &ss, &[5], -Rat::ONE);
-        assert_eq!(g, None);
     }
 
     #[test]

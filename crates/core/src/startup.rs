@@ -9,7 +9,7 @@
 //! times never exceed them.
 
 use crate::schedule::TreeSchedule;
-use bwfirst_platform::{NodeId, Platform};
+use bwfirst_platform::Platform;
 
 /// Per-node Proposition 4 start-up bounds: node `i` is in steady state at
 /// time `Σ_{a ∈ ancestors(i)} T_a^ω` at the latest (`None` for inactive
@@ -34,23 +34,6 @@ pub fn startup_bounds(platform: &Platform, schedule: &TreeSchedule) -> Vec<Optio
 #[must_use]
 pub fn tree_startup_bound(platform: &Platform, schedule: &TreeSchedule) -> i128 {
     startup_bounds(platform, schedule).into_iter().flatten().max().unwrap_or(0)
-}
-
-/// The ancestors whose consuming periods make up a node's bound — useful for
-/// reporting which path dominates the start-up.
-#[must_use]
-pub fn dominant_path(platform: &Platform, schedule: &TreeSchedule) -> Vec<NodeId> {
-    let bounds = startup_bounds(platform, schedule);
-    let Some((idx, _)) =
-        bounds.iter().enumerate().filter_map(|(i, b)| b.map(|v| (i, v))).max_by_key(|&(_, v)| v)
-    else {
-        return Vec::new();
-    };
-    let id = NodeId(idx as u32);
-    let mut path: Vec<NodeId> = platform.ancestors(id).collect();
-    path.reverse();
-    path.push(id);
-    path
 }
 
 #[cfg(test)]
@@ -92,8 +75,6 @@ mod tests {
     fn tree_bound_is_deepest_path() {
         let (p, ts) = schedule();
         assert_eq!(tree_startup_bound(&p, &ts), 27);
-        let path = dominant_path(&p, &ts);
-        assert_eq!(path, vec![NodeId(0), NodeId(3), NodeId(7), NodeId(8)]);
     }
 
     #[test]

@@ -73,13 +73,6 @@ impl SteadyState {
         }
     }
 
-    /// Tasks per time unit flowing from `id` to each of its children, in the
-    /// platform's child order (children with zero flow included).
-    #[must_use]
-    pub fn eta_out(&self, platform: &Platform, id: NodeId) -> Vec<(NodeId, Rat)> {
-        platform.children(id).iter().map(|&k| (k, self.eta_in[k.index()])).collect()
-    }
-
     /// `true` iff the node takes part in the schedule (handles any tasks).
     #[must_use]
     pub fn is_active(&self, id: NodeId) -> bool {
@@ -157,18 +150,6 @@ mod tests {
         let (p, ss) = example_state();
         let active: Vec<u32> = p.node_ids().filter(|&n| ss.is_active(n)).map(|n| n.0).collect();
         assert_eq!(active, vec![0, 1, 2, 3, 4, 6, 7, 8]);
-    }
-
-    #[test]
-    fn eta_out_lists_children_flows() {
-        let (p, ss) = example_state();
-        let out = ss.eta_out(&p, NodeId(0));
-        assert_eq!(out.len(), 3);
-        for (_, flow) in out {
-            assert_eq!(flow, rat(1, 3));
-        }
-        let out3 = ss.eta_out(&p, NodeId(3));
-        assert_eq!(out3, vec![(NodeId(7), rat(1, 6)), (NodeId(11), Rat::ZERO)]);
     }
 
     #[test]

@@ -28,18 +28,16 @@
 //!
 //! Records are the bulk of an artifact (six per task, hundreds of
 //! thousands in a long run), so neither direction builds a JSON [`Value`]
-//! per record: [`TraceRecord::write_json`] appends the compact line
-//! directly, in one fixed layout. The reader first tries that layout in
-//! one pass over the line's bytes: the writer's member order, integers
-//! as `json::write_int` writes them, times `"p"` or `"p/q"` with `q > 1`,
-//! and nothing after the closing `}`. Any other line goes to the member
-//! visitor ([`json::visit_object`](crate::json::visit_object): strings
-//! borrowed, integers read as they are scanned), which keeps each key's
-//! first occurrence, ignores unknown keys, and alone reports decode
-//! errors. The bytes written are those of the `Value` rendering, and any
-//! layout `json::parse` accepts (member order, whitespace, escapes,
-//! `"p/1"`) decodes to the same record or fails with the same message.
-//! Only the header, one line per artifact, goes through a `Value`.
+//! for the lines the writer emits: [`TraceRecord::write_json`] appends the
+//! compact line directly, in one fixed layout, and the reader decodes that
+//! layout in one pass over the line's bytes: the writer's member order,
+//! integers as `json::write_int` writes them, times `"p"` or `"p/q"` with
+//! `q > 1`, and nothing after the closing `}`. Any other line goes through
+//! [`json::parse`](crate::json::parse), which keeps each key's first
+//! occurrence and ignores unknown keys, and alone reports decode errors.
+//! The bytes written are those of the `Value` rendering, and any layout
+//! `json::parse` accepts (member order, whitespace, escapes, `"p/1"`)
+//! decodes to the same record or fails with the same message.
 //!
 //! [`Trace::lineage`] extracts one task's causal chain, [`Trace::diff`]
 //! aligns two traces by task id (the cross-executor Lemma 1 check), and
@@ -48,7 +46,7 @@
 
 use crate::chrome::track;
 use crate::event::{Event, EventKind, Ts};
-use crate::json::{obj, parse, visit_object, write_int, Member, Value};
+use crate::json::{obj, parse, write_int, Value};
 use std::collections::HashMap;
 
 /// The artifact format tag carried in every trace header.
@@ -572,74 +570,6 @@ fn json_line(line: &str) -> Result<Value, String> {
     parse(line).map_err(|e| format!("not valid JSON: {e}"))
 }
 
-/// The members a record can carry, each at its first occurrence in the
-/// line (the one `Value::get` would find); other keys are ignored.
-#[derive(Default)]
-struct RecordMembers<'a> {
-    k: Option<Member<'a>>,
-    task: Option<Member<'a>>,
-    node: Option<Member<'a>>,
-    t: Option<Member<'a>>,
-    stock: Option<Member<'a>>,
-    action: Option<Member<'a>>,
-    child: Option<Member<'a>>,
-    slot: Option<Member<'a>>,
-    psi: Option<Member<'a>>,
-    period: Option<Member<'a>>,
-    from: Option<Member<'a>>,
-    start: Option<Member<'a>>,
-    end: Option<Member<'a>>,
-}
-
-impl<'a> RecordMembers<'a> {
-    fn read(line: &'a str) -> Result<RecordMembers<'a>, String> {
-        let mut m = RecordMembers::default();
-        visit_object(line, |key, value| {
-            let slot = match &*key {
-                "k" => &mut m.k,
-                "task" => &mut m.task,
-                "node" => &mut m.node,
-                "t" => &mut m.t,
-                "stock" => &mut m.stock,
-                "action" => &mut m.action,
-                "child" => &mut m.child,
-                "slot" => &mut m.slot,
-                "psi" => &mut m.psi,
-                "period" => &mut m.period,
-                "from" => &mut m.from,
-                "start" => &mut m.start,
-                "end" => &mut m.end,
-                _ => return,
-            };
-            slot.get_or_insert(value);
-        })
-        .map_err(|e| format!("not valid JSON: {e}"))?;
-        Ok(m)
-    }
-}
-
-fn member_int(m: &Option<Member>) -> Option<i128> {
-    match m {
-        Some(Member::Int(n)) => Some(*n),
-        _ => None,
-    }
-}
-
-fn member_str<'m>(m: &'m Option<Member>) -> Option<&'m str> {
-    match m {
-        Some(Member::Str(s)) => Some(s),
-        _ => None,
-    }
-}
-
-fn member_node(m: &Option<Member>) -> Option<u32> {
-    member_int(m).and_then(|n| u32::try_from(n).ok())
-}
-
-fn member_ts(m: &Option<Member>) -> Option<Ts> {
-    member_str(m).and_then(parse_rational)
-}
-
 /// The unread rest of a line in [`canonical_record`]'s one pass.
 struct Canonical<'a>(&'a [u8]);
 
@@ -763,44 +693,51 @@ fn canonical_record(line: &str) -> Option<TraceRecord> {
 
 /// Decodes one record line (the JSON and per-record checks; the header
 /// and causality checks are [`TraceHeader::check`]'s): the canonical lane
-/// first, then the member visitor, the only source of decode errors.
+/// first, then [`json::parse`](crate::json::parse) and
+/// [`record_from_json`], the only source of decode errors.
 fn record_from_line(line: &str) -> Result<TraceRecord, String> {
-    if let Some(r) = canonical_record(line) {
-        return Ok(r);
+    match canonical_record(line) {
+        Some(r) => Ok(r),
+        None => json_line(line).and_then(|v| record_from_json(&v)),
     }
-    let m = RecordMembers::read(line)?;
-    let task = member_int(&m.task).ok_or("missing or non-integer `task`")?;
-    let node = member_node(&m.node).ok_or("missing or malformed `node`")?;
-    let t = || member_ts(&m.t).ok_or("missing or malformed `t`");
-    match member_str(&m.k) {
+}
+
+/// Decodes a record from its parsed JSON object: each key's first
+/// occurrence, unknown keys ignored.
+fn record_from_json(v: &Value) -> Result<TraceRecord, String> {
+    let task = v["task"].as_i128().ok_or("missing or non-integer `task`")?;
+    let node = as_node(&v["node"]).ok_or("missing or malformed `node`")?;
+    match v["k"].as_str() {
         Some("enter") => {
-            let stock = matches!(m.stock, Some(Member::Bool(true)));
-            Ok(TraceRecord::Enter { task, node, t: t()?, stock })
+            let t = parse_ts(&v["t"]).ok_or("missing or malformed `t`")?;
+            let stock = matches!(&v["stock"], Value::Bool(true));
+            Ok(TraceRecord::Enter { task, node, t, stock })
         }
         Some("dispatch") => {
-            let t = t()?;
-            let action = match member_str(&m.action) {
+            let t = parse_ts(&v["t"]).ok_or("missing or malformed `t`")?;
+            let action = match v["action"].as_str() {
                 Some("compute") => Action::Compute,
                 Some("send") => {
-                    Action::Send(member_node(&m.child).ok_or("`send` without a `child`")?)
+                    Action::Send(as_node(&v["child"]).ok_or("`send` without a `child`")?)
                 }
                 _ => return Err("missing or unknown `action`".to_string()),
             };
-            let (slot, psi, period) =
-                (member_int(&m.slot), member_int(&m.psi), member_int(&m.period));
+            let slot = v["slot"].as_i128();
+            let psi = v["psi"].as_i128();
+            let period = v["period"].as_i128();
             Ok(TraceRecord::Dispatch(Dispatch { task, node, t, action, slot, psi, period }))
         }
         Some("deliver") => Ok(TraceRecord::Deliver {
             task,
             node,
-            from: member_node(&m.from).ok_or("missing or malformed `from`")?,
-            t: t()?,
+            from: as_node(&v["from"]).ok_or("missing or malformed `from`")?,
+            t: parse_ts(&v["t"]).ok_or("missing or malformed `t`")?,
         }),
         Some("compute") => Ok(TraceRecord::Compute {
             task,
             node,
-            start: member_ts(&m.start).ok_or("missing or malformed `start`")?,
-            end: member_ts(&m.end).ok_or("missing or malformed `end`")?,
+            start: parse_ts(&v["start"]).ok_or("missing or malformed `start`")?,
+            end: parse_ts(&v["end"]).ok_or("missing or malformed `end`")?,
         }),
         Some(other) => Err(format!("unknown record kind `{other}`")),
         None => Err("missing `k` discriminator".to_string()),
@@ -1450,7 +1387,7 @@ mod tests {
     }
 
     /// The canonical lane takes only the writer's own layout: each line
-    /// here is declined, and the member visitor reads it to the record
+    /// here is declined, and `json::parse` reads it to the record
     /// the canonical line decodes to.
     #[test]
     fn canonical_lane_declines_other_layouts() {
@@ -1484,9 +1421,9 @@ mod tests {
     }
 
     /// A valid artifact in another layout (whitespace, permuted members,
-    /// an escaped `"enter"`, `"p/1"` times) reads through the member
-    /// visitor to the trace of its canonical bytes: the first lines of
-    /// the Fig. 2 event golden.
+    /// an escaped `"enter"`, `"p/1"` times) reads through `json::parse`
+    /// to the trace of its canonical bytes: the first lines of the Fig. 2
+    /// event golden.
     #[test]
     fn relaid_artifact_reads_as_its_canonical_bytes() {
         let relaid = include_str!("../testdata/trace_good_relaid.jsonl");
@@ -1542,48 +1479,6 @@ mod tests {
             }
         }
         obj(m)
-    }
-
-    /// The `Value`-tree record decoder [`record_from_line`] replaced: the
-    /// reader's oracle.
-    fn record_from_json(v: &Value) -> Result<TraceRecord, String> {
-        let task = v["task"].as_i128().ok_or("missing or non-integer `task`")?;
-        let node = as_node(&v["node"]).ok_or("missing or malformed `node`")?;
-        match v["k"].as_str() {
-            Some("enter") => {
-                let t = parse_ts(&v["t"]).ok_or("missing or malformed `t`")?;
-                let stock = matches!(&v["stock"], Value::Bool(true));
-                Ok(TraceRecord::Enter { task, node, t, stock })
-            }
-            Some("dispatch") => {
-                let t = parse_ts(&v["t"]).ok_or("missing or malformed `t`")?;
-                let action = match v["action"].as_str() {
-                    Some("compute") => Action::Compute,
-                    Some("send") => {
-                        Action::Send(as_node(&v["child"]).ok_or("`send` without a `child`")?)
-                    }
-                    _ => return Err("missing or unknown `action`".to_string()),
-                };
-                let slot = v["slot"].as_i128();
-                let psi = v["psi"].as_i128();
-                let period = v["period"].as_i128();
-                Ok(TraceRecord::Dispatch(Dispatch { task, node, t, action, slot, psi, period }))
-            }
-            Some("deliver") => Ok(TraceRecord::Deliver {
-                task,
-                node,
-                from: as_node(&v["from"]).ok_or("missing or malformed `from`")?,
-                t: parse_ts(&v["t"]).ok_or("missing or malformed `t`")?,
-            }),
-            Some("compute") => Ok(TraceRecord::Compute {
-                task,
-                node,
-                start: parse_ts(&v["start"]).ok_or("missing or malformed `start`")?,
-                end: parse_ts(&v["end"]).ok_or("missing or malformed `end`")?,
-            }),
-            Some(other) => Err(format!("unknown record kind `{other}`")),
-            None => Err("missing `k` discriminator".to_string()),
-        }
     }
 
     fn value_decoder(line: &str) -> Result<TraceRecord, String> {

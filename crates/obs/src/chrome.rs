@@ -39,15 +39,10 @@ pub fn track_names(n: usize) -> Vec<(u32, String)> {
 ///
 /// `scale` is the number of trace microseconds per simulated time unit
 /// (1000.0 makes one time unit read as one millisecond in the viewer).
-#[must_use]
-pub fn to_chrome_trace(rec: &MemoryRecorder, scale: f64) -> String {
-    to_chrome_trace_named(rec, scale, "", &[])
-}
-
-/// Like [`to_chrome_trace`], but prefixes `M` (metadata) events so tracks
-/// open *labeled* in Perfetto / `chrome://tracing`: a `process_name` for the
-/// single pid when `process` is non-empty, and a `thread_name` per
-/// `(track id, label)` pair in `tracks` (e.g. from [`track_names`]).
+/// `M` (metadata) events come first so tracks open *labeled* in Perfetto /
+/// `chrome://tracing`: a `process_name` for the single pid when `process`
+/// is non-empty, and a `thread_name` per `(track id, label)` pair in
+/// `tracks` (e.g. from [`track_names`]).
 #[must_use]
 pub fn to_chrome_trace_named(
     rec: &MemoryRecorder,
@@ -137,7 +132,7 @@ mod tests {
         rec.event(
             Event::new(Ts::new(3, 2), 1, "buffer", EventKind::Counter).arg("tasks", Arg::Int(4)),
         );
-        let trace = to_chrome_trace(&rec, 1000.0);
+        let trace = to_chrome_trace_named(&rec, 1000.0, "", &[]);
         let v = json::parse(&trace).unwrap();
         let evs = v["traceEvents"].as_array().unwrap();
         assert_eq!(evs.len(), 3);

@@ -3,11 +3,7 @@
 //! Output matches the conventional pretty-printing (two-space indent) and
 //! compact forms, so files written by earlier versions of the repo parse
 //! back byte-identically. Objects preserve insertion order.
-//!
-//! [`visit_object`] reads an object's members without building a tree,
-//! for callers that decode one fixed-shape line at a time.
 
-use std::borrow::Cow;
 use std::fmt;
 use std::ops::Index;
 
@@ -265,42 +261,6 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
     Ok(v)
 }
 
-/// An object member's value as [`visit_object`] hands it over.
-#[derive(Debug, PartialEq)]
-pub enum Member<'a> {
-    /// `true` / `false`
-    Bool(bool),
-    /// An integer that fits an `i128`.
-    Int(i128),
-    /// A string, borrowed from the input unless it holds an escape.
-    Str(Cow<'a, str>),
-    /// `null`, a float, an array or an object: parsed and checked, then
-    /// dropped.
-    Other,
-}
-
-/// Calls `f(key, value)` for each member of the JSON object `input`, in
-/// document order and duplicates included, without building a [`Value`]
-/// tree. Accepts exactly the documents [`parse`] accepts and fails with
-/// the same [`JsonError`]; a document that is not an object has no
-/// members.
-pub fn visit_object<'a>(
-    input: &'a str,
-    mut f: impl FnMut(Cow<'a, str>, Member<'a>),
-) -> Result<(), JsonError> {
-    let mut p = Parser::new(input);
-    p.skip_ws();
-    if p.peek() == Some(b'{') {
-        p.object_with(|p, key| {
-            f(key, p.member()?);
-            Ok(())
-        })?;
-    } else {
-        p.value()?;
-    }
-    p.finish()
-}
-
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
@@ -364,7 +324,7 @@ impl<'a> Parser<'a> {
             Some(b'n') => self.literal("null", Value::Null),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.borrowed_string()?.into_owned())),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
@@ -397,71 +357,30 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Value, JsonError> {
-        let mut members = Vec::new();
-        self.object_with(|p, key| {
-            members.push((key.into_owned(), p.value()?));
-            Ok(())
-        })?;
-        Ok(Value::Object(members))
-    }
-
-    /// The object grammar; `member` reads each value after its key.
-    fn object_with(
-        &mut self,
-        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
-    ) -> Result<(), JsonError> {
         self.expect(b'{')?;
+        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(());
+            return Ok(Value::Object(members));
         }
         loop {
             self.skip_ws();
-            let key = self.borrowed_string()?;
+            let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            member(self, key)?;
+            members.push((key, self.value()?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(());
+                    return Ok(Value::Object(members));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
-    }
-
-    /// A value as a [`Member`]: strings stay borrowed where they can.
-    fn member(&mut self) -> Result<Member<'a>, JsonError> {
-        if self.peek() == Some(b'"') {
-            return self.borrowed_string().map(Member::Str);
-        }
-        Ok(match self.value()? {
-            Value::Bool(b) => Member::Bool(b),
-            Value::Int(n) => Member::Int(n),
-            _ => Member::Other,
-        })
-    }
-
-    /// A string token, borrowed from the input unless it holds an escape
-    /// (then [`Parser::string`] decodes it, with its errors).
-    fn borrowed_string(&mut self) -> Result<Cow<'a, str>, JsonError> {
-        let open = self.pos;
-        self.expect(b'"')?;
-        let start = self.pos;
-        self.skip_plain();
-        if self.peek() == Some(b'"') {
-            // Both ends sit next to an ASCII quote: char boundaries.
-            let s = &self.text[start..self.pos];
-            self.pos += 1;
-            return Ok(Cow::Borrowed(s));
-        }
-        self.pos = open;
-        self.string().map(Cow::Owned)
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -469,12 +388,10 @@ impl<'a> Parser<'a> {
         let mut s = String::new();
         loop {
             let start = self.pos;
-            // Fast path: runs of plain bytes.
+            // Fast path: runs of plain bytes. Both ends sit next to an
+            // ASCII quote or backslash (or the end): char boundaries.
             self.skip_plain();
-            s.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
+            s.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -558,7 +475,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.text[start..self.pos];
         if text.is_empty() || text == "-" {
             return Err(self.err("malformed number"));
         }
@@ -703,69 +620,6 @@ mod tests {
             write_int(&mut out, n);
             assert_eq!(out, n.to_string());
         }
-    }
-
-    /// `visit_object` agrees with `parse`: the same error, or the object's
-    /// members in order with scalars intact and the rest as `Other`.
-    #[test]
-    fn visitor_matches_parse() {
-        let docs = [
-            r#"{"k":"enter","task":3,"t":"1/2"}"#,
-            r#" { "a" : 1 , "a" : [1, {"b": 2.5}] ,"c":null,"d":true } "#,
-            r#"{"\u006b":"1\/2","e":"\u0031","f":-1.5e3,"g":{}}"#,
-            r#"{}"#,
-            r#"[1, 2]"#,
-            r#""text""#,
-            "7",
-            r#"{"a":1,}"#,
-            r#"{"a" 1}"#,
-            r#"{"a":170141183460469231731687303715884105728}"#,
-            r#"{"a":"\x"}"#,
-            r#"{"a":"open"#,
-            r#"{"a":1} trailing"#,
-            r#"{"a":[1 2]}"#,
-            "",
-            "{",
-        ];
-        for doc in docs {
-            let mut seen = Vec::new();
-            let got = visit_object(doc, |k, v| seen.push((k.into_owned(), v)));
-            match parse(doc) {
-                Err(e) => assert_eq!(got, Err(e), "{doc}"),
-                Ok(v) => {
-                    assert_eq!(got, Ok(()), "{doc}");
-                    let want: Vec<_> = match v {
-                        Value::Object(members) => members,
-                        _ => Vec::new(),
-                    };
-                    assert_eq!(seen.len(), want.len(), "{doc}");
-                    for ((k, m), (wk, wv)) in seen.iter().zip(&want) {
-                        assert_eq!(k, wk, "{doc}");
-                        let expect = match wv {
-                            Value::Bool(b) => Member::Bool(*b),
-                            Value::Int(n) => Member::Int(*n),
-                            Value::Str(s) => Member::Str(Cow::Owned(s.clone())),
-                            _ => Member::Other,
-                        };
-                        assert_eq!(*m, expect, "{doc}: `{k}`");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn visitor_borrows_plain_strings() {
-        let doc = r#"{"plain":"1/2","escaped":"1\/2"}"#;
-        visit_object(doc, |k, v| {
-            assert!(matches!(k, Cow::Borrowed(_)));
-            match (&*k, v) {
-                ("plain", Member::Str(Cow::Borrowed("1/2"))) => {}
-                ("escaped", Member::Str(Cow::Owned(s))) => assert_eq!(s, "1/2"),
-                other => panic!("{other:?}"),
-            }
-        })
-        .unwrap();
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl MemoryRecorder {
         MemoryRecorder::default()
     }
 
-    /// The events with a given name, in order.
-    pub fn events_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Event> {
-        self.events.iter().filter(move |e| e.name == name)
-    }
-
     /// One event per line, each a compact JSON object (the JSON-lines
     /// export).
     #[must_use]
@@ -127,7 +122,6 @@ mod tests {
         r.add("proposals", 1);
         r.observe("queue_depth", 3.0);
         assert_eq!(r.events.len(), 2);
-        assert_eq!(r.events_named("span").count(), 2);
         assert_eq!(r.metrics.counter("proposals"), 1);
         let jsonl = r.to_jsonl();
         assert_eq!(jsonl.lines().count(), 2);

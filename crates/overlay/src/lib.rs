@@ -14,8 +14,7 @@
 //! * [`convert`] — spanning tree → [`bwfirst_platform::Platform`];
 //! * [`io`] — a JSON interchange format for physical graphs;
 //! * [`search`] — reattachment hill-climbing over spanning trees, scoring
-//!   candidates with the `f64` fast path and certifying the winner with the
-//!   exact solver.
+//!   every candidate exactly with `BW-First`.
 //!
 //! ```
 //! use bwfirst_overlay::graph::{GraphBuilder};

@@ -2,12 +2,12 @@
 //!
 //! The move set is the classic spanning-tree neighborhood: pick a non-root
 //! node `v` and a graph neighbor `u` outside `v`'s subtree, and re-hang `v`
-//! (with its whole subtree) under `u`. Candidates are scored with the `f64`
-//! fast path — "a quick way to evaluate the throughput of a tree allows to
-//! consider a wider set of trees" (Section 5) — and the final winner is
-//! certified with the exact solver.
+//! (with its whole subtree) under `u`. Every candidate is scored exactly by
+//! `BW-First` itself — "a quick way to evaluate the throughput of a tree
+//! allows to consider a wider set of trees" (Section 5) — which visits only
+//! the nodes the candidate's schedule uses.
 
-use crate::convert::{exact_score, fast_score, tree_to_platform};
+use crate::convert::{exact_score, tree_to_platform};
 use crate::graph::{Graph, NodeIx};
 use crate::spanning::{min_link_tree, random_spanning_tree, shortest_path_tree, SpanningTree};
 use bwfirst_platform::Platform;
@@ -70,10 +70,10 @@ fn in_subtree(t: &SpanningTree, v: NodeIx, candidate_parent: NodeIx) -> bool {
 fn improve_pass(
     g: &Graph,
     t: &SpanningTree,
-    score: f64,
+    score: Rat,
     rng: &mut StdRng,
     scored: &mut usize,
-) -> (SpanningTree, f64, bool) {
+) -> (SpanningTree, Rat, bool) {
     let mut best = t.clone();
     let mut best_score = score;
     let mut improved = false;
@@ -88,9 +88,9 @@ fn improve_pass(
             let mut cand = best.clone();
             cand.parent[v.index()] = Some(u);
             debug_assert!(cand.is_valid(g));
-            let s = fast_score(g, &cand);
+            let s = exact_score(g, &cand);
             *scored += 1;
-            if s > best_score + 1e-12 {
+            if s > best_score {
                 best = cand;
                 best_score = s;
                 improved = true;
@@ -114,10 +114,10 @@ pub fn best_overlay(g: &Graph, root: NodeIx, cfg: &OverlaySearch) -> OverlayResu
         starts.push(random_spanning_tree(g, root, cfg.seed.wrapping_add(r as u64 + 1)));
     }
 
-    let mut best: Option<(SpanningTree, f64)> = None;
+    let mut best: Option<(SpanningTree, Rat)> = None;
     for start in starts {
         let mut t = start;
-        let mut s = fast_score(g, &t);
+        let mut s = exact_score(g, &t);
         scored += 1;
         for _ in 0..cfg.passes {
             let (nt, ns, improved) = improve_pass(g, &t, s, &mut rng, &mut scored);
@@ -131,10 +131,10 @@ pub fn best_overlay(g: &Graph, root: NodeIx, cfg: &OverlaySearch) -> OverlayResu
             best = Some((t, s));
         }
     }
-    let (tree, _) = best.expect("at least one start");
+    let (tree, throughput) = best.expect("at least one start");
     let (platform, _) = tree_to_platform(g, &tree);
     OverlayResult {
-        throughput: exact_score(g, &tree),
+        throughput,
         min_link_baseline: exact_score(g, &prim),
         spt_baseline: exact_score(g, &spt),
         platform,

@@ -128,10 +128,11 @@ pub fn virtual_proposal(platform: &Platform) -> Result<Rat, ProtoError> {
 enum Links {
     /// The message is handed over in memory.
     Memory,
-    /// Entry `k` is a localhost TCP link into node `k`
-    /// ([`crate::wire::bridge::tcp_link`]): every message is framed, crosses
-    /// a socket and is decoded again.
-    Tcp(Vec<LinkEndpoints>),
+    /// One localhost TCP link ([`crate::wire::bridge::tcp_link`]) carries
+    /// every edge's messages: each is framed, crosses a socket and is
+    /// decoded again. A round keeps one message in flight, so sharing the
+    /// link keeps each edge's messages in FIFO order.
+    Tcp(LinkEndpoints),
 }
 
 impl Links {
@@ -139,10 +140,7 @@ impl Links {
     fn down(&self, k: NodeId, msg: DownMsg) -> Result<DownMsg, ProtoError> {
         match self {
             Links::Memory => Ok(msg),
-            Links::Tcp(links) => {
-                let (tx, rx, _, _) = &links[k.index()];
-                cross(tx, rx, msg, k)
-            }
+            Links::Tcp((tx, rx, _, _)) => cross(tx, rx, msg, k),
         }
     }
 
@@ -150,10 +148,7 @@ impl Links {
     fn up(&self, k: NodeId, msg: UpMsg) -> Result<UpMsg, ProtoError> {
         match self {
             Links::Memory => Ok(msg),
-            Links::Tcp(links) => {
-                let (_, _, tx, rx) = &links[k.index()];
-                cross(tx, rx, msg, k)
-            }
+            Links::Tcp((_, _, tx, rx)) => cross(tx, rx, msg, k),
         }
     }
 }
@@ -270,8 +265,9 @@ impl ProtocolSession {
         Self::with_links(platform, Links::Memory)
     }
 
-    /// Sets up the session with every edge crossing a real localhost TCP
-    /// socket pair (framed with the [`crate::wire`] codec). The protocol is
+    /// Sets up the session with every message crossing one real localhost
+    /// TCP socket pair (framed with the [`crate::wire`] codec), whatever the
+    /// platform's size: four pump threads and two connections. The protocol is
     /// byte-for-byte the one `spawn` runs in memory — this is the "practical
     /// and scalable implementation" of Section 5 on an actual network stack.
     ///
@@ -279,10 +275,7 @@ impl ProtocolSession {
     /// [`ProtoError::Transport`] if localhost sockets cannot be created,
     /// [`ProtoError::MissingLink`] if a non-root node has no link weight.
     pub fn spawn_tcp(platform: &Platform) -> Result<ProtocolSession, ProtoError> {
-        let links = (0..platform.len())
-            .map(|_| crate::wire::bridge::tcp_link())
-            .collect::<Result<_, _>>()?;
-        Self::with_links(platform, Links::Tcp(links))
+        Self::with_links(platform, Links::Tcp(crate::wire::bridge::tcp_link()?))
     }
 
     fn with_links(platform: &Platform, links: Links) -> Result<ProtocolSession, ProtoError> {

@@ -3,15 +3,14 @@
 //!
 //! Given a pool of heterogeneous workers with per-worker link costs, compare
 //! candidate overlay topologies — star, balanced k-ary trees, bandwidth-
-//! sorted chains — by scoring thousands of variants with the `f64` fast path
-//! and certifying the winner with the exact solver.
+//! sorted chains — by scoring hundreds of variants exactly with `BW-First`,
+//! which visits only the workers each candidate's schedule uses.
 //!
 //! ```text
 //! cargo run --release --example topology_search
 //! ```
 
 use bwfirst::core::bw_first;
-use bwfirst::core::float::bw_first_f64;
 use bwfirst::platform::{Platform, PlatformBuilder, Weight};
 use bwfirst::rat;
 use bwfirst::Rat;
@@ -84,19 +83,17 @@ fn main() {
             candidates.push((format!("{arity}-ary, shuffle #{s}"), kary_overlay(&shuffled, arity)));
         }
     }
-    println!("scoring {} candidate overlays with the f64 fast path...", candidates.len());
+    println!("scoring {} candidate overlays with BW-First...", candidates.len());
 
-    // Fast scoring pass.
-    let mut scored: Vec<(f64, &String, &Platform)> =
-        candidates.iter().map(|(name, p)| (bw_first_f64(p), name, p)).collect();
-    scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+    let mut scored: Vec<(Rat, &String, &Platform)> =
+        candidates.iter().map(|(name, p)| (bw_first(p).throughput(), name, p)).collect();
+    scored.sort_by_key(|&(score, _, _)| std::cmp::Reverse(score));
 
     println!("\ntop five candidates:");
     for (score, name, _) in scored.iter().take(5) {
-        println!("  {score:.4}  {name}");
+        println!("  {:.4}  {name}", score.to_f64());
     }
 
-    // Certify the winner exactly.
     let (_, name, best) = scored[0];
     let exact = bw_first(best);
     println!("\nwinner: {name}");

@@ -1,10 +1,10 @@
 //! Cross-crate equivalence properties: the two throughput solvers (and the
-//! lazy and float variants) agree on arbitrary platforms, and throughput
+//! lazy variant) agree on arbitrary platforms, and throughput
 //! responds monotonically to resource changes.
 
 use bwfirst::core::bwfirst::PlatformSource;
 use bwfirst::core::lazy::throughput_bounds;
-use bwfirst::core::{bottom_up, bw_first, float::bw_first_f64, SteadyState};
+use bwfirst::core::{bottom_up, bw_first, SteadyState};
 use bwfirst::platform::generators::{random_tree, RandomTreeConfig};
 use bwfirst::platform::{NodeId, Platform, Weight};
 use bwfirst::{rat, Rat};
@@ -109,13 +109,6 @@ proptest! {
         let (flo, fhi) = throughput_bounds(&PlatformSource(&p), p.height() + 1);
         prop_assert_eq!(flo, exact);
         prop_assert_eq!(fhi, exact);
-    }
-
-    #[test]
-    fn float_path_tracks_exact(p in arb_platform()) {
-        let exact = bw_first(&p).throughput().to_f64();
-        let approx = bw_first_f64(&p);
-        prop_assert!((exact - approx).abs() <= 1e-9 * exact.max(1.0));
     }
 
     #[test]
