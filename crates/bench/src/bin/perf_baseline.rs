@@ -23,10 +23,11 @@
 use bwfirst_bench::records::{bench_from_json, bench_to_json, BenchPoint, BenchReport};
 use bwfirst_bench::trees;
 use bwfirst_core::schedule::EventDrivenSchedule;
-use bwfirst_core::{bottom_up, bw_first, MonitorExpectations, SteadyState};
+use bwfirst_core::{bottom_up, bw_first, validate_schedule, MonitorExpectations, SteadyState};
 use bwfirst_obs::{MemoryRecorder, Metrics, Trace};
 use bwfirst_parallel::{available_threads, Pool};
 use bwfirst_platform::examples::example_tree;
+use bwfirst_platform::generators;
 use bwfirst_proto::ProtocolSession;
 use bwfirst_rational::{rat, reference, Rat};
 use bwfirst_sim::{
@@ -48,6 +49,12 @@ const SEED: &[(&str, f64)] = &[
     ("simulate_example_10", 1_306_000.0),
     ("simulate_example_gantt_10", 791_000.0),
 ];
+
+/// `event_schedule_wide_2000` measured by this harness on the commit before
+/// the bunch order became implicit, when every node's local schedule listed
+/// all `Ψ` of its actions (median of three runs, best of 5 each).
+const MATERIALIZED_ORDER: (&str, f64) =
+    ("commit 9eb4c45, materialized bunch orders (same host, release)", 4_948_735.0);
 
 fn seed_ns(id: &str) -> f64 {
     SEED.iter().find(|(k, _)| *k == id).map_or(f64::NAN, |(_, v)| *v)
@@ -220,6 +227,24 @@ fn measure_core(opts: &Opts, iters: u32) -> BenchReport {
         before_ns: seed_ns("bottom_up_open_1023"),
         after_ns: bu_ns,
         baseline: SEED_COMMIT.to_string(),
+        iters: iters.max(5),
+    });
+
+    // The schedule layer at scale: the event-driven schedule of a 2000-node
+    // wide tree (~90% of nodes active), built and validated; solving stays
+    // outside the timed region.
+    let p = generators::wide_tree(2000, 1);
+    let ss = SteadyState::from_solution(&bw_first(&p));
+    let schedule_ns = best_of(iters.max(5), || {
+        let ev = EventDrivenSchedule::standard(&p, &ss).expect("wide schedule");
+        assert!(validate_schedule(&p, &ss, &ev).is_empty(), "wide schedule validates");
+        black_box(ev);
+    });
+    points.push(BenchPoint {
+        id: "event_schedule_wide_2000".to_string(),
+        before_ns: MATERIALIZED_ORDER.1,
+        after_ns: schedule_ns,
+        baseline: MATERIALIZED_ORDER.0.to_string(),
         iters: iters.max(5),
     });
 

@@ -91,8 +91,7 @@ pub fn e4_local_schedules() -> String {
         let psis: Vec<String> = std::iter::once(format!("self:{}", s.psi_self))
             .chain(s.psi_children.iter().map(|&(k, q)| format!("{}:{q}", k)))
             .collect();
-        let order: Vec<String> =
-            ev.local(s.node).unwrap().actions.iter().map(|&a| action_str(a)).collect();
+        let order: Vec<String> = ev.local(s.node).unwrap().actions.iter().map(action_str).collect();
         t.row([
             s.node.to_string(),
             s.t_recv.map_or("-".into(), |v| v.to_string()),

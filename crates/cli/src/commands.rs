@@ -65,7 +65,9 @@ usage:
       regenerated artifact to match the original bit for bit
   bwfirst generate <random|star|chain|kary|example> [--size N] [--seed S]
                    [--arity K] [--depth D]
-      emit a platform JSON on stdout
+  bwfirst generate <hetero|wide> [--size N] [--seed S]
+      emit a platform JSON on stdout; hetero: root w = 50, other w in
+      [2N+50, 4N+100], c in {{1,2,3}}; wide: w in {{1024,2048,4096}}, c = 1
   bwfirst validate <platform.json> [--grid G]
       solve, build the event-driven schedule, and check every invariant
   bwfirst dot <platform.json>
@@ -116,6 +118,7 @@ fn known_flags(args: &Args) -> Option<&'static [&'static str]> {
         }
         ("trace", Some("record")) => &["out", "protocol", "horizon", "tasks", "seed", "chrome"],
         ("trace", Some("lineage")) => &["task"],
+        ("generate", Some("hetero" | "wide")) => &["size", "seed"],
         ("generate", _) => &["size", "seed", "arity", "depth"],
         ("graph", _) => &["size", "seed", "extra"],
         ("overlay", _) => &["root", "restarts", "passes", "seed"],
@@ -273,20 +276,20 @@ fn cmd_schedule(p: &Platform, grid: Option<i128>) -> Result<String, CliError> {
     writeln!(out, "tree start-up bound  = {}", startup::tree_startup_bound(p, &ev.tree)).unwrap();
     writeln!(out, "\nnode   T^r     T^c     T^s     T^w     bunch  order").unwrap();
     for s in ev.tree.iter() {
-        let order: Vec<String> = ev
-            .local(s.node)
-            .unwrap()
-            .actions
+        // The first 24 slots from the cursor; Ψ itself for longer bunches.
+        let actions = &ev.local(s.node).unwrap().actions;
+        let head: Vec<String> = actions
             .iter()
+            .take(24)
             .map(|a| match a {
                 SlotAction::Compute => "C".to_string(),
                 SlotAction::Send(k) => format!("S{}", k.0),
             })
             .collect();
-        let order = if order.len() > 24 {
-            format!("{} ... ({} actions)", order[..24].join(" "), order.len())
+        let order = if actions.len() > 24 {
+            format!("{} ... ({} actions)", head.join(" "), actions.len())
         } else {
-            order.join(" ")
+            head.join(" ")
         };
         writeln!(
             out,
@@ -1002,6 +1005,8 @@ fn cmd_generate(args: &Args) -> Result<String, CliError> {
         "star" => generators::star(w, size.saturating_sub(1), w, c),
         "chain" => generators::daisy_chain(w, &vec![(w, c); size.saturating_sub(1)]),
         "kary" => generators::kary_tree(depth, arity, w, c),
+        "hetero" => generators::hetero_tree(size, seed),
+        "wide" => generators::wide_tree(size, seed),
         "example" => bwfirst_platform::examples::example_tree(),
         other => {
             return Err(CliError::BadValue { what: "generator kind", value: other.to_string() })

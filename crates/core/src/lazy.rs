@@ -37,6 +37,14 @@ pub fn throughput_bounds<S: TreeSource>(source: &S, depth_limit: usize) -> (Rat,
     (bound(Bound::Lower), bound(Bound::Upper))
 }
 
+/// The exact optimal throughput of a finite [`TreeSource`]: one untruncated
+/// walk from `t_max`, with nothing recorded — what [`bw_first`](crate::bw_first)
+/// returns as its throughput, without building the per-node solution.
+#[must_use]
+pub fn throughput<S: TreeSource>(source: &S) -> Rat {
+    walk(source, t_max(source), None, |_, _, _, _| {}).eta_in()
+}
+
 /// An infinite homogeneous chain: every node computes at `rate` and feeds a
 /// single child over a link of time `c`.
 #[derive(Debug, Clone, Copy)]

@@ -59,8 +59,8 @@ pub use bwfirst::{bw_first, bw_first_with_lambda, BwFirstSolution, TraceEvent, T
 pub use expectations::MonitorExpectations;
 pub use fork::{fork_equivalent_rate, ForkChild, ForkReduction};
 pub use schedule::{
-    EventDrivenSchedule, LocalSchedule, LocalScheduleKind, NodeSchedule, ScheduleError, SlotAction,
-    TreeSchedule,
+    BunchCursor, BunchOrder, EventDrivenSchedule, LocalSchedule, LocalScheduleKind, NodeSchedule,
+    ScheduleError, SlotAction, TreeSchedule,
 };
 pub use startup::startup_bounds;
 pub use steady_state::SteadyState;

@@ -117,23 +117,31 @@ pub fn validate_schedule(
         match schedule.local(id) {
             None => out.push(ScheduleViolation::Bunch(id, "local order missing")),
             Some(ls) => {
-                if ls.actions.len() as i128 != s.bunch {
+                if ls.actions.len() != s.bunch {
                     out.push(ScheduleViolation::Bunch(id, "order length = bunch"));
                 }
-                let computes =
-                    ls.actions.iter().filter(|a| matches!(a, SlotAction::Compute)).count() as i128;
+                // Per destination, O(degree): a child's local index is its
+                // rank in `psi_children` plus one.
+                let mut computes = 0i128;
+                let mut sends = vec![0i128; s.psi_children.len()];
+                let mut misplaced = false;
+                for d in ls.actions.destinations() {
+                    match d.action {
+                        SlotAction::Compute => computes += d.psi,
+                        SlotAction::Send(k) => match d.index.checked_sub(1) {
+                            Some(r) if s.psi_children.get(r).is_some_and(|c| c.0 == k) => {
+                                sends[r] += d.psi;
+                            }
+                            _ => misplaced = true,
+                        },
+                    }
+                }
                 if computes != s.psi_self {
                     out.push(ScheduleViolation::Bunch(id, "order compute count = psi_self"));
                 }
-                for &(k, q) in &s.psi_children {
-                    let sends = ls
-                        .actions
-                        .iter()
-                        .filter(|a| matches!(a, SlotAction::Send(x) if *x == k))
-                        .count() as i128;
-                    if sends != q {
-                        out.push(ScheduleViolation::Bunch(id, "order send count = psi_i"));
-                    }
+                let wrong = sends.iter().zip(&s.psi_children).filter(|(n, c)| **n != c.1).count();
+                for _ in 0..wrong + usize::from(misplaced) {
+                    out.push(ScheduleViolation::Bunch(id, "order send count = psi_i"));
                 }
             }
         }
@@ -199,9 +207,10 @@ mod tests {
     #[test]
     fn detects_schedule_tampering() {
         let (p, ss, mut ev) = valid_setup();
-        // Corrupt the root's local order: replace a send with a compute.
+        // Corrupt the root's local order: turn a child's sends into computes.
         let root_local = ev.locals[0].as_mut().unwrap();
-        root_local.actions[0] = SlotAction::Compute;
+        let dest = root_local.actions.dests.iter_mut().find(|d| d.action != SlotAction::Compute);
+        dest.unwrap().action = SlotAction::Compute;
         let violations = validate_schedule(&p, &ss, &ev);
         assert!(violations.iter().any(|v| matches!(v, ScheduleViolation::Bunch(NodeId(0), _))));
     }

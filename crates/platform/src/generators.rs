@@ -197,12 +197,110 @@ pub fn bottlenecked_tree(cfg: &RandomTreeConfig, slow_factor: Rat) -> Platform {
     random_tree_scaled(cfg, Some(slow_factor))
 }
 
+/// SplitMix64: small, seedable, and stable across platforms and releases,
+/// so a seed of [`hetero_tree`] or [`wide_tree`] names one tree for good.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `lo..=hi`.
+    fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        lo + self.next() % (hi - lo + 1)
+    }
+}
+
+/// A tree of `size` nodes (at least the root) with integer weights, each
+/// new node attached uniformly to a node with fewer than 4 children (the
+/// attachment rule of [`random_tree`]). `w` and `c` draw every non-root
+/// node's processing and link times, in that order, after its parent.
+fn integer_tree(
+    seed: u64,
+    size: usize,
+    root_w: u64,
+    mut w: impl FnMut(&mut SplitMix64) -> u64,
+    mut c: impl FnMut(&mut SplitMix64) -> u64,
+) -> Platform {
+    const MAX_CHILDREN: usize = 4;
+    let int = |v: u64| Rat::from_int(i128::from(v));
+    let mut rng = SplitMix64(seed);
+    let mut b = PlatformBuilder::new();
+    let root = b.root(Weight::Time(int(root_w)));
+    let mut open: Vec<(NodeId, usize)> = vec![(root, MAX_CHILDREN)];
+    for _ in 1..size {
+        let slot = rng.range(0, open.len() as u64 - 1) as usize;
+        let (parent, cap) = open[slot];
+        let (wi, ci) = (w(&mut rng), c(&mut rng));
+        let id = b.child(parent, Weight::Time(int(wi)), int(ci));
+        if cap == 1 {
+            open.swap_remove(slot);
+        } else {
+            open[slot].1 = cap - 1;
+        }
+        open.push((id, MAX_CHILDREN));
+    }
+    b.build().expect("integer tree generator produces valid platforms")
+}
+
+/// A heterogeneous tree of `size` nodes: root `w = 50`, every other
+/// `w ∈ [2n+50, 4n+100]` and `c ∈ {1, 2, 3}`, at most 4 children per node.
+/// `BW-First` uses most of its nodes, every one compute-saturated, so the
+/// bunch sizes `Ψ` grow like the lcm of the weights — 10^21 at n = 20.
+#[must_use]
+pub fn hetero_tree(size: usize, seed: u64) -> Platform {
+    let n = size as u64;
+    integer_tree(seed, size, 50, |r| r.range(2 * n + 50, 4 * n + 100), |r| r.range(1, 3))
+}
+
+/// A wide tree of `size` nodes: dyadic weights `w ∈ {1024, 2048, 4096}`
+/// (the root's drawn from a stream of its own), every `c = 1`, at most 4
+/// children per node. About 90% of the nodes get work, and the periods stay
+/// small powers of two.
+#[must_use]
+pub fn wide_tree(size: usize, seed: u64) -> Platform {
+    let dyadic = |r: &mut SplitMix64| 1024 << r.range(0, 2);
+    let root_w = dyadic(&mut SplitMix64(seed ^ 0xD1AD));
+    integer_tree(seed, size, root_w, dyadic, |_| 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn w(n: i128) -> Weight {
         Weight::Time(rat(n, 1))
+    }
+
+    #[test]
+    fn hetero_and_wide_trees_follow_their_families() {
+        let n = 15;
+        let p = hetero_tree(n, 1);
+        assert_eq!(p.len(), n);
+        assert_eq!(p.weight(p.root()).time(), Some(rat(50, 1)));
+        for id in p.node_ids().skip(1) {
+            let w = p.weight(id).time().unwrap();
+            assert!(w.is_integer() && w >= rat(80, 1) && w <= rat(160, 1), "{id}: {w}");
+            let c = p.link_time(id).unwrap();
+            assert!([rat(1, 1), rat(2, 1), rat(3, 1)].contains(&c), "{id}: {c}");
+        }
+        assert!(p.node_ids().all(|id| p.children(id).len() <= 4));
+        let json = crate::io::to_json(&p);
+        assert_eq!(crate::io::to_json(&hetero_tree(n, 1)), json);
+        assert_ne!(crate::io::to_json(&hetero_tree(n, 2)), json);
+        let p = wide_tree(200, 3);
+        assert_eq!(p.len(), 200);
+        for id in p.node_ids() {
+            let w = p.weight(id).time().unwrap();
+            assert!([1024, 2048, 4096].map(|v| rat(v, 1)).contains(&w), "{id}: {w}");
+            assert!(p.link_time(id).is_none_or(|c| c == rat(1, 1)));
+        }
+        assert_eq!(hetero_tree(0, 1).len(), 1);
     }
 
     #[test]

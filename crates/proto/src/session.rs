@@ -6,7 +6,9 @@ use crate::machine::{NodeMachine, Outgoing};
 use crate::messages::{ControlMsg, DownMsg, UpMsg};
 use crate::wire::bridge::LinkEndpoints;
 use crate::wire::{encode_down, encode_up};
-use bwfirst_core::schedule::{LocalSchedule, LocalScheduleKind, NodeSchedule, SlotAction};
+use bwfirst_core::schedule::{
+    BunchCursor, LocalSchedule, LocalScheduleKind, NodeSchedule, SlotAction,
+};
 use bwfirst_obs::{Arg, Event, EventKind, Recorder, Ts};
 use bwfirst_platform::{NodeId, Platform, Weight};
 use bwfirst_rational::Rat;
@@ -180,7 +182,7 @@ struct Node {
     /// down plus its own ack up.
     wire_bytes_sent: u64,
     schedule: Option<LocalSchedule>,
-    cursor: usize,
+    cursor: BunchCursor,
     computed: u64,
     forwarded: u64,
     bytes_processed: u64,
@@ -207,19 +209,26 @@ impl Node {
         Ok(Some(LocalSchedule::build(&sched, LocalScheduleKind::Interleaved)))
     }
 
+    /// Builds the schedule, with a cursor at its first slot, if the rates
+    /// changed since the last one.
+    fn ensure_schedule(&mut self) -> Result<(), ProtoError> {
+        if self.schedule.is_none() {
+            self.schedule = self.build_schedule()?;
+            self.cursor = self.schedule.as_ref().map(|s| s.actions.cursor()).unwrap_or_default();
+        }
+        Ok(())
+    }
+
     /// Routes one arriving task by the next slot of the local schedule:
     /// computes it here or returns the hop to the chosen child.
     fn route_task(&mut self, payload: Arc<[u8]>) -> Result<Option<Hop>, ProtoError> {
-        if self.schedule.is_none() {
-            self.schedule = self.build_schedule()?;
-        }
-        let Some(schedule) = &self.schedule else {
-            // An inactive node received a task: the negotiation said it gets
-            // none, so this indicates a routing bug upstream.
+        self.ensure_schedule()?;
+        let Some((action, _)) = self.cursor.step() else {
+            // An inactive node (empty cursor) received a task: the
+            // negotiation said it gets none, so this indicates a routing bug
+            // upstream.
             return Err(ProtoError::NoSchedule { node: self.id() });
         };
-        let action = schedule.actions[self.cursor];
-        self.cursor = (self.cursor + 1) % schedule.actions.len();
         match action {
             SlotAction::Compute => {
                 self.process(&payload);
@@ -291,7 +300,7 @@ impl ProtocolSession {
                 visited: false,
                 wire_bytes_sent: 0,
                 schedule: None,
-                cursor: 0,
+                cursor: BunchCursor::default(),
                 computed: 0,
                 forwarded: 0,
                 bytes_processed: 0,
@@ -358,7 +367,6 @@ impl ProtocolSession {
             Outgoing::AckParent { theta } => {
                 // Rates changed: any previously built schedule is stale.
                 node.schedule = None;
-                node.cursor = 0;
                 let msg = UpMsg::Ack(theta);
                 node.wire_bytes_sent += encode_up(&msg).len() as u64;
                 Hop::Up(k, msg)
@@ -427,12 +435,10 @@ impl ProtocolSession {
         let started = Instant::now();
         let root = self.platform.root();
         let root_node = &mut self.nodes[root.index()];
-        if root_node.schedule.is_none() {
-            root_node.schedule = root_node.build_schedule()?;
-        }
-        let bunch = root_node.schedule.as_ref().map_or(0, |s| s.actions.len() as u64);
+        root_node.ensure_schedule()?;
+        let bunch = root_node.schedule.as_ref().map_or(0, |s| s.actions.len());
         let template: Arc<[u8]> = vec![0xA5u8; payload_len].into();
-        for _ in 0..bunches * bunch {
+        for _ in 0..i128::from(bunches) * bunch {
             let next = self.on_down(root, DownMsg::Task(template.clone()))?;
             self.pump(next)?;
         }
@@ -448,7 +454,7 @@ impl ProtocolSession {
             outcome.computed.push(std::mem::take(&mut node.computed));
             outcome.forwarded.push(std::mem::take(&mut node.forwarded));
             outcome.bytes_processed.push(std::mem::take(&mut node.bytes_processed));
-            node.cursor = 0;
+            node.cursor.restart();
         }
         Ok(outcome)
     }

@@ -38,7 +38,7 @@ pub mod reference;
 
 pub use error::RatError;
 pub use gcd::{gcd_i128, gcd_u128, gcd_u64, lcm_i128, lcm_u128};
-pub use rat::Rat;
+pub use rat::{widening_mul_u128, Rat};
 
 /// Convenience constructor: `rat(10, 9)` is `Rat::new(10, 9)`.
 ///

@@ -553,8 +553,10 @@ impl<'a> Sum<&'a Rat> for Rat {
     }
 }
 
-/// Full 128x128 -> 256-bit unsigned multiplication, as (hi, lo).
-pub(crate) fn widening_mul_u128(a: u128, b: u128) -> (u128, u128) {
+/// Full 128x128 -> 256-bit unsigned multiplication, as (hi, lo); the
+/// tuples compare as the 256-bit products do.
+#[must_use]
+pub fn widening_mul_u128(a: u128, b: u128) -> (u128, u128) {
     const MASK: u128 = (1u128 << 64) - 1;
     let (a_hi, a_lo) = (a >> 64, a & MASK);
     let (b_hi, b_lo) = (b >> 64, b & MASK);

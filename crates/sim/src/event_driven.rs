@@ -3,8 +3,10 @@
 //! Every node except the root is **event-driven** (Section 6.2): it holds a
 //! cyclic local schedule of `Ψ` actions and routes the `j`-th incoming task
 //! of each bunch according to action `j` — either to its own CPU or to the
-//! sending port toward a specific child. No clocks, no global information;
-//! the CPU and the port each drain their queues greedily (full overlap).
+//! sending port toward a specific child. A per-node cursor steps the
+//! schedule's implicit order; no node's `Ψ` actions are ever listed. No
+//! clocks, no global information; the CPU and the port each drain their
+//! queues greedily (full overlap).
 //!
 //! The **root** is the only clocked node (the paper: "any time-related
 //! information has been removed (except for the root)"): it injects tasks at
@@ -32,7 +34,7 @@ use crate::engine::{Engine, Policy, SimConfig, SimReport};
 use crate::error::SimError;
 use crate::gantt::SegmentKind;
 use crate::probe::{NoProbe, Probe};
-use bwfirst_core::schedule::{EventDrivenSchedule, LocalScheduleKind, SlotAction};
+use bwfirst_core::schedule::{BunchCursor, EventDrivenSchedule, LocalScheduleKind, SlotAction};
 use bwfirst_core::{bw_first, SteadyState};
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::Rat;
@@ -94,7 +96,7 @@ enum Ev {
 #[derive(Default)]
 struct NodeState {
     /// Cyclic position in the local schedule.
-    cursor: usize,
+    cursor: BunchCursor,
     /// Injection stamps of tasks assigned to the CPU, not yet started.
     pending_cpu: VecDeque<Rat>,
     /// Send targets in assignment order with their tasks' stamps.
@@ -114,17 +116,13 @@ pub(crate) fn release_step(schedule: &EventDrivenSchedule, root: NodeId) -> Resu
     Ok(Rat::from_int(root.t_omega) / Rat::from_int(root.bunch))
 }
 
-/// The next action of `node`'s cyclic local schedule, with its slot.
+/// The next action of `node`'s cyclic local schedule, with its slot; the
+/// cursor of a node without a schedule is empty.
 pub(crate) fn next_action(
-    schedule: &EventDrivenSchedule,
     node: NodeId,
-    cursor: &mut usize,
-) -> Result<(SlotAction, usize), SimError> {
-    let actions = &schedule.local(node).ok_or(SimError::NoSchedule(node))?.actions;
-    let slot = *cursor;
-    let action = *actions.get(slot).ok_or(SimError::NoSchedule(node))?;
-    *cursor = (slot + 1) % actions.len();
-    Ok((action, slot))
+    cursor: &mut BunchCursor,
+) -> Result<(SlotAction, u64), SimError> {
+    cursor.step().ok_or(SimError::NoSchedule(node))
 }
 
 struct EventDriven<'a, P> {
@@ -197,7 +195,7 @@ impl<P: Probe> EventDriven<'_, P> {
     /// Routes one available task according to the local schedule.
     fn assign(&mut self, node: NodeId, t: Rat, stamp: Rat) -> Result<(), SimError> {
         let i = node.index();
-        if self.schedule.local(node).is_none() && !self.adaptations.is_empty() {
+        if !self.adaptations.is_empty() && self.schedule.local(node).is_none() {
             // A node the *new* schedule prunes may still receive tasks
             // routed by the old one: compute them locally rather than
             // strand them (a switch cannot, and drops them).
@@ -208,8 +206,8 @@ impl<P: Probe> EventDriven<'_, P> {
             }
             return Ok(());
         }
-        let (action, slot) = next_action(&self.schedule, node, &mut self.nodes[i].cursor)?;
-        self.eng.probe.task_dispatch(node, t, action, Some(slot as u64));
+        let (action, slot) = next_action(node, &mut self.nodes[i].cursor)?;
+        self.eng.probe.task_dispatch(node, t, action, Some(slot));
         match action {
             SlotAction::Compute => {
                 self.nodes[i].pending_cpu.push_back(stamp);
@@ -270,10 +268,10 @@ impl<P: Probe> EventDriven<'_, P> {
         let schedule =
             EventDrivenSchedule::build(&self.platform, &ss, LocalScheduleKind::Interleaved)?;
         self.release_step = release_step(&schedule, self.platform.root())?;
-        self.schedule = Cow::Owned(schedule);
-        for n in &mut self.nodes {
-            n.cursor = 0;
+        for (id, n) in self.platform.node_ids().zip(&mut self.nodes) {
+            n.cursor = schedule.cursor(id);
         }
+        self.schedule = Cow::Owned(schedule);
         self.adaptations.push(t);
         Ok(())
     }
@@ -299,6 +297,7 @@ fn run(
                     schedule.tree.get(id).and_then(|s| s.chi_in).map_or(0, |chi| chi as u64)
                 }
             },
+            cursor: schedule.cursor(id),
             ..NodeState::default()
         })
         .collect();

@@ -29,7 +29,7 @@ use crate::error::SimError;
 use crate::event_driven::{next_action, release_step};
 use crate::gantt::SegmentKind;
 use crate::probe::{NoProbe, Probe};
-use bwfirst_core::schedule::{EventDrivenSchedule, SlotAction};
+use bwfirst_core::schedule::{BunchCursor, EventDrivenSchedule, SlotAction};
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::Rat;
 use std::collections::VecDeque;
@@ -63,7 +63,7 @@ enum Ev {
 struct NodeState {
     /// The parent and the link time to it (the root has neither).
     up: Option<(NodeId, Rat)>,
-    cursor: usize,
+    cursor: BunchCursor,
     pending_cpu: u64,
     send_queue: VecDeque<NodeId>,
     results: u64,
@@ -75,7 +75,6 @@ struct NodeState {
 struct Returns<'a, P> {
     eng: Engine<Ev, P>,
     platform: &'a Platform,
-    schedule: &'a EventDrivenSchedule,
     ratio: Rat,
     release_step: Rat,
     nodes: Vec<NodeState>,
@@ -135,8 +134,8 @@ impl<P: Probe> Policy for Returns<'_, P> {
 impl<P: Probe> Returns<'_, P> {
     fn assign(&mut self, node: NodeId, t: Rat) -> Result<(), SimError> {
         let n = &mut self.nodes[node.index()];
-        let (action, slot) = next_action(self.schedule, node, &mut n.cursor)?;
-        self.eng.probe.task_dispatch(node, t, action, Some(slot as u64));
+        let (action, slot) = next_action(node, &mut n.cursor)?;
+        self.eng.probe.task_dispatch(node, t, action, Some(slot));
         match action {
             SlotAction::Compute => {
                 n.pending_cpu += 1;
@@ -264,6 +263,7 @@ pub fn simulate_with_returns_probed(
         .node_ids()
         .map(|id| NodeState {
             up: platform.parent(id).zip(platform.link_time(id)),
+            cursor: schedule.cursor(id),
             send_free: true,
             recv_free: true,
             ..NodeState::default()
@@ -271,7 +271,7 @@ pub fn simulate_with_returns_probed(
         .collect();
     let release_step = release_step(schedule, platform.root())?;
     let eng = Engine::new(platform, cfg, [release_step, ret.return_ratio], probe, false);
-    Returns { eng, platform, schedule, ratio: ret.return_ratio, release_step, nodes }.run()
+    Returns { eng, platform, ratio: ret.return_ratio, release_step, nodes }.run()
 }
 
 #[cfg(test)]

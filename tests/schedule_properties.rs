@@ -3,10 +3,12 @@
 //! levels, and local-order invariants — on arbitrary random platforms.
 
 use bwfirst::core::schedule::{
-    synchronous_period, EventDrivenSchedule, LocalScheduleKind, SlotAction, TreeSchedule,
+    synchronous_period, BunchOrder, EventDrivenSchedule, LocalScheduleKind, SlotAction,
+    TreeSchedule,
 };
+use bwfirst::core::validate_schedule;
 use bwfirst::core::{bw_first, SteadyState};
-use bwfirst::platform::generators::{random_tree, RandomTreeConfig};
+use bwfirst::platform::generators::{hetero_tree, random_tree, RandomTreeConfig};
 use bwfirst::platform::Platform;
 use bwfirst::Rat;
 use proptest::prelude::*;
@@ -120,7 +122,7 @@ proptest! {
             let ev = EventDrivenSchedule::build(&p, &ss, kind).unwrap();
             for s in ts.iter() {
                 let ls = ev.local(s.node).unwrap();
-                prop_assert_eq!(ls.actions.len() as i128, s.bunch);
+                prop_assert_eq!(ls.actions.len(), s.bunch);
                 let computes = ls.actions.iter().filter(|a| matches!(a, SlotAction::Compute)).count();
                 prop_assert_eq!(computes as i128, s.psi_self);
                 for &(k, q) in &s.psi_children {
@@ -138,7 +140,8 @@ proptest! {
         let (ss, ts) = build(&p);
         let inter = EventDrivenSchedule::build(&p, &ss, LocalScheduleKind::Interleaved).unwrap();
         let burst = EventDrivenSchedule::build(&p, &ss, LocalScheduleKind::AllAtOnce).unwrap();
-        let max_gap = |actions: &[SlotAction], target: &SlotAction| -> usize {
+        let max_gap = |order: &BunchOrder, target: &SlotAction| -> usize {
+            let actions: Vec<SlotAction> = order.iter().collect();
             let pos: Vec<usize> = actions.iter().enumerate().filter(|(_, a)| *a == target).map(|(i, _)| i).collect();
             if pos.len() < 2 {
                 return 0;
@@ -165,4 +168,27 @@ proptest! {
             prop_assert_eq!(bounds[s.node.index()], Some(expect));
         }
     }
+}
+
+/// Exact plans on heterogeneous trees, whose bunches reach `Ψ ≈ 10^21` at
+/// n = 20: the implicit order builds and validates them in milliseconds.
+#[test]
+fn exact_hetero_plans_build_and_validate() {
+    for n in [8, 10, 15, 20] {
+        for seed in 1..=3 {
+            let started = std::time::Instant::now();
+            let p = hetero_tree(n, seed);
+            let ss = SteadyState::from_solution(&bw_first(&p));
+            let ev = EventDrivenSchedule::standard(&p, &ss).unwrap();
+            let violations = validate_schedule(&p, &ss, &ev);
+            assert!(violations.is_empty(), "n={n} seed={seed}: {violations:?}");
+            let elapsed = started.elapsed();
+            assert!(elapsed.as_secs_f64() < 1.0, "n={n} seed={seed} took {elapsed:?}");
+        }
+    }
+    // The largest bunch is past u64 at n = 20.
+    let p = hetero_tree(20, 1);
+    let ss = SteadyState::from_solution(&bw_first(&p));
+    let ev = EventDrivenSchedule::standard(&p, &ss).unwrap();
+    assert!(ev.locals.iter().flatten().any(|l| l.actions.len() > i128::from(u64::MAX)));
 }
