@@ -27,13 +27,13 @@
 //!   same `θ_root` and the same per-node `α` vector.
 
 use crate::trees::{for_each_instance, Instance};
+use bwfirst_core::bwfirst::{t_max, PlatformSource};
 use bwfirst_core::{bottom_up, bw_first, BwFirstSolution};
 use bwfirst_obs::json::{obj, Value};
 use bwfirst_obs::{Event, EventKind, FlightRecorder, Recorder, Ts};
 use bwfirst_parallel::Pool;
 use bwfirst_platform::Weight;
 use bwfirst_proto::machine::Outgoing;
-use bwfirst_proto::session::virtual_proposal;
 use bwfirst_proto::NodeMachine;
 use bwfirst_rational::Rat;
 use std::collections::HashSet;
@@ -371,13 +371,7 @@ fn explore(
         children: p.node_ids().map(|id| p.children(id).iter().map(|k| k.0).collect()).collect(),
     };
 
-    let t_max = virtual_proposal(p).map_err(|e| {
-        Box::new(Violation {
-            instance: inst.describe(),
-            trace: Vec::new(),
-            message: format!("virtual proposal failed: {e}"),
-        })
-    })?;
+    let t_max = t_max(&PlatformSource(p));
     let expected = bottom_up(p).throughput;
 
     let net = Net {

@@ -175,7 +175,7 @@ pub fn e11_distributed_protocol() -> String {
         let mut session = ProtocolSession::spawn(&p).expect("spawn actor tree");
         let neg = session.negotiate().expect("negotiation completes");
         let check = bw_first(&p);
-        assert_eq!(neg.throughput, check.throughput(), "distributed must match centralized");
+        assert_eq!(neg.solution, check, "distributed must match centralized");
         // Size the flow phase to a few thousand tasks regardless of the
         // root's bunch length Ψ (which grows with the rate denominators).
         let ss = SteadyState::from_solution(&check);
@@ -186,8 +186,8 @@ pub fn e11_distributed_protocol() -> String {
         let wire_bytes = bwfirst_proto::wire::negotiation_wire_bytes(&check);
         t.row([
             size.to_string(),
-            crate::trees::f(neg.throughput),
-            neg.protocol_messages.to_string(),
+            crate::trees::f(neg.solution.throughput()),
+            neg.messages().to_string(),
             wire_bytes.to_string(),
             format!("{:?}", neg.elapsed),
             format!("{} tasks", flow.total_computed()),
@@ -206,7 +206,9 @@ pub fn e11_distributed_protocol() -> String {
     writeln!(
         out,
         "\nsame negotiation over real TCP sockets (example tree): throughput {}, {} messages, {:?}",
-        neg_tcp.throughput, neg_tcp.protocol_messages, neg_tcp.elapsed
+        neg_tcp.solution.throughput(),
+        neg_tcp.messages(),
+        neg_tcp.elapsed
     )
     .unwrap();
 
@@ -219,14 +221,16 @@ pub fn e11_distributed_protocol() -> String {
     let degraded = session.negotiate().expect("negotiation completes");
     session.set_link(bwfirst_platform::NodeId(1), rat(1, 1)).expect("set_link");
     let recovered = session.negotiate().expect("negotiation completes");
-    writeln!(out, "  initial throughput   {}", before.throughput).unwrap();
+    writeln!(out, "  initial throughput   {}", before.solution.throughput()).unwrap();
     writeln!(
         out,
         "  after P0->P1 slows   {} ({} messages to renegotiate, {:?})",
-        degraded.throughput, degraded.protocol_messages, degraded.elapsed
+        degraded.solution.throughput(),
+        degraded.messages(),
+        degraded.elapsed
     )
     .unwrap();
-    writeln!(out, "  after link recovers  {}", recovered.throughput).unwrap();
+    writeln!(out, "  after link recovers  {}", recovered.solution.throughput()).unwrap();
     out
 }
 

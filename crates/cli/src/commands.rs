@@ -853,13 +853,10 @@ fn cmd_stats(
         sol.throughput().to_f64()
     )
     .unwrap();
-    writeln!(out, "visited    : {} of {} nodes", negotiated.visited_count(), p.len()).unwrap();
-    writeln!(
-        out,
-        "messages   : {} ({} octets on the wire)",
-        negotiated.protocol_messages, negotiated.wire_bytes
-    )
-    .unwrap();
+    let visited = negotiated.solution.visit_count();
+    writeln!(out, "visited    : {visited} of {} nodes", p.len()).unwrap();
+    let octets = bwfirst_proto::wire::negotiation_wire_bytes(&negotiated.solution);
+    writeln!(out, "messages   : {} ({octets} octets on the wire)", negotiated.messages()).unwrap();
 
     if ss.throughput.is_positive() {
         let ev = EventDrivenSchedule::standard(p, &ss).map_err(rt)?;
@@ -1022,12 +1019,10 @@ mod tests {
 
     fn run(argv: &[&str]) -> Result<String, CliError> {
         let args = parse_args(argv.iter().map(ToString::to_string)).unwrap();
-        dispatch(&args, |path| {
-            if path == "example.json" {
-                Ok(io::to_json(&bwfirst_platform::examples::example_tree()))
-            } else {
-                Err(format!("no such file {path}"))
-            }
+        dispatch(&args, |path| match path {
+            "example.json" => Ok(io::to_json(&bwfirst_platform::examples::example_tree())),
+            "hetero15.json" => Ok(io::to_json(&generators::hetero_tree(15, 1))),
+            _ => Err(format!("no such file {path}")),
         })
     }
 
@@ -1054,6 +1049,16 @@ mod tests {
         // 1/9 and 1/12 round to zero on a 1/6 grid, leaving the five 1/6
         // workers: throughput drops to 5/6.
         assert!(out.contains("-> 5/6"), "got: {out}");
+    }
+
+    #[test]
+    fn a_period_far_beyond_the_horizon_is_not_a_panic() {
+        // The exact plan's synchronous period is ~6.9·10^19 here: no
+        // steady-state window fits in 100 time units, none is formed.
+        for cmd in ["simulate", "stats", "monitor"] {
+            let out = run(&[cmd, "hetero15.json", "--horizon", "100"]);
+            assert!(out.as_ref().is_ok_and(|o| !o.contains("steady entry")), "{cmd}: {out:?}");
+        }
     }
 
     #[test]

@@ -15,13 +15,16 @@
 //! At the root the paper attaches a virtual parent with no computing power
 //! proposing `t_max = r_root + max_i b_i` (the most the root could ever
 //! consume under single-port sending); the tree's optimal throughput is
-//! `t_max − θ_root`.
+//! `t_max − θ_root` ([`t_max`]).
 //!
-//! The per-node rule lives once, in [`Round`]; the thread-per-node protocol
-//! in `bwfirst-proto` runs it in its `NodeMachine`. The traversal lives once
+//! The per-node rule lives once, in [`Round`]; the live protocol in
+//! `bwfirst-proto` runs it in its `NodeMachine`. The traversal lives once
 //! too: an explicit-stack walk over a [`TreeSource`], which [`bw_first`]
 //! runs on a [`Platform`] (recording the full transaction trace of
-//! Figure 4(b)) and `crate::lazy` runs depth-limited on infinite trees.
+//! Figure 4(b)) and `crate::lazy` runs depth-limited on infinite trees. So
+//! does the result: [`SolutionRecorder`] turns one round's messages into a
+//! [`BwFirstSolution`], whether the walk sends them or the live protocol
+//! delivers them.
 
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::Rat;
@@ -227,18 +230,20 @@ pub(crate) enum Bound {
     Upper,
 }
 
-/// What the [`walk`] reports to its observer, with `(parent, node, round)`,
-/// in wire order.
+/// What the [`walk`] reports to its observer, with `(node, round)`, in wire
+/// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Step {
-    /// `node` received `round.lambda` from `parent` and kept `round.alpha`.
+    /// `node` received `round.lambda` from its parent and kept `round.alpha`.
     Open,
-    /// `node` acknowledged `θ = round.delta` back to `parent`.
+    /// `node` acknowledged `θ = round.delta` back to its parent.
     Close,
 }
 
-/// The canonical virtual-parent proposal `t_max = r_root + max_i b_i`.
-pub(crate) fn t_max<S: TreeSource>(source: &S) -> Rat {
+/// The canonical virtual-parent proposal `t_max = r_root + max_i b_i`, the
+/// proposal every round opens with.
+#[must_use]
+pub fn t_max<S: TreeSource>(source: &S) -> Rat {
     let root = source.root();
     let best_bw = source.children(&root).first().map_or(Rat::ZERO, |(_, c)| c.recip());
     source.rate(&root) + best_bw
@@ -252,7 +257,7 @@ pub(crate) fn walk<S: TreeSource>(
     source: &S,
     lambda: Rat,
     limit: Option<(usize, Bound)>,
-    mut observe: impl FnMut(Step, Option<&S::Node>, &S::Node, &Round),
+    mut observe: impl FnMut(Step, &S::Node, &Round),
 ) -> Round {
     struct Frame<N> {
         node: N,
@@ -270,7 +275,7 @@ pub(crate) fn walk<S: TreeSource>(
         Frame { node, round, kids, next: 0 }
     };
     let root = open(source.root(), 0, lambda);
-    observe(Step::Open, None, &root.node, &root.round);
+    observe(Step::Open, &root.node, &root.round);
     let mut stack = vec![root];
     loop {
         let depth = stack.len();
@@ -278,15 +283,14 @@ pub(crate) fn walk<S: TreeSource>(
         if let Some((child, c)) = top.kids.get(top.next) {
             if let Some(beta) = top.round.propose(*c) {
                 let frame = open(child.clone(), depth, beta);
-                observe(Step::Open, Some(&top.node), &frame.node, &frame.round);
+                observe(Step::Open, &frame.node, &frame.round);
                 stack.push(frame);
                 continue;
             }
         }
         let done = stack.pop().expect("frame exists");
-        let parent = stack.last_mut();
-        observe(Step::Close, parent.as_ref().map(|p| &p.node), &done.node, &done.round);
-        let Some(parent) = parent else { return done.round };
+        observe(Step::Close, &done.node, &done.round);
+        let Some(parent) = stack.last_mut() else { return done.round };
         parent.round.close(parent.kids[parent.next].1, done.round.delta);
         parent.next += 1;
     }
@@ -314,32 +318,82 @@ pub fn bw_first(platform: &Platform) -> BwFirstSolution {
 /// parent's offer). Useful for analyzing subtrees under a constrained feed.
 #[must_use]
 pub fn bw_first_with_lambda(platform: &Platform, lambda: Rat) -> BwFirstSolution {
-    let n = platform.len();
-    let mut alpha = vec![Rat::ZERO; n];
-    let mut eta_in = vec![Rat::ZERO; n];
-    let mut visited = vec![false; n];
-    let mut transactions = Vec::new();
-    let mut trace = Vec::new();
-    let root =
-        walk(&PlatformSource(platform), lambda, None, |step, parent, node, round| match step {
-            Step::Open => {
-                visited[node.index()] = true;
-                alpha[node.index()] = round.alpha;
-                if let Some(&from) = parent {
-                    trace.push(TraceEvent::Proposal { from, to: *node, beta: round.lambda });
-                }
+    let mut rec = SolutionRecorder::new(platform.len(), lambda);
+    walk(&PlatformSource(platform), lambda, None, |step, node, round| match step {
+        Step::Open => rec.open(*node, round.lambda, round.alpha),
+        Step::Close => rec.close(round.delta),
+    });
+    rec.finish()
+}
+
+/// Builds a [`BwFirstSolution`] from one round's messages in wire order:
+/// each node's open (the proposal it received, the rate it kept) and close
+/// (the ack it sent back). Proposals and acks nest like parentheses, so the
+/// innermost open node is the parent of the next proposal and the sender of
+/// the next ack. [`bw_first`] feeds it from the walk; the live protocol in
+/// `bwfirst-proto` feeds it every message as it is delivered.
+#[derive(Debug)]
+pub struct SolutionRecorder {
+    solution: BwFirstSolution,
+    /// Open nodes, root first, with the proposal `λ` each received.
+    open: Vec<(NodeId, Rat)>,
+}
+
+impl SolutionRecorder {
+    /// An empty round over a `nodes`-node tree that the virtual parent opens
+    /// with the proposal `t_max`.
+    #[must_use]
+    pub fn new(nodes: usize, t_max: Rat) -> SolutionRecorder {
+        let solution = BwFirstSolution {
+            t_max,
+            throughput: Rat::ZERO,
+            alpha: vec![Rat::ZERO; nodes],
+            eta_in: vec![Rat::ZERO; nodes],
+            visited: vec![false; nodes],
+            transactions: Vec::new(),
+            trace: Vec::new(),
+        };
+        SolutionRecorder { solution, open: Vec::new() }
+    }
+
+    /// `node` received the proposal `lambda` from the innermost open node
+    /// (from the virtual parent if none is open) and keeps `alpha` for its
+    /// own CPU.
+    pub fn open(&mut self, node: NodeId, lambda: Rat, alpha: Rat) {
+        let s = &mut self.solution;
+        s.visited[node.index()] = true;
+        s.alpha[node.index()] = alpha;
+        if let Some(&(from, _)) = self.open.last() {
+            s.trace.push(TraceEvent::Proposal { from, to: node, beta: lambda });
+        }
+        self.open.push((node, lambda));
+    }
+
+    /// The innermost open node acknowledged `theta` back to its parent: its
+    /// subtree took in `η_in = λ − θ`. The root's ack to the virtual parent
+    /// fixes the throughput.
+    ///
+    /// # Panics
+    /// If no node is open.
+    pub fn close(&mut self, theta: Rat) {
+        let (child, beta) = self.open.pop().expect("an ack closes an open node");
+        let s = &mut self.solution;
+        let eta_in = beta - theta;
+        s.eta_in[child.index()] = eta_in;
+        match self.open.last() {
+            Some(&(parent, _)) => {
+                s.trace.push(TraceEvent::Ack { from: child, to: parent, theta });
+                s.transactions.push(Transaction { parent, child, beta, theta });
             }
-            Step::Close => {
-                eta_in[node.index()] = round.eta_in();
-                if let Some(&parent) = parent {
-                    let (child, beta, theta) = (*node, round.lambda, round.delta);
-                    trace.push(TraceEvent::Ack { from: child, to: parent, theta });
-                    transactions.push(Transaction { parent, child, beta, theta });
-                }
-            }
-        });
-    let throughput = root.eta_in();
-    BwFirstSolution { t_max: lambda, throughput, alpha, eta_in, visited, transactions, trace }
+            None => s.throughput = eta_in,
+        }
+    }
+
+    /// The solution of the messages recorded so far.
+    #[must_use]
+    pub fn finish(self) -> BwFirstSolution {
+        self.solution
+    }
 }
 
 #[cfg(test)]

@@ -43,14 +43,6 @@ pub struct ForkReduction {
     pub port_busy: Rat,
 }
 
-impl ForkReduction {
-    /// `true` iff the parent's sending port is saturated (`port_busy == 1`).
-    #[must_use]
-    pub fn is_bandwidth_limited(&self) -> bool {
-        self.port_busy == Rat::ONE
-    }
-}
-
 /// Computes Proposition 1 for a fork graph.
 ///
 /// `children` need not be pre-sorted; ties on `c` are broken by position
@@ -124,7 +116,6 @@ mod tests {
         assert_eq!(f.fully_fed, 0);
         assert_eq!(f.epsilon, Rat::ZERO);
         assert_eq!(f.port_busy, Rat::ZERO);
-        assert!(!f.is_bandwidth_limited());
     }
 
     #[test]
@@ -150,7 +141,7 @@ mod tests {
         assert_eq!(f.epsilon, rat(1, 2));
         // r_f = 1/2 (B) + ε·b_A = 1/2 + (1/2)(1/2) = 3/4.
         assert_eq!(f.rate, rat(3, 4));
-        assert!(f.is_bandwidth_limited());
+        assert_eq!(f.port_busy, Rat::ONE); // the sending port is saturated
     }
 
     #[test]
@@ -162,7 +153,7 @@ mod tests {
         // First child: 3/4 port. Second: partial with ε=1/4 → 1/4 tasks. Third: starved.
         assert_eq!(f.fully_fed, 1);
         assert_eq!(f.rate, rat(3, 4) + rat(1, 4));
-        assert!(f.is_bandwidth_limited());
+        assert_eq!(f.port_busy, Rat::ONE); // the sending port is saturated
     }
 
     #[test]
@@ -171,7 +162,7 @@ mod tests {
         assert_eq!(f.fully_fed, 1);
         assert_eq!(f.epsilon, Rat::ZERO);
         assert_eq!(f.rate, rat(10, 9));
-        assert!(f.is_bandwidth_limited());
+        assert_eq!(f.port_busy, Rat::ONE); // the sending port is saturated
     }
 
     #[test]

@@ -33,7 +33,7 @@ use bwfirst_rational::Rat;
 #[must_use]
 pub fn throughput_bounds<S: TreeSource>(source: &S, depth_limit: usize) -> (Rat, Rat) {
     let lambda = t_max(source);
-    let bound = |b| walk(source, lambda, Some((depth_limit, b)), |_, _, _, _| {}).eta_in();
+    let bound = |b| walk(source, lambda, Some((depth_limit, b)), |_, _, _| {}).eta_in();
     (bound(Bound::Lower), bound(Bound::Upper))
 }
 
@@ -42,7 +42,7 @@ pub fn throughput_bounds<S: TreeSource>(source: &S, depth_limit: usize) -> (Rat,
 /// returns as its throughput, without building the per-node solution.
 #[must_use]
 pub fn throughput<S: TreeSource>(source: &S) -> Rat {
-    walk(source, t_max(source), None, |_, _, _, _| {}).eta_in()
+    walk(source, t_max(source), None, |_, _, _| {}).eta_in()
 }
 
 /// An infinite homogeneous chain: every node computes at `rate` and feeds a

@@ -1,8 +1,8 @@
 //! Platform generators for experiments and property tests.
 //!
-//! Deterministic shapes (forks, daisy-chains, stars, spiders, k-ary trees)
-//! mirror the topology families of the literature the paper builds on
-//! (Beaumont et al.'s forks, Dutot's daisy-chains and spider graphs), while
+//! Deterministic shapes (forks, daisy-chains, stars, k-ary trees) mirror
+//! the topology families of the literature the paper builds on (Beaumont et
+//! al.'s forks, Dutot's daisy-chains), while
 //! seeded random generators drive the scaling experiments (E6, E7, E9, E12).
 //! Weights are sampled as small rationals so lcm-based periods stay
 //! representative of the paper's examples.
@@ -47,17 +47,6 @@ pub fn star(root_w: Weight, k: usize, w: Weight, c: Rat) -> Platform {
         b.child(root, w, c);
     }
     b.build().expect("star generator produces valid platforms")
-}
-
-/// A spider: root with `legs.len()` daisy-chain legs hanging off it.
-#[must_use]
-pub fn spider(root_w: Weight, legs: &[Vec<(Weight, Rat)>]) -> Platform {
-    let mut b = PlatformBuilder::new();
-    let root = b.root(root_w);
-    for leg in legs {
-        b.chain(root, leg);
-    }
-    b.build().expect("spider generator produces valid platforms")
 }
 
 /// A complete `arity`-ary tree of the given `depth` (depth 0 = root only)
@@ -326,15 +315,6 @@ mod tests {
         assert_eq!(p.len(), 6);
         assert_eq!(p.children(p.root()).len(), 5);
         assert_eq!(p.height(), 1);
-    }
-
-    #[test]
-    fn spider_shape() {
-        let legs = vec![vec![(w(1), rat(1, 1)); 3], vec![(w(2), rat(2, 1)); 2]];
-        let p = spider(w(1), &legs);
-        assert_eq!(p.len(), 6);
-        assert_eq!(p.children(p.root()).len(), 2);
-        assert_eq!(p.height(), 3);
     }
 
     #[test]

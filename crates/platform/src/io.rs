@@ -21,139 +21,78 @@ use crate::platform::Platform;
 use bwfirst_obs::json::{self, obj, Value};
 use bwfirst_rational::Rat;
 
-/// One node in a [`PlatformSpec`].
-#[derive(Debug, Clone)]
-pub struct NodeSpec {
-    /// Dense node id; the root must be 0.
-    pub id: u32,
-    /// Parent id (`None` for the root; omitted from JSON).
-    pub parent: Option<u32>,
-    /// Processing time per task; `None` means a switch (`w = +∞`,
-    /// `"w": null` in JSON).
-    pub w: Option<Rat>,
-    /// Communication time of the edge from the parent (`None` for the root;
-    /// omitted from JSON).
-    pub c: Option<Rat>,
-}
-
-/// Serializable description of a [`Platform`].
-#[derive(Debug, Clone)]
-pub struct PlatformSpec {
-    /// All nodes; parents must precede children.
-    pub nodes: Vec<NodeSpec>,
-}
-
-impl NodeSpec {
-    fn to_json(&self) -> Value {
-        let mut members = vec![("id", Value::Int(i128::from(self.id)))];
-        if let Some(p) = self.parent {
-            members.push(("parent", Value::Int(i128::from(p))));
-        }
-        members.push(("w", self.w.as_ref().map_or(Value::Null, Rat::to_json)));
-        if let Some(c) = &self.c {
-            members.push(("c", c.to_json()));
-        }
-        obj(members)
-    }
-
-    fn from_json(v: &Value) -> Result<NodeSpec, String> {
-        let id = v["id"].as_i128().ok_or("node is missing an integer `id`")?;
-        let id = u32::try_from(id).map_err(|_| format!("node id {id} out of range"))?;
-        let parent = match &v["parent"] {
-            Value::Null => None,
-            p => Some(
-                p.as_i128()
-                    .and_then(|p| u32::try_from(p).ok())
-                    .ok_or(format!("node {id} has a malformed `parent`"))?,
-            ),
-        };
-        let w = match &v["w"] {
-            Value::Null => None,
-            w => Some(Rat::from_json(w)?),
-        };
-        let c = match &v["c"] {
-            Value::Null => None,
-            c => Some(Rat::from_json(c)?),
-        };
-        Ok(NodeSpec { id, parent, w, c })
-    }
-}
-
-impl PlatformSpec {
-    /// Captures a [`Platform`] into a spec.
-    #[must_use]
-    pub fn from_platform(p: &Platform) -> PlatformSpec {
-        let nodes = p
-            .node_ids()
-            .map(|id| NodeSpec {
-                id: id.0,
-                parent: p.parent(id).map(|n| n.0),
-                w: p.weight(id).time(),
-                c: p.link_time(id),
-            })
-            .collect();
-        PlatformSpec { nodes }
-    }
-
-    /// Rebuilds the [`Platform`]; validates ids, ordering and weights.
-    pub fn to_platform(&self) -> Result<Platform, PlatformError> {
-        let mut b = PlatformBuilder::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            if n.id as usize != i {
-                return Err(PlatformError::MalformedSpec(format!(
-                    "node at position {i} has id {} (ids must be dense and ordered)",
-                    n.id
-                )));
-            }
-            let w = match n.w {
-                Some(t) => Weight::Time(t),
-                None => Weight::Infinite,
-            };
-            match (n.parent, n.c) {
-                (None, None) if i == 0 => {
-                    b.root(w);
-                }
-                (None, _) | (_, None) => {
-                    return Err(PlatformError::MalformedSpec(format!(
-                        "node {} must have both parent and c (or neither, for the root only)",
-                        n.id
-                    )));
-                }
-                (Some(p), Some(c)) => {
-                    if p as usize >= i {
-                        return Err(PlatformError::MalformedSpec(format!(
-                            "node {} references parent {p} that does not precede it",
-                            n.id
-                        )));
-                    }
-                    b.child(NodeId(p), w, c);
-                }
-            }
-        }
-        b.build()
-    }
-}
-
 /// Serializes a platform to pretty JSON.
 #[must_use]
 pub fn to_json(p: &Platform) -> String {
-    let spec = PlatformSpec::from_platform(p);
-    let nodes: Vec<Value> = spec.nodes.iter().map(NodeSpec::to_json).collect();
-    obj(vec![("nodes", Value::Array(nodes))]).to_string_pretty()
+    let node = |id: NodeId| {
+        let mut members = vec![("id", Value::Int(i128::from(id.0)))];
+        if let Some(parent) = p.parent(id) {
+            members.push(("parent", Value::Int(i128::from(parent.0))));
+        }
+        members.push(("w", p.weight(id).time().as_ref().map_or(Value::Null, Rat::to_json)));
+        if let Some(c) = p.link_time(id) {
+            members.push(("c", c.to_json()));
+        }
+        obj(members)
+    };
+    obj(vec![("nodes", Value::Array(p.node_ids().map(node).collect()))]).to_string_pretty()
 }
 
-/// Parses a platform from JSON produced by [`to_json`] (or hand-written).
+/// Parses a platform from JSON produced by [`to_json`] (or hand-written):
+/// ids dense and in order from the root's 0, every parent before its
+/// children. Nodes are checked in order; the first fault is reported.
 pub fn from_json(s: &str) -> Result<Platform, PlatformError> {
     let v = json::parse(s).map_err(|e| PlatformError::MalformedSpec(e.to_string()))?;
     let nodes = v["nodes"]
         .as_array()
         .ok_or_else(|| PlatformError::MalformedSpec("missing `nodes` array".to_string()))?;
-    let nodes: Vec<NodeSpec> = nodes
-        .iter()
-        .map(NodeSpec::from_json)
-        .collect::<Result<_, String>>()
-        .map_err(PlatformError::MalformedSpec)?;
-    PlatformSpec { nodes }.to_platform()
+    let mut b = PlatformBuilder::new();
+    for (i, node) in nodes.iter().enumerate() {
+        add_node(&mut b, i, node).map_err(PlatformError::MalformedSpec)?;
+    }
+    b.build()
+}
+
+/// Reads the `i`-th entry of the node list into `b`.
+fn add_node(b: &mut PlatformBuilder, i: usize, v: &Value) -> Result<(), String> {
+    let id = v["id"].as_i128().ok_or("node is missing an integer `id`")?;
+    let id = u32::try_from(id).map_err(|_| format!("node id {id} out of range"))?;
+    let parent = match &v["parent"] {
+        Value::Null => None,
+        p => Some(
+            p.as_i128()
+                .and_then(|p| u32::try_from(p).ok())
+                .ok_or(format!("node {id} has a malformed `parent`"))?,
+        ),
+    };
+    let w = match &v["w"] {
+        Value::Null => Weight::Infinite,
+        w => Weight::Time(Rat::from_json(w)?),
+    };
+    let c = match &v["c"] {
+        Value::Null => None,
+        c => Some(Rat::from_json(c)?),
+    };
+    if id as usize != i {
+        return Err(format!("node at position {i} has id {id} (ids must be dense and ordered)"));
+    }
+    match (parent, c) {
+        (None, None) if i == 0 => {
+            b.root(w);
+        }
+        (Some(p), Some(c)) if (p as usize) < i => {
+            b.child(NodeId(p), w, c);
+        }
+        (Some(p), Some(_)) => {
+            return Err(format!("node {id} references parent {p} that does not precede it"));
+        }
+        _ => {
+            return Err(format!(
+                "node {id} must have both parent and c (or neither, for the root only)"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Graphviz DOT rendering: nodes labelled `P_i (w)`, edges labelled `c`.
@@ -204,28 +143,60 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_ids() {
-        let json = r#"{ "nodes": [ { "id": 1, "w": "1" } ] }"#;
-        assert!(matches!(from_json(json), Err(PlatformError::MalformedSpec(_))));
-    }
-
-    #[test]
-    fn rejects_forward_parent_reference() {
-        let json = r#"{ "nodes": [
-            { "id": 0, "w": "1" },
-            { "id": 1, "parent": 2, "w": "1", "c": "1" },
-            { "id": 2, "parent": 0, "w": "1", "c": "1" }
-        ] }"#;
-        assert!(matches!(from_json(json), Err(PlatformError::MalformedSpec(_))));
-    }
-
-    #[test]
-    fn rejects_half_specified_edge() {
-        let json = r#"{ "nodes": [
-            { "id": 0, "w": "1" },
-            { "id": 1, "parent": 0, "w": "1" }
-        ] }"#;
-        assert!(matches!(from_json(json), Err(PlatformError::MalformedSpec(_))));
+    fn each_fault_reports_its_error() {
+        let spec = "malformed platform spec: ";
+        let both = "node 1 must have both parent and c (or neither, for the root only)";
+        let cases = [
+            (r#"{"nodes":[{"id":0,"w":"1"},{"id":2,"parent":0,"w":"1","c":"1"}]}"#,
+                "node at position 1 has id 2 (ids must be dense and ordered)"),
+            (r#"{"nodes":[{"id":1,"w":"1"}]}"#,
+                "node at position 0 has id 1 (ids must be dense and ordered)"),
+            (r#"{"nodes":[{"id":0,"w":"1"},{"id":1,"parent":0,"w":"1"}]}"#, both),
+            (r#"{"nodes":[{"id":0,"w":"1"},{"id":1,"w":"1","c":"1"}]}"#, both),
+            (r#"{"nodes":[{"id":0,"w":"1"},{"id":1,"w":"1"}]}"#, both),
+            (r#"{"nodes":[{"id":0,"parent":0,"w":"1","c":"1"}]}"#,
+                "node 0 references parent 0 that does not precede it"),
+            (r#"{"nodes":[{"id":0,"w":"1"},{"id":1,"parent":2,"w":"1","c":"1"},
+                {"id":2,"parent":0,"w":"1","c":"1"}]}"#,
+                "node 1 references parent 2 that does not precede it"),
+            (r#"{"nodes":[{"id":0,"w":"1"},{"id":1,"parent":"0","w":"1","c":"1"}]}"#,
+                "node 1 has a malformed `parent`"),
+            (r#"{"nodes":[{"id":0,"w":"1"},{"id":1,"parent":-1,"w":"1","c":"1"}]}"#,
+                "node 1 has a malformed `parent`"),
+            (r#"{"nodes":[{"id":0,"w":"1"},{"id":1,"parent":0,"w":"a/b","c":"1"}]}"#,
+                "invalid rational \"a/b\": cannot parse `a/b` as a rational (expected `p` or `p/q`)"),
+            (r#"{"nodes":[{"id":0,"w":true}]}"#,
+                "expected a rational as `p/q`, `p`, or an integer, got Bool(true)"),
+            (r#"{"nodes":[{"id":0,"w":"1"},{"id":1,"parent":0,"w":"1","c":"1/0"}]}"#,
+                "invalid rational \"1/0\": cannot parse `1/0` as a rational (expected `p` or `p/q`)"),
+            (r#"{"nodes":[{"id":0,"w":"1"},{"id":1,"parent":0,"w":"1","c":[1]}]}"#,
+                "expected a rational as `p/q`, `p`, or an integer, got Array([Int(1)])"),
+            (r#"{"nodes":[{"w":"1"}]}"#, "node is missing an integer `id`"),
+            (r#"{"nodes":[{"id":-1,"w":"1"}]}"#, "node id -1 out of range"),
+            (r#"{"node":[{"id":0,"w":"1"}]}"#, "missing `nodes` array"),
+            (r#"[{"id":0,"w":"1"}]"#, "missing `nodes` array"),
+            ("42", "missing `nodes` array"),
+            ("{", "JSON error at byte 1: expected '\"'"),
+        ];
+        for (json, message) in cases {
+            let err = from_json(json).expect_err(json).to_string();
+            assert_eq!(err, format!("{spec}{message}"), "{json}");
+        }
+        // Faults the builder finds once every node is read.
+        let built = [
+            (r#"{"nodes":[]}"#, "platform has no root node"),
+            (
+                r#"{"nodes":[{"id":0,"w":"-1"}]}"#,
+                "node P0 has non-positive processing time (use Weight::Infinite for w = +inf)",
+            ),
+            (
+                r#"{"nodes":[{"id":0,"w":"1"},{"id":1,"parent":0,"w":"1","c":"0"}]}"#,
+                "edge into P1 has non-positive communication time",
+            ),
+        ];
+        for (json, message) in built {
+            assert_eq!(from_json(json).expect_err(json).to_string(), message, "{json}");
+        }
     }
 
     #[test]

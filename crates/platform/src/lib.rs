@@ -17,7 +17,7 @@
 //!   parent access and the traversal helpers the algorithms need (including
 //!   [`Platform::children_bandwidth_centric`], the fastest-link-first child
 //!   order at the heart of the bandwidth-centric principle);
-//! * [`generators`] — forks, daisy-chains, stars, spiders, k-ary trees, and
+//! * [`generators`] — forks, daisy-chains, stars, k-ary trees, and
 //!   seeded random/bottlenecked platforms for the experiments;
 //! * [`examples`] — the reconstructed Figure 4 example tree and the
 //!   Section 9 result-return counter-example;

@@ -18,17 +18,19 @@
 //! ([`ProtocolSession::spawn_tcp`]).
 //!
 //! * [`ProtocolSession::negotiate`] runs one full `BW-First` round —
-//!   proposals flow down, acknowledgments flow up — and returns the
-//!   throughput plus per-node rates and message counts. Negotiations can be
-//!   re-run at any time (the paper's dynamic-adaptation strategy), including
-//!   after [`ProtocolSession::set_weight`] / [`ProtocolSession::set_link`]
-//!   re-weight parts of the platform.
+//!   proposals flow down, acknowledgments flow up — and returns Algorithm
+//!   1's own `BwFirstSolution`, recorded from the messages as they are
+//!   delivered (the same recorder `bw_first` uses), so the distributed and
+//!   the centralized result are one type and compare whole. Negotiations
+//!   can be re-run at any time (the paper's dynamic-adaptation strategy),
+//!   including after [`ProtocolSession::set_weight`] /
+//!   [`ProtocolSession::set_link`] re-weight parts of the platform.
 //! * [`ProtocolSession::run_flow`] then moves *real task payloads*
 //!   (shared `Arc<[u8]>` buffers) through the tree: every node routes
 //!   incoming bunches with the event-driven local schedule it derived from
 //!   its own negotiated rates — no clocks, no global knowledge (Section 6.2).
 //!
-//! Experiment E11 uses the message and latency accounting to substantiate
+//! Experiment E11 uses the message count and the latency to substantiate
 //! "the running time of the `BW-First` procedure is negligible as opposed to
 //! the time of communicating tasks".
 

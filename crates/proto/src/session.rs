@@ -1,14 +1,18 @@
 //! The dispatcher: one loop that runs every node's protocol state and plays
-//! the root's virtual parent.
+//! the root's virtual parent. A negotiation records each proposal and ack
+//! as it is delivered into core's `SolutionRecorder`, so a round returns the
+//! `BwFirstSolution` of the messages that actually crossed the links.
 
 use crate::error::ProtoError;
 use crate::machine::{NodeMachine, Outgoing};
 use crate::messages::{ControlMsg, DownMsg, UpMsg};
 use crate::wire::bridge::LinkEndpoints;
-use crate::wire::{encode_down, encode_up};
+use crate::wire::negotiation_wire_bytes;
+use bwfirst_core::bwfirst::{t_max, PlatformSource, SolutionRecorder};
 use bwfirst_core::schedule::{
     BunchCursor, LocalSchedule, LocalScheduleKind, NodeSchedule, SlotAction,
 };
+use bwfirst_core::{BwFirstSolution, TraceEvent};
 use bwfirst_obs::{Arg, Event, EventKind, Recorder, Ts};
 use bwfirst_platform::{NodeId, Platform, Weight};
 use bwfirst_rational::Rat;
@@ -18,33 +22,19 @@ use std::time::{Duration, Instant};
 /// Result of one distributed negotiation round.
 #[derive(Debug, Clone)]
 pub struct NegotiationOutcome {
-    /// The virtual parent's proposal `t_max`.
-    pub t_max: Rat,
-    /// Steady-state throughput: `t_max − θ_root`.
-    pub throughput: Rat,
-    /// Per-node negotiated compute rates (0 for unvisited nodes).
-    pub alpha: Vec<Rat>,
-    /// Per-node negotiated inflow rates (0 for unvisited nodes).
-    pub eta_in: Vec<Rat>,
-    /// Which nodes took part in the round.
-    pub visited: Vec<bool>,
-    /// Proposals each node sent to its children (acks received match
-    /// one-for-one; 0 for unvisited nodes and leaves).
-    pub proposals_sent: Vec<u64>,
-    /// Total protocol messages exchanged (each carries one number), counting
-    /// the virtual parent's proposal and the root's final ack.
-    pub protocol_messages: u64,
-    /// Total encoded octets of the round, virtual-parent edge included.
-    pub wire_bytes: u64,
+    /// Algorithm 1's result, built from the messages the round delivered.
+    pub solution: BwFirstSolution,
     /// Wall-clock duration of the round.
     pub elapsed: Duration,
 }
 
 impl NegotiationOutcome {
-    /// How many nodes took part in the round.
+    /// Total protocol messages exchanged (each carries one number): the
+    /// solution's trace plus the virtual parent's proposal and the root's
+    /// final ack.
     #[must_use]
-    pub fn visited_count(&self) -> usize {
-        self.visited.iter().filter(|&&v| v).count()
+    pub fn messages(&self) -> usize {
+        self.solution.message_count() + 2
     }
 
     /// Records the round into a `bwfirst-obs` recorder: one instant event
@@ -57,8 +47,14 @@ impl NegotiationOutcome {
         if !rec.enabled() {
             return;
         }
-        let proposals: u64 = self.proposals_sent.iter().sum();
-        for (i, &v) in self.visited.iter().enumerate() {
+        let s = &self.solution;
+        let mut proposals_sent = vec![0i128; s.visited.len()];
+        for ev in &s.trace {
+            if let TraceEvent::Proposal { from, .. } = ev {
+                proposals_sent[from.index()] += 1;
+            }
+        }
+        for (i, &v) in s.visited.iter().enumerate() {
             if !v {
                 continue;
             }
@@ -69,19 +65,20 @@ impl NegotiationOutcome {
                     format!("negotiate P{i}"),
                     EventKind::Instant,
                 )
-                .arg("alpha", Arg::Rat(self.alpha[i].numer(), self.alpha[i].denom()))
-                .arg("eta_in", Arg::Rat(self.eta_in[i].numer(), self.eta_in[i].denom()))
-                .arg("proposals_sent", Arg::Int(i128::from(self.proposals_sent[i]))),
+                .arg("alpha", Arg::Rat(s.alpha[i].numer(), s.alpha[i].denom()))
+                .arg("eta_in", Arg::Rat(s.eta_in[i].numer(), s.eta_in[i].denom()))
+                .arg("proposals_sent", Arg::Int(proposals_sent[i])),
             );
         }
         // Every proposal down is answered by one ack up; the virtual parent
         // contributes one of each on the driver→root edge.
-        rec.add("proto.proposals", i128::from(proposals) + 1);
-        rec.add("proto.acks", i128::from(proposals) + 1);
-        rec.add("proto.messages", i128::from(self.protocol_messages));
-        rec.add("proto.wire_bytes", i128::from(self.wire_bytes));
-        rec.add("proto.nodes_visited", self.visited_count() as i128);
-        rec.add("proto.nodes_total", self.visited.len() as i128);
+        let proposals: i128 = proposals_sent.iter().sum();
+        rec.add("proto.proposals", proposals + 1);
+        rec.add("proto.acks", proposals + 1);
+        rec.add("proto.messages", self.messages() as i128);
+        rec.add("proto.wire_bytes", negotiation_wire_bytes(s) as i128);
+        rec.add("proto.nodes_visited", s.visit_count() as i128);
+        rec.add("proto.nodes_total", s.visited.len() as i128);
         // lint: allow(float) — histogram export is the quantize boundary.
         rec.observe("proto.negotiate_micros", self.elapsed.as_secs_f64() * 1e6);
     }
@@ -106,23 +103,6 @@ impl FlowOutcome {
     pub fn total_computed(&self) -> u64 {
         self.computed.iter().sum()
     }
-}
-
-/// The canonical virtual-parent proposal for a platform: the root's compute
-/// rate plus its best child bandwidth — the `t_max` a round opens with. Also
-/// used by the `crates/analyze` model checker so the exhaustive exploration
-/// opens every round exactly like the live driver.
-///
-/// # Errors
-/// [`ProtoError::MissingLink`] if a root child has no link weight.
-pub fn virtual_proposal(platform: &Platform) -> Result<Rat, ProtoError> {
-    let root = platform.root();
-    let mut best = Rat::ZERO;
-    for &k in platform.children(root) {
-        let bw = platform.bandwidth(k).ok_or(ProtoError::MissingLink { child: k.0 })?;
-        best = best.max(bw);
-    }
-    Ok(platform.compute_rate(root) + best)
 }
 
 /// How a message crosses the tree edge into a node. The root's edge comes
@@ -176,11 +156,6 @@ enum Hop {
 /// local knowledge.
 struct Node {
     machine: NodeMachine,
-    /// A proposal reached the node in the current round.
-    visited: bool,
-    /// Encoded octets the node sent in the current round: its proposals
-    /// down plus its own ack up.
-    wire_bytes_sent: u64,
     schedule: Option<LocalSchedule>,
     cursor: BunchCursor,
     computed: u64,
@@ -262,6 +237,8 @@ pub struct ProtocolSession {
     platform: Platform,
     nodes: Vec<Node>,
     links: Links,
+    /// The solution of the round in flight, built as its messages arrive.
+    round: Option<SolutionRecorder>,
 }
 
 impl ProtocolSession {
@@ -297,8 +274,6 @@ impl ProtocolSession {
             }
             nodes.push(Node {
                 machine: NodeMachine::new(id.0, platform.weight(id), children),
-                visited: false,
-                wire_bytes_sent: 0,
                 schedule: None,
                 cursor: BunchCursor::default(),
                 computed: 0,
@@ -307,12 +282,12 @@ impl ProtocolSession {
                 checksum: 0,
             });
         }
-        Ok(ProtocolSession { platform: platform.clone(), nodes, links })
+        Ok(ProtocolSession { platform: platform.clone(), nodes, links, round: None })
     }
 
-    /// Delivers messages until none is in flight. Returns the `θ` the root
-    /// acked to the virtual parent, if the last message was that ack.
-    fn pump(&mut self, mut next: Option<Hop>) -> Result<Option<Rat>, ProtoError> {
+    /// Delivers messages until none is in flight. Returns `true` if the last
+    /// message was the root's ack to the virtual parent.
+    fn pump(&mut self, mut next: Option<Hop>) -> Result<bool, ProtoError> {
         while let Some(hop) = next {
             next = match hop {
                 Hop::Down(k, msg) => {
@@ -321,13 +296,16 @@ impl ProtocolSession {
                 }
                 Hop::Up(k, msg) => {
                     let UpMsg::Ack(theta) = self.links.up(k, msg)?;
-                    let Some(p) = self.platform.parent(k) else { return Ok(Some(theta)) };
+                    if let Some(round) = &mut self.round {
+                        round.close(theta);
+                    }
+                    let Some(p) = self.platform.parent(k) else { return Ok(true) };
                     let out = self.nodes[p.index()].machine.on_ack(k.0, theta)?;
                     Some(self.emit(p, out))
                 }
             };
         }
-        Ok(None)
+        Ok(false)
     }
 
     /// Node `k` acts on a message from its parent and returns what it sends.
@@ -336,7 +314,9 @@ impl ProtocolSession {
         match msg {
             DownMsg::Proposal(lambda) => {
                 let out = node.machine.on_proposal(lambda)?;
-                node.visited = true;
+                if let Some(round) = &mut self.round {
+                    round.open(k, lambda, node.machine.alpha());
+                }
                 Ok(Some(self.emit(k, out)))
             }
             DownMsg::Task(payload) => node.route_task(payload),
@@ -355,70 +335,38 @@ impl ProtocolSession {
     }
 
     /// Turns the transmission node `k`'s machine requires into the hop that
-    /// carries it, counting its encoded octets.
+    /// carries it.
     fn emit(&mut self, k: NodeId, out: Outgoing) -> Hop {
-        let node = &mut self.nodes[k.index()];
         match out {
             Outgoing::ToChild { child, beta, .. } => {
-                let msg = DownMsg::Proposal(beta);
-                node.wire_bytes_sent += encode_down(&msg).len() as u64;
-                Hop::Down(NodeId(child), msg)
+                Hop::Down(NodeId(child), DownMsg::Proposal(beta))
             }
             Outgoing::AckParent { theta } => {
                 // Rates changed: any previously built schedule is stale.
-                node.schedule = None;
-                let msg = UpMsg::Ack(theta);
-                node.wire_bytes_sent += encode_up(&msg).len() as u64;
-                Hop::Up(k, msg)
+                self.nodes[k.index()].schedule = None;
+                Hop::Up(k, UpMsg::Ack(theta))
             }
         }
     }
 
-    /// Runs one `BW-First` round over the live node states.
+    /// Runs one `BW-First` round over the live node states. Its solution is
+    /// recorded from the proposals and acks as each is delivered, after it
+    /// crossed its link.
     ///
     /// # Errors
     /// A [`ProtoError`] if a node breaks the protocol or a link closes.
     pub fn negotiate(&mut self) -> Result<NegotiationOutcome, ProtoError> {
-        let t_max = virtual_proposal(&self.platform)?;
-        for node in &mut self.nodes {
-            node.visited = false;
-            node.wire_bytes_sent = 0;
-        }
+        let t_max = t_max(&PlatformSource(&self.platform));
+        self.round = Some(SolutionRecorder::new(self.nodes.len(), t_max));
         let started = Instant::now();
-        let proposal = DownMsg::Proposal(t_max);
-        // The virtual parent's proposal, and the root's ack to it.
-        let mut protocol_messages = 1u64;
-        let mut wire_bytes = encode_down(&proposal).len() as u64;
         let root = self.platform.root();
-        let theta = self
-            .pump(Some(Hop::Down(root, proposal)))?
-            .ok_or(ProtoError::ChannelClosed { node: root.0 })?;
+        let closed = self.pump(Some(Hop::Down(root, DownMsg::Proposal(t_max))));
         let elapsed = started.elapsed();
-        let n = self.nodes.len();
-        let mut alpha = vec![Rat::ZERO; n];
-        let mut eta_in = vec![Rat::ZERO; n];
-        let mut visited = vec![false; n];
-        let mut proposals_sent = vec![0u64; n];
-        for (i, node) in self.nodes.iter().enumerate().filter(|(_, node)| node.visited) {
-            alpha[i] = node.machine.alpha();
-            eta_in[i] = node.machine.eta_in();
-            visited[i] = true;
-            proposals_sent[i] = node.machine.proposals_sent();
-            // Each visited node sends its proposals plus its own ack.
-            protocol_messages += proposals_sent[i] + 1;
-            wire_bytes += node.wire_bytes_sent;
+        let round = self.round.take();
+        match (closed?, round) {
+            (true, Some(round)) => Ok(NegotiationOutcome { solution: round.finish(), elapsed }),
+            _ => Err(ProtoError::ChannelClosed { node: root.0 }),
         }
-        Ok(NegotiationOutcome {
-            t_max,
-            throughput: t_max - theta,
-            alpha,
-            eta_in,
-            visited,
-            proposals_sent,
-            protocol_messages,
-            wire_bytes,
-            elapsed,
-        })
     }
 
     /// Streams `bunches` root bunches of `payload_len`-byte tasks through
@@ -514,19 +462,13 @@ mod tests {
         let p = example_tree();
         let mut session = ProtocolSession::spawn(&p).unwrap();
         let out = session.negotiate().unwrap();
-        let reference = bw_first(&p);
-        assert_eq!(out.throughput, example_throughput());
-        assert_eq!(out.alpha, reference.alpha);
-        assert_eq!(out.eta_in, reference.eta_in);
-        assert_eq!(out.visited, reference.visited);
+        assert_eq!(out.solution, bw_first(&p));
+        assert_eq!(out.solution.throughput(), example_throughput());
         // 7 transactions + the virtual parent's: 8 proposals + 8 acks.
-        assert_eq!(out.protocol_messages, 16);
+        assert_eq!(out.messages(), 16);
         // Each visited node has exactly one incoming edge (the root's being
         // virtual): 2 messages — one rational each way — per visited edge.
-        assert_eq!(out.protocol_messages, 2 * out.visited_count() as u64);
-        assert_eq!(out.proposals_sent.iter().sum::<u64>(), 7);
-        // The octet count matches the codec replaying the centralized trace.
-        assert_eq!(out.wire_bytes, crate::wire::negotiation_wire_bytes(&reference) as u64);
+        assert_eq!(out.messages(), 2 * out.solution.visit_count());
     }
 
     #[test]
@@ -542,7 +484,9 @@ mod tests {
         assert_eq!(rec.metrics.counter("proto.acks"), 8);
         assert_eq!(rec.metrics.counter("proto.messages"), 16);
         assert_eq!(rec.events.len(), 8, "one instant per visited node");
-        assert!(rec.metrics.counter("proto.wire_bytes") > 0);
+        // The octet count is the codec replaying the centralized trace.
+        let bytes = crate::wire::negotiation_wire_bytes(&bw_first(&p));
+        assert_eq!(rec.metrics.counter("proto.wire_bytes"), bytes as i128);
         // The no-op recorder takes the early-out path.
         out.record(&mut bwfirst_obs::Noop);
     }
@@ -553,8 +497,8 @@ mod tests {
         let mut session = ProtocolSession::spawn(&p).unwrap();
         let out = session.negotiate().unwrap();
         for id in example_unvisited() {
-            assert!(!out.visited[id.index()]);
-            assert!(out.alpha[id.index()].is_zero());
+            assert!(!out.solution.visited[id.index()]);
+            assert!(out.solution.alpha[id.index()].is_zero());
         }
     }
 
@@ -564,9 +508,7 @@ mod tests {
         let mut session = ProtocolSession::spawn(&p).unwrap();
         let first = session.negotiate().unwrap();
         for _ in 0..5 {
-            let again = session.negotiate().unwrap();
-            assert_eq!(again.throughput, first.throughput);
-            assert_eq!(again.protocol_messages, first.protocol_messages);
+            assert_eq!(session.negotiate().unwrap().solution, first.solution);
         }
     }
 
@@ -575,8 +517,7 @@ mod tests {
         for seed in 0..8 {
             let p = random_tree(&RandomTreeConfig { size: 48, seed, ..Default::default() });
             let mut session = ProtocolSession::spawn(&p).unwrap();
-            let out = session.negotiate().unwrap();
-            assert_eq!(out.throughput, bw_first(&p).throughput(), "seed {seed}");
+            assert_eq!(session.negotiate().unwrap().solution, bw_first(&p), "seed {seed}");
         }
     }
 
@@ -584,20 +525,20 @@ mod tests {
     fn reweighting_changes_the_next_round() {
         let p = example_tree();
         let mut session = ProtocolSession::spawn(&p).unwrap();
-        assert_eq!(session.negotiate().unwrap().throughput, rat(10, 9));
+        assert_eq!(session.negotiate().unwrap().solution.throughput(), rat(10, 9));
         // Slow the root→P3 link so P3's subtree starves: the root port can
         // still feed P1 and P2 fully (2/3 busy) and spends the remaining 1/3
         // sending at bandwidth 1/10 → 1/9 + 1/3 + 1/3 + 1/30.
         session.set_link(NodeId(3), rat(10, 1)).unwrap();
-        let slowed = session.negotiate().unwrap();
-        assert_eq!(slowed.throughput, rat(1, 9) + rat(2, 3) + rat(1, 30));
+        let slowed = session.negotiate().unwrap().solution;
+        assert_eq!(slowed.throughput(), rat(1, 9) + rat(2, 3) + rat(1, 30));
         // Centralized solver on the mirrored platform agrees.
-        assert_eq!(slowed.throughput, bw_first(session.platform()).throughput());
+        assert_eq!(slowed, bw_first(session.platform()));
         // Speeding a worker's CPU raises throughput again.
         session.set_weight(NodeId(1), Weight::Time(rat(3, 1))).unwrap();
-        let faster = session.negotiate().unwrap();
-        assert_eq!(faster.throughput, bw_first(session.platform()).throughput());
-        assert!(faster.throughput > slowed.throughput);
+        let faster = session.negotiate().unwrap().solution;
+        assert_eq!(faster, bw_first(session.platform()));
+        assert!(faster.throughput() > slowed.throughput());
     }
 
     #[test]

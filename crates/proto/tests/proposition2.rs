@@ -11,7 +11,7 @@ use bwfirst_obs::{MemoryRecorder, Recorder};
 use bwfirst_platform::examples::example_tree;
 use bwfirst_platform::generators::{random_tree, RandomTreeConfig};
 use bwfirst_platform::Platform;
-use bwfirst_proto::ProtocolSession;
+use bwfirst_proto::{wire, ProtocolSession};
 
 /// Runs one negotiation and returns the obs recorder holding its counters.
 fn negotiate_recorded(p: &Platform) -> (MemoryRecorder, bwfirst_proto::NegotiationOutcome) {
@@ -32,6 +32,7 @@ fn visits_exactly_the_scheduled_nodes_on_the_example_tree() {
     // frontier (nodes proposed to that declined everything). On the paper's
     // example the frontier is empty: the pruned nodes P5, P9, P10, P11 never
     // even hear about the round.
+    let out = &out.solution;
     for i in 0..p.len() {
         let scheduled = out.alpha[i].is_positive() || out.eta_in[i].is_positive();
         if scheduled {
@@ -58,6 +59,7 @@ fn two_rationals_per_visited_edge() {
         assert_eq!(rec.metrics.counter("proto.acks"), visited, "seed {seed}");
         // A frontier node may decline everything, but nobody outside the
         // proposal wave takes part.
+        let out = &out.solution;
         for i in 0..p.len() {
             let scheduled = out.alpha[i].is_positive() || out.eta_in[i].is_positive();
             assert!(!scheduled || out.visited[i], "seed {seed}: P{i} scheduled but unvisited");
@@ -70,10 +72,10 @@ fn wire_cost_is_bounded_by_the_message_count() {
     // Each message carries one rational: a 1-byte tag plus two varints. The
     // paper's "single number per message" claim, in octets.
     let p = example_tree();
-    let (rec, out) = negotiate_recorded(&p);
+    let (rec, _) = negotiate_recorded(&p);
     let messages = rec.metrics.counter("proto.messages");
     let bytes = rec.metrics.counter("proto.wire_bytes");
-    assert_eq!(i128::from(out.wire_bytes), bytes);
+    assert_eq!(wire::negotiation_wire_bytes(&bw_first(&p)) as i128, bytes);
     assert!(bytes >= 2 * messages, "at least tag + one varint pair");
     assert!(bytes <= 35 * messages, "bounded by tag + two maximal varints");
     // On the example tree the values are tiny fractions: under 4 bytes each.

@@ -58,10 +58,8 @@ fn full_session_runs_over_tcp_sockets() {
 
     let mut session = ProtocolSession::spawn_tcp(&p).expect("spawn over TCP");
     let neg = session.negotiate().expect("negotiation completes");
-    assert_eq!(neg.throughput, reference.throughput());
-    assert_eq!(neg.alpha, reference.alpha);
-    assert_eq!(neg.visited, reference.visited);
-    assert_eq!(neg.protocol_messages as usize, reference.message_count() + 2);
+    assert_eq!(neg.solution, reference);
+    assert_eq!(neg.messages(), reference.message_count() + 2);
 
     // Real payloads cross the sockets too.
     let flow = session.run_flow(6, 128).expect("flow completes");
@@ -71,7 +69,7 @@ fn full_session_runs_over_tcp_sockets() {
     // Re-weighting and renegotiation work across TCP.
     session.set_link(bwfirst_platform::NodeId(1), rat(12, 1)).expect("set_link");
     let degraded = session.negotiate().expect("negotiation completes");
-    assert_eq!(degraded.throughput, bwfirst_core::bw_first(session.platform()).throughput());
+    assert_eq!(degraded.solution, bwfirst_core::bw_first(session.platform()));
 }
 
 #[test]

@@ -361,41 +361,6 @@ impl Rat {
         Rat { num: p1, den: q1 }
     }
 
-    /// Integer power. Negative exponents invert (panics on zero base);
-    /// `pow(0) == 1` including for zero.
-    ///
-    /// ```
-    /// use bwfirst_rational::rat;
-    /// assert_eq!(rat(2, 3).pow(3), rat(8, 27));
-    /// assert_eq!(rat(2, 3).pow(-2), rat(9, 4));
-    /// assert_eq!(rat(5, 7).pow(0), rat(1, 1));
-    /// ```
-    #[must_use]
-    pub fn pow(self, exp: i32) -> Rat {
-        self.checked_pow(exp).expect("Rat::pow overflow or zero base with negative exponent")
-    }
-
-    /// Checked integer power (exponentiation by squaring).
-    pub fn checked_pow(self, exp: i32) -> Result<Rat, RatError> {
-        if exp == 0 {
-            return Ok(Rat::ONE);
-        }
-        let base = if exp < 0 { self.checked_recip()? } else { self };
-        let mut result = Rat::ONE;
-        let mut acc = base;
-        let mut e = exp.unsigned_abs();
-        loop {
-            if e & 1 == 1 {
-                result = result.checked_mul(acc)?;
-            }
-            e >>= 1;
-            if e == 0 {
-                return Ok(result);
-            }
-            acc = acc.checked_mul(acc)?;
-        }
-    }
-
     /// `true` iff `self` is an integer multiple of `other` (`other > 0`).
     #[must_use]
     pub fn is_multiple_of(self, other: Rat) -> bool {
@@ -818,18 +783,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn pow_basics() {
-        assert_eq!(Rat::new(3, 2).pow(2), Rat::new(9, 4));
-        assert_eq!(Rat::new(-1, 2).pow(3), Rat::new(-1, 8));
-        assert_eq!(Rat::new(-1, 2).pow(2), Rat::new(1, 4));
-        assert_eq!(Rat::ZERO.pow(5), Rat::ZERO);
-        assert_eq!(Rat::ZERO.pow(0), Rat::ONE);
-        assert!(Rat::ZERO.checked_pow(-1).is_err());
-        assert!(Rat::from_int(10).checked_pow(40).is_err()); // 10^40 > i128
-        assert_eq!(Rat::new(2, 1).pow(10), Rat::from_int(1024));
     }
 
     #[test]

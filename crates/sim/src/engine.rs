@@ -565,23 +565,28 @@ impl SimReport {
     /// Earliest steady-state entry: the first time `t` (a completion time or
     /// 0) such that *every* full window `[t + kW, t + (k+1)W]` before
     /// `until` contains at least `⌊rate·W⌋` completions. Returns `None` when
-    /// no candidate qualifies or no full window fits.
+    /// no candidate qualifies or no full window fits. A candidate whose
+    /// window ends beyond the `i128` range cannot be checked and does not
+    /// qualify.
     #[must_use]
     pub fn steady_state_entry(&self, rate: Rat, window: Rat, until: Rat) -> Option<Rat> {
         assert!(window.is_positive());
+        if window > until {
+            return None;
+        }
         let expected = (rate * window).floor() as u64;
         let qualifies = |t: Rat| -> bool {
-            if t + window > until {
-                return false;
-            }
-            let mut lo = t;
-            while lo + window <= until {
-                if self.completions_in(lo, lo + window) < expected {
+            let (mut lo, mut fits) = (t, false);
+            loop {
+                let Ok(hi) = lo.checked_add(window) else { return false };
+                if hi > until {
+                    return fits;
+                }
+                if self.completions_in(lo, hi) < expected {
                     return false;
                 }
-                lo += window;
+                (lo, fits) = (hi, true);
             }
-            true
         };
         if qualifies(Rat::ZERO) {
             return Some(Rat::ZERO);
@@ -789,6 +794,17 @@ mod tests {
         let r = report(&times);
         let entry = r.steady_state_entry(rat(1, 1), rat(2, 1), rat(49, 1)).unwrap();
         assert_eq!(entry, rat(5, 1));
+    }
+
+    #[test]
+    fn steady_state_entry_forms_no_window_past_the_range() {
+        let times: Vec<(i128, u32)> = (5..50).map(|t| (t, 0)).collect();
+        let r = report(&times);
+        // No full window fits before `until`.
+        assert_eq!(r.steady_state_entry(rat(1, 1), rat(i128::MAX, 1), rat(49, 1)), None);
+        // Every candidate's third window would end beyond `i128::MAX`.
+        let w = rat(i128::MAX / 2, 1);
+        assert_eq!(r.steady_state_entry(Rat::ZERO, w, rat(i128::MAX, 1)), None);
     }
 
     #[test]

@@ -20,16 +20,10 @@ fn main() {
     // Phase 1: the negotiation. Every message carries a single rational.
     let neg = session.negotiate().expect("negotiate");
     println!("\nnegotiation:");
-    println!("  virtual parent proposed t_max = {}", neg.t_max);
-    println!("  agreed throughput = {} tasks/time unit", neg.throughput);
-    println!("  {} messages, {:?} wall time", neg.protocol_messages, neg.elapsed);
-    let unvisited: Vec<String> = neg
-        .visited
-        .iter()
-        .enumerate()
-        .filter(|&(_, &v)| !v)
-        .map(|(i, _)| format!("P{i}"))
-        .collect();
+    println!("  virtual parent proposed t_max = {}", neg.solution.t_max);
+    println!("  agreed throughput = {} tasks/time unit", neg.solution.throughput());
+    println!("  {} messages, {:?} wall time", neg.messages(), neg.elapsed);
+    let unvisited: Vec<String> = neg.solution.unvisited().iter().map(NodeId::to_string).collect();
     println!("  nodes that never heard a proposal: {}", unvisited.join(", "));
 
     // Phase 2: move actual work units (4 KiB payloads) through the tree.
@@ -49,7 +43,9 @@ fn main() {
     let neg2 = session.negotiate().expect("negotiate");
     println!(
         "  new throughput = {} ({} messages, {:?})",
-        neg2.throughput, neg2.protocol_messages, neg2.elapsed
+        neg2.solution.throughput(),
+        neg2.messages(),
+        neg2.elapsed
     );
 
     let flow2 = session.run_flow(50, 4096).expect("flow");
@@ -62,7 +58,9 @@ fn main() {
     let neg_tcp = tcp.negotiate().expect("negotiate");
     println!(
         "  throughput = {} ({} messages, {:?})",
-        neg_tcp.throughput, neg_tcp.protocol_messages, neg_tcp.elapsed
+        neg_tcp.solution.throughput(),
+        neg_tcp.messages(),
+        neg_tcp.elapsed
     );
     let flow_tcp = tcp.run_flow(10, 1024).expect("flow");
     println!(

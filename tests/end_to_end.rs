@@ -48,8 +48,7 @@ fn example_tree_full_pipeline() {
     // Distributed protocol agrees with the centralized solver.
     let mut session = ProtocolSession::spawn(&p).expect("spawn actor tree");
     let neg = session.negotiate().expect("negotiation completes");
-    assert_eq!(neg.throughput, sol.throughput());
-    assert_eq!(neg.alpha, sol.alpha);
+    assert_eq!(neg.solution, sol);
 
     // And the actual payload routing matches the ψ proportions.
     let flow = session.run_flow(6, 32).expect("flow completes");
@@ -178,20 +177,17 @@ fn live_adaptation_tracks_solver() {
     use bwfirst::platform::{NodeId, Weight};
     let p = supply_tree(15, 40);
     let mut session = ProtocolSession::spawn(&p).expect("spawn actor tree");
-    assert_eq!(session.negotiate().expect("negotiate").throughput, bw_first(&p).throughput());
+    assert_eq!(session.negotiate().expect("negotiate").solution, bw_first(&p));
 
     for (node, c) in [(1u32, rat(9, 1)), (2, rat(5, 2)), (1, rat(1, 1))] {
         let id = NodeId(node.min(p.len() as u32 - 1).max(1));
         session.set_link(id, c).expect("set_link");
         assert_eq!(
-            session.negotiate().expect("negotiate").throughput,
-            bw_first(session.platform()).throughput(),
+            session.negotiate().expect("negotiate").solution,
+            bw_first(session.platform()),
             "after setting c({id}) = {c}"
         );
     }
     session.set_weight(NodeId(0), Weight::Time(rat(50, 1))).expect("set_weight");
-    assert_eq!(
-        session.negotiate().expect("negotiate").throughput,
-        bw_first(session.platform()).throughput()
-    );
+    assert_eq!(session.negotiate().expect("negotiate").solution, bw_first(session.platform()));
 }

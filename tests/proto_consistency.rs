@@ -1,7 +1,7 @@
-//! Property tests for the distributed protocol: the thread/channel
-//! implementation must be observationally identical to the centralized
-//! solver — same throughput, same per-node rates, same visited set, and a
-//! message count of exactly one proposal + one ack per transaction.
+//! Property tests for the distributed protocol: the live session must be
+//! observationally identical to the centralized solver — the solution built
+//! from the messages it delivered equals `bw_first`'s whole result: the same
+//! throughput, per-node rates, visited set and message trace, in order.
 
 use bwfirst::core::schedule::TreeSchedule;
 use bwfirst::core::{bw_first, SteadyState};
@@ -33,13 +33,10 @@ proptest! {
         let reference = bw_first(&p);
         let mut session = ProtocolSession::spawn(&p).expect("spawn actor tree");
         let neg = session.negotiate().expect("negotiate");
-        prop_assert_eq!(neg.throughput, reference.throughput());
-        prop_assert_eq!(&neg.alpha, &reference.alpha);
-        prop_assert_eq!(&neg.eta_in, &reference.eta_in);
-        prop_assert_eq!(&neg.visited, &reference.visited);
+        prop_assert_eq!(&neg.solution, &reference);
         // One proposal + one ack per transaction, plus the virtual parent's
         // proposal and the root's closing ack.
-        prop_assert_eq!(neg.protocol_messages as usize, reference.message_count() + 2);
+        prop_assert_eq!(neg.messages(), reference.message_count() + 2);
     }
 
     #[test]
@@ -47,9 +44,7 @@ proptest! {
         let mut session = ProtocolSession::spawn(&p).expect("spawn actor tree");
         let a = session.negotiate().expect("negotiate");
         let b = session.negotiate().expect("negotiate");
-        prop_assert_eq!(a.throughput, b.throughput);
-        prop_assert_eq!(a.alpha, b.alpha);
-        prop_assert_eq!(a.protocol_messages, b.protocol_messages);
+        prop_assert_eq!(a.solution, b.solution);
     }
 
     #[test]
