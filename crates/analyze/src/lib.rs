@@ -10,10 +10,11 @@
 //!    a `lint: allow(<rule>)` comment on the same or preceding line.
 //! 2. **Protocol model checker** ([`model`]) — enumerates every rooted
 //!    tree up to N nodes ([`trees`]) with lattice-valued rational weights,
-//!    drives the *shipped* `proto::NodeMachine` under every message
-//!    interleaving, and asserts termination, deadlock freedom,
-//!    Proposition 2 (`2 × visited` messages), and agreement with the
-//!    centralized bottom-up reduction.
+//!    negotiates each on the *shipped* `proto::ProtocolSession` (a round
+//!    has one message in flight, so one run covers every delivery order),
+//!    and asserts a clean round, Proposition 2 (`2 × visited` messages),
+//!    agreement with the centralized bottom-up reduction, equality with
+//!    `bw_first`'s whole solution, and a repeatable second round.
 //!
 //! The binary also schema-checks the two JSONL artifacts, but neither has
 //! a validator here: each schema lives with its one reader, next to its

@@ -333,7 +333,7 @@ fn run_model(opts: &Options) -> bool {
         let summary = obj(vec![
             ("max_nodes", Value::Int(opts.max_nodes as i128)),
             ("instances", Value::Int(report.instances as i128)),
-            ("states", Value::Int(i128::from(report.states))),
+            ("messages", Value::Int(i128::from(report.messages))),
             ("threads", Value::Int(opts.threads as i128)),
             ("millis", Value::Int(i128::from(elapsed.as_millis() as u64))),
             ("violations", violations),
@@ -344,10 +344,10 @@ fn run_model(opts: &Options) -> bool {
             println!("{v}");
         }
         println!(
-            "model: {} instances (trees up to {} nodes), {} states, {} violation(s) in {:?}",
+            "model: {} instances (trees up to {} nodes), {} messages, {} violation(s) in {:?}",
             report.instances,
             opts.max_nodes,
-            report.states,
+            report.messages,
             report.violations.len(),
             elapsed
         );

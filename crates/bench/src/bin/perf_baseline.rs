@@ -256,12 +256,12 @@ fn measure_core(opts: &Opts, iters: u32) -> BenchReport {
     let (serial_check_ns, pooled_check_ns) = best_of_pair(
         iters,
         || {
-            black_box(bwfirst_analyze::model::check(max_nodes, 8, 1).states);
+            black_box(bwfirst_analyze::model::check(max_nodes, 8, 1).messages);
         },
         || {
             let report = bwfirst_analyze::model::check(max_nodes, 8, check_threads);
             assert!(report.violations.is_empty(), "model checker found violations during bench");
-            black_box(report.states);
+            black_box(report.messages);
         },
     );
     if !opts.smoke {

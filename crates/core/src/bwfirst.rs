@@ -26,7 +26,7 @@
 //! [`BwFirstSolution`], whether the walk sends them or the live protocol
 //! delivers them.
 
-use bwfirst_platform::{NodeId, Platform};
+use bwfirst_platform::{bandwidth_centric, NodeId, Platform};
 use bwfirst_rational::Rat;
 
 /// A closed two-phase transaction (Definition 1): the parent proposed `beta`
@@ -164,7 +164,7 @@ impl TreeSource for PlatformSource<'_> {
         let mut kids: Vec<(NodeId, Rat)> = (self.0.children(*node).iter())
             .map(|&k| (k, self.0.link_time(k).expect("child has link")))
             .collect();
-        kids.sort_unstable_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
+        kids.sort_unstable_by(bandwidth_centric);
         kids
     }
 }

@@ -4,7 +4,7 @@ use crate::graph::{Graph, NodeIx};
 use crate::spanning::SpanningTree;
 use bwfirst_core::bwfirst::TreeSource;
 use bwfirst_core::lazy::throughput;
-use bwfirst_platform::{NodeId, Platform, PlatformBuilder};
+use bwfirst_platform::{bandwidth_centric, NodeId, Platform, PlatformBuilder};
 use bwfirst_rational::Rat;
 
 /// Materializes a spanning tree as a [`Platform`], re-rooting node ids so
@@ -33,8 +33,8 @@ pub fn tree_to_platform(g: &Graph, t: &SpanningTree) -> (Platform, Vec<NodeId>) 
 }
 
 /// A spanning tree as a [`TreeSource`]: children fastest link first, ties
-/// in the order [`tree_to_platform`] numbers them — the platform's
-/// bandwidth-centric `(c, id)` order, without building the platform.
+/// by `NodeIx` — the order [`tree_to_platform`] numbers siblings in, so the
+/// platform's bandwidth-centric `(c, id)` order without building it.
 struct TreeView<'a> {
     g: &'a Graph,
     root: NodeIx,
@@ -57,8 +57,8 @@ impl TreeSource for TreeView<'_> {
             .iter()
             .map(|&v| (v, self.g.link(*node, v).expect("tree edge exists")))
             .collect();
-        // Stable: equal links keep the BFS numbering order.
-        kids.sort_by_key(|k| k.1);
+        // Siblings ascend in `NodeIx`, the order BFS numbers them in.
+        kids.sort_by(bandwidth_centric);
         kids
     }
 }

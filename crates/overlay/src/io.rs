@@ -14,135 +14,64 @@ use bwfirst_obs::json::{self, obj, Value};
 use bwfirst_platform::Weight;
 use bwfirst_rational::Rat;
 
-/// One node of a [`GraphSpec`].
-#[derive(Debug, Clone)]
-pub struct NodeSpec {
-    /// Dense node id.
-    pub id: u32,
-    /// Processing time per task; `None` = switch.
-    pub w: Option<Rat>,
-}
-
-/// One undirected edge of a [`GraphSpec`].
-#[derive(Debug, Clone)]
-pub struct EdgeSpec {
-    /// First endpoint.
-    pub a: u32,
-    /// Second endpoint.
-    pub b: u32,
-    /// Communication time per task.
-    pub c: Rat,
-}
-
-/// Serializable description of a [`Graph`].
-#[derive(Debug, Clone)]
-pub struct GraphSpec {
-    /// All nodes, ids dense from 0.
-    pub nodes: Vec<NodeSpec>,
-    /// All undirected edges.
-    pub edges: Vec<EdgeSpec>,
-}
-
-impl GraphSpec {
-    /// Captures a [`Graph`].
-    #[must_use]
-    pub fn from_graph(g: &Graph) -> GraphSpec {
-        let nodes = g.nodes().map(|n| NodeSpec { id: n.0, w: g.weight(n).time() }).collect();
-        let mut edges = Vec::with_capacity(g.edge_count());
-        for a in g.nodes() {
-            for &(b, c) in g.neighbors(a) {
-                if a < b {
-                    edges.push(EdgeSpec { a: a.0, b: b.0, c });
-                }
-            }
-        }
-        GraphSpec { nodes, edges }
-    }
-
-    fn from_json(v: &Value) -> Result<GraphSpec, String> {
-        let u32_field = |v: &Value, key: &str| -> Result<u32, String> {
-            v[key]
-                .as_i128()
-                .and_then(|i| u32::try_from(i).ok())
-                .ok_or(format!("missing or malformed `{key}`"))
-        };
-        let nodes = v["nodes"].as_array().ok_or("missing `nodes` array")?;
-        let nodes: Vec<NodeSpec> = nodes
-            .iter()
-            .map(|n| {
-                let w = match &n["w"] {
-                    Value::Null => None,
-                    w => Some(Rat::from_json(w)?),
-                };
-                Ok(NodeSpec { id: u32_field(n, "id")?, w })
-            })
-            .collect::<Result<_, String>>()?;
-        let edges = v["edges"].as_array().ok_or("missing `edges` array")?;
-        let edges: Vec<EdgeSpec> = edges
-            .iter()
-            .map(|e| {
-                Ok(EdgeSpec {
-                    a: u32_field(e, "a")?,
-                    b: u32_field(e, "b")?,
-                    c: Rat::from_json(&e["c"])?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        Ok(GraphSpec { nodes, edges })
-    }
-
-    /// Rebuilds the [`Graph`] (validating ids, connectivity, weights).
-    pub fn to_graph(&self) -> Result<Graph, GraphError> {
-        let mut b = GraphBuilder::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            if n.id as usize != i {
-                return Err(GraphError::UnknownNode(NodeIx(n.id)));
-            }
-            match n.w {
-                Some(t) => b.node(Weight::Time(t)),
-                None => b.node(Weight::Infinite),
-            };
-        }
-        for e in &self.edges {
-            b.edge(NodeIx(e.a), NodeIx(e.b), e.c);
-        }
-        b.build()
-    }
-}
-
 /// Serializes a graph to pretty JSON.
 #[must_use]
 pub fn to_json(g: &Graph) -> String {
-    let spec = GraphSpec::from_graph(g);
-    let nodes: Vec<Value> = spec
-        .nodes
-        .iter()
+    let nodes = g
+        .nodes()
         .map(|n| {
             obj(vec![
-                ("id", Value::Int(i128::from(n.id))),
-                ("w", n.w.as_ref().map_or(Value::Null, Rat::to_json)),
+                ("id", Value::Int(i128::from(n.0))),
+                ("w", g.weight(n).time().as_ref().map_or(Value::Null, Rat::to_json)),
             ])
         })
         .collect();
-    let edges: Vec<Value> = spec
-        .edges
-        .iter()
-        .map(|e| {
-            obj(vec![
-                ("a", Value::Int(i128::from(e.a))),
-                ("b", Value::Int(i128::from(e.b))),
-                ("c", e.c.to_json()),
-            ])
-        })
-        .collect();
+    let mut edges = Vec::with_capacity(g.edge_count());
+    for a in g.nodes() {
+        for &(b, c) in g.neighbors(a) {
+            if a < b {
+                edges.push(obj(vec![
+                    ("a", Value::Int(i128::from(a.0))),
+                    ("b", Value::Int(i128::from(b.0))),
+                    ("c", c.to_json()),
+                ]));
+            }
+        }
+    }
     obj(vec![("nodes", Value::Array(nodes)), ("edges", Value::Array(edges))]).to_string_pretty()
 }
 
-/// Parses a graph from JSON.
+/// Parses a graph from JSON, validating dense ids, endpoints, link times
+/// and connectivity.
 pub fn from_json(s: &str) -> Result<Graph, GraphError> {
     let v = json::parse(s).map_err(|e| GraphError::ParseJson(e.to_string()))?;
-    let spec = GraphSpec::from_json(&v).map_err(GraphError::ParseJson)?;
-    spec.to_graph()
+    let array = |key: &str| {
+        v[key].as_array().ok_or_else(|| GraphError::ParseJson(format!("missing `{key}` array")))
+    };
+    let index = |v: &Value, key: &str| {
+        v[key]
+            .as_i128()
+            .and_then(|i| u32::try_from(i).ok())
+            .ok_or_else(|| GraphError::ParseJson(format!("missing or malformed `{key}`")))
+    };
+    let rat = |v: &Value| Rat::from_json(v).map_err(GraphError::ParseJson);
+    let mut b = GraphBuilder::new();
+    for (i, n) in array("nodes")?.iter().enumerate() {
+        let w = match &n["w"] {
+            Value::Null => Weight::Infinite,
+            w => Weight::Time(rat(w)?),
+        };
+        let id = index(n, "id")?;
+        if id as usize != i {
+            return Err(GraphError::UnknownNode(NodeIx(id)));
+        }
+        b.node(w);
+    }
+    for e in array("edges")? {
+        let (a, z) = (index(e, "a")?, index(e, "b")?);
+        b.edge(NodeIx(a), NodeIx(z), rat(&e["c"])?);
+    }
+    b.build()
 }
 
 #[cfg(test)]
@@ -178,8 +107,55 @@ mod tests {
     }
 
     #[test]
-    fn rejects_garbage() {
-        assert!(from_json("not json").is_err());
-        assert!(from_json(r#"{ "nodes": [{"id": 5, "w": "1"}], "edges": [] }"#).is_err());
+    fn each_fault_reports_its_own_error() {
+        let two = r#""nodes":[{"id":0,"w":"1"},{"id":1,"w":"1"}]"#;
+        let cases = [
+            (
+                r#"{"nodes":[{"id":0,"w":"1"},{"id":2,"w":"1"}],"edges":[{"a":0,"b":1,"c":"1"}]}"#
+                    .to_string(),
+                "unknown node N2",
+            ),
+            (r#"{"edges":[]}"#.to_string(), "cannot parse graph JSON: missing `nodes` array"),
+            (
+                r#"{"nodes":[{"id":0,"w":"1"}]}"#.to_string(),
+                "cannot parse graph JSON: missing `edges` array",
+            ),
+            (
+                r#"{"nodes":[{"id":"x","w":"1"}],"edges":[]}"#.to_string(),
+                "cannot parse graph JSON: missing or malformed `id`",
+            ),
+            (
+                r#"{"nodes":[{"id":0,"w":"1/0"}],"edges":[]}"#.to_string(),
+                "cannot parse graph JSON: invalid rational \"1/0\": cannot parse `1/0` as a \
+                 rational (expected `p` or `p/q`)",
+            ),
+            (
+                format!(r#"{{{two},"edges":[{{"a":-1,"b":1,"c":"1"}}]}}"#),
+                "cannot parse graph JSON: missing or malformed `a`",
+            ),
+            (
+                format!(r#"{{{two},"edges":[{{"a":0,"c":"1"}}]}}"#),
+                "cannot parse graph JSON: missing or malformed `b`",
+            ),
+            (
+                format!(r#"{{{two},"edges":[{{"a":0,"b":1,"c":"fast"}}]}}"#),
+                "cannot parse graph JSON: invalid rational \"fast\": cannot parse `fast` as a \
+                 rational (expected `p` or `p/q`)",
+            ),
+            (format!(r#"{{{two},"edges":[{{"a":0,"b":7,"c":"1"}}]}}"#), "unknown node N7"),
+            (
+                format!(r#"{{{two},"edges":[{{"a":0,"b":1,"c":"0"}}]}}"#),
+                "edge N0-N1 has non-positive link time",
+            ),
+            (format!(r#"{{{two},"edges":[]}}"#), "graph is not connected"),
+            (
+                r#"{"nodes":["#.to_string(),
+                "cannot parse graph JSON: JSON error at byte 10: unexpected end of input",
+            ),
+        ];
+        for (input, expected) in cases {
+            let err = from_json(&input).expect_err(&input);
+            assert_eq!(err.to_string(), expected, "{input}");
+        }
     }
 }

@@ -16,7 +16,8 @@
 //! * [`Platform`] / [`PlatformBuilder`] — an arena tree with O(1) child and
 //!   parent access and the traversal helpers the algorithms need (including
 //!   [`Platform::children_bandwidth_centric`], the fastest-link-first child
-//!   order at the heart of the bandwidth-centric principle);
+//!   order at the heart of the bandwidth-centric principle, whose one
+//!   comparison is [`bandwidth_centric`]);
 //! * [`generators`] — forks, daisy-chains, stars, k-ary trees, and
 //!   seeded random/bottlenecked platforms for the experiments;
 //! * [`examples`] — the reconstructed Figure 4 example tree and the
@@ -50,4 +51,4 @@ mod platform;
 pub use builder::PlatformBuilder;
 pub use error::PlatformError;
 pub use node::{NodeId, Weight};
-pub use platform::Platform;
+pub use platform::{bandwidth_centric, Platform};

@@ -1,6 +1,14 @@
 use crate::node::{NodeData, NodeId, Weight};
 use bwfirst_rational::Rat;
+use std::cmp::Ordering;
 use std::fmt;
+
+/// The **bandwidth-centric** order of two `(child, link time c)` pairs:
+/// increasing `c`, ties broken by increasing id (the paper's re-numbering
+/// step in Proposition 1). Every child order in the workspace sorts by it.
+pub fn bandwidth_centric<K: Ord>(a: &(K, Rat), b: &(K, Rat)) -> Ordering {
+    a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0))
+}
 
 /// An immutable-topology heterogeneous tree platform.
 ///
@@ -87,18 +95,16 @@ impl Platform {
         self.node(id).children.is_empty()
     }
 
-    /// Children sorted by the **bandwidth-centric principle**: increasing
-    /// communication time `c`, ties broken by increasing node id (the
-    /// paper's re-numbering step in Proposition 1).
+    /// Children sorted by the **bandwidth-centric principle**
+    /// ([`bandwidth_centric`]): increasing communication time `c`, ties
+    /// broken by increasing node id.
     #[must_use]
     pub fn children_bandwidth_centric(&self, id: NodeId) -> Vec<NodeId> {
-        let mut kids: Vec<NodeId> = self.node(id).children.clone();
-        kids.sort_by(|&a, &b| {
-            let ca = self.link_time(a).expect("child has link");
-            let cb = self.link_time(b).expect("child has link");
-            ca.cmp(&cb).then(a.cmp(&b))
-        });
-        kids
+        let mut kids: Vec<(NodeId, Rat)> = (self.node(id).children.iter())
+            .map(|&k| (k, self.link_time(k).expect("child has link")))
+            .collect();
+        kids.sort_by(bandwidth_centric);
+        kids.into_iter().map(|(k, _)| k).collect()
     }
 
     /// Depth of a node (root is 0).

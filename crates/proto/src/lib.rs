@@ -15,7 +15,10 @@
 //! parent*. A round keeps exactly one message in flight, so a thread per
 //! node would only add context switches. Links are handed over in memory
 //! ([`ProtocolSession::spawn`]) or cross localhost TCP sockets
-//! ([`ProtocolSession::spawn_tcp`]).
+//! ([`ProtocolSession::spawn_tcp`]). The per-node state machines are
+//! private to the session: the exhaustive model checker in
+//! `bwfirst-analyze` negotiates every small tree on this same session, so
+//! what it verifies is the code that ships.
 //!
 //! * [`ProtocolSession::negotiate`] runs one full `BW-First` round —
 //!   proposals flow down, acknowledgments flow up — and returns Algorithm
@@ -38,12 +41,11 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod machine;
+mod machine;
 pub mod messages;
 pub mod session;
 pub mod wire;
 
 pub use error::ProtoError;
-pub use machine::NodeMachine;
 pub use messages::{ControlMsg, DownMsg, UpMsg};
 pub use session::{FlowOutcome, NegotiationOutcome, ProtocolSession};

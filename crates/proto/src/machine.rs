@@ -4,10 +4,7 @@
 //! proposal or an acknowledgment, get back the **single** message the
 //! protocol requires next. The session's dispatcher (`crate::session`)
 //! drives one per node, delivering each message over its edge's link; the
-//! exhaustive model checker in `crates/analyze` drives the very same code
-//! over an in-memory network, exploring every delivery interleaving. Keeping
-//! the two on one state machine is what makes the checker's verdicts about
-//! the shipped protocol rather than a model of it.
+//! exhaustive model checker in `crates/analyze` runs that same session.
 //!
 //! A round at one node is a strict alternation — proposal in, then for each
 //! fundable child in bandwidth-centric order: proposal out, ack in — so the
@@ -18,7 +15,7 @@
 
 use crate::error::ProtoError;
 use bwfirst_core::bwfirst::Round;
-use bwfirst_platform::Weight;
+use bwfirst_platform::{bandwidth_centric, Weight};
 use bwfirst_rational::Rat;
 
 /// What the protocol requires the node to transmit next.
@@ -65,8 +62,6 @@ pub struct NodeMachine {
     /// Core's per-node rule, state of the current (or last) round.
     round: Round,
     flows: Vec<Rat>,
-    proposals_sent: u64,
-    visited: bool,
 }
 
 impl NodeMachine {
@@ -84,8 +79,6 @@ impl NodeMachine {
             pos: 0,
             round: Round::open(Rat::ZERO, Rat::ZERO),
             flows: vec![Rat::ZERO; n],
-            proposals_sent: 0,
-            visited: false,
         }
     }
 
@@ -93,12 +86,6 @@ impl NodeMachine {
     #[must_use]
     pub fn id(&self) -> u32 {
         self.id
-    }
-
-    /// The node's current compute weight.
-    #[must_use]
-    pub fn weight(&self) -> Weight {
-        self.weight
     }
 
     /// The outgoing links, `(child id, link time c)`, in slot order.
@@ -146,18 +133,11 @@ impl NodeMachine {
         if self.phase != Phase::Idle {
             return Err(ProtoError::MidRound { node: self.id });
         }
-        self.visited = true;
         self.round = Round::open(self.weight.rate(), lambda);
         self.flows = vec![Rat::ZERO; self.children.len()];
-        self.proposals_sent = 0;
         // Bandwidth-centric order over *local* link knowledge.
         let mut order: Vec<usize> = (0..self.children.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.children[a]
-                .1
-                .cmp(&self.children[b].1)
-                .then(self.children[a].0.cmp(&self.children[b].0))
-        });
+        order.sort_by(|&a, &b| bandwidth_centric(&self.children[a], &self.children[b]));
         self.order = order;
         self.pos = 0;
         Ok(self.advance())
@@ -197,7 +177,6 @@ impl NodeMachine {
             let (child, c) = self.children[slot];
             if let Some(beta) = self.round.propose(c) {
                 self.phase = Phase::Awaiting { k: self.pos };
-                self.proposals_sent += 1;
                 return Outgoing::ToChild { slot, child, beta };
             }
         }
@@ -206,89 +185,16 @@ impl NodeMachine {
         Outgoing::AckParent { theta: self.round.delta }
     }
 
-    /// `true` iff no proposal is outstanding.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.phase == Phase::Idle
-    }
-
-    /// The child whose ack the machine is waiting on, if any.
-    #[must_use]
-    pub fn awaiting(&self) -> Option<u32> {
-        match self.phase {
-            Phase::Idle => None,
-            Phase::Awaiting { k } => Some(self.children[self.order[k]].0),
-        }
-    }
-
-    /// `true` iff the node has taken part in a round since construction.
-    #[must_use]
-    pub fn visited(&self) -> bool {
-        self.visited
-    }
-
     /// Negotiated local compute rate `α` of the last round.
     #[must_use]
     pub fn alpha(&self) -> Rat {
         self.round.alpha
     }
 
-    /// Negotiated inflow rate `η_in = λ − δ` of the last round.
-    #[must_use]
-    pub fn eta_in(&self) -> Rat {
-        self.round.eta_in()
-    }
-
     /// Per-slot delegated rates `η_i` of the last round.
     #[must_use]
     pub fn flows(&self) -> &[Rat] {
         &self.flows
-    }
-
-    /// Proposals this node sent during the last round.
-    #[must_use]
-    pub fn proposals_sent(&self) -> u64 {
-        self.proposals_sent
-    }
-
-    /// Serializes the full machine state into `out` — the memoization key
-    /// the model checker hashes to prune revisited interleavings. Two
-    /// machines with equal keys behave identically under every future
-    /// delivery.
-    pub fn state_key(&self, out: &mut Vec<u8>) {
-        fn push_rat(out: &mut Vec<u8>, r: Rat) {
-            out.extend_from_slice(&r.numer().to_le_bytes());
-            out.extend_from_slice(&r.denom().to_le_bytes());
-        }
-        out.extend_from_slice(&self.id.to_le_bytes());
-        match self.weight {
-            Weight::Infinite => out.push(0),
-            Weight::Time(t) => {
-                out.push(1);
-                push_rat(out, t);
-            }
-        }
-        for &(id, c) in &self.children {
-            out.extend_from_slice(&id.to_le_bytes());
-            push_rat(out, c);
-        }
-        match self.phase {
-            Phase::Idle => out.push(0),
-            Phase::Awaiting { k } => {
-                out.push(1);
-                out.extend_from_slice(&(k as u64).to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&(self.pos as u64).to_le_bytes());
-        let Round { lambda, alpha, delta, tau, beta } = self.round;
-        for r in [lambda, alpha, delta, tau, beta] {
-            push_rat(out, r);
-        }
-        for &f in &self.flows {
-            push_rat(out, f);
-        }
-        out.extend_from_slice(&self.proposals_sent.to_le_bytes());
-        out.push(u8::from(self.visited));
     }
 }
 
@@ -309,7 +215,6 @@ mod tests {
         let out = m.on_proposal(rat(4, 1)).unwrap();
         // Cheapest link first: child 2 at c = 1/2, β = min(3, 2) = 2.
         assert_eq!(out, Outgoing::ToChild { slot: 1, child: 2, beta: rat(2, 1) });
-        assert_eq!(m.awaiting(), Some(2));
         // Child 2 takes half: θ = 1, consumed = 1, δ = 2, τ = 1/2.
         let out = m.on_ack(2, rat(1, 1)).unwrap();
         // Child 1 at c = 2: β = min(2, 1/4) = 1/4.
@@ -317,11 +222,12 @@ mod tests {
         // Child 1 takes it all: τ = 0 → round over, θ = δ = 7/4.
         let out = m.on_ack(1, Rat::ZERO).unwrap();
         assert_eq!(out, Outgoing::AckParent { theta: rat(7, 4) });
-        assert!(m.is_idle());
         assert_eq!(m.alpha(), Rat::ONE);
-        assert_eq!(m.eta_in(), rat(4, 1) - rat(7, 4));
         assert_eq!(m.flows(), &[rat(1, 4), rat(1, 1)]);
-        assert_eq!(m.proposals_sent(), 2);
+        // The subtree took in η_in = λ − θ, all of it placed.
+        assert_eq!(m.alpha() + m.flows()[0] + m.flows()[1], rat(4, 1) - rat(7, 4));
+        // The round is closed: the next proposal opens a new one.
+        assert!(m.on_proposal(Rat::ONE).is_ok());
     }
 
     #[test]
@@ -331,7 +237,6 @@ mod tests {
         // rate = 2, α = 2, δ = 1.
         assert_eq!(out, Outgoing::AckParent { theta: rat(1, 1) });
         assert_eq!(m.alpha(), rat(2, 1));
-        assert!(m.visited());
     }
 
     #[test]
@@ -365,22 +270,10 @@ mod tests {
     }
 
     #[test]
-    fn state_key_distinguishes_phases() {
-        let mut a = machine_with_two_children();
-        let b = a.clone();
-        let _ = a.on_proposal(rat(4, 1)).unwrap();
-        let (mut ka, mut kb) = (Vec::new(), Vec::new());
-        a.state_key(&mut ka);
-        b.state_key(&mut kb);
-        assert_ne!(ka, kb);
-    }
-
-    #[test]
     fn zero_proposal_round_trips_without_child_traffic() {
         let mut m = machine_with_two_children();
         let out = m.on_proposal(Rat::ZERO).unwrap();
         assert_eq!(out, Outgoing::AckParent { theta: Rat::ZERO });
-        assert_eq!(m.proposals_sent(), 0);
-        assert!(m.visited());
+        assert_eq!(m.flows(), &[Rat::ZERO, Rat::ZERO]);
     }
 }

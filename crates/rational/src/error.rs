@@ -15,11 +15,6 @@ pub enum RatError {
         /// The offending input (truncated to 64 bytes).
         input: String,
     },
-    /// `lcm`/`gcd` was requested for a non-positive rational.
-    NonPositive {
-        /// The operation that required positivity.
-        op: &'static str,
-    },
 }
 
 impl fmt::Display for RatError {
@@ -31,9 +26,6 @@ impl fmt::Display for RatError {
             }
             RatError::Parse { input } => {
                 write!(f, "cannot parse `{input}` as a rational (expected `p` or `p/q`)")
-            }
-            RatError::NonPositive { op } => {
-                write!(f, "`{op}` requires strictly positive rationals")
             }
         }
     }

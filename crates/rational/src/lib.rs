@@ -12,8 +12,8 @@
 //! * total ordering, exact `+ - * /`, reciprocal,
 //! * checked variants of every operation (overflow reporting instead of
 //!   silent wraparound),
-//! * [`Rat::lcm`] / [`Rat::gcd`] over positive rationals (used by Lemma 1 of
-//!   the paper to build minimal periods),
+//! * integer [`gcd_i128`] / [`lcm_i128`] (schedules build Lemma 1's
+//!   minimal periods as an `lcm` of integer denominators),
 //! * parsing/printing in `"p/q"` form and JSON support in the same form.
 //!
 //! # Example

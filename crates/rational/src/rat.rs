@@ -1,5 +1,5 @@
 use crate::error::RatError;
-use crate::gcd::{gcd_i128, lcm_u128};
+use crate::gcd::gcd_i128;
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;
@@ -246,12 +246,6 @@ impl Rat {
         -((-self.num).div_euclid(self.den))
     }
 
-    /// Fractional part in `[0, 1)`: `self - floor(self)`.
-    #[must_use]
-    pub fn fract(self) -> Rat {
-        Rat { num: self.num.rem_euclid(self.den), den: self.den }
-    }
-
     /// Nearest `f64` approximation (for reporting only — never used in the
     /// scheduling math).
     #[must_use]
@@ -278,98 +272,6 @@ impl Rat {
             self
         } else {
             other
-        }
-    }
-
-    /// Least common multiple of two strictly positive rationals:
-    /// `lcm(a/b, c/d) = lcm(a, c) / gcd(b, d)`.
-    ///
-    /// This is the smallest positive rational that is an integer multiple of
-    /// both inputs — the quantity Lemma 1 of the paper uses to build minimal
-    /// periods. `Err` for non-positive inputs or overflow.
-    pub fn lcm(self, other: Rat) -> Result<Rat, RatError> {
-        if !self.is_positive() || !other.is_positive() {
-            return Err(RatError::NonPositive { op: "lcm" });
-        }
-        let num = lcm_u128(self.num as u128, other.num as u128)
-            .and_then(|n| i128::try_from(n).ok())
-            .ok_or(RatError::Overflow { op: "lcm" })?;
-        let den = gcd_i128(self.den, other.den);
-        Ok(Rat { num, den }) // gcd(lcm(a,c), gcd(b,d)) divides gcd(a,b)=gcd(c,d)=1
-    }
-
-    /// Greatest common divisor of two strictly positive rationals:
-    /// `gcd(a/b, c/d) = gcd(a, c) / lcm(b, d)`.
-    pub fn gcd(self, other: Rat) -> Result<Rat, RatError> {
-        if !self.is_positive() || !other.is_positive() {
-            return Err(RatError::NonPositive { op: "gcd" });
-        }
-        let num = gcd_i128(self.num, other.num);
-        let den = lcm_u128(self.den as u128, other.den as u128)
-            .and_then(|n| i128::try_from(n).ok())
-            .ok_or(RatError::Overflow { op: "gcd" })?;
-        Ok(Rat { num, den })
-    }
-
-    /// Best rational approximation with denominator at most `max_den`
-    /// (continued fractions with semiconvergents — the classic
-    /// Stern–Brocot walk). The result is the closest representable value;
-    /// exact inputs with small denominators return themselves.
-    ///
-    /// Useful for rounding measured link/compute rates to friendly
-    /// fractions before scheduling (bounded denominators keep the lcm-based
-    /// periods small).
-    ///
-    /// ```
-    /// use bwfirst_rational::{rat, Rat};
-    /// // π ≈ 355/113 with denominators up to 200:
-    /// let pi = Rat::new(3_141_592_653, 1_000_000_000);
-    /// assert_eq!(pi.approximate(200), rat(355, 113));
-    /// ```
-    #[must_use]
-    pub fn approximate(self, max_den: i128) -> Rat {
-        assert!(max_den >= 1, "max_den must be at least 1");
-        if self.den <= max_den {
-            return self;
-        }
-        if self.num < 0 {
-            return -(-self).approximate(max_den);
-        }
-        // Walk the continued fraction of num/den, tracking convergents
-        // p/q. Stop before q exceeds max_den; then try the best
-        // semiconvergent.
-        let (mut a, mut b) = (self.num, self.den); // invariant: value = [..; a/b]
-        let (mut p0, mut q0, mut p1, mut q1) = (1i128, 0i128, a / b, 1i128);
-        let mut rem = a % b;
-        while rem != 0 {
-            (a, b) = (b, rem);
-            let digit = a / b;
-            rem = a % b;
-            let p2 = digit * p1 + p0;
-            let q2 = digit * q1 + q0;
-            if q2 > max_den {
-                // Best semiconvergent: largest k with k·q1 + q0 ≤ max_den.
-                let k = (max_den - q0) / q1;
-                let semi = Rat::new(k * p1 + p0, k * q1 + q0);
-                let conv = Rat { num: p1, den: q1 };
-                // Take whichever is closer; k must be at least half the
-                // digit for the semiconvergent to be a best approximation.
-                return if (self - semi).abs() < (self - conv).abs() { semi } else { conv };
-            }
-            (p0, q0, p1, q1) = (p1, q1, p2, q2);
-        }
-        Rat { num: p1, den: q1 }
-    }
-
-    /// `true` iff `self` is an integer multiple of `other` (`other > 0`).
-    #[must_use]
-    pub fn is_multiple_of(self, other: Rat) -> bool {
-        if !other.is_positive() {
-            return false;
-        }
-        match self.checked_div(other) {
-            Ok(q) => q.is_integer(),
-            Err(_) => false,
         }
     }
 
@@ -677,40 +579,13 @@ mod tests {
     }
 
     #[test]
-    fn floor_ceil_fract() {
+    fn floor_ceil() {
         assert_eq!(Rat::new(7, 2).floor(), 3);
         assert_eq!(Rat::new(7, 2).ceil(), 4);
         assert_eq!(Rat::new(-7, 2).floor(), -4);
         assert_eq!(Rat::new(-7, 2).ceil(), -3);
         assert_eq!(Rat::from_int(5).floor(), 5);
         assert_eq!(Rat::from_int(5).ceil(), 5);
-        assert_eq!(Rat::new(7, 2).fract(), Rat::new(1, 2));
-        assert_eq!(Rat::new(-7, 2).fract(), Rat::new(1, 2));
-    }
-
-    #[test]
-    fn rational_lcm_gcd() {
-        // lcm(1/6, 1/4) = 1/2: smallest rational that both divide integrally.
-        let l = Rat::new(1, 6).lcm(Rat::new(1, 4)).unwrap();
-        assert_eq!(l, Rat::new(1, 2));
-        assert!(l.is_multiple_of(Rat::new(1, 6)));
-        assert!(l.is_multiple_of(Rat::new(1, 4)));
-        let g = Rat::new(1, 6).gcd(Rat::new(1, 4)).unwrap();
-        assert_eq!(g, Rat::new(1, 12));
-        assert!(Rat::new(1, 6).is_multiple_of(g));
-        assert!(Rat::new(1, 4).is_multiple_of(g));
-        assert!(Rat::ZERO.lcm(Rat::ONE).is_err());
-        assert!(Rat::new(-1, 2).gcd(Rat::ONE).is_err());
-    }
-
-    #[test]
-    fn lcm_of_periods_example() {
-        // The paper's schedule periods: lcm of integer periods.
-        let t = [Rat::from_int(9), Rat::from_int(6), Rat::from_int(12)]
-            .into_iter()
-            .try_fold(Rat::ONE, |acc, x| acc.lcm(x))
-            .unwrap();
-        assert_eq!(t, Rat::from_int(36));
     }
 
     #[test]
@@ -741,48 +616,6 @@ mod tests {
         assert_eq!(Rat::new(4, 2).to_string(), "2");
         assert_eq!(Rat::new(10, 9).to_string(), "10/9");
         assert_eq!(format!("{:?}", Rat::new(10, 9)), "Rat(10/9)");
-    }
-
-    #[test]
-    fn approximate_classics() {
-        let pi = Rat::new(3_141_592_653, 1_000_000_000);
-        assert_eq!(pi.approximate(10), Rat::new(22, 7));
-        assert_eq!(pi.approximate(150), Rat::new(355, 113));
-        assert_eq!(pi.approximate(200), Rat::new(355, 113));
-        let e = Rat::new(2_718_281_828, 1_000_000_000);
-        assert_eq!(e.approximate(100), Rat::new(193, 71));
-    }
-
-    #[test]
-    fn approximate_identity_when_already_small() {
-        assert_eq!(Rat::new(10, 9).approximate(9), Rat::new(10, 9));
-        assert_eq!(Rat::new(1, 2).approximate(1000), Rat::new(1, 2));
-        assert_eq!(Rat::from_int(7).approximate(1), Rat::from_int(7));
-    }
-
-    #[test]
-    fn approximate_negative_is_symmetric() {
-        let x = Rat::new(-3_141_592_653, 1_000_000_000);
-        assert_eq!(x.approximate(200), Rat::new(-355, 113));
-    }
-
-    #[test]
-    fn approximate_is_best_in_class_small_cases() {
-        // Exhaustive check: nothing with den ≤ D is closer.
-        for (num, den) in [(617i128, 997), (89, 97), (355, 452), (1000003, 9999991)] {
-            let x = Rat::new(num, den);
-            for max_den in [1i128, 2, 3, 5, 8, 13, 21] {
-                let a = x.approximate(max_den);
-                assert!(a.denom() <= max_den);
-                let err = (x - a).abs();
-                for d in 1..=max_den {
-                    let lo = Rat::new((x * Rat::from_int(d)).floor(), d);
-                    let hi = Rat::new((x * Rat::from_int(d)).ceil(), d);
-                    assert!(err <= (x - lo).abs(), "{x} ~ {a}: {lo} closer at den {d}");
-                    assert!(err <= (x - hi).abs(), "{x} ~ {a}: {hi} closer at den {d}");
-                }
-            }
-        }
     }
 
     #[test]

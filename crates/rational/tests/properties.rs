@@ -1,6 +1,6 @@
 //! Property-based tests for the exact rational type: field axioms, ordering
-//! consistency, normalization, and lcm/gcd laws — the invariants the
-//! scheduling layers rely on.
+//! consistency and normalization — the invariants the scheduling layers
+//! rely on.
 
 use bwfirst_rational::{gcd_i128, Rat};
 use proptest::prelude::*;
@@ -84,26 +84,6 @@ proptest! {
         prop_assert!(f <= a && a <= c);
         prop_assert!(a - f < Rat::ONE);
         prop_assert!(c - a < Rat::ONE);
-        prop_assert_eq!(a.fract(), a - f);
-    }
-
-    #[test]
-    fn lcm_is_smallest_common_multiple(a in positive_rat(), b in positive_rat()) {
-        let l = a.lcm(b).unwrap();
-        prop_assert!(l.is_multiple_of(a));
-        prop_assert!(l.is_multiple_of(b));
-        // Minimality: l/2 is not a common multiple unless degenerate.
-        let half = l / Rat::TWO;
-        prop_assert!(!(half.is_multiple_of(a) && half.is_multiple_of(b)));
-    }
-
-    #[test]
-    fn gcd_divides_both(a in positive_rat(), b in positive_rat()) {
-        let g = a.gcd(b).unwrap();
-        prop_assert!(a.is_multiple_of(g));
-        prop_assert!(b.is_multiple_of(g));
-        // gcd * lcm == a * b
-        prop_assert_eq!(g * a.lcm(b).unwrap(), a * b);
     }
 
     #[test]
@@ -119,27 +99,6 @@ proptest! {
         let parsed = bwfirst_obs::json::parse(&s).unwrap();
         let back = Rat::from_json(&parsed).unwrap();
         prop_assert_eq!(a, back);
-    }
-
-    #[test]
-    fn approximate_within_grid_distance(a in small_rat(), max_den in 1i128..50) {
-        let approx = a.approximate(max_den);
-        prop_assert!(approx.denom() <= max_den);
-        // Never worse than snapping to the 1/max_den grid.
-        prop_assert!((a - approx).abs() <= Rat::new(1, max_den));
-        // Idempotent.
-        prop_assert_eq!(approx.approximate(max_den), approx);
-    }
-
-    #[test]
-    fn approximate_beats_floor_and_ceil(a in small_rat(), max_den in 1i128..30) {
-        let approx = a.approximate(max_den);
-        let err = (a - approx).abs();
-        let scaled = a * Rat::from_int(max_den);
-        let floor = Rat::new(scaled.floor(), max_den);
-        let ceil = Rat::new(scaled.ceil(), max_den);
-        prop_assert!(err <= (a - floor).abs());
-        prop_assert!(err <= (a - ceil).abs());
     }
 
     #[test]
