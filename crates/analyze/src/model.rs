@@ -22,17 +22,17 @@
 //!   centralized [`bottom_up`](fn@bottom_up) reduction and the sum of
 //!   accepted rates `Σ α_i`; switches accept no work.
 //! * **Solution equality** — the round's whole `BwFirstSolution` equals the
-//!   centralized [`bw_first`]'s: every node's `α`, visited flag and `η_in`,
-//!   the message trace in wire order, the transactions and `t_max`. The
-//!   lattice repeats link times, so this pins the nodes' `(c, id)` child
-//!   order against the solver's.
+//!   centralized [`bw_first`]'s: the same visits in the same order, each
+//!   with its parent, `λ`, `α` and `θ` (so the message trace, `t_max` and
+//!   every rate agree too). The lattice repeats link times, so this pins the
+//!   nodes' `(c, id)` child order against the solver's.
 //! * **Determinism** — a second round on the same session returns an
 //!   equal solution.
 
 use crate::trees::{for_each_instance, Instance};
 use bwfirst_core::{bottom_up, bw_first, BwFirstSolution, TraceEvent};
 use bwfirst_obs::json::{obj, Value};
-use bwfirst_obs::{Event, EventKind, FlightRecorder, Recorder, Ts};
+use bwfirst_obs::{Event, EventKind, FlightRecorder, Ts};
 use bwfirst_parallel::Pool;
 use bwfirst_platform::{NodeId, Weight};
 use bwfirst_proto::{ProtoError, ProtocolSession};
@@ -72,8 +72,8 @@ impl Violation {
         let mut flight = FlightRecorder::new(self.trace.len().max(1));
         for (k, step) in self.trace.iter().enumerate() {
             let ts = Ts::new(k as i128 + 1, 1);
-            flight.event(Event::new(ts, 0, step.clone(), EventKind::Instant));
-            flight.add("model.deliveries", 1);
+            flight.push(Event::new(ts, 0, step.clone(), EventKind::Instant));
+            flight.metrics.add("model.deliveries", 1);
         }
         flight.postmortem(&self.message, Value::Array(vec![self.to_violation_json()]))
     }
@@ -159,27 +159,26 @@ fn check_instance(inst: &Instance, reference: &BwFirstSolution) -> Result<u64, B
     if throughput != expected {
         return Err(fail(format!("negotiated throughput {throughput} != bottom-up {expected}")));
     }
-    let alpha_sum: Rat = solution.alpha.iter().sum();
+    let alpha_sum: Rat = solution.visits.iter().map(|v| v.alpha).sum();
     if alpha_sum != throughput {
         return Err(fail(format!(
             "sum of accepted rates {alpha_sum} != negotiated throughput {throughput}"
         )));
     }
     // Switches compute nothing, whatever they forward.
-    for id in p.node_ids() {
-        let alpha = solution.alpha[id.index()];
-        if matches!(p.weight(id), Weight::Infinite) && !alpha.is_zero() {
-            return Err(fail(format!("switch P{} accepted work alpha={alpha}", id.0)));
+    for v in &solution.visits {
+        if matches!(p.weight(v.node), Weight::Infinite) && !v.alpha.is_zero() {
+            return Err(fail(format!("switch P{} accepted work alpha={}", v.node.0, v.alpha)));
         }
     }
 
-    if let Some(diff) = first_difference(&solution, reference, p.root()) {
+    if let Some(diff) = first_difference(&solution, reference) {
         return Err(fail(diff));
     }
 
     // Determinism: the same session negotiates the same round again.
     match session.negotiate() {
-        Ok(again) => match first_difference(&again.solution, &solution, p.root()) {
+        Ok(again) => match first_difference(&again.solution, &solution) {
             None => Ok(messages as u64),
             Some(diff) => Err(fail(format!("nondeterministic outcome: a second round: {diff}"))),
         },
@@ -187,35 +186,36 @@ fn check_instance(inst: &Instance, reference: &BwFirstSolution) -> Result<u64, B
     }
 }
 
-/// Names the first node whose rates differ between `got` and `want`, or
-/// else the first differing message (the trace fixes `t_max`, the
-/// transactions and the throughput too); `None` if they are equal.
-fn first_difference(got: &BwFirstSolution, want: &BwFirstSolution, root: NodeId) -> Option<String> {
+/// Names the first visit that differs between `got` and `want` (the visits
+/// fix every rate, the message trace and the throughput); `None` if the
+/// solutions are equal.
+fn first_difference(got: &BwFirstSolution, want: &BwFirstSolution) -> Option<String> {
     if got == want {
         return None;
     }
-    for i in 0..want.alpha.len() {
-        let (a, v, e) = (got.alpha[i], got.visited[i], got.eta_in[i]);
-        if (a, v, e) != (want.alpha[i], want.visited[i], want.eta_in[i]) {
-            return Some(format!(
-                "P{i} disagrees with bw_first: alpha={a} visited={v} eta_in={e}, \
-                 expected alpha={} visited={} eta_in={}",
-                want.alpha[i], want.visited[i], want.eta_in[i]
-            ));
-        }
-    }
-    let (g, w) = (render_trace(got, root), render_trace(want, root));
-    let k = (0..g.len().max(w.len())).find(|&k| g.get(k) != w.get(k)).unwrap_or(0);
-    let message = |t: &[String]| t.get(k).map_or("nothing", String::as_str).to_owned();
-    Some(format!("message {} is `{}`, bw_first sends `{}`", k + 1, message(&g), message(&w)))
+    let k = (0..got.visits.len().max(want.visits.len()))
+        .find(|&k| got.visits.get(k) != want.visits.get(k));
+    let Some(k) = k else {
+        return Some(format!("{} nodes, bw_first solved {}", got.nodes, want.nodes));
+    };
+    let visit = |s: &BwFirstSolution| {
+        s.visits.get(k).map_or("nothing".to_owned(), |v| {
+            let from = v.parent.map_or("the driver".to_owned(), |p| format!("P{}", p.0));
+            format!(
+                "P{} from {from}: lambda={} alpha={} theta={}",
+                v.node.0, v.lambda, v.alpha, v.theta
+            )
+        })
+    };
+    Some(format!("visit {} is `{}`, bw_first has `{}`", k + 1, visit(got), visit(want)))
 }
 
 /// The messages of a round in delivery order, as a counterexample's trace:
 /// the virtual parent's proposal to `root` first, the root's ack to it last.
 fn render_trace(s: &BwFirstSolution, root: NodeId) -> Vec<String> {
     let mut trace = Vec::with_capacity(s.message_count() + 2);
-    trace.push(format!("deliver Proposal(lambda={}) to P{}", s.t_max, root.0));
-    trace.extend(s.trace.iter().map(|ev| match *ev {
+    trace.push(format!("deliver Proposal(lambda={}) to P{}", s.t_max(), root.0));
+    trace.extend(s.trace().into_iter().map(|ev| match ev {
         TraceEvent::Proposal { to, beta, .. } => {
             format!("deliver Proposal(lambda={beta}) to P{}", to.0)
         }
@@ -223,7 +223,7 @@ fn render_trace(s: &BwFirstSolution, root: NodeId) -> Vec<String> {
             format!("deliver Ack(theta={theta}) from P{} to P{}", from.0, to.0)
         }
     }));
-    let theta = s.t_max - s.throughput();
+    let theta = s.t_max() - s.throughput();
     trace.push(format!("deliver Ack(theta={theta}) from P{} to the driver", root.0));
     trace
 }
@@ -260,24 +260,21 @@ mod tests {
     fn per_node_disagreement_with_bw_first_is_reported() {
         let inst = crate::trees::Instance::build(&[0, 0], 0, 0);
         let mut reference = bw_first(&inst.platform);
-        reference.alpha[1] += Rat::ONE;
+        reference.visits[1].alpha += Rat::ONE;
         let err = check_instance(&inst, &reference).expect_err("cooked reference");
-        assert!(err.message.starts_with("P1 disagrees with bw_first"), "{}", err.message);
+        assert!(err.message.starts_with("visit 2 is `P1 from P0"), "{}", err.message);
         assert_eq!(err.to_violation_json()["kind"].as_str(), Some("model-check"));
         assert!(err.trace[0].starts_with("deliver Proposal(lambda="), "{:?}", err.trace);
         assert!(err.trace.last().is_some_and(|s| s.ends_with("from P0 to the driver")));
     }
 
     #[test]
-    fn the_first_differing_message_is_named() {
+    fn the_first_differing_proposal_is_named() {
         let inst = crate::trees::Instance::build(&[0, 0], 0, 0);
         let mut reference = bw_first(&inst.platform);
-        let Some(TraceEvent::Proposal { beta, .. }) = reference.trace.first_mut() else {
-            panic!("the root proposes to a child: {:?}", reference.trace);
-        };
-        *beta += Rat::ONE;
+        reference.visits[1].lambda += Rat::ONE;
         let err = check_instance(&inst, &reference).expect_err("cooked reference");
-        assert!(err.message.starts_with("message 2 is `deliver Proposal"), "{}", err.message);
+        assert!(err.message.starts_with("visit 2 is `P1 from P0: lambda="), "{}", err.message);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub const ALL_RULES: [&str; 4] = [RULE_FLOAT, RULE_PANIC, RULE_WILDCARD, RULE_SH
 const DEV_SHIMS: [&str; 2] = ["rand", "proptest"];
 
 /// Protocol message enums whose `match`es must stay exhaustive (R3).
-const MESSAGE_ENUMS: [&str; 4] = ["DownMsg", "UpMsg", "ControlMsg", "Report"];
+const MESSAGE_ENUMS: [&str; 3] = ["DownMsg", "UpMsg", "ControlMsg"];
 
 /// One lint violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -221,7 +221,7 @@ fn check_panic(s: &Scan) -> Vec<(usize, String)> {
 }
 
 /// R3: a `_ =>` arm inside a `match` whose body mentions a protocol message
-/// enum (`DownMsg::`, `UpMsg::`, `ControlMsg::`, `Report::`).
+/// enum (`DownMsg::`, `UpMsg::`, `ControlMsg::`).
 ///
 /// Token-level approximation: the innermost enclosing `match` body is
 /// inspected, so a wildcard in an outer match wrapping a message-enum match

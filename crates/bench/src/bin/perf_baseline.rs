@@ -27,7 +27,7 @@ use bwfirst_core::{bottom_up, bw_first, validate_schedule, MonitorExpectations, 
 use bwfirst_obs::{MemoryRecorder, Metrics, Trace};
 use bwfirst_parallel::{available_threads, Pool};
 use bwfirst_platform::examples::example_tree;
-use bwfirst_platform::generators;
+use bwfirst_platform::{generators, Weight};
 use bwfirst_proto::ProtocolSession;
 use bwfirst_rational::{rat, reference, Rat};
 use bwfirst_sim::{
@@ -281,28 +281,31 @@ fn measure_core(opts: &Opts, iters: u32) -> BenchReport {
         iters,
     });
 
-    // Toggled pair: one live BW-First negotiation on the session's
+    // Toggled pairs: one live BW-First negotiation on the session's
     // dispatcher (§5 says its running time is negligible) against the
     // centralized solver on the same tree. Setting up the session stays
-    // outside the timed region.
-    let p = trees::supply_tree(255, 21);
-    let mut session = ProtocolSession::spawn(&p).expect("spawn actor tree");
-    let (solve_ns, negotiate_ns) = best_of_pair(
-        iters.max(5),
-        || {
-            black_box(bw_first(&p));
-        },
-        || {
-            black_box(session.negotiate().expect("negotiate"));
-        },
-    );
-    points.push(BenchPoint {
-        id: "proto_negotiate_255".to_string(),
-        before_ns: solve_ns,
-        after_ns: negotiate_ns,
-        baseline: "runtime toggle: centralized bw_first on the same tree".to_string(),
-        iters: iters.max(5),
-    });
+    // outside the timed region. A round on the 131,071-node binary tree
+    // visits 5 nodes, so both sides cost what the visits cost.
+    let binary = generators::kary_tree(16, 2, Weight::Time(rat(4, 1)), Rat::ONE);
+    for (id, p) in [("255", trees::supply_tree(255, 21)), ("131k", binary)] {
+        let mut session = ProtocolSession::spawn(&p).expect("spawn actor tree");
+        let (solve_ns, negotiate_ns) = best_of_pair(
+            iters.max(5),
+            || {
+                black_box(bw_first(&p));
+            },
+            || {
+                black_box(session.negotiate().expect("negotiate"));
+            },
+        );
+        points.push(BenchPoint {
+            id: format!("proto_negotiate_{id}"),
+            before_ns: solve_ns,
+            after_ns: negotiate_ns,
+            baseline: "runtime toggle: centralized bw_first on the same tree".to_string(),
+            iters: iters.max(5),
+        });
+    }
 
     BenchReport {
         suite: "core".to_string(),

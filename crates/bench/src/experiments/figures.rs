@@ -18,8 +18,8 @@ pub fn e2_transactions() -> String {
     let sol = bw_first(&p);
     let mut out = String::new();
     writeln!(out, "E2  Figure 4(b): BW-First transactions on the example tree\n").unwrap();
-    writeln!(out, "virtual parent proposes t_max = {} to P0", sol.t_max).unwrap();
-    for ev in &sol.trace {
+    writeln!(out, "virtual parent proposes t_max = {} to P0", sol.t_max()).unwrap();
+    for ev in sol.trace() {
         match ev {
             TraceEvent::Proposal { from, to, beta } => {
                 writeln!(out, "  {from} --beta={beta}--> {to}").unwrap();
@@ -32,7 +32,7 @@ pub fn e2_transactions() -> String {
     writeln!(
         out,
         "root acknowledges theta = {} to the virtual parent",
-        sol.t_max - sol.throughput()
+        sol.t_max() - sol.throughput()
     )
     .unwrap();
     writeln!(out, "\nthroughput = {} tasks per time unit (paper: 10/9)", sol.throughput()).unwrap();

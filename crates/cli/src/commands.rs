@@ -820,8 +820,9 @@ where
 }
 
 /// The `stats` command: one fully instrumented pass over all three layers —
-/// live protocol negotiation, centralized solver + schedule construction,
-/// and a probed simulation — reported as summary tables, plus a
+/// live protocol negotiation (recorded once, as the solution it returns),
+/// schedule construction, and a probed simulation — reported as summary
+/// tables, plus a
 /// cross-protocol comparison fanned out over `threads` workers. The
 /// recorder comes back so `--trace` / `--metrics` can export it.
 fn cmd_stats(
@@ -832,17 +833,18 @@ fn cmd_stats(
     let protocol = Protocol::from_args(args)?;
     let mut rec = MemoryRecorder::new();
 
-    // Layer 1: the live distributed protocol (β/θ messages over channels).
+    // Layer 1: the live distributed protocol (β/θ messages over channels),
+    // whose round is Algorithm 1's own solution.
     let mut session =
         bwfirst_proto::ProtocolSession::spawn(p).map_err(|e| CliError::Runtime(e.to_string()))?;
     let negotiated = session.negotiate().map_err(|e| CliError::Runtime(e.to_string()))?;
     negotiated.record(&mut rec);
     drop(session);
+    let sol = &negotiated.solution;
+    observe::record_negotiation(sol, &mut rec);
 
-    // Layer 2: the centralized solver and the Lemma 1 period construction.
-    let sol = bw_first(p);
-    observe::record_negotiation(&sol, &mut rec);
-    let ss = SteadyState::from_solution(&sol);
+    // Layer 2: the steady state and the Lemma 1 period construction.
+    let ss = SteadyState::from_solution(sol);
 
     let mut out = String::new();
     writeln!(out, "nodes      : {}", p.len()).unwrap();
@@ -853,9 +855,8 @@ fn cmd_stats(
         sol.throughput().to_f64()
     )
     .unwrap();
-    let visited = negotiated.solution.visit_count();
-    writeln!(out, "visited    : {visited} of {} nodes", p.len()).unwrap();
-    let octets = bwfirst_proto::wire::negotiation_wire_bytes(&negotiated.solution);
+    writeln!(out, "visited    : {} of {} nodes", sol.visit_count(), p.len()).unwrap();
+    let octets = bwfirst_proto::wire::negotiation_wire_bytes(sol);
     writeln!(out, "messages   : {} ({octets} octets on the wire)", negotiated.messages()).unwrap();
 
     if ss.throughput.is_positive() {

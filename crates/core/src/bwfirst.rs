@@ -20,37 +20,14 @@
 //! The per-node rule lives once, in [`Round`]; the live protocol in
 //! `bwfirst-proto` runs it in its `NodeMachine`. The traversal lives once
 //! too: an explicit-stack walk over a [`TreeSource`], which [`bw_first`]
-//! runs on a [`Platform`] (recording the full transaction trace of
-//! Figure 4(b)) and `crate::lazy` runs depth-limited on infinite trees. So
-//! does the result: [`SolutionRecorder`] turns one round's messages into a
-//! [`BwFirstSolution`], whether the walk sends them or the live protocol
-//! delivers them.
+//! runs on a [`Platform`] and `crate::lazy` runs depth-limited on infinite
+//! trees. So does the result: [`SolutionRecorder`] turns one round's
+//! messages into a [`BwFirstSolution`] — one [`Visit`] per node reached,
+//! from which the Figure 4(b) trace is derived — whether the walk sends
+//! them or the live protocol delivers them.
 
 use bwfirst_platform::{bandwidth_centric, NodeId, Platform};
 use bwfirst_rational::Rat;
-
-/// A closed two-phase transaction (Definition 1): the parent proposed `beta`
-/// tasks per time unit, the child acknowledged `theta` back; the subtree
-/// consumes `beta − theta`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Transaction {
-    /// Proposing parent.
-    pub parent: NodeId,
-    /// Child whose subtree was offered tasks.
-    pub child: NodeId,
-    /// Proposal: tasks per time unit offered.
-    pub beta: Rat,
-    /// Acknowledgment: tasks per time unit the subtree could not handle.
-    pub theta: Rat,
-}
-
-impl Transaction {
-    /// Tasks per time unit actually flowing over this edge.
-    #[must_use]
-    pub fn consumed(&self) -> Rat {
-        self.beta - self.theta
-    }
-}
 
 /// One protocol message, in traversal order — the Figure 4(b) trace.
 /// Every message carries a *single number*, as Definition 1 requires.
@@ -76,54 +53,101 @@ pub enum TraceEvent {
     },
 }
 
-/// Complete output of a `BW-First` run.
+/// One visited node's share of a round (Definition 1, Section 6): the
+/// proposal `λ` it received, the rate `α` it kept and the ack `θ` it sent
+/// back. Its subtree took in `η_in = λ − θ`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Visit {
+    /// The visited node.
+    pub node: NodeId,
+    /// The node that proposed to it; `None` for the root, whose proposal
+    /// comes from the virtual parent.
+    pub parent: Option<NodeId>,
+    /// Proposal received: tasks per time unit offered.
+    pub lambda: Rat,
+    /// Rate `α = min(r, λ)` kept for the node's own CPU.
+    pub alpha: Rat,
+    /// Acknowledgment: tasks per time unit the subtree could not handle.
+    pub theta: Rat,
+}
+
+impl Visit {
+    /// Inflow `η_in = λ − θ`: what the node's subtree accepted.
+    #[must_use]
+    pub fn eta_in(&self) -> Rat {
+        self.lambda - self.theta
+    }
+}
+
+/// Complete output of a `BW-First` run: the round's visits, one per node
+/// it reached, in proposal order with the root first. Proposition 2: a node
+/// the round never reaches does no work and appears nowhere.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BwFirstSolution {
-    /// The proposal made by the virtual parent (`t_max` at the root).
-    pub t_max: Rat,
-    /// Optimal steady-state throughput: `t_max − θ_root`.
-    throughput: Rat,
-    /// Per-node compute allocation `α_i` (tasks per time unit), by node index.
-    pub alpha: Vec<Rat>,
-    /// Per-node task inflow `η_{-1}`: tasks per time unit received from the
-    /// parent. For the root this is the total injection rate (= throughput).
-    pub eta_in: Vec<Rat>,
-    /// Which nodes the traversal visited.
-    pub visited: Vec<bool>,
-    /// All closed transactions in closing order.
-    pub transactions: Vec<Transaction>,
-    /// Full message trace in wire order.
-    pub trace: Vec<TraceEvent>,
+    /// Number of nodes in the platform.
+    pub nodes: usize,
+    /// The visited nodes in proposal order, the root first.
+    pub visits: Vec<Visit>,
 }
 
 impl BwFirstSolution {
-    /// Optimal steady-state throughput of the tree (tasks per time unit).
+    /// The proposal made by the virtual parent (`t_max` at the root).
+    #[must_use]
+    pub fn t_max(&self) -> Rat {
+        self.visits.first().map_or(Rat::ZERO, |root| root.lambda)
+    }
+
+    /// Optimal steady-state throughput of the tree (tasks per time unit):
+    /// the root's `λ − θ`.
     #[must_use]
     pub fn throughput(&self) -> Rat {
-        self.throughput
+        self.visits.first().map_or(Rat::ZERO, Visit::eta_in)
     }
 
     /// Number of visited nodes.
     #[must_use]
     pub fn visit_count(&self) -> usize {
-        self.visited.iter().filter(|&&v| v).count()
+        self.visits.len()
     }
 
     /// Ids of the nodes the traversal never reached (pruned subtrees).
     #[must_use]
     pub fn unvisited(&self) -> Vec<NodeId> {
-        self.visited
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| !v)
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
+        let mut visited = vec![false; self.nodes];
+        for v in &self.visits {
+            visited[v.node.index()] = true;
+        }
+        (0..self.nodes).filter(|&i| !visited[i]).map(|i| NodeId(i as u32)).collect()
     }
 
-    /// Number of protocol messages exchanged (each carrying one number).
+    /// Number of protocol messages exchanged below the virtual parent (each
+    /// carrying one number): a proposal and an ack per non-root visit.
     #[must_use]
     pub fn message_count(&self) -> usize {
-        self.trace.len()
+        2 * self.visits.len().saturating_sub(1)
+    }
+
+    /// The message trace in wire order (Figure 4(b)), without the virtual
+    /// parent's edge. The visits nest like parentheses: a node acks just
+    /// before the next proposal made by one of its ancestors, or at the end
+    /// of the round.
+    #[must_use]
+    pub fn trace(&self) -> Vec<TraceEvent> {
+        let ack =
+            |v: &Visit| v.parent.map(|to| TraceEvent::Ack { from: v.node, to, theta: v.theta });
+        let mut trace = Vec::with_capacity(self.message_count());
+        let mut open: Vec<&Visit> = Vec::new();
+        for v in &self.visits {
+            if let Some(from) = v.parent {
+                while let Some(done) = open.pop_if(|top| top.node != from) {
+                    trace.extend(ack(done));
+                }
+                trace.push(TraceEvent::Proposal { from, to: v.node, beta: v.lambda });
+            }
+            open.push(v);
+        }
+        trace.extend(open.into_iter().rev().filter_map(ack));
+        trace
     }
 }
 
@@ -318,7 +342,7 @@ pub fn bw_first(platform: &Platform) -> BwFirstSolution {
 /// parent's offer). Useful for analyzing subtrees under a constrained feed.
 #[must_use]
 pub fn bw_first_with_lambda(platform: &Platform, lambda: Rat) -> BwFirstSolution {
-    let mut rec = SolutionRecorder::new(platform.len(), lambda);
+    let mut rec = SolutionRecorder::new(platform.len());
     walk(&PlatformSource(platform), lambda, None, |step, node, round| match step {
         Step::Open => rec.open(*node, round.lambda, round.alpha),
         Step::Close => rec.close(round.delta),
@@ -335,58 +359,37 @@ pub fn bw_first_with_lambda(platform: &Platform, lambda: Rat) -> BwFirstSolution
 #[derive(Debug)]
 pub struct SolutionRecorder {
     solution: BwFirstSolution,
-    /// Open nodes, root first, with the proposal `λ` each received.
-    open: Vec<(NodeId, Rat)>,
+    /// Indices into the visits of the open nodes, root first.
+    open: Vec<usize>,
 }
 
 impl SolutionRecorder {
-    /// An empty round over a `nodes`-node tree that the virtual parent opens
-    /// with the proposal `t_max`.
+    /// An empty round over a `nodes`-node tree.
     #[must_use]
-    pub fn new(nodes: usize, t_max: Rat) -> SolutionRecorder {
-        let solution = BwFirstSolution {
-            t_max,
-            throughput: Rat::ZERO,
-            alpha: vec![Rat::ZERO; nodes],
-            eta_in: vec![Rat::ZERO; nodes],
-            visited: vec![false; nodes],
-            transactions: Vec::new(),
-            trace: Vec::new(),
-        };
-        SolutionRecorder { solution, open: Vec::new() }
+    pub fn new(nodes: usize) -> SolutionRecorder {
+        SolutionRecorder {
+            solution: BwFirstSolution { nodes, visits: Vec::new() },
+            open: Vec::new(),
+        }
     }
 
     /// `node` received the proposal `lambda` from the innermost open node
     /// (from the virtual parent if none is open) and keeps `alpha` for its
-    /// own CPU.
+    /// own CPU. Until its ack arrives the visit has accepted nothing.
     pub fn open(&mut self, node: NodeId, lambda: Rat, alpha: Rat) {
-        let s = &mut self.solution;
-        s.visited[node.index()] = true;
-        s.alpha[node.index()] = alpha;
-        if let Some(&(from, _)) = self.open.last() {
-            s.trace.push(TraceEvent::Proposal { from, to: node, beta: lambda });
-        }
-        self.open.push((node, lambda));
+        let visits = &mut self.solution.visits;
+        let parent = self.open.last().map(|&k| visits[k].node);
+        self.open.push(visits.len());
+        visits.push(Visit { node, parent, lambda, alpha, theta: lambda });
     }
 
-    /// The innermost open node acknowledged `theta` back to its parent: its
-    /// subtree took in `η_in = λ − θ`. The root's ack to the virtual parent
-    /// fixes the throughput.
+    /// The innermost open node acknowledged `theta` back to its parent.
     ///
     /// # Panics
     /// If no node is open.
     pub fn close(&mut self, theta: Rat) {
-        let (child, beta) = self.open.pop().expect("an ack closes an open node");
-        let s = &mut self.solution;
-        let eta_in = beta - theta;
-        s.eta_in[child.index()] = eta_in;
-        match self.open.last() {
-            Some(&(parent, _)) => {
-                s.trace.push(TraceEvent::Ack { from: child, to: parent, theta });
-                s.transactions.push(Transaction { parent, child, beta, theta });
-            }
-            None => s.throughput = eta_in,
-        }
+        let k = self.open.pop().expect("an ack closes an open node");
+        self.solution.visits[k].theta = theta;
     }
 
     /// The solution of the messages recorded so far.
@@ -399,8 +402,11 @@ impl SolutionRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::steady_state::SteadyState;
     use bwfirst_platform::examples::{example_throughput, example_tree, example_unvisited};
-    use bwfirst_platform::generators::{daisy_chain, fork, star};
+    use bwfirst_platform::generators::{
+        daisy_chain, fork, hetero_tree, random_tree, star, wide_tree, RandomTreeConfig,
+    };
     use bwfirst_platform::{PlatformBuilder, Weight};
     use bwfirst_rational::rat;
 
@@ -413,19 +419,19 @@ mod tests {
         let p = fork(w(4), &[]);
         let s = bw_first(&p);
         assert_eq!(s.throughput(), rat(1, 4));
-        assert_eq!(s.alpha[0], rat(1, 4));
+        assert_eq!(s.visits[0].alpha, rat(1, 4));
         assert_eq!(s.visit_count(), 1);
-        assert!(s.transactions.is_empty());
+        assert!(s.trace().is_empty());
     }
 
     #[test]
     fn simple_fork_matches_prop1() {
         let p = fork(w(1), &[(rat(1, 1), w(1))]);
-        let s = bw_first(&p);
-        assert_eq!(s.throughput(), rat(2, 1));
-        assert_eq!(s.alpha[0], Rat::ONE);
-        assert_eq!(s.alpha[1], Rat::ONE);
-        assert_eq!(s.eta_in[1], Rat::ONE);
+        let ss = SteadyState::from_solution(&bw_first(&p));
+        assert_eq!(ss.throughput, rat(2, 1));
+        assert_eq!(ss.alpha[0], Rat::ONE);
+        assert_eq!(ss.alpha[1], Rat::ONE);
+        assert_eq!(ss.eta_in[1], Rat::ONE);
     }
 
     #[test]
@@ -434,33 +440,34 @@ mod tests {
         let p = fork(w(1), &[(rat(1, 1), w(1))]);
         let s = bw_first_with_lambda(&p, rat(1, 2));
         assert_eq!(s.throughput(), rat(1, 2));
-        assert_eq!(s.alpha[0], rat(1, 2)); // root keeps everything
-        assert!(!s.visited[1]); // child never visited: δ = 0
+        assert_eq!(s.visits[0].alpha, rat(1, 2)); // root keeps everything
+        assert_eq!(s.unvisited(), [NodeId(1)]); // child never visited: δ = 0
     }
 
     #[test]
     fn example_tree_full_solution() {
         let p = example_tree();
         let s = bw_first(&p);
-        assert_eq!(s.t_max, rat(10, 9));
+        assert_eq!(s.t_max(), rat(10, 9));
         assert_eq!(s.throughput(), example_throughput());
 
         // Figure 4(c): per-node rates.
-        assert_eq!(s.alpha[0], rat(1, 9));
+        let ss = SteadyState::from_solution(&s);
+        assert_eq!(ss.alpha[0], rat(1, 9));
         for i in [1, 2, 3, 4, 6] {
-            assert_eq!(s.alpha[i], rat(1, 6), "alpha of P{i}");
+            assert_eq!(ss.alpha[i], rat(1, 6), "alpha of P{i}");
         }
         for i in [7, 8] {
-            assert_eq!(s.alpha[i], rat(1, 12), "alpha of P{i}");
+            assert_eq!(ss.alpha[i], rat(1, 12), "alpha of P{i}");
         }
         for i in [1, 2, 3] {
-            assert_eq!(s.eta_in[i], rat(1, 3), "eta_in of P{i}");
+            assert_eq!(ss.eta_in[i], rat(1, 3), "eta_in of P{i}");
         }
         for i in [4, 6] {
-            assert_eq!(s.eta_in[i], rat(1, 6), "eta_in of P{i}");
+            assert_eq!(ss.eta_in[i], rat(1, 6), "eta_in of P{i}");
         }
-        assert_eq!(s.eta_in[7], rat(1, 6));
-        assert_eq!(s.eta_in[8], rat(1, 12));
+        assert_eq!(ss.eta_in[7], rat(1, 6));
+        assert_eq!(ss.eta_in[8], rat(1, 12));
 
         // Figure 4(b): pruned nodes.
         let unvisited = s.unvisited();
@@ -468,30 +475,31 @@ mod tests {
         assert_eq!(s.visit_count(), 8);
 
         // Transactions: one per visited non-root node.
-        assert_eq!(s.transactions.len(), 7);
+        assert_eq!(s.visits.iter().filter(|v| v.parent.is_some()).count(), 7);
         // Messages: a proposal and an ack per transaction.
         assert_eq!(s.message_count(), 14);
+        assert_eq!(s.trace().len(), 14);
     }
 
     #[test]
     fn example_tree_transaction_values() {
         let s = bw_first(&example_tree());
         let tx = |child: u32| {
-            s.transactions
+            s.visits
                 .iter()
-                .find(|t| t.child == NodeId(child))
+                .find(|v| v.node == NodeId(child))
                 .unwrap_or_else(|| panic!("transaction with P{child}"))
         };
-        assert_eq!(tx(1).beta, Rat::ONE);
+        assert_eq!(tx(1).lambda, Rat::ONE);
         assert_eq!(tx(1).theta, rat(2, 3));
-        assert_eq!(tx(2).beta, rat(2, 3));
+        assert_eq!(tx(2).lambda, rat(2, 3));
         assert_eq!(tx(2).theta, rat(1, 3));
-        assert_eq!(tx(3).beta, rat(1, 3));
+        assert_eq!(tx(3).lambda, rat(1, 3));
         assert_eq!(tx(3).theta, Rat::ZERO);
-        assert_eq!(tx(4).beta, rat(1, 6));
+        assert_eq!(tx(4).lambda, rat(1, 6));
         assert_eq!(tx(4).theta, Rat::ZERO);
-        assert_eq!(tx(7).beta, rat(1, 6));
-        assert_eq!(tx(8).beta, rat(1, 12));
+        assert_eq!(tx(7).lambda, rat(1, 6));
+        assert_eq!(tx(8).lambda, rat(1, 12));
     }
 
     #[test]
@@ -499,7 +507,7 @@ mod tests {
         // Proposals and acks nest like balanced parentheses along the DFS.
         let s = bw_first(&example_tree());
         let mut depth = 0i32;
-        for ev in &s.trace {
+        for ev in s.trace() {
             match ev {
                 TraceEvent::Proposal { .. } => depth += 1,
                 TraceEvent::Ack { .. } => depth -= 1,
@@ -507,6 +515,51 @@ mod tests {
             assert!(depth >= 0);
         }
         assert_eq!(depth, 0);
+    }
+
+    /// The messages the walk sends on `p`, recorded one by one as they
+    /// leave: the oracle for [`BwFirstSolution::trace`].
+    fn walk_trace(p: &Platform) -> Vec<TraceEvent> {
+        let source = PlatformSource(p);
+        let (mut trace, mut open) = (Vec::new(), Vec::new());
+        walk(&source, t_max(&source), None, |step, &node, round| match step {
+            Step::Open => {
+                if let Some(&from) = open.last() {
+                    trace.push(TraceEvent::Proposal { from, to: node, beta: round.lambda });
+                }
+                open.push(node);
+            }
+            Step::Close => {
+                open.pop();
+                if let Some(&to) = open.last() {
+                    trace.push(TraceEvent::Ack { from: node, to, theta: round.delta });
+                }
+            }
+        });
+        trace
+    }
+
+    #[test]
+    fn trace_is_the_message_sequence_the_walk_sends() {
+        let mut trees: Vec<Platform> = (1..=200)
+            .map(|size| {
+                let cfg = RandomTreeConfig {
+                    size,
+                    seed: size as u64,
+                    max_children: 1 + size % 5,
+                    switch_pct: (size % 25) as u8,
+                    ..Default::default()
+                };
+                random_tree(&cfg)
+            })
+            .collect();
+        for seed in 1..=3 {
+            trees.extend([8, 15, 20].map(|n| hetero_tree(n, seed)));
+            trees.push(wide_tree(2000, seed));
+        }
+        for p in &trees {
+            assert_eq!(bw_first(p).trace(), walk_trace(p), "{} nodes", p.len());
+        }
     }
 
     #[test]
@@ -526,10 +579,10 @@ mod tests {
     #[test]
     fn conservation_law_holds() {
         let p = example_tree();
-        let s = bw_first(&p);
+        let ss = SteadyState::from_solution(&bw_first(&p));
         for id in p.node_ids() {
-            let out: Rat = p.children(id).iter().map(|&k| s.eta_in[k.index()]).sum();
-            assert_eq!(s.eta_in[id.index()], s.alpha[id.index()] + out, "conservation at {id}");
+            let out: Rat = p.children(id).iter().map(|&k| ss.eta_in[k.index()]).sum();
+            assert_eq!(ss.eta_in[id.index()], ss.alpha[id.index()] + out, "conservation at {id}");
         }
     }
 
@@ -542,7 +595,7 @@ mod tests {
         b.child(sw, w(1), rat(1, 2));
         let p = b.build().unwrap();
         let s = bw_first(&p);
-        assert_eq!(s.alpha[sw.index()], Rat::ZERO);
+        assert_eq!(SteadyState::from_solution(&s).alpha[sw.index()], Rat::ZERO);
         // Worker limited by the root link: 2 tasks/unit max through c=1/2,
         // worker rate 1 → fully fed. Throughput = 1/2 + 1.
         assert_eq!(s.throughput(), rat(3, 2));
@@ -594,7 +647,7 @@ mod tests {
         let fast = b.child(r, w(1), rat(1, 1));
         let p = b.build().unwrap();
         let s = bw_first(&p);
-        match s.trace.first() {
+        match s.trace().first() {
             Some(TraceEvent::Proposal { to, .. }) => assert_eq!(*to, fast),
             other => panic!("unexpected first event {other:?}"),
         }

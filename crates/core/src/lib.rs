@@ -11,10 +11,11 @@
 //! * [`bw_first`] — **Algorithm 1 / Proposition 2**: the depth-first
 //!   transaction procedure. Proposals `β` travel down, acknowledgments `θ`
 //!   travel up; only nodes used by the final schedule are visited. Produces
-//!   a full [`BwFirstSolution`] with the transaction trace (Figure 4(b))
-//!   and per-node rates (Figure 4(c)). The per-node rule is
-//!   [`bwfirst::Round`], shared with the protocol's `NodeMachine`; the
-//!   traversal is one explicit-stack walk over a [`bwfirst::TreeSource`].
+//!   a [`BwFirstSolution`]: one [`Visit`] per node reached, from which the
+//!   transaction trace (Figure 4(b)) and per-node rates (Figure 4(c))
+//!   derive. The per-node rule is [`bwfirst::Round`], shared with the
+//!   protocol's `NodeMachine`; the traversal is one explicit-stack walk
+//!   over a [`bwfirst::TreeSource`].
 //! * [`SteadyState`] — the per-node rational rates `η` with the conservation
 //!   law of equation (1), plus feasibility checks.
 //! * [`schedule`] — **Lemma 1** asynchronous periods, the **event-driven**
@@ -55,7 +56,7 @@ pub mod steady_state;
 pub mod validate;
 
 pub use bottom_up::{bottom_up, BottomUpOutcome};
-pub use bwfirst::{bw_first, bw_first_with_lambda, BwFirstSolution, TraceEvent, Transaction};
+pub use bwfirst::{bw_first, bw_first_with_lambda, BwFirstSolution, TraceEvent, Visit};
 pub use expectations::MonitorExpectations;
 pub use fork::{fork_equivalent_rate, ForkChild, ForkReduction};
 pub use schedule::{

@@ -1,7 +1,7 @@
 //! Bridges solver outputs into `bwfirst-obs` events and metrics.
 //!
 //! The solvers themselves stay observation-free — they already return full
-//! accounts of their work (the [`BwFirstSolution`] trace, the
+//! accounts of their work (the [`BwFirstSolution`] visits, the
 //! [`TreeSchedule`] periods) — so these functions convert those accounts
 //! into trace spans and counters after the fact. `bw_first`'s DFS trace nests like parentheses, which is
 //! exactly a span tree: every proposal opens a `visit P<i>` span on the
@@ -9,16 +9,14 @@
 
 use crate::bwfirst::{BwFirstSolution, TraceEvent};
 use crate::schedule::TreeSchedule;
-use bwfirst_obs::{Arg, Event, EventKind, Recorder, Ts};
+use bwfirst_obs::{Arg, Event, EventKind, MemoryRecorder, Ts};
 
 /// Records a `BW-First` run: one `visit P<i>` span per visited non-root
 /// node (timestamps are the message's position in the wire trace), plus the
 /// `core.bwfirst.*` counters — proposals, acks, visited, pruned.
-pub fn record_negotiation(sol: &BwFirstSolution, rec: &mut impl Recorder) {
-    if !rec.enabled() {
-        return;
-    }
-    for (k, ev) in sol.trace.iter().enumerate() {
+pub fn record_negotiation(sol: &BwFirstSolution, rec: &mut MemoryRecorder) {
+    let trace = sol.trace();
+    for (k, ev) in trace.iter().enumerate() {
         let ts = Ts::new(k as i128, 1);
         match *ev {
             TraceEvent::Proposal { from, to, beta } => {
@@ -38,24 +36,21 @@ pub fn record_negotiation(sol: &BwFirstSolution, rec: &mut impl Recorder) {
             }
         }
     }
-    let tp = sol.throughput();
+    let (t_max, tp) = (sol.t_max(), sol.throughput());
     rec.event(
-        Event::new(Ts::new(sol.trace.len() as i128, 1), 0, "bw_first", EventKind::Instant)
-            .arg("t_max", Arg::Rat(sol.t_max.numer(), sol.t_max.denom()))
+        Event::new(Ts::new(trace.len() as i128, 1), 0, "bw_first", EventKind::Instant)
+            .arg("t_max", Arg::Rat(t_max.numer(), t_max.denom()))
             .arg("throughput", Arg::Rat(tp.numer(), tp.denom())),
     );
     rec.add("core.bwfirst.visited", sol.visit_count() as i128);
-    rec.add("core.bwfirst.pruned", (sol.visited.len() - sol.visit_count()) as i128);
+    rec.add("core.bwfirst.pruned", (sol.nodes - sol.visit_count()) as i128);
 }
 
 /// Records the Lemma 1 / Section 6.2 period construction: one instant event
 /// per active node carrying its periods and quantities, histograms over the
 /// lcm sizes (`core.schedule.t_omega`, `core.schedule.t_full`) and bunch
 /// sizes (`core.schedule.bunch`), and the active-node count.
-pub fn record_schedule(sched: &TreeSchedule, rec: &mut impl Recorder) {
-    if !rec.enabled() {
-        return;
-    }
+pub fn record_schedule(sched: &TreeSchedule, rec: &mut MemoryRecorder) {
     for ns in sched.iter() {
         rec.event(
             Event::new(Ts::ZERO, ns.node.0, format!("schedule P{}", ns.node.0), EventKind::Instant)
@@ -79,7 +74,6 @@ mod tests {
     use super::*;
     use crate::bw_first;
     use crate::steady_state::SteadyState;
-    use bwfirst_obs::{MemoryRecorder, Noop};
     use bwfirst_platform::examples::example_tree;
 
     #[test]
@@ -115,12 +109,5 @@ mod tests {
         assert_eq!(rec.events.len(), 8);
         // The root's bunch is Ψ = 10 (it computes 1 of every 10 injected).
         assert_eq!(rec.metrics.histograms["core.schedule.bunch"].max, 10.0);
-    }
-
-    #[test]
-    fn noop_recorder_short_circuits() {
-        let p = example_tree();
-        let sol = bw_first(&p);
-        record_negotiation(&sol, &mut Noop);
     }
 }

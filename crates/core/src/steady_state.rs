@@ -63,14 +63,21 @@ pub struct SteadyState {
 }
 
 impl SteadyState {
-    /// Extracts the steady-state rates from a `BW-First` solution.
+    /// Extracts the steady-state rates from a `BW-First` solution: each
+    /// visit's `α` and `η_in = λ − θ`, and zero at every node the round
+    /// never reached.
     #[must_use]
     pub fn from_solution(sol: &BwFirstSolution) -> SteadyState {
-        SteadyState {
-            eta_in: sol.eta_in.clone(),
-            alpha: sol.alpha.clone(),
+        let mut ss = SteadyState {
+            eta_in: vec![Rat::ZERO; sol.nodes],
+            alpha: vec![Rat::ZERO; sol.nodes],
             throughput: sol.throughput(),
+        };
+        for v in &sol.visits {
+            ss.eta_in[v.node.index()] = v.eta_in();
+            ss.alpha[v.node.index()] = v.alpha;
         }
+        ss
     }
 
     /// `true` iff the node takes part in the schedule (handles any tasks).

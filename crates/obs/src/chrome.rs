@@ -122,7 +122,6 @@ mod tests {
     use super::*;
     use crate::event::{Arg, Ts};
     use crate::json;
-    use crate::recorder::Recorder;
 
     #[test]
     fn chrome_trace_is_valid_json_with_paired_spans() {

@@ -3,8 +3,8 @@
 //! Long-running simulations cannot afford an unbounded [`MemoryRecorder`],
 //! but when something goes wrong the *recent* history is exactly what a
 //! post-mortem needs. The [`FlightRecorder`] keeps the last `capacity`
-//! entries (older ones are dropped, counted), accumulates metrics like any
-//! other [`Recorder`], and renders a self-contained JSON post-mortem on
+//! entries (older ones are dropped, counted), accumulates metrics in its
+//! [`Metrics`], and renders a self-contained JSON post-mortem on
 //! demand: the violation(s), the tail of the event stream, and a metrics
 //! snapshot. Simulator monitors and the protocol model checker share this
 //! artifact format (`bwfirst-postmortem/1`).
@@ -19,7 +19,6 @@
 use crate::event::Event;
 use crate::json::{obj, Value};
 use crate::metrics::Metrics;
-use crate::recorder::Recorder;
 use std::collections::VecDeque;
 
 /// The post-mortem format marker, bumped on breaking schema changes.
@@ -123,20 +122,6 @@ impl<E: FlightEntry> FlightRecorder<E> {
     }
 }
 
-impl Recorder for FlightRecorder<Event> {
-    fn event(&mut self, ev: Event) {
-        self.push(ev);
-    }
-
-    fn add(&mut self, name: &str, delta: i128) {
-        self.metrics.add(name, delta);
-    }
-
-    fn observe(&mut self, name: &str, value: f64) {
-        self.metrics.observe(name, value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,7 +136,7 @@ mod tests {
     fn ring_keeps_the_tail_and_counts_drops() {
         let mut f = FlightRecorder::new(3);
         for k in 0..5 {
-            f.event(ev(k));
+            f.push(ev(k));
         }
         assert_eq!(f.len(), 3);
         assert_eq!(f.dropped(), 2);
@@ -188,8 +173,8 @@ mod tests {
     #[test]
     fn zero_capacity_still_keeps_one() {
         let mut f = FlightRecorder::new(0);
-        f.event(ev(1));
-        f.event(ev(2));
+        f.push(ev(1));
+        f.push(ev(2));
         assert_eq!(f.len(), 1);
         assert_eq!(f.capacity(), 1);
     }
@@ -197,9 +182,9 @@ mod tests {
     #[test]
     fn postmortem_is_self_contained_json() {
         let mut f = FlightRecorder::new(8);
-        f.event(ev(7));
-        f.add("monitor.segments", 3);
-        f.observe("queue_depth", 2.0);
+        f.push(ev(7));
+        f.metrics.add("monitor.segments", 3);
+        f.metrics.observe("queue_depth", 2.0);
         let violation = obj(vec![
             ("layer", Value::Str("sim".into())),
             ("kind", Value::Str("single-port".into())),

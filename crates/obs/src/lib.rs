@@ -12,8 +12,8 @@
 //!   `Trace::parse` is also its schema check; per-task lineage,
 //!   cross-executor diff, and Chrome flow rendering;
 //! * [`metrics`] — named counters and scalar histograms;
-//! * [`recorder`] — the [`Recorder`] sink trait with a zero-cost no-op
-//!   ([`recorder::Noop`]) and an in-memory collector ([`MemoryRecorder`]);
+//! * [`recorder`] — the in-memory event and metrics sink
+//!   ([`MemoryRecorder`]);
 //! * [`chrome`] — export to the Chrome trace-event format
 //!   (`chrome://tracing`, Perfetto);
 //! * [`flight`] — a fixed-capacity flight recorder whose tail becomes a
@@ -39,4 +39,4 @@ pub use causal::{Trace, TraceDiff, TraceHeader, TraceRecord};
 pub use event::{Arg, Event, EventKind, Ts};
 pub use flight::{FlightEntry, FlightRecorder};
 pub use metrics::Metrics;
-pub use recorder::{MemoryRecorder, Noop, Recorder};
+pub use recorder::MemoryRecorder;

@@ -1,50 +1,10 @@
 //! The recorder sink: where instrumented code sends events and metrics.
 //!
-//! Call sites are generic over [`Recorder`] (static dispatch), so the
-//! [`Noop`] recorder compiles to nothing — hot loops pay for instrumentation
-//! only when a collecting recorder is plugged in. Guard any argument
-//! construction with [`Recorder::enabled`] when it is not free.
+//! [`MemoryRecorder`] collects everything in memory, for export (Chrome
+//! trace, metrics JSON) or inspection in tests.
 
 use crate::event::Event;
 use crate::metrics::Metrics;
-
-/// A sink for trace events and metrics.
-pub trait Recorder {
-    /// Whether this recorder keeps anything. Call sites may skip building
-    /// event arguments entirely when this is `false`.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Records a trace event.
-    fn event(&mut self, ev: Event);
-
-    /// Adds to a named counter.
-    fn add(&mut self, name: &str, delta: i128);
-
-    /// Records one histogram observation.
-    fn observe(&mut self, name: &str, value: f64);
-}
-
-/// The zero-cost recorder: every method is an empty inlined body.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Noop;
-
-impl Recorder for Noop {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn event(&mut self, _ev: Event) {}
-
-    #[inline(always)]
-    fn add(&mut self, _name: &str, _delta: i128) {}
-
-    #[inline(always)]
-    fn observe(&mut self, _name: &str, _value: f64) {}
-}
 
 /// Collects everything in memory, for export or inspection in tests.
 #[derive(Debug, Clone, Default)]
@@ -62,50 +22,19 @@ impl MemoryRecorder {
         MemoryRecorder::default()
     }
 
-    /// One event per line, each a compact JSON object (the JSON-lines
-    /// export).
-    #[must_use]
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            out.push_str(&ev.to_json().to_string_compact());
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl Recorder for MemoryRecorder {
-    fn event(&mut self, ev: Event) {
+    /// Records a trace event.
+    pub fn event(&mut self, ev: Event) {
         self.events.push(ev);
     }
 
-    fn add(&mut self, name: &str, delta: i128) {
+    /// Adds to a named counter.
+    pub fn add(&mut self, name: &str, delta: i128) {
         self.metrics.add(name, delta);
     }
 
-    fn observe(&mut self, name: &str, value: f64) {
+    /// Records one histogram observation.
+    pub fn observe(&mut self, name: &str, value: f64) {
         self.metrics.observe(name, value);
-    }
-}
-
-/// Forwarding lets call sites take `&mut impl Recorder` and still pass the
-/// recorder down by reference.
-impl<R: Recorder + ?Sized> Recorder for &mut R {
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-
-    fn event(&mut self, ev: Event) {
-        (**self).event(ev);
-    }
-
-    fn add(&mut self, name: &str, delta: i128) {
-        (**self).add(name, delta);
-    }
-
-    fn observe(&mut self, name: &str, value: f64) {
-        (**self).observe(name, value);
     }
 }
 
@@ -123,15 +52,5 @@ mod tests {
         r.observe("queue_depth", 3.0);
         assert_eq!(r.events.len(), 2);
         assert_eq!(r.metrics.counter("proposals"), 1);
-        let jsonl = r.to_jsonl();
-        assert_eq!(jsonl.lines().count(), 2);
-        assert!(jsonl.starts_with(r#"{"ts":"0""#));
-    }
-
-    #[test]
-    fn noop_reports_disabled() {
-        let mut n = Noop;
-        assert!(!n.enabled());
-        n.add("x", 1); // compiles to nothing, panics never
     }
 }

@@ -50,12 +50,6 @@ impl Pool {
         Pool { threads: threads.max(1) }
     }
 
-    /// A pool sized to the host's available parallelism.
-    #[must_use]
-    pub fn auto() -> Self {
-        Pool::new(available_threads())
-    }
-
     /// The worker count this pool fans out over.
     #[must_use]
     pub fn threads(&self) -> usize {
@@ -138,12 +132,6 @@ impl Pool {
             .collect();
         let accs = accs.into_inner().unwrap_or_default();
         (results, accs)
-    }
-}
-
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::auto()
     }
 }
 

@@ -68,25 +68,6 @@ pub fn kary_tree(depth: usize, arity: usize, w: Weight, c: Rat) -> Platform {
     b.build().expect("kary generator produces valid platforms")
 }
 
-/// A binomial tree `B_k` (2^k nodes): `B_0` is a single node; `B_k` is two
-/// `B_{k-1}` trees with one root attached under the other. The classic
-/// aggregation topology — deep *and* bushy, a stress shape for start-up
-/// bounds.
-#[must_use]
-pub fn binomial_tree(order: u32, w: Weight, c: Rat) -> Platform {
-    let mut b = PlatformBuilder::new();
-    let root = b.root(w);
-    // Children of the root of B_k are roots of B_{k-1}, ..., B_0.
-    fn attach(b: &mut PlatformBuilder, parent: NodeId, order: u32, w: Weight, c: Rat) {
-        for sub in (0..order).rev() {
-            let child = b.child(parent, w, c);
-            attach(b, child, sub, w, c);
-        }
-    }
-    attach(&mut b, root, order, w, c);
-    b.build().expect("binomial generator produces valid platforms")
-}
-
 /// Configuration for seeded random platforms.
 #[derive(Debug, Clone)]
 pub struct RandomTreeConfig {
@@ -330,22 +311,6 @@ mod tests {
     fn kary_depth_zero_is_single_node() {
         let p = kary_tree(0, 3, w(1), rat(1, 1));
         assert_eq!(p.len(), 1);
-    }
-
-    #[test]
-    fn binomial_shape() {
-        for k in 0..6u32 {
-            let p = binomial_tree(k, w(1), rat(1, 1));
-            assert_eq!(p.len(), 1 << k, "B_{k} has 2^{k} nodes");
-            assert_eq!(p.height(), k as usize, "B_{k} has height k");
-            assert_eq!(p.children(p.root()).len(), k as usize, "root of B_{k} has k children");
-        }
-        // B_3: the root's subtrees are B_2, B_1, B_0 in some order.
-        let p = binomial_tree(3, w(1), rat(1, 1));
-        let mut sizes: Vec<usize> =
-            p.children(p.root()).iter().map(|&k| p.subtree_size(k)).collect();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![1, 2, 4]);
     }
 
     #[test]

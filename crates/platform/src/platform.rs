@@ -146,13 +146,6 @@ impl Platform {
         out
     }
 
-    /// Sum of all finite computing rates — the throughput ceiling if
-    /// bandwidth were unlimited.
-    #[must_use]
-    pub fn total_compute_rate(&self) -> Rat {
-        self.node_ids().map(|id| self.compute_rate(id)).sum()
-    }
-
     /// Extracts the subtree rooted at `id` as a standalone platform, with
     /// ids renumbered densely in bandwidth-centric preorder (the subtree
     /// root becomes `P0`). Returns the new platform and the mapping from
@@ -273,7 +266,6 @@ mod tests {
         assert_eq!(p.compute_rate(ids[1]), rat(1, 2));
         assert_eq!(p.bandwidth(ids[4]), Some(rat(1, 3)));
         assert_eq!(p.bandwidth(ids[0]), None);
-        assert_eq!(p.total_compute_rate(), rat(1, 1) + rat(1, 2) * rat(3, 1) + rat(1, 4));
     }
 
     #[test]

@@ -12,8 +12,8 @@ use bwfirst_core::bwfirst::{t_max, PlatformSource, SolutionRecorder};
 use bwfirst_core::schedule::{
     BunchCursor, LocalSchedule, LocalScheduleKind, NodeSchedule, SlotAction,
 };
-use bwfirst_core::{BwFirstSolution, TraceEvent};
-use bwfirst_obs::{Arg, Event, EventKind, Recorder, Ts};
+use bwfirst_core::BwFirstSolution;
+use bwfirst_obs::{Arg, Event, EventKind, MemoryRecorder, Ts};
 use bwfirst_platform::{NodeId, Platform, Weight};
 use bwfirst_rational::Rat;
 use std::sync::mpsc::{Receiver, Sender};
@@ -43,42 +43,38 @@ impl NegotiationOutcome {
     /// `proto.messages`, `proto.wire_bytes`, `proto.nodes_visited`,
     /// `proto.nodes_total` — plus a `proto.negotiate_micros` histogram
     /// sample for the round's wall-clock latency.
-    pub fn record(&self, rec: &mut impl Recorder) {
-        if !rec.enabled() {
-            return;
-        }
+    pub fn record(&self, rec: &mut MemoryRecorder) {
         let s = &self.solution;
-        let mut proposals_sent = vec![0i128; s.visited.len()];
-        for ev in &s.trace {
-            if let TraceEvent::Proposal { from, .. } = ev {
-                proposals_sent[from.index()] += 1;
+        let mut visits: Vec<_> = s.visits.iter().map(|v| (v, 0i128)).collect();
+        visits.sort_unstable_by_key(|(v, _)| v.node);
+        for parent in s.visits.iter().filter_map(|v| v.parent) {
+            if let Ok(k) = visits.binary_search_by_key(&parent, |(v, _)| v.node) {
+                visits[k].1 += 1;
             }
         }
-        for (i, &v) in s.visited.iter().enumerate() {
-            if !v {
-                continue;
-            }
+        for (v, proposals_sent) in visits {
+            let (i, eta_in) = (v.node.0, v.eta_in());
             rec.event(
                 Event::new(
-                    Ts::new(i as i128, 1),
-                    i as u32,
+                    Ts::new(i128::from(i), 1),
+                    i,
                     format!("negotiate P{i}"),
                     EventKind::Instant,
                 )
-                .arg("alpha", Arg::Rat(s.alpha[i].numer(), s.alpha[i].denom()))
-                .arg("eta_in", Arg::Rat(s.eta_in[i].numer(), s.eta_in[i].denom()))
-                .arg("proposals_sent", Arg::Int(proposals_sent[i])),
+                .arg("alpha", Arg::Rat(v.alpha.numer(), v.alpha.denom()))
+                .arg("eta_in", Arg::Rat(eta_in.numer(), eta_in.denom()))
+                .arg("proposals_sent", Arg::Int(proposals_sent)),
             );
         }
-        // Every proposal down is answered by one ack up; the virtual parent
-        // contributes one of each on the driver→root edge.
-        let proposals: i128 = proposals_sent.iter().sum();
-        rec.add("proto.proposals", proposals + 1);
-        rec.add("proto.acks", proposals + 1);
+        // Every visited node received one proposal and sent one ack, the
+        // root's on the driver→root edge.
+        let visited = s.visit_count() as i128;
+        rec.add("proto.proposals", visited);
+        rec.add("proto.acks", visited);
         rec.add("proto.messages", self.messages() as i128);
         rec.add("proto.wire_bytes", negotiation_wire_bytes(s) as i128);
-        rec.add("proto.nodes_visited", s.visit_count() as i128);
-        rec.add("proto.nodes_total", s.visited.len() as i128);
+        rec.add("proto.nodes_visited", visited);
+        rec.add("proto.nodes_total", s.nodes as i128);
         // lint: allow(float) — histogram export is the quantize boundary.
         rec.observe("proto.negotiate_micros", self.elapsed.as_secs_f64() * 1e6);
     }
@@ -357,7 +353,7 @@ impl ProtocolSession {
     /// A [`ProtoError`] if a node breaks the protocol or a link closes.
     pub fn negotiate(&mut self) -> Result<NegotiationOutcome, ProtoError> {
         let t_max = t_max(&PlatformSource(&self.platform));
-        self.round = Some(SolutionRecorder::new(self.nodes.len(), t_max));
+        self.round = Some(SolutionRecorder::new(self.nodes.len()));
         let started = Instant::now();
         let root = self.platform.root();
         let closed = self.pump(Some(Hop::Down(root, DownMsg::Proposal(t_max))));
@@ -487,8 +483,6 @@ mod tests {
         // The octet count is the codec replaying the centralized trace.
         let bytes = crate::wire::negotiation_wire_bytes(&bw_first(&p));
         assert_eq!(rec.metrics.counter("proto.wire_bytes"), bytes as i128);
-        // The no-op recorder takes the early-out path.
-        out.record(&mut bwfirst_obs::Noop);
     }
 
     #[test]
@@ -496,9 +490,9 @@ mod tests {
         let p = example_tree();
         let mut session = ProtocolSession::spawn(&p).unwrap();
         let out = session.negotiate().unwrap();
+        assert_eq!(out.solution.unvisited(), example_unvisited());
         for id in example_unvisited() {
-            assert!(!out.solution.visited[id.index()]);
-            assert!(out.solution.alpha[id.index()].is_zero());
+            assert!(out.solution.visits.iter().all(|v| v.node != id));
         }
     }
 

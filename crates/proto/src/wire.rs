@@ -253,21 +253,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, WireError> {
     Ok(payload)
 }
 
-/// Total encoded bytes of one negotiation round of a centralized solution:
-/// the virtual parent's proposal, every transaction's proposal and ack, and
-/// the root's closing ack.
+/// Total encoded bytes of one negotiation round: every visited node's
+/// proposal in and ack out, the root's pair on the virtual parent's edge.
 #[must_use]
 pub fn negotiation_wire_bytes(solution: &bwfirst_core::BwFirstSolution) -> usize {
-    use bwfirst_core::TraceEvent;
-    let mut total = encode_down(&DownMsg::Proposal(solution.t_max)).len();
-    total += encode_up(&UpMsg::Ack(solution.t_max - solution.throughput())).len();
-    for ev in &solution.trace {
-        total += match ev {
-            TraceEvent::Proposal { beta, .. } => encode_down(&DownMsg::Proposal(*beta)).len(),
-            TraceEvent::Ack { theta, .. } => encode_up(&UpMsg::Ack(*theta)).len(),
-        };
-    }
-    total
+    (solution.visits.iter())
+        .map(|v| {
+            encode_down(&DownMsg::Proposal(v.lambda)).len() + encode_up(&UpMsg::Ack(v.theta)).len()
+        })
+        .sum()
 }
 
 /// Channel-over-stream bridging: forwards every message arriving on `rx`

@@ -6,7 +6,7 @@
 //! rates, which nodes the round visited, and the message trace in order.
 
 use bwfirst_core::bw_first;
-use bwfirst_platform::generators::daisy_chain;
+use bwfirst_platform::generators::{daisy_chain, kary_tree};
 use bwfirst_platform::{NodeId, Platform, PlatformBuilder, Weight};
 use bwfirst_proto::ProtocolSession;
 use bwfirst_rational::{rat, Rat};
@@ -35,10 +35,24 @@ fn a_hundred_thousand_node_four_ary_tree() {
     }
     let p = b.build().expect("valid 4-ary tree");
     let reference = bw_first(&p);
-    assert_eq!(reference.visited.iter().filter(|&&v| v).count(), 1757);
+    assert_eq!(reference.visit_count(), 1757);
     assert_eq!(reference.message_count(), 3512);
     // Plus the virtual parent's proposal and the root's ack to it.
     assert_eq!(negotiate_matches_centralized(&p), (1757, 3514));
+}
+
+#[test]
+fn a_round_on_the_131k_node_binary_tree_touches_five_nodes() {
+    // Proposition 2 at scale: the root's first child absorbs the whole
+    // offer down a four-node path, and the solution holds exactly those
+    // visits — nothing for the other 131,066 nodes.
+    let p = kary_tree(16, 2, Weight::Time(rat(4, 1)), Rat::ONE);
+    assert_eq!(p.len(), 131_071);
+    let reference = bw_first(&p);
+    assert_eq!(reference.visits.len(), 5);
+    assert_eq!(reference.trace().len(), 8);
+    let mut session = ProtocolSession::spawn(&p).expect("session over the binary tree");
+    assert_eq!(session.negotiate().expect("negotiation completes").solution, reference);
 }
 
 #[test]

@@ -14,13 +14,13 @@
 //!   is set);
 //! * [`UtilizationProbe`] — per-node, per-activity busy-time accounting;
 //! * [`ObsProbe`] — bridges everything into a `bwfirst-obs`
-//!   [`Recorder`] as trace spans, counter series and histograms;
+//!   [`MemoryRecorder`] as trace spans, counter series and histograms;
 //! * tuples — `(A, B)` drives two probes at once.
 
 use crate::gantt::{Gantt, SegmentKind};
 use bwfirst_core::schedule::SlotAction;
 use bwfirst_obs::chrome::{track, LANES};
-use bwfirst_obs::{Arg, Event, EventKind, Recorder, Ts};
+use bwfirst_obs::{Arg, Event, EventKind, MemoryRecorder, Ts};
 use bwfirst_platform::NodeId;
 use bwfirst_rational::Rat;
 
@@ -251,7 +251,7 @@ impl Probe for UtilizationProbe {
     }
 }
 
-/// Bridges executor observations into a `bwfirst-obs` [`Recorder`]:
+/// Bridges executor observations into a `bwfirst-obs` [`MemoryRecorder`]:
 ///
 /// * segments become `B`/`E` span pairs on the lane's `chrome::track`, plus
 ///   `sim.busy.<lane>` counters (total busy time ×den is not representable,
@@ -260,13 +260,13 @@ impl Probe for UtilizationProbe {
 ///   `sim.buffer_occupancy` histogram;
 /// * queue depths feed the `sim.event_queue_depth` histogram.
 #[derive(Debug)]
-pub struct ObsProbe<R: Recorder> {
-    rec: R,
+pub struct ObsProbe<'a> {
+    rec: &'a mut MemoryRecorder,
 }
 
-impl<R: Recorder> ObsProbe<R> {
-    /// Wraps a recorder (take it by `&mut` to keep ownership outside).
-    pub fn new(rec: R) -> ObsProbe<R> {
+impl<'a> ObsProbe<'a> {
+    /// Wraps a recorder that stays owned outside.
+    pub fn new(rec: &'a mut MemoryRecorder) -> ObsProbe<'a> {
         ObsProbe { rec }
     }
 }
@@ -276,11 +276,8 @@ pub(crate) fn ts(r: Rat) -> Ts {
     Ts::new(r.numer(), r.denom())
 }
 
-impl<R: Recorder> Probe for ObsProbe<R> {
+impl Probe for ObsProbe<'_> {
     fn segment(&mut self, node: NodeId, kind: SegmentKind, start: Rat, end: Rat) {
-        if !self.rec.enabled() {
-            return;
-        }
         let l = lane(kind);
         let tid = track(node.0, l);
         let name = match kind {
@@ -297,16 +294,10 @@ impl<R: Recorder> Probe for ObsProbe<R> {
     }
 
     fn queue_depth(&mut self, _t: Rat, depth: usize) {
-        if !self.rec.enabled() {
-            return;
-        }
         self.rec.observe("sim.event_queue_depth", depth as f64);
     }
 
     fn buffer(&mut self, node: NodeId, t: Rat, size: u64) {
-        if !self.rec.enabled() {
-            return;
-        }
         self.rec.event(
             Event::new(ts(t), node.0, format!("buffer {node}"), EventKind::Counter)
                 .arg("tasks", Arg::Int(i128::from(size))),
@@ -318,7 +309,6 @@ impl<R: Recorder> Probe for ObsProbe<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bwfirst_obs::MemoryRecorder;
     use bwfirst_rational::rat;
 
     #[test]

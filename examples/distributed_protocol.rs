@@ -20,7 +20,7 @@ fn main() {
     // Phase 1: the negotiation. Every message carries a single rational.
     let neg = session.negotiate().expect("negotiate");
     println!("\nnegotiation:");
-    println!("  virtual parent proposed t_max = {}", neg.solution.t_max);
+    println!("  virtual parent proposed t_max = {}", neg.solution.t_max());
     println!("  agreed throughput = {} tasks/time unit", neg.solution.throughput());
     println!("  {} messages, {:?} wall time", neg.messages(), neg.elapsed);
     let unvisited: Vec<String> = neg.solution.unvisited().iter().map(NodeId::to_string).collect();

@@ -44,18 +44,18 @@ proptest! {
     #[test]
     fn throughput_bounded_by_tmax_and_compute(p in arb_platform()) {
         let sol = bw_first(&p);
-        prop_assert!(sol.throughput() <= sol.t_max);
-        prop_assert!(sol.throughput() <= p.total_compute_rate());
+        prop_assert!(sol.throughput() <= sol.t_max());
+        let compute_ceiling: Rat = p.node_ids().map(|id| p.compute_rate(id)).sum();
+        prop_assert!(sol.throughput() <= compute_ceiling);
     }
 
     #[test]
     fn unvisited_nodes_do_no_work(p in arb_platform()) {
         let sol = bw_first(&p);
-        for id in p.node_ids() {
-            if !sol.visited[id.index()] {
-                prop_assert!(sol.alpha[id.index()].is_zero());
-                prop_assert!(sol.eta_in[id.index()].is_zero());
-            }
+        let ss = SteadyState::from_solution(&sol);
+        for id in sol.unvisited() {
+            prop_assert!(ss.alpha[id.index()].is_zero());
+            prop_assert!(ss.eta_in[id.index()].is_zero());
         }
     }
 
