@@ -1,68 +1,61 @@
-//! `bwfirst-analyze` — workspace lint + protocol model checking.
+//! `bwfirst-analyze` — protocol model checking and artifact schema checks.
 //!
 //! ```text
-//! bwfirst-analyze [lint|model|all|fixture <path>|snapshots <path>|trace <path>] [flags]
+//! bwfirst-analyze [model|snapshots <path>|trace <path>] [flags]
 //!
-//!   lint             run the source invariant rules (R1–R4) over crates/
-//!   model            exhaustively model-check the negotiation protocol
-//!   all              both layers (default)
-//!   fixture <path>   lint one file with every rule, ignoring path scopes
+//!   model            exhaustively model-check the negotiation protocol (default)
 //!   snapshots <path> schema-check a monitor snapshot stream (`sim::Snapshot::parse_jsonl`)
 //!   trace <path>     schema-check a provenance trace (`obs::causal::Trace::parse`)
 //!
-//!   --root DIR       workspace root to lint (default: .)
 //!   --max-nodes N    model-check all trees up to N nodes (default: 7)
 //!   --threads N      worker threads for the model checker
 //!                    (default: available parallelism)
 //!   --postmortem P   write the first model counterexample to P as a
 //!                    `bwfirst-postmortem/1` artifact
-//!   --json           machine-readable findings on stdout
-//!   --deny-all       CI mode: also reject unknown rule names in
-//!                    `lint: allow(...)` markers
+//!   --json           machine-readable output on stdout
 //! ```
 //!
-//! Exit code 0 when clean, 1 on any finding or property violation, 2 on
+//! The source invariants (exact arithmetic, typed errors, exhaustive message
+//! matches) are clippy lints denied in the crates and modules they guard;
+//! see `docs/ANALYSIS.md`.
+//!
+//! Exit code 0 when clean, 1 on any property violation or schema error, 2 on
 //! usage errors.
 
-use bwfirst_analyze::{lexer, model, rules};
+use bwfirst_analyze::model;
 use bwfirst_obs::causal::{Trace, STOCK_BASE};
 use bwfirst_obs::json::{obj, Value};
 use bwfirst_sim::Snapshot;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+enum Command {
+    Model,
+    Snapshots(PathBuf),
+    Trace(PathBuf),
+}
+
 struct Options {
-    command: String,
-    /// Path operand of the `fixture` / `snapshots` commands.
-    path: Option<PathBuf>,
-    root: PathBuf,
+    command: Command,
     max_nodes: usize,
     threads: usize,
     postmortem: Option<PathBuf>,
     json: bool,
-    deny_all: bool,
 }
 
 fn parse(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
-        command: "all".to_string(),
-        path: None,
+        command: Command::Model,
         postmortem: None,
-        root: PathBuf::from("."),
         max_nodes: 7,
         threads: bwfirst_parallel::available_threads(),
         json: false,
-        deny_all: false,
     };
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     let mut saw_command = false;
     while let Some(a) = it.next() {
         match a.as_str() {
             "--json" => opts.json = true,
-            "--deny-all" => opts.deny_all = true,
-            "--root" => {
-                opts.root = PathBuf::from(it.next().ok_or("--root needs a value")?);
-            }
             "--max-nodes" => {
                 let v = it.next().ok_or("--max-nodes needs a value")?;
                 opts.max_nodes = v.parse().map_err(|_| format!("bad --max-nodes `{v}`"))?;
@@ -75,13 +68,11 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 opts.postmortem =
                     Some(PathBuf::from(it.next().ok_or("--postmortem needs a value")?));
             }
-            "lint" | "model" | "all" if !saw_command => {
-                opts.command = a.clone();
-                saw_command = true;
-            }
-            "fixture" | "snapshots" | "trace" if !saw_command => {
-                opts.command = a.clone();
-                opts.path = Some(PathBuf::from(it.next().ok_or(format!("{a} needs a path"))?));
+            "model" if !saw_command => saw_command = true,
+            "snapshots" | "trace" if !saw_command => {
+                let path = PathBuf::from(it.next().ok_or(format!("{a} needs a path"))?);
+                opts.command =
+                    if a == "trace" { Command::Trace(path) } else { Command::Snapshots(path) };
                 saw_command = true;
             }
             other => return Err(format!("unknown argument `{other}`")),
@@ -97,134 +88,24 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("bwfirst-analyze: {e}");
             eprintln!(
-                "usage: bwfirst-analyze [lint|model|all|fixture <path>|snapshots <path>|\
-                       trace <path>] [--root DIR] [--max-nodes N] [--threads N] \
-                       [--postmortem P] [--json] [--deny-all]"
+                "usage: bwfirst-analyze [model|snapshots <path>|trace <path>] \
+                       [--max-nodes N] [--threads N] [--postmortem P] [--json]"
             );
             return ExitCode::from(2);
         }
     };
 
-    let mut dirty = false;
-    match opts.command.as_str() {
-        "lint" => dirty |= run_lint(&opts),
-        "model" => dirty |= run_model(&opts),
-        "all" => {
-            dirty |= run_lint(&opts);
-            dirty |= run_model(&opts);
-        }
-        "snapshots" => {
-            let path = opts.path.as_deref().expect("snapshots path parsed");
-            match run_snapshots(path, opts.json) {
-                Ok(clean) => dirty |= !clean,
-                Err(e) => {
-                    eprintln!("bwfirst-analyze: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        "trace" => {
-            let path = opts.path.as_deref().expect("trace path parsed");
-            match run_trace(path, opts.json) {
-                Ok(clean) => dirty |= !clean,
-                Err(e) => {
-                    eprintln!("bwfirst-analyze: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        "fixture" => {
-            let path = opts.path.as_deref().expect("fixture path parsed");
-            match rules::lint_file_unscoped(path) {
-                Ok(findings) => {
-                    emit_findings(&findings, opts.json);
-                    dirty |= !findings.is_empty();
-                }
-                Err(e) => {
-                    eprintln!("bwfirst-analyze: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        _ => unreachable!("parse() only yields known commands"),
-    }
-
-    if dirty {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// Runs the linter; returns true when findings were reported.
-fn run_lint(opts: &Options) -> bool {
-    let mut findings = match rules::lint_workspace(&opts.root) {
-        Ok(f) => f,
+    let dirty = match &opts.command {
+        Command::Model => Ok(run_model(&opts)),
+        Command::Snapshots(path) => run_snapshots(path, opts.json).map(|clean| !clean),
+        Command::Trace(path) => run_trace(path, opts.json).map(|clean| !clean),
+    };
+    match dirty {
+        Ok(false) => ExitCode::SUCCESS,
+        Ok(true) => ExitCode::from(1),
         Err(e) => {
             eprintln!("bwfirst-analyze: {e}");
-            return true;
-        }
-    };
-    if opts.deny_all {
-        findings.extend(unknown_allow_markers(&opts.root));
-        findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    }
-    emit_findings(&findings, opts.json);
-    if !opts.json {
-        if findings.is_empty() {
-            println!("lint: clean ({} rules over crates/)", rules::ALL_RULES.len());
-        } else {
-            println!("lint: {} finding(s)", findings.len());
-        }
-    }
-    !findings.is_empty()
-}
-
-/// `--deny-all` extra: an allow marker naming a rule that does not exist is
-/// itself a finding (it silently suppresses nothing — usually a typo).
-fn unknown_allow_markers(root: &Path) -> Vec<rules::Finding> {
-    let mut out = Vec::new();
-    let mut files = Vec::new();
-    collect(root.join("crates"), &mut files);
-    for path in files {
-        let Ok(src) = std::fs::read_to_string(&path) else { continue };
-        let rel = path.strip_prefix(root).unwrap_or(&path).display().to_string();
-        for (line, rule) in lexer::scan(&src).allows {
-            if !rules::ALL_RULES.contains(&rule.as_str()) {
-                out.push(rules::Finding {
-                    rule: "unknown-allow",
-                    file: rel.clone(),
-                    line,
-                    message: format!("allow marker names unknown rule `{rule}`"),
-                });
-            }
-        }
-    }
-    out
-}
-
-fn collect(dir: PathBuf, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(&dir) else { return };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if path.is_dir() {
-            if name != "target" && name != "fixtures" {
-                collect(path, out);
-            }
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
-}
-
-fn emit_findings(findings: &[rules::Finding], json: bool) {
-    if json {
-        let arr = Value::Array(findings.iter().map(rules::Finding::to_json).collect());
-        println!("{}", obj(vec![("findings", arr)]).to_string_compact());
-    } else {
-        for f in findings {
-            println!("{f}");
+            ExitCode::from(2)
         }
     }
 }

@@ -81,11 +81,10 @@ protocols (--protocol P; default event): {}
   --horizon H must be positive; a flag not listed for a subcommand is an error
 
 workspace checks (separate binary, see docs/ANALYSIS.md):
-  cargo run -p bwfirst-analyze [lint|model|all|fixture <path>|snapshots <path>|
-                                trace <path>]
-      source invariant lint rules, exhaustive protocol model checking,
-      schema validation of monitor snapshot streams, and the trace reader's
-      schema check of a provenance artifact
+  cargo run -p bwfirst-analyze [model|snapshots <path>|trace <path>]
+      exhaustive protocol model checking, schema validation of monitor
+      snapshot streams, and the trace reader's schema check of a provenance
+      artifact
 ",
         Protocol::ALL.map(Protocol::name).join(", ")
     )

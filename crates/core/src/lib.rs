@@ -41,6 +41,8 @@
 //! is property-tested in `tests/`.
 
 #![forbid(unsafe_code)]
+// R1: exact arithmetic stays exact (rules: docs/ANALYSIS.md).
+#![deny(clippy::disallowed_types, clippy::float_arithmetic)]
 #![warn(missing_docs)]
 
 pub mod bottom_up;

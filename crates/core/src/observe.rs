@@ -61,10 +61,12 @@ pub fn record_schedule(sched: &TreeSchedule, rec: &mut MemoryRecorder) {
                 .arg("psi_self", Arg::Int(ns.psi_self))
                 .arg("bunch", Arg::Int(ns.bunch)),
         );
-        // lint: allow(float) — histogram export is the quantize boundary.
-        rec.observe("core.schedule.t_omega", ns.t_omega as f64);
-        rec.observe("core.schedule.t_full", ns.t_full as f64); // lint: allow(float)
-        rec.observe("core.schedule.bunch", ns.bunch as f64); // lint: allow(float)
+        #[expect(clippy::disallowed_types, reason = "histogram export is the quantize boundary")]
+        {
+            rec.observe("core.schedule.t_omega", ns.t_omega as f64);
+            rec.observe("core.schedule.t_full", ns.t_full as f64);
+            rec.observe("core.schedule.bunch", ns.bunch as f64);
+        }
         rec.add("core.schedule.active_nodes", 1);
     }
 }

@@ -36,6 +36,9 @@
 //! [`LocalScheduleKind::AllAtOnce`] and [`LocalScheduleKind::RoundRobin`]
 //! are alternative intra-bunch orders used by the ablation experiment E9.
 
+// R2: typed errors, no panics (rules: docs/ANALYSIS.md).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::steady_state::SteadyState;
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::{lcm_i128, widening_mul_u128, Rat};

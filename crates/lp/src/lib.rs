@@ -25,6 +25,8 @@
 //! platforms; the equality is also property-tested here.
 
 #![forbid(unsafe_code)]
+// R1: exact arithmetic stays exact (rules: docs/ANALYSIS.md).
+#![deny(clippy::disallowed_types, clippy::float_arithmetic)]
 #![warn(missing_docs)]
 
 pub mod gauss;

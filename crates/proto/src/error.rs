@@ -1,7 +1,8 @@
 //! Typed errors for the protocol layer.
 //!
-//! Lint rule **R2** (see `crates/analyze`) bans `unwrap`/`expect`/`panic!`
-//! from `proto/src`: every failure a node or the dispatcher can hit must
+//! Rule **R2** (`clippy::{unwrap_used, expect_used, panic}`, denied at the
+//! crate root; see `docs/ANALYSIS.md`) bans `unwrap`/`expect`/`panic!` from
+//! `proto/src`: every failure a node or the dispatcher can hit must
 //! surface as a [`ProtoError`] instead of an unnamed panic. The variants map
 //! one-to-one onto the invariants of the Section 5 transaction protocol.
 

@@ -38,6 +38,11 @@
 //! the time of communicating tasks".
 
 #![forbid(unsafe_code)]
+// R1: exact arithmetic stays exact; R2: typed errors, no panics; R3:
+// message matches stay exhaustive (rules: docs/ANALYSIS.md).
+#![deny(clippy::disallowed_types, clippy::float_arithmetic)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 #![warn(missing_docs)]
 
 pub mod error;

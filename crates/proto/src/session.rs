@@ -75,7 +75,7 @@ impl NegotiationOutcome {
         rec.add("proto.wire_bytes", negotiation_wire_bytes(s) as i128);
         rec.add("proto.nodes_visited", visited);
         rec.add("proto.nodes_total", s.nodes as i128);
-        // lint: allow(float) — histogram export is the quantize boundary.
+        #[expect(clippy::float_arithmetic, reason = "histogram export is the quantize boundary")]
         rec.observe("proto.negotiate_micros", self.elapsed.as_secs_f64() * 1e6);
     }
 }

@@ -394,7 +394,9 @@ mod tests {
             if n >= 0 {
                 match roundtrip_down(DownMsg::Proposal(rat(n, d))) {
                     DownMsg::Proposal(r) => assert_eq!(r, rat(n, d)),
-                    other => panic!("unexpected {other:?}"),
+                    other @ (DownMsg::Task(_) | DownMsg::Control { .. }) => {
+                        panic!("unexpected {other:?}")
+                    }
                 }
             }
         }

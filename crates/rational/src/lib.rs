@@ -28,6 +28,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// R1: exact arithmetic stays exact (rules: docs/ANALYSIS.md).
+#![deny(clippy::disallowed_types, clippy::float_arithmetic)]
 #![warn(missing_docs)]
 
 mod error;

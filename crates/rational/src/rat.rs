@@ -249,9 +249,12 @@ impl Rat {
     /// Nearest `f64` approximation (for reporting only — never used in the
     /// scheduling math).
     #[must_use]
-    // lint: allow(float) — the one sanctioned exit from exact arithmetic.
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "the one sanctioned exit from exact arithmetic"
+    )]
     pub fn to_f64(self) -> f64 {
-        // lint: allow(float)
         self.num as f64 / self.den as f64
     }
 

@@ -22,6 +22,9 @@
 //! schedule needs the χ prefill (extra memory and a dead distribution
 //! phase) to start cleanly.
 
+// R2: typed errors, no panics (rules: docs/ANALYSIS.md).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::engine::{Engine, Policy, SimConfig, SimReport};
 use crate::error::SimError;
 use crate::gantt::SegmentKind;

@@ -24,6 +24,9 @@
 //! greedy and can be non-optimal: start-up phases stretch and buffers grow
 //! compared with the event-driven schedule (experiment E7).
 
+// R2: typed errors, no panics (rules: docs/ANALYSIS.md).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::engine::{Engine, Policy, SimConfig, SimReport};
 use crate::gantt::SegmentKind;
 use crate::probe::{NoProbe, Probe};
@@ -289,17 +292,22 @@ pub fn simulate_probed(
     probe: &mut impl Probe,
 ) -> SimReport {
     // Each node's slot in its parent's child list (and `pending`).
-    let slot = |k: NodeId| platform.children(platform.parent(k)?).iter().position(|&x| x == k);
+    let mut slot = vec![0; platform.len()];
+    for id in platform.node_ids() {
+        for (s, &k) in platform.children(id).iter().enumerate() {
+            slot[k.index()] = s;
+        }
+    }
     let nodes = platform
         .node_ids()
         .map(|id| NodeState {
             w: platform.weight(id).time(),
             link: platform.link_time(id).unwrap_or(Rat::ZERO),
-            up: platform.parent(id).zip(slot(id)),
+            up: platform.parent(id).map(|p| (p, slot[id.index()])),
             serve_order: platform
                 .children_bandwidth_centric(id)
                 .into_iter()
-                .filter_map(|k| Some((k, slot(k)?)))
+                .map(|k| (k, slot[k.index()]))
                 .collect(),
             pending: vec![0; platform.children(id).len()],
             ..NodeState::default()

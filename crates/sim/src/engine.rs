@@ -8,6 +8,9 @@
 //! [`SimReport`]. A policy keeps only its own routing, quota, demand or
 //! return rules.
 
+// R2: typed errors, no panics (rules: docs/ANALYSIS.md).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::gantt::{Gantt, SegmentKind};
 use crate::probe::{GanttProbe, Probe};
 use bwfirst_platform::{NodeId, Platform};

@@ -1,7 +1,8 @@
 //! Typed errors for the simulator executors.
 //!
-//! Lint rule **R2** (see `crates/analyze`) bans `unwrap`/`expect`/`panic!`
-//! from the engine and event-loop files: a malformed schedule/platform pair
+//! Rule **R2** (`clippy::{unwrap_used, expect_used, panic}`, denied in each
+//! file; see `docs/ANALYSIS.md`) bans `unwrap`/`expect`/`panic!` from the
+//! engine and event-loop files: a malformed schedule/platform pair
 //! surfaces as a [`SimError`] from `simulate*` instead of a panic deep in
 //! the event loop.
 

@@ -30,6 +30,9 @@
 //! Section 5 strategy) and swaps every node onto the new schedule;
 //! buffered tasks are kept and re-enter the new routing.
 
+// R2: typed errors, no panics (rules: docs/ANALYSIS.md).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::engine::{Engine, Policy, SimConfig, SimReport};
 use crate::error::SimError;
 use crate::gantt::SegmentKind;

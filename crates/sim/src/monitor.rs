@@ -43,6 +43,9 @@
 //! period: then the steady-state pattern repeats exactly once per window and
 //! the [`RATE_SLACK`] of one task suffices.
 
+// R2: typed errors, no panics (rules: docs/ANALYSIS.md).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::gantt::SegmentKind;
 use crate::probe::{lane, ts, Probe};
 use bwfirst_core::expectations::MonitorExpectations;

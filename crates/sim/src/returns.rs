@@ -24,6 +24,9 @@
 //! returns. None of this contention exists in the forward-only model — the
 //! measured throughput gap *is* the open problem, quantified (E19).
 
+// R2: typed errors, no panics (rules: docs/ANALYSIS.md).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::engine::{Engine, Policy, SimConfig, SimReport};
 use crate::error::SimError;
 use crate::event_driven::{next_action, release_step};
