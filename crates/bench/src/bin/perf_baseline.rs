@@ -288,7 +288,7 @@ fn measure_core(opts: &Opts, iters: u32) -> BenchReport {
     // visits 5 nodes, so both sides cost what the visits cost.
     let binary = generators::kary_tree(16, 2, Weight::Time(rat(4, 1)), Rat::ONE);
     for (id, p) in [("255", trees::supply_tree(255, 21)), ("131k", binary)] {
-        let mut session = ProtocolSession::spawn(&p).expect("spawn actor tree");
+        let mut session = ProtocolSession::spawn(&p).expect("set up protocol session");
         let (solve_ns, negotiate_ns) = best_of_pair(
             iters.max(5),
             || {

@@ -172,7 +172,7 @@ pub fn e11_distributed_protocol() -> String {
     ]);
     for &size in &[15usize, 63, 255] {
         let p = crate::trees::supply_tree(size, 21); // slow CPUs: wide fan-out
-        let mut session = ProtocolSession::spawn(&p).expect("spawn actor tree");
+        let mut session = ProtocolSession::spawn(&p).expect("set up protocol session");
         let neg = session.negotiate().expect("negotiation completes");
         let check = bw_first(&p);
         assert_eq!(neg.solution, check, "distributed must match centralized");
@@ -215,7 +215,7 @@ pub fn e11_distributed_protocol() -> String {
     // Dynamic adaptation: drop a link, renegotiate, recover.
     writeln!(out, "\ndynamic adaptation (example tree):").unwrap();
     let p = example_tree();
-    let mut session = ProtocolSession::spawn(&p).expect("spawn actor tree");
+    let mut session = ProtocolSession::spawn(&p).expect("set up protocol session");
     let before = session.negotiate().expect("negotiation completes");
     session.set_link(bwfirst_platform::NodeId(1), rat(12, 1)).expect("set_link");
     let degraded = session.negotiate().expect("negotiation completes");

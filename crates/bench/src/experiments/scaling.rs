@@ -6,7 +6,9 @@ use bwfirst_core::fork::ForkChild;
 use bwfirst_core::lazy::{throughput_bounds, InfiniteChain, InfiniteKary};
 use bwfirst_core::schedule::{synchronous_period, EventDrivenSchedule, LocalScheduleKind};
 use bwfirst_core::{bottom_up, bw_first, fork_equivalent_rate, startup, SteadyState};
+use bwfirst_obs::Trace;
 use bwfirst_rational::{rat, Rat};
+use bwfirst_sim::provenance::{trace_header, ProvenanceProbe};
 use bwfirst_sim::{event_driven, SimConfig, SimReport};
 use std::fmt::Write;
 
@@ -86,6 +88,15 @@ fn peak_buffer(rep: &SimReport) -> u64 {
     rep.buffers.iter().map(|b| b.max).max().unwrap_or(0)
 }
 
+/// The exact mean sojourn time (entry at the root → end of the compute
+/// span) of the tasks a traced run computed by its horizon; `None` when
+/// none did.
+fn mean_sojourn(trace: &Trace) -> Option<Rat> {
+    let sojourns = trace.sojourns().expect("Fig. 2 sojourns fit i128");
+    let sum: Rat = sojourns.iter().map(|s| Rat::new(s.num, s.den)).sum();
+    (!sojourns.is_empty()).then(|| sum / Rat::from(sojourns.len()))
+}
+
 /// E9 — Section 6's compactness claim plus the Section 6.3 local-schedule
 /// ablation (interleaved vs all-at-once vs round-robin).
 #[must_use]
@@ -149,14 +160,16 @@ pub fn e9_schedule_compactness() -> String {
             exact_queue: false,
             seed: 0,
         };
-        let rep = event_driven::simulate(&p, &ev, &cfg).expect("simulate");
+        let mut probe = ProvenanceProbe::new(&p, Some(&ev.tree));
+        let rep = event_driven::simulate_probed(&p, &ev, &cfg, &mut probe).expect("simulate");
+        let trace = probe.into_trace(trace_header(&p, Some(&ev.tree), "event", &cfg, None));
         let avg = rep.buffers.iter().map(|b| b.time_avg).max().unwrap();
         let ok = rep.completions_in(rat(76, 1), rat(184, 1)) == 120; // 3 periods x 40
         t.row([
             name.to_string(),
             peak_buffer(&rep).to_string(),
             f(avg),
-            rep.mean_latency().map_or("-".to_string(), f),
+            mean_sojourn(&trace).map_or("-".to_string(), f),
             f(rep.wind_down().unwrap()),
             ok.to_string(),
         ]);

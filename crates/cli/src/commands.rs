@@ -389,10 +389,10 @@ impl Protocol {
 }
 
 /// `--horizon`, by default `periods` synchronous periods clamped to
-/// [200, 100000].
+/// [200, 100000] (a product past `i128` clamps to the top).
 fn horizon(args: &Args, period: i128, periods: i128) -> Result<Rat, CliError> {
     let h = args.flag_opt::<i128>("horizon", "--horizon")?;
-    Ok(Rat::from_int(h.unwrap_or_else(|| (period * periods).clamp(200, 100_000))))
+    Ok(Rat::from_int(h.unwrap_or_else(|| period.saturating_mul(periods).clamp(200, 100_000))))
 }
 
 /// The run configuration of every simulating command; the horizon must be
@@ -670,13 +670,14 @@ fn cmd_trace_lineage(trace: &Trace, task: i128) -> Result<String, CliError> {
     if let (Some(node), Some(end)) = (trace.compute_node(task), trace.completion(task)) {
         writeln!(out, "computed on P{node}, retired at t={}", end.display()).unwrap();
         // Sum the header's per-edge Lemma 1 costs from the compute node back
-        // to the root: the predicted one-way delivery latency.
+        // to the root: the predicted one-way delivery latency (`None` once
+        // the sum leaves i128).
         let mut cur = node as usize;
-        let mut total = Rat::ZERO;
+        let mut total = Some(Rat::ZERO);
         let mut known = true;
         while let Some(parent) = trace.header.parent.get(cur).copied().flatten() {
             match trace.header.edge_time.get(cur).copied().flatten() {
-                Some(c) => total += Rat::new(c.num, c.den),
+                Some(c) => total = total.and_then(|t| t.checked_add(Rat::new(c.num, c.den)).ok()),
                 None => {
                     known = false;
                     break;
@@ -685,7 +686,11 @@ fn cmd_trace_lineage(trace: &Trace, task: i128) -> Result<String, CliError> {
             cur = parent as usize;
         }
         if known {
-            writeln!(out, "predicted root->P{node} path cost (Lemma 1): {total}").unwrap();
+            write!(out, "predicted root->P{node} path cost (Lemma 1): ").unwrap();
+            match total {
+                Some(total) => writeln!(out, "{total}").unwrap(),
+                None => writeln!(out, "outside i128").unwrap(),
+            }
         }
     }
     Ok(out)
@@ -1058,6 +1063,18 @@ mod tests {
         for cmd in ["simulate", "stats", "monitor"] {
             let out = run(&[cmd, "hetero15.json", "--horizon", "100"]);
             assert!(out.as_ref().is_ok_and(|o| !o.contains("steady entry")), "{cmd}: {out:?}");
+        }
+    }
+
+    #[test]
+    fn the_default_horizon_saturates() {
+        // Hetero n = 30, seed 2 has a synchronous period of ~1.09·10^38:
+        // eight of them wrapped to a negative product, clamped to 200.
+        let args = parse_args(["simulate", "t.json"].map(String::from)).unwrap();
+        for (period, want) in
+            [(1, 200), (20_000, 100_000), (i128::MAX / 8 + 1, 100_000), (i128::MAX, 100_000)]
+        {
+            assert_eq!(horizon(&args, period, 8).unwrap(), Rat::from_int(want), "{period}");
         }
     }
 
@@ -1490,6 +1507,18 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn trace_lineage_reports_a_path_cost_past_i128() {
+        // Edge times i128::MAX/2 and 1/3 are each in range and schema-clean;
+        // their sum is not.
+        let wide = include_str!("../../obs/testdata/trace_good_wide_edges.jsonl");
+        assert!(Trace::parse(wide).is_ok());
+        let argv = ["trace", "lineage", "w.jsonl", "--task", "0"];
+        let (out, _) = run_io_with(&argv, &[("w.jsonl", wide)]).unwrap();
+        assert!(out.contains("computed on P2, retired at t=16/3"), "{out}");
+        assert!(out.contains("predicted root->P2 path cost (Lemma 1): outside i128"), "{out}");
     }
 
     #[test]

@@ -866,6 +866,29 @@ impl Trace {
         })
     }
 
+    /// Sojourn times (compute span end − entry) of the entered tasks whose
+    /// compute span ends by the header's horizon, in compute-record order;
+    /// `None` if one of them does not fit an `i128` fraction.
+    #[must_use]
+    pub fn sojourns(&self) -> Option<Vec<Ts>> {
+        let mut entered = HashMap::new();
+        let mut out = Vec::new();
+        for r in &self.records {
+            match r {
+                TraceRecord::Enter { task, t, .. } => {
+                    entered.insert(*task, *t);
+                }
+                TraceRecord::Compute { task, end, .. } if *end <= self.header.horizon => {
+                    if let Some(&t) = entered.get(task) {
+                        out.push(ts_sub(*end, t)?);
+                    }
+                }
+                _ => {}
+            }
+        }
+        Some(out)
+    }
+
     /// Per task: how many compute records it has, and the node and span
     /// end of the first (what [`Trace::compute_node`] and
     /// [`Trace::completion`] report), in one pass.
@@ -1377,6 +1400,21 @@ mod tests {
         let err = Trace::parse(&back).unwrap_err();
         assert_eq!(err.line, 4, "{err}");
         assert!(err.message.contains("backwards"), "{err}");
+    }
+
+    #[test]
+    fn sojourns_cover_the_computes_that_end_by_the_horizon() {
+        let mut trace = small_trace();
+        assert_eq!(trace.sojourns(), Some(vec![Ts::new(7, 1)]));
+        trace.header.horizon = Ts::new(13, 2);
+        assert_eq!(trace.sojourns(), Some(vec![]));
+        // Entry at 1/3, retirement at i128::MAX: the difference's
+        // numerator leaves i128.
+        trace.header.horizon = Ts::new(i128::MAX, 1);
+        trace.records[0] = TraceRecord::Enter { task: 0, node: 0, t: Ts::new(1, 3), stock: false };
+        trace.records[4] =
+            TraceRecord::Compute { task: 0, node: 1, start: Ts::ZERO, end: Ts::new(i128::MAX, 1) };
+        assert_eq!(trace.sojourns(), None);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use bwfirst_proto::{wire, ProtocolSession};
 
 /// Runs one negotiation and returns the obs recorder holding its counters.
 fn negotiate_recorded(p: &Platform) -> (MemoryRecorder, bwfirst_proto::NegotiationOutcome) {
-    let mut session = ProtocolSession::spawn(p).expect("spawn actor tree");
+    let mut session = ProtocolSession::spawn(p).expect("set up protocol session");
     let out = session.negotiate().expect("negotiation completes");
     let mut rec = MemoryRecorder::new();
     out.record(&mut rec);

@@ -228,17 +228,19 @@ pub fn simulate_probed(
 ) -> Result<SimReport, SimError> {
     // Window ticks land at integer multiples of T^c/T^s, so the only
     // fractional times come from compute/link durations.
-    let mut eng = Engine::new(platform, cfg, [], probe, false);
+    let mut eng = Engine::new(platform, cfg, [], probe);
     let mut nodes: Vec<NodeState> = platform.node_ids().map(|_| NodeState::default()).collect();
     for s in schedule.iter() {
         let n = &mut nodes[s.node.index()];
         n.t_comp = Rat::from_int(s.t_comp);
         n.t_send = Rat::from_int(s.t_send);
-        // ρ_0 tasks per T^c window: α = ρ_0 / T^c exactly.
-        n.rho = s.psi_self * s.t_comp / s.t_omega;
-        debug_assert_eq!(n.rho * s.t_omega, s.psi_self * s.t_comp);
-        // φ_i tasks per T^s window.
-        n.phi = s.psi_children.iter().map(|&(k, q)| (k, q * s.t_send / s.t_omega)).collect();
+        // ρ_0 = ψ_0·T^c/T^ω tasks per T^c window and φ_i = ψ_i·T^s/T^ω per
+        // T^s window. T^c and T^s divide T^ω, and the quotients are whole
+        // (α = ρ_0/T^c, η_i = φ_i/T^s), so dividing by T^ω/T^c or T^ω/T^s
+        // is exact and forms no product that could leave i128.
+        debug_assert_eq!(s.psi_self % (s.t_omega / s.t_comp), 0);
+        n.rho = s.psi_self / (s.t_omega / s.t_comp);
+        n.phi = s.psi_children.iter().map(|&(k, q)| (k, q / (s.t_omega / s.t_send))).collect();
         if let Some(chi) = s.chi_in.filter(|_| clocked.prefill) {
             eng.received[s.node.index()] += chi as u64;
             eng.buffer_add(s.node, Rat::ZERO, chi as i64);
@@ -337,6 +339,21 @@ mod tests {
         let rep = simulate(&p, &ts, ClockedConfig::default(), &cfg).unwrap();
         let window = bwfirst_rational::Rat::from_int(synchronous_period(&ss).unwrap());
         assert_eq!(rep.throughput_in(rat(36, 1), rat(36, 1) + window), example_throughput());
+    }
+
+    #[test]
+    fn exact_hetero_quotas_serve_every_child() {
+        // The root of hetero n = 20, seed 1 owes P1 ~7.2·10^20 tasks per
+        // bunch: formed as ψ_i·T^s before dividing by T^ω, its quota left
+        // i128 (negative in release) and the root never served P1.
+        let p = bwfirst_platform::generators::hetero_tree(20, 1);
+        let ss = SteadyState::from_solution(&bw_first(&p));
+        let ts = TreeSchedule::build(&p, &ss).unwrap();
+        let cfg = SimConfig::to_horizon(rat(200, 1));
+        let rep = simulate(&p, &ts, ClockedConfig { prefill: false }, &cfg).unwrap();
+        let to_p1 = SegmentKind::Send(NodeId(1));
+        let gantt = rep.gantt.unwrap();
+        assert!(gantt.segments.iter().any(|s| s.node == p.root() && s.kind == to_p1));
     }
 
     #[test]

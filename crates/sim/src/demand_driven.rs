@@ -316,7 +316,7 @@ pub fn simulate_probed(
     // Requests are instantaneous: every event time is a sum of compute and
     // link durations (interruption remainders are differences of the same
     // sums, so their denominators divide the same scale).
-    let eng = Engine::new(platform, cfg, [], probe, false);
+    let eng = Engine::new(platform, cfg, [], probe);
     let Ok(rep) = Demand { eng, demand, nodes, next_token: 0 }.run();
     rep
 }

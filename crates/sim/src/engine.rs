@@ -4,9 +4,13 @@
 //! Every executor is a [`Policy`] on the same Section 3 node model. The
 //! [`Engine`] owns what they share: the event loop and its horizon cut-off,
 //! the per-node received/computed counters, buffer occupancy, root
-//! injection accounting, completions and latencies, and the assembled
-//! [`SimReport`]. A policy keeps only its own routing, quota, demand or
-//! return rules.
+//! injection accounting, completions, and the assembled [`SimReport`]. A
+//! policy keeps only its own routing, quota, demand or return rules.
+//!
+//! Tasks are counts here: no executor tracks which task is which. Per-task
+//! quantities such as sojourn times come from the provenance trace
+//! ([`crate::provenance`]), which follows each task through the [`Probe`]
+//! seam.
 
 // R2: typed errors, no panics (rules: docs/ANALYSIS.md).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -331,22 +335,18 @@ pub(crate) struct Engine<E, P> {
     /// Tasks computed per node.
     pub computed: Vec<u64>,
     completions: Vec<(Rat, NodeId)>,
-    /// Sojourn times aligned with `completions`, for stamping policies.
-    latencies: Option<Vec<Rat>>,
     injected: u64,
     last_injection: Option<Rat>,
 }
 
 impl<E, P: Probe> Engine<E, P> {
     /// An engine for `platform` whose event times are sums of its durations
-    /// and of `extras` (see [`tick_scale_hint`]). `stamped` policies report
-    /// per-task latencies.
+    /// and of `extras` (see [`tick_scale_hint`]).
     pub fn new(
         platform: &Platform,
         cfg: &SimConfig,
         extras: impl IntoIterator<Item = Rat>,
         probe: P,
-        stamped: bool,
     ) -> Self {
         let n = platform.len();
         let scale = if cfg.exact_queue { None } else { tick_scale_hint(platform, extras) };
@@ -359,7 +359,6 @@ impl<E, P: Probe> Engine<E, P> {
             received: vec![0; n],
             computed: vec![0; n],
             completions: Vec::new(),
-            latencies: stamped.then(Vec::new),
             injected: 0,
             last_injection: None,
         }
@@ -445,14 +444,6 @@ impl<E, P: Probe> Engine<E, P> {
         self.record_completion(node, t);
     }
 
-    /// As [`complete`](Engine::complete), for a task injected at `stamp`.
-    pub fn complete_stamped(&mut self, node: NodeId, t: Rat, stamp: Rat) {
-        self.complete(node, t);
-        if let Some(lats) = &mut self.latencies {
-            lats.push(t - stamp);
-        }
-    }
-
     fn report(&mut self) -> SimReport {
         let cfg = &self.cfg;
         let exhausted = cfg.total_tasks.is_some_and(|n| self.injected >= n);
@@ -461,26 +452,12 @@ impl<E, P: Probe> Engine<E, P> {
         } else {
             cfg.stop_injection_at.filter(|&s| s <= cfg.horizon)
         };
-        // Completions in (time, node) order; latencies move with them.
         let mut completions = std::mem::take(&mut self.completions);
-        let latencies = match self.latencies.take() {
-            Some(lats) => {
-                let mut joined: Vec<_> = completions.into_iter().zip(lats).collect();
-                joined.sort_by_key(|a| a.0);
-                let latencies;
-                (completions, latencies) = joined.into_iter().unzip();
-                Some(latencies)
-            }
-            None => {
-                completions.sort();
-                None
-            }
-        };
+        completions.sort();
         SimReport {
             horizon: cfg.horizon,
             injection_stopped_at,
             completions,
-            latencies,
             computed: std::mem::take(&mut self.computed),
             received: std::mem::take(&mut self.received),
             buffers: self.buffers.finalize(cfg.horizon),
@@ -498,10 +475,6 @@ pub struct SimReport {
     pub injection_stopped_at: Option<Rat>,
     /// `(completion time, node)` of every computed task, in time order.
     pub completions: Vec<(Rat, NodeId)>,
-    /// Per-completion sojourn times (completion − injection at the root),
-    /// aligned with `completions`. `None` for executors that do not stamp
-    /// tasks.
-    pub latencies: Option<Vec<Rat>>,
     /// Tasks computed per node.
     pub computed: Vec<u64>,
     /// Tasks received from the parent per node (root: tasks injected).
@@ -538,23 +511,6 @@ impl SimReport {
     #[must_use]
     pub fn last_completion(&self) -> Option<Rat> {
         self.completions.last().map(|&(t, _)| t)
-    }
-
-    /// Mean task sojourn time (injection at the root → completion), when
-    /// tracked.
-    #[must_use]
-    pub fn mean_latency(&self) -> Option<Rat> {
-        let lats = self.latencies.as_ref()?;
-        if lats.is_empty() {
-            return None;
-        }
-        Some(lats.iter().copied().sum::<Rat>() / Rat::from(lats.len()))
-    }
-
-    /// Maximum task sojourn time, when tracked.
-    #[must_use]
-    pub fn max_latency(&self) -> Option<Rat> {
-        self.latencies.as_ref()?.iter().copied().max()
     }
 
     /// Wind-down length: time from the injection stop to the last
@@ -632,7 +588,6 @@ mod tests {
             horizon: rat(100, 1),
             injection_stopped_at: None,
             completions: times.iter().map(|&(t, n)| (rat(t, 1), NodeId(n))).collect(),
-            latencies: None,
             computed: vec![],
             received: vec![],
             buffers: vec![],

@@ -6,7 +6,10 @@
 //! sending port toward a specific child. A per-node cursor steps the
 //! schedule's implicit order; no node's `Ψ` actions are ever listed. No
 //! clocks, no global information; the CPU and the port each drain their
-//! queues greedily (full overlap).
+//! queues greedily (full overlap). A CPU queue is a count and a port queue
+//! a list of targets: tasks carry no identity or timestamp, so per-task
+//! sojourn times are read from a [`ProvenanceProbe`](crate::provenance)
+//! trace ([`Trace::sojourns`](bwfirst_obs::Trace::sojourns)).
 //!
 //! The **root** is the only clocked node (the paper: "any time-related
 //! information has been removed (except for the root)"): it injects tasks at
@@ -83,9 +86,8 @@ pub enum AdaptPolicy {
 enum Ev {
     /// The root releases (generates) one task.
     Release,
-    /// A task arrives at a node (end of an incoming transfer); the stamp is
-    /// the task's injection time at the root, for sojourn accounting.
-    Arrive(NodeId, Rat),
+    /// A task arrives at a node (end of an incoming transfer).
+    Arrive(NodeId),
     /// A node's CPU finishes one task.
     CpuEnd(NodeId),
     /// A node's sending port finishes one transfer.
@@ -100,13 +102,11 @@ enum Ev {
 struct NodeState {
     /// Cyclic position in the local schedule.
     cursor: BunchCursor,
-    /// Injection stamps of tasks assigned to the CPU, not yet started.
-    pending_cpu: VecDeque<Rat>,
-    /// Send targets in assignment order with their tasks' stamps.
-    send_queue: VecDeque<(NodeId, Rat)>,
+    /// Tasks assigned to the CPU, not yet started.
+    pending_cpu: u64,
+    /// Send targets in assignment order.
+    send_queue: VecDeque<NodeId>,
     cpu_busy: bool,
-    /// Stamp of the task currently on the CPU.
-    cpu_stamp: Rat,
     port_busy: bool,
     /// The CPU stays off until this many tasks were received (the prefill
     /// start-up's `χ`; 0 = on from the start).
@@ -166,18 +166,17 @@ impl<P: Probe> Policy for EventDriven<'_, P> {
             Ev::Release => {
                 let root = self.platform.root();
                 self.eng.inject(t);
-                self.on_arrive(root, t, t)?;
+                self.on_arrive(root, t)?;
                 self.eng.release_at(t + self.release_step, Ev::Release);
             }
-            Ev::Arrive(node, stamp) => {
+            Ev::Arrive(node) => {
                 self.eng.probe.task_delivered(node, t);
                 self.eng.received[node.index()] += 1;
-                self.on_arrive(node, t, stamp)?;
+                self.on_arrive(node, t)?;
             }
             Ev::CpuEnd(node) => {
-                let n = &mut self.nodes[node.index()];
-                n.cpu_busy = false;
-                self.eng.complete_stamped(node, t, n.cpu_stamp);
+                self.nodes[node.index()].cpu_busy = false;
+                self.eng.complete(node, t);
                 self.try_cpu(node, t)?;
             }
             Ev::PortEnd(node) => {
@@ -196,7 +195,7 @@ impl<P: Probe> Policy for EventDriven<'_, P> {
 
 impl<P: Probe> EventDriven<'_, P> {
     /// Routes one available task according to the local schedule.
-    fn assign(&mut self, node: NodeId, t: Rat, stamp: Rat) -> Result<(), SimError> {
+    fn assign(&mut self, node: NodeId, t: Rat) -> Result<(), SimError> {
         let i = node.index();
         if !self.adaptations.is_empty() && self.schedule.local(node).is_none() {
             // A node the *new* schedule prunes may still receive tasks
@@ -204,7 +203,7 @@ impl<P: Probe> EventDriven<'_, P> {
             // strand them (a switch cannot, and drops them).
             self.eng.probe.task_dispatch(node, t, SlotAction::Compute, None);
             if self.platform.weight(node).time().is_some() {
-                self.nodes[i].pending_cpu.push_back(stamp);
+                self.nodes[i].pending_cpu += 1;
                 self.try_cpu(node, t)?;
             }
             return Ok(());
@@ -213,11 +212,11 @@ impl<P: Probe> EventDriven<'_, P> {
         self.eng.probe.task_dispatch(node, t, action, Some(slot));
         match action {
             SlotAction::Compute => {
-                self.nodes[i].pending_cpu.push_back(stamp);
+                self.nodes[i].pending_cpu += 1;
                 self.try_cpu(node, t)
             }
             SlotAction::Send(child) => {
-                self.nodes[i].send_queue.push_back((child, stamp));
+                self.nodes[i].send_queue.push_back(child);
                 self.try_port(node, t)
             }
         }
@@ -226,11 +225,11 @@ impl<P: Probe> EventDriven<'_, P> {
     fn try_cpu(&mut self, node: NodeId, t: Rat) -> Result<(), SimError> {
         let i = node.index();
         let n = &mut self.nodes[i];
-        if n.cpu_busy || n.pending_cpu.is_empty() || self.eng.received[i] < n.enable_at {
+        if n.cpu_busy || n.pending_cpu == 0 || self.eng.received[i] < n.enable_at {
             return Ok(());
         }
         let w = self.platform.weight(node).time().ok_or(SimError::SwitchComputes(node))?;
-        n.cpu_stamp = n.pending_cpu.pop_front().ok_or(SimError::EmptyQueue(node))?;
+        n.pending_cpu = n.pending_cpu.checked_sub(1).ok_or(SimError::EmptyQueue(node))?;
         n.cpu_busy = true;
         self.eng.buffer_add(node, t, -1);
         self.eng.probe.segment(node, SegmentKind::Compute, t, t + w);
@@ -243,19 +242,19 @@ impl<P: Probe> EventDriven<'_, P> {
         if n.port_busy {
             return Ok(());
         }
-        let Some((child, stamp)) = n.send_queue.pop_front() else { return Ok(()) };
+        let Some(child) = n.send_queue.pop_front() else { return Ok(()) };
         let c = self.platform.link_time(child).ok_or(SimError::MissingLink(child))?;
         n.port_busy = true;
         self.eng.buffer_add(node, t, -1);
         self.eng.transfer(node, child, t, t + c);
         self.eng.queue.push(t + c, Ev::PortEnd(node));
-        self.eng.queue.push(t + c, Ev::Arrive(child, stamp));
+        self.eng.queue.push(t + c, Ev::Arrive(child));
         Ok(())
     }
 
-    fn on_arrive(&mut self, node: NodeId, t: Rat, stamp: Rat) -> Result<(), SimError> {
+    fn on_arrive(&mut self, node: NodeId, t: Rat) -> Result<(), SimError> {
         self.eng.buffer_add(node, t, 1);
-        self.assign(node, t, stamp)?;
+        self.assign(node, t)?;
         // Reaching the prefill stock may unblock earlier compute-assigned
         // tasks.
         self.try_cpu(node, t)
@@ -309,7 +308,7 @@ fn run(
     let delay = if let AdaptPolicy::Renegotiate { delay } = adapt { Some(delay) } else { None };
     let extras = changes.iter().flat_map(|ch| [ch.at, ch.new_c]).chain(delay);
     let mut sim = EventDriven {
-        eng: Engine::new(platform, cfg, extras.chain([release_step]), probe, true),
+        eng: Engine::new(platform, cfg, extras.chain([release_step]), probe),
         platform: Cow::Borrowed(platform),
         schedule,
         nodes,
@@ -416,6 +415,7 @@ pub fn simulate_dynamic_probed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::provenance::{trace_header, ProvenanceProbe};
     use bwfirst_core::schedule::LocalScheduleKind;
     use bwfirst_core::{bw_first, startup::tree_startup_bound, SteadyState};
     use bwfirst_platform::examples::{example_throughput, example_tree};
@@ -426,6 +426,24 @@ mod tests {
         let ss = SteadyState::from_solution(&bw_first(&p));
         let ev = EventDrivenSchedule::standard(&p, &ss).unwrap();
         (p, ss, ev)
+    }
+
+    /// Runs under a provenance probe: the report and the sojourn times of
+    /// the tasks computed by the horizon, read from the trace.
+    fn simulate_sojourns(
+        p: &Platform,
+        ev: &EventDrivenSchedule,
+        cfg: &SimConfig,
+    ) -> (SimReport, Vec<Rat>) {
+        let mut probe = ProvenanceProbe::new(p, Some(&ev.tree));
+        let rep = simulate_probed(p, ev, cfg, &mut probe).unwrap();
+        let trace = probe.into_trace(trace_header(p, Some(&ev.tree), "event", cfg, None));
+        let sojourns = trace.sojourns().unwrap().iter().map(|s| Rat::new(s.num, s.den)).collect();
+        (rep, sojourns)
+    }
+
+    fn mean(xs: &[Rat]) -> Rat {
+        xs.iter().copied().sum::<Rat>() / Rat::from(xs.len())
     }
 
     #[test]
@@ -561,16 +579,15 @@ mod tests {
     fn latencies_are_tracked_and_sane() {
         let (p, _, ev) = setup();
         let cfg = SimConfig::to_horizon(rat(150, 1));
-        let rep = simulate(&p, &ev, &cfg).unwrap();
-        let lats = rep.latencies.as_ref().expect("event-driven stamps tasks");
+        let (rep, lats) = simulate_sojourns(&p, &ev, &cfg);
         assert_eq!(lats.len(), rep.completions.len());
         assert!(lats.iter().all(|l| l.is_positive()));
         // A task computed at depth 3 (P8) travels c=1 + c=2 + c=4 plus
         // w=12 of compute at minimum.
-        assert!(rep.max_latency().unwrap() >= rat(19, 1));
+        assert!(lats.iter().max().unwrap() >= &rat(19, 1));
         // The mean stays bounded: small steady buffers mean tasks do not
         // queue for long (well under one global period).
-        assert!(rep.mean_latency().unwrap() < rat(36, 1));
+        assert!(mean(&lats) < rat(36, 1));
     }
 
     #[test]
@@ -589,14 +606,11 @@ mod tests {
             exact_queue: false,
             seed: 0,
         };
-        let ri = simulate(&p, &inter, &cfg).unwrap();
-        let rb = simulate(&p, &burst, &cfg).unwrap();
-        assert!(
-            ri.mean_latency().unwrap() <= rb.mean_latency().unwrap(),
-            "interleaved mean {} > bursty mean {}",
-            ri.mean_latency().unwrap(),
-            rb.mean_latency().unwrap()
+        let (mi, mb) = (
+            mean(&simulate_sojourns(&p, &inter, &cfg).1),
+            mean(&simulate_sojourns(&p, &burst, &cfg).1),
         );
+        assert!(mi <= mb, "interleaved mean {mi} > bursty mean {mb}");
     }
 
     #[test]

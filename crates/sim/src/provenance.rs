@@ -10,6 +10,11 @@
 //! concerned. Prefill stock (Proposition 3's χ buffers) gets ids at or
 //! above [`STOCK_BASE`] so cross-executor alignment can skip it.
 //!
+//! Per-task measurements come from this seam, not from the executors: a
+//! task's sojourn time is its compute span's end minus its entry
+//! ([`Trace::sojourns`]), which is how experiment E9b measures the
+//! Section 6.3 claim that interleaving keeps sojourn times low.
+//!
 //! Wire (send/receive) segments are deliberately *not* recorded per task:
 //! the interruptible demand model splits them into partial segments, and
 //! the dispatch → deliver pair already brackets the hop exactly.

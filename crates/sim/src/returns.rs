@@ -273,7 +273,7 @@ pub fn simulate_with_returns_probed(
         })
         .collect();
     let release_step = release_step(schedule, platform.root())?;
-    let eng = Engine::new(platform, cfg, [release_step, ret.return_ratio], probe, false);
+    let eng = Engine::new(platform, cfg, [release_step, ret.return_ratio], probe);
     Returns { eng, platform, ratio: ret.return_ratio, release_step, nodes }.run()
 }
 

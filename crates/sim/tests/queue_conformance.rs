@@ -33,7 +33,6 @@ fn cfg(horizon: Rat, exact_queue: bool) -> SimConfig {
 /// observable, most importantly the in-order Gantt trace.
 fn assert_identical(label: &str, tick: &SimReport, exact: &SimReport) {
     assert_eq!(tick.completions, exact.completions, "{label}: completions differ");
-    assert_eq!(tick.latencies, exact.latencies, "{label}: latencies differ");
     assert_eq!(tick.computed, exact.computed, "{label}: computed differ");
     assert_eq!(tick.received, exact.received, "{label}: received differ");
     assert_eq!(tick.buffers, exact.buffers, "{label}: buffer stats differ");

@@ -10,7 +10,8 @@
 //! * [`core`] — the paper's algorithms: `BW-First`, the bottom-up baseline,
 //!   steady-state solutions, asynchronous & event-driven schedules, the
 //!   buffer-minimizing local schedule, and start-up analysis.
-//! * [`proto`] — the distributed protocol over threads and channels.
+//! * [`proto`] — the distributed protocol: one state machine per node, on one
+//!   dispatcher over in-memory or localhost TCP links.
 //! * [`sim`] — a discrete-event simulator of the single-port full-overlap
 //!   model, with baseline protocols and Gantt traces.
 //! * [`lp`] — an exact rational simplex and the steady-state linear program,
