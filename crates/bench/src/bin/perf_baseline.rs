@@ -6,10 +6,15 @@
 //!     measure every benchmark and (re)write the two BENCH files
 //! perf_baseline --check [--smoke]
 //!     validate the committed files against the records schema, re-run the
-//!     quick benches, and fail on a >2x wall-time regression (loose on
-//!     purpose: shared CI hosts are noisy) or on a gated point missing from
-//!     either side
+//!     quick benches, and fail on a >2x regression in units of the host
+//!     reference (loose on purpose: shared CI hosts are noisy) or on a gated
+//!     point missing from either side
 //! ```
+//!
+//! Each file also records `host_reference`: the time of a std-only
+//! reference workload ([`bwfirst_bench::calib`]) on the host that wrote
+//! it. `--check` divides every timing by the reference of its own host, so
+//! a slower or busier host does not read as a regression.
 //!
 //! Every point pairs a current measurement (`after_ns`) with a comparison
 //! point (`before_ns`): either the same measurement taken at the seed commit
@@ -20,10 +25,13 @@
 //! host-independent; seed pairs are only meaningful on a comparable host,
 //! which is why `host_threads` is recorded alongside.
 
+use bwfirst_bench::calib::reference_ns;
 use bwfirst_bench::records::{bench_from_json, bench_to_json, BenchPoint, BenchReport};
 use bwfirst_bench::trees;
 use bwfirst_core::schedule::EventDrivenSchedule;
-use bwfirst_core::{bottom_up, bw_first, validate_schedule, MonitorExpectations, SteadyState};
+use bwfirst_core::{
+    bottom_up, bw_first, quantize, validate_schedule, MonitorExpectations, SteadyState,
+};
 use bwfirst_obs::{MemoryRecorder, Metrics, Trace};
 use bwfirst_parallel::{available_threads, Pool};
 use bwfirst_platform::examples::example_tree;
@@ -365,6 +373,37 @@ fn measure_sim(opts: &Opts, iters: u32) -> BenchReport {
         iters: iters.max(5),
     });
 
+    // A heterogeneous tree planned at grid 1/10^4 (the trees e2ebench's
+    // `hetero_grid` runs its executors on): the release step's denominator
+    // makes the tick scale large, so every event time is a wide integer.
+    let hetero = generators::hetero_tree(10, 1);
+    let exact = SteadyState::from_solution(&bw_first(&hetero));
+    let planned = quantize::quantize(&hetero, &exact, 10_000);
+    let hetero_ev = EventDrivenSchedule::standard(&hetero, &planned).expect("hetero schedule");
+    let hetero_cfg = |exact_queue: bool| SimConfig {
+        horizon: rat(20_000, 1),
+        exact_queue,
+        ..cfg(0, false, false)
+    };
+    let (exact_ns, tick_ns) = best_of_pair(
+        iters.max(5),
+        || {
+            black_box(event_driven::simulate(&hetero, &hetero_ev, &hetero_cfg(true)).expect("sim"));
+        },
+        || {
+            black_box(
+                event_driven::simulate(&hetero, &hetero_ev, &hetero_cfg(false)).expect("sim"),
+            );
+        },
+    );
+    points.push(BenchPoint {
+        id: "simulate_hetero10_grid".to_string(),
+        before_ns: exact_ns,
+        after_ns: tick_ns,
+        baseline: "runtime toggle: exact Rat-keyed queue (`exact_queue: true`)".to_string(),
+        iters: iters.max(5),
+    });
+
     // Toggled pairs: the plain run vs the same run under one probe, timed
     // alternately so that a noisy phase of the host hits both sides alike.
     let pair_iters = 4 * iters.max(5);
@@ -451,17 +490,39 @@ fn print_report(report: &BenchReport) {
     }
 }
 
+/// The id of the point that records the host reference's time.
+const HOST_REFERENCE: &str = "host_reference";
+
+/// Measures both suites, each carrying the host reference timed right
+/// before and right after them (the faster of the two).
+fn measure(opts: &Opts, iters: u32) -> (BenchReport, BenchReport) {
+    let before = reference_ns(5);
+    let mut core = measure_core(opts, iters);
+    let mut sim = measure_sim(opts, iters);
+    let reference = before.min(reference_ns(5));
+    for report in [&mut core, &mut sim] {
+        report.points.push(BenchPoint {
+            id: HOST_REFERENCE.to_string(),
+            before_ns: reference,
+            after_ns: reference,
+            baseline: "std-only reference workload; --check divides timings by it".to_string(),
+            iters: 5,
+        });
+    }
+    (core, sim)
+}
+
 /// `--check`: schema-validate the committed files; re-run the quick benches
-/// and fail when any is more than 2x slower than the committed `after_ns`,
-/// or absent from the committed file or the fresh run.
+/// and fail when any is more than 2x slower than the committed `after_ns`
+/// in units of each side's host reference, or when it (or the reference)
+/// is absent from the committed file or the fresh run.
 /// The budget is deliberately loose: CI hosts share cores with noisy
 /// neighbours, so the gate only catches gross regressions — the committed
 /// numbers are the precise record.
 fn check(opts: &Opts) -> i32 {
     let mut failed = false;
     let iters = 3;
-    let fresh_core = measure_core(opts, iters);
-    let fresh_sim = measure_sim(opts, iters);
+    let (fresh_core, fresh_sim) = measure(opts, iters);
     // Quick subset: cheap enough for CI, sensitive to the three fast paths.
     let files = [
         ("BENCH_core.json", &fresh_core, &["deep_tree_scaling_sweep", "rat_accumulate_400"][..]),
@@ -486,23 +547,33 @@ fn check(opts: &Opts) -> i32 {
             }
         };
         println!("ok   {path}: schema valid ({} points)", committed.points.len());
+        let (Some(base_ref), Some(now_ref)) =
+            (committed.point(HOST_REFERENCE), fresh.point(HOST_REFERENCE))
+        else {
+            eprintln!("FAIL {path}: gated point `{HOST_REFERENCE}` is missing");
+            failed = true;
+            continue;
+        };
+        let host = now_ref.after_ns / base_ref.after_ns;
+        println!("ok   {path}: this host runs the reference at {host:.2}x of the committed time");
         for id in quick {
             let (Some(base), Some(now)) = (committed.point(id), fresh.point(id)) else {
                 eprintln!("FAIL {path}: gated point `{id}` is missing");
                 failed = true;
                 continue;
             };
-            let ratio = now.after_ns / base.after_ns;
+            let ratio = now.after_ns / base.after_ns / host;
             if ratio > 2.0 {
                 eprintln!(
-                    "FAIL {path}: `{id}` regressed {:.0}% ({:.0} ns -> {:.0} ns)",
+                    "FAIL {path}: `{id}` regressed {:.0}% in host-reference units \
+                     ({:.0} ns -> {:.0} ns, reference at {host:.2}x)",
                     100.0 * (ratio - 1.0),
                     base.after_ns,
                     now.after_ns
                 );
                 failed = true;
             } else {
-                println!("ok   {path}: `{id}` at {:.2}x of committed baseline", ratio);
+                println!("ok   {path}: `{id}` at {ratio:.2}x of committed baseline (scaled)");
             }
         }
     }
@@ -515,8 +586,7 @@ fn main() {
         std::process::exit(check(&opts));
     }
     let iters = if opts.smoke { 1 } else { 5 };
-    let core = measure_core(&opts, iters);
-    let sim = measure_sim(&opts, iters);
+    let (core, sim) = measure(&opts, iters);
     print_report(&core);
     print_report(&sim);
     for (name, report) in [("BENCH_core.json", &core), ("BENCH_sim.json", &sim)] {

@@ -14,6 +14,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod calib;
 pub mod experiments;
 pub mod records;
 pub mod table;

@@ -379,10 +379,10 @@ impl Protocol {
             }
             (Protocol::Event | Protocol::Clocked, None) => Err(SimError::InactiveRoot),
             (Protocol::Demand, _) => {
-                Ok(demand_driven::simulate_probed(p, DemandConfig::default(), cfg, probe))
+                demand_driven::try_simulate_probed(p, DemandConfig::default(), cfg, probe)
             }
             (Protocol::DemandInt, _) => {
-                Ok(demand_driven::simulate_probed(p, DemandConfig::interruptible(), cfg, probe))
+                demand_driven::try_simulate_probed(p, DemandConfig::interruptible(), cfg, probe)
             }
         }
     }

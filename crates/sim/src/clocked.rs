@@ -31,7 +31,7 @@ use crate::gantt::SegmentKind;
 use crate::probe::{NoProbe, Probe};
 use bwfirst_core::schedule::{SlotAction, TreeSchedule};
 use bwfirst_platform::{NodeId, Platform};
-use bwfirst_rational::Rat;
+use bwfirst_rational::{widening_mul_u128, Rat};
 
 /// Options for the clocked executor.
 #[derive(Debug, Clone, Copy)]
@@ -60,12 +60,15 @@ enum Ev {
 
 #[derive(Default)]
 struct NodeState {
-    /// Compute window length `T^c` and quota `ρ_0` per window.
-    t_comp: Rat,
+    /// Compute time and link time from the parent, in ticks.
+    w: Option<i128>,
+    c: Option<i128>,
+    /// Compute window length `T^c` in ticks and quota `ρ_0` per window.
+    t_comp: i128,
     rho: i128,
-    /// Send window length `T^s` and quota `φ_i` per child per window
-    /// (bandwidth-centric order).
-    t_send: Rat,
+    /// Send window length `T^s` in ticks and quota `φ_i` per child per
+    /// window (bandwidth-centric order).
+    t_send: i128,
     phi: Vec<(NodeId, i128)>,
     /// Remaining compute quota in the current `T^c` window.
     cpu_quota: i128,
@@ -77,7 +80,6 @@ struct NodeState {
 
 struct Clocked<'a, P> {
     eng: Engine<Ev, P>,
-    platform: &'a Platform,
     schedule: &'a TreeSchedule,
     nodes: Vec<NodeState>,
 }
@@ -85,7 +87,6 @@ struct Clocked<'a, P> {
 impl<P: Probe> Policy for Clocked<'_, P> {
     type Event = Ev;
     type Probe = P;
-    type Error = SimError;
 
     fn engine(&mut self) -> &mut Engine<Ev, P> {
         &mut self.eng
@@ -96,16 +97,16 @@ impl<P: Probe> Policy for Clocked<'_, P> {
         for s in self.schedule.iter() {
             let n = &self.nodes[s.node.index()];
             if n.rho > 0 {
-                self.eng.queue.push(Rat::ZERO, Ev::CpuTick(s.node));
+                self.eng.queue.push(0, Ev::CpuTick(s.node));
             }
             if !n.phi.is_empty() {
-                self.eng.queue.push(Rat::ZERO, Ev::SendTick(s.node));
+                self.eng.queue.push(0, Ev::SendTick(s.node));
             }
         }
         Ok(())
     }
 
-    fn on_event(&mut self, t: Rat, ev: Ev) -> Result<(), SimError> {
+    fn on_event(&mut self, t: i128, ev: Ev) -> Result<(), SimError> {
         match ev {
             Ev::CpuTick(node) => {
                 // Quota does not accumulate across windows: what the node
@@ -143,13 +144,24 @@ impl<P: Probe> Policy for Clocked<'_, P> {
     }
 }
 
+/// Whether the quota share `q/total` exceeds `best_q/best_total` (positive
+/// quotas and totals), compared exactly by cross products.
+fn share_exceeds(q: i128, total: i128, best_q: i128, best_total: i128) -> bool {
+    let [q, total, best_q, best_total] = [q, total, best_q, best_total].map(i128::unsigned_abs);
+    if (q | total | best_q | best_total) >> 64 == 0 {
+        q * best_total > best_q * total
+    } else {
+        widening_mul_u128(q, best_total) > widening_mul_u128(best_q, total)
+    }
+}
+
 impl<P: Probe> Clocked<'_, P> {
-    fn try_cpu(&mut self, node: NodeId, t: Rat) {
+    fn try_cpu(&mut self, node: NodeId, t: i128) {
         let i = node.index();
         if self.nodes[i].cpu_busy || self.nodes[i].cpu_quota <= 0 {
             return;
         }
-        let Some(w) = self.platform.weight(node).time() else { return };
+        let Some(w) = self.nodes[i].w else { return };
         if !self.eng.take(node, t) {
             return;
         }
@@ -160,7 +172,7 @@ impl<P: Probe> Clocked<'_, P> {
         self.eng.queue.push(t + w, Ev::CpuEnd(node));
     }
 
-    fn try_port(&mut self, node: NodeId, t: Rat) -> Result<(), SimError> {
+    fn try_port(&mut self, node: NodeId, t: i128) -> Result<(), SimError> {
         let i = node.index();
         if self.nodes[i].port_busy {
             return Ok(());
@@ -172,17 +184,17 @@ impl<P: Probe> Clocked<'_, P> {
         // each child's φ quota across the window, which is what Lemma 1's
         // construction intends.
         let n = &self.nodes[i];
-        let mut pos_best: Option<(Rat, usize)> = None;
+        let mut best: Option<(usize, i128, i128)> = None;
         for (pos, (&(_, q), &(_, total))) in n.send_quota.iter().zip(&n.phi).enumerate() {
             if q <= 0 {
                 continue;
             }
-            let share = Rat::new(q, total.max(1));
-            if pos_best.as_ref().is_none_or(|&(best, _)| share > best) {
-                pos_best = Some((share, pos));
+            let total = total.max(1);
+            if best.is_none_or(|(_, bq, bt)| share_exceeds(q, total, bq, bt)) {
+                best = Some((pos, q, total));
             }
         }
-        let Some((_, pos)) = pos_best else { return Ok(()) };
+        let Some((pos, _, _)) = best else { return Ok(()) };
         let child = n.send_quota[pos].0;
         if !self.eng.take(node, t) {
             return Ok(());
@@ -190,7 +202,7 @@ impl<P: Probe> Clocked<'_, P> {
         self.nodes[i].send_quota[pos].1 -= 1;
         self.nodes[i].port_busy = true;
         self.eng.probe.task_dispatch(node, t, SlotAction::Send(child), None);
-        let c = self.platform.link_time(child).ok_or(SimError::MissingLink(child))?;
+        let c = self.nodes[child.index()].c.ok_or(SimError::MissingLink(child))?;
         self.eng.transfer(node, child, t, t + c);
         self.eng.queue.push(t + c, Ev::PortEnd(node));
         self.eng.queue.push(t + c, Ev::Arrive(child));
@@ -205,7 +217,9 @@ impl<P: Probe> Clocked<'_, P> {
 /// fully drained run.
 ///
 /// # Errors
-/// [`SimError`] if the schedule and platform disagree mid-run.
+/// [`SimError::ChiOverflow`] when a prefill stock `χ` exceeds the task
+/// counters; other [`SimError`]s if the schedule and platform disagree
+/// mid-run.
 pub fn simulate(
     platform: &Platform,
     schedule: &TreeSchedule,
@@ -218,7 +232,7 @@ pub fn simulate(
 /// Simulates the clocked schedule, driving a custom [`Probe`].
 ///
 /// # Errors
-/// [`SimError`] if the schedule and platform disagree mid-run.
+/// As [`simulate`].
 pub fn simulate_probed(
     platform: &Platform,
     schedule: &TreeSchedule,
@@ -228,12 +242,18 @@ pub fn simulate_probed(
 ) -> Result<SimReport, SimError> {
     // Window ticks land at integer multiples of T^c/T^s, so the only
     // fractional times come from compute/link durations.
-    let mut eng = Engine::new(platform, cfg, [], probe);
-    let mut nodes: Vec<NodeState> = platform.node_ids().map(|_| NodeState::default()).collect();
+    let windows = schedule.iter().flat_map(|s| [s.t_comp, s.t_send]).map(Rat::from_int);
+    let mut eng = Engine::new(platform, cfg, windows, probe)?;
+    let ticks = |d: Option<Rat>| d.map(|d| eng.ticks(d)).transpose();
+    let mut nodes = Vec::with_capacity(platform.len());
+    for id in platform.node_ids() {
+        let (w, c) = (ticks(platform.weight(id).time())?, ticks(platform.link_time(id))?);
+        nodes.push(NodeState { w, c, ..NodeState::default() });
+    }
     for s in schedule.iter() {
         let n = &mut nodes[s.node.index()];
-        n.t_comp = Rat::from_int(s.t_comp);
-        n.t_send = Rat::from_int(s.t_send);
+        n.t_comp = eng.ticks(Rat::from_int(s.t_comp))?;
+        n.t_send = eng.ticks(Rat::from_int(s.t_send))?;
         // ρ_0 = ψ_0·T^c/T^ω tasks per T^c window and φ_i = ψ_i·T^s/T^ω per
         // T^s window. T^c and T^s divide T^ω, and the quotients are whole
         // (α = ρ_0/T^c, η_i = φ_i/T^s), so dividing by T^ω/T^c or T^ω/T^s
@@ -242,14 +262,19 @@ pub fn simulate_probed(
         n.rho = s.psi_self / (s.t_omega / s.t_comp);
         n.phi = s.psi_children.iter().map(|&(k, q)| (k, q / (s.t_omega / s.t_send))).collect();
         if let Some(chi) = s.chi_in.filter(|_| clocked.prefill) {
-            eng.received[s.node.index()] += chi as u64;
-            eng.buffer_add(s.node, Rat::ZERO, chi as i64);
-            for _ in 0..chi {
-                eng.probe.task_enter(s.node, Rat::ZERO, true);
+            // χ is checked into the u64 counters and the i64 buffer change
+            // before any task of it enters.
+            let overflow = SimError::ChiOverflow { node: s.node, chi };
+            let tasks = u64::try_from(chi).map_err(|_| overflow)?;
+            let delta = i64::try_from(chi).map_err(|_| overflow)?;
+            eng.received[s.node.index()] += tasks;
+            eng.buffer_add(s.node, 0, delta);
+            for _ in 0..tasks {
+                eng.probe.task_enter(s.node, 0, true);
             }
         }
     }
-    Clocked { eng, platform, schedule, nodes }.run()
+    Clocked { eng, schedule, nodes }.run()
 }
 
 #[cfg(test)]
@@ -354,6 +379,19 @@ mod tests {
         let to_p1 = SegmentKind::Send(NodeId(1));
         let gantt = rep.gantt.unwrap();
         assert!(gantt.segments.iter().any(|s| s.node == p.root() && s.kind == to_p1));
+    }
+
+    #[test]
+    fn a_prefill_stock_past_the_task_counters_is_refused() {
+        // hetero n = 20, seed 1: P1's exact χ exceeds u64::MAX; it used to
+        // wrap into the counters.
+        let p = bwfirst_platform::generators::hetero_tree(20, 1);
+        let ss = SteadyState::from_solution(&bw_first(&p));
+        let ts = TreeSchedule::build(&p, &ss).unwrap();
+        let cfg = SimConfig::to_horizon(rat(200, 1));
+        let err = simulate(&p, &ts, ClockedConfig { prefill: true }, &cfg).unwrap_err();
+        let chi = 723_925_204_196_989_792_579;
+        assert_eq!(err, SimError::ChiOverflow { node: NodeId(1), chi });
     }
 
     #[test]

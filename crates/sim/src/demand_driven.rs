@@ -28,12 +28,11 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::engine::{Engine, Policy, SimConfig, SimReport};
+use crate::error::SimError;
 use crate::gantt::SegmentKind;
 use crate::probe::{NoProbe, Probe};
 use bwfirst_core::schedule::SlotAction;
 use bwfirst_platform::{NodeId, Platform};
-use bwfirst_rational::Rat;
-use std::convert::Infallible;
 
 /// Stock each computing non-root node tries to keep on hand.
 pub const STOCK_TARGET: u64 = 2;
@@ -68,23 +67,23 @@ struct CurrentSend {
     child: NodeId,
     slot: usize,
     token: u64,
-    seg_start: Rat,
-    end: Rat,
+    seg_start: i128,
+    end: i128,
 }
 
-/// A transfer paused by an interruption, with its remaining time.
+/// A transfer paused by an interruption, with its remaining ticks.
 struct PausedSend {
     child: NodeId,
     slot: usize,
-    remaining: Rat,
+    remaining: i128,
 }
 
 #[derive(Default)]
 struct NodeState {
-    /// Compute time, `None` on a switch.
-    w: Option<Rat>,
-    /// Link time from the parent (zero at the root).
-    link: Rat,
+    /// Compute time in ticks, `None` on a switch.
+    w: Option<i128>,
+    /// Link time from the parent in ticks (zero at the root).
+    link: i128,
     /// The parent and this node's slot in its `pending` list.
     up: Option<(NodeId, usize)>,
     /// Children in bandwidth-centric order with their `pending` slot.
@@ -115,23 +114,22 @@ enum Candidate {
 impl<P: Probe> Policy for Demand<P> {
     type Event = Ev;
     type Probe = P;
-    type Error = Infallible;
 
     fn engine(&mut self) -> &mut Engine<Ev, P> {
         &mut self.eng
     }
 
-    fn start(&mut self) -> Result<(), Infallible> {
+    fn start(&mut self) -> Result<(), SimError> {
         // Every non-root node issues its initial demand at t = 0, which
         // cascades requests up to the root.
         for i in 0..self.nodes.len() {
-            self.replenish(NodeId(i as u32), Rat::ZERO);
+            self.replenish(NodeId(i as u32), 0);
         }
-        self.dispatch(self.eng.root, Rat::ZERO);
+        self.dispatch(self.eng.root, 0);
         Ok(())
     }
 
-    fn on_event(&mut self, t: Rat, ev: Ev) -> Result<(), Infallible> {
+    fn on_event(&mut self, t: i128, ev: Ev) -> Result<(), SimError> {
         match ev {
             Ev::CpuEnd(node) => {
                 self.nodes[node.index()].cpu_busy = false;
@@ -151,7 +149,7 @@ impl<P: Probe> Demand<P> {
     /// propagates from the actual consumers up to the root — a pure switch
     /// never hoards tasks nobody downstream asked for. Control messages are
     /// instantaneous.
-    fn replenish(&mut self, node: NodeId, t: Rat) {
+    fn replenish(&mut self, node: NodeId, t: i128) {
         let n = &mut self.nodes[node.index()];
         let Some((parent, slot)) = n.up else { return };
         let own = if n.w.is_some() { STOCK_TARGET } else { 0 };
@@ -170,10 +168,10 @@ impl<P: Probe> Demand<P> {
 
     /// The best next use of the sending port: the fastest link among paused
     /// transfers and (stock permitting) fresh requests.
-    fn best_candidate(&self, node: NodeId, t: Rat) -> Option<(Rat, Candidate)> {
+    fn best_candidate(&self, node: NodeId, t: i128) -> Option<(i128, Candidate)> {
         let n = &self.nodes[node.index()];
         let link = |child: NodeId| self.nodes[child.index()].link;
-        let mut best: Option<(Rat, Candidate)> = None;
+        let mut best: Option<(i128, Candidate)> = None;
         for (pi, p) in n.paused.iter().enumerate() {
             let c = link(p.child);
             if best.as_ref().is_none_or(|(bc, _)| c < *bc) {
@@ -193,7 +191,7 @@ impl<P: Probe> Demand<P> {
         best
     }
 
-    fn start_send(&mut self, node: NodeId, t: Rat, cand: Candidate) {
+    fn start_send(&mut self, node: NodeId, t: i128, cand: Candidate) {
         let i = node.index();
         let token = self.next_token;
         self.next_token += 1;
@@ -219,7 +217,7 @@ impl<P: Probe> Demand<P> {
 
     /// Pauses the ongoing transfer (interruptible model only). Its pending
     /// `TransferEnd` becomes stale: the token no longer matches.
-    fn interrupt(&mut self, node: NodeId, t: Rat) {
+    fn interrupt(&mut self, node: NodeId, t: i128) {
         let n = &mut self.nodes[node.index()];
         let Some(cur) = n.current_send.take() else { return };
         if t > cur.seg_start {
@@ -229,7 +227,7 @@ impl<P: Probe> Demand<P> {
     }
 
     /// Serves pending child requests (port) and the local CPU.
-    fn dispatch(&mut self, node: NodeId, t: Rat) {
+    fn dispatch(&mut self, node: NodeId, t: i128) {
         let i = node.index();
         // Interruptible model: a strictly faster candidate preempts.
         if self.demand.interruptible {
@@ -259,7 +257,7 @@ impl<P: Probe> Demand<P> {
         }
     }
 
-    fn on_transfer_end(&mut self, node: NodeId, token: u64, t: Rat) {
+    fn on_transfer_end(&mut self, node: NodeId, token: u64, t: i128) {
         let current = &mut self.nodes[node.index()].current_send;
         if current.as_ref().is_none_or(|c| c.token != token) {
             return; // interrupted transfer's stale completion
@@ -278,19 +276,48 @@ impl<P: Probe> Demand<P> {
 }
 
 /// Simulates the demand-driven autonomous protocol.
+///
+/// # Panics
+/// As [`simulate_probed`].
 #[must_use]
 pub fn simulate(platform: &Platform, demand: DemandConfig, cfg: &SimConfig) -> SimReport {
     simulate_probed(platform, demand, cfg, &mut NoProbe)
 }
 
 /// Simulates the demand-driven protocol, driving a custom [`Probe`].
+///
+/// # Panics
+/// When [`try_simulate_probed`] fails: the run's times do not fit `i128`
+/// ticks, or a buffer's time integral leaves `i128`.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "the infallible entry point benchmarks rely on; the CLI calls try_simulate_probed"
+)]
 pub fn simulate_probed(
     platform: &Platform,
     demand: DemandConfig,
     cfg: &SimConfig,
     probe: &mut impl Probe,
 ) -> SimReport {
+    try_simulate_probed(platform, demand, cfg, probe).expect("demand-driven run fits i128 ticks")
+}
+
+/// Simulates the demand-driven protocol, driving a custom [`Probe`].
+///
+/// # Errors
+/// [`SimError::TickOverflow`] when the run's times do not fit `i128` ticks;
+/// [`SimError::BufferOverflow`] when a buffer's time integral does.
+pub fn try_simulate_probed(
+    platform: &Platform,
+    demand: DemandConfig,
+    cfg: &SimConfig,
+    probe: &mut impl Probe,
+) -> Result<SimReport, SimError> {
+    // Requests are instantaneous: every event time is a sum of compute and
+    // link durations (interruption remainders are differences of the same
+    // sums, so they are whole ticks too).
+    let eng = Engine::new(platform, cfg, [], probe)?;
     // Each node's slot in its parent's child list (and `pending`).
     let mut slot = vec![0; platform.len()];
     for id in platform.node_ids() {
@@ -298,11 +325,11 @@ pub fn simulate_probed(
             slot[k.index()] = s;
         }
     }
-    let nodes = platform
-        .node_ids()
-        .map(|id| NodeState {
-            w: platform.weight(id).time(),
-            link: platform.link_time(id).unwrap_or(Rat::ZERO),
+    let mut nodes = Vec::with_capacity(platform.len());
+    for id in platform.node_ids() {
+        nodes.push(NodeState {
+            w: platform.weight(id).time().map(|w| eng.ticks(w)).transpose()?,
+            link: platform.link_time(id).map_or(Ok(0), |c| eng.ticks(c))?,
             up: platform.parent(id).map(|p| (p, slot[id.index()])),
             serve_order: platform
                 .children_bandwidth_centric(id)
@@ -311,14 +338,9 @@ pub fn simulate_probed(
                 .collect(),
             pending: vec![0; platform.children(id).len()],
             ..NodeState::default()
-        })
-        .collect();
-    // Requests are instantaneous: every event time is a sum of compute and
-    // link durations (interruption remainders are differences of the same
-    // sums, so their denominators divide the same scale).
-    let eng = Engine::new(platform, cfg, [], probe);
-    let Ok(rep) = Demand { eng, demand, nodes, next_token: 0 }.run();
-    rep
+        });
+    }
+    Demand { eng, demand, nodes, next_token: 0 }.run()
 }
 
 #[cfg(test)]
@@ -327,7 +349,7 @@ mod tests {
     use bwfirst_platform::examples::example_tree;
     use bwfirst_platform::generators::{fork, star};
     use bwfirst_platform::Weight;
-    use bwfirst_rational::rat;
+    use bwfirst_rational::{rat, Rat};
 
     #[test]
     fn star_reaches_bandwidth_bound() {

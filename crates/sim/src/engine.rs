@@ -11,15 +11,35 @@
 //! quantities such as sojourn times come from the provenance trace
 //! ([`crate::provenance`]), which follows each task through the [`Probe`]
 //! seam.
+//!
+//! # Engine time
+//!
+//! Every event time is a sum of durations: compute times `w`, link times
+//! `c`, and an executor's own steps (the root's release step `T^ω/Ψ`, the
+//! clocked windows `T^c`/`T^s`, result-return times, the re-plans of a
+//! dynamic run). So every event time lies on one lattice `1/S`, `S` being
+//! the lcm of their denominators ([`tick_scale_hint`]). The engine fixes
+//! that [`TickScale`] when it is built and counts time in `i128` ticks of
+//! `1/S`: queue keys, event times, buffer integrals, completions and every
+//! probe argument. Executors convert their durations to ticks once, at
+//! construction; the per-event path adds and compares integers only.
+//!
+//! Any scale is allowed while the horizon plus the longest step fits
+//! `i128` ticks; otherwise (or when the lcm itself leaves `i128`) the run
+//! fails before its first event with [`SimError::TickOverflow`], which
+//! names the scale and the horizon. Exact `Rat` times are rebuilt once,
+//! when [`Engine`] assembles the [`SimReport`]; probes rebuild them where
+//! they record artifacts ([`TickScale::rat`], [`TickScale::ts`]).
 
 // R2: typed errors, no panics (rules: docs/ANALYSIS.md).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use crate::error::SimError;
 use crate::gantt::{Gantt, SegmentKind};
-use crate::probe::{GanttProbe, Probe};
+use crate::probe::{GanttProbe, Probe, TickScale};
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::{lcm_i128, Rat};
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// Configuration shared by all executors.
@@ -33,9 +53,10 @@ pub struct SimConfig {
     pub total_tasks: Option<u64>,
     /// Record the full Gantt trace (costs memory on long runs).
     pub record_gantt: bool,
-    /// Force the exact `Rat`-keyed event queue instead of the integer-tick
-    /// fast path. Both orderings are identical (conformance-tested); this
-    /// switch exists for benchmarking and cross-checking.
+    /// Key the event queue by exact `Rat` times instead of engine ticks.
+    /// Only the heap keys change; both orders are identical
+    /// (conformance-tested). This switch is the oracle for the tick order
+    /// and a benchmark toggle.
     pub exact_queue: bool,
     /// Seed for randomized executor policies. Every executor is fully
     /// deterministic today (the event queue breaks time ties by insertion
@@ -67,171 +88,128 @@ impl SimConfig {
     }
 }
 
-/// Scales larger than this fall back to exact keys: they signal pathological
-/// denominators where tick magnitudes (and the lcm itself) stop being cheap.
-const MAX_TICK_SCALE: i128 = i64::MAX as i128;
+/// Every duration a run of `platform` can schedule besides its executor's
+/// own steps: node compute times and link communication times.
+fn durations(platform: &Platform) -> impl Iterator<Item = Rat> + '_ {
+    platform
+        .node_ids()
+        .flat_map(|id| [platform.weight(id).time(), platform.link_time(id)])
+        .flatten()
+}
 
 /// The least common multiple of the denominators of every duration a run can
 /// schedule: node compute times, link communication times, and any
 /// executor-specific steps in `extras` (e.g. the root's release step).
 ///
 /// Every event time is a sum of such durations, so its denominator divides
-/// the returned scale and the time rescales to an integer *tick*. Returns
-/// `None` — meaning "use exact `Rat` keys" — when the lcm overflows `i128`
-/// or exceeds [`MAX_TICK_SCALE`].
+/// the returned scale and the time is a whole number of ticks. `None` when
+/// the lcm leaves `i128`.
 pub(crate) fn tick_scale_hint(
     platform: &Platform,
     extras: impl IntoIterator<Item = Rat>,
-) -> Option<i128> {
+) -> Option<TickScale> {
     let mut scale: i128 = 1;
-    let mut fold = |den: i128| -> bool {
-        match lcm_i128(scale, den) {
-            Some(l) if l <= MAX_TICK_SCALE => {
-                scale = l;
-                true
-            }
-            _ => false,
-        }
-    };
-    for id in platform.node_ids() {
-        if let Some(w) = platform.weight(id).time() {
-            if !fold(w.denom()) {
-                return None;
-            }
-        }
-        if let Some(c) = platform.link_time(id) {
-            if !fold(c.denom()) {
-                return None;
-            }
-        }
+    for d in durations(platform).chain(extras) {
+        scale = lcm_i128(scale, d.denom())?;
     }
-    for r in extras {
-        if !fold(r.denom()) {
-            return None;
-        }
-    }
-    Some(scale)
+    TickScale::new(scale)
 }
 
-/// Priority event queue ordered by `(time, insertion sequence)` — ties fire
+/// Priority event queue ordered by `(tick, insertion sequence)` — ties fire
 /// in insertion order, keeping runs deterministic.
 ///
-/// One heap is active at a time; its keys are either
+/// Keys are engine ticks, so heap sift-up/down costs plain `i128` compares.
+/// The sequence number is unique, so a payload is never compared: it sits
+/// in the heap entry itself, and a popped entry is the event.
 ///
-/// * **ticks** — when the queue was built with a scale `S` (the lcm of all
-///   duration denominators, see [`tick_scale_hint`]) an event time `n/d`
-///   with `d | S` keys as the integer `n·(S/d)`, so heap sift-up/down costs
-///   plain `i128` compares instead of rational comparisons; or
-/// * **exact** — `Rat` keys, from the start when no scale is set, and for
-///   the rest of the run after the first push whose time does not rescale
-///   (its denominator does not divide `S`, as for a release step re-derived
-///   after renegotiation, or the tick would overflow `i128`). That push
-///   first moves every pending tick entry to an exact key read from its
-///   payload slot, keeping its sequence number.
-///
-/// A tick is the time rescaled, not rounded, so pop order (tie-breaks
-/// included) is the same under either key; the conformance tests pin this
-/// down. The popped time is the original `Rat`, kept in the payload slot,
-/// never reconstructed from the tick.
-///
-/// Payload slots freed by [`pop`](EventQueue::pop) are recycled through a
-/// free list, so the payload arena stays bounded by the peak number of
-/// *pending* events instead of growing with every event ever pushed (long
-/// horizons used to leak one `Option<E>` per event).
+/// The **exact** heap (`SimConfig::exact_queue`) keys the same entries by
+/// the exact `Rat` time of their tick instead: an oracle for the tick order,
+/// which the conformance tests hold against it. Only the keys differ.
 pub(crate) struct EventQueue<E> {
-    keys: Keys,
-    payloads: Vec<Option<(Rat, E)>>,
-    free: Vec<u64>,
+    heap: Heap<E>,
     seq: u64,
 }
 
-/// The active heap of `(key, seq, payload slot)` entries.
-enum Keys {
-    Ticks { scale: i128, heap: BinaryHeap<Reverse<(i128, u64, u64)>> },
-    Exact(BinaryHeap<Reverse<(Rat, u64, u64)>>),
+/// A heap that pops its least entry first.
+type MinHeap<T> = BinaryHeap<Reverse<T>>;
+
+/// The active heap of `(key, seq, …, payload)` entries.
+enum Heap<E> {
+    Ticks(MinHeap<(i128, u64, Payload<E>)>),
+    Exact(TickScale, MinHeap<(Rat, u64, i128, Payload<E>)>),
+}
+
+/// An event in a heap entry. Every entry's sequence number is unique, so
+/// the comparison never reaches the payload; it compares equal.
+struct Payload<E>(E);
+
+impl<E> PartialEq for Payload<E> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<E> Eq for Payload<E> {}
+
+impl<E> PartialOrd for Payload<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Payload<E> {
+    fn cmp(&self, _: &Self) -> Ordering {
+        Ordering::Equal
+    }
 }
 
 impl<E> EventQueue<E> {
-    /// A queue keyed by integer ticks at `scale` (`None` = exact keys).
-    pub fn with_scale(scale: Option<i128>) -> Self {
-        let keys = match scale {
-            Some(scale) => Keys::Ticks { scale, heap: BinaryHeap::new() },
-            None => Keys::Exact(BinaryHeap::new()),
+    /// A queue keyed by ticks, or (`exact`) by the exact times of the
+    /// ticks at that scale.
+    pub fn new(exact: Option<TickScale>) -> Self {
+        let heap = match exact {
+            None => Heap::Ticks(BinaryHeap::new()),
+            Some(scale) => Heap::Exact(scale, BinaryHeap::new()),
         };
-        EventQueue { keys, payloads: Vec::new(), free: Vec::new(), seq: 0 }
+        EventQueue { heap, seq: 0 }
     }
 
-    pub fn push(&mut self, time: Rat, ev: E) {
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                debug_assert!(self.payloads[idx as usize].is_none());
-                self.payloads[idx as usize] = Some((time, ev));
-                idx
-            }
-            None => {
-                self.payloads.push(Some((time, ev)));
-                (self.payloads.len() - 1) as u64
-            }
-        };
+    /// Schedules `ev` at tick `t`.
+    pub fn push(&mut self, t: i128, ev: E) {
         let seq = self.seq;
         self.seq += 1;
-        if let Keys::Ticks { scale, heap } = &mut self.keys {
-            // `time` rescaled to an integer tick, when the scale divides
-            // cleanly and the product fits.
-            let den = time.denom();
-            if *scale % den == 0 {
-                if let Some(tick) = time.numer().checked_mul(*scale / den) {
-                    heap.push(Reverse((tick, seq, idx)));
-                    return;
-                }
-            }
-            // Keys are exact from here on. Every pending entry refers to a
-            // live slot holding its time.
-            let payloads = &self.payloads;
-            let exact = std::mem::take(heap)
-                .into_iter()
-                .filter_map(|Reverse((_, seq, idx))| {
-                    payloads[idx as usize].as_ref().map(|&(t, _)| Reverse((t, seq, idx)))
-                })
-                .collect();
-            self.keys = Keys::Exact(exact);
-        }
-        if let Keys::Exact(heap) = &mut self.keys {
-            heap.push(Reverse((time, seq, idx)));
+        match &mut self.heap {
+            Heap::Ticks(heap) => heap.push(Reverse((t, seq, Payload(ev)))),
+            Heap::Exact(scale, heap) => heap.push(Reverse((scale.rat(t), seq, t, Payload(ev)))),
         }
     }
 
-    pub fn pop(&mut self) -> Option<(Rat, E)> {
-        // Every heap entry refers to a live arena slot (push is the only
-        // producer); skip rather than panic if that invariant ever breaks.
-        loop {
-            let idx = match &mut self.keys {
-                Keys::Ticks { heap, .. } => heap.pop()?.0 .2,
-                Keys::Exact(heap) => heap.pop()?.0 .2,
-            };
-            let slot = self.payloads.get_mut(idx as usize).and_then(Option::take);
-            debug_assert!(slot.is_some(), "heap entry without payload");
-            if let Some((time, ev)) = slot {
-                self.free.push(idx);
-                return Some((time, ev));
-            }
+    /// The earliest event and its tick.
+    pub fn pop(&mut self) -> Option<(i128, E)> {
+        match &mut self.heap {
+            Heap::Ticks(heap) => heap.pop().map(|Reverse((t, _, Payload(ev)))| (t, ev)),
+            Heap::Exact(_, heap) => heap.pop().map(|Reverse((_, _, t, Payload(ev)))| (t, ev)),
         }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.keys {
-            Keys::Ticks { heap, .. } => heap.len(),
-            Keys::Exact(heap) => heap.len(),
+        match &self.heap {
+            Heap::Ticks(heap) => heap.len(),
+            Heap::Exact(_, heap) => heap.len(),
         }
     }
 }
 
+/// Buffer occupancy per node, with its time integral in ticks.
 pub(crate) struct BufferTracker {
     size: Vec<u64>,
     max: Vec<u64>,
-    weighted: Vec<Rat>, // ∫ size dt
-    last_change: Vec<Rat>,
+    /// `∫ size dt` up to `last_change`, in tasks × ticks.
+    weighted: Vec<i128>,
+    last_change: Vec<i128>,
+    /// The first node whose integral left `i128`.
+    overflow: Option<NodeId>,
 }
 
 impl BufferTracker {
@@ -239,20 +217,29 @@ impl BufferTracker {
         BufferTracker {
             size: vec![0; n],
             max: vec![0; n],
-            weighted: vec![Rat::ZERO; n],
-            last_change: vec![Rat::ZERO; n],
+            weighted: vec![0; n],
+            last_change: vec![0; n],
+            overflow: None,
         }
     }
 
-    pub fn set(&mut self, node: NodeId, t: Rat, new_size: u64) {
+    pub fn set(&mut self, node: NodeId, t: i128, new_size: u64) {
         let i = node.index();
-        self.weighted[i] += Rat::from(self.size[i] as usize) * (t - self.last_change[i]);
+        if self.size[i] > 0 {
+            let area = i128::from(self.size[i]).checked_mul(t - self.last_change[i]);
+            match area.and_then(|a| a.checked_add(self.weighted[i])) {
+                Some(w) => self.weighted[i] = w,
+                None => {
+                    self.overflow.get_or_insert(node);
+                }
+            }
+        }
         self.last_change[i] = t;
         self.size[i] = new_size;
         self.max[i] = self.max[i].max(new_size);
     }
 
-    pub fn add(&mut self, node: NodeId, t: Rat, delta: i64) {
+    pub fn add(&mut self, node: NodeId, t: i128, delta: i64) {
         let cur = self.size[node.index()] as i64 + delta;
         debug_assert!(cur >= 0, "buffer underflow at {node}");
         self.set(node, t, cur as u64);
@@ -263,16 +250,26 @@ impl BufferTracker {
         self.size[node.index()]
     }
 
-    pub fn finalize(&self, end: Rat) -> Vec<BufferStats> {
-        let n = self.size.len();
-        (0..n)
+    /// Peaks and time averages over `[0, end]`; `end` may fall between
+    /// ticks.
+    pub fn finalize(&self, end: Rat, scale: TickScale) -> Result<Vec<BufferStats>, SimError> {
+        if let Some(node) = self.overflow {
+            return Err(SimError::BufferOverflow(node));
+        }
+        (0..self.size.len())
             .map(|i| {
-                let weighted = self.weighted[i]
-                    + Rat::from(self.size[i] as usize) * (end - self.last_change[i]);
-                BufferStats {
-                    max: self.max[i],
-                    time_avg: if end.is_positive() { weighted / end } else { Rat::ZERO },
-                }
+                let size = Rat::from_int(i128::from(self.size[i]));
+                let weighted = end
+                    .checked_sub(scale.rat(self.last_change[i]))
+                    .and_then(|tail| size.checked_mul(tail))
+                    .and_then(|tail| tail.checked_add(scale.rat(self.weighted[i])));
+                let time_avg = if end.is_positive() {
+                    weighted.and_then(|w| w.checked_div(end))
+                } else {
+                    Ok(Rat::ZERO)
+                };
+                let time_avg = time_avg.map_err(|_| SimError::BufferOverflow(NodeId(i as u32)))?;
+                Ok(BufferStats { max: self.max[i], time_avg })
             })
             .collect()
     }
@@ -296,33 +293,36 @@ pub(crate) trait Policy {
     type Event;
     /// The caller's probe.
     type Probe: Probe;
-    /// What can abort a run.
-    type Error;
 
     /// The engine this policy drives.
     fn engine(&mut self) -> &mut Engine<Self::Event, Self::Probe>;
 
     /// Seeds the queue (and any prefilled stock) at `t = 0`.
-    fn start(&mut self) -> Result<(), Self::Error>;
+    fn start(&mut self) -> Result<(), SimError>;
 
-    /// Handles one event firing at `t`.
-    fn on_event(&mut self, t: Rat, ev: Self::Event) -> Result<(), Self::Error>;
+    /// Handles one event firing at tick `t`.
+    fn on_event(&mut self, t: i128, ev: Self::Event) -> Result<(), SimError>;
 
     /// Runs the policy to the horizon and assembles the report.
-    fn run(&mut self) -> Result<SimReport, Self::Error> {
+    fn run(&mut self) -> Result<SimReport, SimError> {
         self.start()?;
         while let Some((t, ev)) = self.engine().next_event() {
             self.on_event(t, ev)?;
         }
-        Ok(self.engine().report())
+        self.engine().report()
     }
 }
 
 /// The state every executor shares: the event queue, the probes, the
 /// per-node counters, buffer occupancy, root injection accounting and the
-/// completions.
+/// completions. Every time it holds is a tick at `scale`.
 pub(crate) struct Engine<E, P> {
     pub cfg: SimConfig,
+    pub scale: TickScale,
+    /// The last tick inside the horizon, `⌊horizon·S⌋`.
+    horizon: i128,
+    /// The root injects only before this tick, `⌈injection_end·S⌉`.
+    injection_end: i128,
     pub root: NodeId,
     pub queue: EventQueue<E>,
     /// The Gantt recorder `cfg.record_gantt` asks for, next to the caller's
@@ -334,58 +334,94 @@ pub(crate) struct Engine<E, P> {
     pub received: Vec<u64>,
     /// Tasks computed per node.
     pub computed: Vec<u64>,
-    completions: Vec<(Rat, NodeId)>,
+    completions: Vec<(i128, NodeId)>,
     injected: u64,
-    last_injection: Option<Rat>,
+    last_injection: Option<i128>,
 }
 
 impl<E, P: Probe> Engine<E, P> {
-    /// An engine for `platform` whose event times are sums of its durations
-    /// and of `extras` (see [`tick_scale_hint`]).
+    /// An engine for `platform` whose events are sums of its durations and
+    /// of `extras` (see [`tick_scale_hint`]), announcing its scale to the
+    /// probes.
+    ///
+    /// # Errors
+    /// [`SimError::TickOverflow`] when the lcm of the denominators leaves
+    /// `i128`, or when the horizon plus the longest step does not fit
+    /// `i128` ticks at that scale — every event then fires at a tick that
+    /// fits, and so does every event it schedules.
     pub fn new(
         platform: &Platform,
         cfg: &SimConfig,
         extras: impl IntoIterator<Item = Rat>,
         probe: P,
-    ) -> Self {
+    ) -> Result<Self, SimError> {
+        let extras: Vec<Rat> = extras.into_iter().collect();
+        let overflow = |scale: Option<TickScale>| SimError::TickOverflow {
+            scale: scale.map(TickScale::get),
+            horizon: cfg.horizon,
+        };
+        let scale = tick_scale_hint(platform, extras.iter().copied()).ok_or(overflow(None))?;
+        let mut longest: i128 = 0;
+        for d in durations(platform).chain(extras) {
+            longest = longest.max(scale.ticks(d.abs()).ok_or(overflow(Some(scale)))?);
+        }
+        let horizon = (scale.floor(cfg.horizon))
+            .filter(|h| h.checked_add(longest).is_some())
+            .ok_or(overflow(Some(scale)))?;
+        let injection_end = scale.ceil(cfg.injection_end()).ok_or(overflow(Some(scale)))?;
         let n = platform.len();
-        let scale = if cfg.exact_queue { None } else { tick_scale_hint(platform, extras) };
-        Engine {
+        let mut probe = (GanttProbe::new(cfg.record_gantt), probe);
+        probe.start(scale);
+        Ok(Engine {
             cfg: cfg.clone(),
+            scale,
+            horizon,
+            injection_end,
             root: platform.root(),
-            queue: EventQueue::with_scale(scale),
-            probe: (GanttProbe::new(cfg.record_gantt), probe),
+            queue: EventQueue::new(cfg.exact_queue.then_some(scale)),
+            probe,
             buffers: BufferTracker::new(n),
             received: vec![0; n],
             computed: vec![0; n],
             completions: Vec::new(),
             injected: 0,
             last_injection: None,
-        }
+        })
+    }
+
+    /// `t` in ticks: exact for every duration and instant the engine was
+    /// built with.
+    pub fn ticks(&self, t: Rat) -> Result<i128, SimError> {
+        self.scale.ticks(t).ok_or(self.overflow())
+    }
+
+    /// The error of a time that does not fit this run's ticks.
+    pub fn overflow(&self) -> SimError {
+        SimError::TickOverflow { scale: Some(self.scale.get()), horizon: self.cfg.horizon }
     }
 
     /// The next event inside the horizon, sampling the queue depth.
-    fn next_event(&mut self) -> Option<(Rat, E)> {
-        let (t, ev) = self.queue.pop().filter(|&(t, _)| t <= self.cfg.horizon)?;
+    fn next_event(&mut self) -> Option<(i128, E)> {
+        let (t, ev) = self.queue.pop().filter(|&(t, _)| t <= self.horizon)?;
         self.probe.queue_depth(t, self.queue.len());
         Some((t, ev))
     }
 
     /// Whether the root may still inject a task at `t`: before the
     /// injection cut-off and under the task budget.
-    pub fn has_supply(&self, t: Rat) -> bool {
-        t < self.cfg.injection_end() && self.cfg.total_tasks.is_none_or(|n| self.injected < n)
+    pub fn has_supply(&self, t: i128) -> bool {
+        t < self.injection_end && self.cfg.total_tasks.is_none_or(|n| self.injected < n)
     }
 
     /// Schedules the root's next release `ev` at `t`, if it has supply.
-    pub fn release_at(&mut self, t: Rat, ev: E) {
+    pub fn release_at(&mut self, t: i128, ev: E) {
         if self.has_supply(t) {
             self.queue.push(t, ev);
         }
     }
 
     /// The root injects one fresh task at `t`.
-    pub fn inject(&mut self, t: Rat) {
+    pub fn inject(&mut self, t: i128) {
         self.injected += 1;
         self.last_injection = Some(t);
         self.received[self.root.index()] += 1;
@@ -394,7 +430,7 @@ impl<E, P: Probe> Engine<E, P> {
 
     /// Whether `node` has a task to hand out at `t`: the root taps the
     /// source while it has supply, other nodes their buffer.
-    pub fn has_task(&self, node: NodeId, t: Rat) -> bool {
+    pub fn has_task(&self, node: NodeId, t: i128) -> bool {
         if node == self.root {
             self.has_supply(t)
         } else {
@@ -403,7 +439,7 @@ impl<E, P: Probe> Engine<E, P> {
     }
 
     /// Takes one task from `node`'s stock at `t`, if it has one.
-    pub fn take(&mut self, node: NodeId, t: Rat) -> bool {
+    pub fn take(&mut self, node: NodeId, t: i128) -> bool {
         if !self.has_task(node, t) {
             return false;
         }
@@ -421,48 +457,49 @@ impl<E, P: Probe> Engine<E, P> {
     }
 
     /// Changes one node's buffer by `delta` tasks at `t`.
-    pub fn buffer_add(&mut self, node: NodeId, t: Rat, delta: i64) {
+    pub fn buffer_add(&mut self, node: NodeId, t: i128, delta: i64) {
         self.buffers.add(node, t, delta);
         self.probe.buffer(node, t, self.buffers.size(node));
     }
 
     /// One transfer `from → to` over `[start, end)`: the sender's port and
     /// the receiver's port are busy together (single-port model).
-    pub fn transfer(&mut self, from: NodeId, to: NodeId, start: Rat, end: Rat) {
+    pub fn transfer(&mut self, from: NodeId, to: NodeId, start: i128, end: i128) {
         self.probe.segment(from, SegmentKind::Send(to), start, end);
         self.probe.segment(to, SegmentKind::Receive, start, end);
     }
 
     /// A task counts as done at `t` on `node`.
-    pub fn record_completion(&mut self, node: NodeId, t: Rat) {
+    pub fn record_completion(&mut self, node: NodeId, t: i128) {
         self.completions.push((t, node));
     }
 
     /// `node` finished computing a task at `t`.
-    pub fn complete(&mut self, node: NodeId, t: Rat) {
+    pub fn complete(&mut self, node: NodeId, t: i128) {
         self.computed[node.index()] += 1;
         self.record_completion(node, t);
     }
 
-    fn report(&mut self) -> SimReport {
-        let cfg = &self.cfg;
+    /// The report, with every tick turned back into its exact time.
+    fn report(&mut self) -> Result<SimReport, SimError> {
+        let (cfg, scale) = (&self.cfg, self.scale);
         let exhausted = cfg.total_tasks.is_some_and(|n| self.injected >= n);
         let injection_stopped_at = if exhausted {
-            self.last_injection
+            self.last_injection.map(|t| scale.rat(t))
         } else {
             cfg.stop_injection_at.filter(|&s| s <= cfg.horizon)
         };
         let mut completions = std::mem::take(&mut self.completions);
-        completions.sort();
-        SimReport {
+        completions.sort_unstable();
+        Ok(SimReport {
             horizon: cfg.horizon,
             injection_stopped_at,
-            completions,
+            completions: completions.into_iter().map(|(t, node)| (scale.rat(t), node)).collect(),
             computed: std::mem::take(&mut self.computed),
             received: std::mem::take(&mut self.received),
-            buffers: self.buffers.finalize(cfg.horizon),
+            buffers: self.buffers.finalize(cfg.horizon, scale)?,
             gantt: std::mem::take(&mut self.probe.0).into_gantt(),
-        }
+        })
     }
 }
 
@@ -560,26 +597,8 @@ mod tests {
     use bwfirst_rational::rat;
 
     impl<E> EventQueue<E> {
-        /// An exact-keyed queue (no tick rescaling).
-        fn new() -> Self {
-            EventQueue::with_scale(None)
-        }
-
         fn is_empty(&self) -> bool {
             self.len() == 0
-        }
-
-        /// Size of the payload arena (bounded by the peak pending count).
-        fn arena_capacity(&self) -> usize {
-            self.payloads.len()
-        }
-
-        /// Pending events currently keyed by integer ticks (diagnostics).
-        fn ticked_len(&self) -> usize {
-            match &self.keys {
-                Keys::Ticks { heap, .. } => heap.len(),
-                Keys::Exact(_) => 0,
-            }
         }
     }
 
@@ -595,43 +614,41 @@ mod tests {
         }
     }
 
+    fn sixths() -> TickScale {
+        TickScale::new(6).unwrap()
+    }
+
     #[test]
     fn queue_orders_by_time_then_insertion() {
-        let mut q: EventQueue<&str> = EventQueue::new();
-        q.push(rat(2, 1), "b");
-        q.push(rat(1, 1), "a1");
-        q.push(rat(1, 1), "a2");
-        assert_eq!(q.pop(), Some((rat(1, 1), "a1")));
-        assert_eq!(q.pop(), Some((rat(1, 1), "a2")));
-        assert_eq!(q.pop(), Some((rat(2, 1), "b")));
+        let mut q: EventQueue<&str> = EventQueue::new(None);
+        q.push(2, "b");
+        q.push(1, "a1");
+        q.push(1, "a2");
+        assert_eq!(q.pop(), Some((1, "a1")));
+        assert_eq!(q.pop(), Some((1, "a2")));
+        assert_eq!(q.pop(), Some((2, "b")));
         assert!(q.is_empty());
     }
 
     #[test]
-    fn queue_arena_stays_bounded() {
-        // Regression: popped payload slots must be reused, or the arena
-        // grows by one slot per event over the whole run.
-        let mut q: EventQueue<u64> = EventQueue::new();
-        for round in 0..10_000u64 {
-            // Keep at most 3 events pending at any moment.
-            q.push(rat(round as i128, 1), round);
-            q.push(rat(round as i128, 1), round);
-            q.push(rat(round as i128 + 1, 1), round);
-            q.pop();
-            q.pop();
-            q.pop();
+    fn queue_never_compares_payloads() {
+        // Payloads need no ordering: a tie is decided by the sequence
+        // number alone, on both heaps.
+        struct Unordered(u32);
+        for exact in [None, Some(sixths())] {
+            let mut q: EventQueue<Unordered> = EventQueue::new(exact);
+            for k in 0..100 {
+                q.push(i128::from(k % 3), Unordered(k));
+            }
+            let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e.0).collect();
+            let want: Vec<u32> = (0..3).flat_map(|r| (r..100).step_by(3)).collect();
+            assert_eq!(order, want);
         }
-        assert!(q.is_empty());
-        assert!(
-            q.arena_capacity() <= 3,
-            "payload arena grew to {} slots for 3 concurrent events",
-            q.arena_capacity()
-        );
     }
 
     #[test]
     fn tick_queue_matches_exact_queue_order() {
-        // Same pushes, same pops, whichever lane the keys use. Includes
+        // Same pushes, same pops, whichever key the heap uses. Includes
         // duplicate times so the seq tie-break is exercised.
         let times = [
             rat(3, 2),
@@ -643,13 +660,13 @@ mod tests {
             rat(3, 2),
             rat(1, 1),
         ];
-        let mut exact: EventQueue<usize> = EventQueue::new();
-        let mut ticked: EventQueue<usize> = EventQueue::with_scale(Some(6));
+        let mut exact: EventQueue<usize> = EventQueue::new(Some(sixths()));
+        let mut ticked: EventQueue<usize> = EventQueue::new(None);
         for (i, &t) in times.iter().enumerate() {
-            exact.push(t, i);
-            ticked.push(t, i);
+            let tick = sixths().ticks(t).unwrap();
+            exact.push(tick, i);
+            ticked.push(tick, i);
         }
-        assert_eq!(ticked.ticked_len(), times.len(), "every key should rescale");
         for _ in 0..times.len() {
             assert_eq!(ticked.pop(), exact.pop());
         }
@@ -657,72 +674,54 @@ mod tests {
     }
 
     #[test]
-    fn non_dividing_denominators_demote_per_event() {
-        // Scale 6 cannot represent sevenths: the first one switches the
-        // queue to exact keys for good, and pop order is still correct.
-        let mut q: EventQueue<&str> = EventQueue::with_scale(Some(6));
-        q.push(rat(1, 7), "sevenths-early");
-        q.push(rat(1, 6), "sixths");
-        q.push(rat(1, 7), "sevenths-tie");
-        q.push(rat(1, 1), "late");
-        assert_eq!(q.ticked_len(), 0);
-        assert_eq!(q.pop(), Some((rat(1, 7), "sevenths-early")));
-        assert_eq!(q.pop(), Some((rat(1, 7), "sevenths-tie")));
-        assert_eq!(q.pop(), Some((rat(1, 6), "sixths")));
-        assert_eq!(q.pop(), Some((rat(1, 1), "late")));
-        assert!(q.is_empty());
+    fn off_lattice_times_have_no_tick() {
+        // Scale 6 cannot represent sevenths; an engine whose scale folds
+        // them in can.
+        assert_eq!(sixths().ticks(rat(1, 7)), None);
+        let p = bwfirst_platform::examples::example_tree();
+        let scale = tick_scale_hint(&p, [rat(1, 6), rat(1, 7)]).unwrap();
+        assert_eq!(scale.get(), 42);
+        assert_eq!(scale.ticks(rat(1, 7)), Some(6));
     }
 
     #[test]
-    fn cross_lane_order_is_globally_correct() {
-        // Rescalable and non-rescalable times interleave; once the queue
-        // turns exact, order is by time and ties by insertion sequence.
-        let mut q: EventQueue<&str> = EventQueue::with_scale(Some(6));
-        q.push(rat(5, 21), "rat-early"); // 21 ∤ 6: the queue turns exact
-        q.push(rat(1, 6), "tick-first"); // earliest time
-        q.push(rat(5, 21), "rat-tie"); // tie with rat-early
-        q.push(rat(1, 2), "tick-late");
-        assert_eq!(q.ticked_len(), 0);
-        assert_eq!(q.pop(), Some((rat(1, 6), "tick-first")));
-        assert_eq!(q.pop(), Some((rat(5, 21), "rat-early")));
-        assert_eq!(q.pop(), Some((rat(5, 21), "rat-tie")));
-        assert_eq!(q.pop(), Some((rat(1, 2), "tick-late")));
-        assert!(q.is_empty());
+    fn exact_oracle_orders_times_across_denominators() {
+        // Times on the 1/42 lattice, keyed by their exact values: order is
+        // by time and ties by insertion sequence.
+        let scale = TickScale::new(42).unwrap();
+        let mut q: EventQueue<&str> = EventQueue::new(Some(scale));
+        for (t, name) in [(rat(5, 21), "early"), (rat(1, 6), "first"), (rat(5, 21), "tie")] {
+            q.push(scale.ticks(t).unwrap(), name);
+        }
+        let names: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(names, ["first", "early", "tie"]);
     }
 
     #[test]
-    fn overflowing_tick_products_demote() {
-        // A time whose numerator is huge: tick = num · (scale/den) would
-        // overflow i128, so the queue must turn exact.
-        let huge = Rat::new(i128::MAX / 2, 1); // tick would be num·6: overflow
-        let mut q: EventQueue<&str> = EventQueue::with_scale(Some(6));
-        q.push(huge, "huge");
-        q.push(rat(1, 2), "small");
-        assert_eq!(q.ticked_len(), 0);
-        assert_eq!(q.pop(), Some((rat(1, 2), "small")));
-        assert_eq!(q.pop(), Some((huge, "huge")));
+    fn overflowing_ticks_are_refused() {
+        // A time whose tick would leave i128 has none, and a horizon that
+        // cannot be counted in ticks fails the run before its first event.
+        assert_eq!(sixths().ticks(Rat::new(i128::MAX / 2, 1)), None);
+        assert_eq!(sixths().floor(Rat::new(i128::MAX / 2, 1)), None);
+        let p = bwfirst_platform::examples::example_tree();
+        let cfg = SimConfig::to_horizon(Rat::new(i128::MAX / 4, 1));
+        let err = Engine::<(), _>::new(&p, &cfg, [rat(1, 6)], crate::probe::NoProbe).err();
+        assert_eq!(err, Some(SimError::TickOverflow { scale: Some(6), horizon: cfg.horizon }));
     }
 
     #[test]
-    fn migration_keeps_pending_ties_in_insertion_order() {
-        // Equal-time tick entries are pending when a non-rescalable push
-        // moves them to exact keys; their sequence numbers travel along,
-        // so they still fire in insertion order, before a later tie.
-        let mut q: EventQueue<&str> = EventQueue::with_scale(Some(6));
-        q.push(rat(1, 2), "half-1");
-        q.push(rat(1, 3), "third");
-        q.push(rat(1, 2), "half-2");
-        assert_eq!(q.ticked_len(), 3);
-        q.push(rat(1, 7), "seventh");
-        assert_eq!(q.ticked_len(), 0);
+    fn exact_oracle_keeps_ties_in_insertion_order() {
+        // Equal-time entries pushed around an earlier one still fire in
+        // insertion order, before a later tie.
+        let mut q: EventQueue<&str> = EventQueue::new(Some(sixths()));
+        q.push(3, "half-1");
+        q.push(2, "third");
+        q.push(3, "half-2");
+        q.push(1, "sixth");
         assert_eq!(q.len(), 4);
-        q.push(rat(1, 2), "half-3");
-        assert_eq!(q.pop(), Some((rat(1, 7), "seventh")));
-        assert_eq!(q.pop(), Some((rat(1, 3), "third")));
-        assert_eq!(q.pop(), Some((rat(1, 2), "half-1")));
-        assert_eq!(q.pop(), Some((rat(1, 2), "half-2")));
-        assert_eq!(q.pop(), Some((rat(1, 2), "half-3")));
-        assert!(q.is_empty());
+        q.push(3, "half-3");
+        let names: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(names, ["sixth", "third", "half-1", "half-2", "half-3"]);
     }
 
     #[test]
@@ -730,10 +729,12 @@ mod tests {
         use bwfirst_platform::examples::example_tree;
         let p = example_tree();
         // The example tree's weights and links are all integers.
-        assert_eq!(tick_scale_hint(&p, []), Some(1));
-        assert_eq!(tick_scale_hint(&p, [rat(9, 10), rat(1, 4)]), Some(20));
-        // An un-representable extra (lcm beyond the cap) falls back to exact.
-        assert_eq!(tick_scale_hint(&p, [Rat::new(1, i128::MAX / 2)]), None);
+        assert_eq!(tick_scale_hint(&p, []), TickScale::new(1));
+        assert_eq!(tick_scale_hint(&p, [rat(9, 10), rat(1, 4)]), TickScale::new(20));
+        // Any lcm inside i128 is a scale; one past it is none.
+        let big = i128::MAX / 2;
+        assert_eq!(tick_scale_hint(&p, [Rat::new(1, big)]), TickScale::new(big));
+        assert_eq!(tick_scale_hint(&p, [rat(9, 10), Rat::new(1, big)]), None);
     }
 
     #[test]
@@ -774,11 +775,24 @@ mod tests {
     #[test]
     fn buffer_tracker_time_average() {
         let mut b = BufferTracker::new(1);
-        b.add(NodeId(0), rat(0, 1), 2); // size 2 during [0, 4)
-        b.add(NodeId(0), rat(4, 1), -1); // size 1 during [4, 10)
-        let stats = b.finalize(rat(10, 1));
+        b.add(NodeId(0), 0, 2); // size 2 during [0, 4)
+        b.add(NodeId(0), 4, -1); // size 1 during [4, 10)
+        let stats = b.finalize(rat(10, 1), TickScale::ONE).unwrap();
         assert_eq!(stats[0].max, 2);
         assert_eq!(stats[0].time_avg, rat(14, 10));
+        // At scale 3 the same ticks are thirds, and the horizon 7/2 falls
+        // between ticks 10 and 11: size 1 also covers [10/3, 7/2).
+        let stats = b.finalize(rat(7, 2), TickScale::new(3).unwrap()).unwrap();
+        assert_eq!(stats[0].time_avg, (rat(8, 3) + rat(7, 2) - rat(4, 3)) / rat(7, 2));
+    }
+
+    #[test]
+    fn buffer_integral_overflow_is_an_error() {
+        let mut b = BufferTracker::new(2);
+        b.add(NodeId(1), 0, i64::MAX);
+        b.add(NodeId(1), i128::MAX / 2, -1);
+        let err = b.finalize(rat(1, 1), TickScale::ONE).unwrap_err();
+        assert_eq!(err, SimError::BufferOverflow(NodeId(1)));
     }
 
     #[test]

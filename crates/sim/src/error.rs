@@ -8,6 +8,7 @@
 
 use bwfirst_core::ScheduleError;
 use bwfirst_platform::NodeId;
+use bwfirst_rational::Rat;
 use std::fmt;
 
 /// Everything an executor can reject about its inputs mid-run.
@@ -32,6 +33,25 @@ pub enum SimError {
     NotSchedulable,
     /// Result returns were configured with a negative size ratio.
     NegativeReturnRatio,
+    /// The run's times do not fit `i128` engine ticks: at `scale` ticks per
+    /// time unit the horizon plus the longest step leaves `i128`, or
+    /// (`scale: None`) the lcm of the duration denominators itself does.
+    TickOverflow {
+        /// Ticks per time unit, when the lcm fits `i128`.
+        scale: Option<i128>,
+        /// The run's horizon.
+        horizon: Rat,
+    },
+    /// The time integral of a node's buffer occupancy left `i128` ticks.
+    BufferOverflow(NodeId),
+    /// A node's prefill stock `χ` exceeds the task counters (`u64`) or a
+    /// buffer change (`i64`).
+    ChiOverflow {
+        /// The node.
+        node: NodeId,
+        /// Its exact `χ`.
+        chi: i128,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -45,6 +65,21 @@ impl fmt::Display for SimError {
             SimError::EmptyQueue(n) => write!(f, "{n} scheduled work with an empty queue"),
             SimError::NotSchedulable => write!(f, "steady state has zero throughput"),
             SimError::NegativeReturnRatio => write!(f, "result return ratio is negative"),
+            SimError::TickOverflow { scale: Some(s), horizon } => write!(
+                f,
+                "engine time does not fit i128 ticks: horizon {horizon} at {s} ticks per time unit"
+            ),
+            SimError::TickOverflow { scale: None, horizon } => write!(
+                f,
+                "engine time does not fit i128 ticks: the lcm of the duration denominators \
+                 leaves i128 (horizon {horizon})"
+            ),
+            SimError::BufferOverflow(n) => {
+                write!(f, "the time integral of {n}'s buffer occupancy leaves i128")
+            }
+            SimError::ChiOverflow { node, chi } => {
+                write!(f, "{node}'s prefill stock χ = {chi} tasks exceeds the task counters")
+            }
         }
     }
 }

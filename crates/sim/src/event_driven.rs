@@ -40,7 +40,9 @@ use crate::engine::{Engine, Policy, SimConfig, SimReport};
 use crate::error::SimError;
 use crate::gantt::SegmentKind;
 use crate::probe::{NoProbe, Probe};
-use bwfirst_core::schedule::{BunchCursor, EventDrivenSchedule, LocalScheduleKind, SlotAction};
+use bwfirst_core::schedule::{
+    BunchCursor, EventDrivenSchedule, LocalScheduleKind, SlotAction, TreeSchedule,
+};
 use bwfirst_core::{bw_first, SteadyState};
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::Rat;
@@ -102,6 +104,11 @@ enum Ev {
 struct NodeState {
     /// Cyclic position in the local schedule.
     cursor: BunchCursor,
+    /// Compute time in ticks (`None` on a switch).
+    w: Option<i128>,
+    /// Link time from the parent in ticks (`None` at the root); link
+    /// changes update it.
+    c: Option<i128>,
     /// Tasks assigned to the CPU, not yet started.
     pending_cpu: u64,
     /// Send targets in assignment order.
@@ -114,9 +121,35 @@ struct NodeState {
 }
 
 /// The root's release step: one bunch of `Ψ` tasks per period `T^ω`.
-pub(crate) fn release_step(schedule: &EventDrivenSchedule, root: NodeId) -> Result<Rat, SimError> {
-    let root = schedule.tree.get(root).ok_or(SimError::InactiveRoot)?;
+pub(crate) fn release_step(schedule: &TreeSchedule, root: NodeId) -> Result<Rat, SimError> {
+    let root = schedule.get(root).ok_or(SimError::InactiveRoot)?;
     Ok(Rat::from_int(root.t_omega) / Rat::from_int(root.bunch))
+}
+
+/// The release steps the re-plans of a dynamic run will derive: for each
+/// adaptation point inside the horizon, the root's step on the platform as
+/// that point sees it. Change `k` fires at `(at, 2k)` and its adaptation
+/// point at `(at + delay, 2k + 1)` in the queue's (time, insertion) order,
+/// so a point sees exactly the changes ordered before it. Folded into the
+/// tick scale, they keep every re-plan's releases on the lattice.
+fn replan_steps(platform: &Platform, changes: &[LinkChange], delay: Rat, horizon: Rat) -> Vec<Rat> {
+    let mut fired: Vec<usize> = (0..changes.len()).collect();
+    fired.sort_by_key(|&j| (changes[j].at, j));
+    let mut steps = Vec::new();
+    for (k, ch) in changes.iter().enumerate() {
+        let Some(point) = ch.at.checked_add(delay).ok().filter(|&t| t <= horizon) else { continue };
+        let mut seen = platform.clone();
+        for &j in fired.iter().take_while(|&&j| (changes[j].at, 2 * j) < (point, 2 * k + 1)) {
+            seen.set_link_time(changes[j].child, changes[j].new_c);
+        }
+        let ss = SteadyState::from_solution(&bw_first(&seen));
+        if !ss.throughput.is_positive() {
+            continue;
+        }
+        let tree = TreeSchedule::build(&seen, &ss).ok();
+        steps.extend(tree.and_then(|tree| release_step(&tree, seen.root()).ok()));
+    }
+    steps
 }
 
 /// The next action of `node`'s cyclic local schedule, with its slot; the
@@ -134,17 +167,17 @@ struct EventDriven<'a, P> {
     platform: Cow<'a, Platform>,
     schedule: Cow<'a, EventDrivenSchedule>,
     nodes: Vec<NodeState>,
-    release_step: Rat,
+    /// The root's release step in ticks.
+    release_step: i128,
     changes: &'a [LinkChange],
     adapt: AdaptPolicy,
-    /// Times at which the schedule was swapped.
-    adaptations: Vec<Rat>,
+    /// Ticks at which the schedule was swapped.
+    adaptations: Vec<i128>,
 }
 
 impl<P: Probe> Policy for EventDriven<'_, P> {
     type Event = Ev;
     type Probe = P;
-    type Error = SimError;
 
     fn engine(&mut self) -> &mut Engine<Ev, P> {
         &mut self.eng
@@ -152,16 +185,17 @@ impl<P: Probe> Policy for EventDriven<'_, P> {
 
     fn start(&mut self) -> Result<(), SimError> {
         for (idx, ch) in self.changes.iter().enumerate() {
-            self.eng.queue.push(ch.at, Ev::Change(idx));
+            self.eng.queue.push(self.eng.ticks(ch.at)?, Ev::Change(idx));
             if let AdaptPolicy::Renegotiate { delay } = self.adapt {
-                self.eng.queue.push(ch.at + delay, Ev::Adapt);
+                let point = self.eng.ticks(ch.at)?.checked_add(self.eng.ticks(delay)?);
+                self.eng.queue.push(point.ok_or(self.eng.overflow())?, Ev::Adapt);
             }
         }
-        self.eng.release_at(Rat::ZERO, Ev::Release);
+        self.eng.release_at(0, Ev::Release);
         Ok(())
     }
 
-    fn on_event(&mut self, t: Rat, ev: Ev) -> Result<(), SimError> {
+    fn on_event(&mut self, t: i128, ev: Ev) -> Result<(), SimError> {
         match ev {
             Ev::Release => {
                 let root = self.platform.root();
@@ -185,6 +219,7 @@ impl<P: Probe> Policy for EventDriven<'_, P> {
             }
             Ev::Change(idx) => {
                 let ch = self.changes[idx];
+                self.nodes[ch.child.index()].c = Some(self.eng.ticks(ch.new_c)?);
                 self.platform.to_mut().set_link_time(ch.child, ch.new_c);
             }
             Ev::Adapt => self.adapt(t)?,
@@ -195,14 +230,14 @@ impl<P: Probe> Policy for EventDriven<'_, P> {
 
 impl<P: Probe> EventDriven<'_, P> {
     /// Routes one available task according to the local schedule.
-    fn assign(&mut self, node: NodeId, t: Rat) -> Result<(), SimError> {
+    fn assign(&mut self, node: NodeId, t: i128) -> Result<(), SimError> {
         let i = node.index();
         if !self.adaptations.is_empty() && self.schedule.local(node).is_none() {
             // A node the *new* schedule prunes may still receive tasks
             // routed by the old one: compute them locally rather than
             // strand them (a switch cannot, and drops them).
             self.eng.probe.task_dispatch(node, t, SlotAction::Compute, None);
-            if self.platform.weight(node).time().is_some() {
+            if self.nodes[i].w.is_some() {
                 self.nodes[i].pending_cpu += 1;
                 self.try_cpu(node, t)?;
             }
@@ -222,13 +257,13 @@ impl<P: Probe> EventDriven<'_, P> {
         }
     }
 
-    fn try_cpu(&mut self, node: NodeId, t: Rat) -> Result<(), SimError> {
+    fn try_cpu(&mut self, node: NodeId, t: i128) -> Result<(), SimError> {
         let i = node.index();
         let n = &mut self.nodes[i];
         if n.cpu_busy || n.pending_cpu == 0 || self.eng.received[i] < n.enable_at {
             return Ok(());
         }
-        let w = self.platform.weight(node).time().ok_or(SimError::SwitchComputes(node))?;
+        let w = n.w.ok_or(SimError::SwitchComputes(node))?;
         n.pending_cpu = n.pending_cpu.checked_sub(1).ok_or(SimError::EmptyQueue(node))?;
         n.cpu_busy = true;
         self.eng.buffer_add(node, t, -1);
@@ -237,14 +272,14 @@ impl<P: Probe> EventDriven<'_, P> {
         Ok(())
     }
 
-    fn try_port(&mut self, node: NodeId, t: Rat) -> Result<(), SimError> {
+    fn try_port(&mut self, node: NodeId, t: i128) -> Result<(), SimError> {
         let n = &mut self.nodes[node.index()];
         if n.port_busy {
             return Ok(());
         }
         let Some(child) = n.send_queue.pop_front() else { return Ok(()) };
-        let c = self.platform.link_time(child).ok_or(SimError::MissingLink(child))?;
-        n.port_busy = true;
+        let c = self.nodes[child.index()].c.ok_or(SimError::MissingLink(child))?;
+        self.nodes[node.index()].port_busy = true;
         self.eng.buffer_add(node, t, -1);
         self.eng.transfer(node, child, t, t + c);
         self.eng.queue.push(t + c, Ev::PortEnd(node));
@@ -252,7 +287,7 @@ impl<P: Probe> EventDriven<'_, P> {
         Ok(())
     }
 
-    fn on_arrive(&mut self, node: NodeId, t: Rat) -> Result<(), SimError> {
+    fn on_arrive(&mut self, node: NodeId, t: i128) -> Result<(), SimError> {
         self.eng.buffer_add(node, t, 1);
         self.assign(node, t)?;
         // Reaching the prefill stock may unblock earlier compute-assigned
@@ -261,15 +296,16 @@ impl<P: Probe> EventDriven<'_, P> {
     }
 
     /// Recomputes the optimal schedule for the platform's *current* state
-    /// and swaps every node onto it.
-    fn adapt(&mut self, t: Rat) -> Result<(), SimError> {
+    /// and swaps every node onto it. Its release step was folded into the
+    /// tick scale up front ([`replan_steps`]).
+    fn adapt(&mut self, t: i128) -> Result<(), SimError> {
         let ss = SteadyState::from_solution(&bw_first(&self.platform));
         if !ss.throughput.is_positive() {
             return Ok(()); // nothing schedulable; keep the old one
         }
         let schedule =
             EventDrivenSchedule::build(&self.platform, &ss, LocalScheduleKind::Interleaved)?;
-        self.release_step = release_step(&schedule, self.platform.root())?;
+        self.release_step = self.eng.ticks(release_step(&schedule.tree, self.platform.root())?)?;
         for (id, n) in self.platform.node_ids().zip(&mut self.nodes) {
             n.cursor = schedule.cursor(id);
         }
@@ -289,36 +325,45 @@ fn run(
     adapt: AdaptPolicy,
     probe: impl Probe,
 ) -> Result<(SimReport, Vec<Rat>), SimError> {
-    let release_step = release_step(&schedule, platform.root())?;
-    let nodes = platform
-        .node_ids()
-        .map(|id| NodeState {
-            enable_at: match startup {
-                StartupPolicy::EventDriven => 0,
-                StartupPolicy::Prefill => {
-                    schedule.tree.get(id).and_then(|s| s.chi_in).map_or(0, |chi| chi as u64)
-                }
-            },
-            cursor: schedule.cursor(id),
-            ..NodeState::default()
-        })
-        .collect();
-    // A re-derived schedule's release step may miss the scale hint; those
-    // events simply demote to the exact lane one by one.
+    let release = release_step(&schedule.tree, platform.root())?;
     let delay = if let AdaptPolicy::Renegotiate { delay } = adapt { Some(delay) } else { None };
-    let extras = changes.iter().flat_map(|ch| [ch.at, ch.new_c]).chain(delay);
+    let replans = delay.map(|d| replan_steps(platform, changes, d, cfg.horizon));
+    let extras = (changes.iter().flat_map(|ch| [ch.at, ch.new_c]))
+        .chain(delay)
+        .chain(replans.into_iter().flatten())
+        .chain([release]);
+    let eng = Engine::new(platform, cfg, extras, probe)?;
+    let mut nodes = Vec::with_capacity(platform.len());
+    for id in platform.node_ids() {
+        let chi = match startup {
+            StartupPolicy::EventDriven => None,
+            StartupPolicy::Prefill => schedule.tree.get(id).and_then(|s| s.chi_in),
+        };
+        let enable_at = chi.map_or(Ok(0), |chi| {
+            u64::try_from(chi).map_err(|_| SimError::ChiOverflow { node: id, chi })
+        })?;
+        let ticks = |d: Option<Rat>| d.map(|d| eng.ticks(d)).transpose();
+        nodes.push(NodeState {
+            cursor: schedule.cursor(id),
+            w: ticks(platform.weight(id).time())?,
+            c: ticks(platform.link_time(id))?,
+            enable_at,
+            ..NodeState::default()
+        });
+    }
     let mut sim = EventDriven {
-        eng: Engine::new(platform, cfg, extras.chain([release_step]), probe),
+        release_step: eng.ticks(release)?,
+        eng,
         platform: Cow::Borrowed(platform),
         schedule,
         nodes,
-        release_step,
         changes,
         adapt,
         adaptations: Vec::new(),
     };
     let rep = sim.run()?;
-    Ok((rep, sim.adaptations))
+    let scale = sim.eng.scale;
+    Ok((rep, sim.adaptations.into_iter().map(|t| scale.rat(t)).collect()))
 }
 
 /// Simulates the event-driven schedule with the paper's start-up policy.
@@ -419,6 +464,7 @@ mod tests {
     use bwfirst_core::schedule::LocalScheduleKind;
     use bwfirst_core::{bw_first, startup::tree_startup_bound, SteadyState};
     use bwfirst_platform::examples::{example_throughput, example_tree};
+    use bwfirst_platform::Weight;
     use bwfirst_rational::rat;
 
     fn setup() -> (Platform, SteadyState, EventDrivenSchedule) {
@@ -640,6 +686,51 @@ mod tests {
             ri.completions_in(rat(76, 1), rat(292, 1)),
             rb.completions_in(rat(76, 1), rat(292, 1))
         );
+    }
+
+    /// A fork whose root saturates its port on one unit link; the other
+    /// children, pruned, sit behind links `10 + 1/p` for the primes up to
+    /// 103, whose product leaves `i128`.
+    fn coprime_links() -> Platform {
+        let w = Weight::Time(Rat::ONE);
+        let primes = (2..=103i128).filter(|&p| (2..p).all(|q| p % q != 0));
+        let children: Vec<(Rat, Weight)> =
+            std::iter::once((Rat::ONE, w)).chain(primes.map(|p| (rat(10 * p + 1, p), w))).collect();
+        bwfirst_platform::generators::fork(w, &children)
+    }
+
+    #[test]
+    fn coprime_link_denominators_leave_i128_ticks() {
+        let p = coprime_links();
+        let ss = SteadyState::from_solution(&bw_first(&p));
+        let ev = EventDrivenSchedule::standard(&p, &ss).unwrap();
+        let cfg = SimConfig::to_horizon(rat(100, 1));
+        let overflow = SimError::TickOverflow { scale: None, horizon: cfg.horizon };
+        assert_eq!(simulate(&p, &ev, &cfg).unwrap_err(), overflow);
+        let clocked = crate::clocked::simulate(&p, &ev.tree, Default::default(), &cfg);
+        assert_eq!(clocked.unwrap_err(), overflow);
+        let demand =
+            crate::demand_driven::try_simulate_probed(&p, Default::default(), &cfg, &mut NoProbe);
+        assert_eq!(demand.unwrap_err(), overflow);
+        assert!(overflow.to_string().contains("leaves i128"), "{overflow}");
+    }
+
+    #[test]
+    fn replans_keep_their_release_steps_on_the_tick_lattice() {
+        // The re-plan after c(P1) = 25/3 releases in steps whose
+        // denominator the original scale lacks; it is folded in up front.
+        let p = example_tree();
+        let changes = [LinkChange { at: rat(120, 1), child: NodeId(1), new_c: rat(25, 3) }];
+        let steps = replan_steps(&p, &changes, rat(5, 2), rat(280, 1));
+        assert_eq!(steps.len(), 1);
+        let scale = crate::engine::tick_scale_hint(&p, [rat(25, 3), rat(5, 2)]).unwrap();
+        assert_eq!(scale.ticks(steps[0]), None, "the step adds a denominator");
+        let policy = AdaptPolicy::Renegotiate { delay: rat(5, 2) };
+        let cfg = SimConfig::to_horizon(rat(280, 1));
+        let (_, adaptations) = simulate_dynamic(&p, &changes, policy, &cfg).unwrap();
+        assert_eq!(adaptations, vec![rat(245, 2)]);
+        // A point past the horizon never fires and adds nothing.
+        assert!(replan_steps(&p, &changes, rat(5, 2), rat(100, 1)).is_empty());
     }
 
     fn degrade_at_120() -> Vec<LinkChange> {

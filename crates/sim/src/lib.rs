@@ -1,9 +1,12 @@
 //! Discrete-event simulation of the single-port, full-overlap model.
 //!
 //! The paper proposes (Section 9) evaluating `BW-First` with a simulator;
-//! this crate is that simulator. Time is exact ([`bwfirst_rational::Rat`]),
-//! so periodic schedules replay without drift and the measured steady-state
-//! rates can be compared to the predicted rationals *exactly*.
+//! this crate is that simulator. Time is exact: every event time is a sum
+//! of rational durations, so the engine counts it in integer ticks of
+//! `1/S` ([`TickScale`], `S` the lcm of the durations' denominators) and
+//! reports exact [`bwfirst_rational::Rat`] times. Periodic schedules
+//! replay without drift and the measured steady-state rates can be
+//! compared to the predicted rationals *exactly*.
 //!
 //! Resources per node, following Section 3's model:
 //!
@@ -70,5 +73,5 @@ pub use monitor::{
     MonitorConfig, MonitorEntry, MonitorProbe, MonitorReport, MonitorViolation, Snapshot,
     SnapshotError,
 };
-pub use probe::{GanttProbe, NoProbe, ObsProbe, Probe, Utilization, UtilizationProbe};
+pub use probe::{GanttProbe, NoProbe, ObsProbe, Probe, TickScale, Utilization, UtilizationProbe};
 pub use provenance::{trace_header, ProvenanceProbe};

@@ -31,10 +31,16 @@
 //! a self-contained `bwfirst-postmortem/1` artifact with the last-N events.
 //!
 //! The monitor is cheap enough to leave on: the hot path allocates nothing
-//! and divides no rationals. The ring holds typed [`MonitorEntry`]s rendered
-//! to events only in a post-mortem, the monitor's own counters and
-//! histograms live in fields folded into the ring's metrics by `finish()`,
-//! and the current window's bounds are kept to compare against.
+//! and touches no rationals. Observations arrive as engine ticks (the run's
+//! [`TickScale`] comes through [`Probe::start`]), so the per-lane busy
+//! bounds, the transfer pairing and the duration checks compare integers,
+//! and the current window's bounds are kept as ceiling ticks —
+//! `⌈k·W·S⌉ ≤ t < ⌈(k+1)·W·S⌉` holds exactly when `t/S` lies in window
+//! `k`. The ring holds typed [`MonitorEntry`]s, ticks included, rendered to
+//! events (and reduced to exact times) only in a post-mortem; the monitor's
+//! own counters and histograms live in fields folded into the ring's
+//! metrics by `finish()`. Exact times are rebuilt for violations and
+//! snapshots only.
 //!
 //! Violations are *data*, never panics: the probe keeps watching after the
 //! first finding (up to [`MAX_VIOLATIONS`]).
@@ -47,7 +53,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::gantt::SegmentKind;
-use crate::probe::{lane, ts, Probe};
+use crate::probe::{lane, ts, Probe, TickScale};
 use bwfirst_core::expectations::MonitorExpectations;
 use bwfirst_obs::chrome::{track, LANES};
 use bwfirst_obs::json::{self, obj, Value};
@@ -601,12 +607,16 @@ impl MonitorReport {
 
 /// One flight-ring entry, kept typed until a post-mortem renders it as the
 /// [`Event`] it stands for (the span shape [`crate::ObsProbe`] emits).
+/// Observation entries keep their engine tick and the run's scale; the
+/// exact time is reduced only when the entry is rendered.
 #[derive(Debug, Clone)]
 pub enum MonitorEntry {
     /// A segment opens on `node`'s `lane`.
     Begin {
-        /// Segment start.
-        t: Rat,
+        /// Segment start, in ticks.
+        t: i128,
+        /// The run's scale.
+        scale: TickScale,
         /// The node.
         node: NodeId,
         /// Lane index (receive 0, compute 1, send 2).
@@ -614,8 +624,10 @@ pub enum MonitorEntry {
     },
     /// A segment closes on `node`'s `lane`.
     End {
-        /// Segment end.
-        t: Rat,
+        /// Segment end, in ticks.
+        t: i128,
+        /// The run's scale.
+        scale: TickScale,
         /// The node.
         node: NodeId,
         /// Lane index (receive 0, compute 1, send 2).
@@ -623,8 +635,10 @@ pub enum MonitorEntry {
     },
     /// `node`'s buffer now holds `size` tasks.
     Buffer {
-        /// When.
-        t: Rat,
+        /// When, in ticks.
+        t: i128,
+        /// The run's scale.
+        scale: TickScale,
         /// The node.
         node: NodeId,
         /// Buffered tasks.
@@ -644,15 +658,15 @@ pub enum MonitorEntry {
 impl FlightEntry for MonitorEntry {
     fn to_event(&self) -> Event {
         match self {
-            MonitorEntry::Begin { t, node, lane } => {
-                Event::new(ts(*t), track(node.0, *lane), LANES[*lane], EventKind::Begin)
+            MonitorEntry::Begin { t, scale, node, lane } => {
+                Event::new(scale.ts(*t), track(node.0, *lane), LANES[*lane], EventKind::Begin)
                     .arg("node", Arg::Int(i128::from(node.0)))
             }
-            MonitorEntry::End { t, node, lane } => {
-                Event::new(ts(*t), track(node.0, *lane), LANES[*lane], EventKind::End)
+            MonitorEntry::End { t, scale, node, lane } => {
+                Event::new(scale.ts(*t), track(node.0, *lane), LANES[*lane], EventKind::End)
             }
-            MonitorEntry::Buffer { t, node, size } => {
-                Event::new(ts(*t), node.0, format!("buffer {node}"), EventKind::Counter)
+            MonitorEntry::Buffer { t, scale, node, size } => {
+                Event::new(scale.ts(*t), node.0, format!("buffer {node}"), EventKind::Counter)
                     .arg("tasks", Arg::Int(i128::from(*size)))
             }
             MonitorEntry::Violation { t, kind, message } => {
@@ -698,12 +712,12 @@ impl WindowState {
     }
 }
 
-/// A pending one-task transfer awaiting its receive half.
+/// A pending one-task transfer awaiting its receive half (ticks).
 struct PendingSend {
     node: NodeId,
     child: NodeId,
-    start: Rat,
-    end: Rat,
+    start: i128,
+    end: i128,
 }
 
 /// The online monitor: a [`Probe`] that checks invariants, rolls windows and
@@ -712,16 +726,25 @@ pub struct MonitorProbe {
     cfg: MonitorConfig,
     root: NodeId,
     n: usize,
-    busy_until: Vec<[Rat; 3]>,
+    /// The run's scale; every tick below is counted in it.
+    scale: TickScale,
+    /// Per node, the expected compute time in ticks (`Some(None)`: one that
+    /// falls between ticks, which no segment can match).
+    weight_ticks: Vec<Option<Option<i128>>>,
+    busy_until: Vec<[i128; 3]>,
     pending: Option<PendingSend>,
     consumed: Vec<u64>,
     drained: Vec<u64>,
     buf_prev: Vec<u64>,
     buf_total: u64,
     cur_window: i128,
-    /// `cur_window`'s bounds `[win_start, win_end)`.
-    win_start: Rat,
-    win_end: Rat,
+    /// `cur_window`'s exact bounds `[win_from, win_to)`.
+    win_from: Rat,
+    win_to: Rat,
+    /// The same bounds as ceiling ticks: `t` lies in the window exactly
+    /// when `win_start ≤ t < win_end`.
+    win_start: i128,
+    win_end: i128,
     win: WindowState,
     cum_computed: u64,
     late_events: u64,
@@ -742,20 +765,24 @@ impl MonitorProbe {
     #[must_use]
     pub fn new(n: usize, root: NodeId, cfg: MonitorConfig) -> MonitorProbe {
         let flight = FlightRecorder::new(cfg.flight_capacity);
-        let win_end = cfg.window;
-        MonitorProbe {
+        let win_to = cfg.window;
+        let mut probe = MonitorProbe {
             cfg,
             root,
             n,
-            busy_until: vec![[Rat::ZERO; 3]; n],
+            scale: TickScale::ONE,
+            weight_ticks: Vec::new(),
+            busy_until: vec![[0; 3]; n],
             pending: None,
             consumed: vec![0; n],
             drained: vec![0; n],
             buf_prev: vec![0; n],
             buf_total: 0,
             cur_window: 0,
-            win_start: Rat::ZERO,
-            win_end,
+            win_from: Rat::ZERO,
+            win_to,
+            win_start: 0,
+            win_end: 0,
             win: WindowState::new(n),
             cum_computed: 0,
             late_events: 0,
@@ -767,7 +794,9 @@ impl MonitorProbe {
             window_throughput: Histogram::new(),
             queue_depth: Histogram::new(),
             buffer_occupancy: Histogram::new(),
-        }
+        };
+        probe.start(TickScale::ONE);
+        probe
     }
 
     /// Violations seen so far (including suppressed ones).
@@ -785,19 +814,27 @@ impl MonitorProbe {
         }
     }
 
+    /// The first tick at or after `t` (a window bound); a bound past the
+    /// `i128` ticks is never reached.
+    fn ceil_tick(&self, t: Rat) -> i128 {
+        self.scale.ceil(t).unwrap_or(i128::MAX)
+    }
+
     /// Closes `self.cur_window` and opens the next one.
     fn flush_window(&mut self) {
         let k = self.cur_window;
-        let to = self.win_end;
-        let snap = self.make_snapshot(k, self.win_start, to, false);
+        let to = self.win_to;
+        let snap = self.make_snapshot(k, self.win_from, to, false);
         self.window_throughput.observe(snap.throughput);
         self.check_window_rates(k, to);
         self.check_drain_balance(to);
         self.snapshots.push(snap);
         self.win.reset();
         self.cur_window += 1;
-        self.win_start = to;
-        self.win_end = to + self.cfg.window;
+        self.win_from = to;
+        self.win_to = to + self.cfg.window;
+        self.win_start = self.win_end;
+        self.win_end = self.ceil_tick(self.win_to);
     }
 
     fn make_snapshot(&self, k: i128, from: Rat, to: Rat, partial: bool) -> Snapshot {
@@ -907,7 +944,7 @@ impl MonitorProbe {
 
     /// Rolls windows forward so `t` falls in the current one; counts
     /// stragglers (possible under the interruptible demand model).
-    fn advance_to(&mut self, t: Rat) {
+    fn advance_to(&mut self, t: i128) {
         if t < self.win_start {
             self.late_events += 1;
             self.win.late_events += 1;
@@ -918,17 +955,30 @@ impl MonitorProbe {
         }
     }
 
+    /// Reports a send whose receive half never came.
+    fn unpaired(&mut self, p: &PendingSend) {
+        let at = self.scale.rat(p.start);
+        self.violate(at, MonitorViolation::UnpairedSend { node: p.node, child: p.child, at });
+    }
+
+    /// Reports a compute segment `[start, end)` whose length is not the
+    /// node's `w` (expectations only).
+    fn duration_mismatch(&mut self, node: NodeId, start: i128, end: i128) {
+        let expected = (self.cfg.expectations.as_ref())
+            .and_then(|exp| exp.weight.get(node.index()).copied().flatten());
+        let Some(expected) = expected else { return };
+        let (at, observed) = (self.scale.rat(start), self.scale.rat(end - start));
+        self.violate(at, MonitorViolation::DurationMismatch { node, expected, observed, at });
+    }
+
     /// Consumes the probe, closing the trailing partial window.
     #[must_use]
     pub fn finish(mut self) -> MonitorReport {
         let windows = self.cur_window;
-        let (from, to) = (self.win_start, self.win_end);
+        let (from, to) = (self.win_from, self.win_to);
         self.check_drain_balance(from);
         if let Some(p) = self.pending.take() {
-            self.violate(
-                p.start,
-                MonitorViolation::UnpairedSend { node: p.node, child: p.child, at: p.start },
-            );
+            self.unpaired(&p);
         }
         let snap = self.make_snapshot(self.cur_window, from, to, true);
         self.snapshots.push(snap);
@@ -968,72 +1018,56 @@ impl MonitorProbe {
 }
 
 impl Probe for MonitorProbe {
-    fn segment(&mut self, node: NodeId, kind: SegmentKind, start: Rat, end: Rat) {
+    fn start(&mut self, scale: TickScale) {
+        self.scale = scale;
+        self.weight_ticks = (self.cfg.expectations.iter())
+            .flat_map(|exp| &exp.weight)
+            .map(|w| w.map(|w| scale.ticks(w)))
+            .collect();
+        self.win_start = self.ceil_tick(self.win_from);
+        self.win_end = self.ceil_tick(self.win_to);
+    }
+
+    fn segment(&mut self, node: NodeId, kind: SegmentKind, start: i128, end: i128) {
         self.advance_to(start);
         let i = node.index();
         let l = lane(kind);
 
-        self.flight.push(MonitorEntry::Begin { t: start, node, lane: l });
-        self.flight.push(MonitorEntry::End { t: end, node, lane: l });
+        let scale = self.scale;
+        self.flight.push(MonitorEntry::Begin { t: start, scale, node, lane: l });
+        self.flight.push(MonitorEntry::End { t: end, scale, node, lane: l });
         self.segments += 1;
 
         // Single-port per lane (full overlap across lanes is legal).
-        if start < self.busy_until[i][l] {
-            self.violate(
-                start,
-                MonitorViolation::SinglePort {
-                    node,
-                    lane: l,
-                    start,
-                    busy_until: self.busy_until[i][l],
-                },
-            );
+        let busy_until = self.busy_until[i][l];
+        if start < busy_until {
+            let (start, busy_until) = (scale.rat(start), scale.rat(busy_until));
+            self.violate(start, MonitorViolation::SinglePort { node, lane: l, start, busy_until });
         }
-        self.busy_until[i][l] = self.busy_until[i][l].max(end);
+        self.busy_until[i][l] = busy_until.max(end);
 
         // Transfer pairing: a send opens a one-task edge transfer that the
         // very next segment must close with the child's identical receive.
         match kind {
             SegmentKind::Send(child) => {
                 if let Some(p) = self.pending.take() {
-                    self.violate(
-                        p.start,
-                        MonitorViolation::UnpairedSend {
-                            node: p.node,
-                            child: p.child,
-                            at: p.start,
-                        },
-                    );
+                    self.unpaired(&p);
                 }
                 self.pending = Some(PendingSend { node, child, start, end });
             }
             SegmentKind::Receive => match self.pending.take() {
                 Some(p) if p.child == node && p.start == start && p.end == end => {}
-                Some(p) => {
-                    self.violate(
-                        p.start,
-                        MonitorViolation::UnpairedSend {
-                            node: p.node,
-                            child: p.child,
-                            at: p.start,
-                        },
-                    );
-                    self.violate(start, MonitorViolation::UnpairedReceive { node, at: start });
-                }
-                None => {
-                    self.violate(start, MonitorViolation::UnpairedReceive { node, at: start });
+                unmatched => {
+                    if let Some(p) = unmatched {
+                        self.unpaired(&p);
+                    }
+                    let at = scale.rat(start);
+                    self.violate(at, MonitorViolation::UnpairedReceive { node, at });
                 }
             },
             SegmentKind::Compute => {
                 if let Some(p) = self.pending.take() {
-                    self.violate(
-                        p.start,
-                        MonitorViolation::UnpairedSend {
-                            node: p.node,
-                            child: p.child,
-                            at: p.start,
-                        },
-                    );
+                    self.unpaired(&p);
                 }
             }
         }
@@ -1047,20 +1081,9 @@ impl Probe for MonitorProbe {
                 if node == self.root {
                     self.win.root_actions += 1;
                 }
-                if let Some(exp) = &self.cfg.expectations {
-                    if let Some(w) = exp.weight.get(i).copied().flatten() {
-                        let observed = end - start;
-                        if observed != w {
-                            self.violate(
-                                start,
-                                MonitorViolation::DurationMismatch {
-                                    node,
-                                    expected: w,
-                                    observed,
-                                    at: start,
-                                },
-                            );
-                        }
+                if let Some(want) = self.weight_ticks.get(i).copied().flatten() {
+                    if want != Some(end - start) {
+                        self.duration_mismatch(node, start, end);
                     }
                 }
             }
@@ -1077,13 +1100,14 @@ impl Probe for MonitorProbe {
         if node != self.root && !matches!(kind, SegmentKind::Receive) {
             self.consumed[i] += 1;
             if self.cfg.strict_conservation && self.consumed[i] > self.drained[i] {
+                let at = scale.rat(start);
                 self.violate(
-                    start,
+                    at,
                     MonitorViolation::TaskConservation {
                         node,
                         consumed: self.consumed[i],
                         drained: self.drained[i],
-                        at: start,
+                        at,
                     },
                 );
                 // Re-arm so one phantom task reports once, not forever.
@@ -1092,13 +1116,13 @@ impl Probe for MonitorProbe {
         }
     }
 
-    fn queue_depth(&mut self, t: Rat, depth: usize) {
+    fn queue_depth(&mut self, t: i128, depth: usize) {
         self.advance_to(t);
         self.win.queue_depth_max = self.win.queue_depth_max.max(depth as u64);
         self.queue_depth.observe(depth as f64);
     }
 
-    fn buffer(&mut self, node: NodeId, t: Rat, size: u64) {
+    fn buffer(&mut self, node: NodeId, t: i128, size: u64) {
         self.advance_to(t);
         let i = node.index();
         let prev = self.buf_prev[i];
@@ -1107,7 +1131,7 @@ impl Probe for MonitorProbe {
         }
         self.buf_total = (self.buf_total + size).saturating_sub(prev);
         self.buf_prev[i] = size;
-        self.flight.push(MonitorEntry::Buffer { t, node, size });
+        self.flight.push(MonitorEntry::Buffer { t, scale: self.scale, node, size });
         self.buffer_occupancy.observe(size as f64);
     }
 }
@@ -1122,7 +1146,7 @@ mod tests {
     }
 
     /// A legal one-task edge transfer followed by the buffer arrival.
-    fn transfer(p: &mut MonitorProbe, from: u32, to: u32, s: Rat, e: Rat, new_size: u64) {
+    fn transfer(p: &mut MonitorProbe, from: u32, to: u32, s: i128, e: i128, new_size: u64) {
         p.segment(NodeId(from), SegmentKind::Send(NodeId(to)), s, e);
         p.segment(NodeId(to), SegmentKind::Receive, s, e);
         p.buffer(NodeId(to), e, new_size);
@@ -1131,10 +1155,10 @@ mod tests {
     #[test]
     fn clean_stream_has_no_violations() {
         let mut p = probe(2);
-        transfer(&mut p, 0, 1, rat(0, 1), rat(1, 1), 1);
-        p.buffer(NodeId(1), rat(1, 1), 0);
-        p.segment(NodeId(1), SegmentKind::Compute, rat(1, 1), rat(3, 1));
-        p.queue_depth(rat(3, 1), 2);
+        transfer(&mut p, 0, 1, 0, 1, 1);
+        p.buffer(NodeId(1), 1, 0);
+        p.segment(NodeId(1), SegmentKind::Compute, 1, 3);
+        p.queue_depth(3, 2);
         let rep = p.finish();
         assert!(rep.ok(), "unexpected: {:?}", rep.violations);
         assert_eq!(rep.late_events, 0);
@@ -1150,11 +1174,11 @@ mod tests {
     #[test]
     fn double_send_trips_single_port_monitor() {
         let mut p = probe(3);
-        p.buffer(NodeId(1), rat(0, 1), 2);
-        transfer(&mut p, 0, 1, rat(0, 1), rat(4, 1), 3);
+        p.buffer(NodeId(1), 0, 2);
+        transfer(&mut p, 0, 1, 0, 4, 3);
         // Overlapping second send on node 0's port: starts at 2 < 4.
-        p.segment(NodeId(0), SegmentKind::Send(NodeId(2)), rat(2, 1), rat(6, 1));
-        p.segment(NodeId(2), SegmentKind::Receive, rat(2, 1), rat(6, 1));
+        p.segment(NodeId(0), SegmentKind::Send(NodeId(2)), 2, 6);
+        p.segment(NodeId(2), SegmentKind::Receive, 2, 6);
         let rep = p.finish();
         assert!(!rep.ok());
         assert!(rep
@@ -1171,9 +1195,9 @@ mod tests {
     #[test]
     fn unpaired_send_is_reported() {
         let mut p = probe(3);
-        p.segment(NodeId(0), SegmentKind::Send(NodeId(1)), rat(0, 1), rat(1, 1));
+        p.segment(NodeId(0), SegmentKind::Send(NodeId(1)), 0, 1);
         // A compute barges in before the matching receive.
-        p.segment(NodeId(0), SegmentKind::Compute, rat(1, 1), rat(2, 1));
+        p.segment(NodeId(0), SegmentKind::Compute, 1, 2);
         let rep = p.finish();
         assert!(rep
             .violations
@@ -1184,8 +1208,8 @@ mod tests {
     #[test]
     fn mismatched_receive_interval_is_unpaired() {
         let mut p = probe(2);
-        p.segment(NodeId(0), SegmentKind::Send(NodeId(1)), rat(0, 1), rat(2, 1));
-        p.segment(NodeId(1), SegmentKind::Receive, rat(0, 1), rat(3, 1));
+        p.segment(NodeId(0), SegmentKind::Send(NodeId(1)), 0, 2);
+        p.segment(NodeId(1), SegmentKind::Receive, 0, 3);
         let rep = p.finish();
         assert!(rep.violations.iter().any(|v| matches!(v, MonitorViolation::UnpairedSend { .. })));
         assert!(rep
@@ -1197,11 +1221,11 @@ mod tests {
     #[test]
     fn task_invented_from_nowhere_breaks_conservation() {
         let mut p = probe(2);
-        transfer(&mut p, 0, 1, rat(0, 1), rat(1, 1), 1);
+        transfer(&mut p, 0, 1, 0, 1, 1);
         // Node 1 computes twice but only one task ever arrived/drained.
-        p.buffer(NodeId(1), rat(1, 1), 0);
-        p.segment(NodeId(1), SegmentKind::Compute, rat(1, 1), rat(2, 1));
-        p.segment(NodeId(1), SegmentKind::Compute, rat(2, 1), rat(3, 1));
+        p.buffer(NodeId(1), 1, 0);
+        p.segment(NodeId(1), SegmentKind::Compute, 1, 2);
+        p.segment(NodeId(1), SegmentKind::Compute, 2, 3);
         let rep = p.finish();
         assert!(rep.violations.iter().any(|v| matches!(
             v,
@@ -1212,9 +1236,9 @@ mod tests {
     #[test]
     fn task_loss_is_caught_at_window_close() {
         let mut p = probe(2);
-        transfer(&mut p, 0, 1, rat(0, 1), rat(1, 1), 1);
+        transfer(&mut p, 0, 1, 0, 1, 1);
         // The task silently vanishes from the buffer: no activity follows.
-        p.buffer(NodeId(1), rat(2, 1), 0);
+        p.buffer(NodeId(1), 2, 0);
         let rep = p.finish();
         assert!(rep.violations.iter().any(|v| matches!(
             v,
@@ -1226,9 +1250,9 @@ mod tests {
     #[test]
     fn windows_roll_and_late_events_are_tolerated() {
         let mut p = probe(2);
-        p.queue_depth(rat(1, 1), 1);
-        p.queue_depth(rat(37, 1), 3); // rolls into window 1
-        p.queue_depth(rat(5, 1), 9); // straggler from window 0
+        p.queue_depth(1, 1);
+        p.queue_depth(37, 3); // rolls into window 1
+        p.queue_depth(5, 9); // straggler from window 0
         let rep = p.finish();
         assert_eq!(rep.windows, 1);
         assert_eq!(rep.late_events, 1);
@@ -1243,11 +1267,13 @@ mod tests {
 
     #[test]
     fn a_long_gap_closes_every_skipped_window_on_exact_bounds() {
+        // Quarter ticks: every window bound k·5/2 is a whole tick.
         let mut p = MonitorProbe::new(1, NodeId(0), MonitorConfig::new(rat(5, 2)));
-        p.queue_depth(rat(1, 1), 1);
-        p.queue_depth(rat(51, 4), 2); // 12.75 lies in window 5, [25/2, 15)
-        p.queue_depth(rat(5, 2), 3); // window 1: late
-        p.queue_depth(rat(25, 2), 4); // the live window's own start
+        p.start(TickScale::new(4).unwrap());
+        p.queue_depth(4, 1);
+        p.queue_depth(51, 2); // 12.75 lies in window 5, [25/2, 15)
+        p.queue_depth(10, 3); // 5/2, window 1: late
+        p.queue_depth(50, 4); // 25/2, the live window's own start
         let rep = p.finish();
         assert_eq!(rep.windows, 5);
         assert_eq!(rep.late_events, 1);
@@ -1259,9 +1285,26 @@ mod tests {
     }
 
     #[test]
+    fn window_bounds_between_ticks_round_up() {
+        // Whole ticks, windows of 5/2: window 0 holds ticks 0, 1, 2 and
+        // window 1 starts at tick 3, the first one past 5/2.
+        let mut p = MonitorProbe::new(1, NodeId(0), MonitorConfig::new(rat(5, 2)));
+        p.queue_depth(2, 1);
+        p.queue_depth(3, 2);
+        p.queue_depth(5, 3);
+        p.queue_depth(2, 4); // late: before 5/2's ceiling
+        let rep = p.finish();
+        assert_eq!(rep.windows, 2);
+        assert_eq!(rep.late_events, 1);
+        let depths: Vec<u64> = rep.snapshots.iter().map(|s| s.queue_depth_max).collect();
+        assert_eq!(depths, [1, 2, 4]);
+        assert_eq!((rep.snapshots[2].from, rep.snapshots[2].to), (rat(5, 1), rat(15, 2)));
+    }
+
+    #[test]
     fn snapshot_json_has_the_documented_fields() {
         let mut p = probe(1);
-        p.queue_depth(rat(40, 1), 2);
+        p.queue_depth(40, 2);
         let rep = p.finish();
         let jsonl = rep.snapshots_jsonl();
         let first = jsonl.lines().next().expect("one line per window");
@@ -1292,7 +1335,7 @@ mod tests {
         let fed = MAX_VIOLATIONS as i128 + 3;
         for k in 0..fed {
             // Receives with no pending send.
-            p.segment(NodeId(1), SegmentKind::Receive, rat(k, 1), rat(k + 1, 1));
+            p.segment(NodeId(1), SegmentKind::Receive, k, k + 1);
         }
         let rep = p.finish();
         assert_eq!(rep.violations.len(), MAX_VIOLATIONS);

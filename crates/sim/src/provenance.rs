@@ -21,7 +21,7 @@
 
 use crate::engine::SimConfig;
 use crate::gantt::SegmentKind;
-use crate::probe::{ts, Probe};
+use crate::probe::{ts, Probe, TickScale};
 use bwfirst_core::schedule::{SlotAction, TreeSchedule};
 use bwfirst_obs::causal::{Action, Dispatch, STOCK_BASE};
 use bwfirst_obs::{Trace, TraceHeader, TraceRecord};
@@ -33,6 +33,8 @@ use std::collections::VecDeque;
 #[derive(Debug)]
 pub struct ProvenanceProbe {
     records: Vec<TraceRecord>,
+    /// The run's scale: record times are its ticks, reduced.
+    scale: TickScale,
     next_task: i128,
     next_stock: i128,
     /// Buffered, not-yet-dispatched task ids per node (oldest first).
@@ -70,6 +72,7 @@ impl ProvenanceProbe {
         }
         ProvenanceProbe {
             records: Vec::new(),
+            scale: TickScale::ONE,
             next_task: 0,
             next_stock: STOCK_BASE,
             arrivals: vec![VecDeque::new(); n],
@@ -99,7 +102,11 @@ impl ProvenanceProbe {
 }
 
 impl Probe for ProvenanceProbe {
-    fn segment(&mut self, node: NodeId, kind: SegmentKind, start: Rat, end: Rat) {
+    fn start(&mut self, scale: TickScale) {
+        self.scale = scale;
+    }
+
+    fn segment(&mut self, node: NodeId, kind: SegmentKind, start: i128, end: i128) {
         if kind != SegmentKind::Compute {
             return;
         }
@@ -107,13 +114,13 @@ impl Probe for ProvenanceProbe {
             self.records.push(TraceRecord::Compute {
                 task,
                 node: node.0,
-                start: ts(start),
-                end: ts(end),
+                start: self.scale.ts(start),
+                end: self.scale.ts(end),
             });
         }
     }
 
-    fn task_enter(&mut self, node: NodeId, t: Rat, stock: bool) {
+    fn task_enter(&mut self, node: NodeId, t: i128, stock: bool) {
         let task = if stock {
             self.next_stock += 1;
             self.next_stock - 1
@@ -121,11 +128,11 @@ impl Probe for ProvenanceProbe {
             self.next_task += 1;
             self.next_task - 1
         };
-        self.records.push(TraceRecord::Enter { task, node: node.0, t: ts(t), stock });
+        self.records.push(TraceRecord::Enter { task, node: node.0, t: self.scale.ts(t), stock });
         self.arrivals[node.index()].push_back(task);
     }
 
-    fn task_dispatch(&mut self, node: NodeId, t: Rat, action: SlotAction, slot: Option<u64>) {
+    fn task_dispatch(&mut self, node: NodeId, t: i128, action: SlotAction, slot: Option<u64>) {
         let i = node.index();
         let Some(task) = self.arrivals[i].pop_front() else { return };
         let (act, psi) = match action {
@@ -140,7 +147,7 @@ impl Probe for ProvenanceProbe {
         self.records.push(TraceRecord::Dispatch(Dispatch {
             task,
             node: node.0,
-            t: ts(t),
+            t: self.scale.ts(t),
             action: act,
             slot: slot.map(i128::from),
             psi,
@@ -152,12 +159,12 @@ impl Probe for ProvenanceProbe {
         }
     }
 
-    fn task_delivered(&mut self, node: NodeId, t: Rat) {
+    fn task_delivered(&mut self, node: NodeId, t: i128) {
         let i = node.index();
         let (Some(task), Some(from)) = (self.inflight[i].pop_front(), self.parent[i]) else {
             return;
         };
-        self.records.push(TraceRecord::Deliver { task, node: node.0, from, t: ts(t) });
+        self.records.push(TraceRecord::Deliver { task, node: node.0, from, t: self.scale.ts(t) });
         self.arrivals[i].push_back(task);
     }
 }

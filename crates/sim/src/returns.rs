@@ -64,8 +64,11 @@ enum Ev {
 
 #[derive(Default)]
 struct NodeState {
-    /// The parent and the link time to it (the root has neither).
-    up: Option<(NodeId, Rat)>,
+    /// Compute time in ticks, `None` on a switch.
+    w: Option<i128>,
+    /// The parent, the link time from it and the result-return time to it,
+    /// in ticks (the root has none).
+    up: Option<Up>,
     cursor: BunchCursor,
     pending_cpu: u64,
     send_queue: VecDeque<NodeId>,
@@ -75,29 +78,38 @@ struct NodeState {
     recv_free: bool,
 }
 
+/// A node's edge to its parent.
+#[derive(Clone, Copy)]
+struct Up {
+    parent: NodeId,
+    /// Task transfer time `c`, in ticks.
+    down: i128,
+    /// Result transfer time `ρ·c`, in ticks.
+    back: i128,
+}
+
 struct Returns<'a, P> {
     eng: Engine<Ev, P>,
     platform: &'a Platform,
     ratio: Rat,
-    release_step: Rat,
+    release_step: i128,
     nodes: Vec<NodeState>,
 }
 
 impl<P: Probe> Policy for Returns<'_, P> {
     type Event = Ev;
     type Probe = P;
-    type Error = SimError;
 
     fn engine(&mut self) -> &mut Engine<Ev, P> {
         &mut self.eng
     }
 
     fn start(&mut self) -> Result<(), SimError> {
-        self.eng.release_at(Rat::ZERO, Ev::Release);
+        self.eng.release_at(0, Ev::Release);
         Ok(())
     }
 
-    fn on_event(&mut self, t: Rat, ev: Ev) -> Result<(), SimError> {
+    fn on_event(&mut self, t: i128, ev: Ev) -> Result<(), SimError> {
         match ev {
             Ev::Release => {
                 let root = self.platform.root();
@@ -135,7 +147,7 @@ impl<P: Probe> Policy for Returns<'_, P> {
 }
 
 impl<P: Probe> Returns<'_, P> {
-    fn assign(&mut self, node: NodeId, t: Rat) -> Result<(), SimError> {
+    fn assign(&mut self, node: NodeId, t: i128) -> Result<(), SimError> {
         let n = &mut self.nodes[node.index()];
         let (action, slot) = next_action(node, &mut n.cursor)?;
         self.eng.probe.task_dispatch(node, t, action, Some(slot));
@@ -152,12 +164,12 @@ impl<P: Probe> Returns<'_, P> {
         }
     }
 
-    fn try_cpu(&mut self, node: NodeId, t: Rat) -> Result<(), SimError> {
+    fn try_cpu(&mut self, node: NodeId, t: i128) -> Result<(), SimError> {
         let n = &mut self.nodes[node.index()];
         if n.cpu_busy || n.pending_cpu == 0 {
             return Ok(());
         }
-        let w = self.platform.weight(node).time().ok_or(SimError::SwitchComputes(node))?;
+        let w = n.w.ok_or(SimError::SwitchComputes(node))?;
         n.pending_cpu -= 1;
         n.cpu_busy = true;
         self.eng.buffer_add(node, t, -1);
@@ -172,19 +184,18 @@ impl<P: Probe> Returns<'_, P> {
     /// and results would pile up without bound. Returning first keeps the
     /// pipeline draining; the measured throughput loss relative to the
     /// forward-only prediction quantifies Section 9's open problem.
-    fn try_send(&mut self, node: NodeId, t: Rat) {
+    fn try_send(&mut self, node: NodeId, t: i128) {
         let i = node.index();
         if !self.nodes[i].send_free {
             return;
         }
         // Return a result if the parent can receive it.
         if self.nodes[i].results > 0 {
-            if let Some((parent, c)) = self.nodes[i].up {
+            if let Some(Up { parent, back: c, .. }) = self.nodes[i].up {
                 if self.nodes[parent.index()].recv_free {
                     self.nodes[i].results -= 1;
                     self.nodes[i].send_free = false;
                     self.nodes[parent.index()].recv_free = false;
-                    let c = c * self.ratio;
                     self.eng.transfer(node, parent, t, t + c);
                     self.eng.queue.push(t + c, Ev::UpEnd { child: node, parent });
                     return;
@@ -193,7 +204,7 @@ impl<P: Probe> Returns<'_, P> {
         }
         // Otherwise forward the head-of-line task.
         let Some(&child) = self.nodes[i].send_queue.front() else { return };
-        let Some((_, c)) = self.nodes[child.index()].up else { return };
+        let Some(Up { down: c, .. }) = self.nodes[child.index()].up else { return };
         if self.nodes[child.index()].recv_free {
             self.nodes[i].send_queue.pop_front();
             self.nodes[i].send_free = false;
@@ -205,7 +216,7 @@ impl<P: Probe> Returns<'_, P> {
     }
 
     /// A result materialized at `node`: complete at the root, relay else.
-    fn result_at(&mut self, node: NodeId, t: Rat) {
+    fn result_at(&mut self, node: NodeId, t: i128) {
         if node == self.platform.root() || self.ratio.is_zero() {
             self.eng.record_completion(node, t);
         } else {
@@ -215,12 +226,12 @@ impl<P: Probe> Returns<'_, P> {
     }
 
     /// Ports around `node` changed: give everyone affected a chance.
-    fn wake(&mut self, node: NodeId, t: Rat) {
+    fn wake(&mut self, node: NodeId, t: i128) {
         self.try_send(node, t);
         // The node's freed recv port may unblock its parent's task forwards
         // or its children's result returns.
         if self.nodes[node.index()].recv_free {
-            if let Some((parent, _)) = self.nodes[node.index()].up {
+            if let Some(Up { parent, .. }) = self.nodes[node.index()].up {
                 self.try_send(parent, t);
             }
             let platform = self.platform;
@@ -259,22 +270,33 @@ pub fn simulate_with_returns_probed(
     cfg: &SimConfig,
     probe: &mut impl Probe,
 ) -> Result<SimReport, SimError> {
-    if ret.return_ratio.is_negative() {
+    let ratio = ret.return_ratio;
+    if ratio.is_negative() {
         return Err(SimError::NegativeReturnRatio);
     }
-    let nodes = platform
-        .node_ids()
-        .map(|id| NodeState {
-            up: platform.parent(id).zip(platform.link_time(id)),
+    let release = release_step(&schedule.tree, platform.root())?;
+    let back = |c: Rat| c.checked_mul(ratio).ok();
+    let backs = platform.node_ids().filter_map(|id| platform.link_time(id).and_then(back));
+    let eng = Engine::new(platform, cfg, backs.chain([release]), probe)?;
+    let mut nodes = Vec::with_capacity(platform.len());
+    for id in platform.node_ids() {
+        let up = match platform.parent(id).zip(platform.link_time(id)) {
+            Some((parent, c)) => {
+                let back = back(c).ok_or(eng.overflow())?;
+                Some(Up { parent, down: eng.ticks(c)?, back: eng.ticks(back)? })
+            }
+            None => None,
+        };
+        nodes.push(NodeState {
+            w: platform.weight(id).time().map(|w| eng.ticks(w)).transpose()?,
+            up,
             cursor: schedule.cursor(id),
             send_free: true,
             recv_free: true,
             ..NodeState::default()
-        })
-        .collect();
-    let release_step = release_step(schedule, platform.root())?;
-    let eng = Engine::new(platform, cfg, [release_step, ret.return_ratio], probe);
-    Returns { eng, platform, ratio: ret.return_ratio, release_step, nodes }.run()
+        });
+    }
+    Returns { release_step: eng.ticks(release)?, eng, platform, ratio, nodes }.run()
 }
 
 #[cfg(test)]

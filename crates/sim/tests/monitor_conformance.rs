@@ -14,7 +14,7 @@ use bwfirst_sim::demand_driven::{self, DemandConfig};
 use bwfirst_sim::event_driven::{simulate_dynamic_probed, AdaptPolicy};
 use bwfirst_sim::monitor::{MonitorConfig, MonitorProbe, MonitorReport, MonitorViolation};
 use bwfirst_sim::returns::{simulate_with_returns_probed, ReturnConfig};
-use bwfirst_sim::{event_driven, Probe, SegmentKind, SimConfig};
+use bwfirst_sim::{event_driven, Probe, SegmentKind, SimConfig, TickScale};
 
 const PERIOD: i128 = 36; // synchronous period of the example tree
 const DEFAULT_CAPACITY: usize = 256; // `MonitorConfig::new`'s flight ring
@@ -120,19 +120,24 @@ fn returns_fig2_is_structurally_clean() {
 
 /// Forwards a real execution into the monitor but duplicates one send as an
 /// overlapping copy — the "corrupted schedule" of a node double-booking its
-/// port.
+/// port. The monitor counts half ticks, so the copy can start mid-transfer.
 struct DoubleSendInjector {
     inner: MonitorProbe,
     sends: u32,
 }
 
 impl Probe for DoubleSendInjector {
-    fn segment(&mut self, node: NodeId, kind: SegmentKind, start: Rat, end: Rat) {
+    fn start(&mut self, scale: TickScale) {
+        self.inner.start(TickScale::new(2 * scale.get()).unwrap());
+    }
+
+    fn segment(&mut self, node: NodeId, kind: SegmentKind, start: i128, end: i128) {
+        let (start, end) = (2 * start, 2 * end);
         self.inner.segment(node, kind, start, end);
         if let SegmentKind::Send(child) = kind {
             self.sends += 1;
             if self.sends == 5 && end > start {
-                let mid = (start + end) / Rat::TWO;
+                let mid = (start + end) / 2;
                 let shift = end - start;
                 self.inner.segment(node, SegmentKind::Send(child), mid, mid + shift);
                 self.inner.segment(child, SegmentKind::Receive, mid, mid + shift);
@@ -140,12 +145,12 @@ impl Probe for DoubleSendInjector {
         }
     }
 
-    fn queue_depth(&mut self, t: Rat, depth: usize) {
-        self.inner.queue_depth(t, depth);
+    fn queue_depth(&mut self, t: i128, depth: usize) {
+        self.inner.queue_depth(2 * t, depth);
     }
 
-    fn buffer(&mut self, node: NodeId, t: Rat, size: u64) {
-        self.inner.buffer(node, t, size);
+    fn buffer(&mut self, node: NodeId, t: i128, size: u64) {
+        self.inner.buffer(node, 2 * t, size);
     }
 }
 
@@ -184,7 +189,11 @@ struct TaskLossInjector {
 }
 
 impl Probe for TaskLossInjector {
-    fn segment(&mut self, node: NodeId, kind: SegmentKind, start: Rat, end: Rat) {
+    fn start(&mut self, scale: TickScale) {
+        self.inner.start(scale);
+    }
+
+    fn segment(&mut self, node: NodeId, kind: SegmentKind, start: i128, end: i128) {
         if node != NodeId(0) && matches!(kind, SegmentKind::Compute) {
             self.computes += 1;
             if self.computes == 10 {
@@ -194,11 +203,11 @@ impl Probe for TaskLossInjector {
         self.inner.segment(node, kind, start, end);
     }
 
-    fn queue_depth(&mut self, t: Rat, depth: usize) {
+    fn queue_depth(&mut self, t: i128, depth: usize) {
         self.inner.queue_depth(t, depth);
     }
 
-    fn buffer(&mut self, node: NodeId, t: Rat, size: u64) {
+    fn buffer(&mut self, node: NodeId, t: i128, size: u64) {
         self.inner.buffer(node, t, size);
     }
 }
@@ -284,23 +293,25 @@ fn fig2_snapshot_streams_of_every_executor_match_the_golden_files() {
 }
 
 /// A hand-written stream small enough that the dump holds every entry,
-/// violation marks included, at fractional timestamps.
+/// violation marks included, at fractional timestamps (sixths: tick `k` is
+/// time `k/6`).
 #[test]
 fn handwritten_stream_postmortem_matches_the_golden_file() {
     let mut mon = MonitorProbe::new(3, NodeId(0), MonitorConfig::new(rat(36, 1)));
-    mon.buffer(NodeId(1), rat(0, 1), 2);
-    mon.segment(NodeId(0), SegmentKind::Send(NodeId(1)), rat(0, 1), rat(4, 3));
-    mon.segment(NodeId(1), SegmentKind::Receive, rat(0, 1), rat(4, 3));
-    mon.queue_depth(rat(1, 2), 3);
-    mon.buffer(NodeId(1), rat(4, 3), 3);
+    mon.start(TickScale::new(6).unwrap());
+    mon.buffer(NodeId(1), 0, 2);
+    mon.segment(NodeId(0), SegmentKind::Send(NodeId(1)), 0, 8); // [0, 4/3)
+    mon.segment(NodeId(1), SegmentKind::Receive, 0, 8);
+    mon.queue_depth(3, 3); // 1/2
+    mon.buffer(NodeId(1), 8, 3);
     // Overlaps node 0's port: starts at 1 < 4/3.
-    mon.segment(NodeId(0), SegmentKind::Send(NodeId(2)), rat(1, 1), rat(5, 2));
-    mon.segment(NodeId(2), SegmentKind::Receive, rat(1, 1), rat(5, 2));
-    mon.buffer(NodeId(1), rat(3, 2), 2);
-    mon.segment(NodeId(1), SegmentKind::Compute, rat(3, 2), rat(7, 2));
-    // A receive with no pending send, then a compute nothing was drained for.
-    mon.segment(NodeId(2), SegmentKind::Receive, rat(40, 1), rat(41, 1));
-    mon.segment(NodeId(2), SegmentKind::Compute, rat(41, 1), rat(43, 1));
+    mon.segment(NodeId(0), SegmentKind::Send(NodeId(2)), 6, 15); // [1, 5/2)
+    mon.segment(NodeId(2), SegmentKind::Receive, 6, 15);
+    mon.buffer(NodeId(1), 9, 2); // 3/2
+    mon.segment(NodeId(1), SegmentKind::Compute, 9, 21); // [3/2, 7/2)
+                                                         // A receive with no pending send, then a compute nothing was drained for.
+    mon.segment(NodeId(2), SegmentKind::Receive, 240, 246); // [40, 41)
+    mon.segment(NodeId(2), SegmentKind::Compute, 246, 258); // [41, 43)
     let rep = mon.finish();
     assert!(rep.violations.len() >= 3, "{:?}", rep.violations);
     assert_golden("postmortem_handwritten.json", &dump_text(&rep));
