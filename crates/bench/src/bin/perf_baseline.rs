@@ -39,8 +39,7 @@ use bwfirst_platform::{generators, Weight};
 use bwfirst_proto::ProtocolSession;
 use bwfirst_rational::{rat, reference, Rat};
 use bwfirst_sim::{
-    event_driven, trace_header, MonitorConfig, MonitorProbe, NoProbe, ObsProbe, ProvenanceProbe,
-    SimConfig,
+    event_driven, trace_header, MonitorConfig, MonitorProbe, ObsProbe, ProvenanceProbe, SimConfig,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -419,11 +418,7 @@ fn measure_sim(opts: &Opts, iters: u32) -> BenchReport {
             iters: pair_iters,
         });
     };
-    // Each probed run is statically dispatched, as in production; the
-    // probed entry point with the no-op probe must cost nothing.
-    toggled("simulate_example_noprobe_10", "probed entry point with `NoProbe`", &mut || {
-        black_box(event_driven::simulate_probed(&p, &ev, &cfg_10, &mut NoProbe).expect("sim"));
-    });
+    // Each probed run is statically dispatched, as in production.
     // Every hook forwarded to a collecting recorder.
     toggled("simulate_example_obs_10", "`ObsProbe` over a `MemoryRecorder`", &mut || {
         let mut rec = MemoryRecorder::new();

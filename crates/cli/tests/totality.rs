@@ -31,15 +31,6 @@ const EXPECTED: &[(&str, &str, &str)] = &[
     // The clocked prefill hands its χ stock to the provenance probe one task
     // at a time: a 5 GB allocation fails.
     ("abort", "hetero-8-1 hetero-8-3 hetero-20-3", "trace-record/clocked"),
-    // The demand executors' t = 0 demand cascade is O(n·depth); `stats`, whose
-    // comparison runs them, ends in a stack overflow after ~25 s (the
-    // `replenish`↔`dispatch` recursion is as deep as the chain).
-    (
-        "timeout",
-        "chain-100000",
-        "stats simulate/demand simulate/demand-int monitor/demand monitor/demand-int \
-        trace-record/demand trace-record/demand-int",
-    ),
 ];
 
 /// The hand-written inputs: a switch root, a near-zero link time and

@@ -2,12 +2,13 @@
 //! the baseline the paper compares against (Sections 2 and 7).
 //!
 //! No node knows any rates. Instead each node tries to keep a local stock of
-//! [`STOCK_TARGET`] tasks: whenever `buffered + in-flight + outstanding`
-//! drops below the target it *requests* the deficit from its parent
-//! (requests are control messages of negligible size, modeled as
-//! instantaneous). A parent with a free sending port and a buffered task
-//! serves the *fastest-link* child among those with pending requests — the
-//! bandwidth-centric tie-break. CPUs consume greedily from the local
+//! [`STOCK_TARGET`] tasks on top of what its children asked it for: it
+//! *requests* tasks from its parent (control messages of negligible size,
+//! modeled as instantaneous), so demand propagates from the actual
+//! consumers up to the root and a pure switch never hoards tasks nobody
+//! downstream asked for. A parent with a free sending port and a buffered
+//! task serves the *fastest-link* child among those with pending requests
+//! — the bandwidth-centric tie-break. CPUs consume greedily from the local
 //! buffer, with child service taking priority when both want the same task.
 //!
 //! Both of Kreaseck et al.'s communication models are implemented
@@ -23,6 +24,17 @@
 //! As the paper observes of this class of protocols, decisions are locally
 //! greedy and can be non-optimal: start-up phases stretch and buffers grow
 //! compared with the event-driven schedule (experiment E7).
+//!
+//! Between events every node below the root holds exactly its demand:
+//! `buffered + in-flight + outstanding` equals its own target plus its
+//! children's `outstanding` requests. Sends and deliveries keep that
+//! balance; a CPU start takes one task and so *climbs*: it adds one to
+//! `outstanding` on every node from itself up to the root's child, then
+//! dispatches those ancestors root first, from an explicit stack. At
+//! `t = 0` (ids list parents first, no task below the root) each node
+//! under the root's children requests its subtree's targets, summed in one
+//! pass; each root child receives its subtree's targets in node order, a
+//! root dispatch after each.
 
 // R2: typed errors, no panics (rules: docs/ANALYSIS.md).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -65,7 +77,6 @@ enum Ev {
 /// An in-progress transfer on a node's sending port.
 struct CurrentSend {
     child: NodeId,
-    slot: usize,
     token: u64,
     seg_start: i128,
     end: i128,
@@ -74,7 +85,6 @@ struct CurrentSend {
 /// A transfer paused by an interruption, with its remaining ticks.
 struct PausedSend {
     child: NodeId,
-    slot: usize,
     remaining: i128,
 }
 
@@ -84,15 +94,12 @@ struct NodeState {
     w: Option<i128>,
     /// Link time from the parent in ticks (zero at the root).
     link: i128,
-    /// The parent and this node's slot in its `pending` list.
-    up: Option<(NodeId, usize)>,
-    /// Children in bandwidth-centric order with their `pending` slot.
-    serve_order: Vec<(NodeId, usize)>,
-    inflight: u64,
+    parent: Option<NodeId>,
+    /// Children in bandwidth-centric order.
+    serve_order: Vec<NodeId>,
+    /// Tasks requested from the parent and not yet sent: the parent's
+    /// pending requests from this node.
     outstanding: u64,
-    /// Pending requests from each child (indexed like the platform's
-    /// child list).
-    pending: Vec<u64>,
     cpu_busy: bool,
     current_send: Option<CurrentSend>,
     paused: Vec<PausedSend>,
@@ -103,12 +110,14 @@ struct Demand<P> {
     demand: DemandConfig,
     nodes: Vec<NodeState>,
     next_token: u64,
+    /// Nodes still to dispatch at the current instant, the next on top.
+    stack: Vec<NodeId>,
 }
 
 /// What the port could do next.
 enum Candidate {
     Resume(usize),
-    Fresh { child: NodeId, slot: usize },
+    Fresh(NodeId),
 }
 
 impl<P: Probe> Policy for Demand<P> {
@@ -120,12 +129,30 @@ impl<P: Probe> Policy for Demand<P> {
     }
 
     fn start(&mut self) -> Result<(), SimError> {
-        // Every non-root node issues its initial demand at t = 0, which
-        // cascades requests up to the root.
-        for i in 0..self.nodes.len() {
-            self.replenish(NodeId(i as u32), 0);
+        let root = self.eng.root;
+        let own = |n: &NodeState| if n.w.is_some() { STOCK_TARGET } else { 0 };
+        // Below the root's children each node requests its subtree's stock
+        // targets; ids list parents first, so children are summed first.
+        for i in (0..self.nodes.len()).rev() {
+            let Some(p) = self.nodes[i].parent.filter(|&p| p != root) else { continue };
+            self.nodes[i].outstanding += own(&self.nodes[i]);
+            if self.nodes[p.index()].parent != Some(root) {
+                let subtree = self.nodes[i].outstanding;
+                self.nodes[p.index()].outstanding += subtree;
+            }
         }
-        self.dispatch(self.eng.root, 0);
+        // The root's children, one stock target at a time in node order;
+        // `top[i]` is the child of the root above node `i`.
+        let mut top = vec![root; self.nodes.len()];
+        for i in 0..self.nodes.len() {
+            let Some(p) = self.nodes[i].parent else { continue };
+            top[i] = if p == root { NodeId(i as u32) } else { top[p.index()] };
+            if own(&self.nodes[i]) > 0 {
+                self.nodes[top[i].index()].outstanding += STOCK_TARGET;
+                self.serve(root, 0);
+            }
+        }
+        self.serve(root, 0);
         Ok(())
     }
 
@@ -134,7 +161,7 @@ impl<P: Probe> Policy for Demand<P> {
             Ev::CpuEnd(node) => {
                 self.nodes[node.index()].cpu_busy = false;
                 self.eng.complete(node, t);
-                self.dispatch(node, t);
+                self.serve(node, t);
             }
             Ev::TransferEnd { node, token } => self.on_transfer_end(node, token, t),
         }
@@ -143,27 +170,13 @@ impl<P: Probe> Policy for Demand<P> {
 }
 
 impl<P: Probe> Demand<P> {
-    /// Re-issues requests so that stock + in-flight + outstanding covers the
-    /// node's *demand*: its own compute stock (if it can compute) plus the
-    /// requests its children have outstanding with it. Demand therefore
-    /// propagates from the actual consumers up to the root — a pure switch
-    /// never hoards tasks nobody downstream asked for. Control messages are
-    /// instantaneous.
-    fn replenish(&mut self, node: NodeId, t: i128) {
-        let n = &mut self.nodes[node.index()];
-        let Some((parent, slot)) = n.up else { return };
-        let own = if n.w.is_some() { STOCK_TARGET } else { 0 };
-        let desired = own + n.pending.iter().sum::<u64>();
-        let have = self.eng.buffered(node) + n.inflight + n.outstanding;
-        if have >= desired {
-            return;
+    /// Dispatches `node`, then every ancestor a CPU start climbed past,
+    /// until nothing is left to serve at `t`.
+    fn serve(&mut self, node: NodeId, t: i128) {
+        self.stack.push(node);
+        while let Some(next) = self.stack.pop() {
+            self.dispatch(next, t);
         }
-        let deficit = desired - have;
-        n.outstanding += deficit;
-        self.nodes[parent.index()].pending[slot] += deficit;
-        // Demand travels upward before the parent decides what to do.
-        self.replenish(parent, t);
-        self.dispatch(parent, t);
     }
 
     /// The best next use of the sending port: the fastest link among paused
@@ -179,12 +192,11 @@ impl<P: Probe> Demand<P> {
             }
         }
         if self.eng.has_task(node, t) {
-            if let Some(&(child, slot)) =
-                n.serve_order.iter().find(|&&(_, slot)| n.pending[slot] > 0)
-            {
+            let requested = |k: &&NodeId| self.nodes[k.index()].outstanding > 0;
+            if let Some(&child) = n.serve_order.iter().find(requested) {
                 let c = link(child);
                 if best.as_ref().is_none_or(|(bc, _)| c < *bc) {
-                    best = Some((c, Candidate::Fresh { child, slot }));
+                    best = Some((c, Candidate::Fresh(child)));
                 }
             }
         }
@@ -195,23 +207,21 @@ impl<P: Probe> Demand<P> {
         let i = node.index();
         let token = self.next_token;
         self.next_token += 1;
-        let (child, slot, duration) = match cand {
+        let (child, duration) = match cand {
             Candidate::Resume(pi) => {
                 let p = self.nodes[i].paused.swap_remove(pi);
-                (p.child, p.slot, p.remaining)
+                (p.child, p.remaining)
             }
-            Candidate::Fresh { child, slot } => {
+            Candidate::Fresh(child) => {
                 self.eng.take(node, t);
                 self.eng.probe.task_dispatch(node, t, SlotAction::Send(child), None);
-                self.nodes[i].pending[slot] -= 1;
                 let k = &mut self.nodes[child.index()];
                 k.outstanding -= 1;
-                k.inflight += 1;
-                (child, slot, k.link)
+                (child, k.link)
             }
         };
         self.nodes[i].current_send =
-            Some(CurrentSend { child, slot, token, seg_start: t, end: t + duration });
+            Some(CurrentSend { child, token, seg_start: t, end: t + duration });
         self.eng.queue.push(t + duration, Ev::TransferEnd { node, token });
     }
 
@@ -223,10 +233,12 @@ impl<P: Probe> Demand<P> {
         if t > cur.seg_start {
             self.eng.transfer(node, cur.child, cur.seg_start, t);
         }
-        n.paused.push(PausedSend { child: cur.child, slot: cur.slot, remaining: cur.end - t });
+        n.paused.push(PausedSend { child: cur.child, remaining: cur.end - t });
     }
 
-    /// Serves pending child requests (port) and the local CPU.
+    /// Serves pending child requests (port) and the local CPU. A CPU start
+    /// climbs: it requests the task it took from the parent, and so on up
+    /// to the root, and stacks those ancestors for dispatch, root on top.
     fn dispatch(&mut self, node: NodeId, t: i128) {
         let i = node.index();
         // Interruptible model: a strictly faster candidate preempts.
@@ -241,7 +253,6 @@ impl<P: Probe> Demand<P> {
         if self.nodes[i].current_send.is_none() {
             if let Some((_, cand)) = self.best_candidate(node, t) {
                 self.start_send(node, t, cand);
-                self.replenish(node, t);
             }
         }
         // Then the CPU.
@@ -252,26 +263,28 @@ impl<P: Probe> Demand<P> {
                 self.nodes[i].cpu_busy = true;
                 self.eng.probe.segment(node, SegmentKind::Compute, t, t + w);
                 self.eng.queue.push(t + w, Ev::CpuEnd(node));
-                self.replenish(node, t);
+                let mut below = node;
+                while let Some(parent) = self.nodes[below.index()].parent {
+                    self.nodes[below.index()].outstanding += 1;
+                    self.stack.push(parent);
+                    below = parent;
+                }
             }
         }
     }
 
     fn on_transfer_end(&mut self, node: NodeId, token: u64, t: i128) {
         let current = &mut self.nodes[node.index()].current_send;
-        if current.as_ref().is_none_or(|c| c.token != token) {
+        let Some(cur) = current.take_if(|c| c.token == token) else {
             return; // interrupted transfer's stale completion
-        }
-        let Some(cur) = current.take() else { return };
+        };
         let child = cur.child;
         self.eng.transfer(node, child, cur.seg_start, t);
         self.eng.received[child.index()] += 1;
-        self.nodes[child.index()].inflight -= 1;
         self.eng.buffer_add(child, t, 1);
         self.eng.probe.task_delivered(child, t);
-        self.replenish(child, t);
-        self.dispatch(child, t);
-        self.dispatch(node, t);
+        self.serve(child, t);
+        self.serve(node, t);
     }
 }
 
@@ -318,36 +331,24 @@ pub fn try_simulate_probed(
     // link durations (interruption remainders are differences of the same
     // sums, so they are whole ticks too).
     let eng = Engine::new(platform, cfg, [], probe)?;
-    // Each node's slot in its parent's child list (and `pending`).
-    let mut slot = vec![0; platform.len()];
-    for id in platform.node_ids() {
-        for (s, &k) in platform.children(id).iter().enumerate() {
-            slot[k.index()] = s;
-        }
-    }
     let mut nodes = Vec::with_capacity(platform.len());
     for id in platform.node_ids() {
         nodes.push(NodeState {
             w: platform.weight(id).time().map(|w| eng.ticks(w)).transpose()?,
             link: platform.link_time(id).map_or(Ok(0), |c| eng.ticks(c))?,
-            up: platform.parent(id).map(|p| (p, slot[id.index()])),
-            serve_order: platform
-                .children_bandwidth_centric(id)
-                .into_iter()
-                .map(|k| (k, slot[k.index()]))
-                .collect(),
-            pending: vec![0; platform.children(id).len()],
+            parent: platform.parent(id),
+            serve_order: platform.children_bandwidth_centric(id),
             ..NodeState::default()
         });
     }
-    Demand { eng, demand, nodes, next_token: 0 }.run()
+    Demand { eng, demand, nodes, next_token: 0, stack: Vec::new() }.run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bwfirst_platform::examples::example_tree;
-    use bwfirst_platform::generators::{fork, star};
+    use bwfirst_platform::generators::{daisy_chain, fork, star};
     use bwfirst_platform::Weight;
     use bwfirst_rational::{rat, Rat};
 
@@ -468,5 +469,24 @@ mod tests {
         let non = simulate(&p, DemandConfig::default(), &horizon);
         let int = simulate(&p, DemandConfig::interruptible(), &horizon);
         assert!(int.total_computed() + 2 >= non.total_computed());
+    }
+
+    #[test]
+    fn a_deep_chain_runs_without_recursion() {
+        // Every CPU start climbs 20,000 levels: a recursive climb overflows
+        // a test thread's stack here.
+        let w = || Weight::Time(rat(4, 1));
+        let p = daisy_chain(w(), &vec![(w(), rat(1, 1)); 19_999]);
+        for demand in [DemandConfig::default(), DemandConfig::interruptible()] {
+            let rep = simulate(&p, demand, &SimConfig::to_horizon(rat(200, 1)));
+            assert!(rep.total_computed() > 0);
+            for id in p.node_ids() {
+                let forwarded: u64 = p.children(id).iter().map(|&k| rep.received[k.index()]).sum();
+                assert!(
+                    rep.received[id.index()] >= rep.computed[id.index()] + forwarded,
+                    "at {id}"
+                );
+            }
+        }
     }
 }

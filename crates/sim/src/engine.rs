@@ -451,11 +451,6 @@ impl<E, P: Probe> Engine<E, P> {
         true
     }
 
-    /// Current occupancy of one node's buffer.
-    pub fn buffered(&self, node: NodeId) -> u64 {
-        self.buffers.size(node)
-    }
-
     /// Changes one node's buffer by `delta` tasks at `t`.
     pub fn buffer_add(&mut self, node: NodeId, t: i128, delta: i64) {
         self.buffers.add(node, t, delta);

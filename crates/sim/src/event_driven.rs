@@ -29,9 +29,10 @@
 //! kinds. A **link change** alters an edge's communication time; transfers
 //! in flight finish at the old speed. The *stale* schedule keeps routing
 //! the old `ψ` proportions, so a degraded link clogs its parent's port. An
-//! **adaptation point** re-runs `BW-First` on the current platform (the
-//! Section 5 strategy) and swaps every node onto the new schedule;
-//! buffered tasks are kept and re-enter the new routing.
+//! **adaptation point** swaps every node onto the schedule `BW-First`
+//! derives for the platform as that point sees it (the Section 5 strategy;
+//! each point is solved once, before the run); buffered tasks are kept and
+//! re-enter the new routing.
 
 // R2: typed errors, no panics (rules: docs/ANALYSIS.md).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -40,9 +41,7 @@ use crate::engine::{Engine, Policy, SimConfig, SimReport};
 use crate::error::SimError;
 use crate::gantt::SegmentKind;
 use crate::probe::{NoProbe, Probe};
-use bwfirst_core::schedule::{
-    BunchCursor, EventDrivenSchedule, LocalScheduleKind, SlotAction, TreeSchedule,
-};
+use bwfirst_core::schedule::{BunchCursor, EventDrivenSchedule, SlotAction, TreeSchedule};
 use bwfirst_core::{bw_first, SteadyState};
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::Rat;
@@ -96,8 +95,9 @@ enum Ev {
     PortEnd(NodeId),
     /// The `idx`-th link change hits the platform.
     Change(usize),
-    /// Re-derive the schedule and swap every node onto it.
-    Adapt,
+    /// The adaptation point of the `idx`-th change: swap every node onto
+    /// its plan.
+    Adapt(usize),
 }
 
 #[derive(Default)]
@@ -126,30 +126,35 @@ pub(crate) fn release_step(schedule: &TreeSchedule, root: NodeId) -> Result<Rat,
     Ok(Rat::from_int(root.t_omega) / Rat::from_int(root.bunch))
 }
 
-/// The release steps the re-plans of a dynamic run will derive: for each
-/// adaptation point inside the horizon, the root's step on the platform as
-/// that point sees it. Change `k` fires at `(at, 2k)` and its adaptation
-/// point at `(at + delay, 2k + 1)` in the queue's (time, insertion) order,
-/// so a point sees exactly the changes ordered before it. Folded into the
-/// tick scale, they keep every re-plan's releases on the lattice.
-fn replan_steps(platform: &Platform, changes: &[LinkChange], delay: Rat, horizon: Rat) -> Vec<Rat> {
+/// The plan an adaptation point swaps onto: `None` when the platform it
+/// sees has nothing to schedule (the run keeps its plan), else the schedule
+/// and its release step, or the error that fails the run at the point.
+type Replan = Option<Result<(EventDrivenSchedule, Rat), SimError>>;
+
+/// The plans of a dynamic run's adaptation points, one per change: for
+/// each point inside the horizon, `BW-First` on the platform as that point
+/// sees it. Change `k` fires at `(at, 2k)` and its adaptation point at
+/// `(at + delay, 2k + 1)` in the queue's (time, insertion) order, so a
+/// point sees exactly the changes ordered before it. Their release steps,
+/// folded into the tick scale, keep every re-plan's releases on the
+/// lattice.
+fn replans(platform: &Platform, changes: &[LinkChange], delay: Rat, horizon: Rat) -> Vec<Replan> {
     let mut fired: Vec<usize> = (0..changes.len()).collect();
     fired.sort_by_key(|&j| (changes[j].at, j));
-    let mut steps = Vec::new();
-    for (k, ch) in changes.iter().enumerate() {
-        let Some(point) = ch.at.checked_add(delay).ok().filter(|&t| t <= horizon) else { continue };
+    let replan = |(k, ch): (usize, &LinkChange)| {
+        let point = ch.at.checked_add(delay).ok().filter(|&t| t <= horizon)?;
         let mut seen = platform.clone();
         for &j in fired.iter().take_while(|&&j| (changes[j].at, 2 * j) < (point, 2 * k + 1)) {
             seen.set_link_time(changes[j].child, changes[j].new_c);
         }
         let ss = SteadyState::from_solution(&bw_first(&seen));
-        if !ss.throughput.is_positive() {
-            continue;
-        }
-        let tree = TreeSchedule::build(&seen, &ss).ok();
-        steps.extend(tree.and_then(|tree| release_step(&tree, seen.root()).ok()));
-    }
-    steps
+        ss.throughput.is_positive().then(|| {
+            let schedule = EventDrivenSchedule::standard(&seen, &ss)?;
+            let step = release_step(&schedule.tree, seen.root())?;
+            Ok((schedule, step))
+        })
+    };
+    changes.iter().enumerate().map(replan).collect()
 }
 
 /// The next action of `node`'s cyclic local schedule, with its slot; the
@@ -163,9 +168,9 @@ pub(crate) fn next_action(
 
 struct EventDriven<'a, P> {
     eng: Engine<Ev, P>,
-    /// The platform as the run sees it (link changes copy it on write).
-    platform: Cow<'a, Platform>,
     schedule: Cow<'a, EventDrivenSchedule>,
+    /// The plan of each change's adaptation point, taken when it fires.
+    plans: Vec<Replan>,
     nodes: Vec<NodeState>,
     /// The root's release step in ticks.
     release_step: i128,
@@ -188,7 +193,7 @@ impl<P: Probe> Policy for EventDriven<'_, P> {
             self.eng.queue.push(self.eng.ticks(ch.at)?, Ev::Change(idx));
             if let AdaptPolicy::Renegotiate { delay } = self.adapt {
                 let point = self.eng.ticks(ch.at)?.checked_add(self.eng.ticks(delay)?);
-                self.eng.queue.push(point.ok_or(self.eng.overflow())?, Ev::Adapt);
+                self.eng.queue.push(point.ok_or(self.eng.overflow())?, Ev::Adapt(idx));
             }
         }
         self.eng.release_at(0, Ev::Release);
@@ -198,7 +203,7 @@ impl<P: Probe> Policy for EventDriven<'_, P> {
     fn on_event(&mut self, t: i128, ev: Ev) -> Result<(), SimError> {
         match ev {
             Ev::Release => {
-                let root = self.platform.root();
+                let root = self.eng.root;
                 self.eng.inject(t);
                 self.on_arrive(root, t)?;
                 self.eng.release_at(t + self.release_step, Ev::Release);
@@ -220,9 +225,8 @@ impl<P: Probe> Policy for EventDriven<'_, P> {
             Ev::Change(idx) => {
                 let ch = self.changes[idx];
                 self.nodes[ch.child.index()].c = Some(self.eng.ticks(ch.new_c)?);
-                self.platform.to_mut().set_link_time(ch.child, ch.new_c);
             }
-            Ev::Adapt => self.adapt(t)?,
+            Ev::Adapt(idx) => self.adapt(idx, t)?,
         }
         Ok(())
     }
@@ -295,19 +299,16 @@ impl<P: Probe> EventDriven<'_, P> {
         self.try_cpu(node, t)
     }
 
-    /// Recomputes the optimal schedule for the platform's *current* state
-    /// and swaps every node onto it. Its release step was folded into the
-    /// tick scale up front ([`replan_steps`]).
-    fn adapt(&mut self, t: i128) -> Result<(), SimError> {
-        let ss = SteadyState::from_solution(&bw_first(&self.platform));
-        if !ss.throughput.is_positive() {
+    /// Swaps every node onto the plan of change `idx`'s adaptation point,
+    /// derived up front ([`replans`]).
+    fn adapt(&mut self, idx: usize, t: i128) -> Result<(), SimError> {
+        let Some(plan) = self.plans.get_mut(idx).and_then(Option::take) else {
             return Ok(()); // nothing schedulable; keep the old one
-        }
-        let schedule =
-            EventDrivenSchedule::build(&self.platform, &ss, LocalScheduleKind::Interleaved)?;
-        self.release_step = self.eng.ticks(release_step(&schedule.tree, self.platform.root())?)?;
-        for (id, n) in self.platform.node_ids().zip(&mut self.nodes) {
-            n.cursor = schedule.cursor(id);
+        };
+        let (schedule, step) = plan?;
+        self.release_step = self.eng.ticks(step)?;
+        for (i, n) in self.nodes.iter_mut().enumerate() {
+            n.cursor = schedule.cursor(NodeId(i as u32));
         }
         self.schedule = Cow::Owned(schedule);
         self.adaptations.push(t);
@@ -327,10 +328,11 @@ fn run(
 ) -> Result<(SimReport, Vec<Rat>), SimError> {
     let release = release_step(&schedule.tree, platform.root())?;
     let delay = if let AdaptPolicy::Renegotiate { delay } = adapt { Some(delay) } else { None };
-    let replans = delay.map(|d| replan_steps(platform, changes, d, cfg.horizon));
+    let plans = delay.map_or_else(Vec::new, |d| replans(platform, changes, d, cfg.horizon));
+    let steps = plans.iter().flatten().flatten().map(|&(_, step)| step);
     let extras = (changes.iter().flat_map(|ch| [ch.at, ch.new_c]))
         .chain(delay)
-        .chain(replans.into_iter().flatten())
+        .chain(steps)
         .chain([release]);
     let eng = Engine::new(platform, cfg, extras, probe)?;
     let mut nodes = Vec::with_capacity(platform.len());
@@ -354,8 +356,8 @@ fn run(
     let mut sim = EventDriven {
         release_step: eng.ticks(release)?,
         eng,
-        platform: Cow::Borrowed(platform),
         schedule,
+        plans,
         nodes,
         changes,
         adapt,
@@ -721,7 +723,8 @@ mod tests {
         // denominator the original scale lacks; it is folded in up front.
         let p = example_tree();
         let changes = [LinkChange { at: rat(120, 1), child: NodeId(1), new_c: rat(25, 3) }];
-        let steps = replan_steps(&p, &changes, rat(5, 2), rat(280, 1));
+        let plans = replans(&p, &changes, rat(5, 2), rat(280, 1));
+        let steps: Vec<Rat> = plans.into_iter().flatten().map(|plan| plan.unwrap().1).collect();
         assert_eq!(steps.len(), 1);
         let scale = crate::engine::tick_scale_hint(&p, [rat(25, 3), rat(5, 2)]).unwrap();
         assert_eq!(scale.ticks(steps[0]), None, "the step adds a denominator");
@@ -730,7 +733,7 @@ mod tests {
         let (_, adaptations) = simulate_dynamic(&p, &changes, policy, &cfg).unwrap();
         assert_eq!(adaptations, vec![rat(245, 2)]);
         // A point past the horizon never fires and adds nothing.
-        assert!(replan_steps(&p, &changes, rat(5, 2), rat(100, 1)).is_empty());
+        assert!(replans(&p, &changes, rat(5, 2), rat(100, 1)).iter().all(Option::is_none));
     }
 
     fn degrade_at_120() -> Vec<LinkChange> {
