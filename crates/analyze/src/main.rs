@@ -8,8 +8,6 @@
 //!   trace <path>     schema-check a provenance trace (`obs::causal::Trace::parse`)
 //!
 //!   --max-nodes N    model-check all trees up to N nodes (default: 7)
-//!   --threads N      worker threads for the model checker
-//!                    (default: available parallelism)
 //!   --postmortem P   write the first model counterexample to P as a
 //!                    `bwfirst-postmortem/1` artifact
 //!   --json           machine-readable output on stdout
@@ -18,6 +16,10 @@
 //! The source invariants (exact arithmetic, typed errors, exhaustive message
 //! matches) are clippy lints denied in the crates and modules they guard;
 //! see `docs/ANALYSIS.md`.
+//!
+//! The model checker runs on as many threads as the host offers
+//! (`std::thread::available_parallelism()`); `--json` reports that width as
+//! `threads`.
 //!
 //! Exit code 0 when clean, 1 on any property violation or schema error, 2 on
 //! usage errors.
@@ -38,19 +40,12 @@ enum Command {
 struct Options {
     command: Command,
     max_nodes: usize,
-    threads: usize,
     postmortem: Option<PathBuf>,
     json: bool,
 }
 
 fn parse(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        command: Command::Model,
-        postmortem: None,
-        max_nodes: 7,
-        threads: bwfirst_parallel::available_threads(),
-        json: false,
-    };
+    let mut opts = Options { command: Command::Model, postmortem: None, max_nodes: 7, json: false };
     let mut it = args.iter();
     let mut saw_command = false;
     while let Some(a) = it.next() {
@@ -59,10 +54,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--max-nodes" => {
                 let v = it.next().ok_or("--max-nodes needs a value")?;
                 opts.max_nodes = v.parse().map_err(|_| format!("bad --max-nodes `{v}`"))?;
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                opts.threads = v.parse().map_err(|_| format!("bad --threads `{v}`"))?;
             }
             "--postmortem" => {
                 opts.postmortem =
@@ -89,7 +80,7 @@ fn main() -> ExitCode {
             eprintln!("bwfirst-analyze: {e}");
             eprintln!(
                 "usage: bwfirst-analyze [model|snapshots <path>|trace <path>] \
-                       [--max-nodes N] [--threads N] [--postmortem P] [--json]"
+                       [--max-nodes N] [--postmortem P] [--json]"
             );
             return ExitCode::from(2);
         }
@@ -180,8 +171,9 @@ fn report(verb: &str, outcome: Outcome, json: bool) -> bool {
 
 /// Runs the model checker; returns true when violations were found.
 fn run_model(opts: &Options) -> bool {
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let start = std::time::Instant::now();
-    let report = model::check(opts.max_nodes, 8, opts.threads);
+    let report = model::check(opts.max_nodes, 8, threads);
     let elapsed = start.elapsed();
     if let Some(path) = &opts.postmortem {
         if let Some(v) = report.violations.first() {
@@ -215,7 +207,7 @@ fn run_model(opts: &Options) -> bool {
             ("max_nodes", Value::Int(opts.max_nodes as i128)),
             ("instances", Value::Int(report.instances as i128)),
             ("messages", Value::Int(i128::from(report.messages))),
-            ("threads", Value::Int(opts.threads as i128)),
+            ("threads", Value::Int(threads as i128)),
             ("millis", Value::Int(i128::from(elapsed.as_millis() as u64))),
             ("violations", violations),
         ]);

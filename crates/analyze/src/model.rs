@@ -33,10 +33,10 @@ use crate::trees::{for_each_instance, Instance};
 use bwfirst_core::{bottom_up, bw_first, BwFirstSolution, TraceEvent};
 use bwfirst_obs::json::{obj, Value};
 use bwfirst_obs::{Event, EventKind, FlightRecorder, Ts};
-use bwfirst_parallel::Pool;
 use bwfirst_platform::{NodeId, Weight};
 use bwfirst_proto::{ProtoError, ProtocolSession};
 use bwfirst_rational::Rat;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One property failure, with everything needed to replay it.
 #[derive(Debug, Clone)]
@@ -105,22 +105,58 @@ pub struct ModelReport {
 
 /// Checks every instance with at most `max_nodes` nodes, each independently
 /// (so the report shows the smallest trees that fail). `max_violations`
-/// caps the violations collected in the report; `threads` fans the
-/// instances out over a [`Pool`].
+/// caps the violations collected in the report; `threads` scoped workers
+/// share the instances, each claiming the next unchecked one.
 ///
-/// The report is identical for every thread count: message counts sum
-/// commutatively and violations are collected in instance order.
+/// The report is identical for every thread count: results are merged in
+/// instance order, so message counts and violations come out the same.
 #[must_use]
 pub fn check(max_nodes: usize, max_violations: usize, threads: usize) -> ModelReport {
+    check_with(max_nodes, max_violations, threads, |inst| {
+        check_instance(inst, &bw_first(&inst.platform))
+    })
+}
+
+/// [`check`] with the per-instance check `check_one`, which tests replace.
+fn check_with<F>(
+    max_nodes: usize,
+    max_violations: usize,
+    threads: usize,
+    check_one: F,
+) -> ModelReport
+where
+    F: Fn(&Instance) -> Result<u64, Box<Violation>> + Sync,
+{
     let mut instances: Vec<Instance> = Vec::new();
     let (count, _) = for_each_instance(max_nodes, |inst| {
         instances.push(inst.clone());
         true
     });
-    let results =
-        Pool::new(threads).map(instances, |inst| check_instance(&inst, &bw_first(&inst.platform)));
+    // Each worker claims the next unchecked instance from a shared counter,
+    // so one slow instance holds up no other; results keep their instance
+    // index for the in-order merge.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            let Some(inst) = instances.get(k) else { return done };
+            done.push((k, check_one(inst)));
+        }
+    };
+    let width = threads.clamp(1, instances.len().max(1));
+    let mut results = if width == 1 {
+        work()
+    } else {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..width).map(|_| scope.spawn(work)).collect();
+            let joined = workers.into_iter().map(std::thread::ScopedJoinHandle::join);
+            joined.flat_map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e))).collect()
+        })
+    };
+    results.sort_unstable_by_key(|&(k, _)| k);
     let mut report = ModelReport { instances: count, ..ModelReport::default() };
-    for result in results {
+    for (_, result) in results {
         match result {
             Ok(messages) => report.messages += messages,
             Err(v) if report.violations.len() < max_violations => report.violations.push(*v),
@@ -240,13 +276,43 @@ mod tests {
         assert!(report.messages >= 2 * report.instances as u64);
     }
 
+    /// A report as comparable values: instance count, message sum, and
+    /// every violation (message, instance and trace) in order.
+    fn whole(r: &ModelReport) -> (usize, u64, Vec<String>) {
+        (r.instances, r.messages, r.violations.iter().map(ToString::to_string).collect())
+    }
+
     #[test]
     fn parallel_check_reports_exactly_what_serial_does() {
-        let serial = check(4, 8, 1);
-        let parallel = check(4, 8, 4);
-        assert_eq!(serial.instances, parallel.instances);
-        assert_eq!(serial.messages, parallel.messages);
-        assert_eq!(serial.violations.len(), parallel.violations.len());
+        let serial = check(6, 8, 1);
+        assert_eq!(serial.instances, 462); // (1+1+2+6+24+120) shapes × 3 variants
+        assert!(serial.violations.is_empty(), "{:?}", serial.violations);
+        for threads in [2, 3, 8] {
+            assert_eq!(whole(&check(6, 8, threads)), whole(&serial), "{threads} workers");
+        }
+    }
+
+    #[test]
+    fn parallel_violations_keep_instance_order() {
+        // A stand-in check that fails every instance with an odd node
+        // count, so the merge order and the cap both show.
+        let flaky = |inst: &Instance| -> Result<u64, Box<Violation>> {
+            let n = inst.platform.len();
+            if n % 2 == 1 {
+                let (instance, trace) = (inst.describe(), vec![format!("{n} nodes")]);
+                Err(Box::new(Violation { instance, trace, message: "odd".into() }))
+            } else {
+                Ok(n as u64)
+            }
+        };
+        for cap in [usize::MAX, 8] {
+            let serial = check_with(6, cap, 1, flaky);
+            assert_eq!(serial.violations.len(), if cap == 8 { 8 } else { 3 * (1 + 2 + 24) });
+            for threads in [2, 3, 8] {
+                let parallel = check_with(6, cap, threads, flaky);
+                assert_eq!(whole(&parallel), whole(&serial), "{threads} workers, cap {cap}");
+            }
+        }
     }
 
     #[test]

@@ -5,25 +5,12 @@
 //! paper_experiments all        # run everything
 //! paper_experiments e5 e8      # run a subset
 //! paper_experiments records    # write paper_output/records.json
-//!
-//!   --threads N   worker threads for fanning experiments out
-//!                 (default: available parallelism)
 //! ```
 
 use bwfirst_bench::experiments;
-use bwfirst_parallel::Pool;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut threads = bwfirst_parallel::available_threads();
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        let Some(v) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
-            eprintln!("paper_experiments: --threads needs a number");
-            std::process::exit(2);
-        };
-        threads = v;
-        args.drain(i..=i + 1);
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         eprintln!("usage: paper_experiments <all | records | e1..e19 ...>\n");
         eprintln!("experiments:");
@@ -33,7 +20,7 @@ fn main() {
         std::process::exit(2);
     }
     if args.iter().any(|a| a == "records") {
-        let records = bwfirst_bench::records::collect_pooled(Pool::new(threads));
+        let records = bwfirst_bench::records::collect();
         let json = bwfirst_bench::records::to_json(&records);
         std::fs::create_dir_all("paper_output").expect("create paper_output");
         std::fs::write("paper_output/records.json", &json).expect("write records");
@@ -48,8 +35,8 @@ fn main() {
         args.iter().map(String::as_str).collect()
     };
     let ids: Vec<&str> = ids.into_iter().filter(|&id| id != "records").collect();
-    for (id, report) in experiments::run_many(&ids, Pool::new(threads)) {
-        match report {
+    for id in ids {
+        match experiments::run(id) {
             Some(report) => {
                 println!("{}", "=".repeat(78));
                 println!("{report}");

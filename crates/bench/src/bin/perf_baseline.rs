@@ -2,7 +2,7 @@
 //! `BENCH_sim.json`) and checks them in CI.
 //!
 //! ```text
-//! perf_baseline [--threads N] [--smoke] [--out-dir DIR]
+//! perf_baseline [--smoke] [--out-dir DIR]
 //!     measure every benchmark and (re)write the two BENCH files
 //! perf_baseline --check [--smoke]
 //!     validate the committed files against the records schema, re-run the
@@ -33,7 +33,6 @@ use bwfirst_core::{
     bottom_up, bw_first, quantize, validate_schedule, MonitorExpectations, SteadyState,
 };
 use bwfirst_obs::{MemoryRecorder, Metrics, Trace};
-use bwfirst_parallel::{available_threads, Pool};
 use bwfirst_platform::examples::example_tree;
 use bwfirst_platform::{generators, Weight};
 use bwfirst_proto::ProtocolSession;
@@ -42,6 +41,7 @@ use bwfirst_sim::{
     event_driven, trace_header, MonitorConfig, MonitorProbe, ObsProbe, ProvenanceProbe, SimConfig,
 };
 use std::hint::black_box;
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 /// Seed-commit measurements (release build, best of 5, this repo's reference
@@ -89,32 +89,28 @@ fn best_of_pair<A: FnMut(), B: FnMut()>(iters: u32, mut a: A, mut b: B) -> (f64,
     (best_a, best_b)
 }
 
+/// The host's available parallelism, or 1 when the runtime cannot tell.
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
 struct Opts {
-    threads: usize,
     smoke: bool,
     check: bool,
     out_dir: String,
 }
 
 fn parse() -> Opts {
-    let mut opts =
-        Opts { threads: available_threads(), smoke: false, check: false, out_dir: ".".to_string() };
+    let mut opts = Opts { smoke: false, check: false, out_dir: ".".to_string() };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => opts.smoke = true,
             "--check" => opts.check = true,
-            "--threads" => {
-                let v = args.next().unwrap_or_default();
-                opts.threads = v.parse().unwrap_or_else(|_| {
-                    eprintln!("perf_baseline: bad --threads `{v}`");
-                    std::process::exit(2);
-                });
-            }
             "--out-dir" => opts.out_dir = args.next().unwrap_or_else(|| ".".to_string()),
             other => {
                 eprintln!("perf_baseline: unknown argument `{other}`");
-                eprintln!("usage: perf_baseline [--threads N] [--smoke] [--check] [--out-dir DIR]");
+                eprintln!("usage: perf_baseline [--smoke] [--check] [--out-dir DIR]");
                 std::process::exit(2);
             }
         }
@@ -123,69 +119,34 @@ fn parse() -> Opts {
 }
 
 /// The full E6-style solver sweep: both solvers over every (size, slowdown)
-/// grid point. Returns per-point work so the pooled variant can fan it out.
-fn scaling_grid() -> Vec<(usize, i128)> {
-    let mut grid = Vec::new();
+/// grid point, counted into `metrics`.
+fn scaling_sweep(metrics: &mut Metrics) {
     for &size in &trees::SIZES {
         for slow in [1i128, 4, 16, 64] {
-            grid.push((size, slow));
+            let p = trees::bottleneck(size, 42, slow);
+            black_box(bw_first(&p));
+            black_box(bottom_up(&p));
+            metrics.add("sweep.trees_solved", 1);
+            metrics.add("sweep.nodes_solved", 2 * size as i128);
         }
     }
-    grid
-}
-
-fn solve_point(metrics: &mut Metrics, size: usize, slow: i128) {
-    let p = trees::bottleneck(size, 42, slow);
-    black_box(bw_first(&p));
-    black_box(bottom_up(&p));
-    metrics.add("sweep.trees_solved", 1);
-    metrics.add("sweep.nodes_solved", 2 * size as i128);
 }
 
 fn measure_core(opts: &Opts, iters: u32) -> BenchReport {
     let mut points = Vec::new();
-    let mut metrics = Metrics::new();
 
-    // Serial sweep (the seed-vs-now pair the acceptance bar names) and the
-    // same work fanned out over the worker pool, with the per-worker obs
-    // counters merged back in; the two are timed alternately. On a
-    // single-core host the pooled sweep is expected to be ~1x;
-    // `host_threads` records the context.
-    let pool = Pool::new(opts.threads);
-    let mut pooled_metrics = Metrics::new();
-    let (serial_ns, pooled_ns) = best_of_pair(
-        iters,
-        || {
-            let mut m = Metrics::new();
-            for (size, slow) in scaling_grid() {
-                solve_point(&mut m, size, slow);
-            }
-        },
-        || {
-            let (_, worker_metrics) =
-                pool.map_with(scaling_grid(), Metrics::new, |m, (size, slow)| {
-                    solve_point(m, size, slow);
-                });
-            let mut merged = Metrics::new();
-            for m in &worker_metrics {
-                merged.merge(m);
-            }
-            pooled_metrics = merged;
-        },
-    );
+    // The serial sweep against the seed; the report's metrics are the obs
+    // counters of one pass.
+    let mut metrics = Metrics::new();
+    let sweep_ns = best_of(iters, || {
+        metrics = Metrics::new();
+        scaling_sweep(&mut metrics);
+    });
     points.push(BenchPoint {
         id: "deep_tree_scaling_sweep".to_string(),
         before_ns: seed_ns("deep_tree_scaling_sweep"),
-        after_ns: serial_ns,
+        after_ns: sweep_ns,
         baseline: SEED_COMMIT.to_string(),
-        iters,
-    });
-    metrics.merge(&pooled_metrics);
-    points.push(BenchPoint {
-        id: "deep_tree_scaling_sweep_pooled".to_string(),
-        before_ns: serial_ns,
-        after_ns: pooled_ns,
-        baseline: format!("runtime toggle: serial sweep in this run, pool of {}", pool.threads()),
         iters,
     });
 
@@ -255,12 +216,12 @@ fn measure_core(opts: &Opts, iters: u32) -> BenchReport {
         iters: iters.max(5),
     });
 
-    // The protocol model checker: seed serial run vs the pooled run at the
-    // requested width (≥4 workers in the committed baseline). The smoke run
-    // shrinks max_nodes so CI stays fast.
+    // The protocol model checker: seed serial run vs its own fan-out at the
+    // host's width, at least 4 workers. The smoke run shrinks max_nodes so
+    // CI stays fast.
     let max_nodes = if opts.smoke { 5 } else { 7 };
-    let check_threads = opts.threads.max(4);
-    let (serial_check_ns, pooled_check_ns) = best_of_pair(
+    let check_threads = host_threads().max(4);
+    let (serial_check_ns, parallel_check_ns) = best_of_pair(
         iters,
         || {
             black_box(bwfirst_analyze::model::check(max_nodes, 8, 1).messages);
@@ -275,7 +236,7 @@ fn measure_core(opts: &Opts, iters: u32) -> BenchReport {
         points.push(BenchPoint {
             id: "model_check_7".to_string(),
             before_ns: seed_ns("model_check_7"),
-            after_ns: pooled_check_ns,
+            after_ns: parallel_check_ns,
             baseline: format!("{SEED_COMMIT}, serial; after: pool of {check_threads}"),
             iters,
         });
@@ -283,7 +244,7 @@ fn measure_core(opts: &Opts, iters: u32) -> BenchReport {
     points.push(BenchPoint {
         id: format!("model_check_{max_nodes}_parallel"),
         before_ns: serial_check_ns,
-        after_ns: pooled_check_ns,
+        after_ns: parallel_check_ns,
         baseline: format!("runtime toggle: serial model check, pool of {check_threads}"),
         iters,
     });
@@ -316,8 +277,8 @@ fn measure_core(opts: &Opts, iters: u32) -> BenchReport {
 
     BenchReport {
         suite: "core".to_string(),
-        host_threads: available_threads(),
-        threads: opts.threads,
+        host_threads: host_threads(),
+        threads: host_threads(),
         smoke: opts.smoke,
         metrics: metrics.counters.into_iter().collect(),
         points,
@@ -460,8 +421,8 @@ fn measure_sim(opts: &Opts, iters: u32) -> BenchReport {
 
     BenchReport {
         suite: "sim".to_string(),
-        host_threads: available_threads(),
-        threads: opts.threads,
+        host_threads: host_threads(),
+        threads: host_threads(),
         smoke: opts.smoke,
         metrics: Vec::new(),
         points,
@@ -470,7 +431,7 @@ fn measure_sim(opts: &Opts, iters: u32) -> BenchReport {
 
 fn print_report(report: &BenchReport) {
     println!(
-        "suite {} (host_threads {}, pool {}):",
+        "suite {} (host_threads {}, threads {}):",
         report.suite, report.host_threads, report.threads
     );
     for p in &report.points {

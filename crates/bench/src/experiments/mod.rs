@@ -45,18 +45,6 @@ pub const ALL: [(&str, &str); 19] = [
     ("e19", "result returns on whole trees: the Section 9 open problem, quantified"),
 ];
 
-/// Runs many experiments, fanned out over `pool`. Reports come back in the
-/// order of `ids` no matter which worker finishes first, so the printed
-/// output is identical for every thread count. Unknown ids yield `None`.
-#[must_use]
-pub fn run_many(ids: &[&str], pool: bwfirst_parallel::Pool) -> Vec<(String, Option<String>)> {
-    let items: Vec<String> = ids.iter().map(|&id| id.to_string()).collect();
-    pool.map(items, |id| {
-        let report = run(&id);
-        (id, report)
-    })
-}
-
 /// Runs one experiment by id.
 #[must_use]
 pub fn run(id: &str) -> Option<String> {

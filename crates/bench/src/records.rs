@@ -99,17 +99,9 @@ pub struct Records {
     pub quantization: Vec<QuantizeRecord>,
 }
 
-/// Recomputes the record set serially (exact library calls, no parsing).
+/// Recomputes the record set (exact library calls, no parsing).
 #[must_use]
 pub fn collect() -> Records {
-    collect_pooled(bwfirst_parallel::Pool::new(1))
-}
-
-/// Recomputes the record set, fanning the E6 sweep (the only grid big
-/// enough to matter — 16 independent solver runs on up-to-1023-node trees)
-/// out over `pool`. Records come back in grid order for any thread count.
-#[must_use]
-pub fn collect_pooled(pool: bwfirst_parallel::Pool) -> Records {
     // E5.
     let p = example_tree();
     let ss = SteadyState::from_solution(&bw_first(&p));
@@ -139,25 +131,22 @@ pub fn collect_pooled(pool: bwfirst_parallel::Pool) -> Records {
     };
 
     // E6.
-    let mut grid = Vec::new();
+    let mut visits = Vec::new();
     for &size in &crate::trees::SIZES {
         for slow in [1i64, 4, 16, 64] {
-            grid.push((size, slow));
+            let p = bottleneck(size, 42, slow as i128);
+            let sol = bw_first(&p);
+            let bu = bottom_up(&p);
+            visits.push(VisitRecord {
+                nodes: size,
+                slowdown: slow,
+                throughput: sol.throughput().to_string(),
+                throughput_f64: sol.throughput().to_f64(),
+                bwfirst_visits: sol.visit_count(),
+                bottom_up_edges: bu.children_processed,
+            });
         }
     }
-    let visits = pool.map(grid, |(size, slow)| {
-        let p = bottleneck(size, 42, slow as i128);
-        let sol = bw_first(&p);
-        let bu = bottom_up(&p);
-        VisitRecord {
-            nodes: size,
-            slowdown: slow,
-            throughput: sol.throughput().to_string(),
-            throughput_f64: sol.throughput().to_f64(),
-            bwfirst_visits: sol.visit_count(),
-            bottom_up_edges: bu.children_processed,
-        }
-    });
 
     // E8.
     let cfg = SimConfig {
@@ -322,14 +311,14 @@ pub struct BenchReport {
     /// Suite name: `core` (arithmetic, solvers, model checker) or `sim`.
     pub suite: String,
     /// `std::thread::available_parallelism()` on the measuring host — the
-    /// honest context for any worker-pool numbers.
+    /// honest context for the model checker's parallel point.
     pub host_threads: usize,
-    /// Worker threads the pooled measurements ran with.
+    /// The width the measurements ran with: the host's.
     pub threads: usize,
     /// True when produced by the CI smoke run (few iterations; timings are
     /// indicative only and not meant to be committed).
     pub smoke: bool,
-    /// Merged per-worker `obs` counters from the pooled sweeps.
+    /// `obs` counters from one pass of the scaling sweep.
     pub metrics: Vec<(String, i128)>,
     /// The measurements.
     pub points: Vec<BenchPoint>,

@@ -36,11 +36,11 @@ usage:
                    [--trace out.json] [--metrics out.json]
       discrete-event simulation with throughput/buffer/wind-down metrics
   bwfirst stats <platform.json> [--horizon H] [--protocol P]
-                [--threads N] [--trace out.json] [--metrics out.json]
+                [--trace out.json] [--metrics out.json]
       negotiate, solve, schedule and simulate with full instrumentation:
       protocol message/byte counters, solver spans, per-node utilization,
-      plus a cross-protocol comparison fanned out over N worker threads
-      (default: available parallelism)
+      plus a cross-protocol comparison: the event executor against both
+      demand executors over the same horizon
   bwfirst monitor <platform.json> [--horizon H] [--window W] [--warmup K]
                   [--protocol P] [--snapshots out.jsonl] [--dump out.json]
                   [--capacity N]
@@ -75,6 +75,7 @@ usage:
   bwfirst graph <random> [--size N] [--seed S] [--extra PCT]
       emit a physical-network graph JSON on stdout
   bwfirst overlay <graph.json> [--root N] [--restarts R] [--passes P]
+                  [--seed S]
       search for the best tree overlay on a physical network
 
 protocols (--protocol P; default event): {}
@@ -111,7 +112,7 @@ fn known_flags(args: &Args) -> Option<&'static [&'static str]> {
         ("solve" | "dot" | "help" | "--help" | "-h", _) | ("trace", Some("diff" | "replay")) => &[],
         ("schedule" | "validate", _) => &["grid"],
         ("simulate", _) => &["horizon", "stop", "tasks", "protocol", "gantt", "trace", "metrics"],
-        ("stats", _) => &["horizon", "protocol", "threads", "trace", "metrics"],
+        ("stats", _) => &["horizon", "protocol", "trace", "metrics"],
         ("monitor", _) => {
             &["horizon", "window", "warmup", "protocol", "snapshots", "dump", "capacity"]
         }
@@ -177,10 +178,7 @@ where
         }
         "stats" => {
             let p = read(args.pos(0, "platform file")?)?;
-            let threads = args
-                .flag_opt::<usize>("threads", "--threads")?
-                .unwrap_or_else(bwfirst_parallel::available_threads);
-            let (out, rec) = cmd_stats(&p, args, threads)?;
+            let (out, rec) = cmd_stats(&p, args)?;
             export(args, &rec, p.len())?;
             Ok(out)
         }
@@ -826,14 +824,9 @@ where
 /// The `stats` command: one fully instrumented pass over all three layers —
 /// live protocol negotiation (recorded once, as the solution it returns),
 /// schedule construction, and a probed simulation — reported as summary
-/// tables, plus a
-/// cross-protocol comparison fanned out over `threads` workers. The
-/// recorder comes back so `--trace` / `--metrics` can export it.
-fn cmd_stats(
-    p: &Platform,
-    args: &Args,
-    threads: usize,
-) -> Result<(String, MemoryRecorder), CliError> {
+/// tables, plus a cross-protocol comparison. The recorder comes back so
+/// `--trace` / `--metrics` can export it.
+fn cmd_stats(p: &Platform, args: &Args) -> Result<(String, MemoryRecorder), CliError> {
     let protocol = Protocol::from_args(args)?;
     let mut rec = MemoryRecorder::new();
 
@@ -871,8 +864,10 @@ fn cmd_stats(
         let period = synchronous_period(&ss).map_err(rt)?;
         let cfg = sim_config(horizon(args, period, 8)?, None, 0)?;
         let horizon = cfg.horizon;
+        let half = horizon / Rat::TWO;
+        let row = |rep: &SimReport| (rep.total_computed(), rep.throughput_in(half, horizon));
         let mut util = UtilizationProbe::new(p.len(), horizon);
-        {
+        let probed = {
             let mut probe = (ObsProbe::new(&mut rec), &mut util);
             let rep = protocol.run(p, Some(&ev), &cfg, &mut probe).map_err(rt)?;
             writeln!(
@@ -882,31 +877,28 @@ fn cmd_stats(
                 protocol.name()
             )
             .unwrap();
-        }
+            row(&rep)
+        };
         writeln!(out, "\nper-node utilization (busy fraction of the horizon):").unwrap();
         out.push_str(&summary::table(&util.finish().rows()));
 
-        // Cross-protocol comparison: the three executors are independent
-        // runs over the same platform and horizon, so they fan out over the
-        // worker pool; results return in fixed protocol order.
-        let pool = bwfirst_parallel::Pool::new(threads);
-        let half = horizon / Rat::TWO;
-        let rows =
-            pool.map(vec![Protocol::Event, Protocol::Demand, Protocol::DemandInt], |proto| {
-                proto.run(p, Some(&ev), &cfg, &mut NoProbe).map(|rep| {
-                    (proto.name(), rep.total_computed(), rep.throughput_in(half, horizon))
-                })
-            });
-        writeln!(
-            out,
-            "\nprotocol comparison over the same horizon ({} worker thread(s)):",
-            pool.threads()
-        )
-        .unwrap();
-        for row in rows {
-            let (proto, tasks, rate) = row.map_err(rt)?;
-            writeln!(out, "  {proto:<11} {tasks:>6} tasks   measured rate {:.4}", rate.to_f64())
-                .unwrap();
+        // Cross-protocol comparison over the same platform and horizon, in
+        // fixed protocol order. Probes only observe, so the probed run above
+        // gives its own protocol's row; the others run unprobed.
+        writeln!(out, "\nprotocol comparison over the same horizon:").unwrap();
+        for proto in [Protocol::Event, Protocol::Demand, Protocol::DemandInt] {
+            let (tasks, rate) = if proto == protocol {
+                probed
+            } else {
+                row(&proto.run(p, Some(&ev), &cfg, &mut NoProbe).map_err(rt)?)
+            };
+            writeln!(
+                out,
+                "  {:<11} {tasks:>6} tasks   measured rate {:.4}",
+                proto.name(),
+                rate.to_f64()
+            )
+            .unwrap();
         }
     } else {
         writeln!(out, "simulated  : skipped (zero throughput)").unwrap();
@@ -1187,6 +1179,49 @@ mod tests {
         let out = run(&["help"]).unwrap();
         assert!(out.contains("bwfirst solve"));
         assert!(out.contains("bwfirst stats"));
+    }
+
+    /// Each usage block's synopsis (its `bwfirst …` line and the deeper
+    /// indented lines under it) names exactly the flags `known_flags`
+    /// accepts for that subcommand or verb.
+    #[test]
+    fn usage_lists_exactly_the_known_flags() {
+        let text = usage();
+        let mut blocks: Vec<Vec<&str>> = Vec::new();
+        for line in text.lines() {
+            if let Some(rest) = line.strip_prefix("  bwfirst ") {
+                blocks.push(rest.split_whitespace().collect());
+            } else if line.starts_with("       ") {
+                let block = blocks.last_mut().expect("synopsis before its continuation");
+                block.extend(line.split_whitespace());
+            }
+        }
+        assert_eq!(blocks.len(), 15, "usage blocks");
+        for words in &blocks {
+            let mut listed: Vec<&str> =
+                words.iter().filter_map(|w| w.trim_start_matches('[').strip_prefix("--")).collect();
+            listed.sort_unstable();
+            // `<a|b>` stands for each alternative; a bare word is a verb.
+            let verbs: Vec<&str> = match words.get(1) {
+                Some(w) if w.starts_with('<') && !w.contains('.') => {
+                    w.trim_matches(['<', '>']).split('|').collect()
+                }
+                Some(w) if !w.starts_with(['<', '[']) => vec![*w],
+                _ => vec!["file"],
+            };
+            for verb in verbs {
+                let args = Args {
+                    command: words[0].to_string(),
+                    positional: vec![verb.to_string()],
+                    flags: std::collections::BTreeMap::new(),
+                };
+                let mut known = known_flags(&args)
+                    .unwrap_or_else(|| panic!("usage names `{} {verb}`", words[0]))
+                    .to_vec();
+                known.sort_unstable();
+                assert_eq!(listed, known, "usage of `bwfirst {} {verb}`", words[0]);
+            }
+        }
     }
 
     /// Like `run`, but with a file sink; returns the output and every file

@@ -1,15 +1,7 @@
 //! `bwfirst` — the command-line interface.
 //!
-//! ```text
-//! bwfirst solve <platform.json>                       # optimal throughput + rates
-//! bwfirst schedule <platform.json> [--grid G]         # event-driven schedules
-//! bwfirst simulate <platform.json> [--horizon H] [--stop T] [--tasks N]
-//!                  [--protocol event|clocked|demand|demand-int] [--gantt U]
-//!                  [--trace out.json] [--metrics out.json]
-//! bwfirst stats <platform.json> [--horizon H] [--trace out.json]
-//! bwfirst generate <random|star|chain|kary|example> [--size N] [--seed S]
-//! bwfirst dot <platform.json>                         # Graphviz export
-//! ```
+//! The subcommands and the flags each one reads are listed in [`usage`],
+//! which `bwfirst help` prints.
 //!
 //! `--trace` writes a Chrome trace-event JSON (load it in `chrome://tracing`
 //! or Perfetto); `--metrics` writes the counters/histograms as JSON; `stats`

@@ -154,26 +154,6 @@ impl Metrics {
         }
     }
 
-    /// Folds another registry into this one.
-    pub fn merge(&mut self, other: &Metrics) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, h) in &other.histograms {
-            let dst = self.histograms.entry(k.clone()).or_default();
-            dst.count += h.count;
-            dst.sum += h.sum;
-            dst.min = dst.min.min(h.min);
-            dst.max = dst.max.max(h.max);
-            if dst.buckets.len() < h.buckets.len() {
-                dst.buckets.resize(h.buckets.len(), 0);
-            }
-            for (i, b) in h.buckets.iter().enumerate() {
-                dst.buckets[i] += b;
-            }
-        }
-    }
-
     /// JSON rendering (counters then histogram summaries).
     #[must_use]
     pub fn to_json(&self) -> Value {
@@ -337,21 +317,5 @@ mod tests {
         assert!(json.contains("\"p50\""), "got: {json}");
         assert!(json.contains("\"p95\""), "got: {json}");
         assert!(json.contains("\"p99\""), "got: {json}");
-    }
-
-    #[test]
-    fn merge_folds_both_kinds() {
-        let mut a = Metrics::new();
-        a.add("x", 1);
-        a.observe("h", 2.0);
-        let mut b = Metrics::new();
-        b.add("x", 2);
-        b.add("y", 5);
-        b.observe("h", 6.0);
-        a.merge(&b);
-        assert_eq!(a.counter("x"), 3);
-        assert_eq!(a.counter("y"), 5);
-        assert_eq!(a.histograms["h"].count, 2);
-        assert_eq!(a.histograms["h"].sum, 8.0);
     }
 }
