@@ -34,7 +34,7 @@ use bwfirst_core::{
 };
 use bwfirst_obs::{MemoryRecorder, Metrics, Trace};
 use bwfirst_platform::examples::example_tree;
-use bwfirst_platform::{generators, Weight};
+use bwfirst_platform::{generators, io, Weight};
 use bwfirst_proto::ProtocolSession;
 use bwfirst_rational::{rat, reference, Rat};
 use bwfirst_sim::{
@@ -62,6 +62,13 @@ const SEED: &[(&str, f64)] = &[
 /// all `Ψ` of its actions (median of three runs, best of 5 each).
 const MATERIALIZED_ORDER: (&str, f64) =
     ("commit 9eb4c45, materialized bunch orders (same host, release)", 4_948_735.0);
+
+/// `platform_parse_131k` measured by this harness on the commit before
+/// `io::from_json` gained its one-pass canonical lane, when every parse
+/// built a `json::Value` tree and read each node by key (median of 8 runs,
+/// best of 5 each, alternated with the runs behind the committed point).
+const VALUE_TREE_PARSE: (&str, f64) =
+    ("commit e4021d8, json::parse + per-node key lookups (same host, release)", 98_947_098.0);
 
 fn seed_ns(id: &str) -> f64 {
     SEED.iter().find(|(k, _)| *k == id).map_or(f64::NAN, |(_, v)| *v)
@@ -249,12 +256,25 @@ fn measure_core(opts: &Opts, iters: u32) -> BenchReport {
         iters,
     });
 
+    // The platform parse at scale: `io::from_json` on the 131,071-node
+    // binary tree `bwfirst generate kary --arity 2 --depth 16` writes.
+    let binary = generators::kary_tree(16, 2, Weight::Time(rat(4, 1)), Rat::ONE);
+    let text = io::to_json(&binary);
+    points.push(BenchPoint {
+        id: "platform_parse_131k".to_string(),
+        before_ns: VALUE_TREE_PARSE.1,
+        after_ns: best_of(iters.max(5), || {
+            black_box(io::from_json(&text).expect("parse the binary tree"));
+        }),
+        baseline: VALUE_TREE_PARSE.0.to_string(),
+        iters: iters.max(5),
+    });
+
     // Toggled pairs: one live BW-First negotiation on the session's
     // dispatcher (§5 says its running time is negligible) against the
     // centralized solver on the same tree. Setting up the session stays
     // outside the timed region. A round on the 131,071-node binary tree
     // visits 5 nodes, so both sides cost what the visits cost.
-    let binary = generators::kary_tree(16, 2, Weight::Time(rat(4, 1)), Rat::ONE);
     for (id, p) in [("255", trees::supply_tree(255, 21)), ("131k", binary)] {
         let mut session = ProtocolSession::spawn(&p).expect("set up protocol session");
         let (solve_ns, negotiate_ns) = best_of_pair(
@@ -479,9 +499,14 @@ fn check(opts: &Opts) -> i32 {
     let mut failed = false;
     let iters = 3;
     let (fresh_core, fresh_sim) = measure(opts, iters);
-    // Quick subset: cheap enough for CI, sensitive to the three fast paths.
+    // Quick subset: cheap enough for CI, sensitive to the fast paths (the
+    // parse point also trips if the canonical lane silently falls back).
     let files = [
-        ("BENCH_core.json", &fresh_core, &["deep_tree_scaling_sweep", "rat_accumulate_400"][..]),
+        (
+            "BENCH_core.json",
+            &fresh_core,
+            &["deep_tree_scaling_sweep", "rat_accumulate_400", "platform_parse_131k"][..],
+        ),
         ("BENCH_sim.json", &fresh_sim, &["simulate_example_10"][..]),
     ];
     for (path, fresh, quick) in files {

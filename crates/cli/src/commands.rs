@@ -409,6 +409,16 @@ fn sim_config(horizon: Rat, total_tasks: Option<u64>, seed: u64) -> Result<SimCo
     })
 }
 
+/// The recorder a run exports from: events feed only `--trace`, so without
+/// it the recorder keeps metrics alone.
+fn recorder(args: &Args) -> MemoryRecorder {
+    if args.flags.contains_key("trace") {
+        MemoryRecorder::new()
+    } else {
+        MemoryRecorder::metrics_only()
+    }
+}
+
 fn cmd_simulate(p: &Platform, args: &Args) -> Result<(String, Option<MemoryRecorder>), CliError> {
     let protocol = Protocol::from_args(args)?;
     let stop = args.flag_opt::<i128>("stop", "--stop")?;
@@ -427,7 +437,7 @@ fn cmd_simulate(p: &Platform, args: &Args) -> Result<(String, Option<MemoryRecor
     };
     let ev = protocol.schedule(p, &ss)?;
     let instrument = args.flags.contains_key("trace") || args.flags.contains_key("metrics");
-    let mut rec = instrument.then(MemoryRecorder::new);
+    let mut rec = instrument.then(|| recorder(args));
     let rep = match &mut rec {
         Some(rec) => protocol.run(p, ev.as_ref(), &cfg, &mut ObsProbe::new(&mut *rec)),
         None => protocol.run(p, ev.as_ref(), &cfg, &mut NoProbe),
@@ -828,7 +838,7 @@ where
 /// `--trace` / `--metrics` can export it.
 fn cmd_stats(p: &Platform, args: &Args) -> Result<(String, MemoryRecorder), CliError> {
     let protocol = Protocol::from_args(args)?;
-    let mut rec = MemoryRecorder::new();
+    let mut rec = recorder(args);
 
     // Layer 1: the live distributed protocol (β/θ messages over channels),
     // whose round is Algorithm 1's own solution.
@@ -1306,6 +1316,41 @@ mod tests {
         assert_eq!(files.len(), 1);
         let v = bwfirst_obs::json::parse(&files[0].1).expect("valid JSON");
         assert!(!v["traceEvents"].as_array().unwrap().is_empty());
+    }
+
+    /// Without `--trace` the recorder keeps no events; the report and the
+    /// metrics must not notice.
+    #[test]
+    fn metrics_exports_do_not_depend_on_the_trace_flag() {
+        let base = ["example.json", "--horizon", "72", "--metrics", "m.json"];
+        for command in ["simulate", "stats"] {
+            let argv = |trace: bool| {
+                let mut v = vec![command];
+                v.extend(base);
+                if trace {
+                    v.extend(["--trace", "t.json"]);
+                }
+                run_io(&v).unwrap()
+            };
+            let ((plain, plain_files), (traced, traced_files)) = (argv(false), argv(true));
+            let metrics = |files: &[(String, String)]| {
+                use bwfirst_obs::json::{parse, Value};
+                let (_, m) = files.iter().find(|(path, _)| path == "m.json").unwrap();
+                let m = parse(m).unwrap();
+                let Value::Object(histograms) = &m["histograms"] else { panic!("{m:?}") };
+                // The negotiation's wall-clock latency differs run to run.
+                let kept = |(name, _): &&(String, Value)| name != "proto.negotiate_micros";
+                (m["counters"].clone(), histograms.iter().filter(kept).cloned().collect::<Vec<_>>())
+            };
+            assert_eq!(metrics(&plain_files), metrics(&traced_files), "{command}");
+            let untimed = |out: &str| {
+                out.lines()
+                    .filter(|l| !l.contains("negotiate_micros"))
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            };
+            assert_eq!(untimed(&plain), untimed(&traced), "{command}");
+        }
     }
 
     #[test]

@@ -411,6 +411,9 @@ impl Probe for UtilizationProbe {
 /// * buffer changes become a `buffer P<n>` counter series and a
 ///   `sim.buffer_occupancy` histogram;
 /// * queue depths feed the `sim.event_queue_depth` histogram.
+///
+/// Into a [`MemoryRecorder::metrics_only`] recorder it builds no events,
+/// only the metrics.
 #[derive(Debug)]
 pub struct ObsProbe<'a> {
     rec: &'a mut MemoryRecorder,
@@ -435,19 +438,25 @@ impl Probe for ObsProbe<'_> {
     }
 
     fn segment(&mut self, node: NodeId, kind: SegmentKind, start: i128, end: i128) {
+        // Per lane, in `LANES` order.
+        const SEGMENTS: [&str; 3] =
+            ["sim.segments.receive", "sim.segments.compute", "sim.segments.send"];
+        const BUSY: [&str; 3] = ["sim.busy.receive", "sim.busy.compute", "sim.busy.send"];
         let l = lane(kind);
-        let tid = track(node.0, l);
-        let name = match kind {
-            SegmentKind::Send(child) => format!("send {child}"),
-            _ => LANES[l].to_string(),
-        };
-        self.rec.event(
-            Event::new(self.scale.ts(start), tid, name.clone(), EventKind::Begin)
-                .arg("node", Arg::Int(i128::from(node.0))),
-        );
-        self.rec.event(Event::new(self.scale.ts(end), tid, name, EventKind::End));
-        self.rec.add(&format!("sim.segments.{}", LANES[l]), 1);
-        self.rec.observe(&format!("sim.busy.{}", LANES[l]), self.scale.rat(end - start).to_f64());
+        if self.rec.keeps_events() {
+            let tid = track(node.0, l);
+            let name = match kind {
+                SegmentKind::Send(child) => format!("send {child}"),
+                _ => LANES[l].to_string(),
+            };
+            self.rec.event(
+                Event::new(self.scale.ts(start), tid, name.clone(), EventKind::Begin)
+                    .arg("node", Arg::Int(i128::from(node.0))),
+            );
+            self.rec.event(Event::new(self.scale.ts(end), tid, name, EventKind::End));
+        }
+        self.rec.add(SEGMENTS[l], 1);
+        self.rec.observe(BUSY[l], self.scale.rat(end - start).to_f64());
     }
 
     fn queue_depth(&mut self, _t: i128, depth: usize) {
@@ -455,10 +464,12 @@ impl Probe for ObsProbe<'_> {
     }
 
     fn buffer(&mut self, node: NodeId, t: i128, size: u64) {
-        self.rec.event(
-            Event::new(self.scale.ts(t), node.0, format!("buffer {node}"), EventKind::Counter)
-                .arg("tasks", Arg::Int(i128::from(size))),
-        );
+        if self.rec.keeps_events() {
+            self.rec.event(
+                Event::new(self.scale.ts(t), node.0, format!("buffer {node}"), EventKind::Counter)
+                    .arg("tasks", Arg::Int(i128::from(size))),
+            );
+        }
         self.rec.observe("sim.buffer_occupancy", size as f64);
     }
 }
