@@ -431,12 +431,27 @@ fn measure_sim(opts: &Opts, iters: u32) -> BenchReport {
     // The whole artifact round trip: the same recording, the
     // `bwfirst-trace/1` text, and its schema-checked parse back.
     let roundtrip = "provenance record + `Trace::to_jsonl` + `Trace::parse`";
-    toggled("trace_roundtrip_example_10", roundtrip, &mut || {
+    let round_trip = |cfg: &SimConfig| {
         let mut probe = ProvenanceProbe::new(&p, Some(&ev.tree));
-        black_box(event_driven::simulate_probed(&p, &ev, &cfg_10, &mut probe).expect("sim"));
-        let header = trace_header(&p, Some(&ev.tree), "event", &cfg_10, Some(ss.throughput));
+        black_box(event_driven::simulate_probed(&p, &ev, cfg, &mut probe).expect("sim"));
+        let header = trace_header(&p, Some(&ev.tree), "event", cfg, Some(ss.throughput));
         let text = probe.into_trace(header).to_jsonl();
         black_box(Trace::parse(&text).expect("trace round trip").records.len());
+    };
+    toggled("trace_roundtrip_example_10", roundtrip, &mut || round_trip(&cfg_10));
+    // The same round trip over 1000 periods (~234k records, an 18.8 MB
+    // artifact): the scale where the record vectors meet the allocator's
+    // 32 MiB mmap ceiling, which the 10-period run's ~2.3k records never
+    // reach.
+    let cfg_1000 = cfg(1000, false, false);
+    let (before_ns, after_ns) =
+        best_of_pair(iters.max(5), || run(&cfg_1000), || round_trip(&cfg_1000));
+    points.push(BenchPoint {
+        id: "trace_roundtrip_example_1000".to_string(),
+        before_ns,
+        after_ns,
+        baseline: format!("runtime toggle: {roundtrip}, 1000 periods"),
+        iters: iters.max(5),
     });
 
     BenchReport {

@@ -22,14 +22,17 @@
 //!   per-node arrays of length `nodes`, `bunch`/`t_omega` null or positive;
 //! * records — `node` (and a send's `child`) inside the platform, a
 //!   `deliver` from the receiver's tree parent, a `compute` that does not
-//!   end before it starts, `stock:true` exactly on ids `≥ STOCK_BASE`;
+//!   end before it starts, `stock:true` exactly on ids `≥ STOCK_BASE`, a
+//!   dispatch's `slot` and `period` absent or `u64` counts and its `psi`
+//!   absent or an integer;
 //! * per-task causality — a task enters once, before any other stage, and
 //!   its record times ([`TraceRecord::time`]) never run backwards.
 //!
 //! Records are the bulk of an artifact (six per task, hundreds of
 //! thousands in a long run), so neither direction builds a JSON [`Value`]
-//! for the lines the writer emits: [`TraceRecord::write_json`] appends the
-//! compact line directly, in one fixed layout, and the reader decodes that
+//! for the lines the writer emits: [`TraceRecord::write_json`] formats the
+//! compact line in one stack buffer, in one fixed layout, and appends it
+//! once, and the reader decodes that
 //! layout in one pass over the line's bytes: the writer's member order,
 //! integers as `json::write_int` writes them, times `"p"` or `"p/q"` with
 //! `q > 1`, and nothing after the closing `}`. Any other line goes through
@@ -46,7 +49,7 @@
 
 use crate::chrome::track;
 use crate::event::{Event, EventKind, Ts};
-use crate::json::{obj, parse, write_int, Value};
+use crate::json::{format_int, obj, parse, Value, INT_MAX_LEN};
 use std::collections::HashMap;
 
 /// The artifact format tag carried in every trace header.
@@ -113,12 +116,13 @@ pub struct Dispatch {
     pub action: Action,
     /// Ψ-index inside the node's interleaved bunch (Section 6.3), when
     /// the executor is stride-scheduled; `None` for quota/demand modes.
-    pub slot: Option<i128>,
+    pub slot: Option<u64>,
     /// The chosen destination's ψ quota (the tie-break key: marks at
     /// `k/(ψ+1)`, ties resolved toward smaller ψ).
     pub psi: Option<i128>,
-    /// Which bunch (period `T^ω` repetition) the slot fell in.
-    pub period: Option<i128>,
+    /// Which bunch (period `T^ω` repetition) the slot fell in: the node's
+    /// dispatches so far divided by its bunch size Ψ.
+    pub period: Option<u64>,
 }
 
 /// One provenance record.
@@ -160,6 +164,15 @@ pub enum TraceRecord {
         end: Ts,
     },
 }
+
+// A record takes at most 128 bytes. 262,144 records × 128 bytes is 32 MiB,
+// the largest block glibc's dynamic mmap threshold can keep on its heap;
+// larger blocks get fresh `mmap` pages on every allocation, each page
+// faulted in on first touch. A 1000-period Fig. 4 run records ~234k
+// records: the probe's doubling `Vec` reaches that 262,144-record capacity,
+// and the parser's exact-size `Vec` (30 MB) stays under it. At 160 bytes
+// (three `Option<i128>` annotations) both were above it (37.4 MB).
+const _: () = assert!(std::mem::size_of::<TraceRecord>() <= 128);
 
 impl TraceRecord {
     /// The task this record concerns.
@@ -210,65 +223,111 @@ impl TraceRecord {
     /// kind's own members in schema order, absent options omitted, times
     /// as `"p"` or `"p/q"` ([`Ts::display`]).
     pub fn write_json(&self, out: &mut String) {
-        out.push_str("{\"k\":\"");
-        out.push_str(self.kind());
-        out.push('"');
-        put_int(out, "task", self.task());
-        put_int(out, "node", i128::from(self.node()));
+        let mut line = Line::new();
+        self.format(&mut line);
+        out.push_str(line.as_str());
+    }
+
+    /// Formats the record's line into `line`, from its start: on the
+    /// stack, for one append per line instead of one per token.
+    fn format(&self, line: &mut Line) {
+        line.len = 0;
+        line.lit("{\"k\":\"");
+        line.lit(self.kind());
+        line.lit("\",\"task\":");
+        line.int(self.task());
+        line.lit(",\"node\":");
+        line.int(i128::from(self.node()));
         match self {
             TraceRecord::Enter { t, stock, .. } => {
-                put_ts(out, "t", *t);
+                line.ts(",\"t\":", *t);
                 if *stock {
-                    out.push_str(",\"stock\":true");
+                    line.lit(",\"stock\":true");
                 }
             }
             TraceRecord::Dispatch(d) => {
-                put_ts(out, "t", d.t);
+                line.ts(",\"t\":", d.t);
                 match d.action {
-                    Action::Compute => out.push_str(",\"action\":\"compute\""),
+                    Action::Compute => line.lit(",\"action\":\"compute\""),
                     Action::Send(child) => {
-                        out.push_str(",\"action\":\"send\"");
-                        put_int(out, "child", i128::from(child));
+                        line.lit(",\"action\":\"send\",\"child\":");
+                        line.int(i128::from(child));
                     }
                 }
-                for (key, v) in [("slot", d.slot), ("psi", d.psi), ("period", d.period)] {
-                    if let Some(v) = v {
-                        put_int(out, key, v);
-                    }
+                if let Some(slot) = d.slot {
+                    line.lit(",\"slot\":");
+                    line.int(i128::from(slot));
+                }
+                if let Some(psi) = d.psi {
+                    line.lit(",\"psi\":");
+                    line.int(psi);
+                }
+                if let Some(period) = d.period {
+                    line.lit(",\"period\":");
+                    line.int(i128::from(period));
                 }
             }
             TraceRecord::Deliver { from, t, .. } => {
-                put_int(out, "from", i128::from(*from));
-                put_ts(out, "t", *t);
+                line.lit(",\"from\":");
+                line.int(i128::from(*from));
+                line.ts(",\"t\":", *t);
             }
             TraceRecord::Compute { start, end, .. } => {
-                put_ts(out, "start", *start);
-                put_ts(out, "end", *end);
+                line.ts(",\"start\":", *start);
+                line.ts(",\"end\":", *end);
             }
         }
-        out.push('}');
+        line.lit("}");
     }
 }
 
-/// Appends the member `,"key":n`.
-fn put_int(out: &mut String, key: &str, n: i128) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    write_int(out, n);
+/// The longest line [`TraceRecord::format`] writes, newline included: a
+/// send dispatch with every annotation, each of its eight integers as wide
+/// as `i128::MIN`.
+const LINE_MAX: usize = concat!(
+    r#"{"k":"dispatch","task":,"node":,"t":"/","action":"send","child":"#,
+    r#","slot":,"psi":,"period":}"#,
+    "\n"
+)
+.len()
+    + 8 * INT_MAX_LEN;
+
+/// A record line being formatted.
+struct Line {
+    buf: [u8; LINE_MAX],
+    len: usize,
 }
 
-/// Appends the member `,"key":"p"` or `,"key":"p/q"`.
-fn put_ts(out: &mut String, key: &str, t: Ts) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":\"");
-    write_int(out, t.num);
-    if t.den != 1 {
-        out.push('/');
-        write_int(out, t.den);
+impl Line {
+    fn new() -> Line {
+        Line { buf: [0; LINE_MAX], len: 0 }
     }
-    out.push('"');
+
+    fn lit(&mut self, lit: &str) {
+        let end = self.len + lit.len();
+        self.buf[self.len..end].copy_from_slice(lit.as_bytes());
+        self.len = end;
+    }
+
+    fn int(&mut self, n: i128) {
+        self.len += format_int(&mut self.buf[self.len..], n);
+    }
+
+    /// The member `key` followed by `"p"` or `"p/q"`.
+    fn ts(&mut self, key: &str, t: Ts) {
+        self.lit(key);
+        self.lit("\"");
+        self.int(t.num);
+        if t.den != 1 {
+            self.lit("/");
+            self.int(t.den);
+        }
+        self.lit("\"");
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("ascii JSON")
+    }
 }
 
 impl TraceHeader {
@@ -523,6 +582,18 @@ fn opt_ts_array(v: &Value, what: &str) -> Result<Vec<Option<Ts>>, String> {
         .collect()
 }
 
+/// A record's optional count: absent (or null), or an integer in `u64`.
+fn opt_count(v: &Value, what: &str) -> Result<Option<u64>, String> {
+    match v {
+        Value::Null => Ok(None),
+        other => other
+            .as_i128()
+            .and_then(|n| u64::try_from(n).ok())
+            .map(Some)
+            .ok_or(format!("`{what}` is not a count in u64")),
+    }
+}
+
 fn as_node(v: &Value) -> Option<u32> {
     v.as_i128().and_then(|n| u32::try_from(n).ok())
 }
@@ -590,7 +661,7 @@ impl Canonical<'_> {
         self.eat(lit).then_some(())
     }
 
-    /// An integer as [`write_int`] writes it: an optional `-`, then `0`
+    /// An integer as [`format_int`] writes it: an optional `-`, then `0`
     /// or digits without a leading zero (never `-0`), inside `i128`.
     fn int(&mut self) -> Option<i128> {
         let neg = self.eat("-");
@@ -621,7 +692,7 @@ impl Canonical<'_> {
         self.int().and_then(|n| u32::try_from(n).ok())
     }
 
-    /// A time as [`put_ts`] writes it: `"p"`, or `"p/q"` with `q > 1`.
+    /// A time as [`Line::ts`] writes it: `"p"`, or `"p/q"` with `q > 1`.
     fn ts(&mut self) -> Option<Ts> {
         self.lit("\"")?;
         let num = self.int()?;
@@ -638,12 +709,21 @@ impl Canonical<'_> {
             Some(None)
         }
     }
+
+    /// [`Canonical::opt_int`] for a count: a `u64`, or the line is declined.
+    fn opt_count(&mut self, key: &str) -> Option<Option<u64>> {
+        match self.opt_int(key)? {
+            Some(n) => u64::try_from(n).ok().map(Some),
+            None => Some(None),
+        }
+    }
 }
 
 /// Decodes a line in exactly the layout [`TraceRecord::write_json`]
 /// emits, in one pass over its bytes; `None` on any other layout
-/// (whitespace, member order, escapes, `"p/1"`, a trailing byte, …),
-/// which [`record_from_line`] hands to the general reader. Every line it
+/// (whitespace, member order, escapes, `"p/1"`, a trailing byte, …) and
+/// on a `slot` or `period` outside `u64`, which [`record_from_line`] hands
+/// to the general reader and its error. Every line it
 /// accepts decodes to the record that reader returns.
 fn canonical_record(line: &str) -> Option<TraceRecord> {
     let mut c = Canonical(line.as_bytes());
@@ -670,9 +750,9 @@ fn canonical_record(line: &str) -> Option<TraceRecord> {
                 c.lit(",\"action\":\"send\",\"child\":")?;
                 Action::Send(c.node()?)
             };
-            let slot = c.opt_int(",\"slot\":")?;
+            let slot = c.opt_count(",\"slot\":")?;
             let psi = c.opt_int(",\"psi\":")?;
-            let period = c.opt_int(",\"period\":")?;
+            let period = c.opt_count(",\"period\":")?;
             TraceRecord::Dispatch(Dispatch { task, node, t, action, slot, psi, period })
         }
         "deliver\"" => {
@@ -722,9 +802,12 @@ fn record_from_json(v: &Value) -> Result<TraceRecord, String> {
                 }
                 _ => return Err("missing or unknown `action`".to_string()),
             };
-            let slot = v["slot"].as_i128();
-            let psi = v["psi"].as_i128();
-            let period = v["period"].as_i128();
+            let slot = opt_count(&v["slot"], "slot")?;
+            let psi = match &v["psi"] {
+                Value::Null => None,
+                other => Some(other.as_i128().ok_or("non-integer `psi`")?),
+            };
+            let period = opt_count(&v["period"], "period")?;
             Ok(TraceRecord::Dispatch(Dispatch { task, node, t, action, slot, psi, period }))
         }
         Some("deliver") => Ok(TraceRecord::Deliver {
@@ -786,9 +869,11 @@ impl Trace {
         let mut out = String::with_capacity(header.len() + 1 + 80 * self.records.len());
         out.push_str(&header);
         out.push('\n');
+        let mut line = Line::new();
         for r in &self.records {
-            r.write_json(&mut out);
-            out.push('\n');
+            r.format(&mut line);
+            line.lit("\n");
+            out.push_str(line.as_str());
         }
         // 80 bytes is about a Fig. 2 record line (they average 77); by
         // whatever the estimate missed, no spare capacity outlives the call.
@@ -1268,6 +1353,30 @@ mod tests {
                 &[],
                 Ok((0, 0, 0)),
             ),
+            (
+                "slot past u64",
+                NONE,
+                &[ENTER, &SEND.replace(r#""slot":0"#, r#""slot":18446744073709551616"#)],
+                Err((3, "`slot` is not a count")),
+            ),
+            (
+                "negative period",
+                NONE,
+                &[ENTER, &SEND.replace(r#""slot":0"#, r#""slot":0,"period":-1"#)],
+                Err((3, "`period` is not a count")),
+            ),
+            (
+                "string psi",
+                NONE,
+                &[ENTER, &SEND.replace(r#""slot":0"#, r#""slot":0,"psi":"1""#)],
+                Err((3, "non-integer `psi`")),
+            ),
+            (
+                "null annotations",
+                NONE,
+                &[ENTER, &SEND.replace(r#""slot":0"#, r#""slot":null,"psi":null"#)],
+                Ok((2, 1, 0)),
+            ),
         ];
         for (name, edit, records, expect) in cases {
             let got = Trace::parse(&artifact(*edit, records)).map(|t| {
@@ -1458,6 +1567,74 @@ mod tests {
         }
     }
 
+    /// `slot` and `period` are `u64` counts in both lanes: `u64::MAX` reads
+    /// back, `u64::MAX + 1` and `-1` are declined by the canonical lane and
+    /// rejected by the general reader, as is a non-integer annotation.
+    #[test]
+    fn annotations_are_u64_counts_in_both_lanes() {
+        const LINE: &str = r#"{"k":"dispatch","task":0,"node":0,"t":"0","action":"compute","slot":S,"psi":Q,"period":P}"#;
+        let line = |slot: &str, psi: &str, period: &str| {
+            LINE.replace('S', slot).replace('Q', psi).replace('P', period)
+        };
+        // The general reader's copy: a space after the opening brace.
+        let relaid = |line: &str| line.replacen('{', "{ ", 1);
+        let max = u64::MAX.to_string();
+        let top = line(&max, "1", &max);
+        let want = TraceRecord::Dispatch(Dispatch {
+            task: 0,
+            node: 0,
+            t: Ts::ZERO,
+            action: Action::Compute,
+            slot: Some(u64::MAX),
+            psi: Some(1),
+            period: Some(u64::MAX),
+        });
+        assert_eq!(canonical_record(&top), Some(want.clone()));
+        assert_eq!(record_from_line(&relaid(&top)), Ok(want));
+        let past = (u128::from(u64::MAX) + 1).to_string();
+        for (bad, key) in [
+            (line(&past, "1", "0"), "slot"),
+            (line("0", "1", &past), "period"),
+            (line("-1", "1", "0"), "slot"),
+            (line("0", "1", "-1"), "period"),
+        ] {
+            assert_eq!(canonical_record(&bad), None, "{bad}");
+            for text in [bad.clone(), relaid(&bad)] {
+                let err = record_from_line(&text).unwrap_err();
+                assert_eq!(err, format!("`{key}` is not a count in u64"), "{text}");
+            }
+        }
+        for value in ["1.5", r#""3""#, "true", "[0]"] {
+            for (bad, err) in [
+                (line(value, "1", "0"), "`slot` is not a count in u64"),
+                (line("0", "1", value), "`period` is not a count in u64"),
+                (line("0", value, "0"), "non-integer `psi`"),
+            ] {
+                assert_eq!(record_from_line(&bad), Err(err.to_string()), "{bad}");
+            }
+        }
+    }
+
+    /// The widest record the types allow fits the stack line.
+    #[test]
+    fn widest_record_fits_the_line_buffer() {
+        let wide = Ts::new(i128::MIN, i128::MAX);
+        let r = TraceRecord::Dispatch(Dispatch {
+            task: i128::MIN,
+            node: u32::MAX,
+            t: wide,
+            action: Action::Send(u32::MAX),
+            slot: Some(u64::MAX),
+            psi: Some(i128::MIN),
+            period: Some(u64::MAX),
+        });
+        let mut line = String::new();
+        r.write_json(&mut line);
+        assert!(line.len() < LINE_MAX, "{}", line.len());
+        assert_eq!(line, record_value(&r).to_string_compact());
+        assert_eq!(canonical_record(&line), Some(r));
+    }
+
     /// A valid artifact in another layout (whitespace, permuted members,
     /// an escaped `"enter"`, `"p/1"` times) reads through `json::parse`
     /// to the trace of its canonical bytes: the first lines of the Fig. 2
@@ -1501,7 +1678,8 @@ mod tests {
                         m.push(("child", Value::Int(i128::from(child))));
                     }
                 }
-                for (key, v) in [("slot", d.slot), ("psi", d.psi), ("period", d.period)] {
+                let (slot, period) = (d.slot.map(i128::from), d.period.map(i128::from));
+                for (key, v) in [("slot", slot), ("psi", d.psi), ("period", period)] {
                     if let Some(v) = v {
                         m.push((key, Value::Int(v)));
                     }
@@ -1534,6 +1712,15 @@ mod tests {
         prop_oneof![Just(None), (-3i128..100).prop_map(Some), any::<i128>().prop_map(Some)]
     }
 
+    fn any_count() -> impl Strategy<Value = Option<u64>> {
+        prop_oneof![
+            Just(None),
+            (0u64..100).prop_map(Some),
+            Just(Some(u64::MAX)),
+            any::<u64>().prop_map(Some)
+        ]
+    }
+
     fn any_record() -> impl Strategy<Value = TraceRecord> {
         let id = || prop_oneof![0i128..50, any::<i128>()];
         let node = || prop_oneof![0u32..4, any::<u32>()];
@@ -1545,8 +1732,8 @@ mod tests {
                 node(),
                 any_ts(),
                 prop_oneof![Just(None), node().prop_map(Some)],
-                any_opt(),
-                (any_opt(), any_opt())
+                any_count(),
+                (any_opt(), any_count())
             )
                 .prop_map(|(task, node, t, child, slot, (psi, period))| {
                     let action = child.map_or(Action::Compute, Action::Send);

@@ -64,36 +64,55 @@ impl PartialOrd for Ts {
 impl Ord for Ts {
     /// Exact for every `i128` numerator and positive denominator.
     fn cmp(&self, other: &Ts) -> Ordering {
-        // Compares a/b with c/d; `flip` records an odd number of
-        // reciprocal steps, each of which reverses the order.
-        let (mut a, mut b, mut c, mut d) = (self.num, self.den, other.num, other.den);
-        let mut flip = false;
-        let order = loop {
-            if let (Some(ad), Some(cb)) = (a.checked_mul(d), c.checked_mul(b)) {
-                break ad.cmp(&cb);
-            }
-            // Past i128: compare the integer parts, then the remainders
-            // r/b and s/d in [0, 1) as the reciprocals b/r and d/s (the
-            // continued-fraction walk; the denominators shrink as in
-            // Euclid's algorithm).
-            let (q, r) = (a.div_euclid(b), a.rem_euclid(b));
-            let (p, s) = (c.div_euclid(d), c.rem_euclid(d));
-            match (q.cmp(&p), r, s) {
-                (Ordering::Equal, 0, 0) => break Ordering::Equal,
-                (Ordering::Equal, 0, _) => break Ordering::Less,
-                (Ordering::Equal, _, 0) => break Ordering::Greater,
-                (Ordering::Equal, _, _) => {
-                    (a, b, c, d) = (b, r, d, s);
-                    flip = !flip;
-                }
-                (order, _, _) => break order,
-            }
-        };
-        if flip {
-            order.reverse()
-        } else {
-            order
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
         }
+        // Numerators in `i64` and denominators in `u64`: each cross product
+        // is below 2^63 · 2^64 = 2^127 in magnitude, so neither overflows.
+        if let (Ok(a), Ok(b), Ok(c), Ok(d)) = (
+            i64::try_from(self.num),
+            u64::try_from(self.den),
+            i64::try_from(other.num),
+            u64::try_from(other.den),
+        ) {
+            return (i128::from(a) * i128::from(d)).cmp(&(i128::from(c) * i128::from(b)));
+        }
+        cmp_wide(self, other)
+    }
+}
+
+/// [`Ts`]'s general order: exact `i128` cross products while they fit,
+/// then the continued-fraction walk.
+fn cmp_wide(x: &Ts, y: &Ts) -> Ordering {
+    // Compares a/b with c/d; `flip` records an odd number of reciprocal
+    // steps, each of which reverses the order.
+    let (mut a, mut b, mut c, mut d) = (x.num, x.den, y.num, y.den);
+    let mut flip = false;
+    let order = loop {
+        if let (Some(ad), Some(cb)) = (a.checked_mul(d), c.checked_mul(b)) {
+            break ad.cmp(&cb);
+        }
+        // Past i128: compare the integer parts, then the remainders
+        // r/b and s/d in [0, 1) as the reciprocals b/r and d/s (the
+        // continued-fraction walk; the denominators shrink as in
+        // Euclid's algorithm).
+        let (q, r) = (a.div_euclid(b), a.rem_euclid(b));
+        let (p, s) = (c.div_euclid(d), c.rem_euclid(d));
+        match (q.cmp(&p), r, s) {
+            (Ordering::Equal, 0, 0) => break Ordering::Equal,
+            (Ordering::Equal, 0, _) => break Ordering::Less,
+            (Ordering::Equal, _, 0) => break Ordering::Greater,
+            (Ordering::Equal, _, _) => {
+                (a, b, c, d) = (b, r, d, s);
+                flip = !flip;
+            }
+            (order, _, _) => break order,
+        }
+    };
+    if flip {
+        order.reverse()
+    } else {
+        order
     }
 }
 
@@ -285,6 +304,62 @@ mod tests {
             let want = (a * d).cmp(&(c * b));
             prop_assert_eq!(Ts::new(a * k, b * k).cmp(&Ts::new(c * m, d * m)), want);
             prop_assert_eq!(Ts::new(c * m, d * m).cmp(&Ts::new(a * k, b * k)), want.reverse());
+        }
+    }
+
+    /// Numerators and denominators at the shortcuts' edges: the `i64`
+    /// and `u64` bounds, their neighbours and the `i128` ones.
+    fn edge_ts() -> impl Strategy<Value = Ts> {
+        let num = prop_oneof![
+            Just(i128::from(i64::MIN)),
+            Just(i128::from(i64::MAX)),
+            Just(i128::from(i64::MIN) - 1),
+            Just(i128::from(i64::MAX) + 1),
+            Just(i128::MIN),
+            Just(i128::MAX),
+            Just(0),
+            -5i128..5,
+            any::<i64>().prop_map(i128::from),
+            any::<i128>(),
+        ];
+        let den = prop_oneof![
+            Just(i128::from(u64::MAX)),
+            Just(i128::from(u64::MAX) + 1),
+            Just(i128::from(u64::MAX) - 1),
+            Just(i128::MAX),
+            1i128..5,
+            any::<u64>().prop_map(|d| i128::from(d.max(1))),
+            any::<i128>().prop_map(|d| d.saturating_abs().max(1)),
+        ];
+        (num, den).prop_map(|(n, d)| Ts::new(n, d))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// The equal-denominator and `i64 × u64` shortcuts order exactly
+        /// as the general path does.
+        #[test]
+        fn shortcuts_match_the_general_order(x in edge_ts(), y in edge_ts(), same in any::<bool>()) {
+            let y = if same { Ts::new(y.num, x.den) } else { y };
+            prop_assert_eq!(x.cmp(&y), cmp_wide(&x, &y));
+            prop_assert_eq!(y.cmp(&x), cmp_wide(&y, &x));
+        }
+    }
+
+    #[test]
+    fn shortcuts_hold_at_the_bounds() {
+        let (lo, hi, den) = (i128::from(i64::MIN), i128::from(i64::MAX), i128::from(u64::MAX));
+        for (x, y) in [
+            (Ts::new(lo, den), Ts::new(hi, den - 1)),
+            (Ts::new(lo, 1), Ts::new(lo, den)),
+            (Ts::new(hi, den), Ts::new(hi, 1)),
+            (Ts::new(lo, den - 1), Ts::new(lo, den)),
+            (Ts::new(hi, den), Ts::new(hi - 1, den - 1)),
+            (Ts::new(i128::MIN, den), Ts::new(i128::MAX, den)),
+        ] {
+            assert_eq!(x.cmp(&y), cmp_wide(&x, &y), "{x:?} {y:?}");
+            assert_eq!(y.cmp(&x), cmp_wide(&y, &x), "{y:?} {x:?}");
         }
     }
 

@@ -210,27 +210,46 @@ fn format_f64(x: f64) -> String {
     }
 }
 
-/// Appends `n` in decimal, as [`Value::Int`] renders it.
-pub(crate) fn write_int(out: &mut String, n: i128) {
-    let Ok(mut m) = u64::try_from(n.unsigned_abs()) else {
-        out.push_str(&n.to_string());
-        return;
-    };
-    let mut buf = [0u8; 21];
-    let mut i = buf.len();
+/// The widest integer [`format_int`] writes: `i128::MIN`'s 40 bytes.
+pub(crate) const INT_MAX_LEN: usize = "-170141183460469231731687303715884105728".len();
+
+/// Writes `n` in decimal, as [`Value::Int`] renders it, to the front of
+/// `out`; returns the byte count (at most [`INT_MAX_LEN`]).
+pub(crate) fn format_int(out: &mut [u8], n: i128) -> usize {
+    let sign = usize::from(n < 0);
+    // A digit overwrites the sign when `n` is not negative.
+    out[0] = b'-';
+    let mut m = n.unsigned_abs();
+    let len = sign
+        + match u64::try_from(m) {
+            Ok(m) => m.checked_ilog10(),
+            Err(_) => m.checked_ilog10(),
+        }
+        .map_or(1, |d| d as usize + 1);
+    let mut i = len;
+    // Digits past `u64` take `u128` steps; the rest divide natively.
+    while m > u128::from(u64::MAX) {
+        i -= 1;
+        out[i] = b'0' + (m % 10) as u8;
+        m /= 10;
+    }
+    let mut m = m as u64;
     loop {
         i -= 1;
-        buf[i] = b'0' + (m % 10) as u8;
+        out[i] = b'0' + (m % 10) as u8;
         m /= 10;
         if m == 0 {
             break;
         }
     }
-    if n < 0 {
-        i -= 1;
-        buf[i] = b'-';
-    }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
+    len
+}
+
+/// Appends `n` in decimal, as [`Value::Int`] renders it.
+pub(crate) fn write_int(out: &mut String, n: i128) {
+    let mut buf = [0u8; INT_MAX_LEN];
+    let len = format_int(&mut buf, n);
+    out.push_str(std::str::from_utf8(&buf[..len]).expect("ascii digits"));
 }
 
 fn write_escaped(out: &mut String, s: &str) {
@@ -615,7 +634,21 @@ mod tests {
 
     #[test]
     fn writes_every_i128() {
-        for n in [0, 7, -7, 10, i128::from(u64::MAX), -i128::from(u64::MAX), i128::MAX, i128::MIN] {
+        let past_u64 = i128::from(u64::MAX) + 1;
+        for n in [
+            0,
+            7,
+            -7,
+            10,
+            9_999_999_999_999_999_999,
+            10_000_000_000_000_000_000,
+            i128::from(u64::MAX),
+            -i128::from(u64::MAX),
+            past_u64,
+            -past_u64,
+            i128::MAX,
+            i128::MIN,
+        ] {
             let mut out = String::new();
             write_int(&mut out, n);
             assert_eq!(out, n.to_string());

@@ -97,16 +97,21 @@ impl TickScale {
 
     /// The exact time of `tick` as a reduced observability timestamp. The
     /// common factor is `gcd(tick mod S, S)`, a `u64` gcd whenever `S`
-    /// fits `u64`, however large the tick.
+    /// fits `u64`, however large the tick; when the tick fits `u64` too,
+    /// the divisions are `u64` ones.
     #[must_use]
     pub fn ts(self, tick: i128) -> Ts {
         let s = self.0;
         if s == 1 {
             return Ts::new(tick, 1);
         }
-        let g = match u64::try_from(s) {
-            Ok(s64) => i128::from(gcd_u64(tick.rem_euclid(s) as u64, s64)),
-            Err(_) => gcd_i128(tick, s),
+        let g = match (u64::try_from(tick), u64::try_from(s)) {
+            (Ok(t64), Ok(s64)) => {
+                let g = gcd_u64(t64, s64);
+                return Ts::new(i128::from(t64 / g), i128::from(s64 / g));
+            }
+            (Err(_), Ok(s64)) => i128::from(gcd_u64(tick.rem_euclid(s) as u64, s64)),
+            (_, Err(_)) => gcd_i128(tick, s),
         };
         Ts::new(tick / g, s / g)
     }
@@ -478,6 +483,7 @@ impl Probe for ObsProbe<'_> {
 mod tests {
     use super::*;
     use bwfirst_rational::rat;
+    use proptest::prelude::*;
 
     #[test]
     fn gantt_probe_respects_activation() {
@@ -532,6 +538,40 @@ mod tests {
         assert_eq!(s.ts(big), ts(Rat::new(big, 6)));
         let wide = TickScale::new(1i128 << 70).unwrap();
         assert_eq!(wide.ts(3 << 68), ts(rat(3, 4)));
+    }
+
+    /// `ts` with one `gcd_i128` and `i128` divisions: the fast lanes'
+    /// oracle.
+    fn ts_by_i128_gcd(scale: i128, tick: i128) -> (i128, i128) {
+        let g = gcd_i128(tick, scale);
+        (tick / g, scale / g)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// Every lane of `ts` reduces to the fraction one `i128` gcd gives,
+        /// including ticks just past `u64::MAX` and negative ticks.
+        #[test]
+        fn ts_matches_the_i128_gcd(
+            scale in prop_oneof![
+                1i128..1000,
+                any::<u64>().prop_map(|s| i128::from(s.max(1))),
+                Just(i128::from(u64::MAX)),
+                (1i128 << 64)..(1i128 << 100),
+            ],
+            tick in prop_oneof![
+                0i128..100_000,
+                any::<u64>().prop_map(i128::from),
+                (0i128..1000).prop_map(|d| i128::from(u64::MAX) - 500 + d),
+                -100_000i128..0,
+                any::<i64>().prop_map(i128::from),
+                any::<i128>(),
+            ],
+        ) {
+            let got = TickScale::new(scale).unwrap().ts(tick);
+            prop_assert_eq!((got.num, got.den), ts_by_i128_gcd(scale, tick));
+        }
     }
 
     #[test]

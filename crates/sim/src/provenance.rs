@@ -49,7 +49,7 @@ pub struct ProvenanceProbe {
     psi_self: Vec<Option<i128>>,
     psi_child: Vec<Vec<(u32, i128)>>,
     bunch: Vec<Option<i128>>,
-    dispatched: Vec<i128>,
+    dispatched: Vec<u64>,
 }
 
 impl ProvenanceProbe {
@@ -142,14 +142,18 @@ impl Probe for ProvenanceProbe {
                 self.psi_child[i].iter().find(|&&(k, _)| k == child.0).map(|&(_, q)| q),
             ),
         };
-        let period = self.bunch[i].filter(|&b| b > 0).map(|b| self.dispatched[i] / b);
+        // A count below 2^64 is exactly period 0 of a bunch Ψ that does
+        // not fit `u64`.
+        let n = self.dispatched[i];
+        let period =
+            self.bunch[i].filter(|&b| b > 0).map(|b| u64::try_from(b).map_or(0, |b| n / b));
         self.dispatched[i] += 1;
         self.records.push(TraceRecord::Dispatch(Dispatch {
             task,
             node: node.0,
             t: self.scale.ts(t),
             action: act,
-            slot: slot.map(i128::from),
+            slot,
             psi,
             period,
         }));
@@ -334,6 +338,32 @@ mod tests {
         assert_eq!(d.common, 40);
         assert!(d.stock_b > 0, "clocked prefill shows up as stock");
         assert!(d.latency_offsets().is_some());
+    }
+
+    /// Periods count in `u64`: a dispatch count divided by the bunch, and
+    /// exactly 0 under a bunch Ψ past `u64::MAX`.
+    #[test]
+    fn periods_divide_the_dispatch_count() {
+        let (p, _, ev) = fig2();
+        let root = p.root();
+        for (bunch, want) in [(2, [0, 0, 1]), (i128::from(u64::MAX) + 1, [0, 0, 0])] {
+            let mut probe = ProvenanceProbe::new(&p, Some(&ev.tree));
+            probe.bunch[root.index()] = Some(bunch);
+            for _ in 0..3 {
+                probe.task_enter(root, 0, false);
+                probe.task_dispatch(root, 0, SlotAction::Compute, Some(u64::MAX));
+            }
+            let periods: Vec<_> = probe
+                .into_records()
+                .iter()
+                .filter_map(|r| match r {
+                    TraceRecord::Dispatch(d) => Some((d.slot, d.period)),
+                    _ => None,
+                })
+                .collect();
+            let want: Vec<_> = want.iter().map(|&k| (Some(u64::MAX), Some(k))).collect();
+            assert_eq!(periods, want, "bunch {bunch}");
+        }
     }
 
     #[test]
