@@ -116,63 +116,81 @@ pub fn e4_local_schedules() -> String {
     out
 }
 
-/// E5 — Figure 5 and the Section 8 numbers: a full simulated run with
-/// start-up, steady state, and wind-down, rendered as a Gantt chart.
+/// E5's run of the example tree (Figure 5 and the Section 8 numbers).
+#[derive(Debug, Clone)]
+pub struct Figure5 {
+    /// Exact steady throughput.
+    pub throughput: Rat,
+    /// Synchronous period `T`.
+    pub period: i128,
+    /// Proposition 4 start-up bound.
+    pub startup_bound: i128,
+    /// When injection stops.
+    pub stop: Rat,
+    /// Measured steady-state entry.
+    pub steady_entry: Rat,
+    /// Measured throughput over the second period after the entry.
+    pub steady_rate: Rat,
+    /// Tasks completed in the first period.
+    pub first_period_tasks: u64,
+    /// Wind-down length after the stop.
+    pub wind_down: Rat,
+    /// Peak buffered tasks at any node.
+    pub peak_buffer: u64,
+    /// ASCII Gantt chart of the first 60 time units, active nodes only.
+    pub gantt: String,
+    /// SVG Gantt chart of the first 130 time units (`paper_output/figure5.svg`).
+    pub svg: String,
+}
+
+/// E5 — a full simulated run of the example tree with start-up, steady
+/// state and wind-down, rendered as a Gantt chart.
 #[must_use]
-pub fn e5_simulation() -> String {
+pub fn figure5() -> Figure5 {
     let p = example_tree();
     let ss = SteadyState::from_solution(&bw_first(&p));
     let ev = EventDrivenSchedule::standard(&p, &ss).unwrap();
     let stop = rat(115, 1);
-    let cfg = SimConfig {
-        horizon: rat(220, 1),
-        stop_injection_at: Some(stop),
-        total_tasks: None,
-        record_gantt: true,
-        exact_queue: false,
-        seed: 0,
-    };
+    let cfg = SimConfig { stop_injection_at: Some(stop), ..SimConfig::to_horizon(rat(220, 1)) };
     let rep = event_driven::simulate(&p, &ev, &cfg).expect("example tree simulates");
-    let period = Rat::from_int(bwfirst_core::schedule::synchronous_period(&ss).unwrap()); // 36
-    let bound = startup::tree_startup_bound(&p, &ev.tree);
+    let period = bwfirst_core::schedule::synchronous_period(&ss).unwrap(); // 36
+    let window = Rat::from_int(period);
+    let entry = rep.steady_state_entry(ss.throughput, window, stop).expect("reached steady state");
+    let active: Vec<_> = p.node_ids().filter(|&n| ss.is_active(n)).collect();
+    let gantt = rep.gantt.as_ref().unwrap();
+    Figure5 {
+        throughput: ss.throughput,
+        period,
+        startup_bound: startup::tree_startup_bound(&p, &ev.tree),
+        stop,
+        steady_entry: entry,
+        steady_rate: rep.throughput_in(entry + window, entry + window + window),
+        first_period_tasks: rep.completions_in(Rat::ZERO, window),
+        wind_down: rep.wind_down().expect("injection stopped"),
+        peak_buffer: rep.peak_buffer(),
+        gantt: gantt.ascii(&active, rat(60, 1), 120),
+        svg: bwfirst_sim::gantt_svg::render_svg(gantt, &active, rat(130, 1)),
+    }
+}
 
+/// E5's report: the Gantt chart and the Section 8 numbers next to the
+/// paper's.
+#[must_use]
+pub fn e5_report(r: &Figure5) -> String {
+    let period = Rat::from_int(r.period);
+    let optimal_per_period = (r.throughput * period).floor();
     let mut out = String::new();
     writeln!(
         out,
-        "E5  Figure 5 + Section 8 numbers (event-driven run, stop injection at t={stop})\n"
+        "E5  Figure 5 + Section 8 numbers (event-driven run, stop injection at t={})\n",
+        r.stop
     )
     .unwrap();
-
-    // Gantt of the first 60 units, active nodes only.
-    let active: Vec<_> = p.node_ids().filter(|&n| ss.is_active(n)).collect();
-    out.push_str(&rep.gantt.as_ref().unwrap().ascii(&active, rat(60, 1), 120));
-
-    // Publication-quality SVG alongside the ASCII view.
-    let svg = bwfirst_sim::gantt_svg::render_svg(
-        rep.gantt.as_ref().unwrap(),
-        &active,
-        rat(130, 1),
-        &bwfirst_sim::gantt_svg::SvgOptions::default(),
-    );
-    let svg_path = "paper_output/figure5.svg";
-    if std::fs::create_dir_all("paper_output").and_then(|()| std::fs::write(svg_path, &svg)).is_ok()
-    {
-        writeln!(out, "(SVG rendering of the full run written to {svg_path})\n").unwrap();
-    }
-
-    let entry = rep.steady_state_entry(ss.throughput, period, stop).expect("reached steady state");
-    let startup_window = period; // one rootless-tree period analog
-    let early = rep.completions_in(Rat::ZERO, startup_window);
-    let optimal_per_period = (ss.throughput * period).floor();
-    let wind_down = rep.wind_down().expect("injection stopped");
+    out.push_str(&r.gantt);
+    writeln!(out, "(SVG rendering of the full run written to paper_output/figure5.svg)\n").unwrap();
 
     let mut t = Table::new(["metric", "paper (its tree)", "measured (reconstructed tree)"]);
-    let steady_window = (entry + period, entry + period + period);
-    t.row([
-        "steady throughput".to_string(),
-        "10/9".to_string(),
-        rep.throughput_in(steady_window.0, steady_window.1).to_string(),
-    ]);
+    t.row(["steady throughput".to_string(), "10/9".to_string(), r.steady_rate.to_string()]);
     t.row(["synchronous period T".to_string(), "360".to_string(), period.to_string()]);
     t.row([
         "tasks per period".to_string(),
@@ -182,29 +200,33 @@ pub fn e5_simulation() -> String {
     t.row([
         "steady-state entry".to_string(),
         "<= one rootless period".to_string(),
-        format!("{} (Prop 4 bound {bound})", f(entry)),
+        format!("{} (Prop 4 bound {})", f(r.steady_entry), r.startup_bound),
     ]);
     t.row([
         "tasks in first period".to_string(),
         "32/40 = 80% of optimal".to_string(),
         format!(
-            "{early}/{optimal_per_period} = {:.0}%",
-            100.0 * early as f64 / optimal_per_period as f64
+            "{}/{optimal_per_period} = {:.0}%",
+            r.first_period_tasks,
+            100.0 * r.first_period_tasks as f64 / optimal_per_period as f64
         ),
     ]);
     t.row([
         "wind-down after stop".to_string(),
         "10 units (T/4 of rootless)".to_string(),
-        f(wind_down),
+        f(r.wind_down),
     ]);
-    let peak = rep.buffers.iter().map(|b| b.max).max().unwrap();
-    t.row(["peak buffered tasks".to_string(), "small (design goal)".to_string(), peak.to_string()]);
+    t.row([
+        "peak buffered tasks".to_string(),
+        "small (design goal)".to_string(),
+        r.peak_buffer.to_string(),
+    ]);
     out.push_str(&t.render());
     writeln!(
         out,
         "\nexpected throughput {} matches measured exactly over steady windows: {}",
         example_throughput(),
-        rep.throughput_in(steady_window.0, steady_window.1) == example_throughput()
+        r.steady_rate == example_throughput()
     )
     .unwrap();
     out

@@ -1,20 +1,18 @@
-//! E7, E8, E11: protocol-level experiments.
+//! E7, E8, E11, E13, E16, E18, E19: protocol-level experiments.
 
+use super::sim_to;
 use crate::table::Table;
 use crate::trees::{f, tree};
 use bwfirst_core::schedule::{synchronous_period, EventDrivenSchedule};
 use bwfirst_core::{bw_first, SteadyState};
 use bwfirst_platform::examples::{example_tree, section9_counterexample};
+use bwfirst_platform::Platform;
 use bwfirst_proto::ProtocolSession;
 use bwfirst_rational::{rat, Rat};
 use bwfirst_sim::demand_driven::{self, DemandConfig};
 use bwfirst_sim::returns::{simulate_with_returns, ReturnConfig};
-use bwfirst_sim::{event_driven, SimConfig, SimReport};
+use bwfirst_sim::{event_driven, SimReport};
 use std::fmt::Write;
-
-fn peak_buffer(rep: &SimReport) -> u64 {
-    rep.buffers.iter().map(|b| b.max).max().unwrap_or(0)
-}
 
 /// E7 — the paper's event-driven schedule vs a Kreaseck-style demand-driven
 /// autonomous protocol: throughput, start-up, and buffering.
@@ -32,10 +30,9 @@ pub fn e7_protocol_comparison() -> String {
         "peak buffer",
         "wasted feeds",
     ]);
-    let cases: Vec<(String, bwfirst_platform::Platform)> =
-        std::iter::once(("example".to_string(), example_tree()))
-            .chain([11u64, 12, 13].into_iter().map(|s| (format!("random-31 #{s}"), tree(31, s))))
-            .collect();
+    let cases: Vec<(String, Platform)> = std::iter::once(("example".to_string(), example_tree()))
+        .chain([11u64, 12, 13].into_iter().map(|s| (format!("random-31 #{s}"), tree(31, s))))
+        .collect();
     for (name, p) in cases {
         let ss = SteadyState::from_solution(&bw_first(&p));
         if !ss.throughput.is_positive() {
@@ -43,14 +40,7 @@ pub fn e7_protocol_comparison() -> String {
         }
         let window = Rat::from_int(synchronous_period(&ss).unwrap());
         let horizon = (window * rat(8, 1)).max(rat(240, 1));
-        let cfg = SimConfig {
-            horizon,
-            stop_injection_at: None,
-            total_tasks: None,
-            record_gantt: false,
-            exact_queue: false,
-            seed: 0,
-        };
+        let cfg = sim_to(horizon);
 
         let ev = EventDrivenSchedule::standard(&p, &ss).unwrap();
         let er = event_driven::simulate(&p, &ev, &cfg).expect("example tree simulates");
@@ -61,41 +51,20 @@ pub fn e7_protocol_comparison() -> String {
         let wasted = |rep: &SimReport| -> u64 {
             p.node_ids().filter(|&n| !ss.is_active(n)).map(|n| rep.received[n.index()]).sum()
         };
-        let measure = |rep: &SimReport| -> (String, String) {
+        for (protocol, rep) in
+            [("event-driven", &er), ("demand-driven", &dr), ("demand (interruptible)", &ir)]
+        {
             let entry = rep.steady_state_entry(ss.throughput, window, horizon);
-            let tail = rep.throughput_in(horizon / Rat::TWO, horizon);
-            (f(tail), entry.map_or("never".to_string(), f))
-        };
-        let (er_rate, er_entry) = measure(&er);
-        let (dr_rate, dr_entry) = measure(&dr);
-        t.row([
-            name.clone(),
-            "event-driven".to_string(),
-            er_rate,
-            f(ss.throughput),
-            er_entry,
-            peak_buffer(&er).to_string(),
-            wasted(&er).to_string(),
-        ]);
-        let (ir_rate, ir_entry) = measure(&ir);
-        t.row([
-            name.clone(),
-            "demand-driven".to_string(),
-            dr_rate,
-            f(ss.throughput),
-            dr_entry,
-            peak_buffer(&dr).to_string(),
-            wasted(&dr).to_string(),
-        ]);
-        t.row([
-            name,
-            "demand (interruptible)".to_string(),
-            ir_rate,
-            f(ss.throughput),
-            ir_entry,
-            peak_buffer(&ir).to_string(),
-            wasted(&ir).to_string(),
-        ]);
+            t.row([
+                name.clone(),
+                protocol.to_string(),
+                f(rep.throughput_in(horizon / Rat::TWO, horizon)),
+                f(ss.throughput),
+                entry.map_or("never".to_string(), f),
+                rep.peak_buffer().to_string(),
+                wasted(rep).to_string(),
+            ]);
+        }
     }
     out.push_str(&t.render());
     writeln!(out, "\nthe demand-driven protocol wastes feeds on pruned subtrees, buffers more,")
@@ -104,44 +73,44 @@ pub fn e7_protocol_comparison() -> String {
     out
 }
 
-/// E8's two runs on the Section 9 counter-example, both through the
-/// result-return executor: separate send/return ports (returns cost as much
-/// as sends) and the merged simplification (forward cost doubled, no
-/// returns).
-pub(crate) fn section9_runs(cfg: &SimConfig) -> (SimReport, SimReport) {
-    let rr = section9_counterexample();
-    let run = |p: &bwfirst_platform::Platform, ratio: Rat| {
-        let ss = SteadyState::from_solution(&bw_first(p));
-        let ev = EventDrivenSchedule::standard(p, &ss).expect("schedulable");
-        simulate_with_returns(p, &ev, ReturnConfig { return_ratio: ratio }, cfg)
-            .expect("valid schedule")
-    };
-    (run(&rr.platform, Rat::ONE), run(&rr.merged(), Rat::ZERO))
+/// E8's measured rates on the Section 9 counter-example.
+#[derive(Debug, Clone, Copy)]
+pub struct Section9Rates {
+    /// Separate send and return ports (returns cost as much as sends).
+    pub separated: Rat,
+    /// The merged simplification (forward cost doubled, no returns).
+    pub merged: Rat,
 }
 
-/// E8 — Section 9: separate send/return port accounting sustains 2 tasks per
+/// E8 — Section 9: both models of the counter-example through the
+/// result-return executor, each rate measured over `[200, 400)`.
+#[must_use]
+pub fn section9_rates() -> Section9Rates {
+    let rr = section9_counterexample();
+    let cfg = sim_to(rat(400, 1));
+    let rate = |p: &Platform, ratio: Rat| {
+        let ss = SteadyState::from_solution(&bw_first(p));
+        let ev = EventDrivenSchedule::standard(p, &ss).expect("schedulable");
+        let rep = simulate_with_returns(p, &ev, ReturnConfig { return_ratio: ratio }, &cfg)
+            .expect("valid schedule");
+        rep.throughput_in(rat(200, 1), rat(400, 1))
+    };
+    Section9Rates { separated: rate(&rr.platform, Rat::ONE), merged: rate(&rr.merged(), Rat::ZERO) }
+}
+
+/// E8's report: separate send/return port accounting sustains 2 tasks per
 /// time unit where the merged simplification predicts (and gets) only 1.
 #[must_use]
-pub fn e8_result_return() -> String {
-    let cfg = SimConfig {
-        horizon: rat(400, 1),
-        stop_injection_at: None,
-        total_tasks: None,
-        record_gantt: false,
-        exact_queue: false,
-        seed: 0,
-    };
-    let (sep, merged) = section9_runs(&cfg);
-    let window = (rat(200, 1), rat(400, 1));
+pub fn e8_report(r: &Section9Rates) -> String {
     let mut t = Table::new(["model", "measured rate", "paper"]);
     t.row([
         "separated send (0.5) + return (0.5)".to_string(),
-        f(sep.throughput_in(window.0, window.1)),
+        f(r.separated),
         "2 tasks/unit".to_string(),
     ]);
     t.row([
         "merged c = 1 (the simplification)".to_string(),
-        f(merged.throughput_in(window.0, window.1)),
+        f(r.merged),
         "1 task/unit".to_string(),
     ]);
     let mut out = String::new();
@@ -234,12 +203,52 @@ pub fn e11_distributed_protocol() -> String {
     out
 }
 
+/// The trees of E13 and E19: the example and a supply-heavy 31-node tree.
+fn two_trees() -> [(&'static str, Platform); 2] {
+    [("example", example_tree()), ("supply-31 #33", crate::trees::supply_tree(31, 33))]
+}
+
+/// One E13 point: a finite workload on one tree.
+#[derive(Debug, Clone)]
+pub struct MakespanRow {
+    /// Tree label.
+    pub tree: &'static str,
+    /// Workload size `N`.
+    pub tasks: u64,
+    /// `N/throughput` lower bound.
+    pub lower_bound: Rat,
+    /// Event-driven measured makespan.
+    pub event_driven: Rat,
+    /// Demand-driven measured makespan.
+    pub demand_driven: Rat,
+}
+
 /// E13 — Section 2's claim: the steady-state schedule with quick start-up
 /// and wind-down is a strong heuristic for Dutot's NP-hard makespan
 /// problem. Measured makespans converge onto the `N/throughput` lower bound.
 #[must_use]
-pub fn e13_makespan() -> String {
+pub fn makespans() -> Vec<MakespanRow> {
     use bwfirst_sim::makespan::{demand_driven_makespan, event_driven_makespan, lower_bound};
+    let mut rows = Vec::new();
+    for (tree, p) in two_trees() {
+        let ss = SteadyState::from_solution(&bw_first(&p));
+        let ev = EventDrivenSchedule::standard(&p, &ss).unwrap();
+        for tasks in [50u64, 200, 1000] {
+            rows.push(MakespanRow {
+                tree,
+                tasks,
+                lower_bound: lower_bound(&ss, tasks),
+                event_driven: event_driven_makespan(&p, &ss, &ev, tasks),
+                demand_driven: demand_driven_makespan(&p, &ss, DemandConfig::default(), tasks),
+            });
+        }
+    }
+    rows
+}
+
+/// E13's report: makespans against the lower bound.
+#[must_use]
+pub fn e13_report(rows: &[MakespanRow]) -> String {
     let mut out = String::new();
     writeln!(out, "E13  makespan of finite workloads vs the steady-state lower bound\n").unwrap();
     let mut t = Table::new([
@@ -251,35 +260,16 @@ pub fn e13_makespan() -> String {
         "demand-driven makespan",
         "ratio",
     ]);
-    let cases: Vec<(String, bwfirst_platform::Platform)> =
-        std::iter::once(("example".to_string(), example_tree()))
-            .chain(std::iter::once((
-                "supply-31 #33".to_string(),
-                crate::trees::supply_tree(31, 33),
-            )))
-            .collect();
-    for (name, p) in cases {
-        let ss = SteadyState::from_solution(&bw_first(&p));
-        let ev = EventDrivenSchedule::standard(&p, &ss).unwrap();
-        for n in [50u64, 200, 1000] {
-            let lb = lower_bound(&ss, n);
-            let emk = event_driven_makespan(&p, &ss, &ev, n);
-            let dmk = demand_driven_makespan(
-                &p,
-                &ss,
-                bwfirst_sim::demand_driven::DemandConfig::default(),
-                n,
-            );
-            t.row([
-                name.clone(),
-                n.to_string(),
-                f(lb),
-                f(emk),
-                format!("{:.3}", (emk / lb).to_f64()),
-                f(dmk),
-                format!("{:.3}", (dmk / lb).to_f64()),
-            ]);
-        }
+    for r in rows {
+        t.row([
+            r.tree.to_string(),
+            r.tasks.to_string(),
+            f(r.lower_bound),
+            f(r.event_driven),
+            format!("{:.3}", (r.event_driven / r.lower_bound).to_f64()),
+            f(r.demand_driven),
+            format!("{:.3}", (r.demand_driven / r.lower_bound).to_f64()),
+        ]);
     }
     out.push_str(&t.render());
     writeln!(out, "\nquick start-up and wind-down push the event-driven makespan toward the")
@@ -299,7 +289,7 @@ pub fn e16_clocked_vs_event() -> String {
     let ss = SteadyState::from_solution(&bw_first(&p));
     let ts = bwfirst_core::schedule::TreeSchedule::build(&p, &ss).unwrap();
     let ev = EventDrivenSchedule::standard(&p, &ss).unwrap();
-    let cfg = SimConfig::to_horizon(rat(216, 1));
+    let cfg = sim_to(rat(216, 1));
     let event = event_driven::simulate(&p, &ev, &cfg).expect("example tree simulates");
     let traditional = event_driven::simulate_with_policy(
         &p,
@@ -321,53 +311,22 @@ pub fn e16_clocked_vs_event() -> String {
         "prefilled tasks",
         "peak buffer",
     ]);
-    let peak = |r: &SimReport| r.buffers.iter().map(|b| b.max).max().unwrap().to_string();
-    let row = |r: &SimReport, prefill: u64| {
-        [
+    let chi_total: u64 = ts.iter().filter_map(|s| s.chi_in).map(|c| c as u64).sum();
+    for (name, r, prefill) in [
+        ("event-driven (paper)", &event, 0),
+        ("traditional prefill (Sec. 7 baseline)", &traditional, 0),
+        ("clocked + chi prefill", &warm, chi_total),
+        ("clocked, cold", &cold, 0),
+    ] {
+        t.row([
+            name.to_string(),
             r.completions_in(rat(0, 1), rat(36, 1)).to_string(),
             r.completions_in(rat(36, 1), rat(72, 1)).to_string(),
             r.completions_in(rat(72, 1), rat(108, 1)).to_string(),
             prefill.to_string(),
-            peak(r),
-        ]
-    };
-    let chi_total: u64 = ts.iter().filter_map(|s| s.chi_in).map(|c| c as u64).sum();
-    let e = row(&event, 0);
-    t.row([
-        "event-driven (paper)".to_string(),
-        e[0].clone(),
-        e[1].clone(),
-        e[2].clone(),
-        e[3].clone(),
-        e[4].clone(),
-    ]);
-    let tr = row(&traditional, 0);
-    t.row([
-        "traditional prefill (Sec. 7 baseline)".to_string(),
-        tr[0].clone(),
-        tr[1].clone(),
-        tr[2].clone(),
-        tr[3].clone(),
-        tr[4].clone(),
-    ]);
-    let w = row(&warm, chi_total);
-    t.row([
-        "clocked + chi prefill".to_string(),
-        w[0].clone(),
-        w[1].clone(),
-        w[2].clone(),
-        w[3].clone(),
-        w[4].clone(),
-    ]);
-    let c = row(&cold, 0);
-    t.row([
-        "clocked, cold".to_string(),
-        c[0].clone(),
-        c[1].clone(),
-        c[2].clone(),
-        c[3].clone(),
-        c[4].clone(),
-    ]);
+            r.peak_buffer().to_string(),
+        ]);
+    }
 
     let mut out = String::new();
     writeln!(out, "E16  Lemma 1 clocked schedule vs the event-driven schedule (example tree)\n")
@@ -391,14 +350,7 @@ pub fn e18_dynamic_adaptation() -> String {
         LinkChange { at: rat(120, 1), child: bwfirst_platform::NodeId(1), new_c: rat(12, 1) },
         LinkChange { at: rat(320, 1), child: bwfirst_platform::NodeId(1), new_c: rat(1, 1) },
     ];
-    let cfg = SimConfig {
-        horizon: rat(560, 1),
-        stop_injection_at: None,
-        total_tasks: None,
-        record_gantt: false,
-        exact_queue: false,
-        seed: 0,
-    };
+    let cfg = sim_to(rat(560, 1));
     let (stale, _) = simulate_dynamic(&p, &changes, AdaptPolicy::Stale, &cfg).expect("schedulable");
     let (adaptive, swaps) =
         simulate_dynamic(&p, &changes, AdaptPolicy::Renegotiate { delay: rat(5, 1) }, &cfg)
@@ -448,14 +400,7 @@ pub fn e19_returns_on_trees() -> String {
         .unwrap();
     let mut t =
         Table::new(["tree", "rho=0 (paper model)", "rho=1/8", "rho=1/4", "rho=1/2", "rho=1"]);
-    let cases: Vec<(String, bwfirst_platform::Platform)> =
-        std::iter::once(("example".to_string(), example_tree()))
-            .chain(std::iter::once((
-                "supply-31 #33".to_string(),
-                crate::trees::supply_tree(31, 33),
-            )))
-            .collect();
-    for (name, p) in cases {
+    for (name, p) in two_trees() {
         let ss = SteadyState::from_solution(&bw_first(&p));
         // Quantize lcm-exploded rates so the schedule (and the simulated
         // window) stays compact; loss is < 0.2% at this grid (E15).
@@ -467,15 +412,8 @@ pub fn e19_returns_on_trees() -> String {
         let ev = EventDrivenSchedule::standard(&p, &ss).unwrap();
         let start = rat(200, 1);
         let horizon = rat(600, 1);
-        let cfg = SimConfig {
-            horizon,
-            stop_injection_at: None,
-            total_tasks: None,
-            record_gantt: false,
-            exact_queue: false,
-            seed: 0,
-        };
-        let mut row = vec![name];
+        let cfg = sim_to(horizon);
+        let mut row = vec![name.to_string()];
         for (num, den) in [(0i128, 1i128), (1, 8), (1, 4), (1, 2), (1, 1)] {
             let ret = ReturnConfig { return_ratio: rat(num, den) };
             let rep = simulate_with_returns(&p, &ev, ret, &cfg).expect("valid schedule");

@@ -1,5 +1,6 @@
-//! E1, E6, E9, E10, E12: scaling and correctness sweeps.
+//! E1, E6, E9, E10, E12, E15: scaling and correctness sweeps.
 
+use super::sim_to;
 use crate::table::Table;
 use crate::trees::{bottleneck, f, fork, tree, SIZES};
 use bwfirst_core::fork::ForkChild;
@@ -9,7 +10,7 @@ use bwfirst_core::{bottom_up, bw_first, fork_equivalent_rate, startup, SteadySta
 use bwfirst_obs::Trace;
 use bwfirst_rational::{rat, Rat};
 use bwfirst_sim::provenance::{trace_header, ProvenanceProbe};
-use bwfirst_sim::{event_driven, SimConfig, SimReport};
+use bwfirst_sim::{event_driven, SimConfig};
 use std::fmt::Write;
 
 /// E1 — Proposition 1 and `BW-First` agree on fork graphs of every width.
@@ -41,11 +42,51 @@ pub fn e1_fork_equivalence() -> String {
     out
 }
 
+/// One E6 point: a bottlenecked tree and the work each solver did on it.
+#[derive(Debug, Clone)]
+pub struct VisitRow {
+    /// Tree size in nodes.
+    pub nodes: usize,
+    /// Root-link slowdown factor.
+    pub slowdown: i128,
+    /// Exact throughput (both solvers agree).
+    pub throughput: Rat,
+    /// Nodes BW-First visited.
+    pub visits: usize,
+    /// BW-First's protocol messages, the virtual parent's two included.
+    pub messages: usize,
+    /// Edges the bottom-up reduction processed.
+    pub bottom_up_edges: usize,
+}
+
 /// E6 — Section 5's efficiency claim: under bandwidth bottlenecks,
 /// `BW-First` touches only the feedable part of the tree while the
 /// bottom-up reduction processes every edge.
 #[must_use]
-pub fn e6_visits() -> String {
+pub fn visit_sweep() -> Vec<VisitRow> {
+    let mut rows = Vec::new();
+    for &nodes in &SIZES {
+        for slowdown in [1i128, 4, 16, 64] {
+            let p = bottleneck(nodes, 42, slowdown);
+            let sol = bw_first(&p);
+            let bu = bottom_up(&p);
+            assert_eq!(sol.throughput(), bu.throughput, "solvers disagree");
+            rows.push(VisitRow {
+                nodes,
+                slowdown,
+                throughput: sol.throughput(),
+                visits: sol.visit_count(),
+                messages: sol.message_count() + 2,
+                bottom_up_edges: bu.children_processed,
+            });
+        }
+    }
+    rows
+}
+
+/// E6's report: the visit table.
+#[must_use]
+pub fn e6_report(rows: &[VisitRow]) -> String {
     let mut t = Table::new([
         "nodes",
         "root-link slowdown",
@@ -55,22 +96,16 @@ pub fn e6_visits() -> String {
         "bottom-up edges",
         "visit ratio",
     ]);
-    for &size in &SIZES {
-        for slow in [1i128, 4, 16, 64] {
-            let p = bottleneck(size, 42, slow);
-            let sol = bw_first(&p);
-            let bu = bottom_up(&p);
-            assert_eq!(sol.throughput(), bu.throughput, "solvers disagree");
-            t.row([
-                size.to_string(),
-                format!("x{slow}"),
-                f(sol.throughput()),
-                sol.visit_count().to_string(),
-                (sol.message_count() + 2).to_string(),
-                bu.children_processed.to_string(),
-                format!("{:.2}", sol.visit_count() as f64 / size as f64),
-            ]);
-        }
+    for r in rows {
+        t.row([
+            r.nodes.to_string(),
+            format!("x{}", r.slowdown),
+            f(r.throughput),
+            r.visits.to_string(),
+            r.messages.to_string(),
+            r.bottom_up_edges.to_string(),
+            format!("{:.2}", r.visits as f64 / r.nodes as f64),
+        ]);
     }
     let mut out = String::new();
     writeln!(out, "E6  BW-First visits vs bottom-up work under root-link bottlenecks\n").unwrap();
@@ -82,10 +117,6 @@ pub fn e6_visits() -> String {
     )
     .unwrap();
     out
-}
-
-fn peak_buffer(rep: &SimReport) -> u64 {
-    rep.buffers.iter().map(|b| b.max).max().unwrap_or(0)
 }
 
 /// The exact mean sojourn time (entry at the root → end of the compute
@@ -152,14 +183,7 @@ pub fn e9_schedule_compactness() -> String {
         (LocalScheduleKind::AllAtOnce, "all-at-once"),
     ] {
         let ev = EventDrivenSchedule::build(&p, &ss, kind).unwrap();
-        let cfg = SimConfig {
-            horizon: rat(300, 1),
-            stop_injection_at: Some(rat(200, 1)),
-            total_tasks: None,
-            record_gantt: false,
-            exact_queue: false,
-            seed: 0,
-        };
+        let cfg = SimConfig { stop_injection_at: Some(rat(200, 1)), ..sim_to(rat(300, 1)) };
         let mut probe = ProvenanceProbe::new(&p, Some(&ev.tree));
         let rep = event_driven::simulate_probed(&p, &ev, &cfg, &mut probe).expect("simulate");
         let trace = probe.into_trace(trace_header(&p, Some(&ev.tree), "event", &cfg, None));
@@ -167,7 +191,7 @@ pub fn e9_schedule_compactness() -> String {
         let ok = rep.completions_in(rat(76, 1), rat(184, 1)) == 120; // 3 periods x 40
         t.row([
             name.to_string(),
-            peak_buffer(&rep).to_string(),
+            rep.peak_buffer().to_string(),
             f(avg),
             mean_sojourn(&trace).map_or("-".to_string(), f),
             f(rep.wind_down().unwrap()),
@@ -234,14 +258,7 @@ pub fn e12_startup_bounds() -> String {
         let bound = startup::tree_startup_bound(&p, &ev.tree);
         let window = Rat::from_int(synchronous_period(&ss).unwrap());
         let horizon = (Rat::from_int(bound) + window * rat(6, 1)).max(rat(120, 1));
-        let cfg = SimConfig {
-            horizon,
-            stop_injection_at: None,
-            total_tasks: None,
-            record_gantt: false,
-            exact_queue: false,
-            seed: 0,
-        };
+        let cfg = sim_to(horizon);
         let rep = event_driven::simulate(&p, &ev, &cfg).expect("simulate");
         let entry = rep.steady_state_entry(ss.throughput, window, horizon);
         let ok = entry.is_some_and(|e| e <= Rat::from_int(bound) + window);
@@ -262,12 +279,63 @@ pub fn e12_startup_bounds() -> String {
     out
 }
 
+/// One E15 row: a schedule of a supply tree, exact or quantized.
+#[derive(Debug, Clone)]
+pub struct QuantizeRow {
+    /// The `supply_tree(63, seed)` seed.
+    pub seed: u64,
+    /// Grid denominator `G`; `None` for the exact schedule.
+    pub grid: Option<i128>,
+    /// Throughput of the schedule.
+    pub throughput: Rat,
+    /// Throughput lost relative to the exact schedule, as a fraction of it.
+    pub loss: Rat,
+    /// `quantize::loss_bound` at this grid (zero for the exact schedule).
+    pub loss_bound: Rat,
+    /// Largest per-node consuming period `T^ω`.
+    pub max_t_omega: i128,
+    /// Largest per-node bunch `Ψ`.
+    pub max_bunch: i128,
+}
+
 /// E15 — rate quantization: collapse lcm-exploded periods onto a `1/G` grid
 /// at a provably bounded throughput loss (our extension; see
 /// `core::quantize`).
 #[must_use]
-pub fn e15_quantization() -> String {
+pub fn quantization_sweep() -> Vec<QuantizeRow> {
     use bwfirst_core::quantize::{loss_bound, quantize};
+    let mut rows = Vec::new();
+    for seed in [1u64, 3, 4] {
+        let p = crate::trees::supply_tree(63, seed);
+        let ss = SteadyState::from_solution(&bw_first(&p));
+        if !ss.throughput.is_positive() {
+            continue;
+        }
+        let row = |grid: Option<i128>, q: &SteadyState| {
+            let sched = bwfirst_core::schedule::TreeSchedule::build(&p, q).unwrap();
+            QuantizeRow {
+                seed,
+                grid,
+                throughput: q.throughput,
+                loss: (ss.throughput - q.throughput) / ss.throughput,
+                loss_bound: grid.map_or(Rat::ZERO, |g| loss_bound(&p, &ss, g)),
+                max_t_omega: sched.iter().map(|s| s.t_omega).max().unwrap_or(1),
+                max_bunch: sched.iter().map(|s| s.bunch).max().unwrap_or(0),
+            }
+        };
+        rows.push(row(None, &ss));
+        for grid in [60i128, 360, 2520] {
+            let q = quantize(&p, &ss, grid);
+            q.verify(&p).expect("quantized schedule feasible");
+            rows.push(row(Some(grid), &q));
+        }
+    }
+    rows
+}
+
+/// E15's report: throughput, loss and period size per grid.
+#[must_use]
+pub fn e15_report(rows: &[QuantizeRow]) -> String {
     let mut out = String::new();
     writeln!(out, "E15  feasible rate quantization vs period explosion\n").unwrap();
     let mut t = Table::new([
@@ -279,41 +347,30 @@ pub fn e15_quantization() -> String {
         "max T^w",
         "max bunch",
     ]);
-    for seed in [1u64, 3, 4] {
-        let p = crate::trees::supply_tree(63, seed);
-        let ss = SteadyState::from_solution(&bw_first(&p));
-        if !ss.throughput.is_positive() {
-            continue;
-        }
-        let exact_sched = bwfirst_core::schedule::TreeSchedule::build(&p, &ss).unwrap();
-        let max_omega = exact_sched.iter().map(|s| s.t_omega).max().unwrap_or(1);
-        let max_bunch = exact_sched.iter().map(|s| s.bunch).max().unwrap_or(0);
-        t.row([
-            format!("supply-63 #{seed}"),
-            "exact".to_string(),
-            f(ss.throughput),
-            "0".to_string(),
-            "-".to_string(),
-            max_omega.to_string(),
-            max_bunch.to_string(),
-        ]);
-        for grid in [60i128, 360, 2520] {
-            let q = quantize(&p, &ss, grid);
-            q.verify(&p).expect("quantized schedule feasible");
-            let sched = bwfirst_core::schedule::TreeSchedule::build(&p, &q).unwrap();
-            let max_omega = sched.iter().map(|s| s.t_omega).max().unwrap_or(1);
-            let max_bunch = sched.iter().map(|s| s.bunch).max().unwrap_or(0);
-            let loss = ss.throughput - q.throughput;
-            t.row([
+    for r in rows {
+        let (tree, grid, loss, bound) = match r.grid {
+            None => (
+                format!("supply-63 #{}", r.seed),
+                "exact".to_string(),
+                "0".to_string(),
+                "-".to_string(),
+            ),
+            Some(g) => (
                 String::new(),
-                format!("1/{grid}"),
-                f(q.throughput),
-                format!("{:.2}%", 100.0 * (loss / ss.throughput).to_f64()),
-                f(loss_bound(&p, &ss, grid)),
-                max_omega.to_string(),
-                max_bunch.to_string(),
-            ]);
-        }
+                format!("1/{g}"),
+                format!("{:.2}%", 100.0 * r.loss.to_f64()),
+                f(r.loss_bound),
+            ),
+        };
+        t.row([
+            tree,
+            grid,
+            f(r.throughput),
+            loss,
+            bound,
+            r.max_t_omega.to_string(),
+            r.max_bunch.to_string(),
+        ]);
     }
     out.push_str(&t.render());
     writeln!(out, "\nquantization keeps every single-port constraint satisfied by construction;")

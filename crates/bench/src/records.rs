@@ -1,17 +1,11 @@
 //! Machine-readable experiment records: the quantitative core of the key
 //! experiments as JSON-serializable structs, for plotting and regression
 //! tracking (written to `paper_output/records.json` by
-//! `paper_experiments records`).
+//! `paper_experiments records`). Each record is projected from the result
+//! its experiment's report prints.
 
-use crate::trees::{bottleneck, supply_tree};
-use bwfirst_core::schedule::{synchronous_period, EventDrivenSchedule, TreeSchedule};
-use bwfirst_core::{bottom_up, bw_first, quantize, startup, SteadyState};
+use crate::experiments::{figure5, makespans, quantization_sweep, section9_rates, visit_sweep};
 use bwfirst_obs::json::{obj, Value};
-use bwfirst_platform::examples::example_tree;
-use bwfirst_rational::{rat, Rat};
-use bwfirst_sim::demand_driven::DemandConfig;
-use bwfirst_sim::makespan;
-use bwfirst_sim::{event_driven, SimConfig};
 
 /// One point of the E6 visits sweep.
 #[derive(Debug, Clone)]
@@ -99,107 +93,57 @@ pub struct Records {
     pub quantization: Vec<QuantizeRecord>,
 }
 
-/// Recomputes the record set (exact library calls, no parsing).
+/// Runs E5, E6, E8, E13 and E15 and projects their results: Figure 5's
+/// numbers, every visit point, both Section 9 rates, the example tree's
+/// makespans and the quantization of `supply-63 #1`.
 #[must_use]
 pub fn collect() -> Records {
-    // E5.
-    let p = example_tree();
-    let ss = SteadyState::from_solution(&bw_first(&p));
-    let ev = EventDrivenSchedule::standard(&p, &ss).unwrap();
-    let period = synchronous_period(&ss).unwrap();
-    let bound = startup::tree_startup_bound(&p, &ev.tree);
-    let stop = rat(115, 1);
-    let cfg = SimConfig {
-        horizon: rat(220, 1),
-        stop_injection_at: Some(stop),
-        total_tasks: None,
-        record_gantt: false,
-        exact_queue: false,
-        seed: 0,
-    };
-    let rep = event_driven::simulate(&p, &ev, &cfg).expect("simulate");
+    let f = figure5();
     let figure5 = Figure5Record {
-        throughput: ss.throughput.to_string(),
-        period,
-        startup_bound: bound,
-        steady_entry: rep
-            .steady_state_entry(ss.throughput, Rat::from_int(period), stop)
-            .map_or(f64::NAN, Rat::to_f64),
-        first_period_tasks: rep.completions_in(Rat::ZERO, Rat::from_int(period)),
-        wind_down: rep.wind_down().map_or(f64::NAN, Rat::to_f64),
-        peak_buffer: rep.buffers.iter().map(|b| b.max).max().unwrap_or(0),
+        throughput: f.throughput.to_string(),
+        period: f.period,
+        startup_bound: f.startup_bound,
+        steady_entry: f.steady_entry.to_f64(),
+        first_period_tasks: f.first_period_tasks,
+        wind_down: f.wind_down.to_f64(),
+        peak_buffer: f.peak_buffer,
     };
-
-    // E6.
-    let mut visits = Vec::new();
-    for &size in &crate::trees::SIZES {
-        for slow in [1i64, 4, 16, 64] {
-            let p = bottleneck(size, 42, slow as i128);
-            let sol = bw_first(&p);
-            let bu = bottom_up(&p);
-            visits.push(VisitRecord {
-                nodes: size,
-                slowdown: slow,
-                throughput: sol.throughput().to_string(),
-                throughput_f64: sol.throughput().to_f64(),
-                bwfirst_visits: sol.visit_count(),
-                bottom_up_edges: bu.children_processed,
-            });
-        }
-    }
-
-    // E8.
-    let cfg = SimConfig {
-        horizon: rat(400, 1),
-        stop_injection_at: None,
-        total_tasks: None,
-        record_gantt: false,
-        exact_queue: false,
-        seed: 0,
-    };
-    let (sep, merged) = crate::experiments::section9_runs(&cfg);
-    let result_return = ResultReturnRecord {
-        separated_rate: sep.throughput_in(rat(200, 1), rat(400, 1)).to_f64(),
-        merged_rate: merged.throughput_in(rat(200, 1), rat(400, 1)).to_f64(),
-    };
-
-    // E13.
-    let p = example_tree();
-    let ss = SteadyState::from_solution(&bw_first(&p));
-    let ev = EventDrivenSchedule::standard(&p, &ss).unwrap();
-    let makespan = [50u64, 200, 1000]
+    let visits = visit_sweep()
         .into_iter()
-        .map(|n| MakespanRecord {
-            tasks: n,
-            lower_bound: makespan::lower_bound(&ss, n).to_f64(),
-            event_driven: makespan::event_driven_makespan(&p, &ss, &ev, n).to_f64(),
-            demand_driven: makespan::demand_driven_makespan(&p, &ss, DemandConfig::default(), n)
-                .to_f64(),
+        .map(|v| VisitRecord {
+            nodes: v.nodes,
+            slowdown: v.slowdown as i64,
+            throughput: v.throughput.to_string(),
+            throughput_f64: v.throughput.to_f64(),
+            bwfirst_visits: v.visits,
+            bottom_up_edges: v.bottom_up_edges,
         })
         .collect();
-
-    // E15.
-    let p = supply_tree(63, 1);
-    let exact = SteadyState::from_solution(&bw_first(&p));
-    let mut quantization = Vec::new();
-    let exact_sched = TreeSchedule::build(&p, &exact).unwrap();
-    quantization.push(QuantizeRecord {
-        grid: 0,
-        throughput_f64: exact.throughput.to_f64(),
-        loss_pct: 0.0,
-        max_t_omega: exact_sched.iter().map(|s| s.t_omega).max().unwrap_or(1),
-    });
-    for grid in [60i64, 360, 2520] {
-        let q = quantize::quantize(&p, &exact, grid as i128);
-        let sched = TreeSchedule::build(&p, &q).unwrap();
-        quantization.push(QuantizeRecord {
-            grid,
+    let rates = section9_rates();
+    let result_return = ResultReturnRecord {
+        separated_rate: rates.separated.to_f64(),
+        merged_rate: rates.merged.to_f64(),
+    };
+    let makespan = makespans()
+        .into_iter()
+        .filter(|m| m.tree == "example")
+        .map(|m| MakespanRecord {
+            tasks: m.tasks,
+            lower_bound: m.lower_bound.to_f64(),
+            event_driven: m.event_driven.to_f64(),
+            demand_driven: m.demand_driven.to_f64(),
+        })
+        .collect();
+    let quantization = quantization_sweep()
+        .into_iter()
+        .filter(|q| q.seed == 1)
+        .map(|q| QuantizeRecord {
+            grid: q.grid.map_or(0, |g| g as i64),
             throughput_f64: q.throughput.to_f64(),
-            loss_pct: 100.0 * ((exact.throughput - q.throughput) / exact.throughput).to_f64(),
-            max_t_omega: sched.iter().map(|s| s.t_omega).max().unwrap_or(1),
-        });
-    }
-
+            loss_pct: 100.0 * q.loss.to_f64(),
+            max_t_omega: q.max_t_omega,
+        })
+        .collect();
     Records { figure5, visits, result_return, makespan, quantization }
 }
 

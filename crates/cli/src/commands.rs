@@ -149,8 +149,12 @@ where
     let export = |args: &Args, rec: &MemoryRecorder, nodes: usize| -> Result<(), CliError> {
         if let Some(path) = args.flags.get("trace") {
             // 1 simulated time unit = 1ms in the viewer.
-            let trace =
-                chrome::to_chrome_trace_named(rec, 1000.0, "bwfirst", &chrome::track_names(nodes));
+            let trace = chrome::to_chrome_trace_named(
+                &rec.events,
+                1000.0,
+                "bwfirst",
+                &chrome::track_names(nodes),
+            );
             write_file(path, &trace).map_err(CliError::Io)?;
         }
         if let Some(path) = args.flags.get("metrics") {
@@ -463,8 +467,7 @@ fn cmd_simulate(p: &Platform, args: &Args) -> Result<(String, Option<MemoryRecor
     if let Some(wd) = rep.wind_down() {
         writeln!(out, "wind-down         : {:.4}", wd.to_f64()).unwrap();
     }
-    let peak = rep.buffers.iter().map(|b| b.max).max().unwrap_or(0);
-    writeln!(out, "peak buffer       : {peak}").unwrap();
+    writeln!(out, "peak buffer       : {}", rep.peak_buffer()).unwrap();
     if let (Some(cols), Some(g)) = (gantt, &rep.gantt) {
         let until = horizon.min(rat(80, 1));
         let nodes: Vec<_> = p.node_ids().filter(|&n| ss.is_active(n)).collect();
@@ -597,10 +600,12 @@ where
     let trace = record_trace(&p, &ss, protocol, &cfg)?;
     write_file(out_path, &trace.to_jsonl()).map_err(CliError::Io)?;
     if let Some(path) = args.flags.get("chrome") {
-        let mut rec = MemoryRecorder::new();
-        rec.events = trace.to_events();
-        let view =
-            chrome::to_chrome_trace_named(&rec, 1000.0, "bwfirst", &chrome::track_names(p.len()));
+        let view = chrome::to_chrome_trace_named(
+            &trace.to_events(),
+            1000.0,
+            "bwfirst",
+            &chrome::track_names(p.len()),
+        );
         write_file(path, &view).map_err(CliError::Io)?;
     }
     let ids = trace.task_ids();

@@ -8,7 +8,6 @@
 
 use crate::event::{Event, EventKind};
 use crate::json::{obj, Value};
-use crate::recorder::MemoryRecorder;
 
 /// The three single-port activity lanes of a node, in paper order.
 pub const LANES: [&str; 3] = ["receive", "compute", "send"];
@@ -35,7 +34,7 @@ pub fn track_names(n: usize) -> Vec<(u32, String)> {
         .collect()
 }
 
-/// Renders recorded events as a Chrome trace JSON document.
+/// Renders events as a Chrome trace JSON document.
 ///
 /// `scale` is the number of trace microseconds per simulated time unit
 /// (1000.0 makes one time unit read as one millisecond in the viewer).
@@ -45,14 +44,14 @@ pub fn track_names(n: usize) -> Vec<(u32, String)> {
 /// `tracks` (e.g. from [`track_names`]).
 #[must_use]
 pub fn to_chrome_trace_named(
-    rec: &MemoryRecorder,
+    events: &[Event],
     scale: f64,
     process: &str,
     tracks: &[(u32, String)],
 ) -> String {
-    let mut events: Vec<Value> = Vec::with_capacity(rec.events.len() + tracks.len() + 1);
+    let mut out: Vec<Value> = Vec::with_capacity(events.len() + tracks.len() + 1);
     if !process.is_empty() {
-        events.push(obj(vec![
+        out.push(obj(vec![
             ("name", Value::Str("process_name".to_string())),
             ("ph", Value::Str("M".to_string())),
             ("pid", Value::Int(0)),
@@ -60,7 +59,7 @@ pub fn to_chrome_trace_named(
         ]));
     }
     for (tid, label) in tracks {
-        events.push(obj(vec![
+        out.push(obj(vec![
             ("name", Value::Str("thread_name".to_string())),
             ("ph", Value::Str("M".to_string())),
             ("pid", Value::Int(0)),
@@ -68,12 +67,9 @@ pub fn to_chrome_trace_named(
             ("args", obj(vec![("name", Value::Str(label.clone()))])),
         ]));
     }
-    events.extend(rec.events.iter().map(|e| event_json(e, scale)));
-    obj(vec![
-        ("traceEvents", Value::Array(events)),
-        ("displayTimeUnit", Value::Str("ms".to_string())),
-    ])
-    .to_string_pretty()
+    out.extend(events.iter().map(|e| event_json(e, scale)));
+    obj(vec![("traceEvents", Value::Array(out)), ("displayTimeUnit", Value::Str("ms".to_string()))])
+        .to_string_pretty()
 }
 
 fn event_json(e: &Event, scale: f64) -> Value {
@@ -125,13 +121,12 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_json_with_paired_spans() {
-        let mut rec = MemoryRecorder::new();
-        rec.event(Event::new(Ts::ZERO, 1, "compute", EventKind::Begin));
-        rec.event(Event::new(Ts::new(3, 2), 1, "compute", EventKind::End));
-        rec.event(
+        let events = [
+            Event::new(Ts::ZERO, 1, "compute", EventKind::Begin),
+            Event::new(Ts::new(3, 2), 1, "compute", EventKind::End),
             Event::new(Ts::new(3, 2), 1, "buffer", EventKind::Counter).arg("tasks", Arg::Int(4)),
-        );
-        let trace = to_chrome_trace_named(&rec, 1000.0, "", &[]);
+        ];
+        let trace = to_chrome_trace_named(&events, 1000.0, "", &[]);
         let v = json::parse(&trace).unwrap();
         let evs = v["traceEvents"].as_array().unwrap();
         assert_eq!(evs.len(), 3);
@@ -187,10 +182,8 @@ mod tests {
     /// `BLESS=1` to regenerate after an intentional format change.
     #[test]
     fn provenance_flow_export_matches_the_golden_file() {
-        let trace = flow_fixture();
-        let mut rec = MemoryRecorder::new();
-        rec.events = trace.to_events();
-        let got = to_chrome_trace_named(&rec, 1000.0, "bwfirst", &track_names(2));
+        let events = flow_fixture().to_events();
+        let got = to_chrome_trace_named(&events, 1000.0, "bwfirst", &track_names(2));
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/chrome_flow_golden.json");
         if std::env::var_os("BLESS").is_some() {
             std::fs::write(path, &got).expect("regenerate golden file");
@@ -201,11 +194,12 @@ mod tests {
 
     #[test]
     fn named_trace_prefixes_metadata_events() {
-        let mut rec = MemoryRecorder::new();
-        rec.event(Event::new(Ts::ZERO, 5, "send", EventKind::Begin));
-        rec.event(Event::new(Ts::new(1, 1), 5, "send", EventKind::End));
+        let events = [
+            Event::new(Ts::ZERO, 5, "send", EventKind::Begin),
+            Event::new(Ts::new(1, 1), 5, "send", EventKind::End),
+        ];
         let tracks = vec![(5u32, "P1 send".to_string())];
-        let trace = to_chrome_trace_named(&rec, 1000.0, "bwfirst sim", &tracks);
+        let trace = to_chrome_trace_named(&events, 1000.0, "bwfirst sim", &tracks);
         let v = json::parse(&trace).unwrap();
         let evs = v["traceEvents"].as_array().unwrap();
         assert_eq!(evs.len(), 4);

@@ -545,6 +545,13 @@ impl SimReport {
         self.completions.last().map(|&(t, _)| t)
     }
 
+    /// The most tasks any one node held buffered at once (0 on an empty
+    /// report).
+    #[must_use]
+    pub fn peak_buffer(&self) -> u64 {
+        self.buffers.iter().map(|b| b.max).max().unwrap_or(0)
+    }
+
     /// Wind-down length: time from the injection stop to the last
     /// completion. `None` when injection never stopped inside the horizon.
     #[must_use]

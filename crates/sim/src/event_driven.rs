@@ -676,12 +676,11 @@ mod tests {
         };
         let ri = simulate(&p, &inter, &cfg).unwrap();
         let rb = simulate(&p, &burst, &cfg).unwrap();
-        let peak = |r: &SimReport| r.buffers.iter().map(|b| b.max).max().unwrap();
         assert!(
-            peak(&ri) <= peak(&rb),
+            ri.peak_buffer() <= rb.peak_buffer(),
             "interleaved peak {} > bursty peak {}",
-            peak(&ri),
-            peak(&rb)
+            ri.peak_buffer(),
+            rb.peak_buffer()
         );
         // Throughput is schedule-order independent.
         assert_eq!(

@@ -10,25 +10,14 @@ use bwfirst_platform::NodeId;
 use bwfirst_rational::Rat;
 use std::fmt::Write;
 
-/// Layout and styling knobs for [`render_svg`].
-#[derive(Debug, Clone)]
-pub struct SvgOptions {
-    /// Drawing width in pixels (time axis spans this minus the label gutter).
-    pub width: u32,
-    /// Height of one activity lane in pixels.
-    pub lane_height: u32,
-    /// Gap between nodes in pixels.
-    pub node_gap: u32,
-    /// Approximate number of time-axis ticks.
-    pub ticks: u32,
-}
-
-impl Default for SvgOptions {
-    fn default() -> Self {
-        SvgOptions { width: 1000, lane_height: 14, node_gap: 10, ticks: 12 }
-    }
-}
-
+/// Drawing width in pixels (the time axis spans this minus the label gutter).
+const WIDTH: u32 = 1000;
+/// Height of one activity lane in pixels.
+const LANE_HEIGHT: u32 = 14;
+/// Gap between nodes in pixels.
+const NODE_GAP: u32 = 10;
+/// Approximate number of time-axis ticks.
+const TICKS: u32 = 12;
 const GUTTER: u32 = 64;
 const AXIS: u32 = 28;
 
@@ -40,33 +29,23 @@ fn lane_color(kind: SegmentKind) -> &'static str {
     }
 }
 
-fn lane_index(kind: SegmentKind) -> u32 {
-    match kind {
-        SegmentKind::Receive => 0,
-        SegmentKind::Compute => 1,
-        SegmentKind::Send(_) => 2,
-    }
-}
-
 /// Renders the trace of `nodes` over `[0, until)` as a standalone SVG
 /// document.
 #[must_use]
-pub fn render_svg(gantt: &Gantt, nodes: &[NodeId], until: Rat, opts: &SvgOptions) -> String {
+pub fn render_svg(gantt: &Gantt, nodes: &[NodeId], until: Rat) -> String {
     assert!(until.is_positive(), "horizon must be positive");
-    assert!(opts.width > GUTTER + 10, "width too small");
-    let plot_w = (opts.width - GUTTER) as f64;
-    let node_h = 3 * opts.lane_height + opts.node_gap;
+    let plot_w = (WIDTH - GUTTER) as f64;
+    let node_h = 3 * LANE_HEIGHT + NODE_GAP;
     let height = nodes.len() as u32 * node_h + AXIS;
     let x_of = |t: Rat| -> f64 { GUTTER as f64 + (t / until).to_f64().clamp(0.0, 1.0) * plot_w };
 
     let mut s = String::new();
     writeln!(
         s,
-        r#"<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{height}" viewBox="0 0 {w} {height}" font-family="sans-serif" font-size="10">"#,
-        w = opts.width
+        r#"<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" viewBox="0 0 {WIDTH} {height}" font-family="sans-serif" font-size="10">"#
     )
     .unwrap();
-    writeln!(s, r##"<rect width="{}" height="{height}" fill="#ffffff"/>"##, opts.width).unwrap();
+    writeln!(s, r##"<rect width="{WIDTH}" height="{height}" fill="#ffffff"/>"##).unwrap();
 
     // Node labels, lane letters and lane baselines.
     for (ni, &node) in nodes.iter().enumerate() {
@@ -74,24 +53,24 @@ pub fn render_svg(gantt: &Gantt, nodes: &[NodeId], until: Rat, opts: &SvgOptions
         writeln!(
             s,
             r#"<text x="4" y="{}" font-weight="bold">{node}</text>"#,
-            top + 3 * opts.lane_height / 2
+            top + 3 * LANE_HEIGHT / 2
         )
         .unwrap();
         for (lane, label) in [(0u32, "R"), (1, "C"), (2, "S")] {
-            let y = top + lane * opts.lane_height;
+            let y = top + lane * LANE_HEIGHT;
             writeln!(
                 s,
                 r##"<text x="{x}" y="{ty}" fill="#888">{label}</text>"##,
                 x = GUTTER - 14,
-                ty = y + opts.lane_height - 3
+                ty = y + LANE_HEIGHT - 3
             )
             .unwrap();
             writeln!(
                 s,
                 r##"<line x1="{x1}" y1="{ly}" x2="{x2}" y2="{ly}" stroke="#eeeeee"/>"##,
                 x1 = GUTTER,
-                x2 = opts.width,
-                ly = y + opts.lane_height
+                x2 = WIDTH,
+                ly = y + LANE_HEIGHT
             )
             .unwrap();
         }
@@ -105,7 +84,7 @@ pub fn render_svg(gantt: &Gantt, nodes: &[NodeId], until: Rat, opts: &SvgOptions
         }
         let x0 = x_of(seg.start.max(Rat::ZERO));
         let x1 = x_of(seg.end.min(until));
-        let y = ni as u32 * node_h + lane_index(seg.kind) * opts.lane_height;
+        let y = ni as u32 * node_h + crate::probe::lane(seg.kind) as u32 * LANE_HEIGHT;
         let title = match seg.kind {
             SegmentKind::Receive => format!("{} receives [{}, {})", seg.node, seg.start, seg.end),
             SegmentKind::Compute => format!("{} computes [{}, {})", seg.node, seg.start, seg.end),
@@ -117,7 +96,7 @@ pub fn render_svg(gantt: &Gantt, nodes: &[NodeId], until: Rat, opts: &SvgOptions
             s,
             r##"<rect x="{x0:.2}" y="{y}" width="{w:.2}" height="{h}" fill="{fill}" stroke="#ffffff" stroke-width="0.5"><title>{title}</title></rect>"##,
             w = (x1 - x0).max(0.5),
-            h = opts.lane_height - 2,
+            h = LANE_HEIGHT - 2,
             fill = lane_color(seg.kind),
         )
         .unwrap();
@@ -127,12 +106,11 @@ pub fn render_svg(gantt: &Gantt, nodes: &[NodeId], until: Rat, opts: &SvgOptions
     let axis_y = nodes.len() as u32 * node_h + 4;
     writeln!(
         s,
-        r##"<line x1="{GUTTER}" y1="{axis_y}" x2="{}" y2="{axis_y}" stroke="#333333"/>"##,
-        opts.width
+        r##"<line x1="{GUTTER}" y1="{axis_y}" x2="{WIDTH}" y2="{axis_y}" stroke="#333333"/>"##
     )
     .unwrap();
     let until_f = until.to_f64();
-    let step = nice_step(until_f / opts.ticks.max(1) as f64);
+    let step = nice_step(until_f / f64::from(TICKS));
     let mut t = 0.0;
     while t <= until_f + 1e-9 {
         let x = GUTTER as f64 + (t / until_f) * plot_w;
@@ -184,8 +162,7 @@ mod tests {
 
     #[test]
     fn renders_valid_svg_skeleton() {
-        let svg =
-            render_svg(&sample(), &[NodeId(0), NodeId(1)], rat(10, 1), &SvgOptions::default());
+        let svg = render_svg(&sample(), &[NodeId(0), NodeId(1)], rat(10, 1));
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));
         // Three rects for the three segments plus the background.
@@ -200,15 +177,14 @@ mod tests {
         let mut g = sample();
         g.push(NodeId(0), SegmentKind::Compute, rat(50, 1), rat(60, 1)); // beyond
         g.push(NodeId(9), SegmentKind::Compute, rat(1, 1), rat(2, 1)); // not listed
-        let svg = render_svg(&g, &[NodeId(0), NodeId(1)], rat(10, 1), &SvgOptions::default());
+        let svg = render_svg(&g, &[NodeId(0), NodeId(1)], rat(10, 1));
         assert_eq!(svg.matches("<rect").count(), 4);
         assert!(!svg.contains("P9"));
     }
 
     #[test]
     fn lanes_have_distinct_colors() {
-        let svg =
-            render_svg(&sample(), &[NodeId(0), NodeId(1)], rat(10, 1), &SvgOptions::default());
+        let svg = render_svg(&sample(), &[NodeId(0), NodeId(1)], rat(10, 1));
         assert!(svg.contains("#55A868")); // compute
         assert!(svg.contains("#DD8452")); // send
         assert!(svg.contains("#4C72B0")); // receive
@@ -226,7 +202,7 @@ mod tests {
 
     #[test]
     fn axis_ticks_present() {
-        let svg = render_svg(&sample(), &[NodeId(0)], rat(100, 1), &SvgOptions::default());
+        let svg = render_svg(&sample(), &[NodeId(0)], rat(100, 1));
         assert!(svg.contains(">0</text>"));
         assert!(svg.contains(">100</text>") || svg.contains(">90</text>"));
     }

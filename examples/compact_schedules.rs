@@ -80,6 +80,5 @@ fn main() {
     println!("\nsimulated quantized schedule over one grid period:");
     println!("  predicted {:.6}", q.throughput.to_f64());
     println!("  measured  {:.6}  (exactly equal: {})", measured.to_f64(), measured == q.throughput);
-    let peak = rep.buffers.iter().map(|b| b.max).max().unwrap();
-    println!("  peak buffered tasks: {peak}");
+    println!("  peak buffered tasks: {}", rep.peak_buffer());
 }

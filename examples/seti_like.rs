@@ -76,8 +76,7 @@ fn main() {
         println!("  steady state from   : {:.2} (bound {bound})", entry.to_f64());
     }
     println!("  wind-down           : {:.2} time units", report.wind_down().unwrap().to_f64());
-    let peak = report.buffers.iter().map(|b| b.max).max().unwrap();
-    println!("  peak node buffer    : {peak} work units");
+    println!("  peak node buffer    : {} work units", report.peak_buffer());
 
     // Who did the work? Top five volunteers.
     let mut per_node: Vec<(usize, u64)> = report.computed.iter().copied().enumerate().collect();
