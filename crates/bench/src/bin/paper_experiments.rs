@@ -30,7 +30,8 @@ fn main() {
     if write_records || ids.contains(&"e5") {
         std::fs::create_dir_all("paper_output").expect("create paper_output");
         let svg = experiments::figure5().svg;
-        std::fs::write("paper_output/figure5.svg", svg).expect("write figure5.svg");
+        std::fs::write("paper_output/figure5.svg", &svg).expect("write figure5.svg");
+        println!("wrote paper_output/figure5.svg ({} bytes)", svg.len());
     }
     if write_records {
         let json = records::to_json(&records::collect());

@@ -187,7 +187,6 @@ pub fn e5_report(r: &Figure5) -> String {
     )
     .unwrap();
     out.push_str(&r.gantt);
-    writeln!(out, "(SVG rendering of the full run written to paper_output/figure5.svg)\n").unwrap();
 
     let mut t = Table::new(["metric", "paper (its tree)", "measured (reconstructed tree)"]);
     t.row(["steady throughput".to_string(), "10/9".to_string(), r.steady_rate.to_string()]);

@@ -48,7 +48,7 @@ usage:
       snapshots (JSONL), rate convergence against the solver's exact rates,
       and a flight-recorder post-mortem dump when an invariant trips
   bwfirst trace record <platform.json> --out <t.jsonl> [--protocol P]
-                 [--horizon H] [--tasks N] [--seed S] [--chrome out.json]
+                 [--horizon H] [--tasks N] [--chrome out.json]
       run one executor under the provenance probe and write the
       {TRACE_FORMAT} JSONL artifact (per-task lifecycle: enter, stride
       dispatch, hop, compute); --chrome adds a Perfetto view with one
@@ -116,7 +116,7 @@ fn known_flags(args: &Args) -> Option<&'static [&'static str]> {
         ("monitor", _) => {
             &["horizon", "window", "warmup", "protocol", "snapshots", "dump", "capacity"]
         }
-        ("trace", Some("record")) => &["out", "protocol", "horizon", "tasks", "seed", "chrome"],
+        ("trace", Some("record")) => &["out", "protocol", "horizon", "tasks", "chrome"],
         ("trace", Some("lineage")) => &["task"],
         ("generate", Some("hetero" | "wide")) => &["size", "seed"],
         ("generate", _) => &["size", "seed", "arity", "depth"],
@@ -595,8 +595,7 @@ where
     }
     let period = synchronous_period(&ss).map_err(rt)?;
     let tasks = args.flag_opt::<u64>("tasks", "--tasks")?;
-    let seed = args.flag_or::<u64>("seed", "--seed", 0)?;
-    let cfg = sim_config(horizon(args, period, 8)?, tasks, seed)?;
+    let cfg = sim_config(horizon(args, period, 8)?, tasks, 0)?;
     let trace = record_trace(&p, &ss, protocol, &cfg)?;
     write_file(out_path, &trace.to_jsonl()).map_err(CliError::Io)?;
     if let Some(path) = args.flags.get("chrome") {

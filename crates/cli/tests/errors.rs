@@ -28,6 +28,7 @@ fn usage_errors_print_usage() {
         (&["simulate", "no-such-platform.json", "--grid", "10000"][..], 1),
         (&["trace", "diff", "a.jsonl", "b.jsonl", "--task", "0"][..], 1),
         (&["stats", "no-such-platform.json", "--threads", "2"][..], 1),
+        (&["trace", "record", "no-such-platform.json", "--out", "t.jsonl", "--seed", "3"][..], 1),
     ] {
         let (got, stderr) = bwfirst(args);
         assert_eq!(got, code, "{args:?}: {stderr}");

@@ -451,12 +451,11 @@ mod tests {
         let rep = simulate(&p, DemandConfig::interruptible(), &cfg);
         let g = rep.gantt.as_ref().unwrap();
         let slow = NodeId(1);
-        let total: Rat = g
-            .segments
-            .iter()
+        let ticks: i128 = (g.segments.iter())
             .filter(|s| s.kind == SegmentKind::Send(slow))
             .map(|s| s.end - s.start)
             .sum();
+        let total = g.scale.rat(ticks);
         let c = rat(10, 1);
         assert_eq!(total, Rat::from(rep.received[1] as usize) * c);
     }

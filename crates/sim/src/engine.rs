@@ -27,9 +27,11 @@
 //! Any scale is allowed while the horizon plus the longest step fits
 //! `i128` ticks; otherwise (or when the lcm itself leaves `i128`) the run
 //! fails before its first event with [`SimError::TickOverflow`], which
-//! names the scale and the horizon. Exact `Rat` times are rebuilt once,
-//! when [`Engine`] assembles the [`SimReport`]; probes rebuild them where
-//! they record artifacts ([`TickScale::rat`], [`TickScale::ts`]).
+//! names the scale and the horizon. The [`SimReport`] keeps the completion
+//! ticks with the scale, and the Gantt trace its segment ticks: each event
+//! has one copy. An exact `Rat` time is built only where one is returned or
+//! printed (a window bound is turned into ticks instead), and probes build
+//! them where they record artifacts ([`TickScale::rat`], [`TickScale::ts`]).
 
 // R2: typed errors, no panics (rules: docs/ANALYSIS.md).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -475,7 +477,8 @@ impl<E, P: Probe> Engine<E, P> {
         self.record_completion(node, t);
     }
 
-    /// The report, with every tick turned back into its exact time.
+    /// The report. Completions stay the engine's ticks; only the summary
+    /// instants (horizon, injection stop, buffer averages) are exact times.
     fn report(&mut self) -> Result<SimReport, SimError> {
         let (cfg, scale) = (&self.cfg, self.scale);
         let exhausted = cfg.total_tasks.is_some_and(|n| self.injected >= n);
@@ -485,11 +488,14 @@ impl<E, P: Probe> Engine<E, P> {
             cfg.stop_injection_at.filter(|&s| s <= cfg.horizon)
         };
         let mut completions = std::mem::take(&mut self.completions);
+        // Same-tick completions in node order: reports print that order.
         completions.sort_unstable();
+        completions.shrink_to_fit();
         Ok(SimReport {
             horizon: cfg.horizon,
             injection_stopped_at,
-            completions: completions.into_iter().map(|(t, node)| (scale.rat(t), node)).collect(),
+            scale,
+            completions,
             computed: std::mem::take(&mut self.computed),
             received: std::mem::take(&mut self.received),
             buffers: self.buffers.finalize(cfg.horizon, scale)?,
@@ -505,8 +511,11 @@ pub struct SimReport {
     pub horizon: Rat,
     /// When injection actually stopped (None = ran to horizon with supply).
     pub injection_stopped_at: Option<Rat>,
-    /// `(completion time, node)` of every computed task, in time order.
-    pub completions: Vec<(Rat, NodeId)>,
+    /// The run's time scale: completion tick `t` is time `t / S`.
+    pub scale: TickScale,
+    /// `(completion tick, node)` of every computed task, in tick order and
+    /// same-tick completions in node order.
+    pub completions: Vec<(i128, NodeId)>,
     /// Tasks computed per node.
     pub computed: Vec<u64>,
     /// Tasks received from the parent per node (root: tasks injected).
@@ -524,12 +533,22 @@ impl SimReport {
         self.computed.iter().sum()
     }
 
-    /// Completions in the half-open window `[from, to)`.
+    /// Completions strictly before time `t`. A tick `k` is before `t` exactly
+    /// when `k < ⌈t·S⌉`; a `t` whose tick leaves `i128` lies past every
+    /// completion or before every one, by its sign.
+    fn completions_before(&self, t: Rat) -> usize {
+        match self.scale.ceil(t) {
+            Some(tick) => self.completions.partition_point(|&(c, _)| c < tick),
+            None if t.is_positive() => self.completions.len(),
+            None => 0,
+        }
+    }
+
+    /// Completions in the half-open window `[from, to)`; 0 when the window
+    /// is empty or inverted.
     #[must_use]
     pub fn completions_in(&self, from: Rat, to: Rat) -> u64 {
-        let lo = self.completions.partition_point(|&(t, _)| t < from);
-        let hi = self.completions.partition_point(|&(t, _)| t < to);
-        (hi - lo) as u64
+        self.completions_before(to).saturating_sub(self.completions_before(from)) as u64
     }
 
     /// Average throughput over `[from, to)` in tasks per time unit.
@@ -542,7 +561,7 @@ impl SimReport {
     /// Time of the last completion, if any task completed.
     #[must_use]
     pub fn last_completion(&self) -> Option<Rat> {
-        self.completions.last().map(|&(t, _)| t)
+        self.completions.last().map(|&(t, _)| self.scale.rat(t))
     }
 
     /// The most tasks any one node held buffered at once (0 on an empty
@@ -589,14 +608,16 @@ impl SimReport {
         if qualifies(Rat::ZERO) {
             return Some(Rat::ZERO);
         }
-        self.completions.iter().map(|&(t, _)| t).find(|&t| qualifies(t))
+        self.completions.iter().map(|&(t, _)| self.scale.rat(t)).find(|&t| qualifies(t))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gantt::GanttSegment;
     use bwfirst_rational::rat;
+    use proptest::prelude::*;
 
     impl<E> EventQueue<E> {
         fn is_empty(&self) -> bool {
@@ -608,7 +629,8 @@ mod tests {
         SimReport {
             horizon: rat(100, 1),
             injection_stopped_at: None,
-            completions: times.iter().map(|&(t, n)| (rat(t, 1), NodeId(n))).collect(),
+            scale: TickScale::ONE,
+            completions: times.iter().map(|&(t, n)| (t, NodeId(n))).collect(),
             computed: vec![],
             received: vec![],
             buffers: vec![],
@@ -749,6 +771,14 @@ mod tests {
     }
 
     #[test]
+    fn an_inverted_window_holds_no_completions() {
+        let r = report(&[(1, 0), (2, 0), (3, 1), (10, 1)]);
+        assert_eq!(r.completions_in(rat(3, 1), rat(1, 1)), 0);
+        assert_eq!(r.completions_in(rat(100, 1), Rat::ZERO), 0);
+        assert_eq!(r.completions_in(Rat::new(i128::MAX, 1), Rat::new(-i128::MAX, 1)), 0);
+    }
+
+    #[test]
     fn steady_state_entry_finds_rampup() {
         // One completion per unit from t=5 on; rate 1, window 2.
         let times: Vec<(i128, u32)> = (5..50).map(|t| (t, 0)).collect();
@@ -802,5 +832,184 @@ mod tests {
         let mut r = report(&[(1, 0), (2, 0), (12, 0)]);
         r.injection_stopped_at = Some(rat(10, 1));
         assert_eq!(r.wind_down(), Some(rat(2, 1)));
+    }
+
+    /// The report's queries over exact times: every completion tick turned
+    /// into its `Rat` first, each window bound compared as a `Rat`.
+    struct RatReference {
+        completions: Vec<Rat>,
+        injection_stopped_at: Option<Rat>,
+    }
+
+    impl RatReference {
+        fn of(r: &SimReport) -> RatReference {
+            RatReference {
+                completions: r.completions.iter().map(|&(t, _)| r.scale.rat(t)).collect(),
+                injection_stopped_at: r.injection_stopped_at,
+            }
+        }
+
+        fn completions_in(&self, from: Rat, to: Rat) -> u64 {
+            let lo = self.completions.partition_point(|&t| t < from);
+            let hi = self.completions.partition_point(|&t| t < to);
+            hi.saturating_sub(lo) as u64
+        }
+
+        /// `None` where the exact arithmetic leaves `i128`.
+        fn throughput_in(&self, from: Rat, to: Rat) -> Option<Rat> {
+            let span = to.checked_sub(from).ok()?;
+            Rat::from(self.completions_in(from, to) as usize).checked_div(span).ok()
+        }
+
+        fn last_completion(&self) -> Option<Rat> {
+            self.completions.last().copied()
+        }
+
+        fn wind_down(&self) -> Option<Rat> {
+            let stop = self.injection_stopped_at?;
+            Some((self.last_completion()? - stop).max(Rat::ZERO))
+        }
+
+        fn steady_state_entry(&self, rate: Rat, window: Rat, until: Rat) -> Option<Rat> {
+            if window > until {
+                return None;
+            }
+            let expected = (rate * window).floor() as u64;
+            let qualifies = |t: Rat| -> bool {
+                let (mut lo, mut fits) = (t, false);
+                loop {
+                    let Ok(hi) = lo.checked_add(window) else { return false };
+                    if hi > until {
+                        return fits;
+                    }
+                    if self.completions_in(lo, hi) < expected {
+                        return false;
+                    }
+                    (lo, fits) = (hi, true);
+                }
+            };
+            if qualifies(Rat::ZERO) {
+                return Some(Rat::ZERO);
+            }
+            self.completions.iter().copied().find(|&t| qualifies(t))
+        }
+    }
+
+    /// A time from `(kind, a, b)` at `scale`: on tick `a`, between ticks
+    /// `a` and `a + 1`, the plain fraction `a/b`, or past the `i128` ticks
+    /// on either side.
+    fn bound(scale: TickScale, (kind, a, b): (u8, i128, i128)) -> Rat {
+        let s = scale.get();
+        match kind {
+            0 => Rat::new(a, s),
+            1 => Rat::new(2 * a + 1, 2 * s),
+            2 => Rat::new(a, b),
+            3 => Rat::new(i128::MAX - b, 1),
+            _ => Rat::new(-(i128::MAX - b), 1),
+        }
+    }
+
+    fn scales() -> impl Strategy<Value = i128> {
+        prop_oneof![1i128..=12, (1i128 << 20)..(1i128 << 40)]
+    }
+
+    fn bounds() -> impl Strategy<Value = (u8, i128, i128)> {
+        (0u8..5, -20i128..320, 1i128..50)
+    }
+
+    fn report_at(scale: i128, mut ticks: Vec<(i128, u32)>) -> SimReport {
+        ticks.sort_unstable();
+        SimReport { scale: TickScale::new(scale).unwrap(), ..report(&ticks) }
+    }
+
+    /// A Gantt lane segment on ticks `[start, start + len)`.
+    fn segment((node, kind, start, len): (u32, u32, i128, i128)) -> GanttSegment {
+        let kind = match kind {
+            0 => SegmentKind::Receive,
+            1 => SegmentKind::Compute,
+            k => SegmentKind::Send(NodeId(k)),
+        };
+        GanttSegment { node: NodeId(node), kind, start, end: start + len }
+    }
+
+    /// The overlap check over exact segment times, lane by lane.
+    fn rat_overlap(g: &Gantt) -> bool {
+        let mut lanes: std::collections::HashMap<(NodeId, usize), Vec<(Rat, Rat)>> =
+            std::collections::HashMap::new();
+        for s in &g.segments {
+            let span = (g.scale.rat(s.start), g.scale.rat(s.end));
+            lanes.entry((s.node, crate::probe::lane(s.kind))).or_default().push(span);
+        }
+        lanes.values_mut().any(|list| {
+            list.sort();
+            list.windows(2).any(|w| w[1].0 < w[0].1)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+
+        /// Every query on the ticks answers what it answers on exact times,
+        /// for bounds on ticks, between them, negative and past the `i128`
+        /// ticks.
+        #[test]
+        fn tick_queries_match_the_rat_reference(
+            scale in scales(),
+            ticks in prop::collection::vec((0i128..300, 0u32..4), 0..40),
+            from in bounds(),
+            to in bounds(),
+            stop in bounds(),
+        ) {
+            let mut r = report_at(scale, ticks);
+            let (from, to) = (bound(r.scale, from), bound(r.scale, to));
+            r.injection_stopped_at = Some(bound(r.scale, (stop.0 % 3, stop.1, stop.2)));
+            let reference = RatReference::of(&r);
+            prop_assert_eq!(r.completions_in(from, to), reference.completions_in(from, to));
+            prop_assert_eq!(r.completions_in(to, from), reference.completions_in(to, from));
+            if to > from {
+                if let Some(want) = reference.throughput_in(from, to) {
+                    prop_assert_eq!(r.throughput_in(from, to), want);
+                }
+            }
+            prop_assert_eq!(r.last_completion(), reference.last_completion());
+            prop_assert_eq!(r.wind_down(), reference.wind_down());
+        }
+
+        /// Steady-state entry on ticks tries the same candidates and windows
+        /// as on exact times.
+        #[test]
+        fn steady_state_entry_matches_the_rat_reference(
+            scale in scales(),
+            ticks in prop::collection::vec((0i128..200, 0u32..4), 0..40),
+            per_window in 0i128..4,
+            window in (0u8..2, 1i128..40, 1i128..2),
+            until in (0u8..2, 0i128..240, 1i128..2),
+        ) {
+            let r = report_at(scale, ticks);
+            let (window, until) = (bound(r.scale, window), bound(r.scale, until));
+            let rate = Rat::from_int(per_window) / window;
+            prop_assert_eq!(
+                r.steady_state_entry(rate, window, until),
+                RatReference::of(&r).steady_state_entry(rate, window, until)
+            );
+        }
+
+        /// The overlap check on ticks finds an overlap exactly when the
+        /// check on exact times does, and what it returns overlaps.
+        #[test]
+        fn find_overlap_matches_the_rat_reference(
+            scale in scales(),
+            segments in prop::collection::vec((0u32..3, 0u32..4, 0i128..60, 0i128..8), 0..24),
+        ) {
+            let mut g = Gantt::new(TickScale::new(scale).unwrap());
+            g.segments = segments.into_iter().map(segment).collect();
+            let found = g.find_overlap();
+            prop_assert_eq!(found.is_some(), rat_overlap(&g));
+            if let Some((a, b)) = found {
+                let lane = |s: GanttSegment| (s.node, crate::probe::lane(s.kind));
+                prop_assert_eq!(lane(a), lane(b));
+                prop_assert!(a.start <= b.start && b.start < a.end);
+            }
+        }
     }
 }

@@ -76,21 +76,20 @@ pub fn render_svg(gantt: &Gantt, nodes: &[NodeId], until: Rat) -> String {
         }
     }
 
-    // Segments.
+    // Segments, each turned into its exact times once.
     for seg in &gantt.segments {
         let Some(ni) = nodes.iter().position(|&n| n == seg.node) else { continue };
-        if seg.start >= until || seg.end <= Rat::ZERO {
+        let (start, end) = (gantt.scale.rat(seg.start), gantt.scale.rat(seg.end));
+        if start >= until || end <= Rat::ZERO {
             continue;
         }
-        let x0 = x_of(seg.start.max(Rat::ZERO));
-        let x1 = x_of(seg.end.min(until));
+        let x0 = x_of(start.max(Rat::ZERO));
+        let x1 = x_of(end.min(until));
         let y = ni as u32 * node_h + crate::probe::lane(seg.kind) as u32 * LANE_HEIGHT;
         let title = match seg.kind {
-            SegmentKind::Receive => format!("{} receives [{}, {})", seg.node, seg.start, seg.end),
-            SegmentKind::Compute => format!("{} computes [{}, {})", seg.node, seg.start, seg.end),
-            SegmentKind::Send(child) => {
-                format!("{} sends to {child} [{}, {})", seg.node, seg.start, seg.end)
-            }
+            SegmentKind::Receive => format!("{} receives [{start}, {end})", seg.node),
+            SegmentKind::Compute => format!("{} computes [{start}, {end})", seg.node),
+            SegmentKind::Send(child) => format!("{} sends to {child} [{start}, {end})", seg.node),
         };
         writeln!(
             s,
@@ -153,10 +152,10 @@ mod tests {
     use bwfirst_rational::rat;
 
     fn sample() -> Gantt {
-        let mut g = Gantt::default();
-        g.push(NodeId(0), SegmentKind::Compute, rat(0, 1), rat(5, 1));
-        g.push(NodeId(0), SegmentKind::Send(NodeId(1)), rat(5, 1), rat(8, 1));
-        g.push(NodeId(1), SegmentKind::Receive, rat(5, 1), rat(8, 1));
+        let mut g = Gantt::new(crate::probe::TickScale::ONE);
+        g.push(NodeId(0), SegmentKind::Compute, 0, 5);
+        g.push(NodeId(0), SegmentKind::Send(NodeId(1)), 5, 8);
+        g.push(NodeId(1), SegmentKind::Receive, 5, 8);
         g
     }
 
@@ -175,8 +174,8 @@ mod tests {
     #[test]
     fn clips_to_horizon_and_node_list() {
         let mut g = sample();
-        g.push(NodeId(0), SegmentKind::Compute, rat(50, 1), rat(60, 1)); // beyond
-        g.push(NodeId(9), SegmentKind::Compute, rat(1, 1), rat(2, 1)); // not listed
+        g.push(NodeId(0), SegmentKind::Compute, 50, 60); // beyond
+        g.push(NodeId(9), SegmentKind::Compute, 1, 2); // not listed
         let svg = render_svg(&g, &[NodeId(0), NodeId(1)], rat(10, 1));
         assert_eq!(svg.matches("<rect").count(), 4);
         assert!(!svg.contains("P9"));

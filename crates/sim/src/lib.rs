@@ -3,10 +3,11 @@
 //! The paper proposes (Section 9) evaluating `BW-First` with a simulator;
 //! this crate is that simulator. Time is exact: every event time is a sum
 //! of rational durations, so the engine counts it in integer ticks of
-//! `1/S` ([`TickScale`], `S` the lcm of the durations' denominators) and
-//! reports exact [`bwfirst_rational::Rat`] times. Periodic schedules
-//! replay without drift and the measured steady-state rates can be
-//! compared to the predicted rationals *exactly*.
+//! `1/S` ([`TickScale`], `S` the lcm of the durations' denominators). The
+//! [`SimReport`] and the [`Gantt`] trace keep those ticks with their scale
+//! and answer queries in exact [`bwfirst_rational::Rat`] times. Periodic
+//! schedules replay without drift and the measured steady-state rates can
+//! be compared to the predicted rationals *exactly*.
 //!
 //! Resources per node, following Section 3's model:
 //!

@@ -274,7 +274,6 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
 #[derive(Debug)]
 pub struct GanttProbe {
     gantt: Option<Gantt>,
-    scale: TickScale,
 }
 
 impl Default for GanttProbe {
@@ -287,7 +286,7 @@ impl GanttProbe {
     /// An active or inactive Gantt collector.
     #[must_use]
     pub fn new(active: bool) -> GanttProbe {
-        GanttProbe { gantt: active.then(Gantt::default), scale: TickScale::ONE }
+        GanttProbe { gantt: active.then(|| Gantt::new(TickScale::ONE)) }
     }
 
     /// The collected trace, if this probe was active.
@@ -299,12 +298,14 @@ impl GanttProbe {
 
 impl Probe for GanttProbe {
     fn start(&mut self, scale: TickScale) {
-        self.scale = scale;
+        if let Some(g) = &mut self.gantt {
+            g.scale = scale;
+        }
     }
 
     fn segment(&mut self, node: NodeId, kind: SegmentKind, start: i128, end: i128) {
         if let Some(g) = &mut self.gantt {
-            g.push(node, kind, self.scale.rat(start), self.scale.rat(end));
+            g.push(node, kind, start, end);
         }
     }
 }
@@ -601,7 +602,8 @@ mod tests {
             both.start(TickScale::new(2).unwrap());
             both.segment(NodeId(0), SegmentKind::Receive, 0, 2);
         }
-        assert_eq!(g.into_gantt().unwrap().segments[0].end, rat(1, 1));
+        let g = g.into_gantt().unwrap();
+        assert_eq!(g.scale.rat(g.segments[0].end), rat(1, 1));
         assert_eq!(u.finish().fraction(NodeId(0), 0), rat(1, 10));
     }
 }

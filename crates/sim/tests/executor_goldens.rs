@@ -125,16 +125,19 @@ fn render(rep: &SimReport) -> String {
         writeln!(out, "buffer P{i} max {} avg {}", b.max, b.time_avg).unwrap();
     }
     writeln!(out, "completions {}", rep.completions.len()).unwrap();
-    for (t, node) in &rep.completions {
-        writeln!(out, "done {t} {node}").unwrap();
+    for &(t, node) in &rep.completions {
+        writeln!(out, "done {} {node}", rep.scale.rat(t)).unwrap();
     }
-    for s in rep.gantt.iter().flat_map(|g| &g.segments) {
-        let kind = match s.kind {
-            SegmentKind::Receive => "recv".to_string(),
-            SegmentKind::Compute => "comp".to_string(),
-            SegmentKind::Send(k) => format!("send {k}"),
-        };
-        writeln!(out, "seg {} {kind} {} {}", s.node, s.start, s.end).unwrap();
+    if let Some(g) = &rep.gantt {
+        for s in &g.segments {
+            let kind = match s.kind {
+                SegmentKind::Receive => "recv".to_string(),
+                SegmentKind::Compute => "comp".to_string(),
+                SegmentKind::Send(k) => format!("send {k}"),
+            };
+            let (start, end) = (g.scale.rat(s.start), g.scale.rat(s.end));
+            writeln!(out, "seg {} {kind} {start} {end}", s.node).unwrap();
+        }
     }
     out
 }

@@ -89,6 +89,7 @@ impl Probe for RatBuffers {
 /// observable, most importantly the in-order Gantt trace.
 fn assert_identical(label: &str, tick: &SimReport, exact: &SimReport) {
     assert_eq!(tick.horizon, exact.horizon, "{label}: horizons differ");
+    assert_eq!(tick.scale, exact.scale, "{label}: scales differ");
     assert_eq!(tick.completions, exact.completions, "{label}: completions differ");
     assert_eq!(tick.computed, exact.computed, "{label}: computed differ");
     assert_eq!(tick.received, exact.received, "{label}: received differ");
