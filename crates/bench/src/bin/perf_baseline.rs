@@ -19,9 +19,9 @@
 //! Every point pairs a current measurement (`after_ns`) with a comparison
 //! point (`before_ns`): either the same measurement taken at the seed commit
 //! on the same host (recorded in [`SEED`]), or a runtime toggle re-measured
-//! in this very process — the reference `Rat` lanes, the exact `Rat`-keyed
-//! event queue, the serial model checker, the unprobed simulation, or the
-//! centralized solver against the live negotiation. Toggled pairs are
+//! in this very process — the reference `Rat` lanes, the serial model
+//! checker, the unprobed simulation, or the centralized solver against the
+//! live negotiation. Toggled pairs are
 //! host-independent; seed pairs are only meaningful on a comparable host,
 //! which is why `host_threads` is recorded alongside.
 
@@ -69,6 +69,12 @@ const MATERIALIZED_ORDER: (&str, f64) =
 /// best of 5 each, alternated with the runs behind the committed point).
 const VALUE_TREE_PARSE: (&str, f64) =
     ("commit e4021d8, json::parse + per-node key lookups (same host, release)", 98_947_098.0);
+
+/// `simulate_hetero10_grid` with the event queue keyed by exact `Rat` times,
+/// as `BENCH_sim.json` recorded it (a runtime toggle, best of 5) on the last
+/// commit that had that queue.
+const RAT_KEYED_QUEUE: (&str, f64) =
+    ("commit 91bfb17, exact Rat-keyed event queue (same host, release)", 2_247_494.0);
 
 fn seed_ns(id: &str) -> f64 {
     SEED.iter().find(|(k, _)| *k == id).map_or(f64::NAN, |(_, v)| *v)
@@ -309,12 +315,12 @@ fn measure_sim(opts: &Opts, iters: u32) -> BenchReport {
     let p = example_tree();
     let ss = SteadyState::from_solution(&bw_first(&p));
     let ev = EventDrivenSchedule::standard(&p, &ss).expect("example schedule");
-    let cfg = |periods: i128, exact_queue: bool, gantt: bool| SimConfig {
+    let cfg = |periods: i128, gantt: bool| SimConfig {
         horizon: rat(36 * periods, 1),
         stop_injection_at: None,
         total_tasks: None,
         record_gantt: gantt,
-        exact_queue,
+        exact_queue: false,
         seed: 0,
     };
     let run = |cfg: &SimConfig| {
@@ -322,33 +328,24 @@ fn measure_sim(opts: &Opts, iters: u32) -> BenchReport {
     };
 
     let mut points = Vec::new();
-    let tick_100 = best_of(iters, || run(&cfg(100, false, false)));
-    let exact_100 = best_of(iters, || run(&cfg(100, true, false)));
     points.push(BenchPoint {
         id: "simulate_example_100".to_string(),
         before_ns: seed_ns("simulate_example_100"),
-        after_ns: tick_100,
+        after_ns: best_of(iters, || run(&cfg(100, false))),
         baseline: SEED_COMMIT.to_string(),
-        iters,
-    });
-    points.push(BenchPoint {
-        id: "simulate_example_100_tick_vs_exact".to_string(),
-        before_ns: exact_100,
-        after_ns: tick_100,
-        baseline: "runtime toggle: exact Rat-keyed queue (`exact_queue: true`)".to_string(),
         iters,
     });
     points.push(BenchPoint {
         id: "simulate_example_10".to_string(),
         before_ns: seed_ns("simulate_example_10"),
-        after_ns: best_of(iters.max(5), || run(&cfg(10, false, false))),
+        after_ns: best_of(iters.max(5), || run(&cfg(10, false))),
         baseline: SEED_COMMIT.to_string(),
         iters: iters.max(5),
     });
     points.push(BenchPoint {
         id: "simulate_example_gantt_10".to_string(),
         before_ns: seed_ns("simulate_example_gantt_10"),
-        after_ns: best_of(iters.max(5), || run(&cfg(10, false, true))),
+        after_ns: best_of(iters.max(5), || run(&cfg(10, true))),
         baseline: SEED_COMMIT.to_string(),
         iters: iters.max(5),
     });
@@ -360,34 +357,21 @@ fn measure_sim(opts: &Opts, iters: u32) -> BenchReport {
     let exact = SteadyState::from_solution(&bw_first(&hetero));
     let planned = quantize::quantize(&hetero, &exact, 10_000);
     let hetero_ev = EventDrivenSchedule::standard(&hetero, &planned).expect("hetero schedule");
-    let hetero_cfg = |exact_queue: bool| SimConfig {
-        horizon: rat(20_000, 1),
-        exact_queue,
-        ..cfg(0, false, false)
-    };
-    let (exact_ns, tick_ns) = best_of_pair(
-        iters.max(5),
-        || {
-            black_box(event_driven::simulate(&hetero, &hetero_ev, &hetero_cfg(true)).expect("sim"));
-        },
-        || {
-            black_box(
-                event_driven::simulate(&hetero, &hetero_ev, &hetero_cfg(false)).expect("sim"),
-            );
-        },
-    );
+    let hetero_cfg = SimConfig { horizon: rat(20_000, 1), ..cfg(0, false) };
     points.push(BenchPoint {
         id: "simulate_hetero10_grid".to_string(),
-        before_ns: exact_ns,
-        after_ns: tick_ns,
-        baseline: "runtime toggle: exact Rat-keyed queue (`exact_queue: true`)".to_string(),
+        before_ns: RAT_KEYED_QUEUE.1,
+        after_ns: best_of(iters.max(5), || {
+            black_box(event_driven::simulate(&hetero, &hetero_ev, &hetero_cfg).expect("sim"));
+        }),
+        baseline: RAT_KEYED_QUEUE.0.to_string(),
         iters: iters.max(5),
     });
 
     // Toggled pairs: the plain run vs the same run under one probe, timed
     // alternately so that a noisy phase of the host hits both sides alike.
     let pair_iters = 4 * iters.max(5);
-    let cfg_10 = cfg(10, false, false);
+    let cfg_10 = cfg(10, false);
     let plain = || run(&cfg_10);
     let mut toggled = |id: &str, baseline: &str, after: &mut dyn FnMut()| {
         let (before_ns, after_ns) = best_of_pair(pair_iters, plain, after);
@@ -443,7 +427,7 @@ fn measure_sim(opts: &Opts, iters: u32) -> BenchReport {
     // artifact): the scale where the record vectors meet the allocator's
     // 32 MiB mmap ceiling, which the 10-period run's ~2.3k records never
     // reach.
-    let cfg_1000 = cfg(1000, false, false);
+    let cfg_1000 = cfg(1000, false);
     let (before_ns, after_ns) =
         best_of_pair(iters.max(5), || run(&cfg_1000), || round_trip(&cfg_1000));
     points.push(BenchPoint {

@@ -14,8 +14,8 @@ use bwfirst_sim::clocked::{self, ClockedConfig};
 use bwfirst_sim::demand_driven::{self, DemandConfig};
 use bwfirst_sim::event_driven;
 use bwfirst_sim::{
-    trace_header, MonitorConfig, MonitorProbe, NoProbe, ObsProbe, Probe, ProvenanceProbe,
-    SimConfig, SimError, SimReport, UtilizationProbe,
+    trace_header, GanttProbe, MonitorConfig, MonitorProbe, NoProbe, ObsProbe, Probe,
+    ProvenanceProbe, SimConfig, SimError, SimReport, UtilizationProbe,
 };
 use std::fmt::Write;
 
@@ -434,17 +434,19 @@ fn cmd_simulate(p: &Platform, args: &Args) -> Result<(String, Option<MemoryRecor
     }
     let period = synchronous_period(&ss).map_err(rt)?;
     let horizon = horizon(args, period, 8)?;
-    let cfg = SimConfig {
-        stop_injection_at: stop.map(Rat::from_int),
-        record_gantt: gantt.is_some(),
-        ..sim_config(horizon, tasks, 0)?
-    };
+    let cfg =
+        SimConfig { stop_injection_at: stop.map(Rat::from_int), ..sim_config(horizon, tasks, 0)? };
     let ev = protocol.schedule(p, &ss)?;
+    // The chart draws `[0, until)`: the recorder keeps only what it draws.
+    let until = horizon.min(rat(80, 1));
+    let mut chart = if gantt.is_some() { GanttProbe::until(until) } else { GanttProbe::new(false) };
     let instrument = args.flags.contains_key("trace") || args.flags.contains_key("metrics");
     let mut rec = instrument.then(|| recorder(args));
     let rep = match &mut rec {
-        Some(rec) => protocol.run(p, ev.as_ref(), &cfg, &mut ObsProbe::new(&mut *rec)),
-        None => protocol.run(p, ev.as_ref(), &cfg, &mut NoProbe),
+        Some(rec) => {
+            protocol.run(p, ev.as_ref(), &cfg, &mut (&mut chart, ObsProbe::new(&mut *rec)))
+        }
+        None => protocol.run(p, ev.as_ref(), &cfg, &mut chart),
     }
     .map_err(rt)?;
     let mut out = String::new();
@@ -468,8 +470,7 @@ fn cmd_simulate(p: &Platform, args: &Args) -> Result<(String, Option<MemoryRecor
         writeln!(out, "wind-down         : {:.4}", wd.to_f64()).unwrap();
     }
     writeln!(out, "peak buffer       : {}", rep.peak_buffer()).unwrap();
-    if let (Some(cols), Some(g)) = (gantt, &rep.gantt) {
-        let until = horizon.min(rat(80, 1));
+    if let (Some(cols), Some(g)) = (gantt, chart.into_gantt()) {
         let nodes: Vec<_> = p.node_ids().filter(|&n| ss.is_active(n)).collect();
         writeln!(out, "\nGantt (first {until} units):").unwrap();
         out.push_str(&g.ascii(&nodes, until, cols.max(20)));
@@ -1338,22 +1339,10 @@ mod tests {
             };
             let ((plain, plain_files), (traced, traced_files)) = (argv(false), argv(true));
             let metrics = |files: &[(String, String)]| {
-                use bwfirst_obs::json::{parse, Value};
-                let (_, m) = files.iter().find(|(path, _)| path == "m.json").unwrap();
-                let m = parse(m).unwrap();
-                let Value::Object(histograms) = &m["histograms"] else { panic!("{m:?}") };
-                // The negotiation's wall-clock latency differs run to run.
-                let kept = |(name, _): &&(String, Value)| name != "proto.negotiate_micros";
-                (m["counters"].clone(), histograms.iter().filter(kept).cloned().collect::<Vec<_>>())
+                files.iter().find(|(path, _)| path == "m.json").unwrap().1.clone()
             };
             assert_eq!(metrics(&plain_files), metrics(&traced_files), "{command}");
-            let untimed = |out: &str| {
-                out.lines()
-                    .filter(|l| !l.contains("negotiate_micros"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            assert_eq!(untimed(&plain), untimed(&traced), "{command}");
+            assert_eq!(plain, traced, "{command}");
         }
     }
 

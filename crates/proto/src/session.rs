@@ -41,8 +41,9 @@ impl NegotiationOutcome {
     /// per visited node (in node order, with its negotiated rates as args)
     /// and the Proposition 2 counters — `proto.proposals`, `proto.acks`,
     /// `proto.messages`, `proto.wire_bytes`, `proto.nodes_visited`,
-    /// `proto.nodes_total` — plus a `proto.negotiate_micros` histogram
-    /// sample for the round's wall-clock latency.
+    /// `proto.nodes_total`. The round's wall-clock latency
+    /// ([`elapsed`](Self::elapsed)) is not recorded, so a recording is the
+    /// same on every run.
     pub fn record(&self, rec: &mut MemoryRecorder) {
         let s = &self.solution;
         let mut visits: Vec<_> = s.visits.iter().map(|v| (v, 0i128)).collect();
@@ -75,8 +76,6 @@ impl NegotiationOutcome {
         rec.add("proto.wire_bytes", negotiation_wire_bytes(s) as i128);
         rec.add("proto.nodes_visited", visited);
         rec.add("proto.nodes_total", s.nodes as i128);
-        #[expect(clippy::float_arithmetic, reason = "histogram export is the quantize boundary")]
-        rec.observe("proto.negotiate_micros", self.elapsed.as_secs_f64() * 1e6);
     }
 }
 

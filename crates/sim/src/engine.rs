@@ -22,7 +22,9 @@
 //! that [`TickScale`] when it is built and counts time in `i128` ticks of
 //! `1/S`: queue keys, event times, buffer integrals, completions and every
 //! probe argument. Executors convert their durations to ticks once, at
-//! construction; the per-event path adds and compares integers only.
+//! construction; the per-event path adds and compares integers only. Ticks
+//! at one scale order exactly as the times they count, so the event queue
+//! is one heap keyed by `(tick, insertion sequence)`.
 //!
 //! Any scale is allowed while the horizon plus the longest step fits
 //! `i128` ticks; otherwise (or when the lcm itself leaves `i128`) the run
@@ -55,10 +57,10 @@ pub struct SimConfig {
     pub total_tasks: Option<u64>,
     /// Record the full Gantt trace (costs memory on long runs).
     pub record_gantt: bool,
-    /// Key the event queue by exact `Rat` times instead of engine ticks.
-    /// Only the heap keys change; both orders are identical
-    /// (conformance-tested). This switch is the oracle for the tick order
-    /// and a benchmark toggle.
+    /// Has no effect: the event queue is always keyed by engine ticks,
+    /// which order events exactly as their `Rat` times do. The field stays
+    /// so that struct literals written against the older configuration
+    /// keep compiling.
     pub exact_queue: bool,
     /// Seed for randomized executor policies. Every executor is fully
     /// deterministic today (the event queue breaks time ties by insertion
@@ -123,22 +125,9 @@ pub(crate) fn tick_scale_hint(
 /// Keys are engine ticks, so heap sift-up/down costs plain `i128` compares.
 /// The sequence number is unique, so a payload is never compared: it sits
 /// in the heap entry itself, and a popped entry is the event.
-///
-/// The **exact** heap (`SimConfig::exact_queue`) keys the same entries by
-/// the exact `Rat` time of their tick instead: an oracle for the tick order,
-/// which the conformance tests hold against it. Only the keys differ.
 pub(crate) struct EventQueue<E> {
-    heap: Heap<E>,
+    heap: BinaryHeap<Reverse<(i128, u64, Payload<E>)>>,
     seq: u64,
-}
-
-/// A heap that pops its least entry first.
-type MinHeap<T> = BinaryHeap<Reverse<T>>;
-
-/// The active heap of `(key, seq, …, payload)` entries.
-enum Heap<E> {
-    Ticks(MinHeap<(i128, u64, Payload<E>)>),
-    Exact(TickScale, MinHeap<(Rat, u64, i128, Payload<E>)>),
 }
 
 /// An event in a heap entry. Every entry's sequence number is unique, so
@@ -166,40 +155,25 @@ impl<E> Ord for Payload<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// A queue keyed by ticks, or (`exact`) by the exact times of the
-    /// ticks at that scale.
-    pub fn new(exact: Option<TickScale>) -> Self {
-        let heap = match exact {
-            None => Heap::Ticks(BinaryHeap::new()),
-            Some(scale) => Heap::Exact(scale, BinaryHeap::new()),
-        };
-        EventQueue { heap, seq: 0 }
+    /// An empty queue.
+    pub fn new() -> Self {
+        EventQueue { heap: BinaryHeap::new(), seq: 0 }
     }
 
     /// Schedules `ev` at tick `t`.
     pub fn push(&mut self, t: i128, ev: E) {
-        let seq = self.seq;
+        self.heap.push(Reverse((t, self.seq, Payload(ev))));
         self.seq += 1;
-        match &mut self.heap {
-            Heap::Ticks(heap) => heap.push(Reverse((t, seq, Payload(ev)))),
-            Heap::Exact(scale, heap) => heap.push(Reverse((scale.rat(t), seq, t, Payload(ev)))),
-        }
     }
 
     /// The earliest event and its tick.
     pub fn pop(&mut self) -> Option<(i128, E)> {
-        match &mut self.heap {
-            Heap::Ticks(heap) => heap.pop().map(|Reverse((t, _, Payload(ev)))| (t, ev)),
-            Heap::Exact(_, heap) => heap.pop().map(|Reverse((_, _, t, Payload(ev)))| (t, ev)),
-        }
+        self.heap.pop().map(|Reverse((t, _, Payload(ev)))| (t, ev))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.heap {
-            Heap::Ticks(heap) => heap.len(),
-            Heap::Exact(_, heap) => heap.len(),
-        }
+        self.heap.len()
     }
 }
 
@@ -380,7 +354,7 @@ impl<E, P: Probe> Engine<E, P> {
             horizon,
             injection_end,
             root: platform.root(),
-            queue: EventQueue::new(cfg.exact_queue.then_some(scale)),
+            queue: EventQueue::new(),
             probe,
             buffers: BufferTracker::new(n),
             received: vec![0; n],
@@ -619,12 +593,6 @@ mod tests {
     use bwfirst_rational::rat;
     use proptest::prelude::*;
 
-    impl<E> EventQueue<E> {
-        fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
     fn report(times: &[(i128, u32)]) -> SimReport {
         SimReport {
             horizon: rat(100, 1),
@@ -644,57 +612,28 @@ mod tests {
 
     #[test]
     fn queue_orders_by_time_then_insertion() {
-        let mut q: EventQueue<&str> = EventQueue::new(None);
+        let mut q: EventQueue<&str> = EventQueue::new();
         q.push(2, "b");
         q.push(1, "a1");
         q.push(1, "a2");
         assert_eq!(q.pop(), Some((1, "a1")));
         assert_eq!(q.pop(), Some((1, "a2")));
         assert_eq!(q.pop(), Some((2, "b")));
-        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn queue_never_compares_payloads() {
         // Payloads need no ordering: a tie is decided by the sequence
-        // number alone, on both heaps.
+        // number alone.
         struct Unordered(u32);
-        for exact in [None, Some(sixths())] {
-            let mut q: EventQueue<Unordered> = EventQueue::new(exact);
-            for k in 0..100 {
-                q.push(i128::from(k % 3), Unordered(k));
-            }
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e.0).collect();
-            let want: Vec<u32> = (0..3).flat_map(|r| (r..100).step_by(3)).collect();
-            assert_eq!(order, want);
+        let mut q: EventQueue<Unordered> = EventQueue::new();
+        for k in 0..100 {
+            q.push(i128::from(k % 3), Unordered(k));
         }
-    }
-
-    #[test]
-    fn tick_queue_matches_exact_queue_order() {
-        // Same pushes, same pops, whichever key the heap uses. Includes
-        // duplicate times so the seq tie-break is exercised.
-        let times = [
-            rat(3, 2),
-            rat(1, 6),
-            rat(1, 6),
-            rat(2, 3),
-            rat(0, 1),
-            rat(5, 6),
-            rat(3, 2),
-            rat(1, 1),
-        ];
-        let mut exact: EventQueue<usize> = EventQueue::new(Some(sixths()));
-        let mut ticked: EventQueue<usize> = EventQueue::new(None);
-        for (i, &t) in times.iter().enumerate() {
-            let tick = sixths().ticks(t).unwrap();
-            exact.push(tick, i);
-            ticked.push(tick, i);
-        }
-        for _ in 0..times.len() {
-            assert_eq!(ticked.pop(), exact.pop());
-        }
-        assert!(ticked.is_empty() && exact.is_empty());
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e.0).collect();
+        let want: Vec<u32> = (0..3).flat_map(|r| (r..100).step_by(3)).collect();
+        assert_eq!(order, want);
     }
 
     #[test]
@@ -709,19 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_oracle_orders_times_across_denominators() {
-        // Times on the 1/42 lattice, keyed by their exact values: order is
-        // by time and ties by insertion sequence.
-        let scale = TickScale::new(42).unwrap();
-        let mut q: EventQueue<&str> = EventQueue::new(Some(scale));
-        for (t, name) in [(rat(5, 21), "early"), (rat(1, 6), "first"), (rat(5, 21), "tie")] {
-            q.push(scale.ticks(t).unwrap(), name);
-        }
-        let names: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(names, ["first", "early", "tie"]);
-    }
-
-    #[test]
     fn overflowing_ticks_are_refused() {
         // A time whose tick would leave i128 has none, and a horizon that
         // cannot be counted in ticks fails the run before its first event.
@@ -731,21 +657,6 @@ mod tests {
         let cfg = SimConfig::to_horizon(Rat::new(i128::MAX / 4, 1));
         let err = Engine::<(), _>::new(&p, &cfg, [rat(1, 6)], crate::probe::NoProbe).err();
         assert_eq!(err, Some(SimError::TickOverflow { scale: Some(6), horizon: cfg.horizon }));
-    }
-
-    #[test]
-    fn exact_oracle_keeps_ties_in_insertion_order() {
-        // Equal-time entries pushed around an earlier one still fire in
-        // insertion order, before a later tie.
-        let mut q: EventQueue<&str> = EventQueue::new(Some(sixths()));
-        q.push(3, "half-1");
-        q.push(2, "third");
-        q.push(3, "half-2");
-        q.push(1, "sixth");
-        assert_eq!(q.len(), 4);
-        q.push(3, "half-3");
-        let names: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(names, ["sixth", "third", "half-1", "half-2", "half-3"]);
     }
 
     #[test]

@@ -274,6 +274,10 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
 #[derive(Debug)]
 pub struct GanttProbe {
     gantt: Option<Gantt>,
+    /// Segments that start at or after this time are dropped.
+    until: Option<Rat>,
+    /// `until` in ticks of the run's scale (`i128::MAX`: keep every one).
+    until_tick: i128,
 }
 
 impl Default for GanttProbe {
@@ -286,7 +290,19 @@ impl GanttProbe {
     /// An active or inactive Gantt collector.
     #[must_use]
     pub fn new(active: bool) -> GanttProbe {
-        GanttProbe { gantt: active.then(|| Gantt::new(TickScale::ONE)) }
+        GanttProbe {
+            gantt: active.then(|| Gantt::new(TickScale::ONE)),
+            until: None,
+            until_tick: i128::MAX,
+        }
+    }
+
+    /// An active collector that keeps only the segments starting before
+    /// `until`: every segment a chart of `[0, until)` draws
+    /// ([`Gantt::ascii`]).
+    #[must_use]
+    pub fn until(until: Rat) -> GanttProbe {
+        GanttProbe { until: Some(until), ..GanttProbe::new(true) }
     }
 
     /// The collected trace, if this probe was active.
@@ -301,10 +317,11 @@ impl Probe for GanttProbe {
         if let Some(g) = &mut self.gantt {
             g.scale = scale;
         }
+        self.until_tick = self.until.and_then(|u| scale.ceil(u)).unwrap_or(i128::MAX);
     }
 
     fn segment(&mut self, node: NodeId, kind: SegmentKind, start: i128, end: i128) {
-        if let Some(g) = &mut self.gantt {
+        if let Some(g) = self.gantt.as_mut().filter(|_| start < self.until_tick) {
             g.push(node, kind, start, end);
         }
     }
@@ -494,6 +511,19 @@ mod tests {
         let mut off = GanttProbe::new(false);
         off.segment(NodeId(1), SegmentKind::Compute, 0, 2);
         assert!(off.into_gantt().is_none());
+    }
+
+    #[test]
+    fn gantt_probe_keeps_what_a_chart_draws() {
+        // Up to 3/2 at scale 2: ticks 0..3; a segment starting at tick 3
+        // starts at the chart's end and is dropped.
+        let mut g = GanttProbe::until(rat(3, 2));
+        g.start(TickScale::new(2).unwrap());
+        for start in 0..5 {
+            g.segment(NodeId(1), SegmentKind::Compute, start, start + 1);
+        }
+        let starts: Vec<i128> = g.into_gantt().unwrap().segments.iter().map(|s| s.start).collect();
+        assert_eq!(starts, [0, 1, 2]);
     }
 
     #[test]
